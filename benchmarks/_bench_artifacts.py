@@ -3,16 +3,18 @@
 Every benchmark module tracks its scenario metrics in one JSON artifact
 at the repository root.  This module centralises the writing so all four
 artifacts share one schema generation (``bench-*/v2``) and carry the
-environment metadata (``python_version``, ``platform``) that makes
-cross-run comparisons interpretable — a 3.13 run on one kernel is not
-comparable to a 3.9 run on another, and the regression gate
+environment metadata (``python_version``, ``platform``, ``cpu_count``)
+that makes cross-run comparisons interpretable — a 3.13 run on one
+kernel is not comparable to a 3.9 run on another, nor a 4-worker
+scaling leg on 2 cores to one on 8, and the regression gate
 (``tools/bench_compare.py``) warns when environments differ.
 
 Schema history:
 
 * ``v1`` — ``{"schema", "generated_by", "scenarios"}``;
 * ``v2`` — adds a top-level ``"environment"`` object with
-  ``python_version`` and ``platform``.
+  ``python_version`` and ``platform`` (later also ``cpu_count``, an
+  additive key: older v2 artifacts simply lack it).
 
 Readers (``tools/bench_compare.py``) tolerate both generations.
 """
@@ -20,6 +22,7 @@ Readers (``tools/bench_compare.py``) tolerate both generations.
 from __future__ import annotations
 
 import json
+import os
 import platform
 from pathlib import Path
 from typing import Dict
@@ -30,11 +33,12 @@ __all__ = ["BenchArtifact", "environment_metadata"]
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
-def environment_metadata() -> Dict[str, str]:
+def environment_metadata() -> Dict[str, object]:
     """The environment stamp recorded in every v2 artifact."""
     return {
         "python_version": platform.python_version(),
         "platform": platform.platform(),
+        "cpu_count": os.cpu_count(),
     }
 
 

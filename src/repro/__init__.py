@@ -80,6 +80,7 @@ from repro.errors import (
     LintError,
     ObsError,
     PlatformError,
+    PoolError,
     RedundancyError,
     RepeatBudgetError,
     ReproError,
@@ -173,6 +174,7 @@ __all__ = [
     "FaultInjectionError",
     "StreamError",
     "PlatformError",
+    "PoolError",
     "WorkerCountError",
     "LintError",
     "StatsError",

@@ -20,8 +20,6 @@ count — ``workers=4`` only changes the wall-clock, never the results.
 
 from __future__ import annotations
 
-import math
-from concurrent.futures import ProcessPoolExecutor
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.api.artifact import (
@@ -35,6 +33,7 @@ from repro.api.artifact import (
 )
 from repro.api.spec import RunSpec
 from repro.errors import ConfigurationError, WorkerCountError
+from repro.exec import map_tasks
 from repro.faults.campaign import FaultCampaign
 from repro.gpu.config import GPUConfig
 from repro.gpu.cots import cots_end_to_end
@@ -53,10 +52,11 @@ from repro.workloads.rodinia import get_benchmark
 __all__ = ["Engine", "run", "run_many"]
 
 
-def _worker_run(item: Tuple[RunSpec, bool]) -> RunArtifact:
-    """Process-pool entry point (must be module-level to pickle)."""
-    spec, validate = item
-    return Engine(validate=validate).run(spec)
+def _run_spec(task: Tuple[RunSpec, bool],
+              telemetry: Telemetry) -> RunArtifact:
+    """Pool task: execute one ``(spec, validate)`` pair."""
+    spec, validate = task
+    return Engine(validate=validate, telemetry=telemetry).run(spec)
 
 
 class Engine:
@@ -66,9 +66,10 @@ class Engine:
         validate: forward the simulator's trace-validation switch (on by
             default; disabling buys a few percent of run time).
         telemetry: optional :class:`~repro.obs.session.Telemetry`
-            session receiving per-run spans and batch heartbeats; the
-            engine only emits from the orchestrating process (sinks are
-            not picklable), and telemetry never changes any artifact.
+            session receiving per-run spans and batch heartbeats (pooled
+            runs log their spans to worker sidecars merged back by
+            :func:`repro.exec.map_tasks`); telemetry never changes any
+            artifact.
     """
 
     def __init__(self, *, validate: bool = True,
@@ -118,8 +119,6 @@ class Engine:
         else:
             classification = ()
         cots = self._cots(spec) if spec.cots is not None else None
-        if tm.enabled:
-            tm.metrics.add("runs")
 
         from repro import __version__
 
@@ -157,8 +156,9 @@ class Engine:
                workers: int = 1) -> Iterator[RunArtifact]:
         """Like :meth:`run_many` but yields artifacts as they complete.
 
-        Artifacts are yielded in spec order (the pool's map preserves
-        order while executing out-of-order).  Argument validation happens
+        Artifacts are yielded in spec order (the execution core,
+        :func:`repro.exec.map_tasks`, preserves order while executing
+        out-of-order).  Argument validation happens
         eagerly, before the returned iterator is consumed.
 
         Raises:
@@ -179,29 +179,17 @@ class Engine:
         tm.emit("run_start", kind="engine-batch", specs=len(spec_list),
                 workers=workers)
         done = 0
-        if workers == 1 or len(spec_list) <= 1:
-            for spec in spec_list:
-                yield self.run(spec)
-                done += 1
-                if tm.enabled:
-                    tm.beat("engine", done, len(spec_list),
-                            rate_counter="runs", unit="runs/s")
-        else:
-            items = [(spec, self._validate) for spec in spec_list]
-            pool_size = min(workers, len(spec_list))
-            # chunked submission amortises per-task pickling/IPC overhead on
-            # large batches; map() preserves spec order regardless of
-            # chunking, so results stay identical for any worker count
-            chunksize = max(1, math.ceil(len(items) / (pool_size * 4)))
-            with ProcessPoolExecutor(max_workers=pool_size) as pool:
-                for artifact in pool.map(_worker_run, items,
-                                         chunksize=chunksize):
-                    yield artifact
-                    done += 1
-                    if tm.enabled:
-                        tm.metrics.add("runs")
-                        tm.beat("engine", done, len(spec_list),
-                                rate_counter="runs", unit="runs/s")
+        for artifact in map_tasks(
+                _run_spec, [(spec, self._validate) for spec in spec_list],
+                workers=workers,
+                keys=[f"spec-{i:05d}" for i in range(len(spec_list))],
+                telemetry=tm):
+            yield artifact
+            done += 1
+            if tm.enabled:
+                tm.metrics.add("runs")
+                tm.beat("engine", done, len(spec_list),
+                        rate_counter="runs", unit="runs/s")
         tm.emit("run_end", kind="engine-batch", completed=done)
 
     # ------------------------------------------------------------------

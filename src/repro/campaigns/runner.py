@@ -6,11 +6,10 @@ aggregate :class:`~repro.faults.campaign.CampaignReport` by:
 1. planning contiguous shards of the fault-index space
    (:func:`repro.campaigns.sharding.plan_shards`);
 2. skipping shards already present in the campaign store (resume);
-3. executing the remaining shards — in-process or on a process pool in
-   the style of :meth:`repro.api.engine.Engine.run_many`, except that
-   shards persist to the store *as they complete* (``as_completed``
-   rather than an order-preserving ``map``), so an interrupt loses at
-   most the shards still in flight;
+3. executing the remaining shards through the execution core
+   (:func:`repro.exec.map_tasks`) in completion order, persisting each
+   to the store *as it completes*, so an interrupt loses at most the
+   shards still in flight;
 4. folding the per-shard outcome tables into one incremental
    :class:`~repro.faults.campaign.CampaignReport` in shard order — the
    aggregate is O(shards) in memory and never materialises the campaign's
@@ -24,7 +23,6 @@ contract and its proof obligations).
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple, Union
@@ -39,6 +37,7 @@ from repro.campaigns.store import (
     ShardRecord,
 )
 from repro.errors import CampaignError, StatsError
+from repro.exec import map_tasks
 from repro.faults.campaign import (
     SDC_SAMPLE_LIMIT,
     CampaignReport,
@@ -47,13 +46,6 @@ from repro.faults.campaign import (
 )
 from repro.faults.outcomes import FaultOutcome
 from repro.obs.session import NULL_TELEMETRY, Telemetry
-from repro.obs.worker import (
-    close_worker_session,
-    merge_sidecars,
-    sidecar_dir,
-    sidecar_path,
-    worker_session,
-)
 from repro.redundancy.manager import RedundantKernelManager
 from repro.stats.intervals import RateEstimate
 from repro.stats.repeater import (
@@ -122,53 +114,39 @@ def baseline_campaign(run_spec: RunSpec, *,
     return campaign
 
 
-def _shard_key(shard_index: int) -> str:
-    """Worker-sidecar key for a shard (lexicographic == numeric order)."""
-    return f"shard-{shard_index:05d}"
-
-
-def _execute_shard(task: Tuple) -> ShardRecord:
-    """Process-pool entry point: run one shard to a :class:`ShardRecord`.
+def _execute_shard(task: Tuple[str, int, int, int, bool],
+                   telemetry: Telemetry = NULL_TELEMETRY) -> ShardRecord:
+    """Pool task: run one shard to a :class:`ShardRecord`.
 
     The task is a plain picklable tuple ``(spec_json, shard_index, start,
-    stop, validate)``, optionally extended with a sixth element — the
-    worker-sidecar telemetry path (:mod:`repro.obs.worker`) a pooled
-    worker logs its own spans to.  The shard samples exactly its slice
-    of the indexed fault population, classifies each injection against
-    the (cached) clean trace, and aggregates outcome counts —
-    per-injection results never leave the worker.
+    stop, validate)``.  The shard samples exactly its slice of the
+    indexed fault population, classifies each injection against the
+    (cached) clean trace, and aggregates outcome counts — per-injection
+    results never leave the worker.  ``telemetry`` receives the shard's
+    spans (the caller's session in-process, a worker sidecar in a pool).
     """
-    spec_json, shard_index, start, stop, validate = task[:5]
-    sidecar = task[5] if len(task) > 5 else None
-    wt = worker_session(sidecar)
-    try:
-        with wt.span("shard", shard=shard_index, start=start, stop=stop):
-            spec = CampaignSpec.from_json(spec_json)
-            cached = (spec.run.config_hash, validate) in _BASELINE_CACHE
-            with wt.span("baseline", cached=cached):
-                campaign = baseline_campaign(spec.run, validate=validate)
-            config = spec.faults.to_config(seed=spec.run.seed)
-            sampling = (spec.sampling.to_config()
-                        if spec.sampling is not None else None)
-            counts: Dict[str, Dict[str, int]] = {}
-            sdc_samples: List[str] = []
-            with wt.span("classify", injections=stop - start):
-                for index in range(start, stop):
-                    fault = campaign.fault_at(config, index,
-                                              sampling=sampling)
-                    result = campaign.classify(fault)
-                    kind = type(fault).__name__
-                    bucket = counts.setdefault(kind, {})
-                    key = OUTCOME_KEYS[result.outcome]
-                    bucket[key] = bucket.get(key, 0) + 1
-                    if (result.outcome is FaultOutcome.SDC
-                            and len(sdc_samples) < SDC_SAMPLE_LIMIT):
-                        sdc_samples.append(result.fault_label)
-            if wt.enabled:
-                wt.metrics.add("injections", stop - start)
-                wt.beat("shard", stop - start, stop - start, force=True)
-    finally:
-        close_worker_session(wt)
+    spec_json, shard_index, start, stop, validate = task
+    with telemetry.span("shard", shard=shard_index, start=start, stop=stop):
+        spec = CampaignSpec.from_json(spec_json)
+        cached = (spec.run.config_hash, validate) in _BASELINE_CACHE
+        with telemetry.span("baseline", cached=cached):
+            campaign = baseline_campaign(spec.run, validate=validate)
+        config = spec.faults.to_config(seed=spec.run.seed)
+        sampling = (spec.sampling.to_config()
+                    if spec.sampling is not None else None)
+        counts: Dict[str, Dict[str, int]] = {}
+        sdc_samples: List[str] = []
+        with telemetry.span("classify", injections=stop - start):
+            for index in range(start, stop):
+                fault = campaign.fault_at(config, index, sampling=sampling)
+                result = campaign.classify(fault)
+                kind = type(fault).__name__
+                bucket = counts.setdefault(kind, {})
+                key = OUTCOME_KEYS[result.outcome]
+                bucket[key] = bucket.get(key, 0) + 1
+                if (result.outcome is FaultOutcome.SDC
+                        and len(sdc_samples) < SDC_SAMPLE_LIMIT):
+                    sdc_samples.append(result.fault_label)
     return ShardRecord(
         shard=shard_index,
         start=start,
@@ -371,34 +349,6 @@ def validated_records(store: CampaignStore,
     return records
 
 
-def _observe_record(tm: Telemetry, record: ShardRecord, *,
-                    store: Optional[CampaignStore], done_count: int,
-                    total_shards: int) -> None:
-    """Per-shard telemetry block (single check, no-op when disabled).
-
-    Telemetry observes the consumption loop and never feeds back into
-    it: the record was already appended to the store (checkpoint event
-    comes after the fact) and the fold never reads any of this.
-    """
-    if not tm.enabled:
-        return
-    if store is not None:
-        tm.emit("checkpoint", shard=record.shard,
-                path=store.shards_path.as_posix())
-    totals = record.outcome_totals()
-    tm.metrics.add("injections", record.injections)
-    tm.metrics.add("shards", 1)
-    tm.metrics.set_gauge("pending_shards", float(total_shards - done_count))
-    tm.metrics.observe("shard_injections", record.injections)
-    tm.emit("shard_end", shard=record.shard, start=record.start,
-            stop=record.stop, injections=record.injections,
-            masked=totals.get(FaultOutcome.MASKED, 0),
-            detected=totals.get(FaultOutcome.DETECTED, 0),
-            sdc=totals.get(FaultOutcome.SDC, 0))
-    tm.beat("campaign", done_count, total_shards,
-            rate_counter="injections", unit="inj/s")
-
-
 def run_campaign(spec: CampaignSpec, *,
                  store: Union[CampaignStore, str, Path, None] = None,
                  workers: int = 1,
@@ -472,19 +422,9 @@ def run_campaign(spec: CampaignSpec, *,
                             reason="re-dispatched after interrupt")
 
     if pending:
-        spec_json = spec.to_json()
-        tasks = [
-            (spec_json, shard.index, shard.start, shard.stop, validate)
-            for shard in pending
-        ]
         with tm.span("execute", shards=len(pending), workers=workers):
-            for record in _execute(tasks, workers, telemetry=tm):
-                if store is not None:
-                    store.append(record)
-                done[record.shard] = record
-                _observe_record(tm, record, store=store,
-                                done_count=len(done),
-                                total_shards=len(plan))
+            _execute(spec, pending, done=done, total_shards=len(plan),
+                     store=store, workers=workers, validate=validate, tm=tm)
 
     with tm.span("fold", shards=len(done)):
         report = fold_report(done.values(),
@@ -498,53 +438,52 @@ def run_campaign(spec: CampaignSpec, *,
     return report
 
 
-def _execute(tasks: List[Tuple[str, int, int, int, bool]],
-             workers: int,
-             telemetry: Optional[Telemetry] = None
-             ) -> Iterable[ShardRecord]:
-    """Yield shard records as they complete (in-process or pooled).
+def _execute(spec: CampaignSpec, shards: List[Shard], *,
+             done: Dict[int, ShardRecord], total_shards: int,
+             store: Optional[CampaignStore], workers: int, validate: bool,
+             tm: Telemetry) -> None:
+    """Run ``shards``, persisting each into ``store``/``done`` as it completes.
 
-    Orchestrator-side telemetry: ``shard_start`` at dispatch —
-    submission time on the pooled path — and ``worker_error`` when a
-    shard raises, immediately before the error propagates.  Pooled
-    shards additionally log their own spans to per-worker sidecar
-    files (:mod:`repro.obs.worker`) which are merged back into the
-    session — in shard order, so the merged stream is deterministic —
-    once the pool drains.  A failing run skips the merge and leaves
-    the sidecars on disk for post-mortem reading.
+    The execution core (:func:`repro.exec.map_tasks`) runs the shards
+    in-process or pooled in completion order, reports ``worker_error``
+    and merges pooled shards' sidecar telemetry in shard order.  The
+    per-shard telemetry observes this loop and never feeds back into
+    it: each record is appended before its ``checkpoint`` event, and the
+    fold never reads any of it.
     """
-    tm = telemetry if telemetry is not None else NULL_TELEMETRY
-    if workers == 1 or len(tasks) == 1:
-        for task in tasks:
-            tm.emit("shard_start", shard=task[1], start=task[2],
-                    stop=task[3], pooled=False)
-            try:
-                record = _execute_shard(task)
-            except Exception as exc:
-                tm.emit("worker_error", shard=task[1], error=repr(exc))
-                raise
-            yield record
-        return
-    pool_size = min(workers, len(tasks))
-    wdir = sidecar_dir(tm) if tm.sink.enabled else None
-    if wdir is not None:
-        tasks = [task + (sidecar_path(wdir, _shard_key(task[1])),)
-                 for task in tasks]
-    with ProcessPoolExecutor(max_workers=pool_size) as pool:
-        futures = {}
-        for task in tasks:
-            tm.emit("shard_start", shard=task[1], start=task[2],
-                    stop=task[3], pooled=True)
-            futures[pool.submit(_execute_shard, task)] = task[1]
-        for future in as_completed(futures):
-            try:
-                yield future.result()
-            except Exception as exc:
-                tm.emit("worker_error", shard=futures[future],
-                        error=repr(exc))
-                raise
-    if wdir is not None:
-        merge_sidecars(tm, wdir, [_shard_key(task[1]) for task in tasks])
+    spec_json = spec.to_json()
+    for shard in shards:
+        tm.emit("shard_start", shard=shard.index, start=shard.start,
+                stop=shard.stop)
+    for record in map_tasks(
+            _execute_shard,
+            [(spec_json, shard.index, shard.start, shard.stop, validate)
+             for shard in shards],
+            workers=workers,
+            # zero-padded, so key order (the sidecar merge order) is shard order
+            keys=[f"shard-{shard.index:05d}" for shard in shards],
+            telemetry=tm, ordered=False):
+        if store is not None:
+            store.append(record)
+        done[record.shard] = record
+        if not tm.enabled:
+            continue
+        if store is not None:
+            tm.emit("checkpoint", shard=record.shard,
+                    path=store.shards_path.as_posix())
+        totals = record.outcome_totals()
+        tm.metrics.add("injections", record.injections)
+        tm.metrics.add("shards", 1)
+        tm.metrics.set_gauge("pending_shards",
+                             float(total_shards - len(done)))
+        tm.metrics.observe("shard_injections", record.injections)
+        tm.emit("shard_end", shard=record.shard, start=record.start,
+                stop=record.stop, injections=record.injections,
+                masked=totals.get(FaultOutcome.MASKED, 0),
+                detected=totals.get(FaultOutcome.DETECTED, 0),
+                sdc=totals.get(FaultOutcome.SDC, 0))
+        tm.beat("campaign", len(done), total_shards,
+                rate_counter="injections", unit="inj/s")
 
 
 def resume_campaign(store: Union[CampaignStore, str, Path], *,
@@ -692,19 +631,9 @@ def repeat_campaign(spec: CampaignSpec, *,
         if not pending:
             break
         wave = pending[:workers]
-        spec_json = spec.to_json()
-        tasks = [
-            (spec_json, shard.index, shard.start, shard.stop, validate)
-            for shard in wave
-        ]
         with tm.span("wave", shards=len(wave)):
-            for record in _execute(tasks, workers, telemetry=tm):
-                if store is not None:
-                    store.append(record)
-                done[record.shard] = record
-                _observe_record(tm, record, store=store,
-                                done_count=len(done),
-                                total_shards=len(plan))
+            _execute(spec, wave, done=done, total_shards=len(plan),
+                     store=store, workers=workers, validate=validate, tm=tm)
         _advance()
 
     if tm.enabled:

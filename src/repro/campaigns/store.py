@@ -10,11 +10,11 @@ Each shard line carries the shard's identity (``shard``/``start``/
 ``stop``), its aggregated ``fault-kind -> outcome -> count`` table, a
 bounded sample of SDC fault labels, and a SHA-256 ``digest`` of the
 canonical payload.  Appends are flushed and fsynced, so a killed campaign
-loses at most the shard lines that were mid-write; a torn trailing line
-is detected and ignored on load (that shard simply re-runs), while
-corruption anywhere else — or a digest mismatch — raises
-:class:`~repro.errors.CampaignError` instead of silently folding bad
-counts into a safety argument.
+loses at most the shard lines that were mid-write.  A torn trailing line
+is ignored on load (that shard simply re-runs) and repaired by the next
+append; the manifest is replaced atomically.  Corruption anywhere else —
+or a digest mismatch — raises :class:`~repro.errors.CampaignError`
+instead of silently folding bad counts into a safety argument.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Mapping, Tuple, Union
+from typing import Any, BinaryIO, Dict, Mapping, Tuple, Union
 
 from repro.api.campaign import CampaignSpec
 from repro.errors import CampaignError, ConfigurationError
@@ -146,6 +146,25 @@ class ShardRecord:
         return record
 
 
+def _repair_torn_tail(handle: BinaryIO) -> None:
+    """Make an append-mode log end on a line boundary (see ``append``)."""
+    end = handle.seek(0, os.SEEK_END)
+    if end == 0:
+        return
+    handle.seek(end - 1)
+    if handle.read(1) == b"\n":
+        return
+    handle.seek(0)
+    start = handle.read().rfind(b"\n") + 1  # rare path: whole-file read
+    handle.seek(start)
+    try:
+        json.loads(handle.read())
+    except ValueError:
+        handle.truncate(start)
+    else:
+        handle.write(b"\n")
+
+
 class CampaignStore:
     """One campaign directory: manifest plus append-only shard artifacts.
 
@@ -207,9 +226,12 @@ class CampaignStore:
             "total_injections": spec.total_injections,
             "version": __version__,
         }
-        self.manifest_path.write_text(
-            json.dumps(manifest, sort_keys=True, indent=2) + "\n"
-        )
+        tmp = self.manifest_path.with_suffix(".json.tmp")
+        with open(tmp, "w", encoding="utf-8") as handle:
+            handle.write(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, self.manifest_path)
 
     def load_spec(self) -> CampaignSpec:
         """The :class:`CampaignSpec` this store was created for.
@@ -241,9 +263,15 @@ class CampaignStore:
 
     # ------------------------------------------------------------------
     def append(self, record: ShardRecord) -> None:
-        """Persist one completed shard (flushed and fsynced)."""
-        with open(self.shards_path, "a", encoding="utf-8") as handle:
-            handle.write(record.to_line() + "\n")
+        """Persist one completed shard (flushed and fsynced).
+
+        A torn trailing line left by a killed writer is repaired first —
+        truncated (that shard re-runs anyway), or newline-terminated when
+        only the newline was lost — instead of being appended onto.
+        """
+        with open(self.shards_path, "ab+") as handle:
+            _repair_torn_tail(handle)
+            handle.write(record.to_line().encode("utf-8") + b"\n")
             handle.flush()
             os.fsync(handle.fileno())
 

@@ -146,6 +146,14 @@ class RepeatBudgetError(StatsError):
     """
 
 
+class PoolError(ReproError):
+    """A process-pool worker died before returning its task's result.
+
+    Raised by :func:`repro.exec.map_tasks` in place of ``BrokenProcessPool``
+    (e.g. a worker killed by the OOM killer); the message names the task.
+    """
+
+
 class WorkerCountError(ConfigurationError, StreamError, ValueError):
     """A parallel executor was handed a non-positive worker count.
 

@@ -469,17 +469,19 @@ class RaiseHierarchyRule(Rule):
 class PoolCallableRule(Rule):
     """RL006 — process-pool callables must be module-level.
 
-    ``ProcessPoolExecutor`` pickles the callable by reference; a lambda,
-    a nested function or a bound ``self.``-method either fails to pickle
-    or drags hidden mutable state across the fork.  Only module-level
-    functions are guaranteed to behave identically in every worker.
+    A process pool pickles the callable by reference; a lambda, a nested
+    function or a bound ``self.``-method either fails to pickle or drags
+    hidden mutable state across the fork.  Only module-level functions
+    are guaranteed to behave identically in every worker.  Checked at
+    executor ``submit()``/``map()`` call sites and at the first argument
+    of the execution core's :func:`repro.exec.map_tasks`.
     """
 
     id = "RL006"
     title = "non-picklable pool callable"
 
     def check(self, ctx: FileContext) -> List[Violation]:
-        """Flag lambdas/nested defs/self-methods given to submit()/map()."""
+        """Flag lambdas/nested defs/self-methods handed to a pool."""
         out: List[Violation] = []
         self._walk_scope(ctx, ctx.tree, (), out)
         return out
@@ -500,9 +502,13 @@ class PoolCallableRule(Rule):
     def _check_call(self, ctx: FileContext, node: ast.Call,
                     nested: Tuple[FrozenSet[str], ...],
                     out: List[Violation]) -> None:
-        """Check one ``X.submit(f, ...)`` / ``X.map(f, ...)`` call site."""
-        if not (isinstance(node.func, ast.Attribute)
-                and node.func.attr in ("submit", "map") and node.args):
+        """Check one ``submit(f, …)``/``map(f, …)``/``map_tasks(f, …)`` site."""
+        func = node.func
+        if not node.args:
+            return
+        if not ((isinstance(func, ast.Attribute)
+                 and func.attr in ("submit", "map", "map_tasks"))
+                or (isinstance(func, ast.Name) and func.id == "map_tasks")):
             return
         target = node.args[0]
         if isinstance(target, ast.Lambda):

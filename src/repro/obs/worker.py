@@ -1,21 +1,18 @@
 """Per-worker telemetry capture for process pools, merged after the run.
 
-Telemetry sinks hold open file handles and are not picklable, so
-pooled shard/job/device workers historically ran *uninstrumented* —
-their spans and retries never reached the session log.  This module
-closes the gap with sidecar files:
+Telemetry sinks hold open file handles and are not picklable, so pooled
+workers log to sidecar files instead; :func:`repro.exec.map_tasks` wires
+them up:
 
-* the orchestrator derives one sidecar path per work unit next to the
-  session log (``t.jsonl.workers/worker-<key>.jsonl``) and ships it
-  inside the pickled task;
-* each worker opens its own :class:`~repro.obs.session.Telemetry`
-  session on that path (best-effort: any I/O failure silently
-  disables worker capture — instrumentation must never fail a run);
-* after the pool drains, :func:`merge_sidecars` folds every sidecar
-  back into the orchestrator session **deterministically**: workers
-  are merged in sorted-key order and each file in its own ``seq``
-  order, so the merged stream is a pure function of the work, not of
-  pool scheduling.
+* one sidecar path per task next to the session log
+  (``t.jsonl.workers/worker-<key>.jsonl``) travels with the task;
+* the worker opens its own :class:`~repro.obs.session.Telemetry` session
+  there (best-effort: an I/O failure silently disables worker capture —
+  instrumentation must never fail a run);
+* after the pool drains, :func:`merge_sidecars` folds the sidecars back
+  into the orchestrator session **deterministically** — sorted keys,
+  then each file's own ``seq`` order — so the merged stream is a pure
+  function of the work, not of pool scheduling.
 
 Merged events keep the four-key ``repro-telemetry/v1`` shape — the
 orchestrator re-emits them with fresh ``seq``/``t_ms`` and stashes the

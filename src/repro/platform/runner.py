@@ -11,9 +11,9 @@ into a :class:`~repro.platform.report.PlatformReport` in three stages:
    the virtual-time stream engine (:func:`repro.streams.runner.run_stream`)
    on the device's GPU, with the device's per-frame COTS protocol
    overhead folded into every service time.  With ``workers > 1`` the
-   devices fan out over a process pool, one pool task per device — the
-   natural parallel grain, since streams on different devices share
-   nothing;
+   devices fan out over a process pool (:func:`repro.exec.map_tasks`),
+   one pool task per device — the natural parallel grain, since streams
+   on different devices share nothing;
 3. **rollup** (:mod:`repro.platform.report`) — per-device utilisation,
    global deadline/FTTI accounting and the ISO 26262 worst-task verdict
    fold into one canonical report.
@@ -28,21 +28,14 @@ at 8-device scale by ``benchmarks/bench_platform.py``).
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.api.platform import PlatformSpec
 from repro.api.stream import StreamSpec
 from repro.errors import WorkerCountError
 from repro.iso26262.asil import Asil, as_asil
+from repro.exec import map_tasks
 from repro.obs.session import NULL_TELEMETRY, Telemetry
-from repro.obs.worker import (
-    close_worker_session,
-    merge_sidecars,
-    sidecar_dir,
-    sidecar_path,
-    worker_session,
-)
 from repro.platform.placement import PlatformPlan, bind_task, plan_placement
 from repro.platform.report import PlatformReport, task_verdict
 from repro.streams.report import StreamReport
@@ -50,40 +43,30 @@ from repro.streams.runner import run_stream
 
 __all__ = ["run_platform"]
 
-#: One pool task: (device name, [(label, stream spec JSON, protocol ms)]),
-#: optionally extended with a worker-sidecar telemetry path.
+#: One pool task: (device name, [(label, stream spec JSON, protocol ms)],
+#: validate).
 _DeviceItem = Tuple[str, List[Tuple[str, str, float]], bool]
 
 
 def _run_device(item: _DeviceItem,
-                telemetry: Optional[Telemetry] = None) -> List[Dict[str, Any]]:
-    """Process-pool entry point: run one device's task streams.
+                telemetry: Telemetry) -> List[Dict[str, Any]]:
+    """Pool task: run one device's task streams under a ``device`` span.
 
-    ``telemetry`` is only threaded through on the in-process path —
-    sinks are not picklable.  A pooled item instead carries a
-    worker-sidecar path as its fourth element
-    (:mod:`repro.obs.worker`): the worker opens its own session there,
-    wraps the device in a ``device`` span and instruments its streams
-    in full; the orchestrator merges the sidecar back after the pool
-    drains.
+    ``telemetry`` is the caller's session in-process and a worker
+    sidecar in a pool; either way the device's streams are instrumented
+    in full.
     """
-    name, tasks, validate = item[0], item[1], item[2]
-    sidecar = item[3] if len(item) > 3 else None
-    wt = worker_session(sidecar) if telemetry is None else NULL_TELEMETRY
-    tm = telemetry if telemetry is not None else wt
-    try:
-        reports = []
-        with wt.span("device", device=name, tasks=len(tasks)):
-            for _, spec_json, protocol_ms in tasks:
-                spec = StreamSpec.from_json(spec_json)
-                report = run_stream(
-                    spec, service_offset_ms=protocol_ms, validate=validate,
-                    telemetry=tm if tm.enabled else None,
-                )
-                reports.append(report.to_dict())
-        return reports
-    finally:
-        close_worker_session(wt)
+    name, tasks, validate = item
+    reports = []
+    with telemetry.span("device", device=name, tasks=len(tasks)):
+        for _, spec_json, protocol_ms in tasks:
+            spec = StreamSpec.from_json(spec_json)
+            report = run_stream(
+                spec, service_offset_ms=protocol_ms, validate=validate,
+                telemetry=telemetry,
+            )
+            reports.append(report.to_dict())
+    return reports
 
 
 def run_platform(spec: PlatformSpec, *, workers: int = 1,
@@ -134,54 +117,26 @@ def run_platform(spec: PlatformSpec, *, workers: int = 1,
             spec_hash=spec.config_hash, devices=len(items),
             tasks=len(plan.assignments), workers=workers)
 
-    def _observe_device(name: str, payloads: List[Dict[str, Any]],
-                        done_count: int) -> None:
-        # orchestrator-side lifecycle accounting (pool-path safe)
-        tm.metrics.add("devices")
-        tm.emit("device_end", device=name, tasks=len(payloads),
-                completed=sum(p["completed"] for p in payloads),
-                dropped=sum(p["dropped"] for p in payloads))
-        tm.beat("platform", done_count, len(items),
-                rate_counter="devices", unit="devices/s")
-
     with tm.span("execute", devices=len(items), workers=workers):
-        results = []
-        if workers == 1 or len(items) <= 1:
-            for item in items:
-                tm.emit("device_start", device=item[0], tasks=len(item[1]),
-                        pooled=False)
-                with tm.span("device", device=item[0]):
-                    payloads = _run_device(
-                        item, telemetry=tm if tm.enabled else None
-                    )
-                results.append(payloads)
-                if tm.enabled:
-                    _observe_device(item[0], payloads, len(results))
-        else:
-            pool_size = min(workers, len(items))
+        for item in items:
+            tm.emit("device_start", device=item[0], tasks=len(item[1]))
+        results: List[List[Dict[str, Any]]] = []
+        # results arrive in device order as devices finish, so
+        # device_end events land while later devices still run
+        for payloads in map_tasks(
+                _run_device, items, workers=workers,
+                keys=[f"device-{item[0]}" for item in items],
+                telemetry=tm):
+            name = items[len(results)][0]
+            results.append(payloads)
             if tm.enabled:
-                tm.metrics.set_gauge(
-                    "pool_utilisation", len(items) / pool_size
-                )
-            wdir = sidecar_dir(tm) if tm.sink.enabled else None
-            keys = [f"device-{item[0]}" for item in items]
-            pool_items: List[Tuple] = list(items)
-            if wdir is not None:
-                pool_items = [item + (sidecar_path(wdir, key),)
-                              for item, key in zip(items, keys)]
-            with ProcessPoolExecutor(max_workers=pool_size) as pool:
-                for item in items:
-                    tm.emit("device_start", device=item[0],
-                            tasks=len(item[1]), pooled=True)
-                # pool.map yields in submission order as devices finish,
-                # so device_end events land while later devices still run
-                for item, payloads in zip(items, pool.map(_run_device,
-                                                          pool_items)):
-                    results.append(payloads)
-                    if tm.enabled:
-                        _observe_device(item[0], payloads, len(results))
-            if wdir is not None:
-                merge_sidecars(tm, wdir, keys)
+                # orchestrator-side lifecycle accounting
+                tm.metrics.add("devices")
+                tm.emit("device_end", device=name, tasks=len(payloads),
+                        completed=sum(p["completed"] for p in payloads),
+                        dropped=sum(p["dropped"] for p in payloads))
+                tm.beat("platform", len(results), len(items),
+                        rate_counter="devices", unit="devices/s")
 
     reports: Dict[str, StreamReport] = {}
     for (_, tasks, _), payloads in zip(items, results):

@@ -23,12 +23,12 @@ from __future__ import annotations
 
 import hashlib
 import random
-from concurrent.futures import Executor
-from typing import Callable, Iterator, List, Optional
+from typing import Callable, Iterable, Iterator, List
 
 from repro.api.stream import ArrivalSpec
 
 __all__ = [
+    "arrival_chunk",
     "frame_substream",
     "iter_arrivals",
     "materialize_arrivals",
@@ -102,8 +102,8 @@ def frame_substream(seed: int, purpose: str, index: int) -> random.Random:
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
-def _arrival_chunk(spec: ArrivalSpec, seed: int,
-                   lo: int, hi: int) -> List[float]:
+def arrival_chunk(spec: ArrivalSpec, seed: int,
+                  lo: int, hi: int) -> List[float]:
     """Arrival values of frames ``[lo, hi)`` — a pure, pool-safe function.
 
     Returns arrival *times* for the periodic and jittered models and raw
@@ -136,42 +136,22 @@ def _arrival_chunk(spec: ArrivalSpec, seed: int,
     return [sub(index).expovariate(rate) for index in range(lo, hi)]
 
 
-def materialize_arrivals(spec: ArrivalSpec, seed: int, frames: int, *,
-                         pool: Optional[Executor] = None,
-                         chunks: int = 1) -> List[float]:
-    """The stream's first ``frames`` arrival times as a list.
+def materialize_arrivals(spec: ArrivalSpec,
+                         parts: Iterable[List[float]]) -> List[float]:
+    """Fold :func:`arrival_chunk` results into the stream's arrival times.
 
-    Bit-identical to ``islice(iter_arrivals(spec, seed), frames)`` — the
-    values come from the same indexed substreams via the same arithmetic.
-    Because frame ``i``'s randomness is independent of every other
-    frame's, the per-frame work (dominated by one SHA-256 + Mersenne
-    Twister reseed for the jittered/Poisson models) can fan out over a
-    process pool; only the cheap Poisson prefix sum stays sequential.
+    ``parts`` cover consecutive index ranges from frame 0, in order, and
+    the result is bit-identical to ``islice(iter_arrivals(spec, seed),
+    frames)``.  Only the cheap Poisson prefix sum here is sequential, so
+    the per-chunk substream work can run on a process pool.
 
     Args:
         spec: the arrival process description.
-        seed: the stream's master seed.
-        frames: number of arrival times to produce.
-        pool: optional executor for the per-chunk substream work
-            (``None`` computes in-process).
-        chunks: number of pool tasks to split the index range into
-            (ignored without a pool).
+        parts: per-chunk values, in index order.
 
     Returns:
         Non-decreasing arrival times, one per frame.
     """
-    if pool is None or chunks <= 1 or frames == 0:
-        parts = [_arrival_chunk(spec, seed, 0, frames)]
-    else:
-        step = -(-frames // chunks)  # ceil division
-        bounds = [
-            (lo, min(lo + step, frames)) for lo in range(0, frames, step)
-        ]
-        futures = [
-            pool.submit(_arrival_chunk, spec, seed, lo, hi)
-            for lo, hi in bounds
-        ]
-        parts = [future.result() for future in futures]
     if spec.model != "poisson":
         return [value for part in parts for value in part]
     out: List[float] = []

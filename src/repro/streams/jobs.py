@@ -6,29 +6,22 @@ repo is deterministic, so each distinct job needs exactly one redundant
 simulation on the virtual-time :class:`~repro.gpu.simulator.GPUSimulator`;
 its makespan becomes the frame's service time and its clean trace the
 substrate the per-frame fault overlay attacks.  :func:`resolve_jobs`
-performs those simulations (optionally on a process pool — the only
-parallelisable stage of a stream, and provably irrelevant to the
-results) and returns one :class:`JobProfile` per rotation slot.
+performs those simulations (optionally on a process pool through
+:func:`repro.exec.map_tasks` — provably irrelevant to the results) and
+returns one :class:`JobProfile` per rotation slot.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.api.spec import RunSpec, WorkloadSpec
 from repro.api.stream import StreamSpec
 from repro.errors import StreamError, WorkerCountError
+from repro.exec import map_tasks
 from repro.faults.campaign import FaultCampaign
-from repro.obs.session import NULL_TELEMETRY, Telemetry
-from repro.obs.worker import (
-    close_worker_session,
-    merge_sidecars,
-    sidecar_dir,
-    sidecar_path,
-    worker_session,
-)
+from repro.obs.session import Telemetry
 from repro.redundancy.manager import RedundantKernelManager, RedundantRunResult
 
 __all__ = ["JobProfile", "resolve_jobs"]
@@ -77,34 +70,29 @@ def _job_run_spec(spec: StreamSpec, workload: WorkloadSpec) -> RunSpec:
     return replace(spec.run, workload=workload)
 
 
-def _simulate_job(item: Tuple) -> RedundantRunResult:
-    """Process-pool entry point: simulate one frame job redundantly.
+def _simulate_job(task: Tuple[str, bool],
+                  telemetry: Telemetry) -> RedundantRunResult:
+    """Pool task: simulate one frame job redundantly.
 
-    The item is ``(spec_json, validate)``, optionally extended with a
-    worker-sidecar telemetry path (:mod:`repro.obs.worker`) that a
-    pooled worker brackets its simulation with a ``simulate_job`` span
-    in.
+    The task is ``(run_spec_json, validate)``.  The simulation is
+    bracketed by a ``simulate_job`` span on ``telemetry`` (the caller's
+    session in-process, a worker sidecar in a pool).
     """
-    spec_json, validate = item[:2]
-    sidecar = item[2] if len(item) > 2 else None
+    spec_json, validate = task
     run_spec = RunSpec.from_json(spec_json)
-    wt = worker_session(sidecar)
-    try:
-        with wt.span("simulate_job", label=run_spec.workload.label):
-            gpu = run_spec.gpu.to_config()
-            kernels = run_spec.workload.resolve(gpu)
-            if not kernels:
-                raise StreamError(
-                    f"stream workload {run_spec.workload.label!r} resolves "
-                    "to no kernels — there is no frame job to execute"
-                )
-            manager = RedundantKernelManager(
-                gpu, run_spec.policy, copies=run_spec.effective_copies,
-                validate=validate,
+    with telemetry.span("simulate_job", label=run_spec.workload.label):
+        gpu = run_spec.gpu.to_config()
+        kernels = run_spec.workload.resolve(gpu)
+        if not kernels:
+            raise StreamError(
+                f"stream workload {run_spec.workload.label!r} resolves "
+                "to no kernels — there is no frame job to execute"
             )
-            return manager.run(list(kernels), tag=run_spec.tag)
-    finally:
-        close_worker_session(wt)
+        manager = RedundantKernelManager(
+            gpu, run_spec.policy, copies=run_spec.effective_copies,
+            validate=validate,
+        )
+        return manager.run(list(kernels), tag=run_spec.tag)
 
 
 def resolve_jobs(spec: StreamSpec, *, workers: int = 1,
@@ -122,10 +110,10 @@ def resolve_jobs(spec: StreamSpec, *, workers: int = 1,
         workers: process count for the distinct-job simulations; only
             the wall clock changes (every simulation is deterministic).
         validate: forward the simulator's trace-validation switch.
-        telemetry: optional session; pooled job workers then log their
-            own ``simulate_job`` spans to sidecar files merged back
-            deterministically (:mod:`repro.obs.worker`).  Digest-
-            neutral as always.
+        telemetry: optional session receiving one ``simulate_job``
+            span per distinct job (pooled jobs log theirs to sidecar
+            files merged back deterministically by
+            :func:`repro.exec.map_tasks`).  Digest-neutral as always.
 
     Returns:
         One :class:`JobProfile` per rotation slot, in rotation order.
@@ -138,29 +126,18 @@ def resolve_jobs(spec: StreamSpec, *, workers: int = 1,
     """
     if workers < 1:
         raise WorkerCountError(f"workers must be >= 1, got {workers!r}")
-    tm = telemetry if telemetry is not None else NULL_TELEMETRY
     rotation = list(spec.workload_mix) or [spec.run.workload]
     run_specs = [_job_run_spec(spec, workload) for workload in rotation]
     # first occurrence of each distinct job, in rotation order
     unique: Dict[str, RunSpec] = {}
     for run_spec in run_specs:
         unique.setdefault(run_spec.config_hash, run_spec)
-    tasks: List[Tuple] = [(run_spec.to_json(), validate)
-                          for run_spec in unique.values()]
-
-    if workers == 1 or len(tasks) <= 1:
-        results = [_simulate_job(task) for task in tasks]
-    else:
-        wdir = sidecar_dir(tm) if tm.sink.enabled else None
-        keys = [f"job-{i:03d}" for i in range(len(tasks))]
-        if wdir is not None:
-            tasks = [task + (sidecar_path(wdir, key),)
-                     for task, key in zip(tasks, keys)]
-        pool_size = min(workers, len(tasks))
-        with ProcessPoolExecutor(max_workers=pool_size) as pool:
-            results = list(pool.map(_simulate_job, tasks))
-        if wdir is not None:
-            merge_sidecars(tm, wdir, keys)
+    results = list(map_tasks(
+        _simulate_job,
+        [(run_spec.to_json(), validate) for run_spec in unique.values()],
+        workers=workers, keys=[f"job-{i:03d}" for i in range(len(unique))],
+        telemetry=telemetry,
+    ))
 
     profiles_by_key: Dict[str, JobProfile] = {}
     for (key, run_spec), run in zip(unique.items(), results):

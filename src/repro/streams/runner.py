@@ -35,13 +35,13 @@ from __future__ import annotations
 
 import dataclasses
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from itertools import islice
 from typing import Deque, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.api.stats import RepeatSpec
-from repro.api.stream import StreamSpec
+from repro.api.stream import ArrivalSpec, StreamSpec
 from repro.errors import StatsError, StreamError
+from repro.exec import map_tasks
 from repro.faults.outcomes import FaultOutcome
 from repro.obs.session import NULL_TELEMETRY, Telemetry
 from repro.stats.intervals import RateEstimate
@@ -53,6 +53,7 @@ from repro.stats.repeater import (
 )
 from repro.streams.analytics import StreamAccumulator
 from repro.streams.arrivals import (
+    arrival_chunk,
     frame_substream,
     iter_arrivals,
     materialize_arrivals,
@@ -96,14 +97,20 @@ def _rebatched(source: Iterable[List[float]],
             yield batch[lo:lo + size]
 
 
-def _fault_uniform_chunk(seed: int, lo: int, hi: int) -> List[float]:
-    """First fault-substream uniform of frames ``[lo, hi)`` — pool-safe.
+def _predraw_chunk(task: Tuple[str, ArrivalSpec, int, int, int],
+                   telemetry: Telemetry) -> List[float]:
+    """Pool task ``(kind, arrival, seed, lo, hi)``: frames ``[lo, hi)``'s values.
 
-    ``uniforms[i] < probability`` is exactly the fault-injection decision
-    the frame loop would have drawn inline for frame ``lo + i``
+    An ``"arrival"`` chunk is :func:`~repro.streams.arrivals.arrival_chunk`;
+    a ``"fault"`` chunk holds each frame's first fault-substream uniform,
+    so ``uniforms[i] < probability`` is exactly the fault-injection
+    decision the frame loop would have drawn inline for frame ``lo + i``
     (substreams are indexed per frame, so precomputation cannot shift any
     other draw).
     """
+    kind, arrival, seed, lo, hi = task
+    if kind == "arrival":
+        return arrival_chunk(arrival, seed, lo, hi)
     sub = substream_factory(seed, "fault")
     return [sub(index).random() for index in range(lo, hi)]
 
@@ -231,22 +238,24 @@ def run_stream(spec: StreamSpec, *, workers: int = 1,
         spec.arrival.model != "periodic" or faults is not None
     )
     if predraw:
-        tasks = workers * 4
-        step = -(-spec.frames // tasks)  # ceil division
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            fault_futures = [
-                pool.submit(_fault_uniform_chunk, spec.seed, lo,
-                            min(lo + step, spec.frames))
-                for lo in range(0, spec.frames, step)
-            ] if faults is not None else []
-            arrival_source: Iterable[List[float]] = (materialize_arrivals(
-                spec.arrival, spec.seed, spec.frames,
-                pool=pool, chunks=tasks,
-            ),)
-            if fault_futures:
-                fault_unis = []
-                for future in fault_futures:
-                    fault_unis.extend(future.result())
+        step = -(-spec.frames // (workers * 4))  # ceil division
+        bounds = [(lo, min(lo + step, spec.frames))
+                  for lo in range(0, spec.frames, step)]
+        kinds = ("arrival", "fault") if faults is not None else ("arrival",)
+        parts = list(map_tasks(
+            _predraw_chunk,
+            [(kind, spec.arrival, spec.seed, lo, hi)
+             for kind in kinds for lo, hi in bounds],
+            workers=workers,
+            keys=[f"{kind}-{i:03d}" for kind in kinds
+                  for i in range(len(bounds))],
+            telemetry=tm,
+        ))
+        arrival_source: Iterable[List[float]] = (
+            materialize_arrivals(spec.arrival, parts[:len(bounds)]),
+        )
+        if faults is not None:
+            fault_unis = [u for part in parts[len(bounds):] for u in part]
     else:
         arrival_source = _arrival_batches(spec, chunk_frames)
 
