@@ -4,7 +4,9 @@ Exercises the acceptance scenario of the campaigns subsystem: a
 100k-injection campaign is run sharded across 4 workers, interrupted
 mid-way, resumed, and its aggregate report is verified bit-identical to
 the unsharded single-process run.  A second scenario measures
-injections/second against the worker count.
+injections/second against the worker count, and a third times fault
+classification alone (``FaultCampaign.classify``, no shards, store or
+pool), so the gap to the second is the orchestration cost.
 
 The ``campaign/*`` scenarios emit ``BENCH_campaigns.json`` at the
 repository root (wall seconds, injections/sec, worker-scaling speedups,
@@ -35,11 +37,13 @@ from repro.api import (
 )
 from repro.campaigns import (
     CampaignStore,
+    baseline_campaign,
     campaign_status,
     repeat_campaign,
     resume_campaign,
     run_campaign,
 )
+from repro.faults.outcomes import FaultOutcome
 from repro.obs import Telemetry
 
 _ARTIFACT = BenchArtifact(
@@ -163,6 +167,42 @@ def test_campaign_worker_scaling(benchmark):
     rows = benchmark.pedantic(run, rounds=1, iterations=1)
     assert [row.workers for row in rows] == [1, 2, 4]
     assert all(row.injections == 20_000 for row in rows)
+
+
+def test_campaign_classify_throughput(benchmark):
+    """BENCH scenario ``campaign/classify``: classification alone over the
+    20k-injection population of ``campaign/worker_scaling``.
+
+    The clean baseline is simulated and the faults are sampled before
+    the clock starts, so ``classify_injections_per_sec`` is the fault
+    classify layer (interval-index lookup, ``effect_on`` on the
+    candidates, corrupted-cell comparison) without shard planning,
+    spec round-trips, store appends or the pool.  Best of 3 passes.
+    """
+    spec = _campaign_spec(20_000, shards=16)
+    campaign = baseline_campaign(spec.run)
+    config = spec.faults.to_config(seed=spec.run.seed)
+    faults = campaign.sample_range(config, 0, config.total_injections)
+
+    def run():
+        legs = []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            outcomes = [campaign.classify(fault).outcome for fault in faults]
+            legs.append(time.perf_counter() - t0)
+        _record(
+            "campaign/classify",
+            injections=len(faults),
+            wall_s=round(min(legs), 4),
+            classify_injections_per_sec=round(len(faults) / min(legs), 1),
+            masked=outcomes.count(FaultOutcome.MASKED),
+            detected=outcomes.count(FaultOutcome.DETECTED),
+            sdc=outcomes.count(FaultOutcome.SDC),
+        )
+        return outcomes
+
+    outcomes = benchmark.pedantic(run, rounds=1, iterations=1)
+    assert FaultOutcome.SDC not in outcomes  # SRRS: no silent corruption
 
 
 def _default_policy_plan(total: int, *, seed: int = 11) -> FaultPlanSpec:

@@ -73,180 +73,73 @@ migration table)::
     assert run.all_clean and run.diversity.fully_diverse
 """
 
-from repro.errors import (
-    CapacityError,
-    ConfigurationError,
-    FaultInjectionError,
-    LintError,
-    ObsError,
-    PlatformError,
-    PoolError,
-    RedundancyError,
-    RepeatBudgetError,
-    ReproError,
-    SafetyViolation,
-    SchedulingError,
-    SimulationError,
-    StatsError,
-    StreamError,
-    WorkerCountError,
-)
-from repro.gpu import (
-    ExecutionTrace,
-    GPUConfig,
-    GPUSimulator,
-    KernelDescriptor,
-    KernelLaunch,
-    SimulationResult,
-    SMConfig,
-    simulate,
-)
-from repro.gpu.scheduler import (
-    DefaultScheduler,
-    HALFScheduler,
-    KernelScheduler,
-    SRRSScheduler,
-    make_scheduler,
-)
-from repro.iso26262 import Asil, Ftti
-from repro.redundancy import (
-    RedundancyMode,
-    RedundantKernelManager,
-    RedundantRunResult,
-    analyze_diversity,
-)
-from repro.workloads import classify_kernel, get_benchmark
+from repro._lazy import lazy_exports
 
 __version__ = "1.10.0"
 
-# the api and campaigns packages import repro.__version__ lazily at run
-# time, so these imports must stay below the version assignment
-from repro.api import (
-    ArrivalSpec,
-    CampaignSpec,
-    DeviceSpec,
-    Engine,
-    FaultPlanSpec,
-    GPUSpec,
-    KernelSpec,
-    PlacementSpec,
-    PlatformSpec,
-    RepeatSpec,
-    RunArtifact,
-    RunSpec,
-    SamplingSpec,
-    StreamFaultSpec,
-    StreamSpec,
-    WorkloadSpec,
-    build_scenario,
-    register_scenario,
-    run,
-    run_many,
-    scenario_names,
-)
-from repro.campaigns import (
-    CampaignStore,
-    campaign_status,
-    repeat_campaign,
-    resume_campaign,
-    run_campaign,
-)
-from repro.stats import (
-    RateEstimate,
-    RepeatResult,
-    compare_artifacts,
-    wilson_interval,
-)
-from repro.streams import StreamReport, repeat_stream, run_stream
-from repro.platform import PlatformReport, plan_placement, run_platform
-from repro.obs import Telemetry
-
-__all__ = [
-    "__version__",
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
     # errors
-    "ReproError",
-    "ConfigurationError",
-    "SchedulingError",
-    "SimulationError",
-    "CapacityError",
-    "RedundancyError",
-    "SafetyViolation",
-    "FaultInjectionError",
-    "StreamError",
-    "PlatformError",
-    "PoolError",
-    "WorkerCountError",
-    "LintError",
-    "StatsError",
-    "RepeatBudgetError",
-    "ObsError",
+    "repro.errors": (
+        "ReproError", "ConfigurationError", "SchedulingError",
+        "SimulationError", "CapacityError", "RedundancyError",
+        "SafetyViolation", "FaultInjectionError", "StreamError",
+        "PlatformError", "PoolError", "WorkerCountError", "LintError",
+        "StatsError", "RepeatBudgetError", "ObsError",
+    ),
     # gpu
-    "GPUConfig",
-    "SMConfig",
-    "KernelDescriptor",
-    "KernelLaunch",
-    "GPUSimulator",
-    "SimulationResult",
-    "ExecutionTrace",
-    "simulate",
+    "repro.gpu.config": ("GPUConfig", "SMConfig"),
+    "repro.gpu.kernel": ("KernelDescriptor", "KernelLaunch"),
+    "repro.gpu.simulator": ("GPUSimulator", "SimulationResult", "simulate"),
+    "repro.gpu.trace": ("ExecutionTrace",),
     # schedulers
-    "KernelScheduler",
-    "DefaultScheduler",
-    "SRRSScheduler",
-    "HALFScheduler",
-    "make_scheduler",
+    "repro.gpu.scheduler.base": ("KernelScheduler",),
+    "repro.gpu.scheduler.default": ("DefaultScheduler",),
+    "repro.gpu.scheduler.srrs": ("SRRSScheduler",),
+    "repro.gpu.scheduler.half": ("HALFScheduler",),
+    "repro.gpu.scheduler.registry": ("make_scheduler",),
     # safety
-    "Asil",
-    "Ftti",
+    "repro.iso26262.asil": ("Asil",),
+    "repro.iso26262.fault_model": ("Ftti",),
     # redundancy
-    "RedundantKernelManager",
-    "RedundantRunResult",
-    "RedundancyMode",
-    "analyze_diversity",
+    "repro.redundancy.manager": (
+        "RedundantKernelManager", "RedundantRunResult",
+    ),
+    "repro.redundancy.modes": ("RedundancyMode",),
+    "repro.redundancy.diversity": ("analyze_diversity",),
     # workloads
-    "classify_kernel",
-    "get_benchmark",
+    "repro.workloads.classify": ("classify_kernel",),
+    "repro.workloads.rodinia": ("get_benchmark",),
     # declarative api
-    "RunSpec",
-    "GPUSpec",
-    "KernelSpec",
-    "WorkloadSpec",
-    "FaultPlanSpec",
-    "RunArtifact",
-    "Engine",
-    "run",
-    "run_many",
-    "register_scenario",
-    "scenario_names",
-    "build_scenario",
+    "repro.api.spec": (
+        "RunSpec", "GPUSpec", "KernelSpec", "WorkloadSpec", "FaultPlanSpec",
+    ),
+    "repro.api.artifact": ("RunArtifact",),
+    "repro.api.engine": ("Engine", "run", "run_many"),
+    "repro.api.scenarios": (
+        "register_scenario", "scenario_names", "build_scenario",
+    ),
     # sharded campaigns
-    "CampaignSpec",
-    "CampaignStore",
-    "run_campaign",
-    "resume_campaign",
-    "repeat_campaign",
-    "campaign_status",
+    "repro.api.campaign": ("CampaignSpec",),
+    "repro.campaigns.store": ("CampaignStore",),
+    "repro.campaigns.runner": (
+        "run_campaign", "resume_campaign", "repeat_campaign",
+        "campaign_status",
+    ),
     # statistics
-    "SamplingSpec",
-    "RepeatSpec",
-    "RateEstimate",
-    "RepeatResult",
-    "wilson_interval",
-    "compare_artifacts",
+    "repro.api.stats": ("SamplingSpec", "RepeatSpec"),
+    "repro.stats.intervals": ("RateEstimate", "wilson_interval"),
+    "repro.stats.repeater": ("RepeatResult",),
+    "repro.stats.compare": ("compare_artifacts",),
     # streams
-    "StreamSpec",
-    "ArrivalSpec",
-    "StreamFaultSpec",
-    "StreamReport",
-    "run_stream",
-    "repeat_stream",
+    "repro.api.stream": ("StreamSpec", "ArrivalSpec", "StreamFaultSpec"),
+    "repro.streams.report": ("StreamReport",),
+    "repro.streams.runner": ("run_stream", "repeat_stream"),
     # platform
-    "PlatformSpec",
-    "DeviceSpec",
-    "PlacementSpec",
-    "PlatformReport",
-    "plan_placement",
-    "run_platform",
+    "repro.api.platform": ("PlatformSpec", "DeviceSpec", "PlacementSpec"),
+    "repro.platform.report": ("PlatformReport",),
+    "repro.platform.placement": ("plan_placement",),
+    "repro.platform.runner": ("run_platform",),
     # observability
-    "Telemetry",
-]
+    "repro.obs.session": ("Telemetry",),
+})
+__all__.append("__version__")

@@ -1,69 +1,28 @@
 """Experiment runners and report rendering."""
 
-from repro.analysis.experiments import (
-    CoverageRow,
-    Fig3Row,
-    Fig4Row,
-    Fig5Row,
-    PolicyFitRow,
-    dispatch_latency_sweep,
-    fault_coverage_by_policy,
-    fig3_kernel_categories,
-    fig4_scheduler_comparison,
-    fig5_cots_comparison,
-    policy_fit_matrix,
-    sm_count_sweep,
-)
-from repro.analysis.campaigns import (
-    CampaignScalingRow,
-    campaign_worker_scaling,
-)
-from repro.analysis.streams import (
-    StreamRateRow,
-    arrival_rate_sweep,
-    stream_summary_rows,
-)
-from repro.analysis.platform import (
-    DeviceCountRow,
-    PlacementPolicyRow,
-    device_count_sweep,
-    placement_policy_sweep,
-    platform_summary_rows,
-)
-from repro.analysis.bounds import (
-    half_chain_bound,
-    isolated_kernel_bound,
-    srrs_chain_bound,
-)
-from repro.analysis.report import render_bars, render_grouped_bars, render_table
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Fig3Row",
-    "Fig4Row",
-    "Fig5Row",
-    "CoverageRow",
-    "PolicyFitRow",
-    "fig3_kernel_categories",
-    "fig4_scheduler_comparison",
-    "fig5_cots_comparison",
-    "fault_coverage_by_policy",
-    "policy_fit_matrix",
-    "dispatch_latency_sweep",
-    "sm_count_sweep",
-    "CampaignScalingRow",
-    "campaign_worker_scaling",
-    "StreamRateRow",
-    "arrival_rate_sweep",
-    "stream_summary_rows",
-    "PlacementPolicyRow",
-    "DeviceCountRow",
-    "placement_policy_sweep",
-    "device_count_sweep",
-    "platform_summary_rows",
-    "render_table",
-    "render_bars",
-    "render_grouped_bars",
-    "isolated_kernel_bound",
-    "srrs_chain_bound",
-    "half_chain_bound",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.analysis.experiments": (
+        "CoverageRow", "Fig3Row", "Fig4Row", "Fig5Row", "PolicyFitRow",
+        "dispatch_latency_sweep", "fault_coverage_by_policy",
+        "fig3_kernel_categories", "fig4_scheduler_comparison",
+        "fig5_cots_comparison", "policy_fit_matrix", "sm_count_sweep",
+    ),
+    "repro.analysis.campaigns": (
+        "CampaignScalingRow", "campaign_worker_scaling",
+    ),
+    "repro.analysis.streams": (
+        "StreamRateRow", "arrival_rate_sweep", "stream_summary_rows",
+    ),
+    "repro.analysis.platform": (
+        "DeviceCountRow", "PlacementPolicyRow", "device_count_sweep",
+        "placement_policy_sweep", "platform_summary_rows",
+    ),
+    "repro.analysis.bounds": (
+        "half_chain_bound", "isolated_kernel_bound", "srrs_chain_bound",
+    ),
+    "repro.analysis.report": (
+        "render_bars", "render_grouped_bars", "render_table",
+    ),
+})

@@ -34,71 +34,24 @@ Quickstart::
     artifacts = repro.run_many(specs, workers=4)
 """
 
-from repro.api.campaign import CampaignSpec
-from repro.api.artifact import (
-    ClassificationRow,
-    ComparisonSummary,
-    CotsSummary,
-    DiversitySummary,
-    FaultSummary,
-    RunArtifact,
-    TimingSummary,
-)
-from repro.api.engine import Engine, run, run_many
-from repro.api.scenarios import (
-    Scenario,
-    build_scenario,
-    get_scenario,
-    register_scenario,
-    scenario_names,
-)
-from repro.api.spec import (
-    CotsSpec,
-    FaultPlanSpec,
-    GPUSpec,
-    KernelSpec,
-    RunSpec,
-    SMSpec,
-    WorkloadSpec,
-)
-from repro.api.stats import RepeatSpec, SamplingSpec
-from repro.api.stream import ArrivalSpec, StreamFaultSpec, StreamSpec
-from repro.api.platform import DeviceSpec, PlacementSpec, PlatformSpec
+from repro._lazy import lazy_exports
 
-__all__ = [
-    # specs
-    "RunSpec",
-    "GPUSpec",
-    "SMSpec",
-    "KernelSpec",
-    "WorkloadSpec",
-    "FaultPlanSpec",
-    "CotsSpec",
-    "CampaignSpec",
-    "StreamSpec",
-    "ArrivalSpec",
-    "StreamFaultSpec",
-    "DeviceSpec",
-    "PlacementSpec",
-    "PlatformSpec",
-    "SamplingSpec",
-    "RepeatSpec",
-    # artifacts
-    "RunArtifact",
-    "TimingSummary",
-    "DiversitySummary",
-    "ComparisonSummary",
-    "ClassificationRow",
-    "CotsSummary",
-    "FaultSummary",
-    # engine
-    "Engine",
-    "run",
-    "run_many",
-    # scenarios
-    "Scenario",
-    "register_scenario",
-    "get_scenario",
-    "scenario_names",
-    "build_scenario",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.api.campaign": ("CampaignSpec",),
+    "repro.api.artifact": (
+        "ClassificationRow", "ComparisonSummary", "CotsSummary",
+        "DiversitySummary", "FaultSummary", "RunArtifact", "TimingSummary",
+    ),
+    "repro.api.engine": ("Engine", "run", "run_many"),
+    "repro.api.scenarios": (
+        "Scenario", "build_scenario", "get_scenario", "register_scenario",
+        "scenario_names",
+    ),
+    "repro.api.spec": (
+        "CotsSpec", "FaultPlanSpec", "GPUSpec", "KernelSpec", "RunSpec",
+        "SMSpec", "WorkloadSpec",
+    ),
+    "repro.api.stats": ("RepeatSpec", "SamplingSpec"),
+    "repro.api.stream": ("ArrivalSpec", "StreamFaultSpec", "StreamSpec"),
+    "repro.api.platform": ("DeviceSpec", "PlacementSpec", "PlatformSpec"),
+})

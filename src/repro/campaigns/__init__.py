@@ -34,35 +34,14 @@ run|resume|status|report``; the determinism contract is documented in
 ``docs/CAMPAIGNS.md``.
 """
 
-from repro.campaigns.runner import (
-    CampaignStatus,
-    baseline_campaign,
-    campaign_plan,
-    campaign_status,
-    fold_report,
-    repeat_campaign,
-    resume_campaign,
-    run_campaign,
-    spec_sampling_meta,
-    validated_records,
-)
-from repro.campaigns.sharding import DEFAULT_SHARDS, Shard, plan_shards
-from repro.campaigns.store import CampaignStore, ShardRecord
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CampaignStatus",
-    "CampaignStore",
-    "DEFAULT_SHARDS",
-    "Shard",
-    "ShardRecord",
-    "baseline_campaign",
-    "campaign_plan",
-    "campaign_status",
-    "fold_report",
-    "plan_shards",
-    "repeat_campaign",
-    "resume_campaign",
-    "run_campaign",
-    "spec_sampling_meta",
-    "validated_records",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.campaigns.runner": (
+        "CampaignStatus", "baseline_campaign", "campaign_plan",
+        "campaign_status", "fold_report", "repeat_campaign", "resume_campaign",
+        "run_campaign", "spec_sampling_meta", "validated_records",
+    ),
+    "repro.campaigns.sharding": ("DEFAULT_SHARDS", "Shard", "plan_shards"),
+    "repro.campaigns.store": ("CampaignStore", "ShardRecord"),
+})

@@ -102,41 +102,20 @@ Options: ``--sms N`` changes the GPU size for the simulated artifacts,
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import sys
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
-from repro.analysis.experiments import (
-    dispatch_latency_sweep,
-    fault_coverage_by_policy,
-    fig3_kernel_categories,
-    fig4_scheduler_comparison,
-    fig5_cots_comparison,
-    policy_fit_matrix,
-    sm_count_sweep,
-)
-from repro.analysis.platform import platform_summary_rows
-from repro.analysis.report import render_table
-from repro.analysis.streams import stream_summary_rows
-from repro.api.artifact import RunArtifact
-from repro.api.campaign import CampaignSpec
-from repro.api.engine import Engine
-from repro.api.scenarios import get_scenario, scenario_names
-from repro.api.platform import PlatformSpec
-from repro.api.spec import RunSpec
-from repro.api.stream import StreamSpec
-from repro.campaigns import (
-    CampaignStore,
-    campaign_plan,
-    campaign_status,
-    fold_report,
-    repeat_campaign,
-    run_campaign,
-    spec_sampling_meta,
-    validated_records,
-)
 from repro.errors import (
     CampaignError,
     ConfigurationError,
@@ -145,40 +124,29 @@ from repro.errors import (
     ReproError,
     StatsError,
 )
-from repro.faults.campaign import CampaignReport
-from repro.lint import load_config, run_lint
-from repro.obs import (
-    DEFAULT_HEARTBEAT_S,
-    DEFAULT_OBS_DIR,
-    TELEMETRY_SCHEMA,
-    ObsStore,
-    Telemetry,
-    classify_events,
-    diff_events,
-    heartbeat_csv,
-    profiled,
-    read_telemetry,
-    render_chrome_trace,
-    render_diff,
-    render_report,
-    scan_telemetry,
-    summarize,
-    to_folded,
-)
-from repro.gpu.config import GPUConfig
-from repro.iso26262.decomposition import FIGURE1_EXAMPLES
-from repro.platform.placement import plan_placement
-from repro.platform.report import PlatformReport
-from repro.platform.runner import run_platform
-from repro.stats.compare import compare_artifacts, render_comparison
-from repro.stats.repeater import RepeatResult
-from repro.streams.report import StreamReport
-from repro.streams.runner import run_stream
+
+# each command imports the modules it runs inside its handler, so a
+# command pays only for its own imports (docs/PERFORMANCE.md, "CLI
+# start-up"); these names are for annotations only
+if TYPE_CHECKING:
+    from repro.api.artifact import RunArtifact
+    from repro.api.campaign import CampaignSpec
+    from repro.api.platform import PlatformSpec
+    from repro.api.spec import RunSpec
+    from repro.faults.campaign import CampaignReport
+    from repro.gpu.config import GPUConfig
+    from repro.obs.session import Telemetry
+    from repro.platform.report import PlatformReport
+    from repro.stats.repeater import RepeatResult
+    from repro.streams.report import StreamReport
 
 __all__ = ["main"]
 
 
 def _cmd_fig1(args: argparse.Namespace) -> str:
+    from repro.analysis.report import render_table
+    from repro.iso26262.decomposition import FIGURE1_EXAMPLES
+
     return render_table(
         ["example", "decomposition"],
         [[name, rule.describe()] for name, rule in FIGURE1_EXAMPLES],
@@ -187,6 +155,9 @@ def _cmd_fig1(args: argparse.Namespace) -> str:
 
 
 def _cmd_fig3(args: argparse.Namespace) -> str:
+    from repro.analysis.experiments import fig3_kernel_categories
+    from repro.analysis.report import render_table
+
     rows = fig3_kernel_categories(_gpu(args))
     return render_table(
         ["kernel", "category", "isolated(cy)", "overlap", "policy"],
@@ -197,6 +168,9 @@ def _cmd_fig3(args: argparse.Namespace) -> str:
 
 
 def _cmd_fig4(args: argparse.Namespace) -> str:
+    from repro.analysis.experiments import fig4_scheduler_comparison
+    from repro.analysis.report import render_table
+
     rows = fig4_scheduler_comparison(_gpu(args))
     return render_table(
         ["benchmark", "default(cy)", "HALF", "SRRS"],
@@ -207,6 +181,9 @@ def _cmd_fig4(args: argparse.Namespace) -> str:
 
 
 def _cmd_fig5(args: argparse.Namespace) -> str:
+    from repro.analysis.experiments import fig5_cots_comparison
+    from repro.analysis.report import render_table
+
     rows = fig5_cots_comparison()
     return render_table(
         ["benchmark", "baseline(ms)", "redundant(ms)", "ratio"],
@@ -216,6 +193,9 @@ def _cmd_fig5(args: argparse.Namespace) -> str:
 
 
 def _cmd_coverage(args: argparse.Namespace) -> str:
+    from repro.analysis.experiments import fault_coverage_by_policy
+    from repro.analysis.report import render_table
+
     rows = fault_coverage_by_policy(_gpu(args), benchmark=args.benchmark)
     return render_table(
         ["policy", "n", "masked", "detected", "SDC", "coverage"],
@@ -226,6 +206,9 @@ def _cmd_coverage(args: argparse.Namespace) -> str:
 
 
 def _cmd_policyfit(args: argparse.Namespace) -> str:
+    from repro.analysis.experiments import policy_fit_matrix
+    from repro.analysis.report import render_table
+
     rows = policy_fit_matrix(_gpu(args))
     return render_table(
         ["kernel", "category", "HALF", "SRRS", "best"],
@@ -236,6 +219,9 @@ def _cmd_policyfit(args: argparse.Namespace) -> str:
 
 
 def _cmd_sweeps(args: argparse.Namespace) -> str:
+    from repro.analysis.experiments import dispatch_latency_sweep, sm_count_sweep
+    from repro.analysis.report import render_table
+
     latency_rows = dispatch_latency_sweep(
         [500.0, 1500.0, 3000.0, 6000.0, 12000.0], gpu=_gpu(args)
     )
@@ -264,6 +250,8 @@ _COMMANDS: Dict[str, Callable[[argparse.Namespace], str]] = {
 
 
 def _gpu(args: argparse.Namespace) -> GPUConfig:
+    from repro.gpu.config import GPUConfig
+
     return GPUConfig.gpgpusim_like(num_sms=args.sms)
 
 
@@ -272,6 +260,8 @@ def _gpu(args: argparse.Namespace) -> GPUConfig:
 # ----------------------------------------------------------------------
 def _load_specs(path: str) -> List[RunSpec]:
     """Load one spec file (a single RunSpec object or a list of them)."""
+    from repro.api.spec import RunSpec
+
     try:
         data = json.loads(Path(path).read_text())
     except OSError as exc:
@@ -290,6 +280,10 @@ def _scenario_specs(args: argparse.Namespace) -> List[RunSpec]:
             scenario's builder (silently ignoring it would run a
             different configuration than the user asked for).
     """
+    import inspect
+
+    from repro.api.scenarios import get_scenario
+
     scenario = get_scenario(args.scenario)
     accepted = set(inspect.signature(scenario.builder).parameters)
     params = {}
@@ -307,6 +301,8 @@ def _scenario_specs(args: argparse.Namespace) -> List[RunSpec]:
 
 
 def _artifact_table(artifacts: Sequence[RunArtifact], title: str) -> str:
+    from repro.analysis.report import render_table
+
     rows = []
     for a in artifacts:
         timing = f"{a.timing.busy_cycles:.0f}" if a.timing else "-"
@@ -360,12 +356,16 @@ def _cmd_run(args: argparse.Namespace) -> str:
     else:
         specs = _scenario_specs(args)
         title = f"run — scenario {args.scenario!r}"
+    from repro.api.engine import Engine
+
     artifacts = Engine().run_many(specs, workers=args.workers)
     return _emit(artifacts, as_json=args.json, single=len(specs) == 1,
                  title=title)
 
 
 def _cmd_batch(args: argparse.Namespace) -> str:
+    from repro.api.engine import Engine
+
     specs: List[RunSpec] = []
     for path in args.specs:
         specs.extend(_load_specs(path))
@@ -381,8 +381,12 @@ def _open_telemetry(args: argparse.Namespace) -> Optional[Telemetry]:
     """Build the Telemetry session the run flags ask for (or ``None``)."""
     if not (args.telemetry or args.progress):
         return None
+    from repro.obs.session import DEFAULT_HEARTBEAT_S, Telemetry
+
+    heartbeat_s = (DEFAULT_HEARTBEAT_S if args.heartbeat is None
+                   else args.heartbeat)
     return Telemetry.create(path=args.telemetry, progress=args.progress,
-                            heartbeat_s=args.heartbeat)
+                            heartbeat_s=heartbeat_s)
 
 
 def _obs_events(ref: str, obs_dir: str) -> Tuple[List[Dict[str, Any]], str]:
@@ -395,6 +399,9 @@ def _obs_events(ref: str, obs_dir: str) -> Tuple[List[Dict[str, Any]], str]:
     Raises:
         ObsError: unreadable/corrupt file, or an unknown/ambiguous id.
     """
+    from repro.obs.sink import read_telemetry
+    from repro.obs.store import ObsStore
+
     if Path(ref).is_file():
         return read_telemetry(ref), ref
     store = ObsStore(obs_dir)
@@ -404,6 +411,9 @@ def _obs_events(ref: str, obs_dir: str) -> Tuple[List[Dict[str, Any]], str]:
 
 def _cmd_obs_validate(args: argparse.Namespace) -> int:
     """``obs validate``: lenient by default, ``--strict`` promotes."""
+    from repro.obs.events import TELEMETRY_SCHEMA, classify_events
+    from repro.obs.sink import scan_telemetry
+
     events, tears = scan_telemetry(args.path)
     problems, tolerated = classify_events(events)
     if args.strict:
@@ -431,6 +441,8 @@ def _cmd_obs_validate(args: argparse.Namespace) -> int:
 
 def _cmd_obs_export(args: argparse.Namespace) -> int:
     """``obs export``: one telemetry log to one analysis format."""
+    from repro.obs.export import heartbeat_csv, render_chrome_trace, to_folded
+
     chosen = [name for name, flag in (("--chrome", args.chrome),
                                       ("--folded", args.folded),
                                       ("--csv", args.csv)) if flag]
@@ -456,6 +468,8 @@ def _cmd_obs_export(args: argparse.Namespace) -> int:
 
 def _cmd_obs_diff(args: argparse.Namespace) -> int:
     """``obs diff``: exits 0 alike / 1 significant (like ``compare``)."""
+    from repro.obs.diff import diff_events, render_diff
+
     events_a, label_a = _obs_events(args.a, args.dir)
     events_b, label_b = _obs_events(args.b, args.dir)
     payload = diff_events(
@@ -481,6 +495,11 @@ def _cmd_obs(args: argparse.Namespace) -> int:
     ``compare`` (0 = indistinguishable, 1 = significant difference,
     2 = misuse).
     """
+    from repro.analysis.report import render_table
+    from repro.obs.report import render_report, summarize
+    from repro.obs.store import DEFAULT_OBS_DIR, ObsStore
+
+    args.dir = getattr(args, "dir", None) or DEFAULT_OBS_DIR
     try:
         if args.obs_command == "validate":
             return _cmd_obs_validate(args)
@@ -540,6 +559,8 @@ def _cmd_obs(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 def _load_campaign_spec(path: str) -> CampaignSpec:
     """Load one CampaignSpec JSON file."""
+    from repro.api.campaign import CampaignSpec
+
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -549,6 +570,8 @@ def _load_campaign_spec(path: str) -> CampaignSpec:
 
 def _campaign_report_text(report: CampaignReport, *, as_json: bool,
                           title: str) -> str:
+    from repro.analysis.report import render_table
+
     if as_json:
         return json.dumps(report.to_dict(), sort_keys=True, indent=2)
     data = report.to_dict()
@@ -571,6 +594,8 @@ def _campaign_report_text(report: CampaignReport, *, as_json: bool,
 
 def _repeat_result_text(result: RepeatResult, *, as_json: bool,
                         title: str) -> str:
+    from repro.analysis.report import render_table
+
     if as_json:
         return json.dumps(result.to_dict(), sort_keys=True, indent=2)
     estimate = result.estimate
@@ -587,6 +612,8 @@ def _repeat_result_text(result: RepeatResult, *, as_json: bool,
 
 
 def _campaign_status_text(status, *, as_json: bool) -> str:
+    from repro.analysis.report import render_table
+
     if as_json:
         return json.dumps(status.to_dict(), sort_keys=True, indent=2)
     return render_table(
@@ -605,6 +632,17 @@ def _cmd_campaign(args: argparse.Namespace) -> str:
     # (shards are validated against the plan, so the totals can only match
     # when every shard is in) — checking totals avoids re-reading and
     # re-verifying the whole shard log just to decide completeness
+    from repro.campaigns.runner import (
+        campaign_plan,
+        campaign_status,
+        fold_report,
+        repeat_campaign,
+        run_campaign,
+        spec_sampling_meta,
+        validated_records,
+    )
+    from repro.campaigns.store import CampaignStore
+
     command = args.campaign_command
     if command == "run":
         spec = _load_campaign_spec(args.spec)
@@ -705,6 +743,9 @@ def _cmd_campaign(args: argparse.Namespace) -> str:
 # streams: stream run / report
 # ----------------------------------------------------------------------
 def _stream_report_text(report: StreamReport, *, as_json: bool) -> str:
+    from repro.analysis.report import render_table
+    from repro.analysis.streams import stream_summary_rows
+
     if as_json:
         return report.to_json(indent=2)
     return render_table(
@@ -715,11 +756,17 @@ def _stream_report_text(report: StreamReport, *, as_json: bool) -> str:
 
 
 def _cmd_stream(args: argparse.Namespace) -> str:
+    from repro.streams.report import StreamReport
+
     if args.stream_command == "run":
         if bool(args.spec) == bool(args.task):
             raise ConfigurationError(
                 "stream run needs exactly one of --spec FILE or --task NAME"
             )
+        from repro.api.stream import StreamSpec
+        from repro.obs.profiling import profiled
+        from repro.streams.runner import run_stream
+
         if args.spec:
             try:
                 text = Path(args.spec).read_text()
@@ -778,6 +825,8 @@ def _cmd_stream(args: argparse.Namespace) -> str:
 # ----------------------------------------------------------------------
 def _load_platform_spec(path: str) -> PlatformSpec:
     """Load one PlatformSpec JSON file."""
+    from repro.api.platform import PlatformSpec
+
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -786,6 +835,9 @@ def _load_platform_spec(path: str) -> PlatformSpec:
 
 
 def _platform_report_text(report: PlatformReport, *, as_json: bool) -> str:
+    from repro.analysis.platform import platform_summary_rows
+    from repro.analysis.report import render_table
+
     if as_json:
         return report.to_json(indent=2)
     return render_table(
@@ -806,6 +858,8 @@ def _cmd_platform(args: argparse.Namespace) -> str:
             spec = replace(spec, tasks=tuple(
                 replace(task, frames=args.frames) for task in spec.tasks
             ))
+        from repro.platform.runner import run_platform
+
         telemetry = _open_telemetry(args)
         try:
             report = run_platform(spec, workers=args.workers,
@@ -823,6 +877,9 @@ def _cmd_platform(args: argparse.Namespace) -> str:
         return _platform_report_text(report, as_json=args.json)
     if args.platform_command == "plan":
         spec = _load_platform_spec(args.spec)
+        from repro.analysis.report import render_table
+        from repro.platform.placement import plan_placement
+
         plan = plan_placement(spec)
         if args.json:
             return json.dumps(plan.to_dict(), sort_keys=True, indent=2)
@@ -855,6 +912,8 @@ def _cmd_platform(args: argparse.Namespace) -> str:
         raise ConfigurationError(
             f"{args.report!r} is not valid JSON: {exc}"
         )
+    from repro.platform.report import PlatformReport
+
     report = PlatformReport.from_dict(data)
     return _platform_report_text(report, as_json=args.json)
 
@@ -886,6 +945,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     least one rate differs significantly, 2 = misuse (unreadable files,
     mismatched artifact kinds, nothing to compare).
     """
+    from repro.stats.compare import compare_artifacts, render_comparison
+
     try:
         payload = compare_artifacts(
             _load_artifact_json(args.a),
@@ -910,6 +971,9 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 def _cmd_lint(args: argparse.Namespace) -> int:
     """Run the determinism linter; print the report, return the exit code."""
+    from repro.lint.config import load_config
+    from repro.lint.engine import run_lint
+
     config = load_config(args.config)
     report = run_lint(args.paths, config=config, rule_ids=args.rule or None)
     if args.json:
@@ -920,6 +984,9 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _cmd_scenarios(args: argparse.Namespace) -> str:
+    from repro.analysis.report import render_table
+    from repro.api.scenarios import get_scenario, scenario_names
+
     return render_table(
         ["scenario", "description"],
         [[name, get_scenario(name).description] for name in scenario_names()],
@@ -1024,10 +1091,10 @@ def _build_parser() -> argparse.ArgumentParser:
                             "file (inspect with `repro obs report`)")
         p.add_argument("--progress", action="store_true",
                        help="paint a live progress line on stderr")
-        p.add_argument("--heartbeat", type=float,
-                       default=DEFAULT_HEARTBEAT_S, metavar="S",
-                       help="seconds between heartbeat events "
-                            f"(default {DEFAULT_HEARTBEAT_S})")
+        # the defaults below are DEFAULT_HEARTBEAT_S / DEFAULT_OBS_DIR,
+        # spelled out so building the parser imports no subsystem
+        p.add_argument("--heartbeat", type=float, default=None, metavar="S",
+                       help="seconds between heartbeat events (default 1.0)")
 
     campaign_p = sub.add_parser(
         "campaign",
@@ -1169,9 +1236,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     def _obs_dir(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--dir", default=DEFAULT_OBS_DIR, metavar="DIR",
+        p.add_argument("--dir", default=None, metavar="DIR",
                        help="telemetry archive directory "
-                            f"(default {DEFAULT_OBS_DIR})")
+                            "(default .repro-obs)")
 
     oreport = obs_sub.add_parser(
         "report", help="render run summaries, the span tree and hotspots"

@@ -7,43 +7,22 @@ traces (:mod:`~repro.faults.injector`), classified
 and audited separately (:mod:`~repro.faults.scheduler_faults`).
 """
 
-from repro.faults.campaign import CampaignConfig, CampaignReport, FaultCampaign
-from repro.faults.injector import CorruptionMap, apply_fault
-from repro.faults.outcomes import FaultOutcome, InjectionResult, classify_outcome
-from repro.faults.scheduler_faults import (
-    FaultySchedulerWrapper,
-    PlacementDeviation,
-    SchedulerFault,
-    SchedulerFaultKind,
-    SchedulerFaultOutcome,
-    audit_placement,
-    classify_scheduler_fault,
-)
-from repro.faults.types import (
-    FaultDescriptor,
-    PermanentSMFault,
-    SEUFault,
-    TransientCCF,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "FaultDescriptor",
-    "TransientCCF",
-    "PermanentSMFault",
-    "SEUFault",
-    "apply_fault",
-    "CorruptionMap",
-    "FaultOutcome",
-    "InjectionResult",
-    "classify_outcome",
-    "CampaignConfig",
-    "CampaignReport",
-    "FaultCampaign",
-    "SchedulerFault",
-    "SchedulerFaultKind",
-    "FaultySchedulerWrapper",
-    "SchedulerFaultOutcome",
-    "classify_scheduler_fault",
-    "PlacementDeviation",
-    "audit_placement",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.faults.campaign": (
+        "CampaignConfig", "CampaignReport", "FaultCampaign",
+    ),
+    "repro.faults.injector": ("CorruptionMap", "apply_fault"),
+    "repro.faults.outcomes": (
+        "FaultOutcome", "InjectionResult", "classify_outcome",
+    ),
+    "repro.faults.scheduler_faults": (
+        "FaultySchedulerWrapper", "PlacementDeviation", "SchedulerFault",
+        "SchedulerFaultKind", "SchedulerFaultOutcome", "audit_placement",
+        "classify_scheduler_fault",
+    ),
+    "repro.faults.types": (
+        "FaultDescriptor", "PermanentSMFault", "SEUFault", "TransientCCF",
+    ),
+})

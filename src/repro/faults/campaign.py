@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import FaultInjectionError, SafetyViolation, StatsError
-from repro.faults.injector import CorruptionMap, apply_fault
-from repro.faults.outcomes import FaultOutcome, InjectionResult, classify_outcome
+from repro.faults.injector import apply_fault
+from repro.faults.outcomes import FaultOutcome, InjectionResult
 from repro.faults.types import (
     FaultDescriptor,
     PermanentSMFault,
@@ -33,7 +33,6 @@ from repro.faults.types import (
     TransientCCF,
 )
 from repro.iso26262.metrics import HardwareMetrics, coverage_from_campaign
-from repro.redundancy.comparison import build_signature, compare_signatures
 from repro.redundancy.manager import RedundantRunResult
 from repro.stats.estimators import ImportanceRate, StratifiedRate, UniformRate
 from repro.stats.intervals import RateEstimate
@@ -791,13 +790,17 @@ class FaultCampaign:
             )
         self._run = run
         self._trace = run.sim.trace
-        # instance ids per logical, in copy order, for quick re-comparison
-        self._groups: Dict[int, Tuple[int, ...]] = {}
+        self._logical_of: Dict[int, int] = {
+            span.instance_id: span.logical_id for span in self._trace.spans
+        }
+        # compared instance -> its logical id; logical id -> copy count
+        self._compared: Dict[int, int] = {}
+        self._copies: Dict[int, int] = {}
         for logical in self._trace.logical_ids():
             copies = self._trace.copies_of(logical)
-            self._groups[logical] = tuple(
-                copies[c].instance_id for c in sorted(copies)
-            )
+            self._copies[logical] = len(copies)
+            for span in copies.values():
+                self._compared[span.instance_id] = logical
         # sampling-domain parameters, shared by the sequential and the
         # indexed (shardable) samplers
         self._makespan = self._trace.makespan
@@ -813,38 +816,44 @@ class FaultCampaign:
 
     # ------------------------------------------------------------------
     def classify(self, fault: FaultDescriptor) -> InjectionResult:
-        """Inject one fault and classify its outcome."""
+        """Inject one fault and classify its outcome.
+
+        Only the corrupted output cells are compared: every other cell
+        carries the fault-free token in all copies, which the clean
+        baseline already compared equal.  A cell ``(logical, tb)`` is a
+        detected mismatch when some copy of it is uncorrupted or two
+        copies carry different corruption signatures; the injection is
+        DETECTED when any cell mismatches, otherwise SDC (every corrupted
+        cell agrees across all copies), or MASKED when nothing was
+        corrupted: the outcome ``classify_outcome`` gives over full-grid
+        signature comparisons (``tests/faults/test_classify_equivalence.py``).
+        """
         corruption = apply_fault(fault, self._trace)
-        outcome = self._classify_corruption(corruption)
-        affected = tuple(
-            sorted(
-                {
-                    self._trace.span(iid).logical_id
-                    for (iid, _tb) in corruption
-                }
-            )
-        )
+        if not corruption:
+            outcome = FaultOutcome.MASKED
+        else:
+            compared = self._compared
+            cells: Dict[Tuple[int, int], List[Tuple]] = {}
+            for (iid, tb), signature in corruption.items():
+                logical = compared.get(iid)
+                if logical is not None:
+                    cells.setdefault((logical, tb), []).append(signature)
+            outcome = FaultOutcome.SDC
+            for (logical, _tb), signatures in cells.items():
+                first = signatures[0]
+                if (len(signatures) < self._copies[logical]
+                        or any(s != first for s in signatures)):
+                    outcome = FaultOutcome.DETECTED
+                    break
+        logical_of = self._logical_of
         return InjectionResult(
             fault_label=fault.describe(),
             outcome=outcome,
             corrupted_blocks=len(corruption),
-            affected_logicals=affected,
+            affected_logicals=tuple(sorted(
+                {logical_of[iid] for (iid, _tb) in corruption}
+            )),
         )
-
-    def _classify_corruption(self, corruption: CorruptionMap) -> FaultOutcome:
-        if not corruption:
-            return FaultOutcome.MASKED
-        affected_logicals = {
-            self._trace.span(iid).logical_id for (iid, _tb) in corruption
-        }
-        comparisons = []
-        for logical in affected_logicals:
-            signatures = [
-                build_signature(self._trace, iid, corruption)
-                for iid in self._groups[logical]
-            ]
-            comparisons.append(compare_signatures(signatures))
-        return classify_outcome(corruption, comparisons)
 
     # ------------------------------------------------------------------
     def _build_fault(self, kind: str, rng: random.Random, fault_id: int,

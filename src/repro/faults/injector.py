@@ -5,15 +5,26 @@ an :class:`~repro.gpu.trace.ExecutionTrace` into a *corruption map*
 ``(instance_id, tb_index) -> signature`` that the output-signature builder
 (:func:`repro.redundancy.comparison.build_signature`) consumes.  SEU
 faults additionally restrict the effect to a single victim block.
+
+Only the records a fault can reach are tested: the trace's interval
+index (:meth:`~repro.gpu.trace.ExecutionTrace.stab_candidates`,
+:meth:`~repro.gpu.trace.ExecutionTrace.blocks_ending_after`) yields a
+superset of them, and the fault's own ``effect_on`` stays the only
+predicate.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, Sequence, Tuple
 
 from repro.errors import FaultInjectionError
-from repro.faults.types import FaultDescriptor, SEUFault
-from repro.gpu.trace import ExecutionTrace
+from repro.faults.types import (
+    FaultDescriptor,
+    PermanentSMFault,
+    SEUFault,
+    TransientCCF,
+)
+from repro.gpu.trace import ExecutionTrace, TBRecord
 
 __all__ = ["apply_fault", "CorruptionMap"]
 
@@ -52,7 +63,7 @@ def apply_fault(fault: FaultDescriptor, trace: ExecutionTrace) -> CorruptionMap:
             )
 
     corruption: CorruptionMap = {}
-    for record in trace.tb_records:
+    for record in _candidates(fault, trace):
         signature = fault.effect_on(record)
         if signature is not None:
             corruption[(record.instance_id, record.tb_index)] = signature
@@ -62,3 +73,20 @@ def apply_fault(fault: FaultDescriptor, trace: ExecutionTrace) -> CorruptionMap:
         victim = min(corruption)
         corruption = {victim: corruption[victim]}
     return corruption
+
+
+def _candidates(fault: FaultDescriptor,
+                trace: ExecutionTrace) -> Sequence[TBRecord]:
+    """A superset of the records ``fault.effect_on`` can corrupt.
+
+    Exact types only: a subclass may widen ``effect_on``, so it and any
+    unknown descriptor type scan every record.
+    """
+    kind = type(fault)
+    if kind is PermanentSMFault:
+        return trace.blocks_ending_after(fault.sm, fault.since)
+    if kind is SEUFault:
+        return trace.stab_candidates(fault.time, (fault.sm,))
+    if kind is TransientCCF:
+        return trace.stab_candidates(fault.time, fault.sms)
+    return trace.tb_records

@@ -9,44 +9,21 @@ model (:mod:`repro.gpu.kernel`), occupancy rules
 and the analytic COTS end-to-end model (:mod:`repro.gpu.cots`).
 """
 
-from repro.gpu.config import GPUConfig, SMConfig
-from repro.gpu.kernel import KernelDescriptor, KernelLaunch, dependent_chain
-from repro.gpu.memory import (
-    AccessProfile,
-    L2Model,
-    derive_bytes_per_block,
-    derive_kernel,
-)
-from repro.gpu.occupancy import (
-    OccupancyReport,
-    blocks_per_sm,
-    max_resident_blocks,
-    occupancy_report,
-)
-from repro.gpu.reference import ReferenceSimulator, reference_simulate
-from repro.gpu.simulator import GPUSimulator, SimulationResult, simulate
-from repro.gpu.trace import ExecutionTrace, KernelSpan, TBRecord
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "GPUConfig",
-    "SMConfig",
-    "KernelDescriptor",
-    "KernelLaunch",
-    "dependent_chain",
-    "OccupancyReport",
-    "blocks_per_sm",
-    "max_resident_blocks",
-    "occupancy_report",
-    "GPUSimulator",
-    "ReferenceSimulator",
-    "SimulationResult",
-    "simulate",
-    "reference_simulate",
-    "ExecutionTrace",
-    "KernelSpan",
-    "TBRecord",
-    "AccessProfile",
-    "L2Model",
-    "derive_bytes_per_block",
-    "derive_kernel",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.gpu.config": ("GPUConfig", "SMConfig"),
+    "repro.gpu.kernel": (
+        "KernelDescriptor", "KernelLaunch", "dependent_chain",
+    ),
+    "repro.gpu.memory": (
+        "AccessProfile", "L2Model", "derive_bytes_per_block", "derive_kernel",
+    ),
+    "repro.gpu.occupancy": (
+        "OccupancyReport", "blocks_per_sm", "max_resident_blocks",
+        "occupancy_report",
+    ),
+    "repro.gpu.reference": ("ReferenceSimulator", "reference_simulate"),
+    "repro.gpu.simulator": ("GPUSimulator", "SimulationResult", "simulate"),
+    "repro.gpu.trace": ("ExecutionTrace", "KernelSpan", "TBRecord"),
+})

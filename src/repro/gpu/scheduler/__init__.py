@@ -4,27 +4,16 @@ Exports the scheduler interface, the three policies evaluated in the paper
 (default / SRRS / HALF) and the name-based registry.
 """
 
-from repro.gpu.scheduler.base import KernelScheduler, SchedulerView
-from repro.gpu.scheduler.default import DefaultScheduler
-from repro.gpu.scheduler.half import HALFScheduler
-from repro.gpu.scheduler.registry import (
-    PAPER_POLICIES,
-    available_schedulers,
-    make_scheduler,
-    register_scheduler,
-)
-from repro.gpu.scheduler.srrs import SRRSScheduler
-from repro.gpu.scheduler.staggered import StaggeredScheduler
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "KernelScheduler",
-    "SchedulerView",
-    "DefaultScheduler",
-    "SRRSScheduler",
-    "HALFScheduler",
-    "StaggeredScheduler",
-    "make_scheduler",
-    "register_scheduler",
-    "available_schedulers",
-    "PAPER_POLICIES",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.gpu.scheduler.base": ("KernelScheduler", "SchedulerView"),
+    "repro.gpu.scheduler.default": ("DefaultScheduler",),
+    "repro.gpu.scheduler.half": ("HALFScheduler",),
+    "repro.gpu.scheduler.registry": (
+        "PAPER_POLICIES", "available_schedulers", "make_scheduler",
+        "register_scheduler",
+    ),
+    "repro.gpu.scheduler.srrs": ("SRRSScheduler",),
+    "repro.gpu.scheduler.staggered": ("StaggeredScheduler",),
+})

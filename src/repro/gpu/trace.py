@@ -23,11 +23,65 @@ from repro.errors import SimulationError
 __all__ = ["TBRecord", "KernelSpan", "ExecutionTrace", "intervals_overlap"]
 
 
+#: Relative widening of the max-duration stabbing window.  Durations and
+#: the window bound are float differences, each off by at most a few ulps
+#: (~1e-16 relative), so widening by 1e-9 keeps the candidate set a
+#: superset of the active blocks.
+_WINDOW_SLACK = 1e-9
+
+
 def intervals_overlap(a_start: float, a_end: float,
                       b_start: float, b_end: float) -> bool:
     """True when the half-open intervals ``[a_start, a_end)`` and
     ``[b_start, b_end)`` intersect."""
     return a_start < b_end and b_start < a_end
+
+
+class _StartWindow:
+    """Records sorted by start, plus their longest duration.
+
+    A block active at ``t`` started at or before ``t`` and at most one
+    longest duration earlier, so two bisections bound every stabbing
+    query.
+    """
+
+    __slots__ = ("records", "starts", "longest")
+
+    def __init__(self, records: Iterable[TBRecord]) -> None:
+        self.records = sorted(records, key=lambda r: r.start)
+        self.starts = [r.start for r in self.records]
+        self.longest = max((r.duration for r in self.records), default=0.0)
+
+    def around(self, t: float) -> List[TBRecord]:
+        """A superset of the records with ``start <= t < end``."""
+        hi = bisect.bisect_right(self.starts, t)
+        bound = t - self.longest
+        bound -= _WINDOW_SLACK * (abs(t) + self.longest)
+        return self.records[bisect.bisect_left(self.starts, bound, 0, hi):hi]
+
+
+class _IntervalIndex:
+    """Per-trace query index, built on first use (see ``ExecutionTrace``).
+
+    * ``window``: one :class:`_StartWindow` over all records (key
+      ``None``) and one per SM, for time stabbing;
+    * ``by_end``: per-SM records sorted by end, with their end times,
+      for "still running after ``t``" queries.
+    """
+
+    __slots__ = ("window", "by_end", "position")
+
+    def __init__(self, records: List[TBRecord],
+                 by_sm: Dict[int, List[TBRecord]]) -> None:
+        self.window: Dict[Optional[int], _StartWindow] = {
+            None: _StartWindow(records)
+        }
+        self.by_end: Dict[int, Tuple[List[float], List[TBRecord]]] = {}
+        for sm, on_sm in by_sm.items():
+            self.window[sm] = _StartWindow(on_sm)
+            ordered = sorted(on_sm, key=lambda r: r.end)
+            self.by_end[sm] = ([r.end for r in ordered], ordered)
+        self.position = {id(r): i for i, r in enumerate(records)}
 
 
 @dataclass(frozen=True)
@@ -76,9 +130,10 @@ class TBRecord:
         The fault model only compares phases *between redundant copies of
         the same block*, for which the approximation is symmetric.
         """
-        if not (self.start <= t < self.end) or self.duration == 0:
+        start, end = self.start, self.end
+        if not (start <= t < end) or end == start:
             return None
-        return (t - self.start) / self.duration
+        return (t - start) / (end - start)
 
     def active_at(self, t: float) -> bool:
         """True when the block occupies its SM at time ``t``."""
@@ -143,6 +198,7 @@ class ExecutionTrace:
         self._spans: Dict[int, KernelSpan] = {}
         self._by_instance: Dict[int, List[TBRecord]] = {}
         self._by_sm: Dict[int, List[TBRecord]] = {}
+        self._index: Optional[_IntervalIndex] = None
 
     # ------------------------------------------------------------------
     # construction (used by the simulator)
@@ -154,6 +210,7 @@ class ExecutionTrace:
         self._tb_records.append(record)
         self._by_instance.setdefault(record.instance_id, []).append(record)
         self._by_sm.setdefault(record.sm, []).append(record)
+        self._index = None
 
     def add_span(self, span: KernelSpan) -> None:
         """Append a kernel span (simulator-internal)."""
@@ -250,16 +307,51 @@ class ExecutionTrace:
         for ra, rb in zip(blocks_a, blocks_b):
             yield ra, rb
 
+    # ------------------------------------------------------------------
+    # interval queries (fault injection)
+    # ------------------------------------------------------------------
+    def _interval_index(self) -> _IntervalIndex:
+        if self._index is None:
+            self._index = _IntervalIndex(self._tb_records, self._by_sm)
+        return self._index
+
+    def stab_candidates(self, t: float,
+                        sms: Optional[Iterable[int]] = None
+                        ) -> List[TBRecord]:
+        """A superset of the blocks executing at ``t`` (on ``sms``, if given).
+
+        Callers filter the candidates with the exact predicate
+        (:meth:`TBRecord.active_at`, or a fault's ``effect_on``).  On
+        each SM the set holds the records that started in
+        ``[t - longest, t]``, with ``longest`` the longest block duration
+        there, widened to stay a superset under float rounding.
+        O(log R + candidates) per SM.
+        """
+        window = self._interval_index().window
+        if sms is None:
+            return window[None].around(t)
+        return [record for sm in sorted(set(sms)) if sm in window
+                for record in window[sm].around(t)]
+
+    def blocks_ending_after(self, sm: int, t: float) -> List[TBRecord]:
+        """Blocks on SM ``sm`` with ``end > t``, in end order (exact)."""
+        entry = self._interval_index().by_end.get(sm)
+        if entry is None:
+            return []
+        ends, records = entry
+        return records[bisect.bisect_right(ends, t):]
+
     def active_blocks_at(self, t: float,
                          sms: Optional[Iterable[int]] = None
                          ) -> List[TBRecord]:
-        """Blocks executing at time ``t``, optionally filtered to ``sms``."""
-        sm_filter = set(sms) if sms is not None else None
-        return [
-            r
-            for r in self._tb_records
-            if r.active_at(t) and (sm_filter is None or r.sm in sm_filter)
-        ]
+        """Blocks executing at time ``t``, optionally filtered to ``sms``.
+
+        Records keep trace (completion) order.
+        """
+        position = self._interval_index().position
+        return sorted((r for r in self.stab_candidates(t, sms)
+                       if r.active_at(t)),
+                      key=lambda r: position[id(r)])
 
     def busy_intervals(self, sm: int) -> List[Tuple[float, float]]:
         """Merged busy intervals of one SM (for utilization reporting)."""

@@ -1,17 +1,12 @@
 """Host-side models: the DCLS lockstep CPU, a CUDA-like API and the
 five-step safety-critical offload protocol."""
 
-from repro.host.api import DeviceBuffer, GPUContext
-from repro.host.cpu import DCLSConfig, DCLSProcessor, HostOp, LockstepError
-from repro.host.pipeline import OffloadResult, SafetyCriticalOffload
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DeviceBuffer",
-    "GPUContext",
-    "DCLSConfig",
-    "DCLSProcessor",
-    "HostOp",
-    "LockstepError",
-    "OffloadResult",
-    "SafetyCriticalOffload",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.host.api": ("DeviceBuffer", "GPUContext"),
+    "repro.host.cpu": (
+        "DCLSConfig", "DCLSProcessor", "HostOp", "LockstepError",
+    ),
+    "repro.host.pipeline": ("OffloadResult", "SafetyCriticalOffload"),
+})

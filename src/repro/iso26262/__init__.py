@@ -7,69 +7,25 @@ rules (:mod:`~repro.iso26262.decomposition`), fault taxonomy and FTTI
 (:mod:`~repro.iso26262.safety_case`).
 """
 
-from repro.iso26262.asil import Asil, as_asil
-from repro.iso26262.decomposition import (
-    FIGURE1_EXAMPLES,
-    DecompositionNode,
-    DecompositionRule,
-    check_decomposition,
-    valid_decompositions,
-)
-from repro.iso26262.fault_model import (
-    AGING_DEFECT,
-    CLOCK_GLITCH,
-    SEU,
-    STUCK_AT,
-    VOLTAGE_DROOP,
-    FaultClass,
-    FaultHandlingTimeline,
-    FaultPersistence,
-    FaultScope,
-    Ftti,
-)
-from repro.iso26262.metrics import (
-    TARGETS,
-    FailureRateBudget,
-    HardwareMetrics,
-    MetricTargets,
-    coverage_from_campaign,
-)
-from repro.iso26262.safety_case import (
-    SafetyGoal,
-    SafetyMechanism,
-    SafetyRequirement,
-    SystemElement,
-    check_requirement,
-    check_system,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Asil",
-    "as_asil",
-    "DecompositionRule",
-    "DecompositionNode",
-    "valid_decompositions",
-    "check_decomposition",
-    "FIGURE1_EXAMPLES",
-    "FaultClass",
-    "FaultPersistence",
-    "FaultScope",
-    "Ftti",
-    "FaultHandlingTimeline",
-    "SEU",
-    "VOLTAGE_DROOP",
-    "CLOCK_GLITCH",
-    "STUCK_AT",
-    "AGING_DEFECT",
-    "MetricTargets",
-    "TARGETS",
-    "FailureRateBudget",
-    "HardwareMetrics",
-    "coverage_from_campaign",
-    "SafetyMechanism",
-    "SystemElement",
-    "SafetyGoal",
-    "SafetyRequirement",
-    "check_requirement",
-    "check_system",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.iso26262.asil": ("Asil", "as_asil"),
+    "repro.iso26262.decomposition": (
+        "FIGURE1_EXAMPLES", "DecompositionNode", "DecompositionRule",
+        "check_decomposition", "valid_decompositions",
+    ),
+    "repro.iso26262.fault_model": (
+        "AGING_DEFECT", "CLOCK_GLITCH", "SEU", "STUCK_AT", "VOLTAGE_DROOP",
+        "FaultClass", "FaultHandlingTimeline", "FaultPersistence",
+        "FaultScope", "Ftti",
+    ),
+    "repro.iso26262.metrics": (
+        "TARGETS", "FailureRateBudget", "HardwareMetrics", "MetricTargets",
+        "coverage_from_campaign",
+    ),
+    "repro.iso26262.safety_case": (
+        "SafetyGoal", "SafetyMechanism", "SafetyRequirement", "SystemElement",
+        "check_requirement", "check_system",
+    ),
+})

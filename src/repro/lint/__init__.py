@@ -24,39 +24,17 @@ The rule catalogue, suppression syntax (``# repro-lint: allow[RLnnn]
 reason``) and config scoping are documented in ``docs/LINT.md``.
 """
 
-from repro.lint.config import (
-    DEFAULT_CONFIG_FILE,
-    LintConfig,
-    RuleScope,
-    load_config,
-    parse_config,
-)
-from repro.lint.engine import expand_targets, lint_file, run_lint
-from repro.lint.reporting import JSON_SCHEMA_VERSION, LintReport, Violation
-from repro.lint.rules import ALL_RULES, RULE_IDS, Rule, rules_by_id
-from repro.lint.suppressions import (
-    FileSuppressions,
-    Suppression,
-    collect_suppressions,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ALL_RULES",
-    "DEFAULT_CONFIG_FILE",
-    "FileSuppressions",
-    "JSON_SCHEMA_VERSION",
-    "LintConfig",
-    "LintReport",
-    "RULE_IDS",
-    "Rule",
-    "RuleScope",
-    "Suppression",
-    "Violation",
-    "collect_suppressions",
-    "expand_targets",
-    "lint_file",
-    "load_config",
-    "parse_config",
-    "rules_by_id",
-    "run_lint",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.lint.config": (
+        "DEFAULT_CONFIG_FILE", "LintConfig", "RuleScope", "load_config",
+        "parse_config",
+    ),
+    "repro.lint.engine": ("expand_targets", "lint_file", "run_lint"),
+    "repro.lint.reporting": ("JSON_SCHEMA_VERSION", "LintReport", "Violation"),
+    "repro.lint.rules": ("ALL_RULES", "RULE_IDS", "Rule", "rules_by_id"),
+    "repro.lint.suppressions": (
+        "FileSuppressions", "Suppression", "collect_suppressions",
+    ),
+})

@@ -31,94 +31,34 @@ with telemetry on, off, or interrupted (see ``docs/OBSERVABILITY.md``
 for the contract and ``tests/obs/`` for the proof).
 """
 
-from repro.obs.diff import (
-    OBS_DIFF_SCHEMA,
-    diff_events,
-    render_diff,
-)
-from repro.obs.events import (
-    EVENT_TYPES,
-    TELEMETRY_SCHEMA,
-    check_events,
-    classify_events,
-    validate_event,
-    validate_events,
-)
-from repro.obs.export import (
-    heartbeat_csv,
-    render_chrome_trace,
-    to_chrome_trace,
-    to_folded,
-)
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.profiling import profiled
-from repro.obs.progress import ProgressTicker, render_progress
-from repro.obs.report import (
-    OBS_REPORT_SCHEMA,
-    build_spans,
-    render_report,
-    summarize,
-)
-from repro.obs.session import DEFAULT_HEARTBEAT_S, NULL_TELEMETRY, Telemetry
-from repro.obs.sink import (
-    NULL_SINK,
-    JsonlSink,
-    MemorySink,
-    NullSink,
-    TelemetrySink,
-    read_telemetry,
-    scan_telemetry,
-)
-from repro.obs.spans import Span, Tracer
-from repro.obs.store import DEFAULT_OBS_DIR, OBS_STORE_SCHEMA, ObsStore
-from repro.obs.worker import (
-    close_worker_session,
-    merge_sidecars,
-    sidecar_dir,
-    sidecar_path,
-    worker_session,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DEFAULT_HEARTBEAT_S",
-    "DEFAULT_OBS_DIR",
-    "EVENT_TYPES",
-    "JsonlSink",
-    "MemorySink",
-    "MetricsRegistry",
-    "NULL_SINK",
-    "NULL_TELEMETRY",
-    "NullSink",
-    "OBS_DIFF_SCHEMA",
-    "OBS_REPORT_SCHEMA",
-    "OBS_STORE_SCHEMA",
-    "ObsStore",
-    "ProgressTicker",
-    "Span",
-    "TELEMETRY_SCHEMA",
-    "Telemetry",
-    "TelemetrySink",
-    "Tracer",
-    "build_spans",
-    "check_events",
-    "classify_events",
-    "close_worker_session",
-    "diff_events",
-    "heartbeat_csv",
-    "merge_sidecars",
-    "profiled",
-    "read_telemetry",
-    "render_chrome_trace",
-    "render_diff",
-    "render_progress",
-    "render_report",
-    "scan_telemetry",
-    "sidecar_dir",
-    "sidecar_path",
-    "summarize",
-    "to_chrome_trace",
-    "to_folded",
-    "validate_event",
-    "validate_events",
-    "worker_session",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.obs.diff": ("OBS_DIFF_SCHEMA", "diff_events", "render_diff"),
+    "repro.obs.events": (
+        "EVENT_TYPES", "TELEMETRY_SCHEMA", "check_events", "classify_events",
+        "validate_event", "validate_events",
+    ),
+    "repro.obs.export": (
+        "heartbeat_csv", "render_chrome_trace", "to_chrome_trace", "to_folded",
+    ),
+    "repro.obs.metrics": ("MetricsRegistry",),
+    "repro.obs.profiling": ("profiled",),
+    "repro.obs.progress": ("ProgressTicker", "render_progress"),
+    "repro.obs.report": (
+        "OBS_REPORT_SCHEMA", "build_spans", "render_report", "summarize",
+    ),
+    "repro.obs.session": (
+        "DEFAULT_HEARTBEAT_S", "NULL_TELEMETRY", "Telemetry",
+    ),
+    "repro.obs.sink": (
+        "NULL_SINK", "JsonlSink", "MemorySink", "NullSink", "TelemetrySink",
+        "read_telemetry", "scan_telemetry",
+    ),
+    "repro.obs.spans": ("Span", "Tracer"),
+    "repro.obs.store": ("DEFAULT_OBS_DIR", "OBS_STORE_SCHEMA", "ObsStore"),
+    "repro.obs.worker": (
+        "close_worker_session", "merge_sidecars", "sidecar_dir",
+        "sidecar_path", "worker_session",
+    ),
+})

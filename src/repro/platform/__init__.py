@@ -36,24 +36,13 @@ Quickstart::
     assert report.all_ok and report.asil["worst_asil"] == "D"
 """
 
-from repro.platform.placement import (
-    PlatformPlan,
-    TaskDemand,
-    bind_task,
-    plan_placement,
-    task_demand,
-)
-from repro.platform.report import PlatformReport, task_asil, task_verdict
-from repro.platform.runner import run_platform
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "TaskDemand",
-    "PlatformPlan",
-    "bind_task",
-    "task_demand",
-    "plan_placement",
-    "PlatformReport",
-    "task_asil",
-    "task_verdict",
-    "run_platform",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.platform.placement": (
+        "PlatformPlan", "TaskDemand", "bind_task", "plan_placement",
+        "task_demand",
+    ),
+    "repro.platform.report": ("PlatformReport", "task_asil", "task_verdict"),
+    "repro.platform.runner": ("run_platform",),
+})

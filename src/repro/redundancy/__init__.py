@@ -8,74 +8,33 @@ Contents: the redundant execution manager and workload builder
 (:mod:`~repro.redundancy.sphere`).
 """
 
-from repro.redundancy.comparison import (
-    ComparisonResult,
-    OutputSignature,
-    build_signature,
-    compare_signatures,
-    majority_vote,
-)
-from repro.redundancy.diversity import (
-    DiversityReport,
-    PairDiversity,
-    analyze_diversity,
-)
-from repro.redundancy.manager import (
-    RedundantKernelManager,
-    RedundantRunResult,
-    build_redundant_workload,
-)
-from repro.redundancy.modes import (
-    RecoveryAction,
-    RedundancyMode,
-    plan_recovery,
-    recovery_timeline,
-)
-from repro.redundancy.diverse_kernels import (
-    DiverseGridManager,
-    DiverseGridResult,
-    reduce_signature,
-    reshape_kernel,
-)
-from repro.redundancy.sphere import (
-    PAPER_SOR,
-    ComponentProtection,
-    Protection,
-    SphereOfReplication,
-    protection_plan,
-)
-from repro.redundancy.watchdog import (
-    DeadlineWatchdog,
-    WatchdogReport,
-    WatchdogViolation,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ComparisonResult",
-    "OutputSignature",
-    "build_signature",
-    "compare_signatures",
-    "majority_vote",
-    "DiversityReport",
-    "PairDiversity",
-    "analyze_diversity",
-    "RedundantKernelManager",
-    "RedundantRunResult",
-    "build_redundant_workload",
-    "RedundancyMode",
-    "RecoveryAction",
-    "plan_recovery",
-    "recovery_timeline",
-    "SphereOfReplication",
-    "Protection",
-    "ComponentProtection",
-    "protection_plan",
-    "PAPER_SOR",
-    "DiverseGridManager",
-    "DiverseGridResult",
-    "reshape_kernel",
-    "reduce_signature",
-    "DeadlineWatchdog",
-    "WatchdogReport",
-    "WatchdogViolation",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.redundancy.comparison": (
+        "ComparisonResult", "OutputSignature", "build_signature",
+        "compare_signatures", "majority_vote",
+    ),
+    "repro.redundancy.diversity": (
+        "DiversityReport", "PairDiversity", "analyze_diversity",
+    ),
+    "repro.redundancy.manager": (
+        "RedundantKernelManager", "RedundantRunResult",
+        "build_redundant_workload",
+    ),
+    "repro.redundancy.modes": (
+        "RecoveryAction", "RedundancyMode", "plan_recovery",
+        "recovery_timeline",
+    ),
+    "repro.redundancy.diverse_kernels": (
+        "DiverseGridManager", "DiverseGridResult", "reduce_signature",
+        "reshape_kernel",
+    ),
+    "repro.redundancy.sphere": (
+        "PAPER_SOR", "ComponentProtection", "Protection",
+        "SphereOfReplication", "protection_plan",
+    ),
+    "repro.redundancy.watchdog": (
+        "DeadlineWatchdog", "WatchdogReport", "WatchdogViolation",
+    ),
+})

@@ -28,51 +28,19 @@ digest bit-identity contracts of the reports they annotate (see
 ``docs/STATISTICS.md``).
 """
 
-from repro.stats.compare import (
-    COMPARE_SCHEMA,
-    RateComparison,
-    compare_artifacts,
-    compare_rates,
-    detect_artifact_kind,
-    two_proportion_test,
-)
-from repro.stats.estimators import (
-    CANONICAL_KINDS,
-    ImportanceRate,
-    StratifiedRate,
-    UniformRate,
-)
-from repro.stats.intervals import (
-    RateEstimate,
-    binomial_draw,
-    bootstrap_interval,
-    multinomial_draw,
-    normal_interval,
-    wilson_interval,
-)
-from repro.stats.repeater import RepeatResult, target_met
+from repro._lazy import lazy_exports
 
-__all__ = [
-    # intervals
-    "RateEstimate",
-    "wilson_interval",
-    "normal_interval",
-    "bootstrap_interval",
-    "binomial_draw",
-    "multinomial_draw",
-    # estimators
-    "CANONICAL_KINDS",
-    "UniformRate",
-    "StratifiedRate",
-    "ImportanceRate",
-    # repeater
-    "RepeatResult",
-    "target_met",
-    # compare
-    "COMPARE_SCHEMA",
-    "RateComparison",
-    "two_proportion_test",
-    "compare_rates",
-    "compare_artifacts",
-    "detect_artifact_kind",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.stats.compare": (
+        "COMPARE_SCHEMA", "RateComparison", "compare_artifacts",
+        "compare_rates", "detect_artifact_kind", "two_proportion_test",
+    ),
+    "repro.stats.estimators": (
+        "CANONICAL_KINDS", "ImportanceRate", "StratifiedRate", "UniformRate",
+    ),
+    "repro.stats.intervals": (
+        "RateEstimate", "binomial_draw", "bootstrap_interval",
+        "multinomial_draw", "normal_interval", "wilson_interval",
+    ),
+    "repro.stats.repeater": ("RepeatResult", "target_met"),
+})

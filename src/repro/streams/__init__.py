@@ -39,33 +39,16 @@ Quickstart::
     assert report.frames == 10_000 and report.deadline_misses == 0
 """
 
-from repro.streams.arrivals import (
-    frame_substream,
-    iter_arrivals,
-    substream_factory,
-)
-from repro.streams.analytics import (
-    P2Quantile,
-    StreamAccumulator,
-    StreamingMoments,
-    WindowedRates,
-)
-from repro.streams.jobs import JobProfile, resolve_jobs
-from repro.streams.report import STREAM_RATE_METRICS, StreamReport
-from repro.streams.runner import repeat_stream, run_stream
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "STREAM_RATE_METRICS",
-    "repeat_stream",
-    "frame_substream",
-    "iter_arrivals",
-    "substream_factory",
-    "P2Quantile",
-    "StreamAccumulator",
-    "StreamingMoments",
-    "WindowedRates",
-    "JobProfile",
-    "resolve_jobs",
-    "StreamReport",
-    "run_stream",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.streams.arrivals": (
+        "frame_substream", "iter_arrivals", "substream_factory",
+    ),
+    "repro.streams.analytics": (
+        "P2Quantile", "StreamAccumulator", "StreamingMoments", "WindowedRates",
+    ),
+    "repro.streams.jobs": ("JobProfile", "resolve_jobs"),
+    "repro.streams.report": ("STREAM_RATE_METRICS", "StreamReport"),
+    "repro.streams.runner": ("repeat_stream", "run_stream"),
+})

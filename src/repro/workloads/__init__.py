@@ -1,52 +1,22 @@
 """Workload models: the Rodinia-shaped suite, synthetic generators and the
 Figure 3 kernel classifier."""
 
-from repro.workloads.adas import (
-    ADAS_TASKS,
-    AdasTask,
-    TaskSchedule,
-    schedulability_report,
-)
-from repro.workloads.classify import (
-    ClassificationReport,
-    KernelCategory,
-    classify_kernel,
-    recommend_policy,
-)
-from repro.workloads.rodinia import (
-    FIG4_BENCHMARKS,
-    FIG5_BENCHMARKS,
-    COTSProfile,
-    RodiniaBenchmark,
-    all_benchmarks,
-    get_benchmark,
-)
-from repro.workloads.synthetic import (
-    make_friendly_kernel,
-    make_heavy_kernel,
-    make_narrow_kernel,
-    make_short_kernel,
-    random_kernel,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AdasTask",
-    "TaskSchedule",
-    "ADAS_TASKS",
-    "schedulability_report",
-    "KernelCategory",
-    "ClassificationReport",
-    "classify_kernel",
-    "recommend_policy",
-    "COTSProfile",
-    "RodiniaBenchmark",
-    "FIG4_BENCHMARKS",
-    "FIG5_BENCHMARKS",
-    "get_benchmark",
-    "all_benchmarks",
-    "make_short_kernel",
-    "make_heavy_kernel",
-    "make_friendly_kernel",
-    "make_narrow_kernel",
-    "random_kernel",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.workloads.adas": (
+        "ADAS_TASKS", "AdasTask", "TaskSchedule", "schedulability_report",
+    ),
+    "repro.workloads.classify": (
+        "ClassificationReport", "KernelCategory", "classify_kernel",
+        "recommend_policy",
+    ),
+    "repro.workloads.rodinia": (
+        "FIG4_BENCHMARKS", "FIG5_BENCHMARKS", "COTSProfile",
+        "RodiniaBenchmark", "all_benchmarks", "get_benchmark",
+    ),
+    "repro.workloads.synthetic": (
+        "make_friendly_kernel", "make_heavy_kernel", "make_narrow_kernel",
+        "make_short_kernel", "random_kernel",
+    ),
+})

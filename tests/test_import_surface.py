@@ -1,0 +1,158 @@
+"""Import-surface tests: each entry point loads only what it runs.
+
+Package ``__init__`` modules export lazily (``repro._lazy``) and the CLI
+imports each command's modules inside its handler, so ``import repro``
+and ``python -m repro --version`` load no subsystem and ``campaign
+report`` loads none of the analysis, linter, telemetry-archive,
+statistics-compare, platform or stream modules.  These tests check the
+module sets of fresh interpreters, not timings.
+"""
+
+from __future__ import annotations
+
+import ast
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+from typing import List
+
+import pytest
+
+from repro.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+#: Modules a bare import or ``--version`` may load: no subsystem.
+CORE = {"repro", "repro._lazy", "repro.__main__", "repro.cli", "repro.errors"}
+
+#: Modules ``campaign report --json`` must not load.
+NOT_FOR_REPORT = (
+    "repro.analysis.experiments", "repro.gpu.reference", "repro.lint",
+    "repro.obs.diff", "repro.obs.export", "repro.obs.store",
+    "repro.stats.compare", "repro.platform", "repro.streams",
+)
+
+
+def loaded_modules(code: str) -> List[str]:
+    """``repro`` modules loaded after running ``code`` in a fresh process."""
+    probe = (
+        code + "\nimport json, sys\n"
+        "print(json.dumps(sorted(m for m in sys.modules"
+        " if m == 'repro' or m.startswith('repro.'))))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True)
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def run_cli(argv: List[str]) -> str:
+    """Code running ``python -m repro ARGV`` through ``repro.__main__``."""
+    return (
+        "import runpy, sys\n"
+        f"sys.argv = ['repro'] + {argv!r}\n"
+        "try:\n"
+        "    runpy.run_module('repro', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    assert not exc.code, exc.code\n"
+    )
+
+
+def package_names() -> List[str]:
+    return sorted(
+        ".".join(path.parent.relative_to(SRC).parts)
+        for path in (SRC / "repro").rglob("__init__.py")
+    )
+
+
+class TestModuleSets:
+    def test_import_repro_loads_no_subsystem(self):
+        assert set(loaded_modules("import repro")) <= CORE
+
+    def test_version_loads_no_subsystem(self):
+        assert set(loaded_modules(run_cli(["--version"]))) <= CORE
+
+    def test_campaign_report_loads_only_the_campaign_path(self, tmp_path,
+                                                          capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "run": {"workload": {"benchmark": "hotspot"}, "policy": "srrs"},
+            "faults": {"transient_ccf": 4, "permanent_sm": 2, "seu": 2},
+            "shards": 2,
+        }))
+        store = tmp_path / "store"
+        assert main(["campaign", "run", "--spec", str(spec),
+                     "--dir", str(store)]) == 0
+        capsys.readouterr()
+        loaded = loaded_modules(
+            run_cli(["campaign", "report", "--dir", str(store), "--json"])
+        )
+        assert "repro.campaigns.runner" in loaded
+        offenders = [m for m in loaded
+                     if any(m == p or m.startswith(p + ".")
+                            for p in NOT_FOR_REPORT)]
+        assert offenders == []
+
+
+class TestLazyExports:
+    @pytest.mark.parametrize("package", package_names())
+    def test_every_export_resolves_and_is_listed(self, package):
+        module = importlib.import_module(package)
+        listed = dir(module)
+        for name in module.__all__:
+            assert name in listed, f"{package}.{name} missing from dir()"
+            assert getattr(module, name) is not None, f"{package}.{name}"
+
+    def test_unknown_attribute_is_an_attribute_error(self):
+        import repro.faults
+
+        assert not hasattr(repro.faults, "no_such_export")
+        with pytest.raises(AttributeError, match="no_such_export"):
+            getattr(repro.faults, "no_such_export")
+
+    def test_submodules_stay_reachable_as_attributes(self):
+        module = loaded_modules(
+            "import repro\nassert repro.gpu.trace.ExecutionTrace"
+        )
+        assert "repro.gpu.trace" in module
+
+    def test_cli_help_defaults_match_the_library(self, capsys):
+        from repro.obs.session import DEFAULT_HEARTBEAT_S
+        from repro.obs.store import DEFAULT_OBS_DIR
+
+        for argv, text in (
+            (["campaign", "run", "--help"], f"default {DEFAULT_HEARTBEAT_S}"),
+            (["obs", "list", "--help"], f"default {DEFAULT_OBS_DIR}"),
+        ):
+            with pytest.raises(SystemExit):
+                main(argv)
+            assert text in " ".join(capsys.readouterr().out.split())
+
+
+class TestImportRule:
+    def test_no_module_imports_a_package_root(self):
+        packages = set(package_names())
+        offenders = []
+        for path in sorted((SRC / "repro").rglob("*.py")):
+            if path.name == "__init__.py":
+                continue
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    bad = [a.name for a in node.names if a.name in packages]
+                elif isinstance(node, ast.ImportFrom):
+                    names = {a.name for a in node.names}
+                    # the version string is defined in the root itself
+                    bad = ([node.module] if node.module in packages
+                           and names != {"__version__"} else [])
+                else:
+                    continue
+                offenders += [f"{path.relative_to(SRC).as_posix()}:"
+                              f"{node.lineno} {name}" for name in bad]
+        assert offenders == []
