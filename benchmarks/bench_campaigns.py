@@ -6,7 +6,11 @@ mid-way, resumed, and its aggregate report is verified bit-identical to
 the unsharded single-process run.  A second scenario measures
 injections/second against the worker count, and a third times fault
 classification alone (``FaultCampaign.classify``, no shards, store or
-pool), so the gap to the second is the orchestration cost.
+pool), so the gap to the second is the orchestration cost.  The CLI leg
+(``campaign/cli``) times ``python -m repro campaign run|status|report``
+in fresh interpreters without bytecode caches — the start-up every
+command pays before any campaign work — and records how many ``repro``
+modules each command loads.
 
 The ``campaign/*`` scenarios emit ``BENCH_campaigns.json`` at the
 repository root (wall seconds, injections/sec, worker-scaling speedups,
@@ -22,9 +26,14 @@ match *everywhere*.
 
 from __future__ import annotations
 
+import os
+import shutil
+import statistics
+import subprocess
+import sys
 import time
 
-from _bench_artifacts import BenchArtifact
+from _bench_artifacts import REPO_ROOT, BenchArtifact
 
 from repro.analysis.campaigns import campaign_worker_scaling
 from repro.api import (
@@ -311,3 +320,86 @@ def test_campaign_sampling_efficiency(benchmark):
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     assert result.converged
     assert result.estimate.relative_half_width <= target
+
+
+#: Fresh interpreters per command in the CLI leg (median wall).
+CLI_REPEATS = 7
+
+#: ``python -m repro ARGV`` that reports the ``repro`` modules it loaded.
+_MODULE_PROBE = """
+import runpy, sys
+sys.argv = ["repro"] + sys.argv[1:]
+try:
+    runpy.run_module("repro", run_name="__main__")
+finally:
+    sys.stderr.write("repro-modules %d\\n" % sum(
+        m == "repro" or m.startswith("repro.") for m in sys.modules))
+"""
+
+
+def _cli(argv, *, code=None) -> subprocess.CompletedProcess:
+    """``python -m repro ARGV`` (or ``python -c CODE ARGV``) in a fresh
+    interpreter that neither reads nor writes ``repro`` bytecode caches,
+    as every command runs when caches are off."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=str(REPO_ROOT / "src"))
+    head = ["-c", code] if code is not None else ["-m", "repro"]
+    return subprocess.run([sys.executable, *head, *map(str, argv)],
+                          env=env, capture_output=True, text=True,
+                          check=True)
+
+
+def test_campaign_cli_cold_start(benchmark, tmp_path):
+    """BENCH scenario ``campaign/cli``: the campaign commands end to end.
+
+    ``campaign run`` of a one-injection spec (store creation, baseline
+    simulation, report), ``campaign status`` and ``campaign report
+    --json`` on its store, each timed over :data:`CLI_REPEATS`
+    interleaved fresh interpreters (median), next to a bare interpreter
+    start.  ``*_modules`` counts the ``repro`` modules a command loads:
+    a pure function of the code, so the gate holds it exactly.
+    """
+    spec = tmp_path / "spec.json"
+    spec.write_text(CampaignSpec(
+        run=RunSpec(workload=WorkloadSpec(benchmark="hotspot"),
+                    policy="srrs"),
+        faults=FaultPlanSpec(transient_ccf=1, permanent_sm=0, seu=0),
+    ).to_json())
+    store = tmp_path / "store"
+    commands = {
+        "run": ["campaign", "run", "--spec", spec, "--dir", store],
+        "status": ["campaign", "status", "--dir", store],
+        "report": ["campaign", "report", "--dir", store, "--json"],
+    }
+
+    def timed(argv, code=None) -> float:
+        t0 = time.perf_counter()
+        _cli(argv, code=code)
+        return time.perf_counter() - t0
+
+    def run():
+        walls = {name: [] for name in ["python", *commands]}
+        for _ in range(CLI_REPEATS):
+            walls["python"].append(timed([], code="pass"))
+            for name, argv in commands.items():
+                if name == "run":
+                    shutil.rmtree(store, ignore_errors=True)
+                walls[name].append(timed(argv))
+        modules = {}
+        for name, argv in commands.items():
+            err = _cli(argv, code=_MODULE_PROBE).stderr.split()
+            modules[name] = int(err[err.index("repro-modules") + 1])
+        _record(
+            "campaign/cli",
+            repeats=CLI_REPEATS,
+            python_start_s=round(statistics.median(walls["python"]), 4),
+            **{f"cli_{name}_s": round(statistics.median(walls[name]), 4)
+               for name in commands},
+            **{f"cli_{name}_modules": modules[name] for name in commands},
+        )
+        return modules
+
+    modules = benchmark.pedantic(run, rounds=1, iterations=1)
+    # the read side loads a fraction of what executing a campaign needs
+    assert modules["report"] < modules["run"]
+    assert (store / "campaign.json").is_file()

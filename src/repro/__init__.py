@@ -123,8 +123,8 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.campaigns.store": ("CampaignStore",),
     "repro.campaigns.runner": (
         "run_campaign", "resume_campaign", "repeat_campaign",
-        "campaign_status",
     ),
+    "repro.campaigns.fold": ("campaign_status",),
     # statistics
     "repro.api.stats": ("SamplingSpec", "RepeatSpec"),
     "repro.stats.intervals": ("RateEstimate", "wilson_interval"),

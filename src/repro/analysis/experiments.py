@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.api.artifact import RunArtifact
 from repro.api.engine import Engine
 from repro.api.scenarios import FIG3_SYNTHETICS, build_scenario
-from repro.faults.campaign import CampaignConfig
+from repro.faults.report import CampaignConfig
 from repro.gpu.config import GPUConfig
 from repro.gpu.cots import COTSDevice
 from repro.gpu.scheduler.registry import PAPER_POLICIES

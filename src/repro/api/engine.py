@@ -22,6 +22,9 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
+# the simulation stack first: the import order repro.campaigns.runner
+# documents (it keeps this process and its forked workers smaller)
+from repro.redundancy.manager import RedundantKernelManager, RedundantRunResult
 from repro.api.artifact import (
     ClassificationRow,
     ComparisonSummary,
@@ -45,7 +48,6 @@ from repro.redundancy.diversity import (
     DEFAULT_PHASE_TOLERANCE,
     analyze_diversity,
 )
-from repro.redundancy.manager import RedundantKernelManager, RedundantRunResult
 from repro.workloads.classify import classify_kernel, recommend_policy
 from repro.workloads.rodinia import get_benchmark
 

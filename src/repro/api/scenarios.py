@@ -30,7 +30,7 @@ from repro.api.spec import (
     WorkloadSpec,
 )
 from repro.errors import ConfigurationError
-from repro.faults.campaign import CampaignConfig
+from repro.faults.report import CampaignConfig
 from repro.gpu.config import GPUConfig
 from repro.gpu.cots import COTSDevice
 from repro.gpu.scheduler.registry import PAPER_POLICIES

@@ -22,21 +22,23 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field, fields, replace
-from typing import Any, Callable, Dict, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Mapping, Optional, Tuple
 
 from repro.errors import ConfigurationError
-from repro.faults.campaign import CampaignConfig
+from repro.faults.report import CampaignConfig
 from repro.gpu.config import GPUConfig, SMConfig
-from repro.gpu.cots import COTSDevice
 from repro.gpu.kernel import KernelDescriptor
-from repro.redundancy.diversity import DEFAULT_PHASE_TOLERANCE
-from repro.workloads.rodinia import get_benchmark
 from repro.workloads.synthetic import (
     make_friendly_kernel,
     make_heavy_kernel,
     make_narrow_kernel,
     make_short_kernel,
 )
+
+# specs are read on every command's cold path, so the model tables they
+# name (Rodinia chains, the COTS device model) load where they are used
+if TYPE_CHECKING:
+    from repro.gpu.cots import COTSDevice
 
 __all__ = [
     "SMSpec",
@@ -309,6 +311,8 @@ class WorkloadSpec:
         """The kernel chain to simulate (may be empty for COTS-only
         benchmarks such as ``cfd``)."""
         if self.benchmark is not None:
+            from repro.workloads.rodinia import get_benchmark
+
             chain: Tuple[KernelDescriptor, ...] = get_benchmark(
                 self.benchmark
             ).kernels
@@ -414,6 +418,8 @@ class CotsSpec:
 
     def to_device(self) -> COTSDevice:
         """Materialise the :class:`COTSDevice` (validates values)."""
+        from repro.gpu.cots import COTSDevice
+
         return COTSDevice(**_flat_to_dict(self))
 
     @classmethod
@@ -477,7 +483,9 @@ class RunSpec:
     classify: bool = False
     cots: Optional[CotsSpec] = None
     faults: Optional[FaultPlanSpec] = None
-    phase_tolerance: float = DEFAULT_PHASE_TOLERANCE
+    # repro.redundancy.diversity.DEFAULT_PHASE_TOLERANCE, spelled out so
+    # reading a spec loads no trace analysis (a test pins them equal)
+    phase_tolerance: float = 1.0
     seed: Optional[int] = None
     tag: str = ""
 

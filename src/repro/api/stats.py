@@ -26,7 +26,7 @@ from typing import Any, Dict, Mapping, Optional
 
 from repro.api.spec import _flat_from_dict, _flat_to_dict
 from repro.errors import ConfigurationError
-from repro.faults.campaign import SamplingConfig
+from repro.faults.report import SamplingConfig
 
 __all__ = ["SamplingSpec", "RepeatSpec"]
 

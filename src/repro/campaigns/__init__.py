@@ -8,9 +8,10 @@ injections) without giving up determinism:
   campaign's fault-index space into contiguous shards;
 * :mod:`repro.campaigns.store` — the JSONL shard-artifact store with
   digest-verified checkpoint/resume;
-* :mod:`repro.campaigns.runner` — process-pool shard execution and the
-  streaming fold into one aggregate
-  :class:`~repro.faults.campaign.CampaignReport`.
+* :mod:`repro.campaigns.fold` — the read side: shard plan, validated
+  records, status and the streaming fold into one aggregate
+  :class:`~repro.faults.report.CampaignReport`;
+* :mod:`repro.campaigns.runner` — process-pool shard execution.
 
 Quickstart::
 
@@ -37,10 +38,13 @@ run|resume|status|report``; the determinism contract is documented in
 from repro._lazy import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.campaigns.fold": (
+        "CampaignStatus", "campaign_plan", "campaign_status", "fold_report",
+        "spec_sampling_meta", "validated_records",
+    ),
     "repro.campaigns.runner": (
-        "CampaignStatus", "baseline_campaign", "campaign_plan",
-        "campaign_status", "fold_report", "repeat_campaign", "resume_campaign",
-        "run_campaign", "spec_sampling_meta", "validated_records",
+        "baseline_campaign", "repeat_campaign", "resume_campaign",
+        "run_campaign",
     ),
     "repro.campaigns.sharding": ("DEFAULT_SHARDS", "Shard", "plan_shards"),
     "repro.campaigns.store": ("CampaignStore", "ShardRecord"),

@@ -1,19 +1,25 @@
 """Sharded campaign execution: process pools, checkpointing, resume.
 
 The runner turns a :class:`~repro.api.campaign.CampaignSpec` into an
-aggregate :class:`~repro.faults.campaign.CampaignReport` by:
+aggregate :class:`~repro.faults.report.CampaignReport` by:
 
 1. planning contiguous shards of the fault-index space
-   (:func:`repro.campaigns.sharding.plan_shards`);
+   (:func:`repro.campaigns.fold.campaign_plan`);
 2. skipping shards already present in the campaign store (resume);
-3. executing the remaining shards through the execution core
+3. simulating the clean baseline once, in this process, then executing
+   the remaining shards through the execution core
    (:func:`repro.exec.map_tasks`) in completion order, persisting each
    to the store *as it completes*, so an interrupt loses at most the
    shards still in flight;
 4. folding the per-shard outcome tables into one incremental
-   :class:`~repro.faults.campaign.CampaignReport` in shard order — the
-   aggregate is O(shards) in memory and never materialises the campaign's
+   :class:`~repro.faults.report.CampaignReport` in shard order
+   (:func:`repro.campaigns.fold.fold_report`) — the aggregate is
+   O(shards) in memory and never materialises the campaign's
    per-injection records.
+
+Planning, status and the fold live in :mod:`repro.campaigns.fold`, which
+loads none of the execution stack this module imports; the runner
+re-exports them.
 
 Every shard regenerates its faults from the campaign's indexed seed
 schedule, so the aggregate is bit-identical for any shard plan, worker
@@ -23,37 +29,40 @@ contract and its proof obligations).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
 
+# The simulation stack is imported first, before the spec and store
+# layers.  Without bytecode caches every import compiles its source, and
+# compiling the largest modules into a still-small heap leaves about
+# 1 MB less resident memory in this process — and in every pool worker
+# forked from it — than compiling them after the spec layers
+# (docs/PERFORMANCE.md, "CLI start-up").
+from repro.redundancy.manager import RedundantKernelManager
 from repro.api.campaign import CampaignSpec
 from repro.api.spec import RunSpec
-from repro.campaigns.sharding import Shard, plan_shards
-from repro.campaigns.store import (
-    OUTCOME_KEYS,
-    OUTCOMES_BY_KEY,
-    CampaignStore,
-    ShardRecord,
+from repro.campaigns.fold import (
+    CampaignStatus,
+    as_store,
+    campaign_plan,
+    campaign_status,
+    fold_report,
+    record_by_kind,
+    spec_sampling_meta,
+    validated_records,
 )
+from repro.campaigns.sharding import Shard
+from repro.campaigns.store import OUTCOME_KEYS, CampaignStore, ShardRecord
 from repro.errors import CampaignError, StatsError
 from repro.exec import map_tasks
-from repro.faults.campaign import (
-    SDC_SAMPLE_LIMIT,
-    CampaignReport,
-    FaultCampaign,
-    sampling_metadata,
-)
+from repro.faults.campaign import FaultCampaign
 from repro.faults.outcomes import FaultOutcome
+from repro.faults.report import SDC_SAMPLE_LIMIT, CampaignReport
 from repro.obs.session import NULL_TELEMETRY, Telemetry
-from repro.redundancy.manager import RedundantKernelManager
-from repro.stats.intervals import RateEstimate
-from repro.stats.repeater import (
-    STOP_BUDGET,
-    STOP_TARGET,
-    RepeatResult,
-    target_met,
-)
+
+if TYPE_CHECKING:
+    from repro.stats.intervals import RateEstimate
+    from repro.stats.repeater import RepeatResult
 
 __all__ = [
     "CampaignStatus",
@@ -69,10 +78,11 @@ __all__ = [
 ]
 
 # Per-process memo of clean baseline runs, keyed by (RunSpec.config_hash,
-# validate).  Worker processes are reused across shard tasks, so each
-# process simulates the attacked run once per campaign instead of once
-# per shard.  Bounded: distinct baselines per process stay tiny (one per
-# campaign), but guard against pathological reuse anyway.
+# validate).  The orchestrating process fills it before the pool starts,
+# so forked workers inherit the baseline instead of simulating it; a
+# worker started by spawning rebuilds it here once and reuses it across
+# its shard tasks.  Bounded: distinct baselines per process stay tiny
+# (one per campaign), but guard against pathological reuse anyway.
 _BASELINE_CACHE: Dict[Tuple[str, bool], FaultCampaign] = {}
 _BASELINE_CACHE_LIMIT = 8
 
@@ -157,197 +167,6 @@ def _execute_shard(task: Tuple[str, int, int, int, bool],
     )
 
 
-# ----------------------------------------------------------------------
-# aggregate fold
-# ----------------------------------------------------------------------
-def _record_by_kind(record: ShardRecord
-                    ) -> Dict[str, Dict[FaultOutcome, int]]:
-    """A shard record's counts table keyed by outcome enum, not store key."""
-    return {
-        kind: {OUTCOMES_BY_KEY[key]: count for key, count in bucket.items()}
-        for kind, bucket in record.counts.items()
-    }
-
-
-def spec_sampling_meta(spec: CampaignSpec) -> Optional[Dict[str, object]]:
-    """The spec's report-level sampling block, ``None`` for legacy specs."""
-    if spec.sampling is None:
-        return None
-    return sampling_metadata(
-        spec.faults.to_config(seed=spec.run.seed),
-        spec.sampling.to_config(),
-    )
-
-
-def fold_report(records: Iterable[ShardRecord], *,
-                sampling: Optional[Dict[str, object]] = None
-                ) -> CampaignReport:
-    """Fold shard records (any order) into one aggregate report.
-
-    Records are folded in shard-index order, so the bounded
-    ``sdc_samples`` list of the aggregate equals the first
-    :data:`~repro.faults.campaign.SDC_SAMPLE_LIMIT` SDC labels in fault-
-    index order — independent of completion order, worker count or shard
-    boundaries.
-
-    Args:
-        records: completed shard records (any order, any subset).
-        sampling: sampling-metadata block
-            (:func:`~repro.faults.campaign.sampling_metadata`) of the
-            design the shards were drawn under; ``None`` for the legacy
-            uniform population.  When set, the aggregate reweights its
-            rate estimates and emits the versioned v2 report keys.
-
-    Raises:
-        CampaignError: on an empty record set or disagreeing policies.
-    """
-    ordered = sorted(records, key=lambda r: r.shard)
-    if not ordered:
-        raise CampaignError("no completed shards to fold into a report")
-    policies = {r.policy for r in ordered}
-    if len(policies) != 1:
-        raise CampaignError(
-            f"shards disagree on the attacked policy: {sorted(policies)}"
-        )
-    report = CampaignReport(policy=ordered[0].policy)
-    for record in ordered:
-        report.merge_counts(_record_by_kind(record),
-                            sdc_samples=record.sdc_samples,
-                            sampling=sampling)
-    return report
-
-
-# ----------------------------------------------------------------------
-# planning
-# ----------------------------------------------------------------------
-def campaign_plan(spec: CampaignSpec) -> Tuple[Shard, ...]:
-    """The spec's shard plan — the one every runner entry point uses.
-
-    A fixed-size campaign shards by the spec's ``shards`` /
-    ``shard_size`` knobs; a repeat-until-confidence campaign spans its
-    whole ``repeat.max_total`` budget in ``repeat.batch``-sized shards,
-    so the plan — and therefore every persisted shard's index range —
-    is identical whether the repeater stops early or runs to the cap.
-    """
-    if spec.repeat is not None:
-        return plan_shards(spec.total_injections,
-                           shard_size=spec.repeat.batch)
-    return plan_shards(spec.total_injections, shards=spec.shards,
-                       shard_size=spec.shard_size)
-
-
-# ----------------------------------------------------------------------
-# status
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class CampaignStatus:
-    """Progress snapshot of a (possibly partial) campaign store.
-
-    Attributes:
-        spec_hash: config hash of the campaign the store belongs to.
-        policy: attacked scheduler label (``None`` before any shard done).
-        total_shards / completed_shards: shard-plan progress.
-        total_injections / completed_injections: injection progress.
-        masked / detected / sdc: outcome counts over *completed* shards.
-    """
-
-    spec_hash: str
-    policy: Optional[str]
-    total_shards: int
-    completed_shards: int
-    total_injections: int
-    completed_injections: int
-    masked: int
-    detected: int
-    sdc: int
-
-    @property
-    def complete(self) -> bool:
-        """True when every shard of the plan has a persisted record."""
-        return self.completed_shards == self.total_shards
-
-    def to_dict(self) -> Dict[str, object]:
-        """Plain-data form for ``campaign status --json``."""
-        return {
-            "spec_hash": self.spec_hash,
-            "policy": self.policy,
-            "total_shards": self.total_shards,
-            "completed_shards": self.completed_shards,
-            "total_injections": self.total_injections,
-            "completed_injections": self.completed_injections,
-            "masked": self.masked,
-            "detected": self.detected,
-            "sdc": self.sdc,
-            "complete": self.complete,
-        }
-
-
-def campaign_status(store: Union[CampaignStore, str, Path]) -> CampaignStatus:
-    """Progress of the campaign persisted in ``store``.
-
-    Raises:
-        CampaignError: when the store has no (valid) manifest.
-    """
-    store = _as_store(store)
-    spec = store.load_spec()
-    plan = campaign_plan(spec)
-    records = validated_records(store, plan)
-    totals: Dict[FaultOutcome, int] = {}
-    for record in records.values():
-        for outcome, count in record.outcome_totals().items():
-            totals[outcome] = totals.get(outcome, 0) + count
-    policy = None
-    if records:
-        policy = records[min(records)].policy
-    return CampaignStatus(
-        spec_hash=spec.config_hash,
-        policy=policy,
-        total_shards=len(plan),
-        completed_shards=len(records),
-        total_injections=spec.total_injections,
-        completed_injections=sum(r.injections for r in records.values()),
-        masked=totals.get(FaultOutcome.MASKED, 0),
-        detected=totals.get(FaultOutcome.DETECTED, 0),
-        sdc=totals.get(FaultOutcome.SDC, 0),
-    )
-
-
-# ----------------------------------------------------------------------
-# execution
-# ----------------------------------------------------------------------
-def _as_store(store: Union[CampaignStore, str, Path, None]
-              ) -> Optional[CampaignStore]:
-    """Coerce a path-ish argument into a :class:`CampaignStore`."""
-    if store is None or isinstance(store, CampaignStore):
-        return store
-    return CampaignStore(store)
-
-
-def validated_records(store: CampaignStore,
-                      plan: Tuple[Shard, ...]) -> Dict[int, ShardRecord]:
-    """Load the store's records, verifying each against the shard plan.
-
-    Raises:
-        CampaignError: when a persisted record does not correspond to a
-            shard of the plan (wrong index or range) — the signature of
-            mixing artifact logs across campaigns.
-    """
-    records = store.load_records()
-    for index, record in records.items():
-        if index >= len(plan):
-            raise CampaignError(
-                f"store has shard {index} but the plan only has "
-                f"{len(plan)} shards — artifact log does not match the spec"
-            )
-        shard = plan[index]
-        if (record.start, record.stop) != (shard.start, shard.stop):
-            raise CampaignError(
-                f"shard {index} covers [{record.start}, {record.stop}) in "
-                f"the store but [{shard.start}, {shard.stop}) in the plan — "
-                "artifact log does not match the spec"
-            )
-    return records
-
 
 def run_campaign(spec: CampaignSpec, *,
                  store: Union[CampaignStore, str, Path, None] = None,
@@ -394,7 +213,7 @@ def run_campaign(spec: CampaignSpec, *,
             "with repeat_campaign(), which owns the stopping decision"
         )
     tm = telemetry if telemetry is not None else NULL_TELEMETRY
-    store = _as_store(store)
+    store = as_store(store)
     done: Dict[int, ShardRecord] = {}
     with tm.span("plan"):
         plan = campaign_plan(spec)
@@ -422,6 +241,7 @@ def run_campaign(spec: CampaignSpec, *,
                             reason="re-dispatched after interrupt")
 
     if pending:
+        _build_baseline(spec, validate=validate, tm=tm)
         with tm.span("execute", shards=len(pending), workers=workers):
             _execute(spec, pending, done=done, total_shards=len(plan),
                      store=store, workers=workers, validate=validate, tm=tm)
@@ -436,6 +256,20 @@ def run_campaign(spec: CampaignSpec, *,
             total=report.total, masked=report.masked,
             detected=report.detected, sdc=report.sdc)
     return report
+
+
+def _build_baseline(spec: CampaignSpec, *, validate: bool,
+                    tm: Telemetry) -> None:
+    """Simulate the clean baseline here, before any shard runs.
+
+    A forked pool then inherits the baseline, and every module it
+    needed, from this process instead of each worker importing and
+    simulating; workers started by spawning rebuild it through
+    :data:`_BASELINE_CACHE`, so results never depend on which happened.
+    """
+    cached = (spec.run.config_hash, validate) in _BASELINE_CACHE
+    with tm.span("baseline", cached=cached):
+        baseline_campaign(spec.run, validate=validate)
 
 
 def _execute(spec: CampaignSpec, shards: List[Shard], *,
@@ -504,7 +338,7 @@ def resume_campaign(store: Union[CampaignStore, str, Path], *,
             ``max_shards`` is combined with a repeat spec (the repeater
             owns the stopping decision).
     """
-    store = _as_store(store)
+    store = as_store(store)
     spec = store.load_spec()
     if spec.repeat is not None:
         if max_shards is not None:
@@ -567,9 +401,18 @@ def repeat_campaign(spec: CampaignSpec, *,
         )
     if workers < 1:
         raise CampaignError("workers must be >= 1")
+    # the stopping rule's statistics load with the first repeat campaign,
+    # not with every fixed-size run
+    from repro.stats.repeater import (
+        STOP_BUDGET,
+        STOP_TARGET,
+        RepeatResult,
+        target_met,
+    )
+
     tm = telemetry if telemetry is not None else NULL_TELEMETRY
     repeat = spec.repeat
-    store = _as_store(store)
+    store = as_store(store)
     done: Dict[int, ShardRecord] = {}
     with tm.span("plan"):
         plan = campaign_plan(spec)
@@ -602,7 +445,7 @@ def repeat_campaign(spec: CampaignSpec, *,
                     f"shards disagree on the attacked policy: "
                     f"{sorted({record.policy, running.policy})}"
                 )
-            running.merge_counts(_record_by_kind(record),
+            running.merge_counts(record_by_kind(record),
                                  sdc_samples=record.sdc_samples,
                                  sampling=meta)
             folded += 1
@@ -626,6 +469,8 @@ def repeat_campaign(spec: CampaignSpec, *,
         return stopped
 
     _advance()
+    if not stopped and len(done) < len(plan):
+        _build_baseline(spec, validate=validate, tm=tm)
     while not stopped:
         pending = [shard for shard in plan if shard.index not in done]
         if not pending:

@@ -10,9 +10,8 @@ and audited separately (:mod:`~repro.faults.scheduler_faults`).
 from repro._lazy import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
-    "repro.faults.campaign": (
-        "CampaignConfig", "CampaignReport", "FaultCampaign",
-    ),
+    "repro.faults.report": ("CampaignConfig", "CampaignReport"),
+    "repro.faults.campaign": ("FaultCampaign",),
     "repro.faults.injector": ("CorruptionMap", "apply_fault"),
     "repro.faults.outcomes": (
         "FaultOutcome", "InjectionResult", "classify_outcome",

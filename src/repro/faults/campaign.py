@@ -17,25 +17,29 @@ SRRS and HALF do not.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import random
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import FaultInjectionError, SafetyViolation, StatsError
+from repro.errors import FaultInjectionError
 from repro.faults.injector import apply_fault
 from repro.faults.outcomes import FaultOutcome, InjectionResult
+from repro.faults.report import (
+    SDC_SAMPLE_LIMIT,
+    CampaignConfig,
+    CampaignReport,
+    SamplingConfig,
+    sampling_metadata,
+)
 from repro.faults.types import (
     FaultDescriptor,
     PermanentSMFault,
     SEUFault,
     TransientCCF,
 )
-from repro.iso26262.metrics import HardwareMetrics, coverage_from_campaign
-from repro.redundancy.manager import RedundantRunResult
-from repro.stats.estimators import ImportanceRate, StratifiedRate, UniformRate
-from repro.stats.intervals import RateEstimate
+from repro.substreams import substream, substream_seed
+
+if TYPE_CHECKING:
+    from repro.redundancy.manager import RedundantRunResult
 
 __all__ = [
     "CampaignConfig",
@@ -47,733 +51,19 @@ __all__ = [
     "sampling_metadata",
 ]
 
-#: Canonical short fault kinds, in layout order.
-CANONICAL_KINDS: Tuple[str, ...] = ("ccf", "perm", "seu")
-
-#: Short fault kind -> fault class name (the ``by_kind`` report keys).
-KIND_CLASS_NAMES: Dict[str, str] = {
-    "ccf": "TransientCCF",
-    "perm": "PermanentSMFault",
-    "seu": "SEUFault",
-}
-
-#: Inverse of :data:`KIND_CLASS_NAMES`.
-CLASS_NAME_KINDS: Dict[str, str] = {v: k for k, v in KIND_CLASS_NAMES.items()}
-
-#: Version tag of the sampling metadata block in report payloads.
-SAMPLING_SCHEMA = 2
-
-#: How many SDC fault labels a report retains as diagnostic examples when
-#: it aggregates counts instead of full records (see
-#: :meth:`CampaignReport.merge_counts`).
-SDC_SAMPLE_LIMIT = 5
-
 
 def fault_substream(seed: int, index: int) -> random.Random:
     """PRNG substream of fault ``index`` within a campaign's seed schedule.
 
     The campaign's randomness is an *indexed* stream: fault ``index`` draws
-    from a PRNG seeded with ``SHA-256(seed, index)``, so any contiguous
-    shard of the index space can regenerate exactly its own faults without
-    consuming (or even knowing about) the draws of other shards.  This is
-    what makes the sharded campaign population independent of the shard
-    count — see ``docs/CAMPAIGNS.md``.
+    from a PRNG seeded with ``SHA-256(seed, index)``
+    (:mod:`repro.substreams`), so any contiguous shard of the index space
+    can regenerate exactly its own faults without consuming (or even
+    knowing about) the draws of other shards.  This is what makes the
+    sharded campaign population independent of the shard count — see
+    ``docs/CAMPAIGNS.md``.
     """
-    digest = hashlib.sha256(f"{seed}:{index}".encode("ascii")).digest()
-    return random.Random(int.from_bytes(digest[:8], "big"))
-
-
-@dataclass(frozen=True)
-class CampaignConfig:
-    """Sampling plan of a fault-injection campaign.
-
-    Attributes:
-        transient_ccf: number of chip-wide transient CCFs (voltage droops)
-            with uniformly random fault instants.
-        permanent_sm: number of permanent SM defects, uniform over SMs
-            with uniformly random onset times.
-        seu: number of local single-event upsets, uniform over (SM, time).
-        seed: PRNG seed (campaigns are reproducible).
-        phase_quantum: transient-CCF alignment quantum in work units.
-    """
-
-    transient_ccf: int = 200
-    permanent_sm: int = 50
-    seu: int = 100
-    seed: int = 2019
-    phase_quantum: float = 1.0
-
-    def __post_init__(self) -> None:
-        if min(self.transient_ccf, self.permanent_sm, self.seu) < 0:
-            raise FaultInjectionError("injection counts cannot be negative")
-        if self.transient_ccf + self.permanent_sm + self.seu == 0:
-            raise FaultInjectionError("campaign must inject at least one fault")
-        if self.phase_quantum <= 0:
-            raise FaultInjectionError("phase quantum must be positive")
-
-    @property
-    def total_injections(self) -> int:
-        """Campaign size: the number of faults the plan injects."""
-        return self.transient_ccf + self.permanent_sm + self.seu
-
-
-@dataclass(frozen=True)
-class SamplingConfig:
-    """Fault-space sampling design — the v2, prefix-stable layouts.
-
-    The legacy (v1) indexed population segments the index space by kind
-    (``[0, ccf)`` CCFs, then permanents, then SEUs), which is *not*
-    prefix-extendable: growing the population changes the kind of
-    existing indices.  The two v2 layouts are prefix-stable — the fault
-    at index ``i`` never depends on the population size — which is what
-    lets the repeat-until-confidence runner keep extending a campaign
-    while staying bit-reproducible and resumable:
-
-    * ``stratified`` — the kind of index ``i`` is
-      ``block[i % len(block)]``, where ``block`` expands the integer
-      allocation weights in canonical kind order.  Per-kind sample
-      counts of any prefix are fixed (to within one block).
-    * ``importance`` — the kind of index ``i`` is drawn from the
-      index's own PRNG substream with probability proportional to the
-      allocation weights (the proposal distribution ``q``); estimates
-      reweight events by ``p_k / q_k`` (Horvitz–Thompson).
-
-    Attributes:
-        method: ``"stratified"`` or ``"importance"``.
-        transient_ccf / permanent_sm / seu: relative integer allocation
-            weights over the kinds (how the injection budget is spent —
-            the *nominal* population mix stays in
-            :class:`CampaignConfig`).
-    """
-
-    method: str
-    transient_ccf: int = 1
-    permanent_sm: int = 1
-    seu: int = 1
-
-    def __post_init__(self) -> None:
-        if self.method not in ("stratified", "importance"):
-            raise FaultInjectionError(
-                f"unknown sampling method {self.method!r} "
-                "(expected stratified or importance)"
-            )
-        if min(self.transient_ccf, self.permanent_sm, self.seu) < 0:
-            raise FaultInjectionError(
-                "sampling allocation weights cannot be negative"
-            )
-        if self.transient_ccf + self.permanent_sm + self.seu == 0:
-            raise FaultInjectionError(
-                "at least one sampling allocation weight must be positive"
-            )
-
-    # ------------------------------------------------------------------
-    @property
-    def allocation(self) -> Dict[str, int]:
-        """Allocation weights keyed by canonical short kind."""
-        return {
-            "ccf": self.transient_ccf,
-            "perm": self.permanent_sm,
-            "seu": self.seu,
-        }
-
-    def block(self) -> Tuple[str, ...]:
-        """The stratified layout's kind block, in canonical kind order."""
-        allocation = self.allocation
-        return tuple(
-            kind for kind in CANONICAL_KINDS
-            for _ in range(allocation[kind])
-        )
-
-    def kind_at(self, index: int) -> str:
-        """Stratified kind of fault ``index`` (deterministic layout)."""
-        block = self.block()
-        return block[index % len(block)]
-
-    def draw_kind(self, rng: random.Random) -> str:
-        """Importance-sampled kind (consumes one draw from ``rng``)."""
-        total = self.transient_ccf + self.permanent_sm + self.seu
-        pick = rng.randrange(total)
-        if pick < self.transient_ccf:
-            return "ccf"
-        if pick < self.transient_ccf + self.permanent_sm:
-            return "perm"
-        return "seu"
-
-    def validate_support(self, config: CampaignConfig) -> None:
-        """Check the unbiasedness support condition against a plan.
-
-        Every kind with positive *nominal* population share must have a
-        positive allocation weight — otherwise part of the population
-        could never be sampled and the reweighted estimate would be
-        biased.
-
-        Raises:
-            FaultInjectionError: naming the unsupported kind.
-        """
-        nominal = {
-            "ccf": config.transient_ccf,
-            "perm": config.permanent_sm,
-            "seu": config.seu,
-        }
-        allocation = self.allocation
-        for kind in CANONICAL_KINDS:
-            if nominal[kind] > 0 and allocation[kind] == 0:
-                raise FaultInjectionError(
-                    f"sampling allocation gives no weight to kind "
-                    f"{kind!r}, which has nominal population share "
-                    f"{nominal[kind]} — the reweighted estimate would "
-                    "be biased"
-                )
-
-
-def sampling_metadata(config: CampaignConfig,
-                      sampling: SamplingConfig) -> Dict[str, object]:
-    """The report-level sampling block (pure integers, digest-safe).
-
-    Carried by :attr:`CampaignReport.sampling` and emitted under the
-    versioned ``"sampling"`` key of :meth:`CampaignReport.to_dict`.
-    Only integer counts are stored; the estimators derive population
-    probabilities and importance weights from them at estimation time,
-    so report digests never depend on float summation order.
-    """
-    sampling.validate_support(config)
-    return {
-        "schema": SAMPLING_SCHEMA,
-        "method": sampling.method,
-        "nominal": {
-            "ccf": config.transient_ccf,
-            "perm": config.permanent_sm,
-            "seu": config.seu,
-        },
-        "allocation": dict(sampling.allocation),
-    }
-
-
-@dataclass
-class CampaignReport:
-    """Aggregated campaign outcome.
-
-    A report accumulates through two complementary channels:
-
-    * :meth:`record` appends full :class:`InjectionResult` records (the
-      classic in-memory campaign path);
-    * :meth:`merge_counts` folds in pre-aggregated outcome counts (the
-      sharded campaign path — see :mod:`repro.campaigns` — which never
-      materialises the per-injection records of a whole campaign).
-
-    Attributes:
-        policy: scheduler label of the underlying run.
-        injections: per-injection records (empty for counts-only reports).
-        by_kind: ``fault-kind -> outcome -> count`` breakdown.
-        sdc_samples: up to :data:`SDC_SAMPLE_LIMIT` fault labels of silent
-            corruptions, kept as diagnostic examples even when the full
-            records are not.
-        sampling: the versioned sampling-metadata block
-            (:func:`sampling_metadata`) when the campaign used a v2
-            sampler, ``None`` for the legacy uniform population.  With
-            it set, rate estimates are reweighted to the nominal fault
-            mix and :meth:`to_dict` gains the ``"sampling"`` /
-            ``"weighted_rates"`` keys (v1 payloads are bit-unchanged).
-    """
-
-    policy: str
-    injections: List[InjectionResult] = field(default_factory=list)
-    by_kind: Dict[str, Dict[FaultOutcome, int]] = field(default_factory=dict)
-    sdc_samples: List[str] = field(default_factory=list)
-    sampling: Optional[Dict[str, object]] = None
-    # incremental outcome tally: ``injections`` is append-only, so counts
-    # fold in lazily up to ``_counted_upto`` instead of rescanning the
-    # whole campaign on every ``masked``/``detected``/``sdc`` access
-    _outcome_counts: Dict[FaultOutcome, int] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-    _counted_upto: int = field(default=0, init=False, repr=False, compare=False)
-    # counts folded in via merge_counts (no per-injection records behind them)
-    _merged_counts: Dict[FaultOutcome, int] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-    _merged_total: int = field(default=0, init=False, repr=False, compare=False)
-
-    # ------------------------------------------------------------------
-    def record(self, result: InjectionResult, fault_kind: str) -> None:
-        """Append one injection outcome, maintaining all tallies."""
-        self.injections.append(result)
-        bucket = self.by_kind.setdefault(fault_kind, {})
-        bucket[result.outcome] = bucket.get(result.outcome, 0) + 1
-        if (result.outcome is FaultOutcome.SDC
-                and len(self.sdc_samples) < SDC_SAMPLE_LIMIT):
-            self.sdc_samples.append(result.fault_label)
-
-    def merge_counts(self, by_kind: Mapping[str, Mapping[FaultOutcome, int]],
-                     *, sdc_samples: Iterable[str] = (),
-                     sampling: Optional[Mapping[str, object]] = None) -> None:
-        """Fold pre-aggregated outcome counts into the report.
-
-        This is the streaming-aggregation entry point of the sharded
-        campaign runner: each completed shard contributes only its
-        ``fault-kind -> outcome -> count`` table (plus a bounded sample of
-        SDC labels), so aggregating a multi-million-injection campaign
-        costs O(shards), not O(injections).
-
-        Args:
-            by_kind: outcome counts per fault kind (all counts >= 0).
-            sdc_samples: SDC fault labels; retained up to
-                :data:`SDC_SAMPLE_LIMIT` across the whole report.
-            sampling: sampling-metadata block of the contributing counts
-                (:func:`sampling_metadata`).  The first merge installs
-                it; later merges must agree — per-stratum reweighting is
-                only meaningful when every folded shard was drawn under
-                the same design.
-
-        Raises:
-            FaultInjectionError: on negative counts or disagreeing
-                sampling metadata.
-        """
-        # validate everything before mutating anything: a rejected merge
-        # must not leave the report holding a half-applied shard
-        for kind, outcomes in by_kind.items():
-            for outcome, count in outcomes.items():
-                if count < 0:
-                    raise FaultInjectionError(
-                        f"negative outcome count for {kind}/{outcome}"
-                    )
-        if sampling is not None:
-            incoming = dict(sampling)
-            if self.sampling is None:
-                self.sampling = incoming
-            elif self.sampling != incoming:
-                raise FaultInjectionError(
-                    "cannot fold counts sampled under a different design: "
-                    f"report carries {self.sampling!r}, shard carries "
-                    f"{incoming!r}"
-                )
-        for kind, outcomes in by_kind.items():
-            bucket = self.by_kind.setdefault(kind, {})
-            for outcome, count in outcomes.items():
-                bucket[outcome] = bucket.get(outcome, 0) + count
-                self._merged_counts[outcome] = (
-                    self._merged_counts.get(outcome, 0) + count
-                )
-                self._merged_total += count
-        for label in sdc_samples:
-            if len(self.sdc_samples) >= SDC_SAMPLE_LIMIT:
-                break
-            self.sdc_samples.append(label)
-
-    def _counts(self) -> Dict[FaultOutcome, int]:
-        """Outcome tally, folding in any records appended since last use."""
-        injections = self.injections
-        counts = self._outcome_counts
-        while self._counted_upto < len(injections):
-            outcome = injections[self._counted_upto].outcome
-            counts[outcome] = counts.get(outcome, 0) + 1
-            self._counted_upto += 1
-        return counts
-
-    def count(self, outcome: FaultOutcome) -> int:
-        """Total injections with the given outcome (amortised O(1))."""
-        return (self._counts().get(outcome, 0)
-                + self._merged_counts.get(outcome, 0))
-
-    @property
-    def total(self) -> int:
-        """Campaign size (records plus merged counts)."""
-        return len(self.injections) + self._merged_total
-
-    @property
-    def masked(self) -> int:
-        """Injections that hit no active computation."""
-        return self.count(FaultOutcome.MASKED)
-
-    @property
-    def detected(self) -> int:
-        """Injections caught by the DCLS comparison."""
-        return self.count(FaultOutcome.DETECTED)
-
-    @property
-    def sdc(self) -> int:
-        """Silent data corruptions (the ASIL-D killer)."""
-        return self.count(FaultOutcome.SDC)
-
-    @property
-    def detection_coverage(self) -> float:
-        """Detected / (detected + SDC); 1.0 when nothing was dangerous."""
-        dangerous = self.detected + self.sdc
-        return 1.0 if dangerous == 0 else self.detected / dangerous
-
-    # ------------------------------------------------------------------
-    # statistical estimation (repro.stats)
-    # ------------------------------------------------------------------
-    def _strata_counts(self, outcome: FaultOutcome) -> Dict[str, Tuple[int, int]]:
-        """``kind -> (events, trials)`` over the report's by-kind table."""
-        strata: Dict[str, Tuple[int, int]] = {}
-        for class_name, outcomes in self.by_kind.items():
-            kind = CLASS_NAME_KINDS.get(class_name, class_name)
-            events, trials = strata.get(kind, (0, 0))
-            strata[kind] = (
-                events + outcomes.get(outcome, 0),
-                trials + sum(outcomes.values()),
-            )
-        return strata
-
-    def rate_estimator(self, metric: str = "sdc"):
-        """The estimator matching this report's sampling design.
-
-        Uniform (legacy) reports get a plain binomial proportion;
-        reports carrying v2 :attr:`sampling` metadata get the matching
-        stratified or Horvitz–Thompson importance estimator, reweighted
-        to the nominal fault mix.  ``metric`` is ``"masked"``,
-        ``"detected"`` or ``"sdc"``.
-
-        Raises:
-            FaultInjectionError: on an empty report or unknown metric.
-            StatsError: when the sampling metadata cannot support an
-                unbiased estimate (e.g. a nominal stratum was never
-                sampled).
-        """
-        self._require_injections(f"rate_estimator({metric!r})")
-        try:
-            outcome = FaultOutcome[metric.upper()]
-        except KeyError:
-            raise FaultInjectionError(
-                f"unknown campaign metric {metric!r}; expected one of "
-                + ", ".join(o.name.lower() for o in FaultOutcome)
-            ) from None
-        if self.sampling is None:
-            return UniformRate(self.count(outcome), self.total,
-                               metric=metric)
-        strata = self._strata_counts(outcome)
-        nominal = {str(k): int(v)
-                   for k, v in dict(self.sampling["nominal"]).items()}
-        allocation = {str(k): int(v)
-                      for k, v in dict(self.sampling["allocation"]).items()}
-        nominal_total = sum(nominal.values())
-        population = {kind: count / nominal_total
-                      for kind, count in nominal.items()}
-        if self.sampling["method"] == "stratified":
-            return StratifiedRate(strata, population, metric=metric)
-        allocation_total = sum(allocation.values())
-        weights = {
-            kind: (population[kind]
-                   / (allocation[kind] / allocation_total))
-            for kind in allocation if allocation[kind] > 0
-        }
-        return ImportanceRate(strata, weights, metric=metric)
-
-    def rate_interval(self, metric: str = "sdc", *,
-                      confidence: float = 0.95, method: str = "auto",
-                      resamples: int = 1000, seed: int = 0) -> RateEstimate:
-        """Confidence interval on one outcome rate.
-
-        A pure function of the report's integer counts (and, for the
-        bootstrap, the explicit ``seed``) — computing it never perturbs
-        the report's canonical form or digest.
-
-        Raises:
-            FaultInjectionError: on an empty report or unknown metric.
-            StatsError: on an unsupported interval method for the
-                report's sampling design.
-        """
-        return self.rate_estimator(metric).interval(
-            confidence=confidence, method=method,
-            resamples=resamples, seed=seed,
-        )
-
-    def coverage_interval(self, *, confidence: float = 0.95,
-                          method: str = "auto", resamples: int = 1000,
-                          seed: int = 0) -> RateEstimate:
-        """Confidence interval on the detection coverage.
-
-        Coverage is the conditional proportion detected / (detected +
-        SDC), a plain binomial in the dangerous-outcome subsample, so it
-        gets the uniform (Wilson-capable) treatment under every sampling
-        design.
-
-        Raises:
-            FaultInjectionError: when the report has no dangerous
-                outcomes (the conditional rate is undefined).
-        """
-        dangerous = self.detected + self.sdc
-        if dangerous == 0:
-            raise FaultInjectionError(
-                f"campaign report for policy {self.policy!r} has no "
-                "dangerous outcomes: the coverage interval is undefined"
-            )
-        return UniformRate(self.detected, dangerous,
-                           metric="coverage").interval(
-            confidence=confidence, method=method,
-            resamples=resamples, seed=seed,
-        )
-
-    def metric_intervals(self, *, confidence: float = 0.95,
-                         method: str = "auto", resamples: int = 1000,
-                         seed: int = 0) -> Dict[str, RateEstimate]:
-        """Intervals on every campaign rate, keyed by metric name.
-
-        Covers the three outcome rates plus ``"coverage"`` when the
-        report saw any dangerous outcome.
-
-        Raises:
-            FaultInjectionError: on an empty report.
-        """
-        self._require_injections("metric_intervals()")
-        intervals = {
-            metric: self.rate_interval(metric, confidence=confidence,
-                                       method=method, resamples=resamples,
-                                       seed=seed)
-            for metric in ("masked", "detected", "sdc")
-        }
-        if self.detected + self.sdc > 0:
-            intervals["coverage"] = self.coverage_interval(
-                confidence=confidence, method=method,
-                resamples=resamples, seed=seed,
-            )
-        return intervals
-
-    def sdc_injections(self) -> List[InjectionResult]:
-        """The silent-corruption records (useful for debugging policies).
-
-        Counts-only reports (built via :meth:`merge_counts`) have no
-        per-injection records; use :attr:`sdc_samples` for examples there.
-        """
-        return [r for r in self.injections if r.outcome is FaultOutcome.SDC]
-
-    def assert_no_sdc(self) -> None:
-        """Raise when any injection escaped detection.
-
-        Raises:
-            SafetyViolation: listing up to five offending injections.
-        """
-        if self.sdc:
-            # record-built reports mirror their SDC labels into
-            # sdc_samples, so prefer the records and fall back to the
-            # samples only for counts-only reports (no duplicate listing)
-            labels = [r.fault_label for r in self.sdc_injections()]
-            if not labels:
-                labels = list(self.sdc_samples)
-            sample = "; ".join(labels[:SDC_SAMPLE_LIMIT])
-            raise SafetyViolation(
-                f"{self.policy}: {self.sdc} silent corruption(s) "
-                f"escaped the DCLS comparison, e.g. {sample}"
-            )
-
-    def _require_injections(self, what: str) -> None:
-        """Guard derived statistics against an empty report.
-
-        Raises:
-            FaultInjectionError: when no injection has been recorded or
-                merged — the derived quantity would silently divide by
-                zero (or fabricate a 100% coverage no campaign measured).
-        """
-        if self.total == 0:
-            raise FaultInjectionError(
-                f"empty campaign report for policy {self.policy!r}: "
-                f"{what} is undefined before any injection is recorded "
-                "(run the campaign, or check shard aggregation)"
-            )
-
-    def hardware_metrics(self, raw_failure_rate_per_hour: float = 1e-6
-                         ) -> HardwareMetrics:
-        """Map campaign statistics onto ISO 26262 architectural metrics.
-
-        Raises:
-            FaultInjectionError: on an empty report (the Monte-Carlo
-                coverage estimate is undefined without injections).
-        """
-        self._require_injections("hardware_metrics()")
-        return coverage_from_campaign(
-            total_injections=self.total,
-            detected=self.detected,
-            masked=self.masked,
-            undetected=self.sdc,
-            raw_failure_rate_per_hour=raw_failure_rate_per_hour,
-        )
-
-    def hardware_metrics_intervals(self, *, confidence: float = 0.95,
-                                   method: str = "auto",
-                                   resamples: int = 1000,
-                                   seed: int = 0) -> Dict[str, RateEstimate]:
-        """Error bars on the rates behind :meth:`hardware_metrics`.
-
-        ``"residual"`` is the SDC rate (the residual-fault fraction that
-        scales PMHF) and ``"coverage"`` the detection coverage (LFM), so
-        the ISO 26262 architectural metrics inherit these intervals
-        directly.
-
-        Raises:
-            FaultInjectionError: on an empty report.
-        """
-        self._require_injections("hardware_metrics_intervals()")
-        intervals = {
-            "residual": self.rate_interval(
-                "sdc", confidence=confidence, method=method,
-                resamples=resamples, seed=seed,
-            )
-        }
-        if self.detected + self.sdc > 0:
-            intervals["coverage"] = self.coverage_interval(
-                confidence=confidence, method=method,
-                resamples=resamples, seed=seed,
-            )
-        return intervals
-
-    def summary(self) -> str:
-        """One-line campaign summary, with an error bar on the SDC rate.
-
-        Raises:
-            FaultInjectionError: on an empty report.
-        """
-        self._require_injections("summary()")
-        try:
-            tail = f" sdc_rate={self.rate_interval('sdc').describe()}"
-        except StatsError:
-            # e.g. a partial v2 fold that has not yet sampled every
-            # nominal stratum — the point counts are still reportable
-            tail = ""
-        return (
-            f"{self.policy}: n={self.total} masked={self.masked} "
-            f"detected={self.detected} SDC={self.sdc} "
-            f"coverage={self.detection_coverage:.4f}"
-            + tail
-        )
-
-    # ------------------------------------------------------------------
-    # canonical plain-data form (bit-identity comparisons, CLI --json)
-    # ------------------------------------------------------------------
-    def to_dict(self) -> Dict[str, object]:
-        """Canonical plain-data form of the aggregate outcome.
-
-        Two campaigns over the same fault population produce *equal*
-        dictionaries regardless of shard boundaries, worker counts or
-        resume history — this is the object the sharded runner's
-        bit-identity guarantee is stated over (see ``docs/CAMPAIGNS.md``).
-        Per-injection records are deliberately excluded.
-
-        Versioning: reports of the legacy uniform population emit
-        exactly the historical (v1) key set, so their digests are
-        bit-identical to earlier releases.  Only reports carrying v2
-        :attr:`sampling` metadata add the ``"sampling"`` block and the
-        reweighted ``"weighted_rates"`` — floats, but pure functions of
-        the integer counts, so still shard-order-independent.
-        """
-        data: Dict[str, object] = {
-            "policy": self.policy,
-            "total": self.total,
-            "masked": self.masked,
-            "detected": self.detected,
-            "sdc": self.sdc,
-            "detection_coverage": self.detection_coverage,
-            "by_kind": {
-                kind: {
-                    outcome.name.lower(): count
-                    for outcome, count in sorted(
-                        outcomes.items(), key=lambda kv: kv[0].name
-                    )
-                }
-                for kind, outcomes in sorted(self.by_kind.items())
-            },
-            "sdc_samples": list(self.sdc_samples),
-        }
-        if self.sampling is not None:
-            data["sampling"] = {
-                key: (dict(value) if isinstance(value, Mapping) else value)
-                for key, value in sorted(self.sampling.items())
-            }
-            try:
-                data["weighted_rates"] = {
-                    metric: self.rate_estimator(metric).rate()
-                    for metric in ("masked", "detected", "sdc")
-                }
-            except StatsError:
-                # a partial fold that has not sampled every nominal
-                # stratum yet — deterministic for a given count table
-                data["weighted_rates"] = None
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "CampaignReport":
-        """Rebuild a counts-only report from its :meth:`to_dict` form.
-
-        Accepts both generations: legacy (v1) payloads without a
-        ``"sampling"`` block and v2 payloads with one.  Declared totals
-        are verified against the by-kind table, so a tampered or
-        truncated artifact fails loudly instead of feeding bad counts
-        into a safety argument.
-
-        Raises:
-            FaultInjectionError: on malformed payloads, unknown outcome
-                keys, or totals disagreeing with the by-kind table.
-        """
-        if not isinstance(data, Mapping):
-            raise FaultInjectionError(
-                f"CampaignReport expects a mapping, got {data!r}"
-            )
-        missing = sorted({"policy", "by_kind"} - set(data))
-        if missing:
-            raise FaultInjectionError(
-                "not a CampaignReport payload; missing: "
-                + ", ".join(missing)
-            )
-        outcomes_by_key = {o.name.lower(): o for o in FaultOutcome}
-        by_kind: Dict[str, Dict[FaultOutcome, int]] = {}
-        raw_by_kind = data["by_kind"]
-        if not isinstance(raw_by_kind, Mapping):
-            raise FaultInjectionError("'by_kind' must be an object")
-        for kind, bucket in raw_by_kind.items():
-            if not isinstance(bucket, Mapping):
-                raise FaultInjectionError(
-                    f"by_kind[{kind!r}] must be an object"
-                )
-            parsed: Dict[FaultOutcome, int] = {}
-            for key, count in bucket.items():
-                outcome = outcomes_by_key.get(str(key))
-                if outcome is None:
-                    raise FaultInjectionError(
-                        f"by_kind[{kind!r}]: unknown outcome key {key!r}"
-                    )
-                if not isinstance(count, int) or isinstance(count, bool):
-                    raise FaultInjectionError(
-                        f"by_kind[{kind!r}][{key!r}] must be an integer "
-                        f"count, got {count!r}"
-                    )
-                parsed[outcome] = count
-            by_kind[str(kind)] = parsed
-        sampling = data.get("sampling")
-        if sampling is not None:
-            if not isinstance(sampling, Mapping):
-                raise FaultInjectionError("'sampling' must be an object")
-            required = {"schema", "method", "nominal", "allocation"}
-            missing = sorted(required - set(sampling))
-            if missing:
-                raise FaultInjectionError(
-                    "sampling block missing: " + ", ".join(missing)
-                )
-            sampling = {
-                key: (dict(value) if isinstance(value, Mapping) else value)
-                for key, value in sampling.items()
-            }
-        report = cls(policy=str(data["policy"]))
-        report.merge_counts(
-            by_kind,
-            sdc_samples=tuple(str(s) for s in data.get("sdc_samples", ())),
-            sampling=sampling,
-        )
-        for key, declared in (("total", report.total),
-                              ("masked", report.masked),
-                              ("detected", report.detected),
-                              ("sdc", report.sdc)):
-            if key in data and data[key] != declared:
-                raise FaultInjectionError(
-                    f"campaign payload declares {key}={data[key]!r} but "
-                    f"its by_kind table sums to {declared} — artifact "
-                    "inconsistent"
-                )
-        return report
-
-    def digest(self) -> str:
-        """Hex digest of the canonical form (aggregate provenance key)."""
-        text = json.dumps(self.to_dict(), sort_keys=True)
-        return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+    return substream(f"{seed}:", index)
 
 
 class FaultCampaign:
@@ -808,6 +98,8 @@ class FaultCampaign:
         self._work_hint = max(
             (r.duration for r in self._trace.tb_records), default=1000.0
         )
+        # the indexed sampler's one generator, re-seeded per fault index
+        self._substream = random.Random(0)
 
     @property
     def policy(self) -> str:
@@ -944,7 +236,7 @@ class FaultCampaign:
                     f"fault index {index} cannot be negative"
                 )
             sampling.validate_support(config)
-            rng = fault_substream(config.seed, index)
+            rng = self._fault_substream(config.seed, index)
             if sampling.method == "stratified":
                 kind = sampling.kind_at(index)
             else:
@@ -956,7 +248,7 @@ class FaultCampaign:
                 f"fault index {index} outside campaign population "
                 f"[0, {total})"
             )
-        rng = fault_substream(config.seed, index)
+        rng = self._fault_substream(config.seed, index)
         if index < config.transient_ccf:
             kind = "ccf"
         elif index < config.transient_ccf + config.permanent_sm:
@@ -964,6 +256,17 @@ class FaultCampaign:
         else:
             kind = "seu"
         return self._build_fault(kind, rng, index, config.phase_quantum)
+
+    def _fault_substream(self, seed: int, index: int) -> random.Random:
+        """:func:`fault_substream` on the campaign's shared generator.
+
+        Draw-for-draw identical to a fresh substream, but re-seeds one
+        generator instead of allocating one per index; each fault is
+        built before the next index re-seeds it.
+        """
+        rng = self._substream
+        rng.seed(substream_seed(f"{seed}:", index))
+        return rng
 
     def random_fault(self, rng: random.Random, *, transient_ccf: int = 1,
                      permanent_sm: int = 1, seu: int = 1,

@@ -17,10 +17,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Mapping, Sequence, Tuple
+from typing import TYPE_CHECKING, Sequence, Tuple
 
-from repro.faults.injector import CorruptionMap
-from repro.redundancy.comparison import ComparisonResult
+if TYPE_CHECKING:
+    from repro.faults.injector import CorruptionMap
+    from repro.redundancy.comparison import ComparisonResult
 
 __all__ = ["FaultOutcome", "InjectionResult", "classify_outcome"]
 

@@ -21,11 +21,11 @@ The three models:
 
 from __future__ import annotations
 
-import hashlib
 import random
 from typing import Callable, Iterable, Iterator, List
 
 from repro.api.stream import ArrivalSpec
+from repro.substreams import reseeding_substreams, substream
 
 __all__ = [
     "arrival_chunk",
@@ -43,11 +43,9 @@ def substream_factory(seed: int,
     The returned callable maps a frame index to a PRNG seeded with
     ``SHA-256(seed, purpose, index)`` — the exact seed schedule of
     :func:`frame_substream`, draw-for-draw identical.  It is the hot-loop
-    form: the ``"{seed}:{purpose}:"`` hash prefix is absorbed once into a
-    reusable :class:`hashlib.sha256` state, and a single
+    form (:func:`repro.substreams.reseeding_substreams`): a single
     :class:`random.Random` instance is *re-seeded* per call instead of
-    allocated, which roughly halves the per-frame substream cost over
-    10^5-frame soaks.
+    allocated.
 
     Because the instance is shared, each returned generator is only valid
     until the factory is called again — exhaust its draws before asking
@@ -63,29 +61,18 @@ def substream_factory(seed: int,
         A callable mapping ``index`` to the (shared, freshly re-seeded)
         substream PRNG.
     """
-    prefix = hashlib.sha256(f"{seed}:{purpose}:".encode("ascii"))
-    prefix_copy = prefix.copy
-    rng = random.Random()
-    reseed = rng.seed
-    from_bytes = int.from_bytes
-
-    def substream(index: int) -> random.Random:
-        digest = prefix_copy()
-        digest.update(str(index).encode("ascii"))
-        reseed(from_bytes(digest.digest()[:8], "big"))
-        return rng
-
-    return substream
+    return reseeding_substreams(f"{seed}:{purpose}:")
 
 
 def frame_substream(seed: int, purpose: str, index: int) -> random.Random:
     """PRNG substream of frame ``index`` for one purpose within a stream.
 
-    The substream is seeded with ``SHA-256(seed, purpose, index)``, so a
-    frame's draws for one purpose (``"jitter"``, ``"gap"``, ``"fault"``)
-    are independent of every other frame's and of the other purposes' —
-    the same indexed-randomness contract the sharded campaigns are built
-    on (see ``docs/CAMPAIGNS.md`` and ``docs/STREAMS.md``).
+    The substream is seeded with ``SHA-256(seed, purpose, index)``
+    (:mod:`repro.substreams`), so a frame's draws for one purpose
+    (``"jitter"``, ``"gap"``, ``"fault"``) are independent of every other
+    frame's and of the other purposes' — the same indexed-randomness
+    contract the sharded campaigns are built on (see
+    ``docs/CAMPAIGNS.md`` and ``docs/STREAMS.md``).
 
     Args:
         seed: the stream's master seed.
@@ -96,10 +83,7 @@ def frame_substream(seed: int, purpose: str, index: int) -> random.Random:
         A freshly seeded :class:`random.Random` (never shared — see
         :func:`substream_factory` for the amortised hot-loop variant).
     """
-    digest = hashlib.sha256(
-        f"{seed}:{purpose}:{index}".encode("ascii")
-    ).digest()
-    return random.Random(int.from_bytes(digest[:8], "big"))
+    return substream(f"{seed}:{purpose}:", index)
 
 
 def arrival_chunk(spec: ArrivalSpec, seed: int,

@@ -16,13 +16,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
+# the simulation stack first: the import order repro.campaigns.runner
+# documents
+from repro.redundancy.manager import RedundantKernelManager, RedundantRunResult
 from repro.api.spec import RunSpec, WorkloadSpec
 from repro.api.stream import StreamSpec
 from repro.errors import StreamError, WorkerCountError
 from repro.exec import map_tasks
 from repro.faults.campaign import FaultCampaign
 from repro.obs.session import Telemetry
-from repro.redundancy.manager import RedundantKernelManager, RedundantRunResult
 
 __all__ = ["JobProfile", "resolve_jobs"]
 

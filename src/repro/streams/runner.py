@@ -38,6 +38,9 @@ from collections import deque
 from itertools import islice
 from typing import Deque, Dict, Iterable, Iterator, List, Optional, Tuple
 
+# the job layer (and the simulation stack it imports) first: the import
+# order repro.campaigns.runner documents
+from repro.streams.jobs import JobProfile, resolve_jobs
 from repro.api.stats import RepeatSpec
 from repro.api.stream import ArrivalSpec, StreamSpec
 from repro.errors import StatsError, StreamError
@@ -59,7 +62,6 @@ from repro.streams.arrivals import (
     materialize_arrivals,
     substream_factory,
 )
-from repro.streams.jobs import JobProfile, resolve_jobs
 from repro.streams.report import (
     STREAM_RATE_METRICS,
     StreamReport,

@@ -1,11 +1,13 @@
 """Import-surface tests: each entry point loads only what it runs.
 
-Package ``__init__`` modules export lazily (``repro._lazy``) and the CLI
-imports each command's modules inside its handler, so ``import repro``
-and ``python -m repro --version`` load no subsystem and ``campaign
-report`` loads none of the analysis, linter, telemetry-archive,
-statistics-compare, platform or stream modules.  These tests check the
-module sets of fresh interpreters, not timings.
+Package ``__init__`` modules export lazily (``repro._lazy``), the CLI
+imports only the command module of the command it runs
+(``repro.cli.COMMANDS``) and each handler imports its own layers, so
+``import repro`` and ``python -m repro --version`` load no subsystem,
+``campaign report`` loads none of the analysis, linter, telemetry-archive,
+statistics-compare, platform or stream modules, and ``campaign
+report``/``status`` load none of the execution stack.  These tests check
+the module sets of fresh interpreters, not timings.
 """
 
 from __future__ import annotations
@@ -17,11 +19,11 @@ import os
 import subprocess
 import sys
 from pathlib import Path
-from typing import List
+from typing import List, Sequence
 
 import pytest
 
-from repro.cli import main
+from repro.cli import COMMANDS, main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -35,13 +37,24 @@ NOT_FOR_REPORT = (
     "repro.stats.compare", "repro.platform", "repro.streams",
 )
 
+#: The execution stack: what the read side of a campaign never loads.
+EXECUTION = (
+    "repro.gpu.simulator", "repro.gpu.scheduler", "repro.redundancy.manager",
+    "repro.faults.injector", "repro.exec", "repro.obs.session",
+    "repro.iso26262", "repro.gpu.cots", "repro.workloads.rodinia",
+    "multiprocessing", "concurrent.futures",
+)
 
-def loaded_modules(code: str) -> List[str]:
-    """``repro`` modules loaded after running ``code`` in a fresh process."""
+
+def loaded_modules(code: str, roots: Sequence[str] = ("repro",)
+                   ) -> List[str]:
+    """Modules under ``roots`` loaded after running ``code`` in a fresh
+    process."""
     probe = (
         code + "\nimport json, sys\n"
+        f"roots = {tuple(roots)!r}\n"
         "print(json.dumps(sorted(m for m in sys.modules"
-        " if m == 'repro' or m.startswith('repro.'))))\n"
+        " if m.split('.')[0] in roots)))\n"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -64,6 +77,28 @@ def run_cli(argv: List[str]) -> str:
     )
 
 
+def within(loaded: Sequence[str], prefixes: Sequence[str]) -> List[str]:
+    """The ``loaded`` modules that are, or sit under, one of ``prefixes``."""
+    return [m for m in loaded
+            if any(m == p or m.startswith(p + ".") for p in prefixes)]
+
+
+@pytest.fixture(scope="module")
+def store(tmp_path_factory):
+    """A small persisted campaign (complete)."""
+    root = tmp_path_factory.mktemp("surface")
+    spec = root / "spec.json"
+    spec.write_text(json.dumps({
+        "run": {"workload": {"benchmark": "hotspot"}, "policy": "srrs"},
+        "faults": {"transient_ccf": 4, "permanent_sm": 2, "seu": 2},
+        "shards": 2,
+    }))
+    path = root / "store"
+    assert main(["campaign", "run", "--spec", str(spec),
+                 "--dir", str(path)]) == 0
+    return path
+
+
 def package_names() -> List[str]:
     return sorted(
         ".".join(path.parent.relative_to(SRC).parts)
@@ -78,26 +113,43 @@ class TestModuleSets:
     def test_version_loads_no_subsystem(self):
         assert set(loaded_modules(run_cli(["--version"]))) <= CORE
 
-    def test_campaign_report_loads_only_the_campaign_path(self, tmp_path,
+    def test_campaign_report_loads_only_the_campaign_path(self, store,
                                                           capsys):
-        spec = tmp_path / "spec.json"
-        spec.write_text(json.dumps({
-            "run": {"workload": {"benchmark": "hotspot"}, "policy": "srrs"},
-            "faults": {"transient_ccf": 4, "permanent_sm": 2, "seu": 2},
-            "shards": 2,
-        }))
-        store = tmp_path / "store"
-        assert main(["campaign", "run", "--spec", str(spec),
-                     "--dir", str(store)]) == 0
         capsys.readouterr()
         loaded = loaded_modules(
             run_cli(["campaign", "report", "--dir", str(store), "--json"])
         )
-        assert "repro.campaigns.runner" in loaded
-        offenders = [m for m in loaded
-                     if any(m == p or m.startswith(p + ".")
-                            for p in NOT_FOR_REPORT)]
-        assert offenders == []
+        # the read side folds through repro.campaigns.fold; the runner
+        # and its execution stack stay unloaded
+        assert "repro.campaigns.fold" in loaded
+        assert "repro.campaigns.runner" not in loaded
+        assert within(loaded, NOT_FOR_REPORT) == []
+
+    @pytest.mark.parametrize("argv", [["report", "--json"], ["status"]],
+                             ids=["report", "status"])
+    def test_campaign_read_side_loads_no_execution_stack(self, store, argv):
+        loaded = loaded_modules(
+            run_cli(["campaign", argv[0], "--dir", str(store)] + argv[1:]),
+            roots=("repro", "multiprocessing", "concurrent"),
+        )
+        assert within(loaded, EXECUTION) == []
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_each_command_loads_only_its_own_command_module(self, command):
+        loaded = loaded_modules(run_cli([command, "--help"]))
+        assert within(loaded, ["repro.commands"]) == sorted({
+            "repro.commands", "repro.commands.common",
+            COMMANDS[command].module,
+        })
+
+    def test_help_lists_every_command_without_loading_a_group(self, capsys):
+        assert set(loaded_modules(run_cli(["--help"]))) <= CORE
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        out = capsys.readouterr().out
+        for name, command in COMMANDS.items():
+            assert name in out
+            assert command.help in " ".join(out.split())
 
 
 class TestLazyExports:
@@ -133,6 +185,14 @@ class TestLazyExports:
             with pytest.raises(SystemExit):
                 main(argv)
             assert text in " ".join(capsys.readouterr().out.split())
+
+
+    def test_spec_defaults_match_the_library(self):
+        from repro.api.spec import RunSpec, WorkloadSpec
+        from repro.redundancy.diversity import DEFAULT_PHASE_TOLERANCE
+
+        spec = RunSpec(workload=WorkloadSpec(benchmark="hotspot"))
+        assert spec.phase_tolerance == DEFAULT_PHASE_TOLERANCE
 
 
 class TestImportRule:

@@ -64,6 +64,12 @@ class TestClassifyMetric:
         assert bench_compare.classify_metric(
             "uniform_sdc_events") == "counts"
 
+    def test_cli_start_up_walls_and_module_counts(self):
+        assert bench_compare.classify_metric("cli_report_s") == "cli_wall"
+        assert bench_compare.classify_metric("python_start_s") == "wall"
+        assert bench_compare.classify_metric(
+            "cli_report_modules") == "exact"
+
     def test_overhead_fractions(self):
         # *overhead_frac wins over the *_s wall suffix check
         assert bench_compare.classify_metric(
@@ -72,6 +78,21 @@ class TestClassifyMetric:
 
 
 class TestCompareArtifacts:
+    def test_cli_walls_gate_on_the_throughput_tolerance(self):
+        base = _artifact({"c": {"cli_report_s": 0.10,
+                                "cli_report_modules": 27}})
+        within = _artifact({"c": {"cli_report_s": 0.119,
+                                  "cli_report_modules": 27}})
+        slower = _artifact({"c": {"cli_report_s": 0.125,
+                                  "cli_report_modules": 27}})
+        heavier = _artifact({"c": {"cli_report_s": 0.10,
+                                   "cli_report_modules": 28}})
+        assert bench_compare.compare_artifacts(base, within)[0] == []
+        failures, _ = bench_compare.compare_artifacts(base, slower)
+        assert len(failures) == 1 and "cli_report_s" in failures[0]
+        failures, _ = bench_compare.compare_artifacts(base, heavier)
+        assert len(failures) == 1 and "cli_report_modules" in failures[0]
+
     def test_identical_artifacts_pass(self):
         art = _artifact({"s": {"events_per_sec": 100.0, "digest": "abc"}})
         failures, warnings = bench_compare.compare_artifacts(art, art)

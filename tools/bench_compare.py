@@ -19,6 +19,11 @@ metric-aware:
 * **wall-clock metrics** (``*_s``) only **warn**: the throughput gate
   already covers sustained slowdowns, and double-gating raw walls makes
   the job flap on loaded runners;
+* **CLI start-up walls** (``cli_*_s``: one command in a fresh
+  interpreter, a median of several) are the exception: nothing else
+  covers them, so they **fail** when slower than the baseline by more
+  than the throughput tolerance, while the module counts beside them
+  (``cli_*_modules``) are deterministic and must match exactly;
 * **overhead fractions** (``*overhead_frac``) are gated against an
   absolute ceiling (default 2%): the benches measure the cost of
   disabled telemetry (the null-sink path) against the uninstrumented
@@ -66,7 +71,7 @@ DEFAULT_OVERHEAD_LIMIT = 0.02
 
 def classify_metric(name: str) -> str:
     """Classify one metric name: deterministic, throughput, ratio, wall,
-    overhead fraction or statistical counts.
+    CLI start-up wall, overhead fraction or statistical counts.
 
     ``throughput_fps`` is *virtual-time* throughput (completed frames per
     second of simulated stream time) — a pure function of the spec, so it
@@ -84,6 +89,8 @@ def classify_metric(name: str) -> str:
         return "ratio"
     if name.endswith("overhead_frac"):
         return "overhead"
+    if name.startswith("cli_") and name.endswith("_s"):
+        return "cli_wall"
     if name.endswith("_s"):
         return "wall"
     if name.endswith(("_events", "_trials")):
@@ -184,6 +191,13 @@ def compare_artifacts(baseline: Dict[str, object],
                     failures.append(
                         f"{scenario}.{metric}: overhead {new * 100.0:.2f}% "
                         f"exceeds the {overhead_limit * 100.0:.0f}% budget"
+                    )
+            elif kind == "cli_wall" and numeric:
+                if old > 0 and new > old * (1.0 + tolerance):
+                    failures.append(
+                        f"{scenario}.{metric}: {new}s is "
+                        f"{(new / old - 1.0) * 100.0:.1f}% above baseline "
+                        f"{old}s (tolerance {tolerance * 100.0:.0f}%)"
                     )
             elif kind == "wall" and numeric:
                 if old > 0 and new > old * (1.0 + tolerance):
