@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Profile the repo's three hot loops so perf work starts from data.
+"""Profile the repo's four hot loops so perf work starts from data.
 
 Runs :func:`repro.obs.profiled` — the same cProfile wiring behind
 ``repro stream run --profile`` — over the workloads the throughput
@@ -12,7 +12,11 @@ benchmarks gate:
   (jittered arrivals, 1% fault overlay), the frame-loop workload;
 * ``campaign`` — the 20k-injection hotspot/SRRS campaign of
   ``BENCH_campaigns.json`` run in-process (one worker, 16 shards): the
-  shard loop, fault sampling and classification.
+  shard loop, fault sampling and classification;
+* ``sweep`` — the ``fig4_sweep`` scenario of ``BENCH_simulator.json``:
+  the 88-spec Fig. 4 policy sweep with baselines, in-process on one
+  worker from a cold baseline memo — the per-block placement and
+  retirement path of the simulator, plus diversity analysis.
 
 For each selected scenario the top functions by cumulative time are
 printed (default 25), and ``--out DIR`` additionally saves a
@@ -24,7 +28,7 @@ profiling before paying the ~2x profiler overhead.
 Usage::
 
     PYTHONPATH=src python benchmarks/profile_hotspots.py \
-        [het-grid|soak|campaign|all]
+        [het-grid|soak|campaign|sweep|all]
         [--frames N] [--top N] [--out DIR] [--spans]
 """
 
@@ -108,14 +112,23 @@ def _run_campaign() -> object:
     return run_campaign(_campaign_spec(20_000, shards=16), workers=1)
 
 
+def _run_sweep() -> object:
+    """The ``fig4_sweep`` scenario (88 specs, one worker, cold memo)."""
+    from bench_simulator_performance import fig4_sweep_specs, run_fig4_sweep
+
+    return run_fig4_sweep(fig4_sweep_specs())
+
+
 def main(argv=None) -> int:
     """CLI entry point (see the module docstring)."""
     parser = argparse.ArgumentParser(
         description="cProfile the simulator event loop, the stream "
-                    "frame loop and the campaign shard loop."
+                    "frame loop, the campaign shard loop and the Fig. 4 "
+                    "policy sweep."
     )
     parser.add_argument("scenario", nargs="?", default="all",
-                        choices=("het-grid", "soak", "campaign", "all"),
+                        choices=("het-grid", "soak", "campaign", "sweep",
+                                 "all"),
                         help="which hot loop to profile (default all)")
     parser.add_argument("--frames", type=int, default=100_000,
                         help="soak length in frames (default %(default)s)")
@@ -138,6 +151,8 @@ def main(argv=None) -> int:
         runs["soak"] = lambda: _run_soak(args.frames)
     if args.scenario in ("campaign", "all"):
         runs["campaign"] = _run_campaign
+    if args.scenario in ("sweep", "all"):
+        runs["sweep"] = _run_sweep
     for label, fn in runs.items():
         _profile(label, fn, top=args.top, out_dir=args.out)
     return 0

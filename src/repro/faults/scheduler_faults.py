@@ -140,9 +140,8 @@ class FaultySchedulerWrapper(KernelScheduler):
         self._decisions[launch.instance_id] = (
             self._decisions.get(launch.instance_id, 0) + 1
         )
-        healthy_candidates = [
-            sm for sm in candidates if sm in set(self._inner.allowed_sms(launch))
-        ]
+        allowed = set(self._inner.allowed_sms(launch))
+        healthy_candidates = [sm for sm in candidates if sm in allowed]
         healthy = (
             self._inner.select_sm(launch, healthy_candidates, view)
             if healthy_candidates

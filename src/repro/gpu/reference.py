@@ -157,6 +157,7 @@ class ReferenceSimulator:
         self._validate = validate
         self._now = 0.0
         self._sms: List[_RefSMState] = []
+        self._resident_counts: List[int] = []
         self._states: Dict[int, _RefLaunchState] = {}
         self._order: List[int] = []
         self._resident: Dict[Tuple[int, int], _RefTB] = {}
@@ -176,6 +177,11 @@ class ReferenceSimulator:
     def resident_blocks(self, sm: int) -> int:
         """Resident block count of one SM (SchedulerView)."""
         return len(self._sms[sm].resident)
+
+    def resident_counts(self) -> Sequence[int]:
+        """Resident block counts by SM id (SchedulerView), re-derived from
+        each SM's resident-block map whenever a block lands or retires."""
+        return self._resident_counts
 
     def resident_blocks_of(self, sm: int, instance_id: int) -> int:
         """Resident blocks of a launch on one SM (SchedulerView)."""
@@ -276,6 +282,7 @@ class ReferenceSimulator:
             )
             for _ in self._gpu.sm_ids
         ]
+        self._resident_counts = [0] * self._gpu.num_sms
         self._order = list(ids)
         self._states = {
             l.instance_id: _RefLaunchState(
@@ -405,6 +412,7 @@ class ReferenceSimulator:
             st.first_dispatch = self._now
         sm_state.resident[tb.key] = tb
         self._resident[tb.key] = tb
+        self._resident_counts[sm] = len(sm_state.resident)
 
     # ------------------------------------------------------------------
     # fluid timing (virtual clocks, evaluated by full rescans)
@@ -514,6 +522,7 @@ class ReferenceSimulator:
         self._sms[tb.sm].release(st.kernel)
         del self._sms[tb.sm].resident[tb.key]
         del self._resident[tb.key]
+        self._resident_counts[tb.sm] = len(self._sms[tb.sm].resident)
         st.resident_count -= 1
         st.completed_tbs += 1
         assert self._trace is not None

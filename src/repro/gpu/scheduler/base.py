@@ -22,7 +22,7 @@ from repro.errors import ConfigurationError
 from repro.gpu.config import GPUConfig
 from repro.gpu.kernel import KernelLaunch
 
-__all__ = ["SchedulerView", "KernelScheduler"]
+__all__ = ["SchedulerView", "KernelScheduler", "least_loaded"]
 
 
 class SchedulerView(Protocol):
@@ -35,6 +35,16 @@ class SchedulerView(Protocol):
 
     def resident_blocks(self, sm: int) -> int:
         """Number of thread blocks currently resident on ``sm``."""
+        ...
+
+    def resident_counts(self) -> Sequence[int]:
+        """Resident block count of every SM, indexed by SM id.
+
+        The sequence is *live* for the whole run (it tracks placements
+        and completions without being fetched again) and *read-only*:
+        schedulers must never mutate it.  ``resident_counts()[sm]``
+        always equals ``resident_blocks(sm)``.
+        """
         ...
 
     def resident_blocks_of(self, sm: int, instance_id: int) -> int:
@@ -52,6 +62,18 @@ class SchedulerView(Protocol):
     def now(self) -> float:
         """Current simulation time in cycles."""
         ...
+
+
+def least_loaded(candidates: Sequence[int], view: SchedulerView) -> int:
+    """The candidate SM with the fewest resident blocks.
+
+    Candidates are ascending (the :meth:`KernelScheduler.select_sm`
+    contract) and ``min`` keeps the first minimum, so ties go to the
+    lowest SM id -- the deterministic tie-break fault campaigns rely on.
+    One ``min`` over the live count vector costs a C-level index per
+    candidate, not a Python call.
+    """
+    return min(candidates, key=view.resident_counts().__getitem__)
 
 
 class KernelScheduler(ABC):

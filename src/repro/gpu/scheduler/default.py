@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.gpu.kernel import KernelLaunch
-from repro.gpu.scheduler.base import KernelScheduler, SchedulerView
+from repro.gpu.scheduler.base import KernelScheduler, SchedulerView, least_loaded
 
 __all__ = ["DefaultScheduler"]
 
@@ -31,18 +31,6 @@ class DefaultScheduler(KernelScheduler):
 
     def select_sm(self, launch: KernelLaunch, candidates: Sequence[int],
                   view: SchedulerView) -> Optional[int]:
-        """Pick the candidate SM with the fewest resident blocks.
-
-        Equivalent to ``min(candidates, key=lambda sm:
-        (view.resident_blocks(sm), sm))`` but without a per-candidate
-        lambda call and tuple allocation — this runs once per placed
-        thread block, which makes it one of the hottest scheduler paths.
-        """
-        resident_blocks = view.resident_blocks
-        best = candidates[0]
-        best_load = resident_blocks(best)
-        for sm in candidates[1:]:
-            load = resident_blocks(sm)
-            if load < best_load or (load == best_load and sm < best):
-                best, best_load = sm, load
-        return best
+        """Pick the candidate SM with the fewest resident blocks (lowest
+        SM id on ties); runs once per placed thread block."""
+        return least_loaded(candidates, view)

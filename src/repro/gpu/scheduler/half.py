@@ -22,7 +22,7 @@ from typing import Optional, Sequence, Tuple
 from repro.errors import ConfigurationError
 from repro.gpu.config import GPUConfig
 from repro.gpu.kernel import KernelLaunch
-from repro.gpu.scheduler.base import KernelScheduler, SchedulerView
+from repro.gpu.scheduler.base import KernelScheduler, SchedulerView, least_loaded
 
 __all__ = ["HALFScheduler"]
 
@@ -83,7 +83,7 @@ class HALFScheduler(KernelScheduler):
     def select_sm(self, launch: KernelLaunch, candidates: Sequence[int],
                   view: SchedulerView) -> Optional[int]:
         """Least-loaded placement within the copy's partition."""
-        return min(candidates, key=lambda sm: (view.resident_blocks(sm), sm))
+        return least_loaded(candidates, view)
 
     def describe(self) -> str:
         """One-line description including the partition count."""

@@ -28,7 +28,7 @@ from typing import Dict, Optional, Sequence, Tuple
 from repro.errors import ConfigurationError
 from repro.gpu.config import GPUConfig
 from repro.gpu.kernel import KernelLaunch
-from repro.gpu.scheduler.base import KernelScheduler, SchedulerView
+from repro.gpu.scheduler.base import KernelScheduler, SchedulerView, least_loaded
 
 __all__ = ["StaggeredScheduler"]
 
@@ -95,7 +95,7 @@ class StaggeredScheduler(KernelScheduler):
                   view: SchedulerView) -> Optional[int]:
         """Unconstrained least-loaded placement (the point of the
         ablation: no spatial control)."""
-        return min(candidates, key=lambda sm: (view.resident_blocks(sm), sm))
+        return least_loaded(candidates, view)
 
     def describe(self) -> str:
         """Label including the stagger parameter."""

@@ -107,10 +107,12 @@ _EPS = 1e-9
 
 @dataclass
 class _SMState:
-    """Mutable resource accounting and compute clock of one SM.
+    """Free resources, per-instance residency and compute clock of one SM.
 
-    Residency is tracked by counters (total and per launch instance) so the
-    scheduler-view queries and the kernel-mixing rule are O(1); the heap
+    The resource fields are debited and credited in place by the
+    placement and completion paths (against each launch's precomputed
+    footprint); the SM's total residency lives in the simulator's
+    ``_resident_counts`` vector, which schedulers read directly.  The heap
     holds ``(compute_finish, seq, slot)`` for every compute-active block,
     where ``slot`` indexes the simulator's flat thread-block arrays.
     """
@@ -119,45 +121,21 @@ class _SMState:
     free_registers: int
     free_shared_memory: int
     free_blocks: int
-    resident_total: int = 0
     resident_by_instance: Dict[int, int] = field(default_factory=dict)
     compute_active: int = 0
     virtual: float = 0.0
     heap: List[Tuple[float, int, int]] = field(default_factory=list)
-
-    def fits(self, kernel: KernelDescriptor) -> bool:
-        """Whether one more block of ``kernel`` fits right now."""
-        return (
-            self.free_blocks >= 1
-            and self.free_threads >= kernel.threads_per_block
-            and self.free_registers
-            >= kernel.regs_per_thread * kernel.threads_per_block
-            and self.free_shared_memory >= kernel.shared_mem_per_block
-        )
-
-    def take(self, kernel: KernelDescriptor) -> None:
-        """Reserve resources for one block of ``kernel``."""
-        self.free_blocks -= 1
-        self.free_threads -= kernel.threads_per_block
-        self.free_registers -= kernel.regs_per_thread * kernel.threads_per_block
-        self.free_shared_memory -= kernel.shared_mem_per_block
-
-    def release(self, kernel: KernelDescriptor) -> None:
-        """Return resources of one completed block of ``kernel``."""
-        self.free_blocks += 1
-        self.free_threads += kernel.threads_per_block
-        self.free_registers += kernel.regs_per_thread * kernel.threads_per_block
-        self.free_shared_memory += kernel.shared_mem_per_block
 
 
 @dataclass
 class _LaunchState:
     """Mutable per-launch bookkeeping.
 
-    ``kernel``, ``grid_blocks``, ``work`` and ``memory`` mirror immutable
-    launch attributes as plain fields: the placement fast paths read them
-    millions of times per run, and a field load is severalfold cheaper
-    than a property call chaining through two attribute lookups.
+    ``kernel``, ``grid_blocks``, ``work``, ``memory`` and the per-block
+    footprint (``threads``, ``registers``, ``shared_memory``) mirror
+    immutable launch attributes as plain fields: the placement fast paths
+    read them millions of times per run, and a field load is severalfold
+    cheaper than a property call chaining through two attribute lookups.
     """
 
     launch: KernelLaunch
@@ -167,6 +145,9 @@ class _LaunchState:
     grid_blocks: int
     work: float  # float(kernel.work_per_block), cached
     memory: float  # float(kernel.bytes_per_block), cached
+    threads: int  # kernel.threads_per_block
+    registers: int  # regs_per_thread * threads_per_block
+    shared_memory: int  # kernel.shared_mem_per_block
     arrival: Optional[float] = None  # known once deps resolved + dispatch slot
     started: bool = False
     first_dispatch: Optional[float] = None
@@ -267,6 +248,7 @@ class GPUSimulator:
         # run-scoped state, initialised in run()
         self._now = 0.0
         self._sms: List[_SMState] = []
+        self._resident_counts: List[int] = []  # per SM id (SchedulerView)
         self._states: Dict[int, _LaunchState] = {}
         self._order: List[int] = []  # instance ids in submission order
         self._order_index: Dict[int, int] = {}
@@ -282,6 +264,8 @@ class GPUSimulator:
         self._mem_virtual = 0.0
         self._mem_active = 0
         self._mem_heap: List[Tuple[float, int, int]] = []
+        # SMs with a compute-active block (non-empty heap), by SM id
+        self._busy: Dict[int, _SMState] = {}
         self._resident_total = 0
         self._seq = 0
         self._zombies: List[Tuple[int, int]] = []  # (seq, slot)
@@ -315,7 +299,11 @@ class GPUSimulator:
 
     def resident_blocks(self, sm: int) -> int:
         """Resident block count of one SM (SchedulerView)."""
-        return self._sms[sm].resident_total
+        return self._resident_counts[sm]
+
+    def resident_counts(self) -> Sequence[int]:
+        """Live, read-only resident block counts by SM id (SchedulerView)."""
+        return self._resident_counts
 
     def resident_blocks_of(self, sm: int, instance_id: int) -> int:
         """Resident blocks of a launch on one SM (SchedulerView, O(1))."""
@@ -426,6 +414,7 @@ class GPUSimulator:
             )
             for _ in self._gpu.sm_ids
         ]
+        self._resident_counts = [0] * self._gpu.num_sms
         self._order = list(ids)
         self._order_index = {iid: i for i, iid in enumerate(ids)}
         self._states = {
@@ -437,6 +426,9 @@ class GPUSimulator:
                 grid_blocks=l.kernel.grid_blocks,
                 work=float(l.kernel.work_per_block),
                 memory=float(l.kernel.bytes_per_block),
+                threads=l.kernel.threads_per_block,
+                registers=l.kernel.regs_per_thread * l.kernel.threads_per_block,
+                shared_memory=l.kernel.shared_mem_per_block,
             )
             for l in launches
         }
@@ -447,6 +439,7 @@ class GPUSimulator:
         self._mem_virtual = 0.0
         self._mem_active = 0
         self._mem_heap = []
+        self._busy = {}
         self._resident_total = 0
         self._seq = 0
         self._zombies = []
@@ -483,9 +476,14 @@ class GPUSimulator:
         :meth:`KernelScheduler.allowed_sms` contract is a static per-launch
         property ("SMs this launch's thread blocks may *ever* use"), so it
         is queried once per launch per run instead of once per placement.
+        The occupancy check runs once per distinct kernel: redundant
+        copies and repeated chain entries share descriptors.
         """
+        fitted: Set[KernelDescriptor] = set()
         for launch in launches:
-            occupancy_report(launch.kernel, self._gpu.sm)  # raises CapacityError
+            if launch.kernel not in fitted:
+                occupancy_report(launch.kernel, self._gpu.sm)  # raises CapacityError
+                fitted.add(launch.kernel)
             allowed = self._scheduler.allowed_sms(launch)
             if not allowed:
                 raise CapacityError(
@@ -631,11 +629,19 @@ class GPUSimulator:
     def _sm_eligible(self, sm: int, st: _LaunchState) -> bool:
         """Capacity + kernel-mixing screen for one SM (O(1))."""
         state = self._sms[sm]
-        if not state.fits(st.kernel):
+        if (
+            state.free_blocks < 1
+            or state.free_threads < st.threads
+            or state.free_registers < st.registers
+            or state.free_shared_memory < st.shared_memory
+        ):
             return False
         if not self._mixing:
             iid = st.launch.instance_id
-            others = state.resident_total - state.resident_by_instance.get(iid, 0)
+            others = (
+                self._resident_counts[sm]
+                - state.resident_by_instance.get(iid, 0)
+            )
             if others:
                 return False
         return True
@@ -765,32 +771,37 @@ class GPUSimulator:
             return False
         placed_any = False
         candidate_set = set(candidates)
-        while st.next_tb < st.grid_blocks:
-            sm = self._scheduler.select_sm(st.launch, candidates, self)
+        select_sm = self._scheduler.select_sm
+        place_tb, sm_eligible = self._place_tb, self._sm_eligible
+        launch, grid_blocks = st.launch, st.grid_blocks
+        while st.next_tb < grid_blocks:
+            sm = select_sm(launch, candidates, self)
             if sm is None:
                 break
             if sm not in candidate_set:
                 raise SchedulingError(
                     f"scheduler {self._scheduler.name!r} selected SM {sm} "
                     f"outside candidates {candidates} for launch "
-                    f"{st.launch.instance_id}"
+                    f"{launch.instance_id}"
                 )
-            self._place_tb(st, sm)
+            place_tb(st, sm)
             placed_any = True
-            if not self._sm_eligible(sm, st):
+            if not sm_eligible(sm, st):
                 candidates.remove(sm)
                 candidate_set.discard(sm)
                 if not candidates:
-                    if st.next_tb < st.grid_blocks:
+                    if st.next_tb < grid_blocks:
                         st.blocked_at_log = len(log)
                     break
         return placed_any
 
     def _place_tb(self, st: _LaunchState, sm: int) -> None:
         """Make one block of ``st`` resident on ``sm`` (flat-slot alloc)."""
-        kernel = st.kernel
         sm_state = self._sms[sm]
-        sm_state.take(kernel)
+        sm_state.free_blocks -= 1
+        sm_state.free_threads -= st.threads
+        sm_state.free_registers -= st.registers
+        sm_state.free_shared_memory -= st.shared_memory
         compute = st.work
         memory = st.memory
         seq = self._seq
@@ -819,13 +830,14 @@ class GPUSimulator:
         if st.first_dispatch is None:
             st.first_dispatch = self._now
         iid = st.launch.instance_id
-        sm_state.resident_total += 1
+        self._resident_counts[sm] += 1
         by_instance = sm_state.resident_by_instance
         by_instance[iid] = by_instance.get(iid, 0) + 1
         self._resident_total += 1
         if cact:
             sm_state.compute_active += 1
             heapq.heappush(sm_state.heap, (sm_state.virtual + compute, seq, slot))
+            self._busy[sm] = sm_state
         if mact:
             self._mem_active += 1
             heapq.heappush(self._mem_heap, (self._mem_virtual + memory, seq, slot))
@@ -841,8 +853,10 @@ class GPUSimulator:
         """Earliest upcoming event: a work-dimension completion or an
         arrival.  ``None`` when the workload is fully drained.
 
-        O(active SMs + admission-blocked launches): each dimension's next
+        O(compute-active SMs + queued launches): each dimension's next
         completion is its heap top mapped through the current clock rate.
+        Idle SMs have no heap top and are never visited; the minimum does
+        not depend on the visiting order.
         """
         candidate: Optional[float] = None
         now = self._now
@@ -853,12 +867,11 @@ class GPUSimulator:
                 now + (self._mem_heap[0][0] - self._mem_virtual) / mem_rate
             )
         throughput = self._throughput
-        for sm_state in self._sms:
-            if sm_state.compute_active:
-                share = throughput / sm_state.compute_active
-                t = now + (sm_state.heap[0][0] - sm_state.virtual) / share
-                if candidate is None or t < candidate:
-                    candidate = t
+        for sm_state in self._busy.values():
+            share = throughput / sm_state.compute_active
+            t = now + (sm_state.heap[0][0] - sm_state.virtual) / share
+            if candidate is None or t < candidate:
+                candidate = t
 
         future_arrival: Optional[float] = None
         if self._arrival_heap:
@@ -903,7 +916,13 @@ class GPUSimulator:
     def _advance(self, t_next: float) -> None:
         """Advance the virtual clocks to ``t_next`` and drain every finish
         key within ``_EPS`` — all same-virtual-time completions batch into
-        this one event."""
+        this one event.
+
+        Only compute-active SMs are visited: an idle SM's clock does not
+        move, per-SM clocks are independent, and drained blocks retire in
+        ``seq`` order whatever order the SMs were visited in.
+        """
+        busy = self._busy
         dt = t_next - self._now
         if dt > 0:
             if self._mem_active:
@@ -911,11 +930,10 @@ class GPUSimulator:
                     self._dram_bw / self._mem_active
                 ) * dt
             throughput = self._throughput
-            for sm_state in self._sms:
-                if sm_state.compute_active:
-                    sm_state.virtual += (
-                        throughput / sm_state.compute_active
-                    ) * dt
+            for sm_state in busy.values():
+                sm_state.virtual += (
+                    throughput / sm_state.compute_active
+                ) * dt
         self._now = t_next
 
         finished = self._zombies
@@ -929,7 +947,8 @@ class GPUSimulator:
             self._mem_active -= 1
             if not cact[slot]:
                 finished.append((seq, slot))
-        for sm_state in self._sms:
+        idle = []
+        for sm, sm_state in busy.items():
             heap = sm_state.heap
             v = sm_state.virtual
             while heap and heap[0][0] - v <= _EPS:
@@ -938,6 +957,10 @@ class GPUSimulator:
                 sm_state.compute_active -= 1
                 if not mact[slot]:
                     finished.append((seq, slot))
+            if not heap:
+                idle.append(sm)
+        for sm in idle:
+            del busy[sm]
         if finished:
             finished.sort()  # (seq, slot): dispatch order
             for _, slot in finished:
@@ -951,8 +974,11 @@ class GPUSimulator:
         iid = launch.instance_id
         sm = self._tb_sm[slot]
         sm_state = self._sms[sm]
-        sm_state.release(st.kernel)
-        sm_state.resident_total -= 1
+        sm_state.free_blocks += 1
+        sm_state.free_threads += st.threads
+        sm_state.free_registers += st.registers
+        sm_state.free_shared_memory += st.shared_memory
+        self._resident_counts[sm] -= 1
         remaining = sm_state.resident_by_instance[iid] - 1
         if remaining:
             sm_state.resident_by_instance[iid] = remaining
@@ -963,16 +989,13 @@ class GPUSimulator:
         st.resident_count -= 1
         st.completed_tbs += 1
         assert self._trace is not None
+        # positional: (instance_id, logical_id, copy_id, tb_index, sm,
+        # start, end, tag) -- keyword binding costs twice as much per block
         self._trace.add_tb(
             TBRecord(
-                instance_id=iid,
-                logical_id=launch.logical_id or 0,
-                copy_id=launch.copy_id,
-                tb_index=self._tb_index[slot],
-                sm=sm,
-                start=self._tb_start[slot],
-                end=self._now,
-                tag=launch.tag,
+                iid, launch.logical_id or 0, launch.copy_id,
+                self._tb_index[slot], sm, self._tb_start[slot], self._now,
+                launch.tag,
             )
         )
         self._tb_state[slot] = None  # drop the reference; recycle the slot

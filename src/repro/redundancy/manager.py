@@ -41,6 +41,15 @@ from repro.redundancy.diversity import DiversityReport, analyze_diversity
 
 __all__ = ["RedundantRunResult", "RedundantKernelManager", "build_redundant_workload"]
 
+# Per-process memo of non-redundant baseline makespans, keyed by the full
+# simulation input ``(GPUConfig, kernel chain)``.  The simulation is
+# deterministic, so a hit returns exactly the float a fresh run would; a
+# policy sweep re-asks for the same baseline once per policy.  Bounded:
+# the oldest entry is evicted first.  Values are floats, keys share the
+# caller's frozen descriptors.
+_BASELINE_MEMO: Dict[Tuple[GPUConfig, Tuple[KernelDescriptor, ...]], float] = {}
+_BASELINE_MEMO_LIMIT = 256
+
 
 def build_redundant_workload(kernels: Sequence[KernelDescriptor], *,
                              copies: int = 2, tag: str = "",
@@ -227,8 +236,15 @@ class RedundantKernelManager:
         """Makespan of the *non-redundant* chain under this policy's GPU.
 
         Used to express redundancy overheads; always simulated with the
-        default scheduler (a non-redundant app is unconstrained).
+        default scheduler (a non-redundant app is unconstrained).  The
+        makespan depends only on the GPU and the chain (``tag`` labels
+        trace records), so repeated requests are served from a bounded
+        per-process memo.
         """
+        key = (self._gpu, tuple(kernels))
+        cached = _BASELINE_MEMO.get(key)
+        if cached is not None:
+            return cached
         from repro.gpu.scheduler.default import DefaultScheduler
 
         launches: List[KernelLaunch] = []
@@ -244,4 +260,7 @@ class RedundantKernelManager:
                 )
             )
         sim = GPUSimulator(self._gpu, DefaultScheduler()).run(launches)
+        if len(_BASELINE_MEMO) >= _BASELINE_MEMO_LIMIT:
+            del _BASELINE_MEMO[next(iter(_BASELINE_MEMO))]
+        _BASELINE_MEMO[key] = sim.makespan
         return sim.makespan

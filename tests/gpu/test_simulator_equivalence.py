@@ -117,8 +117,8 @@ class _ViewProbeScheduler(DefaultScheduler):
     """Records every SchedulerView answer it observes at decision points.
 
     Both cores must feed schedulers identical observations — this catches
-    counter bugs (``resident_blocks_of`` etc.) even when they would not
-    change the final placement.
+    counter bugs (``resident_blocks_of``, the ``resident_counts`` vector
+    etc.) even when they would not change the final placement.
     """
 
     name = "view-probe"
@@ -139,6 +139,7 @@ class _ViewProbeScheduler(DefaultScheduler):
                 ),
                 view.is_idle(),
                 view.incomplete_before(launch),
+                tuple(view.resident_counts()),
             )
         )
         return super().select_sm(launch, candidates, view)
@@ -172,10 +173,36 @@ class TestSchedulerObservations:
             ]
         )
         # at every decision, per-instance residency is bounded by totals
-        for _, cands, totals, mine, _, _ in probe.observations:
+        # and the count vector agrees with the per-SM query
+        for _, cands, totals, mine, _, _, counts in probe.observations:
             for total, of_mine in zip(totals, mine):
                 assert 0 <= of_mine <= total
+            assert len(counts) == gpu.num_sms
+            assert tuple(counts[sm] for sm in cands) == totals
         assert len(sim.trace.tb_records) == 36
+
+    @pytest.mark.parametrize("core", [GPUSimulator, ReferenceSimulator])
+    def test_resident_counts_is_a_live_vector(self, gpu, core):
+        """One sequence object per run that tracks placements without
+        being fetched again."""
+        seen = []
+
+        class Holder(DefaultScheduler):
+            def select_sm(self, launch, candidates, view):
+                counts = view.resident_counts()
+                seen.append((counts, tuple(counts)))
+                return super().select_sm(launch, candidates, view)
+
+        kd = KernelDescriptor(
+            name="probe/live", grid_blocks=9, threads_per_block=128,
+            work_per_block=900.0,
+        )
+        core(gpu, Holder()).run([KernelLaunch(kernel=kd, instance_id=0)])
+        live = seen[0][0]
+        assert all(counts is live for counts, _ in seen)
+        assert sum(live) == 0  # every block retired since the last look
+        # each decision saw one more resident block than the previous one
+        assert [sum(snapshot) for _, snapshot in seen] == list(range(9))
 
 
 class TestStress:

@@ -22,20 +22,26 @@ def _run_from_repo_root(monkeypatch):
 
 
 class TestSelfCheck:
-    def test_src_repro_is_clean(self, capsys):
+    # the full-tree lint is shared (tests/lint/conftest.py): the CLI runs
+    # for real around it, and `served` proves which target it linted
+    def test_src_repro_is_clean(self, capsys, shared_tree_lint):
         # the determinism contract holds on the tree itself — the CI gate
         assert main(["lint", "src/repro"]) == 0
         out = capsys.readouterr().out
         assert "OK" in out
+        assert shared_tree_lint == [["src/repro"]]
 
-    def test_default_target_is_src_repro(self, capsys):
+    def test_default_target_is_src_repro(self, capsys, shared_tree_lint):
         assert main(["lint"]) == 0
         assert "file(s): OK" in capsys.readouterr().out
+        assert shared_tree_lint == [["src/repro"]]
 
-    def test_every_surviving_suppression_has_a_reason(self):
+    def test_every_surviving_suppression_has_a_reason(self, shipped_tree_report):
         # guaranteed by construction (reason-less allows are RL000), but
-        # assert it end-to-end on the real tree
-        report = run_lint([REPO_ROOT / "src" / "repro"])
+        # assert it end-to-end on the real tree; the shipped config is the
+        # built-in default (test_lint_config pins that)
+        config, report = shipped_tree_report
+        assert config == LintConfig.default()
         assert report.ok
 
 
@@ -84,11 +90,13 @@ class TestJsonSchema:
         second = capsys.readouterr().out
         assert first == second
 
-    def test_clean_tree_json_reports_zero_violations(self, capsys):
+    def test_clean_tree_json_reports_zero_violations(self, capsys,
+                                                     shared_tree_lint):
         assert main(["lint", "--json", "src/repro"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["violations"] == []
         assert data["violation_count"] == 0
+        assert shared_tree_lint == [["src/repro"]]
 
 
 class TestRuleOption:
