@@ -9,26 +9,26 @@ Layout of a campaign directory::
 Each shard line carries the shard's identity (``shard``/``start``/
 ``stop``), its aggregated ``fault-kind -> outcome -> count`` table, a
 bounded sample of SDC fault labels, and a SHA-256 ``digest`` of the
-canonical payload.  Appends are flushed and fsynced, so a killed campaign
-loses at most the shard lines that were mid-write.  A torn trailing line
-is ignored on load (that shard simply re-runs) and repaired by the next
-append; the manifest is replaced atomically.  Corruption anywhere else —
-or a digest mismatch — raises :class:`~repro.errors.CampaignError`
-instead of silently folding bad counts into a safety argument.
+canonical payload.  Both files go through :mod:`repro.journal`: shard
+lines are fsynced appends, a torn trailing line is skipped on load (that
+shard simply re-runs) and repaired by the next append, and the manifest
+is replaced atomically.  Corruption anywhere else — or a digest mismatch
+— raises :class:`~repro.errors.CampaignError` instead of silently
+folding bad counts into a safety argument.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, BinaryIO, Dict, Mapping, Tuple, Union
+from typing import Any, Dict, Mapping, Tuple, Union
 
 from repro.api.campaign import CampaignSpec
 from repro.errors import CampaignError, ConfigurationError
 from repro.faults.outcomes import FaultOutcome
+from repro.journal import append, canonical, replace_atomic, scan
 
 __all__ = ["CampaignStore", "ShardRecord", "OUTCOME_KEYS", "OUTCOMES_BY_KEY"]
 
@@ -40,11 +40,6 @@ OUTCOMES_BY_KEY: Dict[str, FaultOutcome] = {v: k for k, v in OUTCOME_KEYS.items(
 _MANIFEST_NAME = "campaign.json"
 _SHARDS_NAME = "shards.jsonl"
 _SCHEMA = "campaign-store/v1"
-
-
-def _canonical(payload: Mapping[str, Any]) -> str:
-    """Canonical JSON text (sorted keys, no whitespace variance)."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 @dataclass(frozen=True)
@@ -99,14 +94,14 @@ class ShardRecord:
     def digest(self) -> str:
         """SHA-256 hex digest of the canonical payload."""
         return hashlib.sha256(
-            _canonical(self.payload()).encode("utf-8")
+            canonical(self.payload()).encode("utf-8")
         ).hexdigest()[:16]
 
     def to_line(self) -> str:
         """One JSONL line: the payload plus its digest."""
         payload = self.payload()
         payload["digest"] = self.digest
-        return _canonical(payload)
+        return canonical(payload)
 
     @classmethod
     def from_payload(cls, data: Mapping[str, Any]) -> "ShardRecord":
@@ -144,25 +139,6 @@ class ShardRecord:
                 f"recomputed {record.digest!r}) — artifact corrupt"
             )
         return record
-
-
-def _repair_torn_tail(handle: BinaryIO) -> None:
-    """Make an append-mode log end on a line boundary (see ``append``)."""
-    end = handle.seek(0, os.SEEK_END)
-    if end == 0:
-        return
-    handle.seek(end - 1)
-    if handle.read(1) == b"\n":
-        return
-    handle.seek(0)
-    start = handle.read().rfind(b"\n") + 1  # rare path: whole-file read
-    handle.seek(start)
-    try:
-        json.loads(handle.read())
-    except ValueError:
-        handle.truncate(start)
-    else:
-        handle.write(b"\n")
 
 
 class CampaignStore:
@@ -205,7 +181,7 @@ class CampaignStore:
 
         Raises:
             CampaignError: when the directory belongs to a different
-                campaign.
+                campaign, or the manifest cannot be written.
         """
         if self.exists():
             existing = self.load_spec()
@@ -216,7 +192,6 @@ class CampaignStore:
                     "use a fresh directory for a different campaign"
                 )
             return
-        self._root.mkdir(parents=True, exist_ok=True)
         from repro import __version__
 
         manifest = {
@@ -226,12 +201,9 @@ class CampaignStore:
             "total_injections": spec.total_injections,
             "version": __version__,
         }
-        tmp = self.manifest_path.with_suffix(".json.tmp")
-        with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, self.manifest_path)
+        replace_atomic(self.manifest_path,
+                       json.dumps(manifest, sort_keys=True, indent=2) + "\n",
+                       error=CampaignError)
 
     def load_spec(self) -> CampaignSpec:
         """The :class:`CampaignSpec` this store was created for.
@@ -263,23 +235,20 @@ class CampaignStore:
 
     # ------------------------------------------------------------------
     def append(self, record: ShardRecord) -> None:
-        """Persist one completed shard (flushed and fsynced).
+        """Persist one completed shard: a fsynced :mod:`repro.journal`
+        append, which first repairs a torn tail left by a killed writer.
 
-        A torn trailing line left by a killed writer is repaired first —
-        truncated (that shard re-runs anyway), or newline-terminated when
-        only the newline was lost — instead of being appended onto.
+        Raises:
+            CampaignError: when the line cannot be written (a full disk).
         """
-        with open(self.shards_path, "ab+") as handle:
-            _repair_torn_tail(handle)
-            handle.write(record.to_line().encode("utf-8") + b"\n")
-            handle.flush()
-            os.fsync(handle.fileno())
+        append(self.shards_path, record.to_line(), error=CampaignError,
+               what="shard")
 
     def load_records(self) -> Dict[int, ShardRecord]:
         """All completed shards, keyed by shard index.
 
         A torn *trailing* line (the signature of a killed writer) is
-        ignored — that shard merely re-runs on resume.  Corruption
+        skipped — that shard merely re-runs on resume.  Corruption
         anywhere else, digest mismatches, or two conflicting records for
         the same shard raise.
 
@@ -287,29 +256,9 @@ class CampaignStore:
             CampaignError: on mid-file corruption, digest mismatch, or
                 duplicate shards with differing payloads.
         """
-        try:
-            text = self.shards_path.read_text(encoding="utf-8")
-        except OSError:
-            return {}
         records: Dict[int, ShardRecord] = {}
-        lines = text.split("\n")
-        last_content = len(lines) - 1
-        while last_content >= 0 and not lines[last_content].strip():
-            last_content -= 1
-        for lineno, line in enumerate(lines):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                data = json.loads(line)
-            except json.JSONDecodeError:
-                if lineno == last_content:
-                    # torn final line: the writer died mid-append
-                    continue
-                raise CampaignError(
-                    f"{self.shards_path}:{lineno + 1}: corrupt shard line "
-                    "(not valid JSON) in the middle of the artifact log"
-                ) from None
+        lines, _ = scan(self.shards_path, error=CampaignError, what="shard")
+        for data in lines:
             record = ShardRecord.from_payload(data)
             previous = records.get(record.shard)
             if previous is not None and previous.to_line() != record.to_line():

@@ -10,28 +10,23 @@ Three sinks cover every use:
 * :class:`MemorySink` — collects event dicts in a list; used by tests
   and by ``benchmarks/profile_hotspots.py`` to render span trees
   without touching the filesystem.
-* :class:`JsonlSink` — append-only JSONL writer with line-buffered
-  flushing, mirroring the campaign store's crash semantics: a killed
-  writer leaves at most one torn trailing line, which
-  :func:`read_telemetry` tolerates (and repairs on the next append).
+* :class:`JsonlSink` — a :mod:`repro.journal` appender: each event is
+  one canonical JSON line written straight through to the OS (flushed,
+  not fsynced), so a killed writer leaves at most one torn trailing
+  line, which the next sink truncates on open.
 
-The reader side lives here too: :func:`read_telemetry` parses a
-telemetry file into event dicts with the same torn-line tolerance as
-:meth:`repro.campaigns.store.CampaignStore.load_records`, extended to
-multi-session files — an invalid line is tolerated when it is the last
-line of the file *or* immediately precedes the next session's
-``telemetry_start`` header (the writer died, then a resume appended a
-fresh session); corruption anywhere else raises
-:class:`~repro.errors.ObsError`.
+The reader side lives here too: :func:`scan_telemetry` and
+:func:`read_telemetry`, the journal scan with the session header as its
+boundary.
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Any, Dict, List, Tuple, Union
 
 from repro.errors import ObsError
+from repro.journal import Appender, canonical, scan
 
 __all__ = [
     "JsonlSink",
@@ -93,158 +88,73 @@ class MemorySink(TelemetrySink):
 class JsonlSink(TelemetrySink):
     """Append-only JSONL writer for ``--telemetry PATH``.
 
-    Opens the file in append mode so a resume session lands after the
-    interrupted one.  If the existing file does not end with a newline
-    (a torn trailing line from a killed writer), one is written first so
-    the tear stays confined to its own line — :func:`read_telemetry`
-    then skips it as a session-final tear.
-
-    Every event is written as one compact, sorted-key JSON line and
-    flushed immediately, so an external tail sees events as they happen
-    and a kill loses at most the line being written.
+    Appends so a resume session lands after the interrupted one; a torn
+    trailing line a killed writer left is truncated first (the
+    :mod:`repro.journal` repair rule).  Every event is written as one
+    canonical JSON line straight through to the OS, so an external tail
+    sees events as they happen and a kill loses at most the line being
+    written.
 
     Raises:
         ObsError: when the path cannot be opened or written.
     """
 
     def __init__(self, path: Union[str, Path]) -> None:
-        self._path = Path(path)
-        try:
-            needs_newline = False
-            if self._path.is_file() and self._path.stat().st_size > 0:
-                with open(self._path, "rb") as probe:
-                    probe.seek(-1, 2)
-                    needs_newline = probe.read(1) != b"\n"
-            self._handle = open(self._path, "a", encoding="utf-8")
-            if needs_newline:
-                self._handle.write("\n")
-                self._handle.flush()
-        except OSError as exc:
-            raise ObsError(
-                f"cannot open telemetry file {str(path)!r}: {exc}"
-            )
+        self._log = Appender(path, error=ObsError, what="telemetry",
+                             durable=False)
         self._closed = False
 
     @property
     def path(self) -> Path:
         """The file this sink appends to."""
-        return self._path
+        return self._log.path
 
     def emit(self, event: Dict[str, Any]) -> None:
-        """Write one event line and flush it."""
-        if self._closed:
-            return
-        try:
-            self._handle.write(
-                json.dumps(event, sort_keys=True, separators=(",", ":"))
-                + "\n"
-            )
-            self._handle.flush()
-        except OSError as exc:
-            raise ObsError(
-                f"cannot write telemetry file {str(self._path)!r}: {exc}"
-            )
+        """Write one event line."""
+        if not self._closed:
+            self._log.write(canonical(event))
 
     def close(self) -> None:
-        """Flush and close the file; further emits are dropped."""
+        """Close the file; further emits are dropped."""
         if not self._closed:
             self._closed = True
             try:
-                self._handle.close()
+                self._log.close()
             except OSError:
                 pass
-
-
-def _is_session_header(line: str) -> bool:
-    """True when ``line`` parses as a ``telemetry_start`` event."""
-    try:
-        payload = json.loads(line)
-    except json.JSONDecodeError:
-        return False
-    return (isinstance(payload, dict)
-            and payload.get("type") == "telemetry_start")
 
 
 def scan_telemetry(path: Union[str, Path]
                    ) -> Tuple[List[Dict[str, Any]], List[Dict[str, Any]]]:
     """Read a telemetry file, reporting where torn lines were skipped.
 
-    Torn-line tolerance mirrors the campaign store: an unparseable line
-    is skipped when the writer can have died there — i.e. it is the last
-    content line of the file (``tear: "file"``), or the next content
-    line opens a new session (``telemetry_start``), meaning the tear
-    ended one session and a resume appended the next
-    (``tear: "session"``).  An unparseable line anywhere else is
-    mid-session corruption and raises.
-
-    Args:
-        path: the telemetry JSONL file.
+    The :func:`repro.journal.scan` rules, with a session header
+    (``telemetry_start``) as the boundary: a torn line is skipped as the
+    file's last line (``tear: "file"``) or right before the header a
+    resume appended (``tear: "session"``); anywhere else it raises.
+    No schema validation happens here — pass the events to
+    :func:`repro.obs.events.validate_events` (or ``repro obs validate``).
 
     Returns:
         ``(events, tears)`` — one event dict per surviving line, plus
-        one ``{"line": lineno, "tear": "file" | "session"}`` record per
-        skipped torn line.  No schema validation happens here — pass
-        the events to :func:`repro.obs.events.validate_events` (or
-        ``repro obs validate``).
+        one ``{"line": lineno, "tear": "file" | "session"}`` per skipped
+        torn line.
 
     Raises:
         ObsError: when the file cannot be read, or a line is corrupt in
             the middle of a session.
     """
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ObsError(f"cannot read telemetry file {str(path)!r}: {exc}")
-    lines = text.split("\n")
-    content = [
-        (lineno, line.strip())
-        for lineno, line in enumerate(lines, start=1)
-        if line.strip()
-    ]
-    events: List[Dict[str, Any]] = []
-    tears: List[Dict[str, Any]] = []
-    for position, (lineno, line) in enumerate(content):
-        try:
-            payload = json.loads(line)
-        except json.JSONDecodeError:
-            is_last = position == len(content) - 1
-            next_is_header = (
-                not is_last and _is_session_header(content[position + 1][1])
-            )
-            if is_last or next_is_header:
-                # torn line where a writer died (end of file, or end of
-                # the session a resume later appended after)
-                tears.append({
-                    "line": lineno,
-                    "tear": "file" if is_last else "session",
-                })
-                continue
-            raise ObsError(
-                f"{path}:{lineno}: corrupt telemetry line (not valid "
-                "JSON) in the middle of a session"
-            ) from None
-        if not isinstance(payload, dict):
-            raise ObsError(
-                f"{path}:{lineno}: telemetry line is not a JSON object"
-            )
-        events.append(payload)
-    return events, tears
+    if not Path(path).is_file():
+        raise ObsError(f"cannot read telemetry file {str(path)!r}: "
+                       "no such file")
+    return scan(path, error=ObsError, what="telemetry",
+                boundary=lambda event: event.get("type") == "telemetry_start")
 
 
 def read_telemetry(path: Union[str, Path]) -> List[Dict[str, Any]]:
-    """Read a telemetry file into parsed event dicts, in file order.
-
-    Thin wrapper over :func:`scan_telemetry` that drops the torn-line
-    positions; see there for the tolerance rules.
-
-    Args:
-        path: the telemetry JSONL file.
-
-    Returns:
-        One dict per surviving line.
+    """The events of :func:`scan_telemetry`, without the tears.
 
     Raises:
-        ObsError: when the file cannot be read, or a line is corrupt in
-            the middle of a session.
+        ObsError: as :func:`scan_telemetry`.
     """
     return scan_telemetry(path)[0]

@@ -4,11 +4,11 @@ One ``--telemetry`` file describes one run; comparing runs needs a
 place where many runs accumulate.  :class:`ObsStore` keeps that history
 in a ``.repro-obs/`` directory:
 
-* ``manifest.jsonl`` — one append-only index line per archived run
-  (schema :data:`OBS_STORE_SCHEMA`), keyed by the run's content digest
-  and carrying the spec hashes, run kinds, labels, session count and
-  report digests extracted from the stream, so runs are queryable
-  without re-parsing every file;
+* ``manifest.jsonl`` — a :mod:`repro.journal` log with one index line
+  per archived run (schema :data:`OBS_STORE_SCHEMA`), keyed by the
+  run's content digest and carrying the spec hashes, run kinds, labels,
+  session count and report digests extracted from the stream, so runs
+  are queryable without re-parsing every file;
 * ``runs/<run_id>.jsonl`` — the archived telemetry stream, stored
   verbatim (byte-for-byte) under its content digest.
 
@@ -27,12 +27,11 @@ file paths).
 from __future__ import annotations
 
 import hashlib
-import json
-import os
 from pathlib import Path
 from typing import Any, Dict, List, Tuple, Union
 
 from repro.errors import ObsError
+from repro.journal import append, canonical, replace_atomic, scan
 from repro.obs.events import check_events
 from repro.obs.sink import read_telemetry
 
@@ -43,11 +42,6 @@ OBS_STORE_SCHEMA = "repro-obs-store/v1"
 
 #: Default archive directory (the ``--dir`` default of the obs CLI).
 DEFAULT_OBS_DIR = ".repro-obs"
-
-
-def _canonical(payload: Dict[str, Any]) -> str:
-    """Compact sorted-key JSON, the repository's canonical line form."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 def _index_fields(events: List[Dict[str, Any]]) -> Dict[str, Any]:
@@ -163,12 +157,12 @@ class ObsStore:
         try:
             self.runs_dir.mkdir(parents=True, exist_ok=True)
             self.run_path(run_id).write_bytes(raw)
-            with open(self.manifest_path, "a", encoding="utf-8") as handle:
-                handle.write(_canonical(entry) + "\n")
         except OSError as exc:
             raise ObsError(
                 f"cannot write telemetry archive {str(self._root)!r}: {exc}"
-            )
+            ) from exc
+        append(self.manifest_path, canonical(entry), error=ObsError,
+               what="manifest")
         return entry
 
     def entries(self) -> List[Dict[str, Any]]:
@@ -180,33 +174,14 @@ class ObsStore:
         Raises:
             ObsError: for mid-manifest corruption or a schema mismatch.
         """
-        try:
-            text = self.manifest_path.read_text(encoding="utf-8")
-        except FileNotFoundError:
-            return []
-        except OSError as exc:
-            raise ObsError(
-                f"cannot read archive manifest "
-                f"{str(self.manifest_path)!r}: {exc}"
-            )
-        lines = [line for line in text.split("\n") if line.strip()]
         entries: List[Dict[str, Any]] = []
         seen = set()
-        for position, line in enumerate(lines):
-            try:
-                entry = json.loads(line)
-            except json.JSONDecodeError:
-                if position == len(lines) - 1:
-                    continue  # torn trailing line from a killed archive
-                raise ObsError(
-                    f"{self.manifest_path}: corrupt manifest line "
-                    f"{position + 1}"
-                ) from None
-            if (not isinstance(entry, dict)
-                    or entry.get("schema") != OBS_STORE_SCHEMA
+        lines, _ = scan(self.manifest_path, error=ObsError, what="manifest")
+        for number, entry in enumerate(lines, start=1):
+            if (entry.get("schema") != OBS_STORE_SCHEMA
                     or not isinstance(entry.get("run_id"), str)):
                 raise ObsError(
-                    f"{self.manifest_path}: manifest line {position + 1} "
+                    f"{self.manifest_path}: manifest record {number} "
                     f"is not a {OBS_STORE_SCHEMA} entry"
                 )
             if entry["run_id"] not in seen:
@@ -299,14 +274,13 @@ class ObsStore:
         kept = [entry for entry in entries if entry["run_id"] in survivors]
         removed = [entry for entry in entries
                    if entry["run_id"] not in survivors]
+        if entries:
+            replace_atomic(
+                self.manifest_path,
+                "".join(canonical(entry) + "\n" for entry in kept),
+                error=ObsError,
+            )
         try:
-            if entries:
-                tmp = self.manifest_path.with_suffix(".tmp")
-                tmp.write_text(
-                    "".join(_canonical(entry) + "\n" for entry in kept),
-                    encoding="utf-8",
-                )
-                os.replace(tmp, self.manifest_path)
             if self.runs_dir.is_dir():
                 for path in sorted(self.runs_dir.glob("*.jsonl")):
                     if path.stem not in survivors:

@@ -4,7 +4,9 @@ A writer killed mid-append leaves half a line at the end of
 ``shards.jsonl``.  The next append must not write onto it — that would
 lose the re-run shard and, one append later, make every load fail with
 "corrupt shard line in the middle".  The manifest is written through a
-temp file and an atomic rename, so a kill never leaves half of one.
+temp file and an atomic rename, so a kill never leaves half of one.  A
+full disk ends in a typed ``CampaignError``, and a resume on a freed disk
+reaches the reference report.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import pytest
 from repro.api import CampaignSpec, FaultPlanSpec, RunSpec, WorkloadSpec
 from repro.campaigns import CampaignStore, resume_campaign, run_campaign
 from repro.campaigns.store import ShardRecord
+from repro.errors import CampaignError
 
 
 def _record(shard: int) -> ShardRecord:
@@ -111,9 +114,60 @@ class TestAtomicManifest:
 
         monkeypatch.setattr(os, "replace", killed)
         store = CampaignStore(tmp_path)
-        with pytest.raises(OSError):
+        with pytest.raises(CampaignError, match="killed before rename") as err:
             store.initialise(_spec())
+        assert isinstance(err.value.__cause__, OSError)
         assert not store.exists()
         monkeypatch.undo()
         store.initialise(_spec())  # a retry starts cleanly
         assert store.load_spec().config_hash == _spec().config_hash
+
+
+class TestFullDisk:
+    @pytest.mark.parametrize("failing", ["fsync", "write"])
+    def test_full_disk_mid_campaign_then_resume_reaches_the_reference(
+            self, tmp_path, monkeypatch, full_disk, failing):
+        reference = run_campaign(_spec())
+        store = CampaignStore(tmp_path)
+        # when only the fsync fails, the shard's line is complete on disk
+        unconfirmed = 1 if failing == "fsync" else 0
+        full_disk(failing, after=2)  # the manifest and one shard fit
+        with pytest.raises(CampaignError, match="No space left") as err:
+            run_campaign(_spec(), store=store)
+        assert isinstance(err.value.__cause__, OSError)
+        assert len(store.load_records()) == 1 + unconfirmed
+        full_disk(failing, after=1)  # a resume fills the disk again
+        with pytest.raises(CampaignError, match="No space left"):
+            resume_campaign(store)
+        assert len(store.load_records()) == 2 + unconfirmed
+        monkeypatch.undo()
+        for _ in range(2):
+            resumed = resume_campaign(store)
+            assert resumed.digest() == reference.digest()
+        assert store.shards_path.read_text().endswith("\n")
+
+    @pytest.mark.parametrize("failing", ["fsync", "write"])
+    def test_full_disk_on_initialise_raises_and_leaves_no_manifest(
+            self, tmp_path, monkeypatch, full_disk, failing):
+        store = CampaignStore(tmp_path / "store")
+        full_disk(failing)
+        with pytest.raises(CampaignError, match="No space left"):
+            store.initialise(_spec())
+        assert not store.exists()
+        monkeypatch.undo()
+        store.initialise(_spec())
+        assert store.load_spec().config_hash == _spec().config_hash
+
+    def test_cli_exits_1_with_an_error_line(self, tmp_path, capsys,
+                                            full_disk):
+        from repro.cli import main
+
+        spec = tmp_path / "spec.json"
+        spec.write_text(_spec().to_json())
+        full_disk("fsync", after=1)
+        code = main(["campaign", "run", "--spec", str(spec),
+                     "--dir", str(tmp_path / "store")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: cannot write shard file")
+        assert "No space left on device" in err

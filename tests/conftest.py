@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import errno
+import os
+
 import pytest
+
+import repro.journal
 
 from repro.gpu.config import GPUConfig, SMConfig
 from repro.gpu.kernel import KernelDescriptor
@@ -60,3 +65,66 @@ def memory_kernel() -> KernelDescriptor:
         work_per_block=100.0,
         bytes_per_block=48000.0,
     )
+
+
+class _FullDiskFile:
+    """A file whose writes put half their data down, then fail."""
+
+    def __init__(self, handle, disk) -> None:
+        self._handle = handle
+        self._disk = disk
+
+    def __getattr__(self, name):
+        return getattr(self._handle, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._handle.close()
+
+    def write(self, data):
+        if self._disk.spend():
+            return self._handle.write(data)
+        self._handle.write(data[:len(data) // 2])
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+class _FullDisk:
+    """Arms ENOSPC on ``repro.journal``'s ``fsync`` or file writes."""
+
+    def __init__(self, monkeypatch) -> None:
+        self._monkeypatch = monkeypatch
+        self._left = 0
+
+    def spend(self) -> bool:
+        """True while calls remain before the disk is full."""
+        self._left -= 1
+        return self._left >= 0
+
+    def __call__(self, failing: str, *, after: int = 0) -> None:
+        """Fail every ``failing`` call (``"fsync"`` or ``"write"``) after
+        the first ``after``; ``monkeypatch.undo()`` frees the disk."""
+        self._left = after
+        if failing == "fsync":
+            real_fsync = os.fsync
+
+            def fsync(fd):
+                if not self.spend():
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                real_fsync(fd)
+
+            self._monkeypatch.setattr(os, "fsync", fsync)
+        else:
+            self._monkeypatch.setattr(
+                repro.journal, "open",
+                lambda *args, **kwargs: _FullDiskFile(open(*args, **kwargs),
+                                                      self),
+                raising=False)
+
+
+@pytest.fixture
+def full_disk(monkeypatch) -> _FullDisk:
+    """``full_disk("fsync" | "write", after=N)`` fills the disk that
+    :mod:`repro.journal` writes to (ENOSPC), N calls from now."""
+    return _FullDisk(monkeypatch)

@@ -107,6 +107,25 @@ class TestEntriesAndResolve:
             handle.write('{"schema": "repro-obs-st')  # killed writer
         assert [e["run_id"] for e in store.entries()] == [entry["run_id"]]
 
+    def test_archive_after_a_torn_archive_repairs_the_manifest(
+            self, store, tmp_path):
+        paths = []
+        for i in range(3):
+            paths.append(tmp_path / f"r{i}.jsonl")
+            _write(paths[-1], _events(digest=f"d{i}"))
+        first = store.archive(paths[0])
+        store.archive(paths[1])
+        # the archive of the second run was killed mid-line
+        torn = store.manifest_path.read_bytes()[:-40]
+        store.manifest_path.write_bytes(torn)
+        second = store.archive(paths[2], tag="second")
+        assert [e["run_id"] for e in store.entries()] == [
+            first["run_id"], second["run_id"]]
+        assert store.resolve("second") == second
+        retried = store.archive(paths[1])  # a third archive succeeds
+        assert [e["run_id"] for e in store.entries()] == [
+            first["run_id"], second["run_id"], retried["run_id"]]
+
     def test_mid_manifest_corruption_raises(self, store, log):
         store.archive(log)
         text = store.manifest_path.read_text()
@@ -165,6 +184,36 @@ class TestLoadEvents:
         store.run_path(entry["run_id"]).unlink()
         with pytest.raises(ObsError, match="no stream file"):
             store.load_events(entry["run_id"])
+
+
+class TestWriteFailures:
+    @pytest.mark.parametrize("failing", ["fsync", "write"])
+    def test_full_disk_raises_obs_error(self, store, log, tmp_path,
+                                        monkeypatch, full_disk, failing):
+        first = store.archive(log)
+        _write(tmp_path / "r2.jsonl", _events(digest="d2"))
+        full_disk(failing)
+        with pytest.raises(ObsError, match="No space left") as err:
+            store.archive(tmp_path / "r2.jsonl")
+        assert isinstance(err.value.__cause__, OSError)
+        monkeypatch.undo()
+        second = store.archive(tmp_path / "r2.jsonl")
+        assert [e["run_id"] for e in store.entries()] == [
+            first["run_id"], second["run_id"]]
+
+    @pytest.mark.parametrize("failing", ["fsync", "write"])
+    def test_gc_on_a_full_disk_raises_obs_error_and_keeps_the_manifest(
+            self, store, tmp_path, monkeypatch, full_disk, failing):
+        for i in range(2):
+            _write(tmp_path / f"r{i}.jsonl", _events(digest=f"d{i}"))
+            store.archive(tmp_path / f"r{i}.jsonl")
+        before = store.manifest_path.read_bytes()
+        full_disk(failing)
+        with pytest.raises(ObsError, match="No space left"):
+            store.gc(keep=1)
+        assert store.manifest_path.read_bytes() == before
+        monkeypatch.undo()
+        assert len(store.gc(keep=1)) == 1
 
 
 class TestGc:

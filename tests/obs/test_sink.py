@@ -61,8 +61,8 @@ class TestJsonlSink:
 
     def test_repairs_missing_trailing_newline_before_appending(
             self, tmp_path):
-        # a killed writer left a torn trailing line: the next sink must
-        # confine the tear to its own line
+        # a killed writer left a torn trailing line: the next sink
+        # truncates it before appending (the journal's repair rule)
         path = tmp_path / "t.jsonl"
         path.write_text(_header_line() + "\n" + '{"type": "hea')
         sink = JsonlSink(path)
@@ -70,8 +70,9 @@ class TestJsonlSink:
                    "data": {"schema": "repro-telemetry/v1"}})
         sink.close()
         lines = path.read_text().splitlines()
-        assert lines[1] == '{"type": "hea'
-        assert json.loads(lines[2])["type"] == "telemetry_start"
+        assert lines[0] == _header_line()
+        assert len(lines) == 2
+        assert json.loads(lines[1])["type"] == "telemetry_start"
 
     def test_emit_after_close_is_dropped(self, tmp_path):
         path = tmp_path / "t.jsonl"
