@@ -15,17 +15,26 @@ of the specific 6-SM / fixed-latency configuration.
 
 from __future__ import annotations
 
-from repro.analysis.experiments import dispatch_latency_sweep, sm_count_sweep
 from repro.analysis.report import render_table
+from repro.api import Engine, build_scenario, normalized_busy_cycles
 
 LATENCIES = [500.0, 1500.0, 3000.0, 6000.0, 12000.0]
 SM_COUNTS = [2, 4, 6, 8, 12, 16]
 
 
+def _sweep(scenario, knob, values, gpu):
+    """``(value, half_ratio, srrs_ratio)`` rows of one hotspot sweep."""
+    ratios = normalized_busy_cycles(Engine().run_many(
+        build_scenario(scenario, benchmark="hotspot", gpu=gpu,
+                       **{knob: values})))
+    return [(value, r["half"], r["srrs"])
+            for value, r in zip(values, ratios.values())]
+
+
 def test_dispatch_latency_ablation(benchmark, gpu):
     """Sweep the serial-dispatch gap; print normalized overheads."""
     rows = benchmark.pedantic(
-        lambda: dispatch_latency_sweep(LATENCIES, benchmark="hotspot", gpu=gpu),
+        lambda: _sweep("sweep-dispatch", "latencies", LATENCIES, gpu),
         rounds=1, iterations=1,
     )
     print(
@@ -44,7 +53,7 @@ def test_dispatch_latency_ablation(benchmark, gpu):
 def test_sm_count_ablation(benchmark, gpu):
     """Sweep the SM count; print normalized overheads."""
     rows = benchmark.pedantic(
-        lambda: sm_count_sweep(SM_COUNTS, benchmark="hotspot", gpu=gpu),
+        lambda: _sweep("sweep-sms", "sm_counts", SM_COUNTS, gpu),
         rounds=1, iterations=1,
     )
     print(

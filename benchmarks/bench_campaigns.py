@@ -35,7 +35,6 @@ import time
 
 from _bench_artifacts import REPO_ROOT, BenchArtifact
 
-from repro.analysis.campaigns import campaign_worker_scaling
 from repro.api import (
     CampaignSpec,
     FaultPlanSpec,
@@ -73,6 +72,32 @@ def _campaign_spec(total: int, *, shards: int, seed: int = 7) -> CampaignSpec:
                              seed=seed),
         shards=shards,
     )
+
+
+def _worker_scaling(spec: CampaignSpec, worker_counts):
+    """Run ``spec`` in memory at each worker count and time every run.
+
+    Each row carries the aggregate digest, which the determinism contract
+    makes identical across worker counts; speedups are relative to the
+    first count.
+    """
+    rows = []
+    base = 0.0
+    for workers in worker_counts:
+        start = time.perf_counter()
+        report = run_campaign(spec, workers=workers)
+        wall = time.perf_counter() - start
+        throughput = report.total / wall if wall > 0 else float("inf")
+        base = base or throughput
+        rows.append({
+            "workers": workers,
+            "injections": report.total,
+            "wall_s": round(wall, 6),
+            "injections_per_sec": round(throughput, 1),
+            "speedup_vs_w1": round(throughput / base, 3),
+            "digest": report.digest(),
+        })
+    return rows
 
 
 def test_campaign_100k_interrupt_resume_bit_identity(benchmark, tmp_path):
@@ -134,8 +159,8 @@ def test_campaign_worker_scaling(benchmark):
     spec = _campaign_spec(20_000, shards=16)
 
     def run():
-        rows = campaign_worker_scaling(spec, worker_counts=(1, 2, 4))
-        digests = {row.digest for row in rows}
+        rows = _worker_scaling(spec, worker_counts=(1, 2, 4))
+        digests = {row["digest"] for row in rows}
         assert len(digests) == 1  # determinism across worker counts
 
         # obs-overhead guard: a disabled Telemetry session (null sink,
@@ -153,29 +178,21 @@ def test_campaign_worker_scaling(benchmark):
             t0 = time.perf_counter()
             null = run_campaign(spec, workers=1, telemetry=Telemetry())
             null_legs.append(time.perf_counter() - t0)
-            assert null.digest() == rows[0].digest
+            assert null.digest() == rows[0]["digest"]
         obs_overhead_frac = max(
             0.0, round(min(null_legs) / min(plain_legs) - 1.0, 4)
         )
 
         for row in rows:
             extra = ({"obs_overhead_frac": obs_overhead_frac}
-                     if row.workers == 1 else {})
-            _record(
-                f"campaign/worker_scaling_w{row.workers}",
-                workers=row.workers,
-                injections=row.injections,
-                wall_s=row.wall_s,
-                injections_per_sec=row.injections_per_sec,
-                speedup_vs_w1=row.speedup,
-                digest=row.digest,
-                **extra,
-            )
+                     if row["workers"] == 1 else {})
+            _record(f"campaign/worker_scaling_w{row['workers']}", **row,
+                    **extra)
         return rows
 
     rows = benchmark.pedantic(run, rounds=1, iterations=1)
-    assert [row.workers for row in rows] == [1, 2, 4]
-    assert all(row.injections == 20_000 for row in rows)
+    assert [row["workers"] for row in rows] == [1, 2, 4]
+    assert all(row["injections"] == 20_000 for row in rows)
 
 
 def test_campaign_classify_throughput(benchmark):

@@ -13,8 +13,8 @@ identically); SRRS and HALF detect 100 % of dangerous faults.
 
 from __future__ import annotations
 
-from repro.analysis.experiments import fault_coverage_by_policy
 from repro.analysis.report import render_table
+from repro.api import Engine, build_scenario
 from repro.faults.campaign import CampaignConfig, FaultCampaign
 from repro.redundancy.manager import RedundantKernelManager
 from repro.workloads.rodinia import get_benchmark
@@ -30,14 +30,16 @@ def test_fault_coverage_table(benchmark, gpu):
 
     benchmark(lambda: FaultCampaign(run).run(CONFIG))
 
-    rows = fault_coverage_by_policy(gpu, benchmark="hotspot", config=CONFIG)
+    rows = [a.faults for a in Engine().run_many(
+        build_scenario("coverage", gpu=gpu, benchmark="hotspot",
+                       config=CONFIG))]
     print(
         "\n"
         + render_table(
             ["policy", "injections", "masked", "detected", "SDC",
              "coverage"],
-            [[r.policy, r.total, r.masked, r.detected, r.sdc, r.coverage]
-             for r in rows],
+            [[r.policy, r.total, r.masked, r.detected, r.sdc,
+              r.detection_coverage] for r in rows],
             title="E5 — Fault-detection coverage by scheduling policy "
                   "(hotspot, 700 injections)",
         )
@@ -45,5 +47,5 @@ def test_fault_coverage_table(benchmark, gpu):
 
     by_policy = {r.policy.split("(")[0]: r for r in rows}
     assert by_policy["default"].sdc > 0
-    assert by_policy["half"].coverage == 1.0
-    assert by_policy["srrs"].coverage == 1.0
+    assert by_policy["half"].detection_coverage == 1.0
+    assert by_policy["srrs"].detection_coverage == 1.0

@@ -8,8 +8,8 @@ the Section IV-D policy recommendation per category.
 
 from __future__ import annotations
 
-from repro.analysis.experiments import fig3_kernel_categories
 from repro.analysis.report import render_table
+from repro.api import Engine, build_scenario
 from repro.workloads.classify import classify_kernel
 from repro.workloads.synthetic import make_friendly_kernel
 
@@ -20,7 +20,8 @@ def test_fig3_categories_table(benchmark, gpu):
 
     benchmark(lambda: classify_kernel(friendly, gpu))
 
-    rows = fig3_kernel_categories(gpu)
+    rows = [a.classification[0]
+            for a in Engine().run_many(build_scenario("fig3", gpu=gpu))]
     print(
         "\n"
         + render_table(

@@ -12,8 +12,8 @@ where HALF hurts and SRRS is free.
 
 from __future__ import annotations
 
-from repro.analysis.experiments import fig4_scheduler_comparison
 from repro.analysis.report import render_grouped_bars, render_table
+from repro.api import Engine, build_scenario, normalized_busy_cycles
 from repro.redundancy.manager import RedundantKernelManager
 from repro.workloads.rodinia import FIG4_BENCHMARKS, get_benchmark
 
@@ -27,14 +27,18 @@ def test_fig4_table(benchmark, gpu):
 
     benchmark.pedantic(run_one_policy, rounds=3, iterations=1)
 
-    rows = fig4_scheduler_comparison(gpu)
+    artifacts = Engine().run_many(build_scenario("fig4", gpu=gpu))
+    by_key = {(a.spec.tag, a.spec.policy): a for a in artifacts}
+    ratios = normalized_busy_cycles(artifacts)
     table = render_table(
         ["benchmark", "default(cycles)", "HALF(norm)", "SRRS(norm)",
          "HALF diverse", "SRRS diverse"],
         [
-            [r.benchmark, r.default_cycles, r.half_ratio, r.srrs_ratio,
-             r.half_diverse, r.srrs_diverse]
-            for r in rows
+            [name, by_key[(name, "default")].timing.busy_cycles,
+             r["half"], r["srrs"],
+             by_key[(name, "half")].diversity.fully_diverse,
+             by_key[(name, "srrs")].diversity.fully_diverse]
+            for name, r in ratios.items()
         ],
         title="Figure 4 — Redundant Kernel Simulation Cycles (normalized)",
     )
@@ -42,19 +46,19 @@ def test_fig4_table(benchmark, gpu):
     print(
         "\n"
         + render_grouped_bars(
-            [r.benchmark for r in rows],
+            list(ratios),
             {
-                "default": [1.0] * len(rows),
-                "HALF": [r.half_ratio for r in rows],
-                "SRRS": [r.srrs_ratio for r in rows],
+                "default": [1.0] * len(ratios),
+                "HALF": [r["half"] for r in ratios.values()],
+                "SRRS": [r["srrs"] for r in ratios.values()],
             },
             title="Figure 4 (bars, normalized to default)",
         )
     )
 
     # shape assertions (mirroring tests/test_integration.py)
-    by_name = {r.benchmark: r for r in rows}
-    assert set(by_name) == set(FIG4_BENCHMARKS)
-    assert max(r.srrs_ratio for r in rows) <= 2.0
-    assert by_name["myocyte"].srrs_ratio > 1.9
-    assert all(r.half_diverse and r.srrs_diverse for r in rows)
+    assert set(ratios) == set(FIG4_BENCHMARKS)
+    assert max(r["srrs"] for r in ratios.values()) <= 2.0
+    assert ratios["myocyte"]["srrs"] > 1.9
+    assert all(a.diversity.fully_diverse for a in artifacts
+               if a.spec.policy != "default")

@@ -11,8 +11,8 @@ impact of redundant execution is negligible".
 
 from __future__ import annotations
 
-from repro.analysis.experiments import fig5_cots_comparison
 from repro.analysis.report import render_grouped_bars, render_table
+from repro.api import Engine, build_scenario
 from repro.gpu.cots import COTSDevice, cots_end_to_end
 from repro.workloads.rodinia import get_benchmark
 
@@ -29,7 +29,8 @@ def test_fig5_table(benchmark):
 
     benchmark(run_both_variants)
 
-    rows = fig5_cots_comparison(device)
+    rows = [a.cots
+            for a in Engine().run_many(build_scenario("fig5", device=device))]
     table = render_table(
         ["benchmark", "baseline(ms)", "redundant-serialized(ms)", "ratio"],
         [[r.benchmark, r.baseline_ms, r.redundant_ms, r.ratio] for r in rows],

@@ -8,8 +8,8 @@ selected at operation time).
 
 from __future__ import annotations
 
-from repro.analysis.experiments import policy_fit_matrix
 from repro.analysis.report import render_table
+from repro.api import Engine, build_scenario, normalized_busy_cycles
 from repro.redundancy.manager import RedundantKernelManager
 from repro.workloads.synthetic import make_short_kernel
 
@@ -20,22 +20,26 @@ def test_policy_fit_matrix(benchmark, gpu):
 
     benchmark(lambda: RedundantKernelManager(gpu, "half").run([short]))
 
-    rows = policy_fit_matrix(gpu)
+    artifacts = Engine().run_many(build_scenario("policyfit", gpu=gpu))
+    kinds = {a.spec.tag: a.classification[0] for a in artifacts
+             if a.classification}
+    ratios = normalized_busy_cycles(artifacts)
     print(
         "\n"
         + render_table(
             ["kernel", "category", "HALF(norm)", "SRRS(norm)", "best"],
-            [[r.kernel, r.category, r.half_ratio, r.srrs_ratio,
-              r.best_policy] for r in rows],
+            [[kinds[tag].kernel, kinds[tag].category, r["half"], r["srrs"],
+              "half" if r["half"] < r["srrs"] else "srrs"]
+             for tag, r in ratios.items()],
             title="E6 — Policy fit per kernel category (Section IV-D)",
         )
     )
 
-    for row in rows:
-        if row.category == "short":
+    for tag, r in ratios.items():
+        if kinds[tag].category == "short":
             # HALF doubles short-wide kernels; SRRS is free
-            assert row.srrs_ratio < row.half_ratio
-        if "narrow" in row.kernel:
+            assert r["srrs"] < r["half"]
+        if "narrow" in kinds[tag].kernel:
             # the myocyte-like case: serialization doubles time
-            assert row.srrs_ratio > 1.8
-            assert row.half_ratio < 1.05
+            assert r["srrs"] > 1.8
+            assert r["half"] < 1.05

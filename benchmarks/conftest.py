@@ -1,7 +1,8 @@
 """Shared fixtures for the benchmark harness.
 
-Every bench regenerates one paper artifact (DESIGN.md experiment index)
-and prints the rows/series the paper reports.  Run with::
+Every bench regenerates one paper artifact (the same registered scenario
+a ``python -m repro`` figure command runs) and prints the rows/series the
+paper reports.  Run with::
 
     pytest benchmarks/ --benchmark-only -s
 

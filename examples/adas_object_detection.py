@@ -6,11 +6,14 @@ driving perception pipeline (preprocess → detect → track) offloaded from
 an ASIL-D DCLS microcontroller to the GPU, once per camera frame, with a
 100 ms fault-tolerant time interval (FTTI).
 
-For each frame the DCLS host (1) allocates per-copy buffers, (2) uploads
-the frame, (3) launches every kernel twice under the HALF policy,
-(4) downloads both result buffers and (5) compares them on the lockstep
-cores.  The example then injects a voltage-droop CCF into one frame to
-show detection and in-FTTI recovery by re-execution.
+Each frame launches every kernel twice under the HALF policy and compares
+the copies' outputs (:class:`~repro.redundancy.manager.RedundantKernelManager`).
+The frame time is the simulated GPU makespan plus the host-side protocol
+cost of the COTS device model: allocating and transferring per-copy
+buffers, launching, collecting both results and comparing them on the
+lockstep cores (:func:`~repro.gpu.cots.protocol_overhead_ms`).  The
+example then injects a voltage-droop CCF into one frame to show detection
+and in-FTTI recovery by re-execution.
 
 Run:
     python examples/adas_object_detection.py
@@ -18,9 +21,9 @@ Run:
 
 from __future__ import annotations
 
-from repro import GPUConfig, KernelDescriptor
+from repro import GPUConfig, KernelDescriptor, RedundantKernelManager
 from repro.faults import TransientCCF, apply_fault
-from repro.host import SafetyCriticalOffload
+from repro.gpu.cots import COTSDevice, protocol_overhead_ms
 from repro.iso26262 import Ftti
 from repro.redundancy.modes import (
     RecoveryAction,
@@ -53,55 +56,55 @@ FTTI_MS = Ftti(100.0)
 
 def main() -> None:
     gpu = GPUConfig.gpgpusim_like()
-    offload = SafetyCriticalOffload(gpu, policy="half")
+    manager = RedundantKernelManager(gpu, "half")
+    protocol_ms = protocol_overhead_ms(
+        COTSDevice(),
+        input_mb=sum(k.input_bytes for k in PIPELINE) / 1e6,
+        output_mb=sum(k.output_bytes for k in PIPELINE) / 1e6,
+        n_launches=len(PIPELINE),
+        copies=manager.copies,
+    )
 
     print("=== fault-free frames ===")
     for frame in range(3):
-        result = offload.run(PIPELINE, tag=f"frame{frame}")
+        run = manager.run(PIPELINE, tag=f"frame{frame}")
+        frame_ms = gpu.cycles_to_ms(run.makespan) + protocol_ms
         print(
-            f"frame {frame}: {result.elapsed_ms:7.3f} ms end-to-end "
-            f"(GPU busy {result.gpu_busy_ms:6.3f} ms)  "
-            f"agree={not result.detected_mismatch}  "
-            f"diverse={result.diversity.fully_diverse}"
+            f"frame {frame}: {frame_ms:7.3f} ms end-to-end "
+            f"(GPU busy {gpu.cycles_to_ms(run.sim.trace.busy_cycles):6.3f} "
+            f"ms)  agree={run.all_clean}  "
+            f"diverse={run.diversity.fully_diverse}"
         )
 
     print("\n=== frame hit by a chip-wide voltage droop ===")
-    # Probe a clean frame on a fresh context to learn the (deterministic)
-    # timing, derive the droop's corruption from its trace, then replay
-    # the frame on another fresh context with the corruption applied.
-    # Fresh contexts guarantee identical launch instance ids.
-    probe = SafetyCriticalOffload(gpu, policy="half")
-    clean = probe.run(PIPELINE, tag="faulty-frame")
-    trace = probe.context.last_result.trace
+    # The run is deterministic, so the droop's corruption is derived from
+    # a clean run's trace and applied to a replay of the same frame.
+    clean = manager.run(PIPELINE, tag="faulty-frame")
+    trace = clean.sim.trace
     droop = TransientCCF(
         time=trace.makespan * 0.4,
         fault_id=1,
         work_per_block=max(k.work_per_block for k in PIPELINE),
     )
     corruption = apply_fault(droop, trace)
-    replay = SafetyCriticalOffload(gpu, policy="half")
-    result = replay.run(PIPELINE, tag="faulty-frame", corruption=corruption)
+    result = manager.run(PIPELINE, tag="faulty-frame", corruption=corruption)
     print(
         f"droop at t={droop.time:.0f} cycles corrupted "
         f"{len(corruption)} block executions; "
-        f"DCLS comparison mismatch detected: {result.detected_mismatch}"
+        f"DCLS comparison mismatch detected: {result.error_detected}"
     )
-    assert result.detected_mismatch, (
+    assert corruption and result.error_detected, (
         "HALF staggering must make the corruptions differ across copies"
     )
+    assert not result.silent_corruption
 
-    # fail-operational reaction: re-execute the redundant frame
-    action = plan_recovery(RedundancyMode.DMR, result.comparisons[0])
-    if not result.comparisons[0].error_detected:
-        # the droop may have hit a later kernel of the chain
-        for comparison in result.comparisons:
-            if comparison.error_detected:
-                action = plan_recovery(RedundancyMode.DMR, comparison)
-                break
+    # fail-operational reaction: re-execute the redundant frame (the droop
+    # may have hit any kernel of the chain)
+    hit = next(c for c in result.comparisons if c.error_detected)
+    action = plan_recovery(RedundancyMode.DMR, hit)
+    frame_ms = gpu.cycles_to_ms(clean.makespan) + protocol_ms
     timeline = recovery_timeline(
-        action,
-        detection_ms=result.elapsed_ms,
-        reexecution_ms=clean.elapsed_ms,
+        action, detection_ms=frame_ms, reexecution_ms=frame_ms,
     )
     timeline.check(FTTI_MS, context="perception frame")
     print(

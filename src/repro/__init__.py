@@ -30,10 +30,8 @@ Top-level packages:
   defects, SEUs, scheduler faults) and campaigns;
 * :mod:`repro.workloads` — Rodinia-shaped benchmark suite, synthetic
   kernels, the Figure 3 classifier;
-* :mod:`repro.host` — DCLS lockstep CPU, CUDA-like API, the five-step
-  offload protocol;
-* :mod:`repro.analysis` — experiment runners regenerating every paper
-  figure, and report rendering;
+* :mod:`repro.analysis` — report rendering, analytic chain bounds and
+  the stream/platform sweeps;
 * :mod:`repro.lint` — AST-based determinism-contract checker (rule
   engine, RL001…RL008 catalogue, inline suppressions, CI gate) keeping
   the bit-identity promise machine-enforced (``docs/LINT.md``);
@@ -75,7 +73,7 @@ migration table)::
 
 from repro._lazy import lazy_exports
 
-__version__ = "1.10.0"
+__version__ = "1.11.0"
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     # errors

@@ -1,17 +1,8 @@
-"""Experiment runners and report rendering."""
+"""Report rendering, analytic bounds and the stream/platform sweeps."""
 
 from repro._lazy import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
-    "repro.analysis.experiments": (
-        "CoverageRow", "Fig3Row", "Fig4Row", "Fig5Row", "PolicyFitRow",
-        "dispatch_latency_sweep", "fault_coverage_by_policy",
-        "fig3_kernel_categories", "fig4_scheduler_comparison",
-        "fig5_cots_comparison", "policy_fit_matrix", "sm_count_sweep",
-    ),
-    "repro.analysis.campaigns": (
-        "CampaignScalingRow", "campaign_worker_scaling",
-    ),
     "repro.analysis.streams": (
         "StreamRateRow", "arrival_rate_sweep", "stream_summary_rows",
     ),

@@ -44,8 +44,8 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     ),
     "repro.api.engine": ("Engine", "run", "run_many"),
     "repro.api.scenarios": (
-        "Scenario", "build_scenario", "get_scenario", "register_scenario",
-        "scenario_names",
+        "Scenario", "build_scenario", "get_scenario",
+        "normalized_busy_cycles", "register_scenario", "scenario_names",
     ),
     "repro.api.spec": (
         "CotsSpec", "FaultPlanSpec", "GPUSpec", "KernelSpec", "RunSpec",

@@ -25,7 +25,6 @@ Example::
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional
@@ -33,6 +32,7 @@ from typing import Any, Dict, Mapping, Optional
 from repro.api.spec import FaultPlanSpec, RunSpec, _check_keys
 from repro.api.stats import RepeatSpec, SamplingSpec
 from repro.errors import ConfigurationError, FaultInjectionError
+from repro.journal import payload_digest
 
 __all__ = ["CampaignSpec"]
 
@@ -219,4 +219,4 @@ class CampaignSpec:
     @property
     def config_hash(self) -> str:
         """Hex digest of the canonical JSON form (provenance key)."""
-        return hashlib.sha256(self.to_json().encode("utf-8")).hexdigest()[:16]
+        return payload_digest(self.to_dict())

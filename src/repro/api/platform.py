@@ -31,7 +31,6 @@ Example::
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional, Tuple
@@ -40,6 +39,7 @@ from repro.api.spec import GPUSpec, CotsSpec, _check_keys
 from repro.api.stream import StreamSpec
 from repro.errors import ConfigurationError
 from repro.gpu.cots import COTSDevice, cots_device_preset
+from repro.journal import payload_digest
 
 __all__ = [
     "DeviceSpec",
@@ -358,4 +358,4 @@ class PlatformSpec:
     @property
     def config_hash(self) -> str:
         """Hex digest of the canonical JSON form (provenance key)."""
-        return hashlib.sha256(self.to_json().encode("utf-8")).hexdigest()[:16]
+        return payload_digest(self.to_dict())

@@ -3,14 +3,15 @@
 Every paper artifact and extension experiment is re-expressed here as a
 scenario: a named function that expands a few parameters into the exact
 list of :class:`~repro.api.spec.RunSpec` objects the experiment needs.
-The legacy runners in :mod:`repro.analysis.experiments` and the CLI both
-build their specs through this registry, so "the Figure 4 experiment" has
-exactly one definition::
+The figure commands, tests and benchmarks all build their specs through
+this registry and run them on the :class:`~repro.api.engine.Engine`, so
+"the Figure 4 experiment" has exactly one definition::
 
-    from repro.api import build_scenario, run_many
+    from repro.api import build_scenario, normalized_busy_cycles, run_many
 
     specs = build_scenario("fig4", benchmarks=("hotspot", "nn"))
-    artifacts = run_many(specs, workers=4)
+    ratios = normalized_busy_cycles(run_many(specs, workers=4))
+    ratios["nn"]["half"]  # HALF busy cycles over the default policy's
 
 Third-party extensions can add their own scenarios with
 :func:`register_scenario`.
@@ -19,7 +20,8 @@ Third-party extensions can add their own scenarios with
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (TYPE_CHECKING, Callable, Dict, Iterable, List, Optional,
+                    Sequence, Tuple, Union)
 
 from repro.api.spec import (
     CotsSpec,
@@ -36,12 +38,16 @@ from repro.gpu.cots import COTSDevice
 from repro.gpu.scheduler.registry import PAPER_POLICIES
 from repro.workloads.rodinia import FIG4_BENCHMARKS, FIG5_BENCHMARKS
 
+if TYPE_CHECKING:
+    from repro.api.artifact import RunArtifact
+
 __all__ = [
     "Scenario",
     "register_scenario",
     "get_scenario",
     "scenario_names",
     "build_scenario",
+    "normalized_busy_cycles",
 ]
 
 #: the Figure 3 / policy-fit synthetic archetypes, in paper order.
@@ -111,6 +117,34 @@ def scenario_names() -> Tuple[str, ...]:
 def build_scenario(name: str, **params) -> List[RunSpec]:
     """Build the specs of one scenario (see :func:`get_scenario`)."""
     return get_scenario(name).build(**params)
+
+
+def normalized_busy_cycles(artifacts: Iterable[RunArtifact]
+                           ) -> Dict[str, Dict[str, float]]:
+    """Pivot simulated artifacts to ``{tag: {policy: busy / default busy}}``.
+
+    Figure 4, the policy fit and both sweeps report each run's GPU busy
+    cycles normalised to the ``default`` policy's run of the same tag.
+    Tags and policies keep the order of ``artifacts``.
+
+    Raises:
+        ConfigurationError: when a tag has no ``default`` policy run.
+    """
+    busy: Dict[str, Dict[str, float]] = {}
+    for artifact in artifacts:
+        busy.setdefault(artifact.spec.tag, {})[artifact.spec.policy] = (
+            artifact.timing.busy_cycles
+        )
+    for tag, cycles in busy.items():
+        if "default" not in cycles:
+            raise ConfigurationError(
+                f"tag {tag!r} has no default-policy run to normalise to"
+            )
+    return {
+        tag: {policy: value / cycles["default"]
+              for policy, value in cycles.items()}
+        for tag, cycles in busy.items()
+    }
 
 
 # ----------------------------------------------------------------------

@@ -19,7 +19,6 @@ produced them.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field, fields, replace
 from typing import TYPE_CHECKING, Any, Callable, Dict, Mapping, Optional, Tuple
@@ -28,6 +27,7 @@ from repro.errors import ConfigurationError
 from repro.faults.report import CampaignConfig
 from repro.gpu.config import GPUConfig, SMConfig
 from repro.gpu.kernel import KernelDescriptor
+from repro.journal import payload_digest
 from repro.workloads.synthetic import (
     make_friendly_kernel,
     make_heavy_kernel,
@@ -591,4 +591,4 @@ class RunSpec:
     @property
     def config_hash(self) -> str:
         """Hex digest of the canonical JSON form (provenance key)."""
-        return hashlib.sha256(self.to_json().encode("utf-8")).hexdigest()[:16]
+        return payload_digest(self.to_dict())

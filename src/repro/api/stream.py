@@ -33,7 +33,6 @@ per-frame deadline budget.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Mapping, Optional, Tuple
@@ -48,6 +47,7 @@ from repro.api.spec import (
 )
 from repro.errors import ConfigurationError
 from repro.iso26262.asil import as_asil
+from repro.journal import payload_digest
 
 __all__ = ["ArrivalSpec", "StreamFaultSpec", "StreamSpec", "ARRIVAL_MODELS"]
 
@@ -405,4 +405,4 @@ class StreamSpec:
     @property
     def config_hash(self) -> str:
         """Hex digest of the canonical JSON form (provenance key)."""
-        return hashlib.sha256(self.to_json().encode("utf-8")).hexdigest()[:16]
+        return payload_digest(self.to_dict())

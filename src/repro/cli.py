@@ -19,8 +19,8 @@ command.  Each group module documents its commands:
 * :mod:`repro.commands.compare` — statistical significance diff.
 
 A failing command prints one ``error:`` line to stderr and exits 1 (2
-for a misconfigured linter); ``obs``, ``lint`` and ``compare`` return
-their own exit codes, and argparse misuse exits 2.
+for a misconfigured linter, 130 after Ctrl-C); ``obs``, ``lint`` and
+``compare`` return their own exit codes, and argparse misuse exits 2.
 """
 
 from __future__ import annotations
@@ -110,6 +110,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        # work already journaled stays; ``campaign resume`` continues it
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

@@ -59,11 +59,18 @@ def _fig1(args: argparse.Namespace) -> str:
     )
 
 
+def _artifacts(name: str, **params) -> List[RunArtifact]:
+    """Run one registered scenario on the Engine."""
+    from repro.api.engine import Engine
+    from repro.api.scenarios import build_scenario
+
+    return Engine().run_many(build_scenario(name, **params))
+
+
 def _fig3(args: argparse.Namespace) -> str:
-    from repro.analysis.experiments import fig3_kernel_categories
     from repro.analysis.report import render_table
 
-    rows = fig3_kernel_categories(_gpu(args))
+    rows = [a.classification[0] for a in _artifacts("fig3", gpu=_gpu(args))]
     return render_table(
         ["kernel", "category", "isolated(cy)", "overlap", "policy"],
         [[r.kernel, r.category, r.isolated_cycles, r.overlap_fraction,
@@ -73,23 +80,24 @@ def _fig3(args: argparse.Namespace) -> str:
 
 
 def _fig4(args: argparse.Namespace) -> str:
-    from repro.analysis.experiments import fig4_scheduler_comparison
     from repro.analysis.report import render_table
+    from repro.api.scenarios import normalized_busy_cycles
 
-    rows = fig4_scheduler_comparison(_gpu(args))
+    artifacts = _artifacts("fig4", gpu=_gpu(args))
+    default = {a.spec.tag: a.timing.busy_cycles for a in artifacts
+               if a.spec.policy == "default"}
     return render_table(
         ["benchmark", "default(cy)", "HALF", "SRRS"],
-        [[r.benchmark, r.default_cycles, r.half_ratio, r.srrs_ratio]
-         for r in rows],
+        [[tag, default[tag], r["half"], r["srrs"]]
+         for tag, r in normalized_busy_cycles(artifacts).items()],
         title="Figure 4 — Redundant kernel cycles (normalized to default)",
     )
 
 
 def _fig5(args: argparse.Namespace) -> str:
-    from repro.analysis.experiments import fig5_cots_comparison
     from repro.analysis.report import render_table
 
-    rows = fig5_cots_comparison()
+    rows = [a.cots for a in _artifacts("fig5")]
     return render_table(
         ["benchmark", "baseline(ms)", "redundant(ms)", "ratio"],
         [[r.benchmark, r.baseline_ms, r.redundant_ms, r.ratio] for r in rows],
@@ -98,46 +106,55 @@ def _fig5(args: argparse.Namespace) -> str:
 
 
 def _coverage(args: argparse.Namespace) -> str:
-    from repro.analysis.experiments import fault_coverage_by_policy
     from repro.analysis.report import render_table
 
-    rows = fault_coverage_by_policy(_gpu(args), benchmark=args.benchmark)
+    rows = [a.faults for a in _artifacts("coverage", gpu=_gpu(args),
+                                         benchmark=args.benchmark)]
     return render_table(
         ["policy", "n", "masked", "detected", "SDC", "coverage"],
-        [[r.policy, r.total, r.masked, r.detected, r.sdc, r.coverage]
-         for r in rows],
+        [[r.policy, r.total, r.masked, r.detected, r.sdc,
+          r.detection_coverage] for r in rows],
         title=f"Fault-detection coverage by policy ({args.benchmark})",
     )
 
 
 def _policyfit(args: argparse.Namespace) -> str:
-    from repro.analysis.experiments import policy_fit_matrix
     from repro.analysis.report import render_table
+    from repro.api.scenarios import normalized_busy_cycles
 
-    rows = policy_fit_matrix(_gpu(args))
+    artifacts = _artifacts("policyfit", gpu=_gpu(args))
+    kinds = {a.spec.tag: a.classification[0] for a in artifacts
+             if a.classification}
+    rows = []
+    for tag, r in normalized_busy_cycles(artifacts).items():
+        best = "half" if r["half"] < r["srrs"] else "srrs"
+        rows.append([kinds[tag].kernel, kinds[tag].category, r["half"],
+                     r["srrs"], best])
     return render_table(
-        ["kernel", "category", "HALF", "SRRS", "best"],
-        [[r.kernel, r.category, r.half_ratio, r.srrs_ratio, r.best_policy]
-         for r in rows],
+        ["kernel", "category", "HALF", "SRRS", "best"], rows,
         title="Policy fit per kernel category (Section IV-D)",
     )
 
 
 def _sweeps(args: argparse.Namespace) -> str:
-    from repro.analysis.experiments import dispatch_latency_sweep, sm_count_sweep
     from repro.analysis.report import render_table
+    from repro.api.scenarios import normalized_busy_cycles
 
-    latency_rows = dispatch_latency_sweep(
-        [500.0, 1500.0, 3000.0, 6000.0, 12000.0], gpu=_gpu(args)
-    )
-    sm_rows = sm_count_sweep([2, 4, 6, 8, 12, 16])
+    latencies = (500.0, 1500.0, 3000.0, 6000.0, 12000.0)
+    sm_counts = (2, 4, 6, 8, 12, 16)
+    latency = normalized_busy_cycles(
+        _artifacts("sweep-dispatch", latencies=latencies, gpu=_gpu(args)))
+    sms = normalized_busy_cycles(_artifacts("sweep-sms", sm_counts=sm_counts))
     return "\n\n".join([
         render_table(
-            ["dispatch latency (cy)", "HALF", "SRRS"], latency_rows,
+            ["dispatch latency (cy)", "HALF", "SRRS"],
+            [[x, r["half"], r["srrs"]]
+             for x, r in zip(latencies, latency.values())],
             title="Ablation — dispatch-latency sweep (hotspot)",
         ),
         render_table(
-            ["SMs", "HALF", "SRRS"], sm_rows,
+            ["SMs", "HALF", "SRRS"],
+            [[x, r["half"], r["srrs"]] for x, r in zip(sm_counts, sms.values())],
             title="Ablation — SM-count sweep (hotspot)",
         ),
     ])

@@ -7,7 +7,7 @@ outcome.  Because faults do not perturb timing in this coarse model, a
 single simulation per scheduling policy supports the whole campaign —
 thousands of injections cost milliseconds.
 
-This is experiment E5 (DESIGN.md): the paper *claims* SRRS and HALF
+This is experiment E5 (``python -m repro coverage``): the paper *claims* SRRS and HALF
 achieve diverse redundancy by construction; the campaign measures the
 silent-corruption rate of each policy under transient CCFs (voltage
 droops), permanent SM defects and local SEUs.  Expected result: the

@@ -13,8 +13,6 @@ the outcomes.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
@@ -28,6 +26,7 @@ from typing import (
 
 from repro.errors import FaultInjectionError, SafetyViolation, StatsError
 from repro.faults.outcomes import FaultOutcome, InjectionResult
+from repro.journal import payload_digest
 
 # the rate estimators and the ISO 26262 model load where a report first
 # asks for an interval or a metric: folding and serialising a legacy
@@ -767,5 +766,4 @@ class CampaignReport:
 
     def digest(self) -> str:
         """Hex digest of the canonical form (aggregate provenance key)."""
-        text = json.dumps(self.to_dict(), sort_keys=True)
-        return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+        return payload_digest(self.to_dict())

@@ -1,7 +1,8 @@
 """Coarse-grained discrete-event GPU timing simulator.
 
-This module is the reproduction's substitute for GPGPU-Sim (see DESIGN.md,
-Section 2).  It models execution at *thread-block* granularity with a fluid
+This module is the reproduction's substitute for GPGPU-Sim (its Figure 4
+numbers are pinned in ``tests/test_golden_values.py``).  It models
+execution at *thread-block* granularity with a fluid
 (processor-sharing) timing model:
 
 * every resident thread block holds SM resources (threads, registers,

@@ -5,11 +5,14 @@ archive's ``manifest.jsonl`` share one format and one set of crash
 rules, kept only here (docs/ARCHITECTURE.md, "Journal").  Every
 ``OSError`` or corruption raises the :class:`~repro.errors.ReproError`
 subclass the caller passes as ``error``; ``what`` names the log in
-messages.
+messages.  The module also owns the two sorted-key JSON encodings:
+:func:`canonical` for log lines and :func:`payload_digest` for spec
+hashes and report digests.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 from pathlib import Path
@@ -19,7 +22,8 @@ from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Mapping,
 if TYPE_CHECKING:
     from repro.errors import ReproError
 
-__all__ = ["Appender", "append", "canonical", "replace_atomic", "scan"]
+__all__ = ["Appender", "append", "canonical", "payload_digest",
+           "replace_atomic", "scan"]
 
 PathLike = Union[str, Path]
 Record = Dict[str, Any]
@@ -28,6 +32,17 @@ Record = Dict[str, Any]
 def canonical(payload: Mapping[str, Any]) -> str:
     """Canonical JSON text: compact separators, sorted keys."""
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+def payload_digest(payload: Mapping[str, Any]) -> str:
+    """16-hex SHA-256 of ``payload`` as sorted-key JSON.
+
+    The spec ``config_hash`` and report ``digest`` key.  It keeps
+    ``json.dumps``'s default separators, not :func:`canonical`'s compact
+    ones: every pinned hash and digest depends on those bytes.
+    """
+    text = json.dumps(payload, sort_keys=True)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
 class Appender:

@@ -26,7 +26,6 @@ any worker count and any task-declaration order.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Tuple
@@ -34,6 +33,7 @@ from typing import Any, Dict, Mapping, Tuple
 from repro.errors import PlatformError
 from repro.iso26262.asil import Asil, as_asil
 from repro.iso26262.metrics import TARGETS
+from repro.journal import payload_digest
 from repro.streams.report import StreamReport
 
 __all__ = ["PlatformReport", "task_asil", "task_verdict"]
@@ -216,5 +216,4 @@ class PlatformReport:
 
     def digest(self) -> str:
         """Hex digest of the canonical form (aggregate provenance key)."""
-        text = json.dumps(self.to_dict(), sort_keys=True)
-        return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+        return payload_digest(self.to_dict())

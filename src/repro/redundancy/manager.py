@@ -3,9 +3,9 @@
 The manager drives the five steps the DCLS host performs per safety-
 critical offload:
 
-1. allocate GPU memory for both redundant kernels (modelled by the host
-   timeline, :mod:`repro.host`);
-2. transfer input data (idem);
+1. allocate GPU memory for both redundant kernels and
+2. transfer input data (both costed by
+   :func:`repro.gpu.cots.protocol_overhead_ms`);
 3. launch the redundant kernels — built here as an interleaved launch
    sequence (``k0 copy0, k0 copy1, k1 copy0, k1 copy1, ...``) whose
    serial dispatch through the host command path provides the natural

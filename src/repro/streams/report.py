@@ -14,12 +14,12 @@ digest, for any worker count or chunk size.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Tuple
 
 from repro.errors import StatsError, StreamError
+from repro.journal import payload_digest
 from repro.stats.estimators import UniformRate
 from repro.stats.intervals import RateEstimate
 
@@ -324,5 +324,4 @@ class StreamReport:
 
     def digest(self) -> str:
         """Hex digest of the canonical form (aggregate provenance key)."""
-        text = json.dumps(self.to_dict(), sort_keys=True)
-        return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+        return payload_digest(self.to_dict())

@@ -2,8 +2,8 @@
 
 The paper evaluates with the Rodinia heterogeneous-computing suite [12],
 [13]: eleven benchmarks on GPGPU-Sim (Figure 4) and the full suite on a
-GTX 1050 Ti (Figure 5).  The CUDA sources are not available offline, so —
-per the substitution rule in DESIGN.md — each benchmark is modelled as a
+GTX 1050 Ti (Figure 5).  The CUDA sources are not available offline, so
+each benchmark is modelled as a
 *kernel chain* (grid sizes, block sizes, resource footprints, abstract
 compute/memory demand per block) plus a *COTS profile* (host-side CPU/IO
 time, transfer volumes, launch counts, kernel milliseconds).

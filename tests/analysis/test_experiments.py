@@ -1,55 +1,53 @@
-"""Tests for the shared experiment runners (fast, reduced-size configs)."""
+"""The paper-figure scenarios run on the Engine (fast, reduced-size configs)."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.analysis.experiments import (
-    dispatch_latency_sweep,
-    fault_coverage_by_policy,
-    fig3_kernel_categories,
-    fig4_scheduler_comparison,
-    fig5_cots_comparison,
-    policy_fit_matrix,
-    sm_count_sweep,
-)
+from repro.api import Engine, build_scenario, normalized_busy_cycles
 from repro.faults.campaign import CampaignConfig
+
+ENGINE = Engine()
+
+
+def _run(name, **params):
+    return ENGINE.run_many(build_scenario(name, **params))
 
 
 class TestFig4Runner:
     def test_subset_run_shapes(self):
-        rows = fig4_scheduler_comparison(benchmarks=["myocyte", "nn"])
-        by_name = {r.benchmark: r for r in rows}
-        assert by_name["myocyte"].srrs_ratio > 1.8
-        assert by_name["nn"].half_ratio == pytest.approx(1.0, abs=0.05)
+        ratios = normalized_busy_cycles(
+            _run("fig4", benchmarks=["myocyte", "nn"]))
+        assert list(ratios) == ["myocyte", "nn"]
+        assert ratios["myocyte"]["srrs"] > 1.8
+        assert ratios["nn"]["half"] == pytest.approx(1.0, abs=0.05)
 
     def test_policies_always_diverse(self):
-        rows = fig4_scheduler_comparison(benchmarks=["hotspot"])
-        row = rows[0]
-        assert row.half_diverse
-        assert row.srrs_diverse
-        assert not row.default_diverse
+        diverse = {a.spec.policy: a.diversity.fully_diverse
+                   for a in _run("fig4", benchmarks=["hotspot"])}
+        assert diverse["half"]
+        assert diverse["srrs"]
+        assert not diverse["default"]
 
 
 class TestFig5Runner:
     def test_all_rows_present(self):
-        rows = fig5_cots_comparison()
-        assert len(rows) == 21
+        assert len(_run("fig5")) == 21
 
     def test_redundant_always_costs_more(self):
-        for row in fig5_cots_comparison():
-            assert row.redundant_ms > row.baseline_ms
-            assert row.ratio > 1.0
+        for artifact in _run("fig5"):
+            assert artifact.cots.redundant_ms > artifact.cots.baseline_ms
+            assert artifact.cots.ratio > 1.0
 
 
 class TestFig3Runner:
     def test_archetypes_cover_all_categories(self):
-        rows = fig3_kernel_categories()
-        categories = {r.category for r in rows}
+        categories = {a.classification[0].category for a in _run("fig3")}
         assert categories == {"short", "heavy", "friendly"}
 
     def test_recommendations_follow_section_4d(self):
-        for row in fig3_kernel_categories():
+        for artifact in _run("fig3"):
+            row = artifact.classification[0]
             if row.category in ("short", "heavy"):
                 assert row.recommended_policy == "srrs"
             else:
@@ -60,8 +58,9 @@ class TestCoverageRunner:
     def test_policies_ranked_by_coverage(self):
         config = CampaignConfig(transient_ccf=60, permanent_sm=25, seu=25,
                                 seed=3)
-        rows = fault_coverage_by_policy(benchmark="hotspot", config=config)
-        by_policy = {r.policy.split("(")[0]: r for r in rows}
+        by_policy = {a.faults.policy.split("(")[0]: a.faults
+                     for a in _run("coverage", benchmark="hotspot",
+                                   config=config)}
         assert by_policy["default"].sdc > 0
         assert by_policy["half"].sdc == 0
         assert by_policy["srrs"].sdc == 0
@@ -69,25 +68,30 @@ class TestCoverageRunner:
 
 class TestPolicyFit:
     def test_matrix_matches_section_4d(self):
-        rows = policy_fit_matrix()
-        by_category = {}
-        for row in rows:
-            by_category.setdefault(row.category, []).append(row)
+        artifacts = _run("policyfit")
+        kinds = {a.spec.tag: a.classification[0] for a in artifacts
+                 if a.classification}
+        ratios = normalized_busy_cycles(artifacts)
         # short kernels: SRRS strictly better (HALF doubles their time)
-        assert all(r.best_policy == "srrs" for r in by_category["short"])
+        short = [tag for tag, row in kinds.items() if row.category == "short"]
+        assert short
+        assert all(ratios[tag]["srrs"] < ratios[tag]["half"] for tag in short)
         # the narrow-long friendly kernel: HALF strictly better
-        narrow = [r for r in rows if "narrow" in r.kernel]
-        assert narrow and narrow[0].best_policy == "half"
+        narrow = [tag for tag, row in kinds.items() if "narrow" in row.kernel]
+        assert narrow
+        assert ratios[narrow[0]]["half"] < ratios[narrow[0]]["srrs"]
 
 
 class TestSweeps:
     def test_dispatch_latency_sweep_rows(self):
-        rows = dispatch_latency_sweep([1000.0, 5000.0], benchmark="nn")
-        assert len(rows) == 2
-        assert rows[0][0] == 1000.0
+        ratios = normalized_busy_cycles(
+            _run("sweep-dispatch", latencies=[1000.0, 5000.0],
+                 benchmark="nn"))
+        assert list(ratios) == ["nn@1000", "nn@5000"]
 
     def test_sm_count_sweep_rows(self):
-        rows = sm_count_sweep([4, 8], benchmark="nn")
-        assert [r[0] for r in rows] == [4, 8]
-        for _, half_ratio, srrs_ratio in rows:
-            assert half_ratio > 0 and srrs_ratio > 0
+        ratios = normalized_busy_cycles(
+            _run("sweep-sms", sm_counts=[4, 8], benchmark="nn"))
+        assert list(ratios) == ["nn@4sm", "nn@8sm"]
+        for r in ratios.values():
+            assert r["half"] > 0 and r["srrs"] > 0

@@ -1,4 +1,4 @@
-"""Engine semantics: legacy equivalence, goldens, batch determinism."""
+"""Engine semantics: legacy equivalence, batch determinism, artifacts."""
 
 from __future__ import annotations
 
@@ -22,14 +22,6 @@ from repro.redundancy.manager import RedundantKernelManager
 from repro.workloads.rodinia import FIG4_BENCHMARKS, get_benchmark
 
 ENGINE = Engine()
-
-#: spot-check values from EXPERIMENTS.md (full table in test_golden_values).
-FIG4_GOLDEN_SUBSET = {
-    "backprop": (1.428, 1.000),
-    "myocyte": (1.000, 1.976),
-    "nw": (1.050, 1.200),
-}
-
 
 class TestLegacyEquivalence:
     @pytest.mark.parametrize("bench_name", FIG4_BENCHMARKS)
@@ -91,22 +83,6 @@ class TestLegacyEquivalence:
         assert artifact.timing.busy_cycles == legacy.trace.busy_cycles
         assert artifact.diversity is None
         assert artifact.comparisons is None
-
-
-class TestGoldens:
-    def test_fig4_golden_subset(self):
-        """Engine artifacts reproduce the EXPERIMENTS.md ratios."""
-        specs = build_scenario(
-            "fig4", benchmarks=tuple(FIG4_GOLDEN_SUBSET)
-        )
-        by_key = {(a.spec.tag, a.spec.policy): a
-                  for a in ENGINE.run_many(specs)}
-        for name, (half, srrs) in FIG4_GOLDEN_SUBSET.items():
-            base = by_key[(name, "default")].timing.busy_cycles
-            assert by_key[(name, "half")].timing.busy_cycles / base == \
-                pytest.approx(half, abs=5e-4)
-            assert by_key[(name, "srrs")].timing.busy_cycles / base == \
-                pytest.approx(srrs, abs=5e-4)
 
 
 class TestBatchExecution:

@@ -51,6 +51,15 @@ class TestRegistry:
         with pytest.raises(ConfigurationError, match="not both"):
             build_scenario("fig4", gpu=GPUConfig.gpgpusim_like(), sms=12)
 
+    def test_normalized_busy_cycles_needs_a_default_run(self):
+        from repro.api import Engine, normalized_busy_cycles
+
+        artifacts = Engine().run_many(
+            build_scenario("fig4", benchmarks=("nn",),
+                           policies=("half", "srrs")))
+        with pytest.raises(ConfigurationError, match="'nn' has no default"):
+            normalized_busy_cycles(artifacts)
+
     def test_duplicate_registration_rejected(self):
         with pytest.raises(ConfigurationError, match="already registered"):
             register_scenario("fig4", "again")(lambda: [])

@@ -6,7 +6,8 @@ lose the re-run shard and, one append later, make every load fail with
 "corrupt shard line in the middle".  The manifest is written through a
 temp file and an atomic rename, so a kill never leaves half of one.  A
 full disk ends in a typed ``CampaignError``, and a resume on a freed disk
-reaches the reference report.
+reaches the reference report.  Ctrl-C ends the CLI with exit 130 and one
+error line, and a resume reaches the reference report too.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import pytest
 
 from repro.api import CampaignSpec, FaultPlanSpec, RunSpec, WorkloadSpec
 from repro.campaigns import CampaignStore, resume_campaign, run_campaign
+from repro.campaigns import runner
 from repro.campaigns.store import ShardRecord
 from repro.errors import CampaignError
 
@@ -171,3 +173,37 @@ class TestFullDisk:
         assert code == 1
         assert err.startswith("error: cannot write shard file")
         assert "No space left on device" in err
+
+
+class TestCtrlC:
+    @pytest.mark.parametrize("after", [0, 1, 3])
+    def test_interrupted_cli_run_exits_130_then_resumes_to_the_reference(
+            self, tmp_path, capsys, monkeypatch, after):
+        from repro.cli import main
+
+        reference = run_campaign(_spec())
+        spec = tmp_path / "spec.json"
+        spec.write_text(_spec().to_json())
+        real_shard = runner._execute_shard
+        calls = []
+
+        def interrupted(task, telemetry):
+            if len(calls) == after:
+                raise KeyboardInterrupt
+            calls.append(task)
+            return real_shard(task, telemetry)
+
+        monkeypatch.setattr(runner, "_execute_shard", interrupted)
+        try:
+            code = main(["campaign", "run", "--spec", str(spec),
+                         "--dir", str(tmp_path / "store"), "--workers", "1"])
+        except KeyboardInterrupt:
+            pytest.fail("KeyboardInterrupt escaped repro.cli.main")
+        err = capsys.readouterr().err
+        assert code == 130
+        assert err == "error: interrupted\n"
+        store = CampaignStore(tmp_path / "store")
+        assert len(store.load_records()) == after
+        monkeypatch.undo()
+        for _ in range(2):
+            assert resume_campaign(store).digest() == reference.digest()

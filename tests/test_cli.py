@@ -8,6 +8,46 @@ import pytest
 
 from repro.cli import main
 
+#: ``python -m repro fig4`` output, pinned byte for byte.
+FIG4_TEXT = """\
+Figure 4 — Redundant kernel cycles (normalized to default)
+benchmark  default(cy)  HALF   SRRS
+---------  -----------  -----  -----
+backprop   9000.000     1.428  1.000
+bfs        20640.000    2.000  1.000
+dwt2d      120000.000   1.025  1.000
+gaussian   11040.000    1.000  1.000
+hotspot    144000.000   1.021  1.000
+hotspot3D  204800.000   1.015  1.000
+leukocyte  632000.000   1.005  1.000
+lud        106600.000   1.126  1.107
+myocyte    253000.000   1.000  1.976
+nn         1000.000     1.000  1.000
+nw         60000.000    1.050  1.200
+"""
+
+#: ``python -m repro sweeps`` output, pinned byte for byte.
+SWEEPS_TEXT = """\
+Ablation — dispatch-latency sweep (hotspot)
+dispatch latency (cy)  HALF   SRRS
+---------------------  -----  -----
+500.000                1.003  1.000
+1500.000               1.010  1.000
+3000.000               1.021  1.000
+6000.000               1.042  1.000
+12000.000              1.083  1.000
+
+Ablation — SM-count sweep (hotspot)
+SMs  HALF   SRRS
+---  -----  -----
+2    1.007  1.000
+4    1.014  1.000
+6    1.021  1.000
+8    1.028  1.111
+12   1.042  1.000
+16   1.112  1.271
+"""
+
 
 class TestCLI:
     def test_fig1(self, capsys):
@@ -22,9 +62,7 @@ class TestCLI:
 
     def test_fig4(self, capsys):
         assert main(["fig4"]) == 0
-        out = capsys.readouterr().out
-        assert "myocyte" in out
-        assert "backprop" in out
+        assert capsys.readouterr().out == FIG4_TEXT
 
     def test_fig5(self, capsys):
         assert main(["fig5"]) == 0
@@ -43,7 +81,7 @@ class TestCLI:
 
     def test_sweeps(self, capsys):
         assert main(["sweeps"]) == 0
-        assert "SM-count sweep" in capsys.readouterr().out
+        assert capsys.readouterr().out == SWEEPS_TEXT
 
     def test_sms_option(self, capsys):
         assert main(["fig3", "--sms", "4"]) == 0

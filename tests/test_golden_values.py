@@ -1,21 +1,19 @@
 """Golden-value regression tests.
 
-The models are fully deterministic, so the headline numbers in
-EXPERIMENTS.md can be pinned exactly.  If a refactor changes any of
-these, either it introduced a bug or EXPERIMENTS.md must be regenerated —
-both cases deserve a failing test.
+The models are fully deterministic, so the headline numbers that
+``python -m repro fig4`` and ``python -m repro fig5`` print can be pinned
+exactly.  If a refactor changes any of these, either it introduced a bug
+or the goldens below must be regenerated from those commands — both
+cases deserve a failing test.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.analysis.experiments import (
-    fig4_scheduler_comparison,
-    fig5_cots_comparison,
-)
+from repro.api import Engine, build_scenario, normalized_busy_cycles
 
-#: (half_ratio, srrs_ratio) per benchmark, as recorded in EXPERIMENTS.md.
+#: (half_ratio, srrs_ratio) per benchmark, as ``repro fig4`` prints them.
 FIG4_GOLDEN = {
     "backprop": (1.428, 1.000),
     "bfs": (2.000, 1.000),
@@ -30,7 +28,7 @@ FIG4_GOLDEN = {
     "nw": (1.050, 1.200),
 }
 
-#: redundant/baseline end-to-end ratio per benchmark (EXPERIMENTS.md).
+#: redundant/baseline end-to-end ratio per benchmark (``repro fig5``).
 FIG5_GOLDEN = {
     "cfd": 2.05,
     "streamcluster": 1.95,
@@ -42,29 +40,30 @@ FIG5_GOLDEN = {
 
 
 @pytest.fixture(scope="module")
-def fig4_rows():
-    return {r.benchmark: r for r in fig4_scheduler_comparison()}
+def fig4_ratios():
+    return normalized_busy_cycles(Engine().run_many(build_scenario("fig4")))
 
 
 class TestFig4Goldens:
     @pytest.mark.parametrize("bench_name", sorted(FIG4_GOLDEN))
-    def test_half_ratio_pinned(self, fig4_rows, bench_name):
+    def test_half_ratio_pinned(self, fig4_ratios, bench_name):
         expected_half, _ = FIG4_GOLDEN[bench_name]
-        assert fig4_rows[bench_name].half_ratio == pytest.approx(
-            expected_half, abs=5e-3
+        assert fig4_ratios[bench_name]["half"] == pytest.approx(
+            expected_half, abs=5e-4
         )
 
     @pytest.mark.parametrize("bench_name", sorted(FIG4_GOLDEN))
-    def test_srrs_ratio_pinned(self, fig4_rows, bench_name):
+    def test_srrs_ratio_pinned(self, fig4_ratios, bench_name):
         _, expected_srrs = FIG4_GOLDEN[bench_name]
-        assert fig4_rows[bench_name].srrs_ratio == pytest.approx(
-            expected_srrs, abs=5e-3
+        assert fig4_ratios[bench_name]["srrs"] == pytest.approx(
+            expected_srrs, abs=5e-4
         )
 
 
 class TestFig5Goldens:
     def test_ratios_pinned(self):
-        rows = {r.benchmark: r for r in fig5_cots_comparison()}
+        rows = {a.cots.benchmark: a.cots
+                for a in Engine().run_many(build_scenario("fig5"))}
         for benchmark, expected in FIG5_GOLDEN.items():
             assert rows[benchmark].ratio == pytest.approx(
                 expected, abs=0.01

@@ -32,7 +32,7 @@ CORE = {"repro", "repro._lazy", "repro.__main__", "repro.cli", "repro.errors"}
 
 #: Modules ``campaign report --json`` must not load.
 NOT_FOR_REPORT = (
-    "repro.analysis.experiments", "repro.gpu.reference", "repro.lint",
+    "repro.gpu.reference", "repro.lint",
     "repro.obs.diff", "repro.obs.export", "repro.obs.store",
     "repro.stats.compare", "repro.platform", "repro.streams",
 )

@@ -1,7 +1,8 @@
 """Integration tests: the paper's headline results hold end to end.
 
-These assert the *shapes* the paper reports (see EXPERIMENTS.md), using
-the same experiment runners as the benchmark harness:
+These assert the *shapes* the paper reports (``python -m repro fig4``,
+``fig5`` and ``coverage`` print the tables), running the same registered
+scenarios on the Engine as those commands and the benchmark harness:
 
 * Figure 4: HALF ~1.0x for most benchmarks (worst non-exception ~1.1x at
   lud); SRRS worst ~2x at myocyte; backprop/bfs are the HALF-hurts
@@ -18,11 +19,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.experiments import (
-    fault_coverage_by_policy,
-    fig4_scheduler_comparison,
-    fig5_cots_comparison,
-)
+from repro.api import Engine, build_scenario, normalized_busy_cycles
 from repro.faults.campaign import CampaignConfig
 from repro.gpu.config import GPUConfig
 from repro.iso26262.asil import Asil
@@ -37,65 +34,76 @@ from repro.redundancy.manager import RedundantKernelManager
 from repro.workloads.rodinia import FIG4_BENCHMARKS, get_benchmark
 
 
+ENGINE = Engine()
+
+
 @pytest.fixture(scope="module")
-def fig4_rows():
-    return {r.benchmark: r for r in fig4_scheduler_comparison()}
+def fig4_artifacts():
+    return ENGINE.run_many(build_scenario("fig4"))
+
+
+@pytest.fixture(scope="module")
+def fig4_ratios(fig4_artifacts):
+    return normalized_busy_cycles(fig4_artifacts)
 
 
 @pytest.fixture(scope="module")
 def fig5_rows():
-    return {r.benchmark: r for r in fig5_cots_comparison()}
+    return {a.cots.benchmark: a.cots
+            for a in ENGINE.run_many(build_scenario("fig5"))}
 
 
 class TestFigure4Shapes:
-    def test_covers_all_eleven_benchmarks(self, fig4_rows):
-        assert set(fig4_rows) == set(FIG4_BENCHMARKS)
+    def test_covers_all_eleven_benchmarks(self, fig4_ratios):
+        assert set(fig4_ratios) == set(FIG4_BENCHMARKS)
 
-    def test_half_negligible_for_most(self, fig4_rows):
+    def test_half_negligible_for_most(self, fig4_ratios):
         # paper: "HALF policy performance overheads are negligible for 9
         # out of the 11 benchmarks analyzed"
         negligible = [
-            name for name, r in fig4_rows.items() if r.half_ratio <= 1.15
+            name for name, r in fig4_ratios.items() if r["half"] <= 1.15
         ]
         assert len(negligible) >= 9
 
-    def test_lud_is_the_half_worst_case_among_friendly(self, fig4_rows):
+    def test_lud_is_the_half_worst_case_among_friendly(self, fig4_ratios):
         friendly = {
-            n: r for n, r in fig4_rows.items() if n not in ("backprop", "bfs")
+            n: r["half"] for n, r in fig4_ratios.items()
+            if n not in ("backprop", "bfs")
         }
-        worst = max(friendly.values(), key=lambda r: r.half_ratio)
-        assert worst.benchmark == "lud"
-        assert 1.05 <= worst.half_ratio <= 1.2
+        worst = max(friendly, key=friendly.get)
+        assert worst == "lud"
+        assert 1.05 <= friendly[worst] <= 1.2
 
-    def test_srrs_worst_case_is_myocyte_near_2x(self, fig4_rows):
+    def test_srrs_worst_case_is_myocyte_near_2x(self, fig4_ratios):
         # paper: "performance overheads can be up to 99%" (myocyte)
-        worst = max(fig4_rows.values(), key=lambda r: r.srrs_ratio)
-        assert worst.benchmark == "myocyte"
-        assert 1.9 <= worst.srrs_ratio <= 2.0
+        srrs = {n: r["srrs"] for n, r in fig4_ratios.items()}
+        worst = max(srrs, key=srrs.get)
+        assert worst == "myocyte"
+        assert 1.9 <= srrs[worst] <= 2.0
 
-    def test_srrs_moderate_elsewhere(self, fig4_rows):
-        for name, row in fig4_rows.items():
+    def test_srrs_moderate_elsewhere(self, fig4_ratios):
+        for name, r in fig4_ratios.items():
             if name != "myocyte":
-                assert row.srrs_ratio <= 1.3
+                assert r["srrs"] <= 1.3
 
-    def test_backprop_bfs_exceptions(self, fig4_rows):
+    def test_backprop_bfs_exceptions(self, fig4_ratios):
         # paper: short kernels needing more than half the SMs — HALF
         # hurts, SRRS is innocuous
         for name in ("backprop", "bfs"):
-            row = fig4_rows[name]
-            assert row.half_ratio > 1.25
-            assert row.srrs_ratio == pytest.approx(1.0, abs=0.02)
-            assert row.half_ratio > row.srrs_ratio
+            r = fig4_ratios[name]
+            assert r["half"] > 1.25
+            assert r["srrs"] == pytest.approx(1.0, abs=0.02)
+            assert r["half"] > r["srrs"]
 
-    def test_no_policy_ever_faster_than_default_by_much(self, fig4_rows):
-        for row in fig4_rows.values():
-            assert row.half_ratio >= 0.95
-            assert row.srrs_ratio >= 0.95
+    def test_no_policy_ever_faster_than_default_by_much(self, fig4_ratios):
+        for r in fig4_ratios.values():
+            assert r["half"] >= 0.95
+            assert r["srrs"] >= 0.95
 
-    def test_policies_always_deliver_diversity(self, fig4_rows):
-        for row in fig4_rows.values():
-            assert row.half_diverse
-            assert row.srrs_diverse
+    def test_policies_always_deliver_diversity(self, fig4_artifacts):
+        for a in fig4_artifacts:
+            if a.spec.policy != "default":
+                assert a.diversity.fully_diverse, (a.spec.tag, a.spec.policy)
 
 
 class TestFigure5Shapes:
@@ -118,11 +126,12 @@ class TestFaultCoverageHeadline:
     def test_policies_close_the_ccf_hole(self):
         config = CampaignConfig(transient_ccf=120, permanent_sm=40, seu=40,
                                 seed=11)
-        rows = {r.policy.split("(")[0]: r
-                for r in fault_coverage_by_policy(config=config)}
-        assert rows["default"].coverage < 1.0
-        assert rows["half"].coverage == 1.0
-        assert rows["srrs"].coverage == 1.0
+        rows = {a.faults.policy.split("(")[0]: a.faults
+                for a in ENGINE.run_many(
+                    build_scenario("coverage", config=config))}
+        assert rows["default"].detection_coverage < 1.0
+        assert rows["half"].detection_coverage == 1.0
+        assert rows["srrs"].detection_coverage == 1.0
 
 
 class TestEndToEndSafetyArgument:

@@ -15,7 +15,7 @@ from repro.errors import ReproError
 
 class TestTopLevelSurface:
     def test_version(self):
-        assert repro.__version__ == "1.10.0"
+        assert repro.__version__ == "1.11.0"
 
     def test_all_names_resolve(self):
         for name in repro.__all__:
@@ -26,7 +26,6 @@ class TestTopLevelSurface:
         import repro.faults
         import repro.gpu
         import repro.gpu.scheduler
-        import repro.host
         import repro.iso26262
         import repro.platform
         import repro.redundancy
@@ -35,8 +34,8 @@ class TestTopLevelSurface:
 
         for module in (
             repro.gpu, repro.gpu.scheduler, repro.redundancy,
-            repro.iso26262, repro.faults, repro.workloads, repro.host,
-            repro.analysis, repro.streams, repro.platform,
+            repro.iso26262, repro.faults, repro.workloads, repro.analysis,
+            repro.streams, repro.platform,
         ):
             for name in module.__all__:
                 assert hasattr(module, name), f"{module.__name__}.{name}"
@@ -66,19 +65,3 @@ class TestErrorHierarchy:
         with pytest.raises(ReproError):
             repro.GPUConfig(num_sms=0)
 
-
-class TestTMRPipeline:
-    def test_offload_with_three_copies(self):
-        from repro.host import SafetyCriticalOffload
-
-        gpu = repro.GPUConfig.gpgpusim_like()
-        kernel = repro.KernelDescriptor(
-            name="k", grid_blocks=6, threads_per_block=128,
-            work_per_block=2000.0,
-        )
-        offload = SafetyCriticalOffload(
-            gpu, policy=repro.HALFScheduler(partitions=3), copies=3
-        )
-        result = offload.run([kernel])
-        assert not result.detected_mismatch
-        assert result.comparisons[0].copies == (0, 1, 2)
