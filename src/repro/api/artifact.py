@@ -16,14 +16,10 @@ Sections that a spec did not request are ``None`` (or empty for the
 per-kernel classification), never fabricated.
 """
 
-from __future__ import annotations
+from dataclasses import dataclass, fields
+from typing import Dict, Optional, Tuple
 
-import json
-from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Optional, Tuple
-
-from repro.api.spec import RunSpec, _flat_from_dict, _flat_to_dict
-from repro.errors import ConfigurationError
+from repro.api.spec import Codec, RunSpec
 from repro.redundancy.diversity import DiversityReport
 
 __all__ = [
@@ -38,7 +34,7 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class TimingSummary:
+class TimingSummary(Codec):
     """Timing of the simulated execution (cycles unless noted).
 
     Attributes:
@@ -65,12 +61,9 @@ class TimingSummary:
             return None
         return self.makespan / self.baseline_makespan
 
-    to_dict = _flat_to_dict
-    from_dict = classmethod(_flat_from_dict)
-
 
 @dataclass(frozen=True)
-class DiversitySummary:
+class DiversitySummary(Codec):
     """Aggregate of a :class:`repro.redundancy.diversity.DiversityReport`."""
 
     total_pairs: int
@@ -87,25 +80,11 @@ class DiversitySummary:
     @classmethod
     def from_report(cls, report: DiversityReport) -> "DiversitySummary":
         """Summarise a full diversity report."""
-        return cls(
-            total_pairs=report.total_pairs,
-            same_sm_pairs=report.same_sm_pairs,
-            overlapping_pairs=report.overlapping_pairs,
-            phase_aligned_pairs=report.phase_aligned_pairs,
-            spatially_diverse=report.spatially_diverse,
-            temporally_diverse=report.temporally_diverse,
-            fully_diverse=report.fully_diverse,
-            min_time_slack=report.min_time_slack,
-            min_phase_separation=report.min_phase_separation,
-            phase_tolerance=report.phase_tolerance,
-        )
-
-    to_dict = _flat_to_dict
-    from_dict = classmethod(_flat_from_dict)
+        return cls(**{f.name: getattr(report, f.name) for f in fields(cls)})
 
 
 @dataclass(frozen=True)
-class ComparisonSummary:
+class ComparisonSummary(Codec):
     """DCLS output-comparison outcome across the run's logical kernels."""
 
     logical_kernels: int
@@ -113,12 +92,9 @@ class ComparisonSummary:
     silent_corruption: bool
     all_clean: bool
 
-    to_dict = _flat_to_dict
-    from_dict = classmethod(_flat_from_dict)
-
 
 @dataclass(frozen=True)
-class ClassificationRow:
+class ClassificationRow(Codec):
     """Figure 3 classification evidence for one kernel."""
 
     kernel: str
@@ -128,12 +104,9 @@ class ClassificationRow:
     resident_fraction: float
     recommended_policy: str
 
-    to_dict = _flat_to_dict
-    from_dict = classmethod(_flat_from_dict)
-
 
 @dataclass(frozen=True)
-class CotsSummary:
+class CotsSummary(Codec):
     """COTS end-to-end model outcome (the Figure 5 bars, milliseconds)."""
 
     benchmark: str
@@ -146,12 +119,9 @@ class CotsSummary:
         """Redundant-serialized over baseline end-to-end time."""
         return self.redundant_ms / self.baseline_ms
 
-    to_dict = _flat_to_dict
-    from_dict = classmethod(_flat_from_dict)
-
 
 @dataclass(frozen=True)
-class FaultSummary:
+class FaultSummary(Codec):
     """Fault-injection campaign outcome (experiment E5)."""
 
     policy: str
@@ -166,28 +136,10 @@ class FaultSummary:
         """``fault-kind -> outcome -> count`` as nested dicts."""
         return {kind: dict(outcomes) for kind, outcomes in self.by_kind}
 
-    def to_dict(self) -> Dict[str, Any]:
-        """Plain-data form (JSON-compatible, nested ``by_kind``)."""
-        data = _flat_to_dict(self)
-        data["by_kind"] = [
-            [kind, [list(o) for o in outcomes]] for kind, outcomes in self.by_kind
-        ]
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "FaultSummary":
-        """Build the summary from a mapping."""
-        payload = dict(data)
-        payload["by_kind"] = tuple(
-            (kind, tuple((name, int(count)) for name, count in outcomes))
-            for kind, outcomes in payload.get("by_kind") or ()
-        )
-        return _flat_from_dict(cls, payload)
-
 
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class RunArtifact:
+class RunArtifact(Codec):
     """The uniform result of one engine run.
 
     Attributes:
@@ -211,64 +163,3 @@ class RunArtifact:
     classification: Tuple[ClassificationRow, ...] = ()
     cots: Optional[CotsSummary] = None
     faults: Optional[FaultSummary] = None
-
-    # ------------------------------------------------------------------
-    def to_dict(self) -> Dict[str, Any]:
-        """Plain-data form (nested dicts/lists, JSON-compatible)."""
-        def _opt(section) -> Optional[Dict[str, Any]]:
-            return section.to_dict() if section is not None else None
-
-        return {
-            "spec": self.spec.to_dict(),
-            "config_hash": self.config_hash,
-            "version": self.version,
-            "scheduler": self.scheduler,
-            "timing": _opt(self.timing),
-            "diversity": _opt(self.diversity),
-            "comparisons": _opt(self.comparisons),
-            "classification": [r.to_dict() for r in self.classification],
-            "cots": _opt(self.cots),
-            "faults": _opt(self.faults),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "RunArtifact":
-        """Inverse of :meth:`to_dict`."""
-        if not isinstance(data, Mapping):
-            raise ConfigurationError(
-                f"RunArtifact expects a mapping, got {data!r}"
-            )
-        if "spec" not in data:
-            raise ConfigurationError("RunArtifact requires a spec")
-        sections = {
-            "timing": TimingSummary,
-            "diversity": DiversitySummary,
-            "comparisons": ComparisonSummary,
-            "cots": CotsSummary,
-            "faults": FaultSummary,
-        }
-        payload = dict(data)
-        payload["spec"] = RunSpec.from_dict(payload["spec"])
-        for name, section_cls in sections.items():
-            if payload.get(name) is not None:
-                payload[name] = section_cls.from_dict(payload[name])
-        payload["classification"] = tuple(
-            ClassificationRow.from_dict(r)
-            for r in payload.get("classification") or ()
-        )
-        return _flat_from_dict(cls, payload)
-
-    def to_json(self, *, indent: Optional[int] = None) -> str:
-        """Canonical JSON form (sorted keys)."""
-        return json.dumps(self.to_dict(), sort_keys=True, indent=indent)
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunArtifact":
-        """Parse an artifact from its JSON form."""
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(
-                f"invalid RunArtifact JSON: {exc}"
-            ) from None
-        return cls.from_dict(data)

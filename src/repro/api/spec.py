@@ -14,14 +14,34 @@ worker processes) and JSON-round-trippable::
 The :attr:`RunSpec.config_hash` digest of the canonical JSON form is
 recorded in every :class:`~repro.api.artifact.RunArtifact` as provenance,
 so results can always be traced back to the exact configuration that
-produced them.
+produced them.  Every spec and artifact class in :mod:`repro.api` gets
+that JSON form from one codec derived from its fields (:class:`Codec`,
+and :class:`SpecCodec` for the top-level specs that carry a
+``config_hash``; rules in ``docs/API.md``, "Spec JSON form").
 """
 
-from __future__ import annotations
-
 import json
-from dataclasses import dataclass, field, fields, replace
-from typing import TYPE_CHECKING, Any, Callable, Dict, Mapping, Optional, Tuple
+from dataclasses import MISSING, dataclass, field, fields, replace
+from functools import lru_cache
+from itertools import repeat
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    FrozenSet,
+    Mapping,
+    NamedTuple,
+    NoReturn,
+    Optional,
+    Tuple,
+    Type,
+    TypeVar,
+    Union,
+    get_args,
+    get_origin,
+    get_type_hints,
+)
 
 from repro.errors import ConfigurationError
 from repro.faults.report import CampaignConfig
@@ -41,6 +61,8 @@ if TYPE_CHECKING:
     from repro.gpu.cots import COTSDevice
 
 __all__ = [
+    "Codec",
+    "SpecCodec",
     "SMSpec",
     "GPUSpec",
     "KernelSpec",
@@ -68,35 +90,175 @@ SYNTHETIC_KERNELS: Dict[str, Callable[[GPUConfig], KernelDescriptor]] = {
 
 
 # ----------------------------------------------------------------------
-# generic (de)serialisation helpers
+# the field-derived JSON codec
 # ----------------------------------------------------------------------
-def _check_keys(cls: type, data: Mapping[str, Any]) -> None:
-    known = {f.name for f in fields(cls)}
-    unknown = sorted(set(data) - known)
-    if unknown:
-        raise ConfigurationError(
-            f"{cls.__name__}: unknown field(s) {', '.join(unknown)}; "
-            f"known: {', '.join(sorted(known))}"
-        )
+class _Plan(NamedTuple):
+    """One class's codec plan (see :func:`_plan`)."""
+
+    known: FrozenSet[str]
+    #: (field name, JSON scalar needing no encoding, omitted while None)
+    encode: Tuple[Tuple[str, bool, bool], ...]
+    #: (field name, error label, decoder or None, required, Optional-typed)
+    decode: Tuple[Tuple[str, str, Any, bool, bool], ...]
 
 
-def _flat_from_dict(cls, data: Mapping[str, Any]):
-    """Build a flat (non-nested) spec dataclass from a mapping."""
-    if not isinstance(data, Mapping):
-        raise ConfigurationError(f"{cls.__name__} expects a mapping, got {data!r}")
-    _check_keys(cls, data)
-    return cls(**data)
+_C = TypeVar("_C", bound="Codec")
 
 
-def _flat_to_dict(obj) -> Dict[str, Any]:
-    return {f.name: getattr(obj, f.name) for f in fields(obj)}
+def _reject(label: str, expected: str, value: Any) -> NoReturn:
+    raise ConfigurationError(f"{label} must be {expected}, got {value!r}")
+
+
+def _decoder(tp: Any) -> Optional[Callable[[Any, str], Any]]:
+    """``decode(value, label)`` for a field type; ``None`` passes through."""
+    if isinstance(tp, type) and issubclass(tp, Codec):
+        def decode_codec(value: Any, label: str) -> Any:
+            if not isinstance(value, Mapping):
+                _reject(label, "an object", value)
+            return tp.from_dict(value)
+        return decode_codec
+    if get_origin(tp) is tuple:
+        args = get_args(tp)
+        variadic = args[-1] is Ellipsis
+        decoders = [_decoder(arg) for arg in args if arg is not Ellipsis]
+
+        def decode_tuple(value: Any, label: str) -> Any:
+            if not isinstance(value, (list, tuple)) or (
+                    not variadic and len(value) != len(decoders)):
+                _reject(label, "a list", value)
+            per_item = repeat(decoders[0]) if variadic else decoders
+            return tuple(
+                item if decode is None else decode(item, f"{label}[{i}]")
+                for i, (decode, item) in enumerate(zip(per_item, value))
+            )
+        return decode_tuple
+    if tp is float:
+        def decode_number(value: Any, label: str) -> Any:
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                _reject(label, "a number", value)
+            return value
+        return decode_number
+    expected = {int: "an integer", str: "a string", bool: "a boolean"}.get(tp)
+    if expected is None:
+        return None
+
+    def decode_scalar(value: Any, label: str) -> Any:
+        if not isinstance(value, tp) or (tp is int and isinstance(value, bool)):
+            _reject(label, expected, value)
+        return value
+    return decode_scalar
+
+
+# cached: specs are read on every command's cold path, and deriving a
+# plan costs more than decoding with it
+@lru_cache(maxsize=None)
+def _plan(cls: type) -> _Plan:
+    encode, decode = [], []
+    for f in fields(cls):
+        # a live type unless the defining module postpones annotations
+        # (resolving those strings costs a compile each)
+        tp = get_type_hints(cls)[f.name] if isinstance(f.type, str) else f.type
+        args = get_args(tp)
+        optional = get_origin(tp) is Union and type(None) in args
+        if optional:
+            tp = next(arg for arg in args if arg is not type(None))
+        required = f.default is MISSING and f.default_factory is MISSING
+        encode.append((f.name, tp in (int, float, str, bool),
+                       bool(f.metadata.get("omit_none"))))
+        decode.append((f.name, f"{cls.__name__}.{f.name}", _decoder(tp),
+                       required, optional))
+    return _Plan(frozenset(f.name for f in fields(cls)), tuple(encode),
+                 tuple(decode))
+
+
+def _encode(value: Any) -> Any:
+    if isinstance(value, Codec):
+        return value.to_dict()
+    if isinstance(value, (tuple, list)):
+        return [_encode(item) for item in value]
+    return value
+
+
+class Codec:
+    """JSON form derived from a frozen dataclass's fields.
+
+    Nested codecs become objects and tuples become lists; every other
+    value is stored as is.  A field whose metadata sets ``omit_none`` is
+    left out while ``None``, so adding it keeps older specs' JSON (and
+    hash).  Decoding follows the field types: ``Optional`` fields take
+    ``None``, a missing or ``None`` value of any other defaulted field
+    keeps the default, and unknown keys or values of the wrong JSON type
+    raise :class:`~repro.errors.ConfigurationError`.
+    """
+
+    def to_dict(self) -> Dict[str, Any]:
+        """Plain-data form (nested dicts/lists, JSON-compatible)."""
+        data: Dict[str, Any] = {}
+        for name, plain, omit_none in _plan(type(self)).encode:
+            value = getattr(self, name)
+            if value is None and omit_none:
+                continue
+            data[name] = value if plain else _encode(value)
+        return data
+
+    @classmethod
+    def from_dict(cls: Type[_C], data: Mapping[str, Any]) -> _C:
+        """Inverse of :meth:`to_dict`; raises on unknown or mistyped fields."""
+        if not isinstance(data, Mapping):
+            raise ConfigurationError(
+                f"{cls.__name__} expects a mapping, got {data!r}"
+            )
+        plan = _plan(cls)
+        unknown = sorted(key for key in data if key not in plan.known)
+        if unknown:
+            raise ConfigurationError(
+                f"{cls.__name__}: unknown field(s) {', '.join(unknown)}; "
+                f"known: {', '.join(sorted(plan.known))}"
+            )
+        kwargs: Dict[str, Any] = {}
+        for name, label, decode, required, optional in plan.decode:
+            value = data.get(name)
+            if value is None:
+                if optional and name in data:
+                    kwargs[name] = None
+                elif required:
+                    raise ConfigurationError(
+                        f"{cls.__name__} requires a {name}"
+                    )
+                continue
+            kwargs[name] = value if decode is None else decode(value, label)
+        return cls(**kwargs)
+
+    def to_json(self, *, indent: Optional[int] = None) -> str:
+        """Canonical JSON form (sorted keys, round-trips exactly)."""
+        return json.dumps(self.to_dict(), sort_keys=True, indent=indent)
+
+    @classmethod
+    def from_json(cls: Type[_C], text: str) -> _C:
+        """Parse from the JSON form."""
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ConfigurationError(
+                f"invalid {cls.__name__} JSON: {exc}"
+            ) from None
+        return cls.from_dict(data)
+
+
+class SpecCodec(Codec):
+    """A top-level spec: the :class:`Codec` plus its provenance digest."""
+
+    @property
+    def config_hash(self) -> str:
+        """Hex digest of the canonical JSON form (provenance key)."""
+        return payload_digest(self.to_dict())
 
 
 # ----------------------------------------------------------------------
 # GPU
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class SMSpec:
+class SMSpec(Codec):
     """JSON-able mirror of :class:`repro.gpu.config.SMConfig`."""
 
     max_threads: int = 1536
@@ -107,27 +269,12 @@ class SMSpec:
 
     def to_config(self) -> SMConfig:
         """Materialise the :class:`SMConfig` (validates values)."""
-        return SMConfig(**_flat_to_dict(self))
+        return SMConfig(**self.to_dict())
 
     @classmethod
     def from_config(cls, sm: SMConfig) -> "SMSpec":
         """Mirror an existing :class:`SMConfig`."""
-        return cls(
-            max_threads=sm.max_threads,
-            max_blocks=sm.max_blocks,
-            registers=sm.registers,
-            shared_memory=sm.shared_memory,
-            issue_throughput=sm.issue_throughput,
-        )
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "SMSpec":
-        """Build the spec from a mapping; raises on unknown fields."""
-        return _flat_from_dict(cls, data)
-
-    def to_dict(self) -> Dict[str, Any]:
-        """Plain-data form (JSON-compatible)."""
-        return _flat_to_dict(self)
+        return cls(**{f.name: getattr(sm, f.name) for f in fields(cls)})
 
 
 _GPU_PRESETS: Dict[str, Callable[..., GPUConfig]] = {
@@ -138,7 +285,7 @@ _GPU_PRESETS: Dict[str, Callable[..., GPUConfig]] = {
 
 
 @dataclass(frozen=True)
-class GPUSpec:
+class GPUSpec(Codec):
     """GPU selection: a preset plus optional overrides, or a full config.
 
     Attributes:
@@ -193,41 +340,16 @@ class GPUSpec:
     @classmethod
     def from_config(cls, gpu: GPUConfig) -> "GPUSpec":
         """Mirror an arbitrary :class:`GPUConfig` exactly (no preset)."""
-        return cls(
-            preset=None,
-            name=gpu.name,
-            num_sms=gpu.num_sms,
-            clock_mhz=gpu.clock_mhz,
-            dram_bandwidth=gpu.dram_bandwidth,
-            dispatch_latency=gpu.dispatch_latency,
-            allow_kernel_mixing=gpu.allow_kernel_mixing,
-            sm=SMSpec.from_config(gpu.sm),
-        )
-
-    # ------------------------------------------------------------------
-    def to_dict(self) -> Dict[str, Any]:
-        """Plain-data form (JSON-compatible, nested ``sm``)."""
-        data = _flat_to_dict(self)
-        data["sm"] = self.sm.to_dict() if self.sm is not None else None
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "GPUSpec":
-        """Build the spec from a mapping; raises on unknown fields."""
-        if not isinstance(data, Mapping):
-            raise ConfigurationError(f"GPUSpec expects a mapping, got {data!r}")
-        _check_keys(cls, data)
-        payload = dict(data)
-        if payload.get("sm") is not None:
-            payload["sm"] = SMSpec.from_dict(payload["sm"])
-        return cls(**payload)
+        return cls(preset=None, sm=SMSpec.from_config(gpu.sm),
+                   **{f.name: getattr(gpu, f.name) for f in fields(cls)
+                      if f.name not in ("preset", "sm")})
 
 
 # ----------------------------------------------------------------------
 # workload
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class KernelSpec:
+class KernelSpec(Codec):
     """JSON-able mirror of :class:`repro.gpu.kernel.KernelDescriptor`."""
 
     name: str
@@ -242,35 +364,16 @@ class KernelSpec:
 
     def to_descriptor(self) -> KernelDescriptor:
         """Materialise the :class:`KernelDescriptor` (validates values)."""
-        return KernelDescriptor(**_flat_to_dict(self))
+        return KernelDescriptor(**self.to_dict())
 
     @classmethod
     def from_descriptor(cls, kd: KernelDescriptor) -> "KernelSpec":
         """Mirror an existing descriptor."""
-        return cls(
-            name=kd.name,
-            grid_blocks=kd.grid_blocks,
-            threads_per_block=kd.threads_per_block,
-            regs_per_thread=kd.regs_per_thread,
-            shared_mem_per_block=kd.shared_mem_per_block,
-            work_per_block=kd.work_per_block,
-            bytes_per_block=kd.bytes_per_block,
-            output_bytes=kd.output_bytes,
-            input_bytes=kd.input_bytes,
-        )
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "KernelSpec":
-        """Build the spec from a mapping; raises on unknown fields."""
-        return _flat_from_dict(cls, data)
-
-    def to_dict(self) -> Dict[str, Any]:
-        """Plain-data form (JSON-compatible)."""
-        return _flat_to_dict(self)
+        return cls(**{f.name: getattr(kd, f.name) for f in fields(cls)})
 
 
 @dataclass(frozen=True)
-class WorkloadSpec:
+class WorkloadSpec(Codec):
     """The kernel chain a run executes — exactly one source must be set.
 
     Attributes:
@@ -333,36 +436,12 @@ class WorkloadSpec:
             f"{len(self.kernels)}-kernel chain"
         )
 
-    # ------------------------------------------------------------------
-    def to_dict(self) -> Dict[str, Any]:
-        """Plain-data form (JSON-compatible, nested ``kernels``)."""
-        return {
-            "benchmark": self.benchmark,
-            "synthetic": self.synthetic,
-            "kernels": [k.to_dict() for k in self.kernels],
-            "repeat": self.repeat,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "WorkloadSpec":
-        """Build the spec from a mapping; raises on unknown fields."""
-        if not isinstance(data, Mapping):
-            raise ConfigurationError(
-                f"WorkloadSpec expects a mapping, got {data!r}"
-            )
-        _check_keys(cls, data)
-        payload = dict(data)
-        payload["kernels"] = tuple(
-            KernelSpec.from_dict(k) for k in payload.get("kernels") or ()
-        )
-        return cls(**payload)
-
 
 # ----------------------------------------------------------------------
 # fault plan / COTS model
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class FaultPlanSpec:
+class FaultPlanSpec(Codec):
     """JSON-able mirror of :class:`repro.faults.campaign.CampaignConfig`."""
 
     transient_ccf: int = 200
@@ -373,7 +452,7 @@ class FaultPlanSpec:
 
     def to_config(self, seed: Optional[int] = None) -> CampaignConfig:
         """Materialise the campaign config, optionally overriding the seed."""
-        data = _flat_to_dict(self)
+        data = self.to_dict()
         if seed is not None:
             data["seed"] = seed
         return CampaignConfig(**data)
@@ -381,26 +460,11 @@ class FaultPlanSpec:
     @classmethod
     def from_config(cls, config: CampaignConfig) -> "FaultPlanSpec":
         """Mirror an existing :class:`CampaignConfig`."""
-        return cls(
-            transient_ccf=config.transient_ccf,
-            permanent_sm=config.permanent_sm,
-            seu=config.seu,
-            seed=config.seed,
-            phase_quantum=config.phase_quantum,
-        )
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "FaultPlanSpec":
-        """Build the spec from a mapping; raises on unknown fields."""
-        return _flat_from_dict(cls, data)
-
-    def to_dict(self) -> Dict[str, Any]:
-        """Plain-data form (JSON-compatible)."""
-        return _flat_to_dict(self)
+        return cls(**{f.name: getattr(config, f.name) for f in fields(cls)})
 
 
 @dataclass(frozen=True)
-class CotsSpec:
+class CotsSpec(Codec):
     """JSON-able mirror of :class:`repro.gpu.cots.COTSDevice`.
 
     When present on a :class:`RunSpec` whose workload is a suite benchmark,
@@ -416,40 +480,23 @@ class CotsSpec:
     compare_gbps: float = 4.0
     sync_overhead_ms: float = 0.02
 
-    def to_device(self) -> COTSDevice:
+    def to_device(self) -> "COTSDevice":
         """Materialise the :class:`COTSDevice` (validates values)."""
         from repro.gpu.cots import COTSDevice
 
-        return COTSDevice(**_flat_to_dict(self))
+        return COTSDevice(**self.to_dict())
 
     @classmethod
-    def from_device(cls, device: COTSDevice) -> "CotsSpec":
+    def from_device(cls, device: "COTSDevice") -> "CotsSpec":
         """Mirror an existing device."""
-        return cls(
-            h2d_gbps=device.h2d_gbps,
-            d2h_gbps=device.d2h_gbps,
-            launch_overhead_ms=device.launch_overhead_ms,
-            alloc_ms=device.alloc_ms,
-            free_ms=device.free_ms,
-            compare_gbps=device.compare_gbps,
-            sync_overhead_ms=device.sync_overhead_ms,
-        )
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "CotsSpec":
-        """Build the spec from a mapping; raises on unknown fields."""
-        return _flat_from_dict(cls, data)
-
-    def to_dict(self) -> Dict[str, Any]:
-        """Plain-data form (JSON-compatible)."""
-        return _flat_to_dict(self)
+        return cls(**{f.name: getattr(device, f.name) for f in fields(cls)})
 
 
 # ----------------------------------------------------------------------
 # the run spec
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class RunSpec:
+class RunSpec(SpecCodec):
     """One declarative run of the reproduction's models.
 
     Attributes:
@@ -533,62 +580,3 @@ class RunSpec:
     def label(self) -> str:
         """Human-readable identity used in tables (tag or workload)."""
         return self.tag or self.workload.label
-
-    # ------------------------------------------------------------------
-    # serialisation
-    # ------------------------------------------------------------------
-    def to_dict(self) -> Dict[str, Any]:
-        """Plain-data form (nested dicts/lists, JSON-compatible)."""
-        return {
-            "workload": self.workload.to_dict(),
-            "gpu": self.gpu.to_dict(),
-            "policy": self.policy,
-            "redundancy": self.redundancy,
-            "copies": self.copies,
-            "simulate": self.simulate,
-            "baseline": self.baseline,
-            "classify": self.classify,
-            "cots": self.cots.to_dict() if self.cots is not None else None,
-            "faults": self.faults.to_dict() if self.faults is not None else None,
-            "phase_tolerance": self.phase_tolerance,
-            "seed": self.seed,
-            "tag": self.tag,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "RunSpec":
-        """Inverse of :meth:`to_dict`; raises on unknown fields."""
-        if not isinstance(data, Mapping):
-            raise ConfigurationError(f"RunSpec expects a mapping, got {data!r}")
-        _check_keys(cls, data)
-        if "workload" not in data:
-            raise ConfigurationError("RunSpec requires a workload")
-        payload = dict(data)
-        payload["workload"] = WorkloadSpec.from_dict(payload["workload"])
-        if payload.get("gpu") is not None:
-            payload["gpu"] = GPUSpec.from_dict(payload["gpu"])
-        else:
-            payload.pop("gpu", None)
-        if payload.get("cots") is not None:
-            payload["cots"] = CotsSpec.from_dict(payload["cots"])
-        if payload.get("faults") is not None:
-            payload["faults"] = FaultPlanSpec.from_dict(payload["faults"])
-        return cls(**payload)
-
-    def to_json(self, *, indent: Optional[int] = None) -> str:
-        """Canonical JSON form (sorted keys, round-trips exactly)."""
-        return json.dumps(self.to_dict(), sort_keys=True, indent=indent)
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunSpec":
-        """Parse a spec from its JSON form."""
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(f"invalid RunSpec JSON: {exc}") from None
-        return cls.from_dict(data)
-
-    @property
-    def config_hash(self) -> str:
-        """Hex digest of the canonical JSON form (provenance key)."""
-        return payload_digest(self.to_dict())

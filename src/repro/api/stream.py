@@ -31,23 +31,12 @@ the workload, its activation period the arrival period and its FTTI the
 per-frame deadline budget.
 """
 
-from __future__ import annotations
-
-import json
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Optional, Tuple
 
-from repro.api.spec import (
-    KernelSpec,
-    RunSpec,
-    WorkloadSpec,
-    _check_keys,
-    _flat_from_dict,
-    _flat_to_dict,
-)
+from repro.api.spec import Codec, KernelSpec, RunSpec, SpecCodec, WorkloadSpec
 from repro.errors import ConfigurationError
 from repro.iso26262.asil import as_asil
-from repro.journal import payload_digest
 
 __all__ = ["ArrivalSpec", "StreamFaultSpec", "StreamSpec", "ARRIVAL_MODELS"]
 
@@ -56,7 +45,7 @@ ARRIVAL_MODELS: Tuple[str, ...] = ("periodic", "jittered", "poisson")
 
 
 @dataclass(frozen=True)
-class ArrivalSpec:
+class ArrivalSpec(Codec):
     """The open-loop arrival process of a frame stream.
 
     Attributes:
@@ -100,18 +89,9 @@ class ArrivalSpec:
         """Mean arrival rate in frames per second."""
         return 1000.0 / self.period_ms
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ArrivalSpec":
-        """Build the spec from a mapping; raises on unknown fields."""
-        return _flat_from_dict(cls, data)
-
-    def to_dict(self) -> Dict[str, Any]:
-        """Plain-data form (JSON-compatible)."""
-        return _flat_to_dict(self)
-
 
 @dataclass(frozen=True)
-class StreamFaultSpec:
+class StreamFaultSpec(Codec):
     """Per-frame fault overlay of a stream (memoryless sampling).
 
     Every frame independently suffers one injected hardware fault with
@@ -153,18 +133,9 @@ class StreamFaultSpec:
         if self.phase_quantum <= 0:
             raise ConfigurationError("phase quantum must be positive")
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "StreamFaultSpec":
-        """Build the spec from a mapping; raises on unknown fields."""
-        return _flat_from_dict(cls, data)
-
-    def to_dict(self) -> Dict[str, Any]:
-        """Plain-data form (JSON-compatible)."""
-        return _flat_to_dict(self)
-
 
 @dataclass(frozen=True)
-class StreamSpec:
+class StreamSpec(SpecCodec):
     """One declarative open-loop frame stream.
 
     Attributes:
@@ -338,71 +309,3 @@ class StreamSpec:
     def label(self) -> str:
         """Human-readable identity (tag or the underlying run's label)."""
         return self.tag or self.run.label
-
-    # ------------------------------------------------------------------
-    # serialisation
-    # ------------------------------------------------------------------
-    def to_dict(self) -> Dict[str, Any]:
-        """Plain-data form (nested dicts/lists, JSON-compatible)."""
-        return {
-            "run": self.run.to_dict(),
-            "arrival": self.arrival.to_dict(),
-            "frames": self.frames,
-            "queue_depth": self.queue_depth,
-            "deadline_ms": self.deadline_ms,
-            "faults": self.faults.to_dict() if self.faults is not None else None,
-            "workload_mix": [w.to_dict() for w in self.workload_mix],
-            "quantiles": list(self.quantiles),
-            "window_ms": self.window_ms,
-            "seed": self.seed,
-            "tag": self.tag,
-            "asil": self.asil,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "StreamSpec":
-        """Inverse of :meth:`to_dict`; raises on unknown fields."""
-        if not isinstance(data, Mapping):
-            raise ConfigurationError(
-                f"StreamSpec expects a mapping, got {data!r}"
-            )
-        _check_keys(cls, data)
-        if "run" not in data:
-            raise ConfigurationError("StreamSpec requires a run")
-        payload = dict(data)
-        payload["run"] = RunSpec.from_dict(payload["run"])
-        if payload.get("arrival") is not None:
-            payload["arrival"] = ArrivalSpec.from_dict(payload["arrival"])
-        else:
-            payload.pop("arrival", None)
-        if payload.get("faults") is not None:
-            payload["faults"] = StreamFaultSpec.from_dict(payload["faults"])
-        payload["workload_mix"] = tuple(
-            WorkloadSpec.from_dict(w)
-            for w in payload.get("workload_mix") or ()
-        )
-        if payload.get("quantiles") is not None:
-            payload["quantiles"] = tuple(payload["quantiles"])
-        else:
-            payload.pop("quantiles", None)
-        return cls(**payload)
-
-    def to_json(self, *, indent: Optional[int] = None) -> str:
-        """Canonical JSON form (sorted keys, round-trips exactly)."""
-        return json.dumps(self.to_dict(), sort_keys=True, indent=indent)
-
-    @classmethod
-    def from_json(cls, text: str) -> "StreamSpec":
-        """Parse a spec from its JSON form."""
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(
-                f"invalid StreamSpec JSON: {exc}"
-            ) from None
-        return cls.from_dict(data)
-
-    @property
-    def config_hash(self) -> str:
-        """Hex digest of the canonical JSON form (provenance key)."""
-        return payload_digest(self.to_dict())

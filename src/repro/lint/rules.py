@@ -345,8 +345,9 @@ class SpecContractRule(Rule):
 
     Scoped (via config) to ``repro.api``.  Specs are hashed into
     ``config_hash`` provenance and shipped across process boundaries;
-    a mutable spec or one without a ``to_dict``/``from_dict`` pair
-    silently breaks both.
+    a mutable spec or one that neither derives from the field-derived
+    codec (``Codec``/``SpecCodec``) nor writes a ``to_dict``/
+    ``from_dict`` pair silently breaks both.
     """
 
     id = "RL004"
@@ -366,6 +367,8 @@ class SpecContractRule(Rule):
                     f"{node.name} must be a @dataclass(frozen=True) — "
                     "specs are hashed provenance and must be immutable",
                 ))
+            if self._has_codec_base(node):
+                continue
             methods = {child.name for child in node.body
                        if isinstance(child, (ast.FunctionDef,
                                              ast.AsyncFunctionDef))}
@@ -377,6 +380,16 @@ class SpecContractRule(Rule):
                         "must round-trip through plain dicts",
                     ))
         return out
+
+    @staticmethod
+    def _has_codec_base(node: ast.ClassDef) -> bool:
+        """True when a base is ``Codec``/``SpecCodec`` (bare or dotted)."""
+        return any(
+            (base.id if isinstance(base, ast.Name) else base.attr
+             if isinstance(base, ast.Attribute) else None)
+            in ("Codec", "SpecCodec")
+            for base in node.bases
+        )
 
     @staticmethod
     def _is_frozen_dataclass(node: ast.ClassDef) -> bool:

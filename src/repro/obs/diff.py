@@ -10,7 +10,7 @@ the span deltas.
 
 Statistical guardrail: with at least two occurrences per side, the
 delta of mean self times gets a Welch normal interval at the requested
-confidence (reusing :func:`repro.stats.intervals.z_value`); a path is
+confidence (:func:`repro.stats.intervals.welch_interval`); a path is
 *significant* only when that interval excludes zero **and** the delta
 clears the absolute/relative magnitude floors, so one noisy shard
 doesn't page anyone.  Single-occurrence paths fall back to the
@@ -26,11 +26,10 @@ two runs' archived telemetry to see *which phase* regressed.
 
 from __future__ import annotations
 
-import math
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro.obs.report import SpanNode, build_spans
-from repro.stats.intervals import z_value
+from repro.stats.intervals import welch_interval
 
 __all__ = [
     "DEFAULT_MIN_ABS_MS",
@@ -115,21 +114,6 @@ def _stream_stats(events: List[Dict[str, Any]]) -> Dict[str, Any]:
     }
 
 
-def _welch_interval(a: List[float], b: List[float],
-                    confidence: float) -> Optional[Dict[str, float]]:
-    """Normal interval on ``mean(b) - mean(a)``; ``None`` when n < 2."""
-    if len(a) < 2 or len(b) < 2:
-        return None
-    mean_a = sum(a) / len(a)
-    mean_b = sum(b) / len(b)
-    var_a = sum((x - mean_a) ** 2 for x in a) / (len(a) - 1)
-    var_b = sum((x - mean_b) ** 2 for x in b) / (len(b) - 1)
-    se = math.sqrt(var_a / len(a) + var_b / len(b))
-    half = z_value(confidence) * se
-    delta = mean_b - mean_a
-    return {"low": round(delta - half, 6), "high": round(delta + half, 6)}
-
-
 def _span_rows(samples_a: Dict[str, List[float]],
                samples_b: Dict[str, List[float]], *,
                confidence: float, min_rel: float,
@@ -160,14 +144,16 @@ def _span_rows(samples_a: Dict[str, List[float]],
             row["significant"] = max(total_a, total_b) >= min_abs_ms
             rows.append(row)
             continue
-        interval = _welch_interval(a, b, confidence)
+        interval = welch_interval(a, b, confidence=confidence)
         if interval is None:
             row["method"] = "threshold"
             stat_significant = True
         else:
+            low, high = round(interval[0], 6), round(interval[1], 6)
             row["method"] = "welch-z"
-            row["interval"] = dict(interval, confidence=confidence)
-            stat_significant = interval["low"] > 0 or interval["high"] < 0
+            row["interval"] = {"low": low, "high": high,
+                               "confidence": confidence}
+            stat_significant = low > 0 or high < 0
         magnitude = (abs(delta) >= min_abs_ms
                      and (total_a <= 0
                           or abs(delta) / total_a >= min_rel))

@@ -8,8 +8,9 @@ package provides both, as pure functions of the *aggregated integer
 counts* the runners already fold — never of per-injection records:
 
 * :mod:`repro.stats.intervals` — Wilson, normal and bootstrap confidence
-  intervals on rates (:class:`RateEstimate`), plus the exact binomial /
-  multinomial resamplers the bootstrap is built on;
+  intervals on rates (:class:`RateEstimate`), the Welch interval on a
+  difference of means, plus the exact binomial / multinomial resamplers
+  the bootstrap is built on;
 * :mod:`repro.stats.estimators` — uniform, stratified and importance
   (Horvitz–Thompson) rate estimators over per-stratum outcome counts,
   with matching variance formulas and bootstrap resampling;
@@ -40,7 +41,8 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     ),
     "repro.stats.intervals": (
         "RateEstimate", "binomial_draw", "bootstrap_interval",
-        "multinomial_draw", "normal_interval", "wilson_interval",
+        "multinomial_draw", "normal_interval", "welch_interval",
+        "wilson_interval",
     ),
     "repro.stats.repeater": ("RepeatResult", "target_met"),
 })

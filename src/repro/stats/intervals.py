@@ -1,6 +1,7 @@
 """Confidence intervals on rates, from aggregated integer counts.
 
-Three interval constructions cover the estimators in this package:
+Three interval constructions cover the estimators in this package,
+and a fourth compares two sample means:
 
 * :func:`wilson_interval` — the Wilson score interval for a plain
   binomial proportion.  Well-behaved at the boundaries (rate 0 or 1)
@@ -13,9 +14,13 @@ Three interval constructions cover the estimators in this package:
   (:func:`binomial_draw`, :func:`multinomial_draw`) draw *exactly* from
   the counting distributions, so resampling a campaign costs
   O(resamples x strata) — never O(injections).
+* :func:`welch_interval` — the normal (Welch) interval on the difference
+  of two sample means with unequal variances; ``repro obs diff`` tests
+  per-span self times with it.
 
-All functions return a :class:`RateEstimate`, the value object the
-repeaters' stopping rule and the CLI's report rendering consume.
+The three rate intervals return a :class:`RateEstimate`, the value
+object the repeaters' stopping rule and the CLI's report rendering
+consume.
 Every random draw comes from an explicit :class:`random.Random`
 instance, keeping the library deterministic end to end.
 """
@@ -26,7 +31,7 @@ import math
 import random
 from dataclasses import dataclass
 from statistics import NormalDist
-from typing import Callable, Dict, Sequence
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from repro.errors import StatsError
 
@@ -36,6 +41,7 @@ __all__ = [
     "wilson_interval",
     "normal_interval",
     "bootstrap_interval",
+    "welch_interval",
     "binomial_draw",
     "multinomial_draw",
 ]
@@ -235,6 +241,28 @@ def bootstrap_interval(resample: Callable[[random.Random], float], *,
         method="bootstrap",
         samples=trials,
     )
+
+
+def welch_interval(a: Sequence[float], b: Sequence[float], *,
+                   confidence: float = 0.95
+                   ) -> Optional[Tuple[float, float]]:
+    """Normal interval ``(low, high)`` on ``mean(b) - mean(a)``.
+
+    Welch's unequal-variance standard error with a normal quantile;
+    ``None`` when either sample has fewer than two values.
+
+    Raises:
+        StatsError: for a confidence outside ``(0, 1)``.
+    """
+    if len(a) < 2 or len(b) < 2:
+        return None
+    mean_a = sum(a) / len(a)
+    mean_b = sum(b) / len(b)
+    var_a = sum((x - mean_a) ** 2 for x in a) / (len(a) - 1)
+    var_b = sum((x - mean_b) ** 2 for x in b) / (len(b) - 1)
+    half = z_value(confidence) * math.sqrt(var_a / len(a) + var_b / len(b))
+    delta = mean_b - mean_a
+    return delta - half, delta + half
 
 
 def _percentile_bounds(sorted_draws: Sequence[float],

@@ -144,6 +144,14 @@ class TestArtifact:
         with pytest.raises(ConfigurationError, match="spec"):
             RunArtifact.from_json("{}")
 
+    def test_artifact_from_dict_requires_config_hash(self):
+        from repro.api import RunArtifact
+
+        with pytest.raises(ConfigurationError,
+                           match="RunArtifact requires a config_hash"):
+            RunArtifact.from_dict({"spec": {"workload": {"benchmark": "nn"}},
+                                   "version": "0"})
+
     def test_artifact_json_round_trip(self):
         spec = RunSpec(
             workload=WorkloadSpec(benchmark="nn"),

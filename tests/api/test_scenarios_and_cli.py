@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +14,15 @@ from repro.cli import main
 from repro.errors import ConfigurationError
 from repro.gpu.scheduler.registry import PAPER_POLICIES
 from repro.workloads.rodinia import FIG4_BENCHMARKS, FIG5_BENCHMARKS
+
+SPECS_DIR = Path(__file__).resolve().parents[2] / "examples" / "specs"
+
+
+def _example_with(name: str, edit) -> dict:
+    """An ``examples/specs`` payload with one value replaced by ``edit``."""
+    payload = json.loads((SPECS_DIR / name).read_text())
+    edit(payload)
+    return payload
 
 
 class TestRegistry:
@@ -144,6 +154,32 @@ class TestCLI:
                                     "warp_drive": 9}))
         assert main(["run", "--spec", str(path)]) == 1
         assert "unknown field" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, payload, message", [
+        ("run", {"workload": {"kernels": 5}},
+         "WorkloadSpec.kernels must be a list, got 5"),
+        ("run", {"workload": {"benchmark": "hotspot"}, "copies": "two"},
+         "RunSpec.copies must be an integer, got 'two'"),
+        ("stream run", _example_with(
+            "stream.json", lambda d: d.update(quantiles=3)),
+         "StreamSpec.quantiles must be a list, got 3"),
+        ("platform plan", _example_with(
+            "platform.json", lambda d: d["devices"][0].update(capacity="x")),
+         "DeviceSpec.capacity must be a number, got 'x'"),
+        ("campaign run", _example_with(
+            "campaign.json", lambda d: d.update(shards=True)),
+         "CampaignSpec.shards must be an integer, got True"),
+    ], ids=["kernels-not-list", "copies-str", "quantiles-int",
+            "capacity-str", "shards-bool"])
+    def test_wrong_typed_spec_value_is_a_clean_error(self, tmp_path, capsys,
+                                                     command, payload,
+                                                     message):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(payload))
+        assert main([*command.split(), "--spec", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
 
     def test_spec_file_with_scenario_params_rejected(self, tmp_path, capsys):
         # --policy etc. only parameterize scenarios; a spec file is complete

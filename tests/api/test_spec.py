@@ -82,6 +82,45 @@ class TestJSONRoundTrip:
             RunSpec.from_dict({"policy": "srrs"})
 
 
+class TestCodecTypes:
+    """The field-derived codec's type checks and defaulting rules."""
+
+    def test_bool_is_never_an_integer(self):
+        with pytest.raises(ConfigurationError,
+                           match="RunSpec.copies must be an integer"):
+            RunSpec.from_dict({"workload": {"benchmark": "nn"},
+                               "copies": True})
+
+    def test_json_int_is_a_number_and_keeps_its_hash(self):
+        data = {"workload": {"benchmark": "nn"}, "phase_tolerance": 2}
+        spec = RunSpec.from_dict(data)
+        assert spec.phase_tolerance == 2
+        assert spec.to_dict()["phase_tolerance"] == 2
+        assert RunSpec.from_json(spec.to_json()).config_hash == (
+            spec.config_hash)
+
+    def test_nested_spec_must_be_an_object(self):
+        with pytest.raises(ConfigurationError,
+                           match=r"RunSpec.gpu must be an object, got \[1\]"):
+            RunSpec.from_dict({"workload": {"benchmark": "nn"}, "gpu": [1]})
+
+    def test_list_items_are_checked_with_their_index(self):
+        with pytest.raises(ConfigurationError,
+                           match=r"WorkloadSpec.kernels\[0\] must be an "):
+            WorkloadSpec.from_dict({"kernels": ["k"]})
+
+    def test_none_keeps_a_default_or_sets_an_optional(self):
+        spec = RunSpec.from_dict({"workload": {"benchmark": "nn"},
+                                  "policy": None, "gpu": {"preset": None}})
+        assert spec.policy == "srrs"
+        assert spec.gpu.preset is None
+
+    def test_missing_required_field_is_named(self):
+        with pytest.raises(ConfigurationError,
+                           match="KernelSpec requires a grid_blocks"):
+            KernelSpec.from_dict({"name": "k", "threads_per_block": 32})
+
+
 class TestValidation:
     def test_unknown_redundancy_mode(self):
         with pytest.raises(ConfigurationError, match="redundancy"):

@@ -1,6 +1,8 @@
-"""RL004 negative fixture: a contract-complete Spec dataclass."""
+"""RL004 negative fixture: contract-complete Spec dataclasses."""
 
 from dataclasses import dataclass
+
+from repro.api.spec import SpecCodec
 
 
 @dataclass(frozen=True)
@@ -17,6 +19,13 @@ class GoodSpec:
     def from_dict(cls, data):
         """Rebuild from :meth:`to_dict` output."""
         return cls(frames=data["frames"])
+
+
+@dataclass(frozen=True)
+class DerivedSpec(SpecCodec):
+    """Frozen; the codec base derives the dict round-trip from fields."""
+
+    frames: int = 1
 
 
 class NotASpecHolder:

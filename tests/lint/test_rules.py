@@ -17,7 +17,7 @@ EXPECTED_BAD = {
     "RL001": ("rl001_bad.py", 3),
     "RL002": ("rl002_bad.py", 5),
     "RL003": ("rl003_bad.py", 4),
-    "RL004": ("rl004_bad.py", 3),
+    "RL004": ("rl004_bad.py", 4),
     "RL005": ("rl005_bad.py", 2),
     "RL006": ("rl006_bad.py", 3),
     "RL007": ("rl007_bad.py", 2),

@@ -1,4 +1,4 @@
-"""Tests for repro.stats.intervals: Wilson / normal / bootstrap CIs.
+"""Tests for repro.stats.intervals: Wilson / normal / bootstrap / Welch CIs.
 
 The property tests check *nominal coverage*: a 95% interval constructed
 from seeded Bernoulli data must contain the true rate in roughly 95% of
@@ -22,7 +22,7 @@ from repro.stats import (
     multinomial_draw,
     wilson_interval,
 )
-from repro.stats.intervals import normal_interval, z_value
+from repro.stats.intervals import normal_interval, welch_interval, z_value
 
 
 class TestRateEstimate:
@@ -105,6 +105,28 @@ class TestNormal:
         assert est.low == 0.0
         est = normal_interval(0.99, 0.01, 10)
         assert est.high == 1.0
+
+
+class TestWelch:
+    def test_interval_brackets_the_mean_difference(self):
+        a, b = [4.0, 4.6, 3.7, 4.2], [9.1, 8.4, 9.9]
+        low, high = welch_interval(a, b, confidence=0.95)
+        var_a = sum((x - 4.125) ** 2 for x in a) / 3
+        var_b = sum((x - 9.133333333333333) ** 2 for x in b) / 2
+        half = z_value(0.95) * math.sqrt(var_a / 4 + var_b / 3)
+        delta = sum(b) / 3 - sum(a) / 4
+        assert (low, high) == pytest.approx((delta - half, delta + half))
+
+    def test_identical_constant_samples_give_a_point(self):
+        assert welch_interval([2.0, 2.0], [2.0, 2.0, 2.0]) == (0.0, 0.0)
+
+    def test_fewer_than_two_values_gives_none(self):
+        assert welch_interval([1.0], [1.0, 2.0]) is None
+        assert welch_interval([1.0, 2.0], []) is None
+
+    def test_rejects_bad_confidence(self):
+        with pytest.raises(StatsError):
+            welch_interval([1.0, 2.0], [1.0, 2.0], confidence=1.0)
 
 
 class TestBinomialDraw:
