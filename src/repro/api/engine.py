@@ -37,9 +37,7 @@ from repro.api.artifact import (
 from repro.api.spec import RunSpec
 from repro.errors import ConfigurationError, WorkerCountError
 from repro.exec import map_tasks
-from repro.faults.campaign import FaultCampaign
 from repro.gpu.config import GPUConfig
-from repro.gpu.cots import cots_end_to_end
 from repro.gpu.kernel import KernelDescriptor, dependent_chain
 from repro.gpu.scheduler.registry import make_scheduler
 from repro.gpu.simulator import GPUSimulator, SimulationResult
@@ -48,7 +46,6 @@ from repro.redundancy.diversity import (
     DEFAULT_PHASE_TOLERANCE,
     analyze_diversity,
 )
-from repro.workloads.classify import classify_kernel, recommend_policy
 from repro.workloads.rodinia import get_benchmark
 
 __all__ = ["Engine", "run", "run_many"]
@@ -59,6 +56,22 @@ def _run_spec(task: Tuple[RunSpec, bool],
     """Pool task: execute one ``(spec, validate)`` pair."""
     spec, validate = task
     return Engine(validate=validate, telemetry=telemetry).run(spec)
+
+
+def _load_features(specs: Sequence[RunSpec]) -> None:
+    """Import the optional-feature modules ``specs`` use.
+
+    :meth:`Engine.run` imports the fault campaign, the kernel classifier
+    and the COTS model at first use; a batch imports those its specs
+    need here, before the pool forks, so no worker imports a module the
+    parent had not loaded.
+    """
+    if any(spec.faults is not None for spec in specs):
+        import repro.faults.campaign  # noqa: F401
+    if any(spec.classify for spec in specs):
+        import repro.workloads.classify  # noqa: F401
+    if any(spec.cots is not None for spec in specs):
+        import repro.gpu.cots  # noqa: F401
 
 
 class Engine:
@@ -178,6 +191,7 @@ class Engine:
     def _stream(self, spec_list: List[RunSpec],
                 workers: int) -> Iterator[RunArtifact]:
         tm = self._telemetry
+        _load_features(spec_list)
         tm.emit("run_start", kind="engine-batch", specs=len(spec_list),
                 workers=workers)
         done = 0
@@ -254,6 +268,8 @@ class Engine:
 
     def _campaign(self, spec: RunSpec,
                   run: RedundantRunResult) -> FaultSummary:
+        from repro.faults.campaign import FaultCampaign
+
         assert spec.faults is not None
         config = spec.faults.to_config(seed=spec.seed)
         report = FaultCampaign(run).run(config)
@@ -282,6 +298,8 @@ class Engine:
     @staticmethod
     def _classify(kernels: Sequence[KernelDescriptor],
                   gpu: GPUConfig) -> Tuple[ClassificationRow, ...]:
+        from repro.workloads.classify import classify_kernel, recommend_policy
+
         rows = []
         for kernel in kernels:
             report = classify_kernel(kernel, gpu)
@@ -299,6 +317,8 @@ class Engine:
 
     @staticmethod
     def _cots(spec: RunSpec) -> CotsSummary:
+        from repro.gpu.cots import cots_end_to_end
+
         assert spec.cots is not None and spec.workload.benchmark is not None
         benchmark = get_benchmark(spec.workload.benchmark)
         device = spec.cots.to_device()

@@ -44,7 +44,6 @@ from typing import (
 )
 
 from repro.errors import ConfigurationError
-from repro.faults.report import CampaignConfig
 from repro.gpu.config import GPUConfig, SMConfig
 from repro.gpu.kernel import KernelDescriptor
 from repro.journal import payload_digest
@@ -55,9 +54,11 @@ from repro.workloads.synthetic import (
     make_short_kernel,
 )
 
-# specs are read on every command's cold path, so the model tables they
-# name (Rodinia chains, the COTS device model) load where they are used
+# specs are read on every command's cold path, so the model tables and
+# configs they name (Rodinia chains, the COTS device model, the fault
+# campaign config) load where they are used
 if TYPE_CHECKING:
+    from repro.faults.report import CampaignConfig
     from repro.gpu.cots import COTSDevice
 
 __all__ = [
@@ -450,15 +451,17 @@ class FaultPlanSpec(Codec):
     seed: int = 2019
     phase_quantum: float = 1.0
 
-    def to_config(self, seed: Optional[int] = None) -> CampaignConfig:
+    def to_config(self, seed: Optional[int] = None) -> "CampaignConfig":
         """Materialise the campaign config, optionally overriding the seed."""
+        from repro.faults.report import CampaignConfig
+
         data = self.to_dict()
         if seed is not None:
             data["seed"] = seed
         return CampaignConfig(**data)
 
     @classmethod
-    def from_config(cls, config: CampaignConfig) -> "FaultPlanSpec":
+    def from_config(cls, config: "CampaignConfig") -> "FaultPlanSpec":
         """Mirror an existing :class:`CampaignConfig`."""
         return cls(**{f.name: getattr(config, f.name) for f in fields(cls)})
 

@@ -20,11 +20,13 @@ JSON-round-trippable, like every spec in :mod:`repro.api`.
 """
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.api.spec import Codec
 from repro.errors import ConfigurationError
-from repro.faults.report import SamplingConfig
+
+if TYPE_CHECKING:
+    from repro.faults.report import SamplingConfig
 
 __all__ = ["SamplingSpec", "RepeatSpec"]
 
@@ -82,8 +84,10 @@ class SamplingSpec(Codec):
             )
 
     # ------------------------------------------------------------------
-    def to_config(self) -> SamplingConfig:
+    def to_config(self) -> "SamplingConfig":
         """Materialise the faults-layer :class:`SamplingConfig` mirror."""
+        from repro.faults.report import SamplingConfig
+
         return SamplingConfig(
             method=self.method,
             transient_ccf=self.transient_ccf,

@@ -36,7 +36,6 @@ from typing import Any, Optional, Tuple
 
 from repro.api.spec import Codec, KernelSpec, RunSpec, SpecCodec, WorkloadSpec
 from repro.errors import ConfigurationError
-from repro.iso26262.asil import as_asil
 
 __all__ = ["ArrivalSpec", "StreamFaultSpec", "StreamSpec", "ARRIVAL_MODELS"]
 
@@ -186,6 +185,8 @@ class StreamSpec(SpecCodec):
 
     def __post_init__(self) -> None:
         if self.asil is not None:
+            from repro.iso26262.asil import as_asil
+
             object.__setattr__(self, "asil", as_asil(self.asil).name)
         if not self.run.simulate:
             raise ConfigurationError(

@@ -109,12 +109,9 @@ def read_json(path: str, what: str) -> Any:
 
 
 def write_out(path: Optional[str], text: str) -> None:
-    """Write a report to the ``--out`` file, when one was given."""
-    if not path:
-        return
-    try:
-        Path(path).write_text(text + "\n")
-    except OSError as exc:
-        raise ConfigurationError(
-            f"cannot write report file {path!r}: {exc}"
-        )
+    """Replace the ``--out`` file by a report, when one was given; a
+    failed write leaves the previous report whole."""
+    if path:
+        from repro.journal import replace_atomic
+
+        replace_atomic(path, text + "\n", error=ConfigurationError)

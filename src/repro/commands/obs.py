@@ -39,7 +39,7 @@ from pathlib import Path
 from typing import Any, Callable, Dict, List, Tuple
 
 from repro.commands.common import add_json_flag
-from repro.errors import ObsError, StatsError
+from repro.errors import ConfigurationError, ObsError, StatsError
 
 __all__ = ["configure"]
 
@@ -169,10 +169,10 @@ def _export(args: argparse.Namespace) -> int:
     else:
         text = heartbeat_csv(events)
     if args.out:
-        try:
-            Path(args.out).write_text(text)
-        except OSError as exc:
-            raise ObsError(f"cannot write {args.out!r}: {exc}")
+        from repro.journal import replace_atomic
+
+        # a failed write is no misuse: it exits 1 like every --out
+        replace_atomic(args.out, text, error=ConfigurationError)
         print(f"wrote {chosen[0].lstrip('-')} export to {args.out}")
     else:
         sys.stdout.write(text)

@@ -56,7 +56,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     # repro.campaigns.runner documents
     from repro.streams.runner import run_stream
     from repro.api.stream import StreamSpec
-    from repro.obs.profiling import profiled
 
     if args.spec:
         spec = StreamSpec.from_json(read_text(args.spec, "spec file"))
@@ -69,6 +68,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         spec = replace(spec, frames=frames)
     with telemetry_session(args) as telemetry:
         if args.profile:
+            from repro.obs.profiling import profiled
+
             with profiled(out=args.profile):
                 report = run_stream(spec, workers=args.workers,
                                     telemetry=telemetry)

@@ -14,20 +14,11 @@ so ``workers`` only changes the wall clock, never a result (see
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from concurrent.futures.process import BrokenProcessPool
 from functools import partial
-from typing import Callable, Iterator, Optional, Sequence, TypeVar
+from typing import Callable, Iterator, Optional, Sequence, Tuple, Type, TypeVar
 
 from repro.errors import PoolError
 from repro.obs.session import NULL_TELEMETRY, Telemetry
-from repro.obs.worker import (
-    close_worker_session,
-    merge_sidecars,
-    sidecar_dir,
-    sidecar_path,
-    worker_session,
-)
 
 __all__ = ["map_tasks"]
 
@@ -37,6 +28,8 @@ R = TypeVar("R")
 
 def _run_pooled(job):
     """Pool trampoline: run ``(fn, task, sidecar)`` under its own session."""
+    from repro.obs.worker import close_worker_session, worker_session
+
     fn, task, sidecar = job
     telemetry = worker_session(sidecar)
     try:
@@ -45,13 +38,15 @@ def _run_pooled(job):
         close_worker_session(telemetry)
 
 
-def _checked(telemetry: Telemetry, key: str, result: Callable[[], R]) -> R:
-    """Fetch one task's result, reporting and typing its failure."""
+def _checked(telemetry: Telemetry, key: str, result: Callable[[], R], *,
+             broken: Tuple[Type[BaseException], ...] = ()) -> R:
+    """Fetch one task's result, reporting its failure and typing a
+    ``broken`` pool's as :class:`~repro.errors.PoolError`."""
     try:
         return result()
     except Exception as exc:
         telemetry.emit("worker_error", key=key, error=repr(exc))
-        if isinstance(exc, BrokenProcessPool):
+        if isinstance(exc, broken):
             raise PoolError(
                 f"a pool worker process died while running {key} — "
                 "completed work is kept; resume or re-run to finish"
@@ -89,6 +84,14 @@ def map_tasks(fn: Callable[[T, Telemetry], R], tasks: Sequence[T], *,
         for task, key in zip(tasks, keys):
             yield _checked(tm, key, partial(fn, task, tm))
         return
+    # the pool stack loads here only, in the parent, so forked workers
+    # inherit it instead of importing it
+    from concurrent.futures import ProcessPoolExecutor, as_completed
+    from concurrent.futures.process import BrokenProcessPool
+
+    from repro.obs.worker import merge_sidecars, sidecar_dir, sidecar_path
+
+    broken = (BrokenProcessPool,)
     pool_size = min(workers, len(tasks))
     wdir = sidecar_dir(tm) if tm.sink.enabled else None
     jobs = [(fn, task, sidecar_path(wdir, key) if wdir is not None else None)
@@ -99,12 +102,13 @@ def map_tasks(fn: Callable[[T, Telemetry], R], tasks: Sequence[T], *,
                 chunksize = max(1, math.ceil(len(jobs) / (pool_size * 4)))
                 results = pool.map(_run_pooled, jobs, chunksize=chunksize)
                 for key in keys:
-                    yield _checked(tm, key, results.__next__)
+                    yield _checked(tm, key, results.__next__, broken=broken)
             else:
                 futures = {pool.submit(_run_pooled, job): key
                            for job, key in zip(jobs, keys)}
                 for future in as_completed(futures):
-                    yield _checked(tm, futures[future], future.result)
+                    yield _checked(tm, futures[future], future.result,
+                                  broken=broken)
         except BaseException:
             # a failure, Ctrl-C or an abandoned iterator: drop the queued
             # tasks instead of running them all before the error surfaces

@@ -165,7 +165,8 @@ def _accepts(boundary: Callable[[Record], bool], line: bytes) -> bool:
 def replace_atomic(path: PathLike, text: str, *,
                    error: Type[ReproError]) -> None:
     """Replace ``path`` by ``text`` via a fsynced temp file and a rename,
-    creating the parent directory first."""
+    creating the parent directory first.  A failed write leaves ``path``
+    as it was and removes the temp file."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
@@ -176,4 +177,8 @@ def replace_atomic(path: PathLike, text: str, *,
             os.fsync(handle.fileno())
         os.replace(tmp, path)
     except OSError as exc:
-        raise error(f"cannot replace {str(path)!r}: {exc}") from exc
+        try:
+            tmp.unlink(missing_ok=True)
+        except OSError:
+            pass  # best effort: the write's own error is the one raised
+        raise error(f"cannot write {str(path)!r}: {exc}") from exc

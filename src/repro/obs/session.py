@@ -26,14 +26,15 @@ from __future__ import annotations
 
 import time
 from pathlib import Path
-from typing import Any, Dict, Optional, TextIO, Union
+from typing import TYPE_CHECKING, Any, Dict, Optional, TextIO, Union
 
 from repro.errors import ObsError
-from repro.obs.events import TELEMETRY_SCHEMA
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.progress import ProgressTicker, render_progress
-from repro.obs.sink import NULL_SINK, JsonlSink, TelemetrySink
+from repro.obs.sink import NULL_SINK, TelemetrySink
 from repro.obs.spans import Tracer
+
+if TYPE_CHECKING:
+    from repro.obs.progress import ProgressTicker
 
 __all__ = ["DEFAULT_HEARTBEAT_S", "NULL_TELEMETRY", "Telemetry"]
 
@@ -81,6 +82,7 @@ class Telemetry:
                               enabled=self.sink.enabled)
         if self.sink.enabled:
             from repro import __version__
+            from repro.obs.events import TELEMETRY_SCHEMA
 
             self.emit("telemetry_start", schema=TELEMETRY_SCHEMA,
                       version=__version__)
@@ -101,6 +103,9 @@ class Telemetry:
         Raises:
             ObsError: for an unopenable path or bad heartbeat interval.
         """
+        from repro.obs.progress import ProgressTicker
+        from repro.obs.sink import JsonlSink
+
         sink: Optional[TelemetrySink] = (
             JsonlSink(path) if path is not None else None
         )
@@ -181,6 +186,8 @@ class Telemetry:
         due = (force or self._last_beat_ms is None
                or now_ms - self._last_beat_ms >= self._heartbeat_s * 1000.0)
         if self.progress is not None:
+            from repro.obs.progress import render_progress
+
             self.progress.update(
                 render_progress(label, done, total, rate=rate, unit=unit),
                 force=force,

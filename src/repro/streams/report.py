@@ -16,12 +16,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Mapping, Tuple
 
 from repro.errors import StatsError, StreamError
 from repro.journal import payload_digest
-from repro.stats.estimators import UniformRate
-from repro.stats.intervals import RateEstimate
+
+if TYPE_CHECKING:
+    from repro.stats.estimators import UniformRate
+    from repro.stats.intervals import RateEstimate
 
 __all__ = ["STREAM_RATE_METRICS", "StreamReport", "quantile_key"]
 
@@ -154,6 +156,8 @@ class StreamReport:
             StatsError: when the metric has no trials yet (e.g.
                 ``fault_sdc`` before any fault was injected).
         """
+        from repro.stats.estimators import UniformRate
+
         events, trials = self._rate_counts(metric)
         if trials < 1:
             raise StatsError(

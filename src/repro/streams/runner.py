@@ -36,7 +36,8 @@ from __future__ import annotations
 import dataclasses
 from collections import deque
 from itertools import islice
-from typing import Deque, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import (TYPE_CHECKING, Deque, Dict, Iterable, Iterator, List,
+                    Optional, Tuple)
 
 # the job layer (and the simulation stack it imports) first: the import
 # order repro.campaigns.runner documents
@@ -47,13 +48,6 @@ from repro.errors import StatsError, StreamError
 from repro.exec import map_tasks
 from repro.faults.outcomes import FaultOutcome
 from repro.obs.session import NULL_TELEMETRY, Telemetry
-from repro.stats.intervals import RateEstimate
-from repro.stats.repeater import (
-    STOP_BUDGET,
-    STOP_TARGET,
-    RepeatResult,
-    target_met,
-)
 from repro.streams.analytics import StreamAccumulator
 from repro.streams.arrivals import (
     arrival_chunk,
@@ -67,6 +61,10 @@ from repro.streams.report import (
     StreamReport,
     quantile_key,
 )
+
+if TYPE_CHECKING:
+    from repro.stats.intervals import RateEstimate
+    from repro.stats.repeater import RepeatResult
 
 __all__ = ["repeat_stream", "run_stream", "DEFAULT_CHUNK_FRAMES"]
 
@@ -450,6 +448,13 @@ def repeat_stream(spec: StreamSpec, repeat: RepeatSpec, *,
             f"unknown stream repeat metric {repeat.metric!r}; known: "
             + ", ".join(STREAM_RATE_METRICS)
         )
+    from repro.stats.repeater import (
+        STOP_BUDGET,
+        STOP_TARGET,
+        RepeatResult,
+        target_met,
+    )
+
     tm = telemetry if telemetry is not None else NULL_TELEMETRY
     tm.emit("run_start", kind="stream-repeat", label=spec.label,
             spec_hash=spec.config_hash, metric=repeat.metric,

@@ -21,7 +21,8 @@ from pathlib import Path
 import pytest
 
 import repro.campaigns.runner as runner
-from repro.api import CampaignSpec, FaultPlanSpec, RunSpec, WorkloadSpec
+from repro.api import (CampaignSpec, CotsSpec, FaultPlanSpec, RunSpec,
+                       WorkloadSpec)
 from repro.obs import Telemetry, read_telemetry
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -114,6 +115,21 @@ class TestForkedWorkers:
         specs.write_text(json.dumps([
             RunSpec(workload=WorkloadSpec(benchmark=benchmark),
                     policy=policy, baseline=True).to_dict()
+            for benchmark in ("bfs", "nn") for policy in ("default", "srrs")
+        ]))
+        tasks = _new_in_worker(tmp_path, [
+            "batch", str(specs), "--workers", "2", "--json"])
+        assert tasks and all(new == [] for new in tasks)
+
+    def test_batch_workers_inherit_the_optional_features(self, tmp_path):
+        # the Engine imports the fault campaign, the classifier and the
+        # COTS model at first use; a batch loads them before forking
+        specs = tmp_path / "specs.json"
+        specs.write_text(json.dumps([
+            RunSpec(workload=WorkloadSpec(benchmark=benchmark),
+                    policy=policy, classify=True, cots=CotsSpec(),
+                    faults=FaultPlanSpec(transient_ccf=2, permanent_sm=1,
+                                         seu=1)).to_dict()
             for benchmark in ("bfs", "nn") for policy in ("default", "srrs")
         ]))
         tasks = _new_in_worker(tmp_path, [

@@ -6,8 +6,11 @@ imports only the command module of the command it runs
 ``import repro`` and ``python -m repro --version`` load no subsystem,
 ``campaign report`` loads none of the analysis, linter, telemetry-archive,
 statistics-compare, platform or stream modules, and ``campaign
-report``/``status`` load none of the execution stack.  These tests check
-the module sets of fresh interpreters, not timings.
+report``/``status`` load none of the execution stack.  The executing
+commands (``campaign run``, ``stream run``, ``batch``) load the pool
+stack only for a pool, the telemetry internals only for a session and
+optional features only when a spec uses them.  These tests check the
+module sets of fresh interpreters, not timings.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import pytest
 from repro.cli import COMMANDS, main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+STREAM_SPEC = SRC.parent / "examples" / "specs" / "stream.json"
 
 #: Modules a bare import or ``--version`` may load: no subsystem.
 CORE = {"repro", "repro._lazy", "repro.__main__", "repro.cli", "repro.errors"}
@@ -44,6 +48,33 @@ EXECUTION = (
     "repro.iso26262", "repro.gpu.cots", "repro.workloads.rodinia",
     "multiprocessing", "concurrent.futures",
 )
+
+#: What an executing command whose tasks run in-process, telemetry off,
+#: never loads: the pool stack and the telemetry schema, ticker and
+#: worker sidecars.
+POOL_AND_TELEMETRY = (
+    "concurrent.futures", "multiprocessing", "repro.obs.worker",
+    "repro.obs.events", "repro.obs.progress",
+)
+
+#: Per executing command: its argv (``{root}`` is a scratch directory)
+#: and what it loads none of beyond :data:`POOL_AND_TELEMETRY`.
+EXECUTING = {
+    "campaign-run": (
+        ["campaign", "run", "--spec", "{root}/campaign.json",
+         "--dir", "{root}/store", "--workers", "2"],
+        (),
+    ),
+    "stream-run": (
+        ["stream", "run", "--spec", str(STREAM_SPEC), "--frames", "1",
+         "--workers", "1"],
+        ("repro.stats", "repro.iso26262", "repro.obs.profiling"),
+    ),
+    "batch": (
+        ["batch", "{root}/batch.json", "--workers", "2", "--json"],
+        ("repro.faults", "repro.gpu.cots", "repro.workloads.classify"),
+    ),
+}
 
 
 def loaded_modules(code: str, roots: Sequence[str] = ("repro",)
@@ -141,6 +172,27 @@ class TestModuleSets:
             "repro.commands", "repro.commands.common",
             COMMANDS[command].module,
         })
+
+    @pytest.mark.parametrize("command", sorted(EXECUTING))
+    def test_executing_command_loads_only_what_it_runs(self, tmp_path,
+                                                      command):
+        # one shard, one frame, one spec: nothing for a pool to run
+        (tmp_path / "campaign.json").write_text(json.dumps({
+            "run": {"workload": {"benchmark": "hotspot"}, "policy": "srrs"},
+            "faults": {"transient_ccf": 1, "permanent_sm": 0, "seu": 0},
+            "shards": 1,
+        }))
+        (tmp_path / "batch.json").write_text(json.dumps([
+            {"workload": {"benchmark": "bfs"}, "policy": "srrs",
+             "baseline": True},
+        ]))
+        argv, unused = EXECUTING[command]
+        loaded = loaded_modules(
+            run_cli([arg.format(root=tmp_path) for arg in argv]),
+            roots=("repro", "multiprocessing", "concurrent"),
+        )
+        assert "repro.gpu.simulator" in loaded
+        assert within(loaded, POOL_AND_TELEMETRY + unused) == []
 
     def test_help_lists_every_command_without_loading_a_group(self, capsys):
         assert set(loaded_modules(run_cli(["--help"]))) <= CORE
