@@ -207,8 +207,8 @@ def test_campaign_classify_throughput(benchmark):
     """
     spec = _campaign_spec(20_000, shards=16)
     campaign = baseline_campaign(spec.run)
-    config = spec.faults.to_config(seed=spec.run.seed)
-    faults = campaign.sample_range(config, 0, config.total_injections)
+    plan = spec.effective_faults
+    faults = campaign.sample_range(plan, 0, plan.total_injections)
 
     def run():
         legs = []

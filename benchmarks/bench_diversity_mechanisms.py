@@ -16,8 +16,10 @@ and measures each one's fault-detection coverage:
 from __future__ import annotations
 
 from repro.analysis.report import render_table
+from repro.api import FaultPlanSpec
+from repro.campaigns.runner import classify_shard, fold_report
+from repro.campaigns.sharding import Shard
 from repro.faults import (
-    CampaignConfig,
     FaultCampaign,
     FaultOutcome,
     PermanentSMFault,
@@ -33,13 +35,19 @@ KERNEL = KernelDescriptor(
     name="ablation/friendly", grid_blocks=12, threads_per_block=256,
     work_per_block=6000.0, bytes_per_block=1000.0,
 )
-CONFIG = CampaignConfig(transient_ccf=300, permanent_sm=100, seu=100,
-                        seed=2019)
+PLAN = FaultPlanSpec(transient_ccf=300, permanent_sm=100, seu=100,
+                     seed=2019)
+
+
+def _campaign(run):
+    """``PLAN``'s whole population against ``run``, on the shard path."""
+    shard = Shard(index=0, start=0, stop=PLAN.total_injections)
+    return fold_report([classify_shard(FaultCampaign(run), PLAN, shard)])
 
 
 def _campaign_row(gpu, label, policy):
     run = RedundantKernelManager(gpu, policy).run([KERNEL, KERNEL])
-    report = FaultCampaign(run).run(CONFIG)
+    report = _campaign(run)
     transient_sdc = report.by_kind["TransientCCF"].get(FaultOutcome.SDC, 0)
     permanent_sdc = report.by_kind["PermanentSMFault"].get(FaultOutcome.SDC, 0)
     return (
@@ -56,9 +64,9 @@ def _diverse_grid_row(gpu):
     trace = clean.sim.trace
     import random
 
-    rng = random.Random(CONFIG.seed)
+    rng = random.Random(PLAN.seed)
     transient_sdc = permanent_sdc = dangerous = detected = 0
-    for fid in range(CONFIG.transient_ccf):
+    for fid in range(PLAN.transient_ccf):
         fault = TransientCCF(time=rng.uniform(0, trace.makespan), fault_id=fid,
                              work_per_block=KERNEL.work_per_block)
         corruption = apply_fault(fault, trace)
@@ -70,7 +78,7 @@ def _diverse_grid_row(gpu):
             detected += 1
         elif result.silent_corruption:
             transient_sdc += 1
-    for fid in range(CONFIG.permanent_sm):
+    for fid in range(PLAN.permanent_sm):
         fault = PermanentSMFault(sm=rng.randrange(trace.num_sms),
                                  fault_id=10_000 + fid,
                                  since=rng.uniform(0, trace.makespan * 0.5))
@@ -91,7 +99,7 @@ def _diverse_grid_row(gpu):
 def test_diversity_mechanism_ablation(benchmark, gpu):
     """Time one campaign; print the mechanism-coverage table."""
     run = RedundantKernelManager(gpu, "staggered").run([KERNEL, KERNEL])
-    benchmark(lambda: FaultCampaign(run).run(CONFIG))
+    benchmark(lambda: _campaign(run))
 
     rows = []
     for label, policy in (
@@ -111,8 +119,8 @@ def test_diversity_mechanism_ablation(benchmark, gpu):
              "coverage"],
             rows,
             title="E10 — Fault coverage per diversity mechanism "
-                  f"({CONFIG.transient_ccf}+{CONFIG.permanent_sm}+"
-                  f"{CONFIG.seu} injections)",
+                  f"({PLAN.transient_ccf}+{PLAN.permanent_sm}+"
+                  f"{PLAN.seu} injections)",
         )
     )
 

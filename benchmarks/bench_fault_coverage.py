@@ -14,25 +14,34 @@ identically); SRRS and HALF detect 100 % of dangerous faults.
 from __future__ import annotations
 
 from repro.analysis.report import render_table
-from repro.api import Engine, build_scenario
-from repro.faults.campaign import CampaignConfig, FaultCampaign
-from repro.redundancy.manager import RedundantKernelManager
-from repro.workloads.rodinia import get_benchmark
+from repro.api import (
+    CampaignSpec,
+    Engine,
+    FaultPlanSpec,
+    GPUSpec,
+    RunSpec,
+    WorkloadSpec,
+    build_scenario,
+)
+from repro.campaigns import run_campaign
 
-CONFIG = CampaignConfig(transient_ccf=400, permanent_sm=100, seu=200,
-                        seed=2019)
+PLAN = FaultPlanSpec(transient_ccf=400, permanent_sm=100, seu=200,
+                     seed=2019)
 
 
 def test_fault_coverage_table(benchmark, gpu):
     """Time one full campaign and print the per-policy coverage table."""
-    bench = get_benchmark("hotspot")
-    run = RedundantKernelManager(gpu, "srrs").run(list(bench.kernels))
+    spec = CampaignSpec(
+        run=RunSpec(workload=WorkloadSpec(benchmark="hotspot"),
+                    gpu=GPUSpec.from_config(gpu), policy="srrs"),
+        faults=PLAN,
+    )
 
-    benchmark(lambda: FaultCampaign(run).run(CONFIG))
+    benchmark(lambda: run_campaign(spec))
 
     rows = [a.faults for a in Engine().run_many(
         build_scenario("coverage", gpu=gpu, benchmark="hotspot",
-                       config=CONFIG))]
+                       config=PLAN))]
     print(
         "\n"
         + render_table(

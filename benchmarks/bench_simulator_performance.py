@@ -20,9 +20,10 @@ from unittest import mock
 
 from _bench_artifacts import BenchArtifact
 
+from repro.api.campaign import CampaignSpec
 from repro.api.engine import Engine
-from repro.api.spec import GPUSpec, RunSpec, WorkloadSpec
-from repro.faults.campaign import CampaignConfig, FaultCampaign
+from repro.api.spec import FaultPlanSpec, GPUSpec, KernelSpec, RunSpec, WorkloadSpec
+from repro.campaigns.runner import run_campaign
 from repro.gpu.config import GPUConfig, SMConfig
 from repro.gpu.kernel import KernelDescriptor, KernelLaunch, dependent_chain
 from repro.gpu.reference import ReferenceSimulator
@@ -359,14 +360,17 @@ def test_redundant_manager_throughput(benchmark, gpu):
 
 
 def test_campaign_throughput(benchmark, gpu):
-    """1000-injection campaign against one trace."""
-    kernel = KernelDescriptor(
+    """1000-injection campaign against one (cached) trace."""
+    kernel = KernelSpec(
         name="perf/campaign", grid_blocks=36, threads_per_block=128,
         work_per_block=2500.0,
     )
-    base = RedundantKernelManager(gpu, "srrs").run([kernel] * 3)
-    config = CampaignConfig(transient_ccf=600, permanent_sm=200, seu=200,
-                            seed=1)
+    spec = CampaignSpec(
+        run=RunSpec(workload=WorkloadSpec(kernels=(kernel,) * 3),
+                    gpu=GPUSpec.from_config(gpu), policy="srrs"),
+        faults=FaultPlanSpec(transient_ccf=600, permanent_sm=200, seu=200,
+                             seed=1),
+    )
 
-    report = benchmark(lambda: FaultCampaign(base).run(config))
+    report = benchmark(lambda: run_campaign(spec))
     assert report.total == 1000

@@ -17,14 +17,17 @@ Run:
 
 from __future__ import annotations
 
-from repro import GPUConfig, RedundantKernelManager
+from repro import (
+    CampaignSpec,
+    FaultPlanSpec,
+    RunSpec,
+    WorkloadSpec,
+    run_campaign,
+)
 from repro.analysis.report import render_table
-from repro.faults import CampaignConfig, FaultCampaign, FaultOutcome
-from repro.iso26262 import Asil
-from repro.workloads import get_benchmark
 
-CONFIG = CampaignConfig(transient_ccf=500, permanent_sm=120, seu=250,
-                        seed=2019)
+PLAN = FaultPlanSpec(transient_ccf=500, permanent_sm=120, seu=250,
+                     seed=2019)
 
 #: Raw random-hardware failure rate assumed for the GPU cores (1e-6/h is
 #: a deliberately pessimistic illustration value).
@@ -32,14 +35,12 @@ RAW_RATE = 1e-6
 
 
 def main() -> None:
-    gpu = GPUConfig.gpgpusim_like()
-    kernels = list(get_benchmark("hotspot").kernels)
-
     rows = []
     sdc_examples = {}
     for policy in ("default", "half", "srrs"):
-        run = RedundantKernelManager(gpu, policy).run(kernels, tag="hotspot")
-        report = FaultCampaign(run).run(CONFIG)
+        run = RunSpec(workload=WorkloadSpec(benchmark="hotspot"),
+                      policy=policy, tag="hotspot")
+        report = run_campaign(CampaignSpec(run=run, faults=PLAN))
         metrics = report.hardware_metrics(RAW_RATE)
         rows.append([
             report.policy,
@@ -52,26 +53,22 @@ def main() -> None:
             "yes" if metrics.pmhf_per_hour <= 1e-8 else "NO",
         ])
         if report.sdc:
-            sdc_examples[policy] = report.sdc_injections()[:3]
+            sdc_examples[policy] = report.sdc_samples[:3]
 
     print(render_table(
         ["policy", "n", "masked", "detected", "SDC", "coverage",
          "PMHF (1/h)", "ASIL-D PMHF ok"],
         rows,
-        title=f"Campaign: {CONFIG.transient_ccf} droops + "
-              f"{CONFIG.permanent_sm} permanent + {CONFIG.seu} SEU "
-              f"(hotspot, seed {CONFIG.seed})",
+        title=f"Campaign: {PLAN.transient_ccf} droops + "
+              f"{PLAN.permanent_sm} permanent + {PLAN.seu} SEU "
+              f"(hotspot, seed {PLAN.seed})",
     ))
 
     for policy, examples in sdc_examples.items():
-        print(f"\nexample silent corruptions under {policy!r}:")
-        for record in examples:
-            print(
-                f"  {record.fault_label}: corrupted "
-                f"{record.corrupted_blocks} blocks of logical kernels "
-                f"{list(record.affected_logicals)} — identical in both "
-                "copies, comparison blind"
-            )
+        print(f"\nexample silent corruptions under {policy!r} "
+              "(identical in both copies, comparison blind):")
+        for label in examples:
+            print(f"  {label}")
 
     print(
         "\nInterpretation: the DCLS comparison detects any *differing* "

@@ -23,12 +23,12 @@ Example::
     assert CampaignSpec.from_json(spec.to_json()) == spec
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from repro.api.spec import FaultPlanSpec, RunSpec, SpecCodec
 from repro.api.stats import RepeatSpec, SamplingSpec
-from repro.errors import ConfigurationError, FaultInjectionError
+from repro.errors import ConfigurationError
 
 __all__ = ["CampaignSpec"]
 
@@ -95,10 +95,6 @@ class CampaignSpec(SpecCodec):
                 "the campaign owns the fault plan: set CampaignSpec.faults, "
                 "not RunSpec.faults"
             )
-        if self.total_injections < 1:
-            raise ConfigurationError(
-                "campaign must inject at least one fault"
-            )
         if self.shards is not None and self.shard_size is not None:
             raise ConfigurationError(
                 "set either shards or shard_size, not both"
@@ -108,12 +104,17 @@ class CampaignSpec(SpecCodec):
         if self.shard_size is not None and self.shard_size < 1:
             raise ConfigurationError("shard_size must be >= 1")
         if self.sampling is not None:
-            try:
-                self.sampling.to_config().validate_support(
-                    self.faults.to_config()
-                )
-            except FaultInjectionError as exc:
-                raise ConfigurationError(str(exc)) from None
+            # the unbiasedness support condition: a kind with a positive
+            # nominal share must be sampled, or the reweighted estimate
+            # could never see that part of the population
+            for name in ("transient_ccf", "permanent_sm", "seu"):
+                share = getattr(self.faults, name)
+                if share > 0 and getattr(self.sampling, name) == 0:
+                    raise ConfigurationError(
+                        f"sampling allocation gives no weight to {name}, "
+                        f"which has nominal population share {share} — "
+                        "the reweighted estimate would be biased"
+                    )
         if self.repeat is not None:
             if self.sampling is None:
                 raise ConfigurationError(
@@ -146,7 +147,18 @@ class CampaignSpec(SpecCodec):
         """
         if self.repeat is not None:
             return self.repeat.max_total
-        return self.faults.transient_ccf + self.faults.permanent_sm + self.faults.seu
+        return self.faults.total_injections
+
+    @property
+    def effective_faults(self) -> FaultPlanSpec:
+        """The fault plan the campaign draws.
+
+        ``run.seed``, when set, overrides ``faults.seed``; this is the
+        one place that rule is resolved.
+        """
+        if self.run.seed is None:
+            return self.faults
+        return replace(self.faults, seed=self.run.seed)
 
     @property
     def label(self) -> str:

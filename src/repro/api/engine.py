@@ -20,6 +20,7 @@ count — ``workers=4`` only changes the wall-clock, never the results.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 # the simulation stack first: the import order repro.campaigns.runner
@@ -61,13 +62,13 @@ def _run_spec(task: Tuple[RunSpec, bool],
 def _load_features(specs: Sequence[RunSpec]) -> None:
     """Import the optional-feature modules ``specs`` use.
 
-    :meth:`Engine.run` imports the fault campaign, the kernel classifier
-    and the COTS model at first use; a batch imports those its specs
-    need here, before the pool forks, so no worker imports a module the
-    parent had not loaded.
+    :meth:`Engine.run` imports the campaign runner, the kernel
+    classifier and the COTS model at first use; a batch imports those its
+    specs need here, before the pool forks, so no worker imports a module
+    the parent had not loaded.
     """
     if any(spec.faults is not None for spec in specs):
-        import repro.faults.campaign  # noqa: F401
+        import repro.campaigns.runner  # noqa: F401
     if any(spec.classify for spec in specs):
         import repro.workloads.classify  # noqa: F401
     if any(spec.cots is not None for spec in specs):
@@ -268,22 +269,34 @@ class Engine:
 
     def _campaign(self, spec: RunSpec,
                   run: RedundantRunResult) -> FaultSummary:
+        """The spec's fault campaign, on the ``campaign run`` shard path.
+
+        The campaign is the :class:`~repro.api.campaign.CampaignSpec` of
+        this run and plan; every shard of its plan is classified against
+        the run already simulated and folded by
+        :func:`~repro.campaigns.runner.fold_report`, exactly as ``campaign
+        run`` does in-process, so both report the same counts.
+        """
+        from repro.api.campaign import CampaignSpec
+        from repro.campaigns.runner import (
+            campaign_plan,
+            classify_shard,
+            fold_report,
+        )
         from repro.faults.campaign import FaultCampaign
 
         assert spec.faults is not None
-        config = spec.faults.to_config(seed=spec.seed)
-        report = FaultCampaign(run).run(config)
+        campaign_spec = CampaignSpec(run=replace(spec, faults=None),
+                                     faults=spec.faults)
+        campaign = FaultCampaign(run)
+        plan = campaign_spec.effective_faults
+        report = fold_report(
+            classify_shard(campaign, plan, shard)
+            for shard in campaign_plan(campaign_spec)
+        )
         by_kind = tuple(
-            (
-                kind,
-                tuple(
-                    (outcome.name.lower(), count)
-                    for outcome, count in sorted(
-                        outcomes.items(), key=lambda kv: kv[0].name
-                    )
-                ),
-            )
-            for kind, outcomes in sorted(report.by_kind.items())
+            (kind, tuple(outcomes.items()))
+            for kind, outcomes in report.to_dict()["by_kind"].items()
         )
         return FaultSummary(
             policy=report.policy,

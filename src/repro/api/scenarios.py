@@ -32,7 +32,6 @@ from repro.api.spec import (
     WorkloadSpec,
 )
 from repro.errors import ConfigurationError
-from repro.faults.report import CampaignConfig
 from repro.gpu.config import GPUConfig
 from repro.gpu.cots import COTSDevice
 from repro.gpu.scheduler.registry import PAPER_POLICIES
@@ -170,15 +169,6 @@ def _gpu_spec(gpu: Union[GPUSpec, GPUConfig, None],
     return GPUSpec(preset="gpgpusim", num_sms=sms)
 
 
-def _fault_plan(config: Union[FaultPlanSpec, CampaignConfig, None]
-                ) -> FaultPlanSpec:
-    if isinstance(config, FaultPlanSpec):
-        return config
-    if isinstance(config, CampaignConfig):
-        return FaultPlanSpec.from_config(config)
-    return FaultPlanSpec()
-
-
 def _cots_spec(device: Union[CotsSpec, COTSDevice, None]) -> CotsSpec:
     if isinstance(device, CotsSpec):
         return device
@@ -204,7 +194,7 @@ def _benchmark(benchmark: str = "hotspot", policy: str = "srrs",
             policy=policy,
             redundancy=redundancy,
             baseline=baseline,
-            faults=_fault_plan(faults) if faults is not None else None,
+            faults=faults,
             tag=benchmark,
         )
     ]
@@ -303,7 +293,7 @@ def _coverage(benchmark: str = "hotspot", gpu=None,
               sms: Optional[int] = None, config=None,
               policies: Sequence[str] = PAPER_POLICIES) -> List[RunSpec]:
     gpu_spec = _gpu_spec(gpu, sms)
-    plan = _fault_plan(config)
+    plan = config if config is not None else FaultPlanSpec()
     return [
         RunSpec(
             workload=WorkloadSpec(benchmark=benchmark),

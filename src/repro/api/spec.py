@@ -54,11 +54,9 @@ from repro.workloads.synthetic import (
     make_short_kernel,
 )
 
-# specs are read on every command's cold path, so the model tables and
-# configs they name (Rodinia chains, the COTS device model, the fault
-# campaign config) load where they are used
+# specs are read on every command's cold path, so the model tables they
+# name (Rodinia chains, the COTS device model) load where they are used
 if TYPE_CHECKING:
-    from repro.faults.report import CampaignConfig
     from repro.gpu.cots import COTSDevice
 
 __all__ = [
@@ -443,7 +441,20 @@ class WorkloadSpec(Codec):
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class FaultPlanSpec(Codec):
-    """JSON-able mirror of :class:`repro.faults.campaign.CampaignConfig`."""
+    """The fault population of a campaign.
+
+    Fault ``i`` of the population is
+    :meth:`repro.faults.campaign.FaultCampaign.fault_at` ``(plan, i)``.
+
+    Attributes:
+        transient_ccf: number of chip-wide transient CCFs (voltage droops)
+            with uniformly random fault instants.
+        permanent_sm: number of permanent SM defects, uniform over SMs
+            with uniformly random onset times.
+        seu: number of local single-event upsets, uniform over (SM, time).
+        seed: PRNG seed (campaigns are reproducible).
+        phase_quantum: transient-CCF alignment quantum in work units.
+    """
 
     transient_ccf: int = 200
     permanent_sm: int = 50
@@ -451,19 +462,18 @@ class FaultPlanSpec(Codec):
     seed: int = 2019
     phase_quantum: float = 1.0
 
-    def to_config(self, seed: Optional[int] = None) -> "CampaignConfig":
-        """Materialise the campaign config, optionally overriding the seed."""
-        from repro.faults.report import CampaignConfig
+    def __post_init__(self) -> None:
+        if min(self.transient_ccf, self.permanent_sm, self.seu) < 0:
+            raise ConfigurationError("injection counts cannot be negative")
+        if self.total_injections == 0:
+            raise ConfigurationError("campaign must inject at least one fault")
+        if self.phase_quantum <= 0:
+            raise ConfigurationError("phase quantum must be positive")
 
-        data = self.to_dict()
-        if seed is not None:
-            data["seed"] = seed
-        return CampaignConfig(**data)
-
-    @classmethod
-    def from_config(cls, config: "CampaignConfig") -> "FaultPlanSpec":
-        """Mirror an existing :class:`CampaignConfig`."""
-        return cls(**{f.name: getattr(config, f.name) for f in fields(cls)})
+    @property
+    def total_injections(self) -> int:
+        """Campaign size: the number of faults the plan injects."""
+        return self.transient_ccf + self.permanent_sm + self.seu
 
 
 @dataclass(frozen=True)

@@ -20,13 +20,10 @@ JSON-round-trippable, like every spec in :mod:`repro.api`.
 """
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from repro.api.spec import Codec
 from repro.errors import ConfigurationError
-
-if TYPE_CHECKING:
-    from repro.faults.report import SamplingConfig
 
 __all__ = ["SamplingSpec", "RepeatSpec"]
 
@@ -82,18 +79,6 @@ class SamplingSpec(Codec):
             raise ConfigurationError(
                 "at least one sampling allocation weight must be positive"
             )
-
-    # ------------------------------------------------------------------
-    def to_config(self) -> "SamplingConfig":
-        """Materialise the faults-layer :class:`SamplingConfig` mirror."""
-        from repro.faults.report import SamplingConfig
-
-        return SamplingConfig(
-            method=self.method,
-            transient_ccf=self.transient_ccf,
-            permanent_sm=self.permanent_sm,
-            seu=self.seu,
-        )
 
 
 @dataclass(frozen=True)

@@ -98,7 +98,7 @@ class StreamFaultSpec(Codec):
     substream (so the overlay is independent of worker/chunk
     configuration).  The fault kind is chosen by the three weights,
     mirroring the population mix of
-    :class:`~repro.faults.campaign.CampaignConfig`.  Detected errors
+    :class:`~repro.api.spec.FaultPlanSpec`.  Detected errors
     trigger a full redundant re-execution of the frame — surfacing as
     added latency and possibly a deadline miss — while silent corruptions
     are counted as delivered-but-wrong frames.

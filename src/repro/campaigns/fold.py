@@ -51,10 +51,7 @@ def spec_sampling_meta(spec: CampaignSpec) -> Optional[Dict[str, object]]:
     """The spec's report-level sampling block, ``None`` for legacy specs."""
     if spec.sampling is None:
         return None
-    return sampling_metadata(
-        spec.faults.to_config(seed=spec.run.seed),
-        spec.sampling.to_config(),
-    )
+    return sampling_metadata(spec.faults, spec.sampling)
 
 
 def fold_report(records: Iterable[ShardRecord], *,

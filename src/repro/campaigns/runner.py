@@ -40,7 +40,8 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
 # (docs/PERFORMANCE.md, "CLI start-up").
 from repro.redundancy.manager import RedundantKernelManager
 from repro.api.campaign import CampaignSpec
-from repro.api.spec import RunSpec
+from repro.api.spec import FaultPlanSpec, RunSpec
+from repro.api.stats import SamplingSpec
 from repro.campaigns.fold import (
     CampaignStatus,
     as_store,
@@ -69,6 +70,7 @@ __all__ = [
     "baseline_campaign",
     "campaign_plan",
     "campaign_status",
+    "classify_shard",
     "fold_report",
     "repeat_campaign",
     "resume_campaign",
@@ -141,31 +143,45 @@ def _execute_shard(task: Tuple[str, int, int, int, bool],
         cached = (spec.run.config_hash, validate) in _BASELINE_CACHE
         with telemetry.span("baseline", cached=cached):
             campaign = baseline_campaign(spec.run, validate=validate)
-        config = spec.faults.to_config(seed=spec.run.seed)
-        sampling = (spec.sampling.to_config()
-                    if spec.sampling is not None else None)
-        counts: Dict[str, Dict[str, int]] = {}
-        sdc_samples: List[str] = []
         with telemetry.span("classify", injections=stop - start):
-            for index in range(start, stop):
-                fault = campaign.fault_at(config, index, sampling=sampling)
-                result = campaign.classify(fault)
-                kind = type(fault).__name__
-                bucket = counts.setdefault(kind, {})
-                key = OUTCOME_KEYS[result.outcome]
-                bucket[key] = bucket.get(key, 0) + 1
-                if (result.outcome is FaultOutcome.SDC
-                        and len(sdc_samples) < SDC_SAMPLE_LIMIT):
-                    sdc_samples.append(result.fault_label)
+            return classify_shard(
+                campaign, spec.effective_faults,
+                Shard(index=shard_index, start=start, stop=stop),
+                sampling=spec.sampling,
+            )
+
+
+def classify_shard(campaign: FaultCampaign, plan: FaultPlanSpec,
+                   shard: Shard, *,
+                   sampling: Optional[SamplingSpec] = None) -> ShardRecord:
+    """Classify one shard of ``plan``'s fault population to its record.
+
+    Fault ``i`` of the shard is ``campaign.fault_at(plan, i,
+    sampling=sampling)``; only the outcome counts per fault kind and the
+    first :data:`~repro.faults.report.SDC_SAMPLE_LIMIT` SDC labels are
+    kept.  Shard workers and :meth:`repro.api.engine.Engine.run` both
+    classify through here, so :func:`fold_report` of the records is the
+    one campaign report.
+    """
+    counts: Dict[str, Dict[str, int]] = {}
+    sdc_samples: List[str] = []
+    for index in range(shard.start, shard.stop):
+        fault = campaign.fault_at(plan, index, sampling=sampling)
+        result = campaign.classify(fault)
+        bucket = counts.setdefault(type(fault).__name__, {})
+        key = OUTCOME_KEYS[result.outcome]
+        bucket[key] = bucket.get(key, 0) + 1
+        if (result.outcome is FaultOutcome.SDC
+                and len(sdc_samples) < SDC_SAMPLE_LIMIT):
+            sdc_samples.append(result.fault_label)
     return ShardRecord(
-        shard=shard_index,
-        start=start,
-        stop=stop,
+        shard=shard.index,
+        start=shard.start,
+        stop=shard.stop,
         policy=campaign.policy,
         counts=counts,
         sdc_samples=tuple(sdc_samples),
     )
-
 
 
 def run_campaign(spec: CampaignSpec, *,

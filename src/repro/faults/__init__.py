@@ -10,7 +10,7 @@ and audited separately (:mod:`~repro.faults.scheduler_faults`).
 from repro._lazy import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
-    "repro.faults.report": ("CampaignConfig", "CampaignReport"),
+    "repro.faults.report": ("CampaignReport",),
     "repro.faults.campaign": ("FaultCampaign",),
     "repro.faults.injector": ("CorruptionMap", "apply_fault"),
     "repro.faults.outcomes": (

@@ -1,13 +1,15 @@
 """Fault-injection campaigns over redundant executions.
 
 A campaign takes one *clean* redundant run (trace + comparisons are
-deterministic), samples a population of hardware faults, applies each to
-the trace, re-derives the affected output comparisons and classifies the
-outcome.  Because faults do not perturb timing in this coarse model, a
-single simulation per scheduling policy supports the whole campaign —
-thousands of injections cost milliseconds.
+deterministic), draws fault ``i`` of an indexed population
+(:meth:`FaultCampaign.fault_at`), applies it to the trace, re-derives the
+affected output comparisons and classifies the outcome.  Because faults
+do not perturb timing in this coarse model, a single simulation per
+scheduling policy supports the whole campaign — thousands of injections
+cost milliseconds.
 
-This is experiment E5 (``python -m repro coverage``): the paper *claims* SRRS and HALF
+This is experiment E5 (``python -m repro coverage``, run through
+:mod:`repro.campaigns`): the paper *claims* SRRS and HALF
 achieve diverse redundancy by construction; the campaign measures the
 silent-corruption rate of each policy under transient CCFs (voltage
 droops), permanent SM defects and local SEUs.  Expected result: the
@@ -18,16 +20,15 @@ SRRS and HALF do not.
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.errors import FaultInjectionError
 from repro.faults.injector import apply_fault
 from repro.faults.outcomes import FaultOutcome, InjectionResult
 from repro.faults.report import (
     SDC_SAMPLE_LIMIT,
-    CampaignConfig,
     CampaignReport,
-    SamplingConfig,
+    kind_at,
     sampling_metadata,
 )
 from repro.faults.types import (
@@ -39,13 +40,13 @@ from repro.faults.types import (
 from repro.substreams import substream, substream_seed
 
 if TYPE_CHECKING:
+    from repro.api.spec import FaultPlanSpec
+    from repro.api.stats import SamplingSpec
     from repro.redundancy.manager import RedundantRunResult
 
 __all__ = [
-    "CampaignConfig",
     "CampaignReport",
     "FaultCampaign",
-    "SamplingConfig",
     "SDC_SAMPLE_LIMIT",
     "fault_substream",
     "sampling_metadata",
@@ -91,8 +92,8 @@ class FaultCampaign:
             self._copies[logical] = len(copies)
             for span in copies.values():
                 self._compared[span.instance_id] = logical
-        # sampling-domain parameters, shared by the sequential and the
-        # indexed (shardable) samplers
+        # sampling-domain parameters, shared by the indexed sampler and
+        # the stream overlay
         self._makespan = self._trace.makespan
         self._num_sms = self._trace.num_sms
         self._work_hint = max(
@@ -152,10 +153,10 @@ class FaultCampaign:
                      phase_quantum: float) -> FaultDescriptor:
         """Construct one fault of ``kind`` over this campaign's domain.
 
-        The single source of truth for fault parameterisation: every
-        sampler (sequential, indexed, stream-overlay) draws through this
-        builder, so the per-kind draw order — and therefore every
-        population's bit-stability — can never diverge between them.
+        The single source of truth for fault parameterisation: both
+        samplers (indexed and stream-overlay) draw through this builder,
+        so the per-kind draw order — and therefore every population's
+        bit-stability — can never diverge between them.
         ``kind`` is ``"ccf"``, ``"perm"`` or ``"seu"``.
         """
         if kind == "ccf":
@@ -178,84 +179,56 @@ class FaultCampaign:
             fault_id=fault_id,
         )
 
-    def sample_faults(self, config: CampaignConfig) -> List[FaultDescriptor]:
-        """Draw the campaign's fault population (reproducibly).
-
-        This is the classic *sequential* sampler: one PRNG stream seeded
-        with ``config.seed`` drawn front to back.  It is kept bit-stable
-        for the paper-figure experiments; sharded campaigns use the
-        indexed sampler (:meth:`fault_at` / :meth:`sample_range`), whose
-        population is a different — equally distributed — draw.
-        """
-        rng = random.Random(config.seed)
-        faults: List[FaultDescriptor] = []
-        fid = 0
-        for kind, count in (("ccf", config.transient_ccf),
-                            ("perm", config.permanent_sm),
-                            ("seu", config.seu)):
-            for _ in range(count):
-                faults.append(
-                    self._build_fault(kind, rng, fid, config.phase_quantum)
-                )
-                fid += 1
-        return faults
-
     # ------------------------------------------------------------------
     # indexed (shardable) sampling
     # ------------------------------------------------------------------
-    def fault_at(self, config: CampaignConfig, index: int, *,
-                 sampling: Optional[SamplingConfig] = None
+    def fault_at(self, plan: FaultPlanSpec, index: int, *,
+                 sampling: Optional[SamplingSpec] = None
                  ) -> FaultDescriptor:
-        """The ``index``-th fault of the campaign's *indexed* population.
+        """The ``index``-th fault of the campaign's indexed population.
 
         Fault ``index`` draws exclusively from its own PRNG substream
-        (:func:`fault_substream`), so the fault returned for a given
-        ``(config, index)`` never depends on which other indices have
-        been (or will be) sampled — the determinism contract sharded
-        campaigns are built on.  The kind layout depends on the sampling
+        (:func:`fault_substream` of ``plan.seed``), so the fault returned
+        for a given ``(plan, index)`` never depends on which other
+        indices have been (or will be) sampled — the determinism
+        contract sharded campaigns are built on.  The kind layout
+        (:func:`~repro.faults.report.kind_at`) depends on the sampling
         generation:
 
         * legacy (``sampling=None``, v1): the index space is segmented
           by kind — ``[0, transient_ccf)`` transient CCFs, the next
           ``permanent_sm`` permanent SM defects, the remainder SEUs.
-          Bit-stable, but bounded by ``config.total_injections``.
-        * v2 (:class:`SamplingConfig`): the kind of index ``i`` comes
-          from the stratified block layout or the importance proposal
-          draw.  Both are *prefix-stable* — valid for every ``i >= 0``
-          regardless of campaign size — which is what lets the
-          repeat-until-confidence runner extend a campaign in place.
+          Bit-stable, but bounded by ``plan.total_injections``.
+        * v2 (a :class:`~repro.api.stats.SamplingSpec`): the kind of
+          index ``i`` comes from the stratified block layout or the
+          importance proposal draw.  Both are *prefix-stable* — valid
+          for every ``i >= 0`` regardless of campaign size — which is
+          what lets the repeat-until-confidence runner extend a
+          campaign in place.
 
         Raises:
-            FaultInjectionError: when ``index`` is outside the legacy
-                population, negative, or the sampling design does not
-                support the plan's nominal mix.
+            FaultInjectionError: when ``index`` is negative or outside
+                the legacy population.
         """
-        if sampling is not None:
-            if index < 0:
-                raise FaultInjectionError(
-                    f"fault index {index} cannot be negative"
-                )
-            sampling.validate_support(config)
-            rng = self._fault_substream(config.seed, index)
-            if sampling.method == "stratified":
-                kind = sampling.kind_at(index)
-            else:
-                kind = sampling.draw_kind(rng)
-            return self._build_fault(kind, rng, index, config.phase_quantum)
-        total = config.total_injections
-        if not 0 <= index < total:
+        weights = plan if sampling is None else sampling
+        total = (weights.transient_ccf + weights.permanent_sm
+                 + weights.seu)
+        if index < 0 or (sampling is None and index >= total):
+            upper = total if sampling is None else "inf"
             raise FaultInjectionError(
                 f"fault index {index} outside campaign population "
-                f"[0, {total})"
+                f"[0, {upper})"
             )
-        rng = self._fault_substream(config.seed, index)
-        if index < config.transient_ccf:
-            kind = "ccf"
-        elif index < config.transient_ccf + config.permanent_sm:
-            kind = "perm"
+        rng = self._fault_substream(plan.seed, index)
+        if sampling is None:
+            position = index
+        elif sampling.method == "stratified":
+            position = index % total
         else:
-            kind = "seu"
-        return self._build_fault(kind, rng, index, config.phase_quantum)
+            position = rng.randrange(total)
+        kind = kind_at(position, weights.transient_ccf,
+                       weights.permanent_sm, weights.seu)
+        return self._build_fault(kind, rng, index, plan.phase_quantum)
 
     def _fault_substream(self, seed: int, index: int) -> random.Random:
         """:func:`fault_substream` on the campaign's shared generator.
@@ -277,9 +250,9 @@ class FaultCampaign:
         This is the *overlay* hook used by :mod:`repro.streams`: callers
         that manage their own substream schedule (e.g. one substream per
         frame of a stream) draw faults over this campaign's sampling
-        domain — same kind weights and parameter distributions as the
-        indexed sampler (:meth:`fault_at`), but with the caller's ``rng``
-        and ``fault_id``.
+        domain — same kind pick and parameter distributions as the
+        importance-sampled :meth:`fault_at`, but with the caller's
+        ``rng`` and ``fault_id``.
 
         Args:
             rng: the PRNG to consume (the caller owns its seeding).
@@ -290,31 +263,19 @@ class FaultCampaign:
             fault_id: identifier stamped into the fault (labels stay
                 unique when the caller passes unique ids).
 
-        Raises:
-            FaultInjectionError: when no weight is positive.
+        The weights are the caller's validated spec values
+        (:class:`~repro.api.stream.StreamFaultSpec` checks them).
         """
-        if min(transient_ccf, permanent_sm, seu) < 0:
-            raise FaultInjectionError("fault-kind weights cannot be negative")
-        total = transient_ccf + permanent_sm + seu
-        if total == 0:
-            raise FaultInjectionError(
-                "at least one fault-kind weight must be positive"
-            )
-        pick = rng.randrange(total)
-        if pick < transient_ccf:
-            kind = "ccf"
-        elif pick < transient_ccf + permanent_sm:
-            kind = "perm"
-        else:
-            kind = "seu"
+        pick = rng.randrange(transient_ccf + permanent_sm + seu)
+        kind = kind_at(pick, transient_ccf, permanent_sm, seu)
         return self._build_fault(kind, rng, fault_id, phase_quantum)
 
-    def sample_range(self, config: CampaignConfig, start: int, stop: int, *,
-                     sampling: Optional[SamplingConfig] = None
+    def sample_range(self, plan: FaultPlanSpec, start: int, stop: int, *,
+                     sampling: Optional[SamplingSpec] = None
                      ) -> List[FaultDescriptor]:
         """One contiguous shard ``[start, stop)`` of the indexed population.
 
-        ``sample_range(c, 0, c.total_injections)`` is the whole (legacy)
+        ``sample_range(p, 0, p.total_injections)`` is the whole (legacy)
         population; any partition of ``[0, total)`` into contiguous
         ranges regenerates exactly the same faults shard by shard.  With
         a v2 ``sampling`` design the population is prefix-stable and
@@ -323,57 +284,11 @@ class FaultCampaign:
         Raises:
             FaultInjectionError: on an invalid or out-of-bounds range.
         """
-        upper = None if sampling is not None else config.total_injections
+        upper = None if sampling is not None else plan.total_injections
         if start < 0 or start > stop or (upper is not None and stop > upper):
             raise FaultInjectionError(
                 f"invalid fault range [{start}, {stop}) for a campaign of "
-                f"{config.total_injections} injections"
+                f"{plan.total_injections} injections"
             )
-        return [self.fault_at(config, index, sampling=sampling)
+        return [self.fault_at(plan, index, sampling=sampling)
                 for index in range(start, stop)]
-
-    def run_sampled(self, config: CampaignConfig, sampling: SamplingConfig,
-                    total: int) -> CampaignReport:
-        """Run ``total`` injections under a v2 sampling design, in memory.
-
-        The counterpart of :meth:`run` for the prefix-stable samplers:
-        indices ``[0, total)`` of the v2 population are injected and
-        recorded, and the report carries the :func:`sampling_metadata`
-        block so its rate estimates reweight to the nominal mix.  The
-        sharded equivalent lives in :mod:`repro.campaigns`.
-
-        Raises:
-            FaultInjectionError: on a non-positive total or an
-                unsupported sampling design.
-        """
-        if total < 1:
-            raise FaultInjectionError(
-                f"sampled campaign must inject at least one fault, "
-                f"got {total}"
-            )
-        metadata = sampling_metadata(config, sampling)
-        report = CampaignReport(policy=self._run.sim.scheduler_name,
-                                sampling=metadata)
-        for index in range(total):
-            fault = self.fault_at(config, index, sampling=sampling)
-            report.record(self.classify(fault), type(fault).__name__)
-        return report
-
-    def run(self, config: Optional[CampaignConfig] = None,
-            faults: Optional[Sequence[FaultDescriptor]] = None
-            ) -> CampaignReport:
-        """Run the campaign.
-
-        Args:
-            config: sampling plan (ignored when ``faults`` is given).
-            faults: explicit fault population (overrides sampling).
-
-        Returns:
-            The aggregated :class:`CampaignReport`.
-        """
-        if faults is None:
-            faults = self.sample_faults(config or CampaignConfig())
-        report = CampaignReport(policy=self._run.sim.scheduler_name)
-        for fault in faults:
-            report.record(self.classify(fault), type(fault).__name__)
-        return report

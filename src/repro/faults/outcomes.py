@@ -58,8 +58,8 @@ def classify_outcome(corruption: CorruptionMap,
     """Classify one injection from its corruption and the comparisons.
 
     ``comparisons`` must be the DCLS comparisons computed *with* the
-    corruption applied (see
-    :meth:`repro.faults.campaign.FaultCampaign.run`).
+    corruption applied; :meth:`repro.faults.campaign.FaultCampaign.classify`
+    gives the same outcome from the corrupted cells alone.
 
     The classification is conservative in the safety direction: an
     injection that produces any detectable mismatch is DETECTED even if it

@@ -1,235 +1,98 @@
 """Campaign plans and the aggregate report: the read side of a campaign.
 
-:class:`CampaignConfig` and :class:`SamplingConfig` describe which faults
-a campaign draws, :func:`sampling_metadata` is the report-level block of
-a v2 sampling design, and :class:`CampaignReport` folds injection
-outcomes into the aggregate whose digest the determinism contract is
-stated over.  Folding, reporting and status need only this module, so it
-imports no simulator, fault injector or redundancy layer
-(``docs/ARCHITECTURE.md``, "Import rule"); :mod:`repro.faults.campaign`
-re-exports every name and adds the :class:`FaultCampaign` that produces
-the outcomes.
+:func:`kind_at` lays the fault kinds out over the index space,
+:func:`sampling_metadata` is the report-level block of a v2 sampling
+design, and :class:`CampaignReport` folds injection outcome counts into
+the aggregate whose digest the determinism contract is stated over.
+Folding, reporting and status need only this module, so it imports no
+simulator, fault injector or redundancy layer (``docs/ARCHITECTURE.md``,
+"Import rule"); :mod:`repro.faults.campaign` re-exports the report names
+and adds the :class:`FaultCampaign` that produces the outcomes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import (
-    TYPE_CHECKING,
-    Dict,
-    Iterable,
-    List,
-    Mapping,
-    Optional,
-    Tuple,
-)
+from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.errors import FaultInjectionError, SafetyViolation, StatsError
-from repro.faults.outcomes import FaultOutcome, InjectionResult
+from repro.faults.outcomes import FaultOutcome
 from repro.journal import payload_digest
 
 # the rate estimators and the ISO 26262 model load where a report first
 # asks for an interval or a metric: folding and serialising a legacy
 # (uniform) report needs neither
 if TYPE_CHECKING:
-    import random
-
+    from repro.api.spec import FaultPlanSpec
+    from repro.api.stats import SamplingSpec
     from repro.iso26262.metrics import HardwareMetrics
     from repro.stats.intervals import RateEstimate
 
 __all__ = [
-    "CampaignConfig",
     "CampaignReport",
-    "SamplingConfig",
     "SDC_SAMPLE_LIMIT",
+    "kind_at",
     "sampling_metadata",
 ]
 
-#: Canonical short fault kinds, in layout order.
-CANONICAL_KINDS: Tuple[str, ...] = ("ccf", "perm", "seu")
-
-#: Short fault kind -> fault class name (the ``by_kind`` report keys).
-KIND_CLASS_NAMES: Dict[str, str] = {
-    "ccf": "TransientCCF",
-    "perm": "PermanentSMFault",
-    "seu": "SEUFault",
+#: Fault class name (the ``by_kind`` report keys) -> short fault kind.
+CLASS_NAME_KINDS: Dict[str, str] = {
+    "TransientCCF": "ccf",
+    "PermanentSMFault": "perm",
+    "SEUFault": "seu",
 }
-
-#: Inverse of :data:`KIND_CLASS_NAMES`.
-CLASS_NAME_KINDS: Dict[str, str] = {v: k for k, v in KIND_CLASS_NAMES.items()}
 
 #: Version tag of the sampling metadata block in report payloads.
 SAMPLING_SCHEMA = 2
 
-#: How many SDC fault labels a report retains as diagnostic examples when
-#: it aggregates counts instead of full records (see
+#: How many SDC fault labels a report retains as diagnostic examples (see
 #: :meth:`CampaignReport.merge_counts`).
 SDC_SAMPLE_LIMIT = 5
 
 
-@dataclass(frozen=True)
-class CampaignConfig:
-    """Sampling plan of a fault-injection campaign.
+def kind_at(position: int, transient_ccf: int, permanent_sm: int,
+            seu: int) -> str:
+    """The fault kind at ``position`` of the three weights' kind layout.
 
-    Attributes:
-        transient_ccf: number of chip-wide transient CCFs (voltage droops)
-            with uniformly random fault instants.
-        permanent_sm: number of permanent SM defects, uniform over SMs
-            with uniformly random onset times.
-        seu: number of local single-event upsets, uniform over (SM, time).
-        seed: PRNG seed (campaigns are reproducible).
-        phase_quantum: transient-CCF alignment quantum in work units.
+    The layout lists the kinds in canonical order, each repeated as
+    often as its weight: ``transient_ccf`` CCFs, then ``permanent_sm``
+    permanent SM defects, then SEUs.  Every sampler picks a kind through
+    it: the v1 population at the fault index itself, the stratified
+    design at the index modulo the weight total, and the importance
+    design and the stream overlay at one ``rng.randrange(total)`` draw.
     """
-
-    transient_ccf: int = 200
-    permanent_sm: int = 50
-    seu: int = 100
-    seed: int = 2019
-    phase_quantum: float = 1.0
-
-    def __post_init__(self) -> None:
-        if min(self.transient_ccf, self.permanent_sm, self.seu) < 0:
-            raise FaultInjectionError("injection counts cannot be negative")
-        if self.transient_ccf + self.permanent_sm + self.seu == 0:
-            raise FaultInjectionError("campaign must inject at least one fault")
-        if self.phase_quantum <= 0:
-            raise FaultInjectionError("phase quantum must be positive")
-
-    @property
-    def total_injections(self) -> int:
-        """Campaign size: the number of faults the plan injects."""
-        return self.transient_ccf + self.permanent_sm + self.seu
+    if position < transient_ccf:
+        return "ccf"
+    if position < transient_ccf + permanent_sm:
+        return "perm"
+    return "seu"
 
 
-@dataclass(frozen=True)
-class SamplingConfig:
-    """Fault-space sampling design — the v2, prefix-stable layouts.
-
-    The legacy (v1) indexed population segments the index space by kind
-    (``[0, ccf)`` CCFs, then permanents, then SEUs), which is *not*
-    prefix-extendable: growing the population changes the kind of
-    existing indices.  The two v2 layouts are prefix-stable — the fault
-    at index ``i`` never depends on the population size — which is what
-    lets the repeat-until-confidence runner keep extending a campaign
-    while staying bit-reproducible and resumable:
-
-    * ``stratified`` — the kind of index ``i`` is
-      ``block[i % len(block)]``, where ``block`` expands the integer
-      allocation weights in canonical kind order.  Per-kind sample
-      counts of any prefix are fixed (to within one block).
-    * ``importance`` — the kind of index ``i`` is drawn from the
-      index's own PRNG substream with probability proportional to the
-      allocation weights (the proposal distribution ``q``); estimates
-      reweight events by ``p_k / q_k`` (Horvitz–Thompson).
-
-    Attributes:
-        method: ``"stratified"`` or ``"importance"``.
-        transient_ccf / permanent_sm / seu: relative integer allocation
-            weights over the kinds (how the injection budget is spent —
-            the *nominal* population mix stays in
-            :class:`CampaignConfig`).
-    """
-
-    method: str
-    transient_ccf: int = 1
-    permanent_sm: int = 1
-    seu: int = 1
-
-    def __post_init__(self) -> None:
-        if self.method not in ("stratified", "importance"):
-            raise FaultInjectionError(
-                f"unknown sampling method {self.method!r} "
-                "(expected stratified or importance)"
-            )
-        if min(self.transient_ccf, self.permanent_sm, self.seu) < 0:
-            raise FaultInjectionError(
-                "sampling allocation weights cannot be negative"
-            )
-        if self.transient_ccf + self.permanent_sm + self.seu == 0:
-            raise FaultInjectionError(
-                "at least one sampling allocation weight must be positive"
-            )
-
-    # ------------------------------------------------------------------
-    @property
-    def allocation(self) -> Dict[str, int]:
-        """Allocation weights keyed by canonical short kind."""
-        return {
-            "ccf": self.transient_ccf,
-            "perm": self.permanent_sm,
-            "seu": self.seu,
-        }
-
-    def block(self) -> Tuple[str, ...]:
-        """The stratified layout's kind block, in canonical kind order."""
-        allocation = self.allocation
-        return tuple(
-            kind for kind in CANONICAL_KINDS
-            for _ in range(allocation[kind])
-        )
-
-    def kind_at(self, index: int) -> str:
-        """Stratified kind of fault ``index`` (deterministic layout)."""
-        block = self.block()
-        return block[index % len(block)]
-
-    def draw_kind(self, rng: random.Random) -> str:
-        """Importance-sampled kind (consumes one draw from ``rng``)."""
-        total = self.transient_ccf + self.permanent_sm + self.seu
-        pick = rng.randrange(total)
-        if pick < self.transient_ccf:
-            return "ccf"
-        if pick < self.transient_ccf + self.permanent_sm:
-            return "perm"
-        return "seu"
-
-    def validate_support(self, config: CampaignConfig) -> None:
-        """Check the unbiasedness support condition against a plan.
-
-        Every kind with positive *nominal* population share must have a
-        positive allocation weight — otherwise part of the population
-        could never be sampled and the reweighted estimate would be
-        biased.
-
-        Raises:
-            FaultInjectionError: naming the unsupported kind.
-        """
-        nominal = {
-            "ccf": config.transient_ccf,
-            "perm": config.permanent_sm,
-            "seu": config.seu,
-        }
-        allocation = self.allocation
-        for kind in CANONICAL_KINDS:
-            if nominal[kind] > 0 and allocation[kind] == 0:
-                raise FaultInjectionError(
-                    f"sampling allocation gives no weight to kind "
-                    f"{kind!r}, which has nominal population share "
-                    f"{nominal[kind]} — the reweighted estimate would "
-                    "be biased"
-                )
-
-
-def sampling_metadata(config: CampaignConfig,
-                      sampling: SamplingConfig) -> Dict[str, object]:
+def sampling_metadata(plan: FaultPlanSpec,
+                      sampling: SamplingSpec) -> Dict[str, object]:
     """The report-level sampling block (pure integers, digest-safe).
 
     Carried by :attr:`CampaignReport.sampling` and emitted under the
     versioned ``"sampling"`` key of :meth:`CampaignReport.to_dict`.
     Only integer counts are stored; the estimators derive population
     probabilities and importance weights from them at estimation time,
-    so report digests never depend on float summation order.
+    so report digests never depend on float summation order.  The
+    design's support over ``plan`` is checked where the
+    :class:`~repro.api.campaign.CampaignSpec` pairing them is built.
     """
-    sampling.validate_support(config)
     return {
         "schema": SAMPLING_SCHEMA,
         "method": sampling.method,
         "nominal": {
-            "ccf": config.transient_ccf,
-            "perm": config.permanent_sm,
-            "seu": config.seu,
+            "ccf": plan.transient_ccf,
+            "perm": plan.permanent_sm,
+            "seu": plan.seu,
         },
-        "allocation": dict(sampling.allocation),
+        "allocation": {
+            "ccf": sampling.transient_ccf,
+            "perm": sampling.permanent_sm,
+            "seu": sampling.seu,
+        },
     }
 
 
@@ -237,21 +100,16 @@ def sampling_metadata(config: CampaignConfig,
 class CampaignReport:
     """Aggregated campaign outcome.
 
-    A report accumulates through two complementary channels:
-
-    * :meth:`record` appends full :class:`InjectionResult` records (the
-      classic in-memory campaign path);
-    * :meth:`merge_counts` folds in pre-aggregated outcome counts (the
-      sharded campaign path — see :mod:`repro.campaigns` — which never
-      materialises the per-injection records of a whole campaign).
+    A report holds outcome *counts* only: :meth:`merge_counts` folds in
+    the ``fault-kind -> outcome -> count`` tables of classified faults
+    (one per campaign shard, see :mod:`repro.campaigns`), and every
+    outcome total is read off the :attr:`by_kind` table.
 
     Attributes:
         policy: scheduler label of the underlying run.
-        injections: per-injection records (empty for counts-only reports).
         by_kind: ``fault-kind -> outcome -> count`` breakdown.
         sdc_samples: up to :data:`SDC_SAMPLE_LIMIT` fault labels of silent
-            corruptions, kept as diagnostic examples even when the full
-            records are not.
+            corruptions, kept as diagnostic examples.
         sampling: the versioned sampling-metadata block
             (:func:`sampling_metadata`) when the campaign used a v2
             sampler, ``None`` for the legacy uniform population.  With
@@ -261,33 +119,11 @@ class CampaignReport:
     """
 
     policy: str
-    injections: List[InjectionResult] = field(default_factory=list)
     by_kind: Dict[str, Dict[FaultOutcome, int]] = field(default_factory=dict)
     sdc_samples: List[str] = field(default_factory=list)
     sampling: Optional[Dict[str, object]] = None
-    # incremental outcome tally: ``injections`` is append-only, so counts
-    # fold in lazily up to ``_counted_upto`` instead of rescanning the
-    # whole campaign on every ``masked``/``detected``/``sdc`` access
-    _outcome_counts: Dict[FaultOutcome, int] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-    _counted_upto: int = field(default=0, init=False, repr=False, compare=False)
-    # counts folded in via merge_counts (no per-injection records behind them)
-    _merged_counts: Dict[FaultOutcome, int] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-    _merged_total: int = field(default=0, init=False, repr=False, compare=False)
 
     # ------------------------------------------------------------------
-    def record(self, result: InjectionResult, fault_kind: str) -> None:
-        """Append one injection outcome, maintaining all tallies."""
-        self.injections.append(result)
-        bucket = self.by_kind.setdefault(fault_kind, {})
-        bucket[result.outcome] = bucket.get(result.outcome, 0) + 1
-        if (result.outcome is FaultOutcome.SDC
-                and len(self.sdc_samples) < SDC_SAMPLE_LIMIT):
-            self.sdc_samples.append(result.fault_label)
-
     def merge_counts(self, by_kind: Mapping[str, Mapping[FaultOutcome, int]],
                      *, sdc_samples: Iterable[str] = (),
                      sampling: Optional[Mapping[str, object]] = None) -> None:
@@ -335,34 +171,21 @@ class CampaignReport:
             bucket = self.by_kind.setdefault(kind, {})
             for outcome, count in outcomes.items():
                 bucket[outcome] = bucket.get(outcome, 0) + count
-                self._merged_counts[outcome] = (
-                    self._merged_counts.get(outcome, 0) + count
-                )
-                self._merged_total += count
         for label in sdc_samples:
             if len(self.sdc_samples) >= SDC_SAMPLE_LIMIT:
                 break
             self.sdc_samples.append(label)
 
-    def _counts(self) -> Dict[FaultOutcome, int]:
-        """Outcome tally, folding in any records appended since last use."""
-        injections = self.injections
-        counts = self._outcome_counts
-        while self._counted_upto < len(injections):
-            outcome = injections[self._counted_upto].outcome
-            counts[outcome] = counts.get(outcome, 0) + 1
-            self._counted_upto += 1
-        return counts
-
     def count(self, outcome: FaultOutcome) -> int:
-        """Total injections with the given outcome (amortised O(1))."""
-        return (self._counts().get(outcome, 0)
-                + self._merged_counts.get(outcome, 0))
+        """Total injections with the given outcome."""
+        return sum(outcomes.get(outcome, 0)
+                   for outcomes in self.by_kind.values())
 
     @property
     def total(self) -> int:
-        """Campaign size (records plus merged counts)."""
-        return len(self.injections) + self._merged_total
+        """Campaign size (every count in the by-kind table)."""
+        return sum(sum(outcomes.values())
+                   for outcomes in self.by_kind.values())
 
     @property
     def masked(self) -> int:
@@ -522,28 +345,15 @@ class CampaignReport:
             )
         return intervals
 
-    def sdc_injections(self) -> List[InjectionResult]:
-        """The silent-corruption records (useful for debugging policies).
-
-        Counts-only reports (built via :meth:`merge_counts`) have no
-        per-injection records; use :attr:`sdc_samples` for examples there.
-        """
-        return [r for r in self.injections if r.outcome is FaultOutcome.SDC]
-
     def assert_no_sdc(self) -> None:
         """Raise when any injection escaped detection.
 
         Raises:
-            SafetyViolation: listing up to five offending injections.
+            SafetyViolation: naming up to :data:`SDC_SAMPLE_LIMIT`
+                offending injections (:attr:`sdc_samples`).
         """
         if self.sdc:
-            # record-built reports mirror their SDC labels into
-            # sdc_samples, so prefer the records and fall back to the
-            # samples only for counts-only reports (no duplicate listing)
-            labels = [r.fault_label for r in self.sdc_injections()]
-            if not labels:
-                labels = list(self.sdc_samples)
-            sample = "; ".join(labels[:SDC_SAMPLE_LIMIT])
+            sample = "; ".join(self.sdc_samples)
             raise SafetyViolation(
                 f"{self.policy}: {self.sdc} silent corruption(s) "
                 f"escaped the DCLS comparison, e.g. {sample}"

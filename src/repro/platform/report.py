@@ -34,7 +34,7 @@ from repro.errors import PlatformError
 from repro.iso26262.asil import Asil, as_asil
 from repro.iso26262.metrics import TARGETS
 from repro.journal import payload_digest
-from repro.streams.report import StreamReport
+from repro.streams.report import StreamReport, payload_field
 
 __all__ = ["PlatformReport", "task_asil", "task_verdict"]
 
@@ -179,7 +179,8 @@ class PlatformReport:
 
         Raises:
             PlatformError: when required keys are missing (the signature
-                of loading something that is not a platform report).
+                of loading something that is not a platform report) or a
+                field has the wrong JSON type (naming the field).
         """
         if not isinstance(data, Mapping):
             raise PlatformError(
@@ -199,15 +200,26 @@ class PlatformReport:
                 "not a PlatformReport payload; 'placement' must map "
                 "task labels to device names"
             )
+
+        def typed(name: str, expected: str) -> Any:
+            return payload_field(data, name, expected, PlatformError)
+
+        def entries(name: str) -> Dict[str, Dict[str, Any]]:
+            table = typed(name, "object")
+            return {key: dict(payload_field(table, key, "object",
+                                            PlatformError,
+                                            label=f"{name}."))
+                    for key in table}
+
         return cls(
-            label=data["label"],
-            spec_hash=data["spec_hash"],
-            policy=data["policy"],
+            label=typed("label", "str"),
+            spec_hash=typed("spec_hash", "str"),
+            policy=typed("policy", "str"),
             placement=tuple(sorted(placement.items())),
-            devices={k: dict(v) for k, v in data["devices"].items()},
-            tasks={k: dict(v) for k, v in data["tasks"].items()},
-            totals=dict(data["totals"]),
-            asil=dict(data["asil"]),
+            devices=entries("devices"),
+            tasks=entries("tasks"),
+            totals=dict(typed("totals", "numbers")),
+            asil=dict(typed("asil", "object")),
         )
 
     def to_json(self, *, indent: int = 2) -> str:

@@ -16,16 +16,21 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, Mapping, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Mapping, Tuple, Type
 
-from repro.errors import StatsError, StreamError
+from repro.errors import ReproError, StatsError, StreamError
 from repro.journal import payload_digest
 
 if TYPE_CHECKING:
     from repro.stats.estimators import UniformRate
     from repro.stats.intervals import RateEstimate
 
-__all__ = ["STREAM_RATE_METRICS", "StreamReport", "quantile_key"]
+__all__ = [
+    "STREAM_RATE_METRICS",
+    "StreamReport",
+    "payload_field",
+    "quantile_key",
+]
 
 #: Stream rates with a well-defined event/trial count pair, i.e. the
 #: metrics :meth:`StreamReport.rate_interval` (and the stream repeater)
@@ -36,6 +41,41 @@ STREAM_RATE_METRICS = ("deadline_miss", "drop", "unsafe", "fault_sdc")
 def quantile_key(q: float) -> str:
     """Canonical report key of one latency quantile (``0.99`` → ``"p99"``)."""
     return f"p{100.0 * q:.10g}"
+
+
+#: JSON type name -> (Python types, error wording) for :func:`payload_field`.
+_PAYLOAD_TYPES = {
+    "int": ((int,), "an integer"),
+    "number": ((int, float), "a number"),
+    "str": ((str,), "a string"),
+    "object": ((Mapping,), "an object"),
+}
+
+
+def payload_field(data: Mapping[str, Any], name: str, expected: str,
+                  error: Type[ReproError], *, label: str = "") -> Any:
+    """``data[name]`` of a saved report, checked against its JSON type.
+
+    ``expected`` is ``"int"``, ``"number"``, ``"str"``, ``"object"`` or
+    ``"numbers"`` (an object whose values are all numbers); ``label``
+    prefixes ``name`` for nested fields.
+
+    Raises:
+        ReproError: ``error``, naming the field, when the value has
+            another type.
+    """
+    value = data[name]
+    if expected == "numbers":
+        payload_field(data, name, "object", error, label=label)
+        for key in value:
+            payload_field(value, key, "number", error,
+                          label=f"{label}{name}.")
+        return value
+    types, wording = _PAYLOAD_TYPES[expected]
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise error(f"report field {label + name!r} must be {wording}, "
+                    f"got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -277,7 +317,8 @@ class StreamReport:
 
         Raises:
             StreamError: when required keys are missing (the signature of
-                loading something that is not a stream report).
+                loading something that is not a stream report) or a
+                field has the wrong JSON type (naming the field).
         """
         if not isinstance(data, Mapping):
             raise StreamError(f"StreamReport expects a mapping, got {data!r}")
@@ -298,28 +339,41 @@ class StreamReport:
                 "not a StreamReport payload; 'faults' must map "
                 + ", ".join(fault_keys)
             )
+        # optional keys take their defaults, so a payload missing one
+        # still loads
+        data = {"latency_ms": {}, "wait_ms": {}, "service_ms": {},
+                "windows": {}, "elapsed_ms": 0.0, "throughput_fps": 0.0,
+                "utilisation": 0.0, **data}
+
+        def typed(name: str, expected: str) -> Any:
+            return payload_field(data, name, expected, StreamError)
+
+        def counter(name: str) -> int:
+            return payload_field(faults, name, "int", StreamError,
+                                 label="faults.")
+
         return cls(
-            label=data["label"],
-            policy=data["policy"],
-            spec_hash=data["spec_hash"],
-            seed=data["seed"],
-            frames=data["frames"],
-            completed=data["completed"],
-            dropped=data["dropped"],
-            deadline_ms=data["deadline_ms"],
-            deadline_misses=data["deadline_misses"],
-            faults_injected=faults["injected"],
-            faults_masked=faults["masked"],
-            faults_detected=faults["detected"],
-            faults_sdc=faults["sdc"],
-            re_executions=faults["re_executions"],
-            latency=dict(data.get("latency_ms", {})),
-            wait=dict(data.get("wait_ms", {})),
-            service=dict(data.get("service_ms", {})),
-            elapsed_ms=data.get("elapsed_ms", 0.0),
-            throughput_fps=data.get("throughput_fps", 0.0),
-            utilisation=data.get("utilisation", 0.0),
-            windows=dict(data.get("windows", {})),
+            label=typed("label", "str"),
+            policy=typed("policy", "str"),
+            spec_hash=typed("spec_hash", "str"),
+            seed=typed("seed", "int"),
+            frames=typed("frames", "int"),
+            completed=typed("completed", "int"),
+            dropped=typed("dropped", "int"),
+            deadline_ms=typed("deadline_ms", "number"),
+            deadline_misses=typed("deadline_misses", "int"),
+            faults_injected=counter("injected"),
+            faults_masked=counter("masked"),
+            faults_detected=counter("detected"),
+            faults_sdc=counter("sdc"),
+            re_executions=counter("re_executions"),
+            latency=dict(typed("latency_ms", "numbers")),
+            wait=dict(typed("wait_ms", "numbers")),
+            service=dict(typed("service_ms", "numbers")),
+            elapsed_ms=typed("elapsed_ms", "number"),
+            throughput_fps=typed("throughput_fps", "number"),
+            utilisation=typed("utilisation", "number"),
+            windows=dict(typed("windows", "numbers")),
         )
 
     def to_json(self, *, indent: int = 2) -> str:

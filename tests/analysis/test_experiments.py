@@ -4,8 +4,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.api import Engine, build_scenario, normalized_busy_cycles
-from repro.faults.campaign import CampaignConfig
+from repro.api import (
+    Engine,
+    FaultPlanSpec,
+    build_scenario,
+    normalized_busy_cycles,
+)
 
 ENGINE = Engine()
 
@@ -56,8 +60,8 @@ class TestFig3Runner:
 
 class TestCoverageRunner:
     def test_policies_ranked_by_coverage(self):
-        config = CampaignConfig(transient_ccf=60, permanent_sm=25, seu=25,
-                                seed=3)
+        config = FaultPlanSpec(transient_ccf=60, permanent_sm=25, seu=25,
+                               seed=3)
         by_policy = {a.faults.policy.split("(")[0]: a.faults
                      for a in _run("coverage", benchmark="hotspot",
                                    config=config)}

@@ -13,7 +13,6 @@ from repro.api import (
 )
 from repro.api.spec import CotsSpec, GPUSpec
 from repro.errors import ConfigurationError
-from repro.faults.campaign import CampaignConfig, FaultCampaign
 from repro.gpu.cots import COTSDevice, cots_end_to_end
 from repro.gpu.kernel import dependent_chain
 from repro.gpu.scheduler.registry import PAPER_POLICIES, make_scheduler
@@ -53,23 +52,6 @@ class TestLegacyEquivalence:
                 bench, device).total_ms
             assert artifact.cots.redundant_ms == cots_end_to_end(
                 bench, device, redundant=True).total_ms
-
-    def test_engine_matches_fault_campaign(self, gpu):
-        config = CampaignConfig(transient_ccf=40, permanent_sm=10, seu=10)
-        artifact = ENGINE.run(
-            RunSpec(workload=WorkloadSpec(benchmark="nn"),
-                    faults=FaultPlanSpec.from_config(config))
-        )
-        legacy_run = RedundantKernelManager(gpu, "srrs").run(
-            list(get_benchmark("nn").kernels)
-        )
-        report = FaultCampaign(legacy_run).run(config)
-        assert artifact.faults.total == report.total == 60
-        assert artifact.faults.masked == report.masked
-        assert artifact.faults.detected == report.detected
-        assert artifact.faults.sdc == report.sdc
-        assert artifact.faults.detection_coverage == report.detection_coverage
-        assert artifact.faults.by_kind_dict().keys() == report.by_kind.keys()
 
     def test_plain_simulation_matches_simulate(self, gpu):
         chain = list(get_benchmark("hotspot").kernels)

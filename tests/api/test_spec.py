@@ -16,7 +16,6 @@ from repro.api.spec import (
     WorkloadSpec,
 )
 from repro.errors import ConfigurationError
-from repro.faults.campaign import CampaignConfig
 from repro.gpu.config import GPUConfig, SMConfig
 from repro.gpu.cots import COTSDevice
 from repro.gpu.kernel import KernelDescriptor
@@ -141,6 +140,16 @@ class TestValidation:
             RunSpec(workload=WorkloadSpec(benchmark="nn"),
                     simulate=False, faults=FaultPlanSpec())
 
+    def test_fault_plan_counts_are_checked(self):
+        plan = FaultPlanSpec(transient_ccf=5, permanent_sm=1, seu=2)
+        assert plan.total_injections == 8
+        with pytest.raises(ConfigurationError, match="negative"):
+            FaultPlanSpec(transient_ccf=-5)
+        with pytest.raises(ConfigurationError, match="at least one"):
+            FaultPlanSpec(transient_ccf=0, permanent_sm=0, seu=0)
+        with pytest.raises(ConfigurationError, match="phase quantum"):
+            FaultPlanSpec(phase_quantum=0)
+
     def test_faults_require_redundancy(self):
         with pytest.raises(ConfigurationError, match="fault campaign"):
             RunSpec(workload=WorkloadSpec(benchmark="nn"),
@@ -186,15 +195,16 @@ class TestMirrors:
                               work_per_block=123.0, bytes_per_block=45.0)
         assert KernelSpec.from_descriptor(kd).to_descriptor() == kd
 
-    def test_fault_plan_mirrors_campaign_config(self):
-        config = CampaignConfig(transient_ccf=5, permanent_sm=1, seu=2,
-                                seed=99, phase_quantum=2.0)
-        assert FaultPlanSpec.from_config(config).to_config() == config
-
     def test_fault_plan_seed_override(self):
+        from repro.api.campaign import CampaignSpec
+
         plan = FaultPlanSpec(seed=1)
-        assert plan.to_config(seed=42).seed == 42
-        assert plan.to_config().seed == 1
+        workload = WorkloadSpec(benchmark="hotspot")
+        seeded = CampaignSpec(run=RunSpec(workload=workload, seed=42),
+                              faults=plan)
+        assert seeded.effective_faults == FaultPlanSpec(seed=42)
+        assert CampaignSpec(run=RunSpec(workload=workload),
+                            faults=plan).effective_faults is plan
 
     def test_cots_spec_mirrors_device(self):
         device = COTSDevice(h2d_gbps=9.0, free_ms=0.1)

@@ -5,10 +5,13 @@ For small bounded strategies over the four top-level specs
 :class:`PlatformSpec`): ``from_json(to_json(spec)) == spec`` and the
 ``config_hash`` provenance digest survives the trip.  Strategies only
 build valid specs, and mix JSON ints into float fields, which must keep
-their exact JSON form.
+their exact JSON form.  The same strategies drive one execution
+property: a run's fault summary is the ``campaign run`` fold of its plan.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -228,3 +231,19 @@ def test_campaign_spec_round_trips(spec):
 @given(platform_specs())
 def test_platform_spec_round_trips(spec):
     _assert_round_trip(spec)
+
+
+@settings(_SETTINGS, max_examples=25)
+@given(run_specs(redundant=True), _FAULT_PLANS)
+def test_engine_faults_equal_the_campaign_fold(run, plan):
+    from repro.api.engine import Engine
+    from repro.campaigns.runner import run_campaign
+
+    run = replace(run, baseline=False, classify=False, cots=None)
+    faults = Engine().run(replace(run, faults=plan)).faults
+    report = run_campaign(CampaignSpec(run=run, faults=plan), workers=1)
+    assert faults.policy == report.policy
+    assert (faults.total, faults.masked, faults.detected, faults.sdc) == (
+        report.total, report.masked, report.detected, report.sdc)
+    assert faults.by_kind_dict() == report.to_dict()["by_kind"]
+    assert faults.masked + faults.detected + faults.sdc == faults.total

@@ -15,7 +15,6 @@ from repro.api import (
     WorkloadSpec,
 )
 from repro.errors import ConfigurationError
-from repro.faults.campaign import SamplingConfig
 
 
 def _run():
@@ -28,13 +27,10 @@ def _faults():
 
 
 class TestSamplingSpec:
-    def test_defaults_and_config_mirror(self):
+    def test_defaults(self):
         spec = SamplingSpec(method="stratified")
+        assert spec.method == "stratified"
         assert (spec.transient_ccf, spec.permanent_sm, spec.seu) == (1, 1, 1)
-        config = spec.to_config()
-        assert isinstance(config, SamplingConfig)
-        assert config.method == "stratified"
-        assert config.allocation == {"ccf": 1, "perm": 1, "seu": 1}
 
     def test_round_trip(self):
         spec = SamplingSpec(method="importance", transient_ccf=1,

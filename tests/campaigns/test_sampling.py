@@ -25,12 +25,9 @@ from repro.campaigns import (
     resume_campaign,
     run_campaign,
 )
-from repro.errors import FaultInjectionError
-from repro.faults.campaign import (
-    CampaignReport,
-    SamplingConfig,
-    sampling_metadata,
-)
+from repro.campaigns.runner import baseline_campaign
+from repro.errors import ConfigurationError, FaultInjectionError
+from repro.faults.campaign import CampaignReport
 
 #: Pinned digests of the legacy (v1) aggregate — hotspot, 120/40/40
 #: seed 7, 4 shards.  These must never move: v1 artifacts are the
@@ -174,29 +171,37 @@ class TestReportSchema:
 
 
 class TestSamplingConfigValidation:
+    """A campaign's sampling design is checked where its spec is built."""
+
+    def _load(self, sampling):
+        data = _spec().to_dict()
+        data["sampling"] = sampling
+        return CampaignSpec.from_dict(data)
+
     def test_unknown_method_rejected(self):
-        with pytest.raises(FaultInjectionError, match="unknown sampling"):
-            SamplingConfig(method="adaptive")
+        with pytest.raises(ConfigurationError, match="unknown sampling"):
+            self._load({"method": "adaptive"})
 
     def test_negative_weight_rejected(self):
-        with pytest.raises(FaultInjectionError):
-            SamplingConfig(method="stratified", permanent_sm=-1)
+        with pytest.raises(ConfigurationError, match="negative"):
+            self._load({"method": "stratified", "permanent_sm": -1})
 
     def test_all_zero_weights_rejected(self):
-        with pytest.raises(FaultInjectionError):
-            SamplingConfig(method="stratified", transient_ccf=0,
-                           permanent_sm=0, seu=0)
+        with pytest.raises(ConfigurationError, match="positive"):
+            self._load({"method": "stratified", "transient_ccf": 0,
+                        "permanent_sm": 0, "seu": 0})
 
     def test_support_condition_enforced(self):
-        config = _spec().faults.to_config(seed=7)
-        starved = SamplingConfig(method="stratified", transient_ccf=1,
-                                 permanent_sm=0, seu=1)
-        with pytest.raises(FaultInjectionError, match="no weight"):
-            sampling_metadata(config, starved)
+        starved = SamplingSpec(method="stratified", transient_ccf=1,
+                               permanent_sm=0, seu=1)
+        with pytest.raises(ConfigurationError, match="no weight"):
+            _spec(sampling=starved)
 
     def test_stratified_block_follows_allocation(self):
-        config = SamplingConfig(method="stratified", transient_ccf=1,
-                                permanent_sm=2, seu=1)
-        assert config.block() == ("ccf", "perm", "perm", "seu")
-        kinds = [config.kind_at(i) for i in range(8)]
-        assert kinds == ["ccf", "perm", "perm", "seu"] * 2
+        spec = _spec(sampling=_stratified())
+        campaign = baseline_campaign(spec.run)
+        faults = campaign.sample_range(spec.faults, 0, 8,
+                                       sampling=spec.sampling)
+        kinds = [type(fault).__name__ for fault in faults]
+        assert kinds == ["TransientCCF", "PermanentSMFault",
+                         "PermanentSMFault", "SEUFault"] * 2

@@ -67,6 +67,23 @@ def memory_kernel() -> KernelDescriptor:
     )
 
 
+def _inject(run, plan):
+    from repro.campaigns.runner import classify_shard, fold_report
+    from repro.campaigns.sharding import Shard
+    from repro.faults.campaign import FaultCampaign
+
+    shard = Shard(index=0, start=0, stop=plan.total_injections)
+    return fold_report([classify_shard(FaultCampaign(run), plan, shard)])
+
+
+@pytest.fixture
+def inject():
+    """``inject(run, plan)``: ``plan``'s whole indexed fault population
+    classified against the clean ``run`` and folded into one report, as
+    ``campaign run`` does."""
+    return _inject
+
+
 class _FullDiskFile:
     """A file whose writes put half their data down, then fail."""
 

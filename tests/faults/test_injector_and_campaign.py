@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import FaultInjectionError, SafetyViolation
-from repro.faults.campaign import CampaignConfig, FaultCampaign
+from repro.api.spec import FaultPlanSpec
+from repro.errors import ConfigurationError, FaultInjectionError, SafetyViolation
+from repro.faults.campaign import FaultCampaign
 from repro.faults.injector import apply_fault
 from repro.faults.outcomes import FaultOutcome, classify_outcome
 from repro.faults.types import PermanentSMFault, SEUFault, TransientCCF
@@ -72,63 +73,60 @@ class TestClassifyOutcome:
 class TestCampaignGuarantees:
     """The E5 experiment in miniature: SRRS/HALF detect everything."""
 
-    CONFIG = CampaignConfig(transient_ccf=150, permanent_sm=40, seu=60,
-                            seed=42)
+    PLAN = FaultPlanSpec(transient_ccf=150, permanent_sm=40, seu=60,
+                         seed=42)
 
-    def test_srrs_has_no_sdc(self, srrs_run):
-        report = FaultCampaign(srrs_run).run(self.CONFIG)
+    def test_srrs_has_no_sdc(self, srrs_run, inject):
+        report = inject(srrs_run, self.PLAN)
         assert report.sdc == 0
         assert report.detection_coverage == 1.0
         report.assert_no_sdc()
 
-    def test_half_has_no_sdc(self, half_run):
-        report = FaultCampaign(half_run).run(self.CONFIG)
+    def test_half_has_no_sdc(self, half_run, inject):
+        report = inject(half_run, self.PLAN)
         assert report.sdc == 0
         report.assert_no_sdc()
 
-    def test_default_scheduler_exhibits_sdc(self, default_run):
+    def test_default_scheduler_exhibits_sdc(self, default_run, inject):
         # the paper's motivation: unconstrained scheduling leaves CCF holes
-        report = FaultCampaign(default_run).run(self.CONFIG)
+        report = inject(default_run, self.PLAN)
         assert report.sdc > 0
         with pytest.raises(SafetyViolation):
             report.assert_no_sdc()
 
-    def test_permanent_faults_cause_default_sdc(self, default_run):
-        report = FaultCampaign(default_run).run(self.CONFIG)
+    def test_permanent_faults_cause_default_sdc(self, default_run, inject):
+        report = inject(default_run, self.PLAN)
         permanent = report.by_kind.get("PermanentSMFault", {})
         assert permanent.get(FaultOutcome.SDC, 0) > 0
 
-    def test_seus_always_detected_or_masked(self, default_run):
-        report = FaultCampaign(default_run).run(self.CONFIG)
+    def test_seus_always_detected_or_masked(self, default_run, inject):
+        report = inject(default_run, self.PLAN)
         seu = report.by_kind.get("SEUFault", {})
         assert seu.get(FaultOutcome.SDC, 0) == 0
 
-    def test_campaign_is_reproducible(self, srrs_run):
-        a = FaultCampaign(srrs_run).run(self.CONFIG)
-        b = FaultCampaign(srrs_run).run(self.CONFIG)
-        assert [r.outcome for r in a.injections] == [
-            r.outcome for r in b.injections
-        ]
+    def test_campaign_is_reproducible(self, srrs_run, inject):
+        a = inject(srrs_run, self.PLAN)
+        b = inject(srrs_run, self.PLAN)
+        assert a.to_dict() == b.to_dict()
 
-    def test_counts_sum_to_total(self, default_run):
-        report = FaultCampaign(default_run).run(self.CONFIG)
+    def test_counts_sum_to_total(self, default_run, inject):
+        report = inject(default_run, self.PLAN)
         assert report.masked + report.detected + report.sdc == report.total
         assert report.total == 250
 
-    def test_summary_format(self, srrs_run):
-        text = FaultCampaign(srrs_run).run(self.CONFIG).summary()
+    def test_summary_format(self, srrs_run, inject):
+        text = inject(srrs_run, self.PLAN).summary()
         assert "coverage=1.0000" in text
 
-    def test_hardware_metrics_bridge(self, srrs_run):
-        report = FaultCampaign(srrs_run).run(self.CONFIG)
+    def test_hardware_metrics_bridge(self, srrs_run, inject):
+        report = inject(srrs_run, self.PLAN)
         metrics = report.hardware_metrics(raw_failure_rate_per_hour=1e-7)
         assert metrics.pmhf_per_hour == 0.0
 
     def test_explicit_fault_population(self, srrs_run):
-        faults = [PermanentSMFault(sm=0, fault_id=0)]
-        report = FaultCampaign(srrs_run).run(faults=faults)
-        assert report.total == 1
-        assert report.injections[0].outcome is FaultOutcome.DETECTED
+        fault = PermanentSMFault(sm=0, fault_id=0)
+        result = FaultCampaign(srrs_run).classify(fault)
+        assert result.outcome is FaultOutcome.DETECTED
 
     def test_campaign_rejects_dirty_baseline(self, gpu, kernel):
         run = RedundantKernelManager(gpu, "srrs").run(
@@ -138,10 +136,12 @@ class TestCampaignGuarantees:
             FaultCampaign(run)
 
     def test_invalid_config_rejected(self):
-        with pytest.raises(FaultInjectionError):
-            CampaignConfig(transient_ccf=0, permanent_sm=0, seu=0)
-        with pytest.raises(FaultInjectionError):
-            CampaignConfig(transient_ccf=-1)
+        with pytest.raises(ConfigurationError, match="at least one"):
+            FaultPlanSpec(transient_ccf=0, permanent_sm=0, seu=0)
+        with pytest.raises(ConfigurationError, match="negative"):
+            FaultPlanSpec(transient_ccf=-1)
+        with pytest.raises(ConfigurationError, match="phase quantum"):
+            FaultPlanSpec(phase_quantum=0.0)
 
 
 class TestQueueInducedPhaseAlignment:
@@ -159,29 +159,30 @@ class TestQueueInducedPhaseAlignment:
                                  work_per_block=8000.0)
         return [heavy, small]
 
-    CONFIG = CampaignConfig(transient_ccf=400, permanent_sm=50, seu=50,
-                            seed=3)
+    PLAN = FaultPlanSpec(transient_ccf=400, permanent_sm=50, seu=50,
+                         seed=3)
 
-    def test_default_scheduler_aligns_and_leaks_transients(self, gpu):
+    def test_default_scheduler_aligns_and_leaks_transients(self, gpu,
+                                                            inject):
         run = RedundantKernelManager(gpu, "default").run(self._workload(gpu))
         assert run.diversity.phase_aligned_pairs > 0
-        report = FaultCampaign(run).run(self.CONFIG)
+        report = inject(run, self.PLAN)
         transient = report.by_kind["TransientCCF"]
         assert transient.get(FaultOutcome.SDC, 0) > 0
 
     @pytest.mark.parametrize("policy", ["srrs", "half"])
-    def test_paper_policies_immune(self, gpu, policy):
+    def test_paper_policies_immune(self, gpu, policy, inject):
         run = RedundantKernelManager(gpu, policy).run(self._workload(gpu))
         assert run.diversity.phase_aligned_pairs == 0
-        report = FaultCampaign(run).run(self.CONFIG)
+        report = inject(run, self.PLAN)
         assert report.sdc == 0
 
 
 class TestIndexedSampling:
     """The shardable sampler: fault ``i`` is independent of every other."""
 
-    CONFIG = CampaignConfig(transient_ccf=40, permanent_sm=12, seu=8,
-                            seed=13)
+    CONFIG = FaultPlanSpec(transient_ccf=40, permanent_sm=12, seu=8,
+                           seed=13)
 
     def test_kind_layout_matches_counts(self, srrs_run):
         campaign = FaultCampaign(srrs_run)
@@ -230,10 +231,9 @@ class TestIndexedSampling:
             if hasattr(fault, "sm"):
                 assert 0 <= fault.sm < trace.num_sms
 
-    def test_policy_property_matches_report(self, srrs_run):
-        campaign = FaultCampaign(srrs_run)
-        report = campaign.run(faults=campaign.sample_range(self.CONFIG, 0, 5))
-        assert campaign.policy == report.policy
+    def test_policy_property_matches_report(self, srrs_run, inject):
+        report = inject(srrs_run, self.CONFIG)
+        assert FaultCampaign(srrs_run).policy == report.policy
 
 
 class TestRandomFaultHook:
@@ -276,16 +276,6 @@ class TestRandomFaultHook:
             result = campaign.classify(fault)
             assert result.outcome is not FaultOutcome.SDC  # SRRS detects
 
-    def test_invalid_weights_rejected(self, srrs_run):
-        import random
-
-        campaign = FaultCampaign(srrs_run)
-        with pytest.raises(FaultInjectionError):
-            campaign.random_fault(random.Random(1), transient_ccf=0,
-                                  permanent_sm=0, seu=0)
-        with pytest.raises(FaultInjectionError):
-            campaign.random_fault(random.Random(1), transient_ccf=-1)
-
 
 class TestEmptyReportGuards:
     """Empty reports must raise, not divide by zero or claim coverage."""
@@ -304,9 +294,10 @@ class TestEmptyReportGuards:
         with pytest.raises(FaultInjectionError, match="empty campaign"):
             report.summary()
 
-    def test_populated_report_still_works(self, srrs_run):
-        report = FaultCampaign(srrs_run).run(
-            CampaignConfig(transient_ccf=5, permanent_sm=2, seu=2, seed=1)
+    def test_populated_report_still_works(self, srrs_run, inject):
+        report = inject(
+            srrs_run,
+            FaultPlanSpec(transient_ccf=5, permanent_sm=2, seu=2, seed=1),
         )
         assert "coverage" in report.summary()
         assert report.hardware_metrics().spfm == 1.0
@@ -315,18 +306,18 @@ class TestEmptyReportGuards:
 class TestMergeCounts:
     """Counts-only aggregation (the sharded-campaign fold primitive)."""
 
-    def test_merge_equals_recording(self, srrs_run):
+    def test_merge_equals_recording(self, srrs_run, inject):
         from repro.faults.campaign import CampaignReport
 
-        recorded = FaultCampaign(srrs_run).run(
-            CampaignConfig(transient_ccf=20, permanent_sm=5, seu=5, seed=2)
+        recorded = inject(
+            srrs_run,
+            FaultPlanSpec(transient_ccf=20, permanent_sm=5, seu=5, seed=2),
         )
         merged = CampaignReport(policy=recorded.policy)
         merged.merge_counts(recorded.by_kind,
                             sdc_samples=recorded.sdc_samples)
         assert merged.to_dict() == recorded.to_dict()
         assert merged.total == recorded.total
-        assert merged.injections == []  # no records materialised
 
     def test_negative_counts_rejected(self):
         from repro.faults.campaign import CampaignReport
@@ -357,42 +348,24 @@ class TestMergeCounts:
 
 
 class TestIncrementalOutcomeCounters:
-    """CampaignReport tallies outcomes on append instead of rescanning."""
+    """The folded report's tallies agree with a per-fault recount."""
 
-    def test_counters_match_full_recount(self, srrs_run):
-        report = FaultCampaign(srrs_run).run(
-            CampaignConfig(transient_ccf=40, permanent_sm=10, seu=10, seed=5)
-        )
+    def test_counters_match_full_recount(self, srrs_run, inject):
+        plan = FaultPlanSpec(transient_ccf=40, permanent_sm=10, seu=10,
+                             seed=5)
+        report = inject(srrs_run, plan)
+        campaign = FaultCampaign(srrs_run)
+        outcomes = [campaign.classify(fault).outcome
+                    for fault in campaign.sample_range(plan, 0, 60)]
         for outcome in FaultOutcome:
-            recount = sum(
-                1 for r in report.injections if r.outcome is outcome
-            )
-            assert report.count(outcome) == recount
+            assert report.count(outcome) == outcomes.count(outcome)
         assert report.masked + report.detected + report.sdc == report.total
 
-    def test_counts_fold_in_direct_appends(self, srrs_run):
-        """Legacy code appends to ``injections`` directly; counts must
-        still be correct (folded lazily)."""
-        campaign = FaultCampaign(srrs_run)
-        faults = campaign.sample_faults(
-            CampaignConfig(transient_ccf=6, permanent_sm=2, seu=2, seed=9)
+    def test_record_maintains_by_kind(self, srrs_run, inject):
+        report = inject(
+            srrs_run,
+            FaultPlanSpec(transient_ccf=10, permanent_sm=4, seu=4, seed=11),
         )
-        report = campaign.run(faults=faults[:5])
-        before = report.total
-        assert report.masked + report.detected + report.sdc == before
-        for fault in faults[5:]:
-            report.injections.append(campaign.classify(fault))
-        assert report.total == len(faults)
-        assert (
-            report.masked + report.detected + report.sdc == len(faults)
-        )
-
-    def test_record_maintains_by_kind(self, srrs_run):
-        campaign = FaultCampaign(srrs_run)
-        faults = campaign.sample_faults(
-            CampaignConfig(transient_ccf=10, permanent_sm=4, seu=4, seed=11)
-        )
-        report = campaign.run(faults=faults)
         assert sum(
             count
             for outcomes in report.by_kind.values()

@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.faults import CampaignConfig, FaultCampaign, FaultOutcome
+from repro.api.spec import FaultPlanSpec
+from repro.faults import FaultOutcome
 from repro.gpu.config import GPUConfig
 from repro.gpu.kernel import KernelDescriptor
 from repro.gpu.scheduler import StaggeredScheduler, make_scheduler
@@ -67,22 +68,22 @@ class TestStaggerEnforcement:
 class TestAblationCoverage:
     """Stagger alone defeats transients but not permanent CCFs."""
 
-    CONFIG = CampaignConfig(transient_ccf=150, permanent_sm=50, seu=50,
-                            seed=17)
+    PLAN = FaultPlanSpec(transient_ccf=150, permanent_sm=50, seu=50,
+                         seed=17)
 
-    def test_transients_fully_detected(self, gpu, kernel):
+    def test_transients_fully_detected(self, gpu, kernel, inject):
         run = RedundantKernelManager(
             gpu, StaggeredScheduler(min_stagger=4000.0)
         ).run([kernel, kernel])
-        report = FaultCampaign(run).run(self.CONFIG)
+        report = inject(run, self.PLAN)
         transients = report.by_kind["TransientCCF"]
         assert transients.get(FaultOutcome.SDC, 0) == 0
 
-    def test_permanent_faults_leak(self, gpu, kernel):
+    def test_permanent_faults_leak(self, gpu, kernel, inject):
         run = RedundantKernelManager(
             gpu, StaggeredScheduler(min_stagger=4000.0)
         ).run([kernel, kernel])
-        report = FaultCampaign(run).run(self.CONFIG)
+        report = inject(run, self.PLAN)
         permanent = report.by_kind["PermanentSMFault"]
         assert permanent.get(FaultOutcome.SDC, 0) > 0
         assert report.detection_coverage < 1.0

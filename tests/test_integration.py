@@ -19,8 +19,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.api import Engine, build_scenario, normalized_busy_cycles
-from repro.faults.campaign import CampaignConfig
+from repro.api import (
+    Engine,
+    FaultPlanSpec,
+    build_scenario,
+    normalized_busy_cycles,
+)
 from repro.gpu.config import GPUConfig
 from repro.iso26262.asil import Asil
 from repro.iso26262.fault_model import Ftti
@@ -124,8 +128,8 @@ class TestFigure5Shapes:
 
 class TestFaultCoverageHeadline:
     def test_policies_close_the_ccf_hole(self):
-        config = CampaignConfig(transient_ccf=120, permanent_sm=40, seu=40,
-                                seed=11)
+        config = FaultPlanSpec(transient_ccf=120, permanent_sm=40, seu=40,
+                               seed=11)
         rows = {a.faults.policy.split("(")[0]: a.faults
                 for a in ENGINE.run_many(
                     build_scenario("coverage", config=config))}

@@ -16,10 +16,10 @@ import random
 
 import pytest
 
-from repro.api.spec import RunSpec, WorkloadSpec
+from repro.api.spec import FaultPlanSpec, RunSpec, WorkloadSpec
+from repro.api.stats import SamplingSpec
 from repro.campaigns.runner import baseline_campaign
 from repro.faults.campaign import fault_substream
-from repro.faults.report import CampaignConfig, SamplingConfig
 from repro.streams.arrivals import frame_substream, substream_factory
 
 
@@ -42,38 +42,42 @@ def campaign():
 
 DESIGNS = {
     "legacy": None,
-    "stratified": SamplingConfig(method="stratified", transient_ccf=1,
-                                 permanent_sm=8, seu=1),
-    "importance": SamplingConfig(method="importance", transient_ccf=2,
-                                 permanent_sm=3, seu=5),
+    "stratified": SamplingSpec(method="stratified", transient_ccf=1,
+                               permanent_sm=8, seu=1),
+    "importance": SamplingSpec(method="importance", transient_ccf=2,
+                               permanent_sm=3, seu=5),
 }
 
 
-def expected_fault(campaign, config, index, sampling):
+def kind_block(weights):
+    """The kinds in canonical order, each repeated by its weight."""
+    return (["ccf"] * weights.transient_ccf
+            + ["perm"] * weights.permanent_sm
+            + ["seu"] * weights.seu)
+
+
+def expected_fault(campaign, plan, index, sampling):
     """The fault the pre-refactor sampler drew: a fresh oracle stream."""
-    rng = oracle(f"{config.seed}:{index}")
+    rng = oracle(f"{plan.seed}:{index}")
     if sampling is None:
-        if index < config.transient_ccf:
-            kind = "ccf"
-        elif index < config.transient_ccf + config.permanent_sm:
-            kind = "perm"
-        else:
-            kind = "seu"
+        kind = kind_block(plan)[index]
     elif sampling.method == "stratified":
-        kind = sampling.kind_at(index)
+        block = kind_block(sampling)
+        kind = block[index % len(block)]
     else:
-        kind = sampling.draw_kind(rng)
-    return campaign._build_fault(kind, rng, index, config.phase_quantum)
+        block = kind_block(sampling)
+        kind = block[rng.randrange(len(block))]
+    return campaign._build_fault(kind, rng, index, plan.phase_quantum)
 
 
 @pytest.mark.parametrize("design", sorted(DESIGNS))
 def test_fault_at_matches_the_fresh_stream_recipe(campaign, design):
     sampling = DESIGNS[design]
     for seed, index in pairs():
-        config = CampaignConfig(transient_ccf=20, permanent_sm=20, seu=20,
-                                seed=seed)
-        assert (campaign.fault_at(config, index, sampling=sampling)
-                == expected_fault(campaign, config, index, sampling))
+        plan = FaultPlanSpec(transient_ccf=20, permanent_sm=20, seu=20,
+                             seed=seed)
+        assert (campaign.fault_at(plan, index, sampling=sampling)
+                == expected_fault(campaign, plan, index, sampling))
 
 
 def test_fault_substream_matches_the_recipe():
