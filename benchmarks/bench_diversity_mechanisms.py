@@ -19,13 +19,7 @@ from repro.analysis.report import render_table
 from repro.api import FaultPlanSpec
 from repro.campaigns.runner import classify_shard, fold_report
 from repro.campaigns.sharding import Shard
-from repro.faults import (
-    FaultCampaign,
-    FaultOutcome,
-    PermanentSMFault,
-    TransientCCF,
-    apply_fault,
-)
+from repro.faults import FaultCampaign, FaultOutcome, apply_fault
 from repro.gpu.kernel import KernelDescriptor
 from repro.gpu.scheduler import StaggeredScheduler
 from repro.redundancy.diverse_kernels import DiverseGridManager
@@ -58,18 +52,20 @@ def _campaign_row(gpu, label, policy):
 
 
 def _diverse_grid_row(gpu):
-    """Manual mini-campaign for the structurally-diverse configuration."""
+    """``PLAN``'s population against the structurally-diverse run.
+
+    Fault ``i`` is ``FaultCampaign.fault_at(PLAN, i)`` over the diverse
+    run's trace, as on the other rows; the reduced coarse comparison of
+    a re-run under the fault's corruption classifies it.
+    """
     manager = DiverseGridManager(gpu, "default", factor=2)
     clean = manager.run([KERNEL, KERNEL])
-    trace = clean.sim.trace
-    import random
-
-    rng = random.Random(PLAN.seed)
-    transient_sdc = permanent_sdc = dangerous = detected = 0
-    for fid in range(PLAN.transient_ccf):
-        fault = TransientCCF(time=rng.uniform(0, trace.makespan), fault_id=fid,
-                             work_per_block=KERNEL.work_per_block)
-        corruption = apply_fault(fault, trace)
+    campaign = FaultCampaign(clean)
+    sdc = {"TransientCCF": 0, "PermanentSMFault": 0, "SEUFault": 0}
+    dangerous = detected = 0
+    for index in range(PLAN.total_injections):
+        fault = campaign.fault_at(PLAN, index)
+        corruption = apply_fault(fault, clean.sim.trace)
         if not corruption:
             continue
         result = manager.run([KERNEL, KERNEL], corruption=corruption)
@@ -77,23 +73,10 @@ def _diverse_grid_row(gpu):
         if result.error_detected:
             detected += 1
         elif result.silent_corruption:
-            transient_sdc += 1
-    for fid in range(PLAN.permanent_sm):
-        fault = PermanentSMFault(sm=rng.randrange(trace.num_sms),
-                                 fault_id=10_000 + fid,
-                                 since=rng.uniform(0, trace.makespan * 0.5))
-        corruption = apply_fault(fault, trace)
-        if not corruption:
-            continue
-        result = manager.run([KERNEL, KERNEL], corruption=corruption)
-        dangerous += 1
-        if result.error_detected:
-            detected += 1
-        elif result.silent_corruption:
-            permanent_sdc += 1
+            sdc[type(fault).__name__] += 1
     coverage = 1.0 if dangerous == 0 else detected / dangerous
-    return ["diverse-grid(default)", transient_sdc, permanent_sdc,
-            transient_sdc + permanent_sdc, coverage]
+    return ["diverse-grid(default)", sdc["TransientCCF"],
+            sdc["PermanentSMFault"], sum(sdc.values()), coverage]
 
 
 def test_diversity_mechanism_ablation(benchmark, gpu):

@@ -124,7 +124,7 @@ def test_platform_soak_8dev_bit_identity(benchmark):
         assert baseline.digest() == reordered.digest()
         assert baseline.to_dict() == pooled.to_dict()
 
-        total = baseline.totals["frames"]
+        total = baseline.totals.frames
         _record(
             "platform/soak_8dev",
             devices=8,
@@ -134,17 +134,17 @@ def test_platform_soak_8dev_bit_identity(benchmark):
             wall_s=round(baseline_s, 3),
             pooled_wall_s=round(pooled_s, 3),
             frames_per_sec=round(total / baseline_s, 1),
-            dropped=baseline.totals["dropped"],
-            deadline_misses=baseline.totals["deadline_misses"],
-            sdc=baseline.totals["faults_sdc"],
-            worst_asil=baseline.asil["worst_asil"],
-            verdict=baseline.asil["verdict"],
+            dropped=baseline.totals.dropped,
+            deadline_misses=baseline.totals.deadline_misses,
+            sdc=baseline.totals.faults_sdc,
+            worst_asil=baseline.asil.worst_asil,
+            verdict=baseline.asil.verdict,
             digest=baseline.digest(),
             bit_identical=True,
         )
         return baseline
 
     report = benchmark.pedantic(run, rounds=1, iterations=1)
-    assert report.totals["frames"] == 8 * frames
-    assert report.totals["faults_sdc"] == 0  # SRRS/HALF detect everything
+    assert report.totals.frames == 8 * frames
+    assert report.totals.faults_sdc == 0  # SRRS/HALF detect everything
     assert report.all_ok

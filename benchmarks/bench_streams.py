@@ -121,7 +121,7 @@ def test_stream_soak_100k_bit_identity(benchmark):
             completed=baseline.completed,
             dropped=baseline.dropped,
             deadline_misses=baseline.deadline_misses,
-            sdc=baseline.faults_sdc,
+            sdc=baseline.faults.sdc,
             digest=baseline.digest(),
             bit_identical=True,
             obs_overhead_frac=obs_overhead_frac,
@@ -131,7 +131,7 @@ def test_stream_soak_100k_bit_identity(benchmark):
     report = benchmark.pedantic(run, rounds=1, iterations=1)
     assert report.frames == frames
     assert report.completed + report.dropped == frames
-    assert report.faults_sdc == 0  # SRRS detects everything (paper claim)
+    assert report.faults.sdc == 0  # SRRS detects everything (paper claim)
 
 
 def test_stream_arrival_rate_sweep(benchmark):

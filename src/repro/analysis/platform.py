@@ -139,15 +139,15 @@ def device_count_sweep(
             tag=f"{count}-device sweep",
         )
         report = run_platform(spec, workers=workers)
-        utils = [entry["utilisation"] for entry in report.devices.values()]
+        utils = [entry.utilisation for entry in report.devices.values()]
         rows.append(
             DeviceCountRow(
                 devices=count,
                 tasks=len(report.tasks),
-                frames=report.totals["frames"],
+                frames=report.totals.frames,
                 max_utilisation=max(utils),
-                throughput_fps=report.totals["throughput_fps"],
-                verdict=report.asil["verdict"],
+                throughput_fps=report.totals.throughput_fps,
+                verdict=report.asil.verdict,
                 digest=report.digest(),
             )
         )
@@ -162,27 +162,27 @@ def platform_summary_rows(report: PlatformReport) -> List[List[object]]:
         ["placement policy", report.policy],
         ["devices", len(report.devices)],
         ["tasks", len(report.tasks)],
-        ["frames", f"{totals.get('frames', 0):g}"],
-        ["completed", f"{totals.get('completed', 0):g}"],
-        ["dropped", f"{totals.get('dropped', 0):g}"],
-        ["deadline misses", f"{totals.get('deadline_misses', 0):g}"],
-        ["SDCs", f"{totals.get('faults_sdc', 0):g}"],
-        ["safe rate", f"{totals.get('safe_rate', 0.0):.4f}"],
-        ["throughput (fps)", f"{totals.get('throughput_fps', 0.0):.2f}"],
+        ["frames", f"{totals.frames:g}"],
+        ["completed", f"{totals.completed:g}"],
+        ["dropped", f"{totals.dropped:g}"],
+        ["deadline misses", f"{totals.deadline_misses:g}"],
+        ["SDCs", f"{totals.faults_sdc:g}"],
+        ["safe rate", f"{totals.safe_rate:.4f}"],
+        ["throughput (fps)", f"{totals.throughput_fps:.2f}"],
     ]
-    for name, entry in sorted(report.devices.items()):
+    for name, device in sorted(report.devices.items()):
         rows.append([
             f"device {name}",
-            f"util={entry['utilisation']:.3f}/{entry['capacity']:g} "
-            f"tasks={','.join(entry['tasks']) or '-'}",
+            f"util={device.utilisation:.3f}/{device.capacity:g} "
+            f"tasks={','.join(device.tasks) or '-'}",
         ])
-    for label, entry in sorted(report.tasks.items()):
+    for label, task in sorted(report.tasks.items()):
         rows.append([
             f"task {label}",
-            f"{entry['device']} asil={entry['asil']} "
-            f"ok={entry['ok']} misses={entry['deadline_misses']}",
+            f"{task.device} asil={task.asil} "
+            f"ok={task.ok} misses={task.deadline_misses}",
         ])
-    rows.append(["worst ASIL", report.asil.get("worst_asil", "-")])
-    rows.append(["verdict", report.asil.get("verdict", "-")])
+    rows.append(["worst ASIL", report.asil.worst_asil])
+    rows.append(["verdict", report.asil.verdict])
     rows.append(["digest", report.digest()])
     return rows

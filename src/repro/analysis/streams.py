@@ -77,7 +77,7 @@ def arrival_rate_sweep(spec: StreamSpec, periods_ms: Sequence[float], *,
             frames=frames if frames is not None else spec.frames,
         )
         report = run_stream(point, workers=workers)
-        tail_keys = [k for k in report.latency if k.startswith("p")]
+        tail_keys = [k for k in report.latency_ms if k.startswith("p")]
         rows.append(
             StreamRateRow(
                 period_ms=period,
@@ -87,7 +87,8 @@ def arrival_rate_sweep(spec: StreamSpec, periods_ms: Sequence[float], *,
                 dropped=report.dropped,
                 miss_rate=report.miss_rate,
                 drop_rate=report.drop_rate,
-                p_tail_ms=report.latency[tail_keys[-1]] if tail_keys else 0.0,
+                p_tail_ms=(report.latency_ms[tail_keys[-1]] if tail_keys
+                           else 0.0),
                 throughput_fps=report.throughput_fps,
                 utilisation=report.utilisation,
                 digest=report.digest(),
@@ -111,13 +112,15 @@ def stream_summary_rows(report: StreamReport) -> List[List[object]]:
         ["utilisation", f"{report.utilisation:.4f}"],
         ["elapsed (ms)", f"{report.elapsed_ms:.3f}"],
     ]
-    for key in sorted(report.latency):
+    for key in sorted(report.latency_ms):
         if key.startswith("p") or key in ("mean", "max"):
-            rows.append([f"latency {key} (ms)", f"{report.latency[key]:.4f}"])
-    if report.faults_injected:
-        rows.append(["faults injected", report.faults_injected])
-        rows.append(["faults detected", report.faults_detected])
-        rows.append(["faults sdc", report.faults_sdc])
-        rows.append(["re-executions", report.re_executions])
+            rows.append([f"latency {key} (ms)",
+                         f"{report.latency_ms[key]:.4f}"])
+    faults = report.faults
+    if faults.injected:
+        rows.append(["faults injected", faults.injected])
+        rows.append(["faults detected", faults.detected])
+        rows.append(["faults sdc", faults.sdc])
+        rows.append(["re-executions", faults.re_executions])
     rows.append(["digest", report.digest()])
     return rows

@@ -95,6 +95,8 @@ class _Plan(NamedTuple):
     """One class's codec plan (see :func:`_plan`)."""
 
     known: FrozenSet[str]
+    #: the class's :attr:`Codec.derived_keys`
+    derived: Tuple[str, ...]
     #: (field name, JSON scalar needing no encoding, omitted while None)
     encode: Tuple[Tuple[str, bool, bool], ...]
     #: (field name, error label, decoder or None, required, Optional-typed)
@@ -131,6 +133,18 @@ def _decoder(tp: Any) -> Optional[Callable[[Any, str], Any]]:
                 for i, (decode, item) in enumerate(zip(per_item, value))
             )
         return decode_tuple
+    if get_origin(tp) is dict:
+        decode_item = _decoder(get_args(tp)[1])
+
+        def decode_dict(value: Any, label: str) -> Any:
+            if not isinstance(value, Mapping):
+                _reject(label, "an object", value)
+            return {
+                key: item if decode_item is None
+                else decode_item(item, f"{label}[{key!r}]")
+                for key, item in value.items()
+            }
+        return decode_dict
     if tp is float:
         def decode_number(value: Any, label: str) -> Any:
             if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -166,8 +180,9 @@ def _plan(cls: type) -> _Plan:
                        bool(f.metadata.get("omit_none"))))
         decode.append((f.name, f"{cls.__name__}.{f.name}", _decoder(tp),
                        required, optional))
-    return _Plan(frozenset(f.name for f in fields(cls)), tuple(encode),
-                 tuple(decode))
+    derived = cls.derived_keys
+    return _Plan(frozenset(f.name for f in fields(cls)).union(derived),
+                 derived, tuple(encode), tuple(decode))
 
 
 def _encode(value: Any) -> Any:
@@ -175,20 +190,29 @@ def _encode(value: Any) -> Any:
         return value.to_dict()
     if isinstance(value, (tuple, list)):
         return [_encode(item) for item in value]
+    if isinstance(value, dict):
+        return {key: _encode(value[key]) for key in sorted(value)}
     return value
 
 
 class Codec:
     """JSON form derived from a frozen dataclass's fields.
 
-    Nested codecs become objects and tuples become lists; every other
+    Nested codecs become objects, tuples become lists and ``Dict[str,
+    X]`` fields (open key sets) objects with sorted keys; every other
     value is stored as is.  A field whose metadata sets ``omit_none`` is
     left out while ``None``, so adding it keeps older specs' JSON (and
-    hash).  Decoding follows the field types: ``Optional`` fields take
-    ``None``, a missing or ``None`` value of any other defaulted field
-    keeps the default, and unknown keys or values of the wrong JSON type
-    raise :class:`~repro.errors.ConfigurationError`.
+    hash).  Each name in :attr:`derived_keys` is a property computed
+    from the fields: written by :meth:`to_dict`, never stored, and on
+    load checked against the value recomputed from the loaded fields.
+    Decoding follows the field types: ``Optional`` fields take ``None``,
+    a missing or ``None`` value of any other defaulted field keeps the
+    default, and unknown keys, values of the wrong JSON type or derived
+    values that disagree raise :class:`~repro.errors.ConfigurationError`.
     """
+
+    #: properties written as keys of the JSON form (checked on load)
+    derived_keys: Tuple[str, ...] = ()
 
     def to_dict(self) -> Dict[str, Any]:
         """Plain-data form (nested dicts/lists, JSON-compatible)."""
@@ -198,6 +222,8 @@ class Codec:
             if value is None and omit_none:
                 continue
             data[name] = value if plain else _encode(value)
+        for name in _plan(type(self)).derived:
+            data[name] = _encode(getattr(self, name))
         return data
 
     @classmethod
@@ -210,9 +236,12 @@ class Codec:
         plan = _plan(cls)
         unknown = sorted(key for key in data if key not in plan.known)
         if unknown:
+            missing = [name for name, _, _, required, _ in plan.decode
+                       if required and name not in data]
             raise ConfigurationError(
                 f"{cls.__name__}: unknown field(s) {', '.join(unknown)}; "
-                f"known: {', '.join(sorted(plan.known))}"
+                + (f"missing: {', '.join(missing)}; " if missing else "")
+                + f"known: {', '.join(sorted(plan.known))}"
             )
         kwargs: Dict[str, Any] = {}
         for name, label, decode, required, optional in plan.decode:
@@ -226,7 +255,17 @@ class Codec:
                     )
                 continue
             kwargs[name] = value if decode is None else decode(value, label)
-        return cls(**kwargs)
+        obj = cls(**kwargs)
+        for name in plan.derived:
+            if name not in data:
+                continue
+            value, expected = data[name], _encode(getattr(obj, name))
+            if type(value) is not type(expected) or value != expected:
+                raise ConfigurationError(
+                    f"{cls.__name__}.{name} must be {expected!r} (derived "
+                    f"from the other fields), got {value!r}"
+                )
+        return obj
 
     def to_json(self, *, indent: Optional[int] = None) -> str:
         """Canonical JSON form (sorted keys, round-trips exactly)."""

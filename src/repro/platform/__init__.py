@@ -33,7 +33,7 @@ Quickstart::
                StreamSpec.for_task("radar-cfar", frames=2000)),
     )
     report = run_platform(spec, workers=2)
-    assert report.all_ok and report.asil["worst_asil"] == "D"
+    assert report.all_ok and report.asil.worst_asil == "D"
 """
 
 from repro._lazy import lazy_exports
@@ -43,6 +43,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "PlatformPlan", "TaskDemand", "bind_task", "plan_placement",
         "task_demand",
     ),
-    "repro.platform.report": ("PlatformReport", "task_asil", "task_verdict"),
+    "repro.platform.report": ("PlatformReport", "task_asil"),
     "repro.platform.runner": ("run_platform",),
 })

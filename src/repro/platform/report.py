@@ -17,26 +17,33 @@ deployment story needs:
   *worst* per-task verdict: one failing ASIL-D task fails the platform.
 
 Like :class:`~repro.streams.report.StreamReport` the report is O(1) in
-the frame count, offers a canonical :meth:`PlatformReport.to_dict` and a
-:meth:`PlatformReport.digest` over it, and the platform determinism
+the frame count and takes its JSON form from the spec codec
+(:class:`~repro.api.spec.Codec`): the task verdict fields, ``feasible``
+and ``asil.verdict`` are derived keys checked on load, and
+:meth:`PlatformReport.digest` hashes
+:meth:`~repro.api.spec.Codec.to_dict`.  The platform determinism
 contract (``docs/PLATFORM.md``) is stated over that digest: same
 :class:`~repro.api.platform.PlatformSpec` ⇒ bit-identical digest, for
 any worker count and any task-declaration order.
 """
 
-from __future__ import annotations
+from dataclasses import dataclass
+from typing import Any, Dict, Mapping, Optional, Tuple
 
-import json
-from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Tuple
-
-from repro.errors import PlatformError
-from repro.iso26262.asil import Asil, as_asil
+from repro.api.spec import Codec
+from repro.errors import ConfigurationError, PlatformError
+from repro.iso26262.asil import Asil
 from repro.iso26262.metrics import TARGETS
 from repro.journal import payload_digest
-from repro.streams.report import StreamReport, payload_field
 
-__all__ = ["PlatformReport", "task_asil", "task_verdict"]
+__all__ = [
+    "AsilRollup",
+    "PlatformDevice",
+    "PlatformReport",
+    "PlatformTask",
+    "PlatformTotals",
+    "task_asil",
+]
 
 
 def task_asil(label: str) -> Asil:
@@ -49,43 +56,147 @@ def task_asil(label: str) -> Asil:
     return Asil.QM
 
 
-def task_verdict(label: str, report: StreamReport,
-                 asil: Any = None) -> Dict[str, Any]:
-    """The ISO 26262 verdict of one task's stream outcome.
+@dataclass(frozen=True)
+class PlatformTask(Codec):
+    """One task's outcome and its ISO 26262 verdict.
 
-    A safety-related task passes when (a) every frame was delivered on
-    time — no drops and no deadline misses, the stream deadline being
-    the task's FTTI budget — and (b) its observed fault-detection
-    coverage meets the SPFM target of its ASIL (vacuously true without
-    dangerous faults).  QM tasks always pass.
+    A safety-related task passes (:attr:`ok`) when (a) every frame was
+    delivered on time — no drops and no deadline misses, the stream
+    deadline being the task's FTTI budget — and (b) its observed
+    fault-detection coverage meets the SPFM target of its ASIL
+    (vacuously true without dangerous faults).  QM tasks always pass.
 
-    Args:
-        label: the task's label (used for the library fallback).
-        report: the task's stream outcome.
-        asil: explicit integrity level — normally
-            :attr:`repro.api.stream.StreamSpec.asil`, so tagged replicas
-            of a safety task keep its level; ``None`` falls back to
-            :func:`task_asil`.
+    Attributes:
+        device: the device the task is placed on.
+        asil: the task's integrity level name (``"QM"``, ``"A"``–``"D"``).
+        utilisation / service_ms / protocol_ms: planned demand.
+        frames / completed / dropped / deadline_misses / faults_injected
+            / faults_detected / faults_sdc / safe_rate / throughput_fps /
+            elapsed_ms: the stream's headline counters.
+        digest: the task's stream report digest.
     """
-    asil = as_asil(asil) if asil is not None else task_asil(label)
-    dangerous = report.faults_detected + report.faults_sdc
-    coverage = 1.0 if dangerous == 0 else report.faults_detected / dangerous
-    target = TARGETS[asil].spfm
-    coverage_ok = target is None or coverage >= target
-    ftti_ok = report.deadline_misses == 0 and report.dropped == 0
-    ok = (not asil.is_safety_related) or (ftti_ok and coverage_ok)
-    return {
-        "asil": asil.name,
-        "coverage": coverage,
-        "coverage_ok": coverage_ok,
-        "ftti_ok": ftti_ok,
-        "sdc_free": report.faults_sdc == 0,
-        "ok": ok,
-    }
+
+    device: str
+    asil: str
+    utilisation: float
+    service_ms: float
+    protocol_ms: float
+    frames: int
+    completed: int
+    dropped: int
+    deadline_misses: int
+    faults_injected: int
+    faults_detected: int
+    faults_sdc: int
+    safe_rate: float
+    throughput_fps: float
+    elapsed_ms: float
+    digest: str
+
+    derived_keys = ("coverage", "coverage_ok", "ftti_ok", "sdc_free", "ok")
+
+    def __post_init__(self) -> None:
+        if self.asil not in Asil.__members__:
+            raise ConfigurationError(
+                f"PlatformTask.asil must be one of "
+                f"{', '.join(Asil.__members__)}, got {self.asil!r}"
+            )
+
+    @property
+    def coverage(self) -> float:
+        """Detected over dangerous (detected + SDC) faults; 1.0 without any."""
+        dangerous = self.faults_detected + self.faults_sdc
+        return 1.0 if dangerous == 0 else self.faults_detected / dangerous
+
+    @property
+    def coverage_ok(self) -> bool:
+        """The coverage meets the SPFM target of the task's ASIL."""
+        target = TARGETS[Asil[self.asil]].spfm
+        return target is None or self.coverage >= target
+
+    @property
+    def ftti_ok(self) -> bool:
+        """Every frame was delivered, on time."""
+        return self.deadline_misses == 0 and self.dropped == 0
+
+    @property
+    def sdc_free(self) -> bool:
+        """No silent data corruption escaped."""
+        return self.faults_sdc == 0
+
+    @property
+    def ok(self) -> bool:
+        """The task's verdict (QM tasks always pass)."""
+        return (not Asil[self.asil].is_safety_related
+                or (self.ftti_ok and self.coverage_ok))
 
 
 @dataclass(frozen=True)
-class PlatformReport:
+class PlatformDevice(Codec):
+    """One device's accounting.
+
+    Planned utilisation vs capacity, the tasks placed there and frame
+    counters summed over them.
+    """
+
+    gpu: str
+    preset: Optional[str]
+    capacity: float
+    tasks: Tuple[str, ...]
+    utilisation: float
+    frames: float
+    completed: float
+    dropped: float
+    deadline_misses: float
+    faults_sdc: float
+    throughput_fps: float
+
+
+@dataclass(frozen=True)
+class PlatformTotals(Codec):
+    """Platform-wide counters.
+
+    Task counters summed over the task set, the frame-weighted safe rate
+    and the longest stream makespan.
+    """
+
+    frames: float
+    completed: float
+    dropped: float
+    deadline_misses: float
+    faults_injected: float
+    faults_detected: float
+    faults_sdc: float
+    throughput_fps: float
+    safe_rate: float
+    elapsed_ms: float
+
+
+@dataclass(frozen=True)
+class AsilRollup(Codec):
+    """The ISO 26262 rollup over the task set.
+
+    Attributes:
+        worst_asil: the highest task ASIL.
+        violations: labels of failing tasks.
+        worst_failed_asil: the highest ASIL among them (``None`` when
+            every task passed).
+    """
+
+    worst_asil: str
+    violations: Tuple[str, ...]
+    worst_failed_asil: Optional[str]
+
+    derived_keys = ("verdict",)
+
+    @property
+    def verdict(self) -> str:
+        """``"pass"``, or ``"fail"`` when any task failed."""
+        return "fail" if self.violations else "pass"
+
+
+@dataclass(frozen=True)
+class PlatformReport(Codec):
     """Aggregated outcome of one platform execution (O(1) size).
 
     Attributes:
@@ -93,32 +204,36 @@ class PlatformReport:
         spec_hash: :attr:`~repro.api.platform.PlatformSpec.config_hash`
             of the executed spec (provenance).
         policy: placement policy used.
-        placement: ``(task label, device name)`` pairs in canonical
-            task-label order.
-        devices: per-device accounting, keyed by device name — planned
-            ``utilisation`` vs ``capacity``, the ``tasks`` placed there,
-            and frame counters summed over them.
-        tasks: per-task outcome, keyed by task label — the assigned
-            ``device``, planned demand, stream headline counters, the
-            stream report ``digest`` and the ISO 26262 verdict fields of
-            :func:`task_verdict`.
-        totals: platform-wide counters (frames, completed, dropped,
-            deadline misses, fault outcomes, summed throughput, frame-
-            weighted safe rate, longest stream makespan).
-        asil: the rollup — ``worst_asil`` across the task set,
-            ``violations`` (labels of failing tasks),
-            ``worst_failed_asil`` and the overall ``verdict``
-            (``"pass"``/``"fail"``).
+        placement: task label -> device name.
+        devices: per-device accounting, keyed by device name.
+        tasks: per-task outcome and verdict, keyed by task label.
+        totals: platform-wide counters.
+        asil: the ISO 26262 rollup; one failing ASIL-D task fails the
+            platform.
     """
 
     label: str
     spec_hash: str
     policy: str
-    placement: Tuple[Tuple[str, str], ...]
-    devices: Dict[str, Dict[str, Any]] = field(default_factory=dict)
-    tasks: Dict[str, Dict[str, Any]] = field(default_factory=dict)
-    totals: Dict[str, float] = field(default_factory=dict)
-    asil: Dict[str, Any] = field(default_factory=dict)
+    placement: Dict[str, str]
+    devices: Dict[str, PlatformDevice]
+    tasks: Dict[str, PlatformTask]
+    totals: PlatformTotals
+    asil: AsilRollup
+
+    derived_keys = ("feasible",)
+
+    @classmethod
+    def from_dict(cls, data: Mapping[str, Any]) -> "PlatformReport":
+        """Inverse of :meth:`to_dict`; a bad field raises :class:`PlatformError`."""
+        try:
+            return super().from_dict(data)
+        except ConfigurationError as exc:
+            raise PlatformError(str(exc)) from None
+
+    def digest(self) -> str:
+        """Hex digest of the canonical form (aggregate provenance key)."""
+        return payload_digest(self.to_dict())
 
     # ------------------------------------------------------------------
     @property
@@ -129,103 +244,15 @@ class PlatformReport:
     @property
     def all_ok(self) -> bool:
         """True when every task's ISO 26262 verdict passed."""
-        return self.asil.get("verdict") == "pass"
+        return self.asil.verdict == "pass"
 
     def summary(self) -> str:
         """One-line platform summary for reports."""
         return (
             f"{self.label} [{self.policy}]: devices={len(self.devices)} "
-            f"tasks={len(self.tasks)} frames={self.totals.get('frames', 0):g} "
-            f"dropped={self.totals.get('dropped', 0):g} "
-            f"misses={self.totals.get('deadline_misses', 0):g} "
-            f"sdc={self.totals.get('faults_sdc', 0):g} "
-            f"asil={self.asil.get('worst_asil', '-')} "
-            f"verdict={self.asil.get('verdict', '-')}"
+            f"tasks={len(self.tasks)} frames={self.totals.frames:g} "
+            f"dropped={self.totals.dropped:g} "
+            f"misses={self.totals.deadline_misses:g} "
+            f"sdc={self.totals.faults_sdc:g} "
+            f"asil={self.asil.worst_asil} verdict={self.asil.verdict}"
         )
-
-    # ------------------------------------------------------------------
-    # canonical plain-data form (bit-identity comparisons, CLI --json)
-    # ------------------------------------------------------------------
-    def to_dict(self) -> Dict[str, Any]:
-        """Canonical plain-data form of the aggregate outcome.
-
-        Two executions of the same spec produce *equal* dictionaries
-        regardless of worker counts or task declaration order — the
-        object the platform determinism guarantee is stated over (see
-        ``docs/PLATFORM.md``).  Per-frame records are structurally
-        absent.
-        """
-        return {
-            "label": self.label,
-            "spec_hash": self.spec_hash,
-            "policy": self.policy,
-            "feasible": self.feasible,
-            "placement": {task: device for task, device in self.placement},
-            "devices": {
-                name: dict(sorted(entry.items()))
-                for name, entry in sorted(self.devices.items())
-            },
-            "tasks": {
-                label: dict(sorted(entry.items()))
-                for label, entry in sorted(self.tasks.items())
-            },
-            "totals": dict(sorted(self.totals.items())),
-            "asil": dict(sorted(self.asil.items())),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "PlatformReport":
-        """Rebuild a report from its :meth:`to_dict` form.
-
-        Raises:
-            PlatformError: when required keys are missing (the signature
-                of loading something that is not a platform report) or a
-                field has the wrong JSON type (naming the field).
-        """
-        if not isinstance(data, Mapping):
-            raise PlatformError(
-                f"PlatformReport expects a mapping, got {data!r}"
-            )
-        required = ("label", "spec_hash", "policy", "placement", "devices",
-                    "tasks", "totals", "asil")
-        missing = sorted(set(required) - set(data))
-        if missing:
-            raise PlatformError(
-                f"not a PlatformReport payload; missing: "
-                f"{', '.join(missing)}"
-            )
-        placement = data["placement"]
-        if not isinstance(placement, Mapping):
-            raise PlatformError(
-                "not a PlatformReport payload; 'placement' must map "
-                "task labels to device names"
-            )
-
-        def typed(name: str, expected: str) -> Any:
-            return payload_field(data, name, expected, PlatformError)
-
-        def entries(name: str) -> Dict[str, Dict[str, Any]]:
-            table = typed(name, "object")
-            return {key: dict(payload_field(table, key, "object",
-                                            PlatformError,
-                                            label=f"{name}."))
-                    for key in table}
-
-        return cls(
-            label=typed("label", "str"),
-            spec_hash=typed("spec_hash", "str"),
-            policy=typed("policy", "str"),
-            placement=tuple(sorted(placement.items())),
-            devices=entries("devices"),
-            tasks=entries("tasks"),
-            totals=dict(typed("totals", "numbers")),
-            asil=dict(typed("asil", "object")),
-        )
-
-    def to_json(self, *, indent: int = 2) -> str:
-        """Canonical JSON form (sorted keys)."""
-        return json.dumps(self.to_dict(), sort_keys=True, indent=indent)
-
-    def digest(self) -> str:
-        """Hex digest of the canonical form (aggregate provenance key)."""
-        return payload_digest(self.to_dict())

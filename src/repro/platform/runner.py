@@ -28,16 +28,23 @@ at 8-device scale by ``benchmarks/bench_platform.py``).
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.api.platform import PlatformSpec
 from repro.api.stream import StreamSpec
 from repro.errors import WorkerCountError
-from repro.iso26262.asil import Asil, as_asil
+from repro.iso26262.asil import Asil
 from repro.exec import map_tasks
 from repro.obs.session import NULL_TELEMETRY, Telemetry
 from repro.platform.placement import PlatformPlan, bind_task, plan_placement
-from repro.platform.report import PlatformReport, task_verdict
+from repro.platform.report import (
+    AsilRollup,
+    PlatformDevice,
+    PlatformReport,
+    PlatformTask,
+    PlatformTotals,
+    task_asil,
+)
 from repro.streams.report import StreamReport
 from repro.streams.runner import run_stream
 
@@ -49,7 +56,7 @@ _DeviceItem = Tuple[str, List[Tuple[str, str, float]], bool]
 
 
 def _run_device(item: _DeviceItem,
-                telemetry: Telemetry) -> List[Dict[str, Any]]:
+                telemetry: Telemetry) -> List[StreamReport]:
     """Pool task: run one device's task streams under a ``device`` span.
 
     ``telemetry`` is the caller's session in-process and a worker
@@ -57,16 +64,13 @@ def _run_device(item: _DeviceItem,
     in full.
     """
     name, tasks, validate = item
-    reports = []
     with telemetry.span("device", device=name, tasks=len(tasks)):
-        for _, spec_json, protocol_ms in tasks:
-            spec = StreamSpec.from_json(spec_json)
-            report = run_stream(
-                spec, service_offset_ms=protocol_ms, validate=validate,
-                telemetry=telemetry,
-            )
-            reports.append(report.to_dict())
-    return reports
+        return [
+            run_stream(StreamSpec.from_json(spec_json),
+                       service_offset_ms=protocol_ms, validate=validate,
+                       telemetry=telemetry)
+            for _, spec_json, protocol_ms in tasks
+        ]
 
 
 def run_platform(spec: PlatformSpec, *, workers: int = 1,
@@ -120,28 +124,27 @@ def run_platform(spec: PlatformSpec, *, workers: int = 1,
     with tm.span("execute", devices=len(items), workers=workers):
         for item in items:
             tm.emit("device_start", device=item[0], tasks=len(item[1]))
-        results: List[List[Dict[str, Any]]] = []
+        results: List[List[StreamReport]] = []
         # results arrive in device order as devices finish, so
         # device_end events land while later devices still run
-        for payloads in map_tasks(
+        for done in map_tasks(
                 _run_device, items, workers=workers,
                 keys=[f"device-{item[0]}" for item in items],
                 telemetry=tm):
             name = items[len(results)][0]
-            results.append(payloads)
+            results.append(done)
             if tm.enabled:
                 # orchestrator-side lifecycle accounting
                 tm.metrics.add("devices")
-                tm.emit("device_end", device=name, tasks=len(payloads),
-                        completed=sum(p["completed"] for p in payloads),
-                        dropped=sum(p["dropped"] for p in payloads))
+                tm.emit("device_end", device=name, tasks=len(done),
+                        completed=sum(r.completed for r in done),
+                        dropped=sum(r.dropped for r in done))
                 tm.beat("platform", len(results), len(items),
                         rate_counter="devices", unit="devices/s")
 
-    reports: Dict[str, StreamReport] = {}
-    for (_, tasks, _), payloads in zip(items, results):
-        for (label, _, _), payload in zip(tasks, payloads):
-            reports[label] = StreamReport.from_dict(payload)
+    reports = {label: report
+               for (_, tasks, _), done in zip(items, results)
+               for (label, _, _), report in zip(tasks, done)}
 
     with tm.span("fold"):
         report = _fold(spec, plan, reports)
@@ -149,8 +152,8 @@ def run_platform(spec: PlatformSpec, *, workers: int = 1,
         tm.beat("platform", len(results), len(items),
                 rate_counter="devices", unit="devices/s", force=True)
         tm.emit("run_end", kind="platform", digest=report.digest(),
-                verdict=report.asil["verdict"],
-                worst_asil=report.asil["worst_asil"])
+                verdict=report.asil.verdict,
+                worst_asil=report.asil.worst_asil)
     return report
 
 
@@ -159,86 +162,87 @@ def _fold(spec: PlatformSpec, plan: PlatformPlan,
           reports: Dict[str, StreamReport]) -> PlatformReport:
     """Fold per-task stream reports into the canonical platform report."""
     by_label = {task.label: task for task in spec.tasks}
-    tasks: Dict[str, Dict[str, Any]] = {}
+    tasks: Dict[str, PlatformTask] = {}
     for label, device_name in plan.assignments:
         report = reports[label]
         demand = plan.demands[label]
-        entry: Dict[str, Any] = {
-            "device": device_name,
-            "utilisation": demand.utilisation,
-            "service_ms": demand.service_ms,
-            "protocol_ms": demand.protocol_ms,
-            "frames": report.frames,
-            "completed": report.completed,
-            "dropped": report.dropped,
-            "deadline_misses": report.deadline_misses,
-            "faults_injected": report.faults_injected,
-            "faults_detected": report.faults_detected,
-            "faults_sdc": report.faults_sdc,
-            "safe_rate": report.safe_rate,
-            "throughput_fps": report.throughput_fps,
-            "elapsed_ms": report.elapsed_ms,
-            "digest": report.digest(),
-        }
-        entry.update(task_verdict(label, report, asil=by_label[label].asil))
-        tasks[label] = entry
+        tasks[label] = PlatformTask(
+            device=device_name,
+            # the spec's level, so tagged replicas of a safety task keep it
+            asil=by_label[label].asil or task_asil(label).name,
+            utilisation=demand.utilisation,
+            service_ms=demand.service_ms,
+            protocol_ms=demand.protocol_ms,
+            frames=report.frames,
+            completed=report.completed,
+            dropped=report.dropped,
+            deadline_misses=report.deadline_misses,
+            faults_injected=report.faults.injected,
+            faults_detected=report.faults.detected,
+            faults_sdc=report.faults.sdc,
+            safe_rate=report.safe_rate,
+            throughput_fps=report.throughput_fps,
+            elapsed_ms=report.elapsed_ms,
+            digest=report.digest(),
+        )
 
-    devices: Dict[str, Dict[str, Any]] = {}
+    def total(entries: List[PlatformTask], key: str) -> float:
+        return float(sum(getattr(entry, key) for entry in entries))
+
+    devices: Dict[str, PlatformDevice] = {}
     for device in spec.devices:
-        placed = [label for label, name in plan.assignments
-                  if name == device.name]
-        counters = {
-            key: float(sum(tasks[label][key] for label in placed))
-            for key in ("frames", "completed", "dropped", "deadline_misses",
-                        "faults_sdc", "throughput_fps")
-        }
-        devices[device.name] = {
-            "gpu": device.gpu_spec().to_config().name,
-            "preset": device.preset,
-            "capacity": device.capacity,
-            "tasks": placed,
-            "utilisation": plan.device_utilisation[device.name],
-            **counters,
-        }
+        placed = tuple(label for label, name in plan.assignments
+                       if name == device.name)
+        entries = [tasks[label] for label in placed]
+        devices[device.name] = PlatformDevice(
+            gpu=device.gpu_spec().to_config().name,
+            preset=device.preset,
+            capacity=device.capacity,
+            tasks=placed,
+            utilisation=plan.device_utilisation[device.name],
+            **{key: total(entries, key)
+               for key in ("frames", "completed", "dropped",
+                           "deadline_misses", "faults_sdc",
+                           "throughput_fps")},
+        )
 
-    totals = {
-        key: float(sum(entry[key] for entry in tasks.values()))
+    entries = list(tasks.values())
+    counters = {
+        key: total(entries, key)
         for key in ("frames", "completed", "dropped", "deadline_misses",
                     "faults_injected", "faults_detected", "faults_sdc",
                     "throughput_fps")
     }
-    frames = totals["frames"]
-    unsafe = (totals["dropped"] + totals["deadline_misses"]
-              + totals["faults_sdc"])
-    totals["safe_rate"] = (
-        max(0.0, (frames - unsafe) / frames) if frames else 0.0
-    )
-    totals["elapsed_ms"] = max(
-        (entry["elapsed_ms"] for entry in tasks.values()), default=0.0
+    frames = counters["frames"]
+    unsafe = (counters["dropped"] + counters["deadline_misses"]
+              + counters["faults_sdc"])
+    totals = PlatformTotals(
+        safe_rate=max(0.0, (frames - unsafe) / frames) if frames else 0.0,
+        elapsed_ms=max((entry.elapsed_ms for entry in entries),
+                       default=0.0),
+        **counters,
     )
 
-    levels = {label: as_asil(entry["asil"])
-              for label, entry in tasks.items()}
-    violations = sorted(
-        label for label, entry in tasks.items() if not entry["ok"]
-    )
+    violations = tuple(sorted(
+        label for label, entry in tasks.items() if not entry.ok
+    ))
     worst_failed = max(
-        (levels[label] for label in violations), default=None
+        (Asil[tasks[label].asil] for label in violations), default=None
     )
-    asil = {
-        "worst_asil": max(levels.values(), default=Asil.QM).name,
-        "violations": violations,
-        "worst_failed_asil": (
+    asil = AsilRollup(
+        worst_asil=max((Asil[entry.asil] for entry in entries),
+                       default=Asil.QM).name,
+        violations=violations,
+        worst_failed_asil=(
             worst_failed.name if worst_failed is not None else None
         ),
-        "verdict": "fail" if violations else "pass",
-    }
+    )
 
     return PlatformReport(
         label=spec.label,
         spec_hash=spec.config_hash,
         policy=plan.policy,
-        placement=plan.assignments,
+        placement=dict(plan.assignments),
         devices=devices,
         tasks=tasks,
         totals=totals,

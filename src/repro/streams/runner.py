@@ -58,7 +58,9 @@ from repro.streams.arrivals import (
 )
 from repro.streams.report import (
     STREAM_RATE_METRICS,
+    StreamFaults,
     StreamReport,
+    StreamWindows,
     quantile_key,
 )
 
@@ -352,18 +354,16 @@ def run_stream(spec: StreamSpec, *, workers: int = 1,
         dropped=dropped,
         deadline_ms=deadline,
         deadline_misses=deadline_misses,
-        faults_injected=injected,
-        faults_masked=masked,
-        faults_detected=detected,
-        faults_sdc=sdc,
-        re_executions=re_executions,
-        latency=latency_dict,
-        wait=acc.wait_summary(),
-        service=_service_table(profiles),
+        faults=StreamFaults(injected=injected, masked=masked,
+                            detected=detected, sdc=sdc,
+                            re_executions=re_executions),
+        windows=StreamWindows(**acc.windows.summary()),
+        latency_ms=latency_dict,
+        wait_ms=acc.wait_summary(),
+        service_ms=_service_table(profiles),
         elapsed_ms=elapsed,
         throughput_fps=(completed / (elapsed / 1000.0)) if elapsed else 0.0,
         utilisation=min(1.0, service_sum / elapsed) if elapsed else 0.0,
-        windows=acc.windows.summary(),
     )
     if tm.enabled:
         tm.emit("run_end", kind="stream", digest=report.digest(),

@@ -7,7 +7,7 @@ import pytest
 from repro.api import RunSpec, StreamFaultSpec, StreamSpec, WorkloadSpec
 from repro.api.platform import DeviceSpec, PlacementSpec, PlatformSpec
 from repro.errors import PlatformError
-from repro.platform.report import PlatformReport, task_asil, task_verdict
+from repro.platform.report import PlatformReport, task_asil
 from repro.platform.runner import run_platform
 from repro.streams.runner import run_stream
 
@@ -59,29 +59,27 @@ class TestReportContents:
         assert report.feasible
 
     def test_placement_covers_every_task(self, report):
-        assert sorted(label for label, _ in report.placement) == sorted(
-            report.tasks
-        )
+        assert sorted(report.placement) == sorted(report.tasks)
         known = set(report.devices)
-        assert all(device in known for _, device in report.placement)
+        assert all(device in known for device in report.placement.values())
 
     def test_totals_fold_per_task_counters(self, report):
         for key in ("frames", "completed", "dropped", "deadline_misses"):
-            assert report.totals[key] == sum(
-                entry[key] for entry in report.tasks.values()
+            assert getattr(report.totals, key) == sum(
+                getattr(entry, key) for entry in report.tasks.values()
             )
-        assert report.totals["frames"] == 4 * 200
-        assert report.totals["safe_rate"] == 1.0
+        assert report.totals.frames == 4 * 200
+        assert report.totals.safe_rate == 1.0
 
     def test_device_utilisation_within_capacity(self, report):
         for entry in report.devices.values():
-            assert 0.0 <= entry["utilisation"] <= entry["capacity"]
+            assert 0.0 <= entry.utilisation <= entry.capacity
 
     def test_task_entries_carry_stream_evidence(self, report):
         for entry in report.tasks.values():
-            assert len(entry["digest"]) == 16
-            assert entry["service_ms"] > 0
-            assert entry["protocol_ms"] > 0
+            assert len(entry.digest) == 16
+            assert entry.service_ms > 0
+            assert entry.protocol_ms > 0
 
     def test_round_trip(self, report):
         clone = PlatformReport.from_dict(report.to_dict())
@@ -105,13 +103,13 @@ class TestProtocolOverhead:
         task = _task("radar-cfar")
         spec = _platform(devices=(DeviceSpec(name="gpu0"),), tasks=(task,))
         entry = run_platform(spec).tasks["radar-cfar"]
-        assert entry["protocol_ms"] > 0
+        assert entry.protocol_ms > 0
 
         device = spec.devices[0]
         bound = bind_task(spec.tasks[0], device)
         offset = task_demand(spec.tasks[0], device).protocol_ms
         with_offset = run_stream(bound, service_offset_ms=offset)
-        assert entry["digest"] == with_offset.digest()
+        assert entry.digest == with_offset.digest()
         # without the offset the stream is a different (cheaper) system
         assert run_stream(bound).digest() != with_offset.digest()
 
@@ -131,9 +129,9 @@ class TestIsoRollup:
     def test_clean_platform_passes(self):
         report = run_platform(_platform())
         assert report.all_ok
-        assert report.asil["worst_asil"] == "D"
-        assert report.asil["violations"] == []
-        assert report.asil["worst_failed_asil"] is None
+        assert report.asil.worst_asil == "D"
+        assert report.asil.violations == ()
+        assert report.asil.worst_failed_asil is None
 
     def test_tagged_replicas_keep_their_asil(self):
         # replicas need distinct labels; the spec-level asil must keep
@@ -143,8 +141,8 @@ class TestIsoRollup:
         spec = _platform(devices=(DeviceSpec(name="gpu0"),),
                          tasks=(replica,))
         report = run_platform(spec)
-        assert report.tasks["camera-perception#0"]["asil"] == "D"
-        assert report.asil["worst_asil"] == "D"
+        assert report.tasks["camera-perception#0"].asil == "D"
+        assert report.asil.worst_asil == "D"
 
     def test_tagged_replica_failure_fails_the_rollup(self):
         run = RunSpec(workload=WorkloadSpec(benchmark="hotspot"),
@@ -155,8 +153,8 @@ class TestIsoRollup:
         spec = _platform(devices=(DeviceSpec(name="gpu0"),),
                          tasks=(replica,))
         report = run_platform(spec)
-        assert report.asil["violations"] == ["camera#1"]
-        assert report.asil["worst_failed_asil"] == "D"
+        assert report.asil.violations == ("camera#1",)
+        assert report.asil.worst_failed_asil == "D"
 
     def test_sdc_prone_policy_fails_the_rollup(self):
         # the default scheduler suffers SDCs under faults; label the
@@ -167,11 +165,11 @@ class TestIsoRollup:
                           faults=StreamFaultSpec(probability=1.0))
         spec = _platform(devices=(DeviceSpec(name="gpu0"),), tasks=(task,))
         report = run_platform(spec)
-        assert report.tasks["camera-perception"]["sdc_free"] is False
+        assert report.tasks["camera-perception"].sdc_free is False
         assert not report.all_ok
-        assert report.asil["violations"] == ["camera-perception"]
-        assert report.asil["worst_failed_asil"] == "D"
-        assert report.asil["verdict"] == "fail"
+        assert report.asil.violations == ("camera-perception",)
+        assert report.asil.worst_failed_asil == "D"
+        assert report.asil.verdict == "fail"
 
     def test_qm_task_never_fails(self):
         run = RunSpec(workload=WorkloadSpec(benchmark="hotspot"),
@@ -180,11 +178,15 @@ class TestIsoRollup:
                           faults=StreamFaultSpec(probability=1.0))
         spec = _platform(devices=(DeviceSpec(name="gpu0"),), tasks=(task,))
         report = run_platform(spec)
-        assert report.tasks["infotainment"]["asil"] == "QM"
+        assert report.tasks["infotainment"].asil == "QM"
         assert report.all_ok
 
     def test_verdict_fields(self):
-        verdict = task_verdict("radar-cfar", run_stream(_task("radar-cfar")))
+        spec = _platform(devices=(DeviceSpec(name="gpu0"),),
+                         tasks=(_task("radar-cfar"),))
+        entry = run_platform(spec).tasks["radar-cfar"]
+        verdict = {name: getattr(entry, name)
+                   for name in ("asil", *entry.derived_keys)}
         assert verdict == {
             "asil": "D",
             "coverage": 1.0,

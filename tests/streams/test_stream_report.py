@@ -7,7 +7,12 @@ import json
 import pytest
 
 from repro.errors import StreamError
-from repro.streams.report import StreamReport, quantile_key
+from repro.streams.report import (
+    StreamFaults,
+    StreamReport,
+    StreamWindows,
+    quantile_key,
+)
 
 
 def _report(**kwargs) -> StreamReport:
@@ -21,20 +26,19 @@ def _report(**kwargs) -> StreamReport:
         dropped=2,
         deadline_ms=5.0,
         deadline_misses=1,
-        faults_injected=3,
-        faults_masked=1,
-        faults_detected=2,
-        faults_sdc=0,
-        re_executions=2,
-        latency={"count": 8.0, "min": 1.0, "max": 2.0, "mean": 1.5,
-                 "std": 0.2, "p50": 1.4, "p99": 1.9},
-        wait={"count": 8.0, "min": 0.0, "max": 0.5, "mean": 0.1,
-              "std": 0.05},
-        service={"hotspot": 1.0},
+        faults=StreamFaults(injected=3, masked=1, detected=2, sdc=0,
+                            re_executions=2),
+        windows=StreamWindows(windows=2.0, window_ms=50.0, fps_min=70.0,
+                              fps_mean=80.0, fps_max=90.0, util_min=0.4,
+                              util_mean=0.5, util_max=0.6),
+        latency_ms={"count": 8.0, "min": 1.0, "max": 2.0, "mean": 1.5,
+                    "std": 0.2, "p50": 1.4, "p99": 1.9},
+        wait_ms={"count": 8.0, "min": 0.0, "max": 0.5, "mean": 0.1,
+                 "std": 0.05},
+        service_ms={"hotspot": 1.0},
         elapsed_ms=100.0,
         throughput_fps=80.0,
         utilisation=0.5,
-        windows={"windows": 2.0, "window_ms": 50.0},
     )
     defaults.update(kwargs)
     return StreamReport(**defaults)

@@ -75,10 +75,10 @@ class TestUnderloadedStream:
 
     def test_latency_equals_service_when_no_queueing(self):
         report = run_stream(_spec())
-        service = report.service["hotspot"]
-        assert report.latency["min"] == pytest.approx(service)
-        assert report.latency["max"] == pytest.approx(service)
-        assert report.wait["max"] == 0.0
+        service = report.service_ms["hotspot"]
+        assert report.latency_ms["min"] == pytest.approx(service)
+        assert report.latency_ms["max"] == pytest.approx(service)
+        assert report.wait_ms["max"] == 0.0
 
     def test_throughput_tracks_arrival_rate(self):
         spec = _spec(arrival=ArrivalSpec(period_ms=10.0))
@@ -102,7 +102,7 @@ class TestOverloadedStream:
                      queue_depth=0)
         report = run_stream(spec)
         assert report.dropped > 0
-        assert report.wait["max"] == 0.0  # admitted frames never wait
+        assert report.wait_ms["max"] == 0.0  # admitted frames never wait
 
     def test_deeper_queue_trades_drops_for_latency(self):
         arrival = ArrivalSpec(period_ms=0.15)
@@ -111,33 +111,33 @@ class TestOverloadedStream:
         deep = run_stream(_spec(arrival=arrival, frames=400,
                                 queue_depth=16))
         assert deep.dropped < shallow.dropped
-        assert deep.latency["max"] > shallow.latency["max"]
+        assert deep.latency_ms["max"] > shallow.latency_ms["max"]
 
 
 class TestFaultOverlay:
     def test_detected_faults_reexecute_and_add_latency(self):
         clean = run_stream(_spec())
         faulted = run_stream(_spec(faults=StreamFaultSpec(probability=1.0)))
-        assert faulted.faults_injected == 200
-        assert (faulted.faults_masked + faulted.faults_detected
-                + faulted.faults_sdc) == 200
-        assert faulted.re_executions == faulted.faults_detected
-        assert faulted.faults_sdc == 0  # SRRS detects everything
-        assert faulted.latency["max"] > clean.latency["max"]
+        assert faulted.faults.injected == 200
+        assert (faulted.faults.masked + faulted.faults.detected
+                + faulted.faults.sdc) == 200
+        assert faulted.faults.re_executions == faulted.faults.detected
+        assert faulted.faults.sdc == 0  # SRRS detects everything
+        assert faulted.latency_ms["max"] > clean.latency_ms["max"]
 
     def test_default_policy_suffers_sdc(self):
         spec = _spec(run=RunSpec(workload=WorkloadSpec(benchmark="hotspot"),
                                  policy="default"),
                      faults=StreamFaultSpec(probability=1.0))
         report = run_stream(spec)
-        assert report.faults_sdc > 0
+        assert report.faults.sdc > 0
         assert report.safe_rate < 1.0
 
     def test_zero_probability_equals_no_overlay(self):
         base = run_stream(_spec())
         zero = run_stream(_spec(faults=StreamFaultSpec(probability=0.0)))
-        assert zero.faults_injected == 0
-        assert zero.latency == base.latency
+        assert zero.faults.injected == 0
+        assert zero.latency_ms == base.latency_ms
 
     def test_tight_deadline_turns_detections_into_misses(self):
         service = resolve_jobs(_spec())[0].service_ms
@@ -145,7 +145,7 @@ class TestFaultOverlay:
         spec = _spec(faults=StreamFaultSpec(probability=1.0),
                      deadline_ms=service * 1.5)
         report = run_stream(spec)
-        assert report.deadline_misses == report.faults_detected
+        assert report.deadline_misses == report.faults.detected
         assert report.deadline_misses > 0
 
 
@@ -201,11 +201,11 @@ class TestReportContents:
 
     def test_quantile_accessor(self):
         report = run_stream(_spec())
-        assert report.quantile(0.99) == report.latency["p99"]
+        assert report.quantile(0.99) == report.latency_ms["p99"]
         with pytest.raises(StreamError):
             report.quantile(0.42)
 
     def test_windows_present(self):
         report = run_stream(_spec())
-        assert report.windows["windows"] >= 1.0
-        assert 0.0 <= report.windows["util_max"] <= 1.0
+        assert report.windows.windows >= 1.0
+        assert 0.0 <= report.windows.util_max <= 1.0

@@ -8,7 +8,8 @@ intact and ends the command with ``error: …`` and exit 1.  The
 ``full_disk`` fixture fails the journal's writes halfway; a command
 writing its report some other way never sees the full disk.  ``stream
 report`` and ``platform report`` reject a saved report whose field has
-the wrong JSON type the same way, naming the field.
+the wrong JSON type, an unknown key, or a derived value that disagrees
+with the fields it is computed from the same way, naming the field.
 """
 
 from __future__ import annotations
@@ -80,13 +81,28 @@ def _set(path: str, value):
     return edit
 
 
-#: (saved report, field edit, field named in the error)
+#: (saved report, field edit, field or key named in the error)
 MISTYPED = {
-    "stream-frames": ("stream", _set("frames", "many"), "'frames'"),
-    "stream-latency": ("stream", _set("latency_ms", 5), "'latency_ms'"),
+    "stream-frames": ("stream", _set("frames", "many"), "StreamReport.frames"),
+    "stream-latency": ("stream", _set("latency_ms", 5),
+                       "StreamReport.latency_ms"),
     "platform-totals": ("platform", _set("totals.completed", "x"),
-                        "'totals.completed'"),
-    "platform-devices": ("platform", _set("devices", 3), "'devices'"),
+                        "PlatformTotals.completed"),
+    "platform-devices": ("platform", _set("devices", 3),
+                         "PlatformReport.devices"),
+    # a foreign key, a derived value that disagrees with the counters
+    # it is computed from, a key no report has
+    "stream-windows": ("stream", _set("windows", {"a": 1}),
+                       "unknown field(s) a"),
+    "stream-miss-rate": ("stream", _set("miss_rate", 0.5),
+                         "StreamReport.miss_rate"),
+    "stream-unknown": ("stream", _set("bogus", 1), "unknown field(s) bogus"),
+    "platform-task-ok": ("platform", _set("tasks.radar-cfar.ok", "yes"),
+                         "PlatformTask.ok"),
+    "platform-verdict": ("platform", _set("asil.verdict", "pass!"),
+                         "AsilRollup.verdict"),
+    "platform-placement": ("platform", _set("placement", {"ghost": 3}),
+                           "PlatformReport.placement"),
 }
 
 

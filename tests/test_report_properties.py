@@ -1,0 +1,159 @@
+"""Generated reports round-trip through their JSON form (hypothesis).
+
+For small bounded strategies over :class:`StreamReport` and
+:class:`PlatformReport`: ``from_dict(to_dict(report)) == report``, the
+JSON text trip rebuilds an equal report, and ``digest()`` survives both.
+Strategies mix JSON ints into float fields, which must keep their exact
+JSON form.  A derived key edited away from the value its fields give is
+rejected with the report's own error type.
+"""
+
+from __future__ import annotations
+
+import json
+from dataclasses import fields
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.errors import PlatformError, StreamError
+from repro.platform.report import (
+    AsilRollup,
+    PlatformDevice,
+    PlatformReport,
+    PlatformTask,
+    PlatformTotals,
+)
+from repro.streams.report import StreamFaults, StreamReport, StreamWindows
+
+_SETTINGS = settings(
+    max_examples=30,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+_TEXT = st.text(alphabet="ab-é", max_size=4)
+_COUNT = st.integers(0, 10_000)
+_ASIL = st.sampled_from(["QM", "A", "B", "C", "D"])
+
+
+def _number(low: float, high: float) -> st.SearchStrategy:
+    """A float in ``[low, high]``, sometimes given as a JSON int."""
+    return st.one_of(
+        st.floats(min_value=low, max_value=high, allow_nan=False),
+        st.integers(min_value=int(low), max_value=int(high)),
+    )
+
+
+def _all_numbers(cls) -> st.SearchStrategy:
+    return st.builds(cls, **{f.name: _number(0.0, 1e5) for f in fields(cls)})
+
+
+_TABLE = st.dictionaries(_TEXT, _number(0.0, 1e4), max_size=4)
+
+
+@st.composite
+def stream_reports(draw) -> StreamReport:
+    frames = draw(_COUNT)
+    completed = draw(st.integers(0, frames))
+    return StreamReport(
+        label=draw(_TEXT),
+        policy=draw(_TEXT),
+        spec_hash=draw(_TEXT),
+        seed=draw(st.integers(0, 2**31)),
+        frames=frames,
+        completed=completed,
+        dropped=frames - completed,
+        deadline_ms=draw(_number(0.1, 1e3)),
+        deadline_misses=draw(st.integers(0, completed)),
+        faults=draw(st.builds(StreamFaults, injected=_COUNT, masked=_COUNT,
+                              detected=_COUNT, sdc=_COUNT,
+                              re_executions=_COUNT)),
+        windows=draw(_all_numbers(StreamWindows)),
+        latency_ms=draw(_TABLE),
+        wait_ms=draw(_TABLE),
+        service_ms=draw(_TABLE),
+        elapsed_ms=draw(_number(0.0, 1e6)),
+        throughput_fps=draw(_number(0.0, 1e4)),
+        utilisation=draw(_number(0.0, 1.0)),
+    )
+
+
+_LABELS = st.lists(_TEXT, max_size=3).map(tuple)
+
+_PLATFORM_TASKS = st.builds(
+    PlatformTask,
+    device=_TEXT,
+    asil=_ASIL,
+    utilisation=_number(0.0, 1.0),
+    service_ms=_number(0.0, 10.0),
+    protocol_ms=_number(0.0, 10.0),
+    frames=_COUNT,
+    completed=_COUNT,
+    dropped=_COUNT,
+    deadline_misses=_COUNT,
+    faults_injected=_COUNT,
+    faults_detected=_COUNT,
+    faults_sdc=_COUNT,
+    safe_rate=_number(0.0, 1.0),
+    throughput_fps=_number(0.0, 1e3),
+    elapsed_ms=_number(0.0, 1e6),
+    digest=st.text(alphabet="0123456789abcdef", min_size=16, max_size=16),
+)
+
+_PLATFORM_DEVICES = st.builds(
+    PlatformDevice,
+    gpu=_TEXT,
+    preset=st.none() | _TEXT,
+    capacity=_number(0.5, 1.0),
+    tasks=_LABELS,
+    **{name: _number(0.0, 1e5)
+       for name in ("utilisation", "frames", "completed", "dropped",
+                    "deadline_misses", "faults_sdc", "throughput_fps")},
+)
+
+platform_reports = st.builds(
+    PlatformReport,
+    label=_TEXT,
+    spec_hash=_TEXT,
+    policy=_TEXT,
+    placement=st.dictionaries(_TEXT, _TEXT, max_size=3),
+    devices=st.dictionaries(_TEXT, _PLATFORM_DEVICES, max_size=3),
+    tasks=st.dictionaries(_TEXT, _PLATFORM_TASKS, max_size=3),
+    totals=_all_numbers(PlatformTotals),
+    asil=st.builds(AsilRollup, worst_asil=_ASIL, violations=_LABELS,
+                   worst_failed_asil=st.none() | _ASIL),
+)
+
+
+def _check_round_trip(report) -> None:
+    cls = type(report)
+    rebuilt = cls.from_dict(report.to_dict())
+    assert rebuilt == report
+    assert rebuilt.digest() == report.digest()
+    from_text = cls.from_dict(json.loads(report.to_json(indent=2)))
+    assert from_text == report
+    assert from_text.to_json() == report.to_json()
+    assert from_text.digest() == report.digest()
+
+
+@_SETTINGS
+@given(stream_reports())
+def test_stream_report_round_trips(report):
+    _check_round_trip(report)
+    payload = report.to_dict()
+    payload["miss_rate"] = report.miss_rate + 1.0
+    with pytest.raises(StreamError, match="StreamReport.miss_rate"):
+        StreamReport.from_dict(payload)
+
+
+@_SETTINGS
+@given(platform_reports)
+def test_platform_report_round_trips(report):
+    _check_round_trip(report)
+    payload = report.to_dict()
+    payload["asil"]["verdict"] = "fail" if report.all_ok else "pass"
+    with pytest.raises(PlatformError, match="AsilRollup.verdict"):
+        PlatformReport.from_dict(payload)
