@@ -7,15 +7,18 @@ performance are visible (useful when extending the models).
 The ``perf/*`` scenario tests additionally emit ``BENCH_simulator.json``
 at the repository root (ops/sec, events/sec, and the incremental-core
 speedup over the retained reference core) so CI can track the performance
-trajectory across PRs.  They run meaningfully under every pytest-benchmark
-mode, including ``--benchmark-disable``.
+trajectory across PRs.  Every recorded wall is the median of
+:data:`LEGS` runs, with the fastest and slowest run beside it
+(``*_min_s`` / ``*_max_s``) as the spread.  They run meaningfully under
+every pytest-benchmark mode, including ``--benchmark-disable``.
 """
 
 from __future__ import annotations
 
 import random
+import statistics
 import time
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Tuple, TypeVar
 from unittest import mock
 
 from _bench_artifacts import BenchArtifact
@@ -39,27 +42,50 @@ _ARTIFACT = BenchArtifact(
 )
 _record = _ARTIFACT.record
 
+#: Runs per recorded wall: the BENCH value is their median.
+LEGS = 5
+
+_R = TypeVar("_R")
+
+
+def _median_of_legs(run: Callable[[], _R]) -> Tuple[Dict[str, float], _R]:
+    """Time :data:`LEGS` calls of ``run``.
+
+    Returns the median wall with the fastest and slowest leg (rounded
+    seconds, keys ``median``, ``min``, ``max``) and the last result.
+    """
+    walls = []
+    for _ in range(LEGS):
+        t0 = time.perf_counter()
+        result = run()
+        walls.append(time.perf_counter() - t0)
+    return ({"median": round(statistics.median(walls), 6),
+             "min": round(min(walls), 6), "max": round(max(walls), 6)},
+            result)
+
 
 def _timed_simulation(scenario: str,
                       run: Callable[[], SimulationResult],
                       **extra: object) -> SimulationResult:
-    """Execute one simulation, recording wall time and throughput.
+    """Execute a simulation :data:`LEGS` times, recording the median wall
+    time, its spread and the throughput at the median.
 
     ``extra`` metrics are merged into the scenario's record (the
     artifact replaces a scenario's metrics wholesale, so everything
     must land in this one call).
     """
-    t0 = time.perf_counter()
-    result = run()
-    wall = time.perf_counter() - t0
-    blocks = len(result.trace.tb_records)
+    wall, result = _median_of_legs(run)
+    blocks = result.trace.num_blocks
     _record(
         scenario,
-        wall_s=round(wall, 6),
+        wall_s=wall["median"],
+        wall_min_s=wall["min"],
+        wall_max_s=wall["max"],
+        legs=LEGS,
         events=result.events,
         blocks=blocks,
-        events_per_sec=round(result.events / wall, 1),
-        blocks_per_sec=round(blocks / wall, 1),
+        events_per_sec=round(result.events / wall["median"], 1),
+        blocks_per_sec=round(blocks / wall["median"], 1),
         makespan_cycles=result.makespan,
         **extra,
     )
@@ -109,7 +135,7 @@ def run_fig4_sweep(specs: List[RunSpec]) -> Dict[str, float]:
         result = run(self, launches)
         counts["simulate_calls"] += 1
         counts["events"] += result.events
-        counts["blocks"] += len(result.trace.tb_records)
+        counts["blocks"] += result.trace.num_blocks
         return result
 
     with mock.patch.object(GPUSimulator, "run", counted):
@@ -127,36 +153,42 @@ def test_fig4_policy_sweep(benchmark):
 
     The cost is per thread block (tens of thousands of placements and
     retirements), and each (benchmark, SMs, repeat) baseline is simulated
-    once, however many policies ask for it.  Best-of-3 walls, each from a
-    cold baseline memo; the work counts are deterministic.
+    once, however many policies ask for it.  The median of :data:`LEGS`
+    walls, each from a cold baseline memo; the work counts are
+    deterministic.
     """
     specs = fig4_sweep_specs()
 
     def run():
-        legs = [run_fig4_sweep(specs) for _ in range(3)]
-        best = min(legs, key=lambda leg: leg["wall_s"])
+        legs = sorted((run_fig4_sweep(specs) for _ in range(LEGS)),
+                      key=lambda leg: leg["wall_s"])
+        median = legs[LEGS // 2]
         assert all(
             {k: v for k, v in leg.items() if k != "wall_s"}
-            == {k: v for k, v in best.items() if k != "wall_s"}
+            == {k: v for k, v in median.items() if k != "wall_s"}
             for leg in legs
         )
+        wall = median["wall_s"]
         _record(
             "fig4_sweep",
-            wall_s=round(best["wall_s"], 6),
+            wall_s=round(wall, 6),
+            wall_min_s=round(legs[0]["wall_s"], 6),
+            wall_max_s=round(legs[-1]["wall_s"], 6),
+            legs=LEGS,
             specs=len(specs),
-            simulate_calls=best["simulate_calls"],
-            distinct_baselines=best["distinct_baselines"],
-            events=best["events"],
-            blocks=best["blocks"],
-            events_per_sec=round(best["events"] / best["wall_s"], 1),
-            blocks_per_sec=round(best["blocks"] / best["wall_s"], 1),
+            simulate_calls=median["simulate_calls"],
+            distinct_baselines=median["distinct_baselines"],
+            events=median["events"],
+            blocks=median["blocks"],
+            events_per_sec=round(median["events"] / wall, 1),
+            blocks_per_sec=round(median["blocks"] / wall, 1),
         )
-        return best
+        return median
 
-    best = benchmark.pedantic(run, rounds=1, iterations=1)
+    median = benchmark.pedantic(run, rounds=1, iterations=1)
     # every spec simulates its redundant run; baselines only once each
-    assert best["simulate_calls"] == len(specs) + best["distinct_baselines"]
-    assert best["distinct_baselines"] < len(specs)
+    assert median["simulate_calls"] == len(specs) + median["distinct_baselines"]
+    assert median["distinct_baselines"] < len(specs)
 
 
 def test_simulator_throughput_large_grid(benchmark, gpu):
@@ -170,7 +202,7 @@ def test_simulator_throughput_large_grid(benchmark, gpu):
         sim = GPUSimulator(gpu, DefaultScheduler()).run(
             [KernelLaunch(kernel=kernel, instance_id=0)]
         )
-        return len(sim.trace.tb_records)
+        return sim.trace.num_blocks
 
     completed = benchmark(run)
     assert completed == 480  # every block completed exactly once
@@ -204,7 +236,7 @@ def test_simulator_completion_churn_behind_pinned_blocks(benchmark):
 
     def run():
         sim = GPUSimulator(gpu, DefaultScheduler()).run(launches)
-        return len(sim.trace.tb_records)
+        return sim.trace.num_blocks
 
     completed = benchmark(run)
     assert completed == 1024 + 15 * 800
@@ -263,7 +295,7 @@ def test_simulator_large_grid_heterogeneous(benchmark):
         )
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
-    assert len(result.trace.tb_records) == 1024 * 16
+    assert result.trace.num_blocks == 1024 * 16
 
 
 def test_simulator_many_launch_chain(benchmark):
@@ -287,7 +319,7 @@ def test_simulator_many_launch_chain(benchmark):
         )
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
-    assert len(result.trace.tb_records) == 600 * 30
+    assert result.trace.num_blocks == 600 * 30
 
 
 def test_incremental_core_speedup_vs_reference(benchmark):
@@ -315,30 +347,28 @@ def test_incremental_core_speedup_vs_reference(benchmark):
     ]
 
     def run():
-        def best_of(factory, rounds: int = 3):
-            best, result = float("inf"), None
-            for _ in range(rounds):
-                t0 = time.perf_counter()
-                result = factory().run(launches)
-                best = min(best, time.perf_counter() - t0)
-            return best, result
-
-        # best-of-N per core: the fast leg only takes tens of ms, so a
+        # a median per core: the fast leg only takes tens of ms, so a
         # single noisy-neighbor stall must not decide the ratio
-        fast_s, fast = best_of(lambda: GPUSimulator(gpu, DefaultScheduler()))
-        ref_s, ref = best_of(
-            lambda: ReferenceSimulator(gpu, DefaultScheduler())
-        )
+        fast_s, fast = _median_of_legs(
+            lambda: GPUSimulator(gpu, DefaultScheduler()).run(launches))
+        ref_s, ref = _median_of_legs(
+            lambda: ReferenceSimulator(gpu, DefaultScheduler()).run(launches))
         assert fast.trace.identical_to(ref.trace)
+        speedup = ref_s["median"] / fast_s["median"]
         _record(
             "incremental_vs_reference",
-            fast_s=round(fast_s, 6),
-            reference_s=round(ref_s, 6),
-            speedup=round(ref_s / fast_s, 2),
+            fast_s=fast_s["median"],
+            fast_min_s=fast_s["min"],
+            fast_max_s=fast_s["max"],
+            reference_s=ref_s["median"],
+            reference_min_s=ref_s["min"],
+            reference_max_s=ref_s["max"],
+            legs=LEGS,
+            speedup=round(speedup, 2),
             events=fast.events,
-            blocks=len(fast.trace.tb_records),
+            blocks=fast.trace.num_blocks,
         )
-        return ref_s / fast_s
+        return speedup
 
     speedup = benchmark.pedantic(run, rounds=1, iterations=1)
     # conservative floor (the large-grid scenario exceeds 10x; this one

@@ -43,7 +43,7 @@ from typing import (
     get_type_hints,
 )
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ReproError
 from repro.gpu.config import GPUConfig, SMConfig
 from repro.gpu.kernel import KernelDescriptor
 from repro.journal import payload_digest
@@ -116,7 +116,11 @@ def _decoder(tp: Any) -> Optional[Callable[[Any, str], Any]]:
         def decode_codec(value: Any, label: str) -> Any:
             if not isinstance(value, Mapping):
                 _reject(label, "an object", value)
-            return tp.from_dict(value)
+            try:
+                return tp.from_dict(value)
+            except ConfigurationError as exc:
+                # name the field the nested object sits in
+                raise type(exc)(f"{label}: {exc}") from None
         return decode_codec
     if get_origin(tp) is tuple:
         args = get_args(tp)
@@ -214,6 +218,10 @@ class Codec:
     #: properties written as keys of the JSON form (checked on load)
     derived_keys: Tuple[str, ...] = ()
 
+    #: the error a failed load raises (a ``ConfigurationError`` raised
+    #: while decoding is re-raised as this type)
+    load_error: Type[ReproError] = ConfigurationError
+
     def to_dict(self) -> Dict[str, Any]:
         """Plain-data form (nested dicts/lists, JSON-compatible)."""
         data: Dict[str, Any] = {}
@@ -228,7 +236,17 @@ class Codec:
 
     @classmethod
     def from_dict(cls: Type[_C], data: Mapping[str, Any]) -> _C:
-        """Inverse of :meth:`to_dict`; raises on unknown or mistyped fields."""
+        """Inverse of :meth:`to_dict`; raises :attr:`load_error` on unknown
+        or mistyped fields."""
+        try:
+            return cls._decode(data)
+        except ConfigurationError as exc:
+            if isinstance(exc, cls.load_error):
+                raise
+            raise cls.load_error(str(exc)) from None
+
+    @classmethod
+    def _decode(cls: Type[_C], data: Mapping[str, Any]) -> _C:
         if not isinstance(data, Mapping):
             raise ConfigurationError(
                 f"{cls.__name__} expects a mapping, got {data!r}"
@@ -273,11 +291,12 @@ class Codec:
 
     @classmethod
     def from_json(cls: Type[_C], text: str) -> _C:
-        """Parse from the JSON form."""
+        """Parse from the JSON form; raises :attr:`load_error` on text that
+        is not JSON, as :meth:`from_dict` does on a bad field."""
         try:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
-            raise ConfigurationError(
+            raise cls.load_error(
                 f"invalid {cls.__name__} JSON: {exc}"
             ) from None
         return cls.from_dict(data)

@@ -99,7 +99,7 @@ from repro.gpu.config import GPUConfig
 from repro.gpu.kernel import KernelDescriptor, KernelLaunch
 from repro.gpu.occupancy import occupancy_report
 from repro.gpu.scheduler.base import KernelScheduler
-from repro.gpu.trace import ExecutionTrace, KernelSpan, TBRecord
+from repro.gpu.trace import ExecutionTrace, KernelSpan
 
 __all__ = ["GPUSimulator", "SimulationResult", "simulate"]
 
@@ -990,14 +990,11 @@ class GPUSimulator:
         st.resident_count -= 1
         st.completed_tbs += 1
         assert self._trace is not None
-        # positional: (instance_id, logical_id, copy_id, tb_index, sm,
-        # start, end, tag) -- keyword binding costs twice as much per block
-        self._trace.add_tb(
-            TBRecord(
-                iid, launch.logical_id or 0, launch.copy_id,
-                self._tb_index[slot], sm, self._tb_start[slot], self._now,
-                launch.tag,
-            )
+        # one row of the trace's columns, no record object per block
+        self._trace.add_block(
+            iid, launch.logical_id or 0, launch.copy_id,
+            self._tb_index[slot], sm, self._tb_start[slot], self._now,
+            launch.tag,
         )
         self._tb_state[slot] = None  # drop the reference; recycle the slot
         self._tb_free.append(slot)

@@ -2,8 +2,17 @@
 
 The diversity argument of the paper (Section IV-C) quantifies over *where*
 and *when* each thread block of each redundant kernel copy executed.  The
-trace captures exactly that: one :class:`TBRecord` per thread block with its
-SM and execution interval, plus one :class:`KernelSpan` per kernel launch.
+trace captures exactly that: one row per thread block with its SM and
+execution interval, plus one :class:`KernelSpan` per kernel launch.
+
+Thread blocks are stored as columns (:class:`BlockColumns`): parallel
+lists, one entry per block in completion order, so the simulator appends
+a block without building an object for it, and the summary queries
+(makespan, busy cycles, validation, output signatures, diversity) read
+the lists directly.  The record-level API (:attr:`ExecutionTrace
+.tb_records`, :meth:`~ExecutionTrace.blocks_of`, the interval queries)
+hands out frozen :class:`TBRecord` objects, built from the columns once,
+on first use.
 
 Traces are the single source of truth consumed by:
 
@@ -15,12 +24,13 @@ Traces are the single source of truth consumed by:
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, Iterator, List, NoReturn, Optional, Tuple
 
 from repro.errors import SimulationError
 
-__all__ = ["TBRecord", "KernelSpan", "ExecutionTrace", "intervals_overlap"]
+__all__ = ["TBRecord", "KernelSpan", "BlockColumns", "ExecutionTrace",
+           "intervals_overlap"]
 
 
 #: Relative widening of the max-duration stabbing window.  Durations and
@@ -35,6 +45,25 @@ def intervals_overlap(a_start: float, a_end: float,
     """True when the half-open intervals ``[a_start, a_end)`` and
     ``[b_start, b_end)`` intersect."""
     return a_start < b_end and b_start < a_end
+
+
+def _merged(intervals: List[Tuple[float, float]]) -> List[Tuple[float, float]]:
+    """Union of ``(start, end)`` intervals, as sorted disjoint intervals."""
+    merged: List[Tuple[float, float]] = []
+    for start, end in sorted(intervals):
+        if merged and start <= merged[-1][1]:
+            merged[-1] = (merged[-1][0], max(merged[-1][1], end))
+        else:
+            merged.append((start, end))
+    return merged
+
+
+def _reject_order(instance_id: int, tb_index: int, start: float,
+                  end: float) -> NoReturn:
+    raise SimulationError(
+        f"TB {tb_index} of instance {instance_id}: "
+        f"end {end} precedes start {start}"
+    )
 
 
 class _StartWindow:
@@ -110,10 +139,8 @@ class TBRecord:
 
     def __post_init__(self) -> None:
         if self.end < self.start:
-            raise SimulationError(
-                f"TB {self.tb_index} of instance {self.instance_id}: "
-                f"end {self.end} precedes start {self.start}"
-            )
+            _reject_order(self.instance_id, self.tb_index, self.start,
+                          self.end)
 
     @property
     def duration(self) -> float:
@@ -182,8 +209,53 @@ class KernelSpan:
         return self.first_dispatch - self.arrival
 
 
+class BlockColumns:
+    """The thread blocks of one trace as parallel lists.
+
+    Entry ``i`` of every list belongs to block ``i`` in completion
+    order; the names and meanings are those of the :class:`TBRecord`
+    fields.  Filled by :meth:`ExecutionTrace.add_block`; read-only
+    everywhere else.
+    """
+
+    __slots__ = ("instance_id", "logical_id", "copy_id", "tb_index", "sm",
+                 "start", "end", "tag")
+
+    def __init__(self) -> None:
+        self.instance_id: List[int] = []
+        self.logical_id: List[int] = []
+        self.copy_id: List[int] = []
+        self.tb_index: List[int] = []
+        self.sm: List[int] = []
+        self.start: List[float] = []
+        self.end: List[float] = []
+        self.tag: List[str] = []
+
+
+class _Views:
+    """Structures derived from a trace's columns and spans, each built on
+    first use and dropped whenever a block or span is added.
+
+    * ``records``: one :class:`TBRecord` per row, in row order;
+    * ``rows``: instance id -> its rows, sorted by block index;
+    * ``by_sm``: SM -> its records, in row order;
+    * ``index``: the interval index over ``records``;
+    * ``copies``: logical id -> ``{copy_id: span}``.
+    """
+
+    __slots__ = ("records", "rows", "by_sm", "index", "copies")
+
+    def __init__(self) -> None:
+        self.records: Optional[List[TBRecord]] = None
+        self.rows: Optional[Dict[int, Tuple[int, ...]]] = None
+        self.by_sm: Optional[Dict[int, List[TBRecord]]] = None
+        self.index: Optional[_IntervalIndex] = None
+        self.copies: Optional[Dict[int, Dict[int, KernelSpan]]] = None
+
+
 class ExecutionTrace:
-    """Container of all :class:`TBRecord` / :class:`KernelSpan` of one run.
+    """All thread blocks (as :class:`BlockColumns`) and
+    :class:`KernelSpan` of one run.
 
     Provides the pairing and overlap queries the redundancy and fault
     analyses rely on.  Instances are append-only during simulation and
@@ -194,23 +266,42 @@ class ExecutionTrace:
         if num_sms <= 0:
             raise SimulationError("trace requires at least one SM")
         self._num_sms = num_sms
-        self._tb_records: List[TBRecord] = []
+        self._cols = BlockColumns()
         self._spans: Dict[int, KernelSpan] = {}
-        self._by_instance: Dict[int, List[TBRecord]] = {}
-        self._by_sm: Dict[int, List[TBRecord]] = {}
-        self._index: Optional[_IntervalIndex] = None
+        self._views: Optional[_Views] = None
 
     # ------------------------------------------------------------------
     # construction (used by the simulator)
     # ------------------------------------------------------------------
+    def add_block(self, instance_id: int, logical_id: int, copy_id: int,
+                  tb_index: int, sm: int, start: float, end: float,
+                  tag: str = "") -> None:
+        """Append one thread-block row (the simulator's per-block path).
+
+        Raises:
+            SimulationError: when ``end`` precedes ``start`` or ``sm`` is
+                not an SM of the trace's GPU.
+        """
+        if end < start:
+            _reject_order(instance_id, tb_index, start, end)
+        if not 0 <= sm < self._num_sms:
+            raise SimulationError(f"record references unknown SM {sm}")
+        cols = self._cols
+        cols.instance_id.append(instance_id)
+        cols.logical_id.append(logical_id)
+        cols.copy_id.append(copy_id)
+        cols.tb_index.append(tb_index)
+        cols.sm.append(sm)
+        cols.start.append(start)
+        cols.end.append(end)
+        cols.tag.append(tag)
+        self._views = None
+
     def add_tb(self, record: TBRecord) -> None:
-        """Append a thread-block record (simulator-internal)."""
-        if not (0 <= record.sm < self._num_sms):
-            raise SimulationError(f"record references unknown SM {record.sm}")
-        self._tb_records.append(record)
-        self._by_instance.setdefault(record.instance_id, []).append(record)
-        self._by_sm.setdefault(record.sm, []).append(record)
-        self._index = None
+        """Append a thread-block record (as one row of the columns)."""
+        self.add_block(record.instance_id, record.logical_id, record.copy_id,
+                       record.tb_index, record.sm, record.start, record.end,
+                       record.tag)
 
     def add_span(self, span: KernelSpan) -> None:
         """Append a kernel span (simulator-internal)."""
@@ -219,6 +310,7 @@ class ExecutionTrace:
                 f"duplicate span for instance {span.instance_id}"
             )
         self._spans[span.instance_id] = span
+        self._views = None
 
     # ------------------------------------------------------------------
     # basic accessors
@@ -229,9 +321,47 @@ class ExecutionTrace:
         return self._num_sms
 
     @property
+    def columns(self) -> BlockColumns:
+        """The thread-block rows as parallel lists (read-only)."""
+        return self._cols
+
+    @property
+    def num_blocks(self) -> int:
+        """Number of thread blocks (rows) in the trace."""
+        return len(self._cols.end)
+
+    def _view(self) -> _Views:
+        views = self._views
+        if views is None:
+            views = self._views = _Views()
+        return views
+
+    def _records(self) -> List[TBRecord]:
+        views = self._view()
+        if views.records is None:
+            cols = self._cols
+            views.records = list(map(
+                TBRecord, cols.instance_id, cols.logical_id, cols.copy_id,
+                cols.tb_index, cols.sm, cols.start, cols.end, cols.tag,
+            ))
+        return views.records
+
+    def _rows(self) -> Dict[int, Tuple[int, ...]]:
+        views = self._view()
+        if views.rows is None:
+            groups: Dict[int, List[int]] = {}
+            for row, iid in enumerate(self._cols.instance_id):
+                groups.setdefault(iid, []).append(row)
+            # stable: equal block indices keep completion order
+            key = self._cols.tb_index.__getitem__
+            views.rows = {iid: tuple(sorted(group, key=key))
+                          for iid, group in groups.items()}
+        return views.rows
+
+    @property
     def tb_records(self) -> Tuple[TBRecord, ...]:
         """All thread-block records, in completion order."""
-        return tuple(self._tb_records)
+        return tuple(self._records())
 
     @property
     def spans(self) -> Tuple[KernelSpan, ...]:
@@ -245,21 +375,33 @@ class ExecutionTrace:
         except KeyError:
             raise SimulationError(f"no span for instance {instance_id}") from None
 
+    def rows_of(self, instance_id: int) -> Tuple[int, ...]:
+        """Rows of one launch's blocks (indices into :attr:`columns`),
+        sorted by block index."""
+        return self._rows().get(instance_id, ())
+
     def blocks_of(self, instance_id: int) -> Tuple[TBRecord, ...]:
         """Thread-block records of one launch, sorted by block index."""
-        records = self._by_instance.get(instance_id, [])
-        return tuple(sorted(records, key=lambda r: r.tb_index))
+        records = self._records()
+        return tuple(records[row] for row in self.rows_of(instance_id))
+
+    def _by_sm(self) -> Dict[int, List[TBRecord]]:
+        views = self._view()
+        if views.by_sm is None:
+            by_sm: Dict[int, List[TBRecord]] = {}
+            for record in self._records():
+                by_sm.setdefault(record.sm, []).append(record)
+            views.by_sm = by_sm
+        return views.by_sm
 
     def blocks_on_sm(self, sm: int) -> Tuple[TBRecord, ...]:
         """Thread-block records that executed on SM ``sm``."""
-        return tuple(self._by_sm.get(sm, []))
+        return tuple(self._by_sm().get(sm, []))
 
     @property
     def makespan(self) -> float:
         """Completion time of the last thread block (0 for empty traces)."""
-        if not self._tb_records:
-            return 0.0
-        return max(r.end for r in self._tb_records)
+        return max(self._cols.end, default=0.0)
 
     @property
     def instance_ids(self) -> Tuple[int, ...]:
@@ -269,15 +411,47 @@ class ExecutionTrace:
     # ------------------------------------------------------------------
     # redundancy-oriented queries
     # ------------------------------------------------------------------
+    def _copies(self) -> Dict[int, Dict[int, KernelSpan]]:
+        views = self._view()
+        if views.copies is None:
+            copies: Dict[int, Dict[int, KernelSpan]] = {}
+            for s in self._spans.values():
+                copies.setdefault(s.logical_id, {})[s.copy_id] = s
+            views.copies = copies
+        return views.copies
+
     def copies_of(self, logical_id: int) -> Dict[int, KernelSpan]:
         """Map ``copy_id -> span`` for all copies of one logical kernel."""
-        return {
-            s.copy_id: s for s in self._spans.values() if s.logical_id == logical_id
-        }
+        return dict(self._copies().get(logical_id, {}))
 
     def logical_ids(self) -> Tuple[int, ...]:
         """Sorted logical computation ids present in the trace."""
-        return tuple(sorted({s.logical_id for s in self._spans.values()}))
+        return tuple(sorted(self._copies()))
+
+    def paired_rows(self, logical_id: int, copy_a: int = 0, copy_b: int = 1
+                    ) -> Iterator[Tuple[int, int]]:
+        """Yield ``(row of copy_a, row of copy_b)`` pairs by block index.
+
+        The row-level form of :meth:`paired_blocks` (rows index
+        :attr:`columns`).
+
+        Raises:
+            SimulationError: when a copy is missing, or the two copies have
+                different grids (a broken redundant-launch construction).
+        """
+        spans = self._copies().get(logical_id, {})
+        if copy_a not in spans or copy_b not in spans:
+            raise SimulationError(
+                f"logical kernel {logical_id} lacks copies {copy_a}/{copy_b}"
+            )
+        rows_a = self.rows_of(spans[copy_a].instance_id)
+        rows_b = self.rows_of(spans[copy_b].instance_id)
+        if len(rows_a) != len(rows_b):
+            raise SimulationError(
+                f"logical kernel {logical_id}: copies have different grids "
+                f"({len(rows_a)} vs {len(rows_b)} blocks)"
+            )
+        return zip(rows_a, rows_b)
 
     def paired_blocks(self, logical_id: int,
                       copy_a: int = 0, copy_b: int = 1
@@ -289,31 +463,21 @@ class ExecutionTrace:
         times.
 
         Raises:
-            SimulationError: when the two copies have different grids, which
-                would indicate a broken redundant-launch construction.
+            SimulationError: when a copy is missing, or the two copies have
+                different grids (a broken redundant-launch construction).
         """
-        spans = self.copies_of(logical_id)
-        if copy_a not in spans or copy_b not in spans:
-            raise SimulationError(
-                f"logical kernel {logical_id} lacks copies {copy_a}/{copy_b}"
-            )
-        blocks_a = self.blocks_of(spans[copy_a].instance_id)
-        blocks_b = self.blocks_of(spans[copy_b].instance_id)
-        if len(blocks_a) != len(blocks_b):
-            raise SimulationError(
-                f"logical kernel {logical_id}: copies have different grids "
-                f"({len(blocks_a)} vs {len(blocks_b)} blocks)"
-            )
-        for ra, rb in zip(blocks_a, blocks_b):
-            yield ra, rb
+        records = self._records()
+        for ra, rb in self.paired_rows(logical_id, copy_a, copy_b):
+            yield records[ra], records[rb]
 
     # ------------------------------------------------------------------
     # interval queries (fault injection)
     # ------------------------------------------------------------------
     def _interval_index(self) -> _IntervalIndex:
-        if self._index is None:
-            self._index = _IntervalIndex(self._tb_records, self._by_sm)
-        return self._index
+        views = self._view()
+        if views.index is None:
+            views.index = _IntervalIndex(self._records(), self._by_sm())
+        return views.index
 
     def stab_candidates(self, t: float,
                         sms: Optional[Iterable[int]] = None
@@ -355,16 +519,10 @@ class ExecutionTrace:
 
     def busy_intervals(self, sm: int) -> List[Tuple[float, float]]:
         """Merged busy intervals of one SM (for utilization reporting)."""
-        intervals = sorted(
-            (r.start, r.end) for r in self._by_sm.get(sm, []) if r.end > r.start
-        )
-        merged: List[Tuple[float, float]] = []
-        for start, end in intervals:
-            if merged and start <= merged[-1][1]:
-                merged[-1] = (merged[-1][0], max(merged[-1][1], end))
-            else:
-                merged.append((start, end))
-        return merged
+        cols = self._cols
+        return _merged([(start, end) for start, end, on in
+                        zip(cols.start, cols.end, cols.sm)
+                        if on == sm and end > start])
 
     def sm_utilization(self, sm: int) -> float:
         """Fraction of the makespan during which ``sm`` had resident work."""
@@ -382,16 +540,9 @@ class ExecutionTrace:
         "simulated time only for the kernel execution" metric of the
         paper's Figure 4 (GPGPU-Sim's total simulated cycles).
         """
-        intervals = sorted(
-            (r.start, r.end) for r in self._tb_records if r.end > r.start
-        )
-        merged: List[Tuple[float, float]] = []
-        for start, end in intervals:
-            if merged and start <= merged[-1][1]:
-                merged[-1] = (merged[-1][0], max(merged[-1][1], end))
-            else:
-                merged.append((start, end))
-        return merged
+        cols = self._cols
+        return _merged([(start, end) for start, end in
+                        zip(cols.start, cols.end) if end > start])
 
     @property
     def busy_cycles(self) -> float:
@@ -404,20 +555,12 @@ class ExecutionTrace:
         Drives the paper's Figure 3 kernel taxonomy (short / heavy /
         friendly by achievable overlap).
         """
+        start, end = self._cols.start, self._cols.end
+
         def union(iid: int) -> List[Tuple[float, float]]:
             """Merged residency intervals of one launch's blocks."""
-            intervals = sorted(
-                (r.start, r.end)
-                for r in self._by_instance.get(iid, [])
-                if r.end > r.start
-            )
-            merged: List[Tuple[float, float]] = []
-            for start, end in intervals:
-                if merged and start <= merged[-1][1]:
-                    merged[-1] = (merged[-1][0], max(merged[-1][1], end))
-                else:
-                    merged.append((start, end))
-            return merged
+            return _merged([(start[row], end[row]) for row in self.rows_of(iid)
+                            if end[row] > start[row]])
 
         overlap = 0.0
         for a_start, a_end in union(instance_a):
@@ -450,12 +593,11 @@ class ExecutionTrace:
         diffs: List[str] = []
         if self._num_sms != other._num_sms:
             diffs.append(f"num_sms: {self._num_sms} != {other._num_sms}")
-        if len(self._tb_records) != len(other._tb_records):
+        if self.num_blocks != other.num_blocks:
             diffs.append(
-                f"tb_record count: {len(self._tb_records)} != "
-                f"{len(other._tb_records)}"
+                f"tb_record count: {self.num_blocks} != {other.num_blocks}"
             )
-        for i, (a, b) in enumerate(zip(self._tb_records, other._tb_records)):
+        for i, (a, b) in enumerate(zip(self._records(), other._records())):
             if len(diffs) >= limit:
                 return diffs
             if a != b:
@@ -485,17 +627,20 @@ class ExecutionTrace:
         """Internal consistency check (used heavily by tests).
 
         Verifies that every launch with blocks has a span, spans bracket
-        their blocks, and no record escapes the SM range.
+        their blocks, and each launch's block indices are ``0..n-1``
+        (:meth:`add_block` already refused blocks that end before they
+        start or escape the SM range).
 
         Raises:
             SimulationError: on any inconsistency.
         """
-        for iid, records in self._by_instance.items():
+        start, end, tb = self._cols.start, self._cols.end, self._cols.tb_index
+        for iid, rows in self._rows().items():
             if iid not in self._spans:
                 raise SimulationError(f"instance {iid} has blocks but no span")
             span = self._spans[iid]
-            first = min(r.start for r in records)
-            last = max(r.end for r in records)
+            first = min([start[row] for row in rows])
+            last = max([end[row] for row in rows])
             if abs(first - span.first_dispatch) > 1e-6:
                 raise SimulationError(
                     f"instance {iid}: span first_dispatch {span.first_dispatch} "
@@ -506,8 +651,8 @@ class ExecutionTrace:
                     f"instance {iid}: span completion {span.completion} "
                     f"!= latest block end {last}"
                 )
-            indices = sorted(r.tb_index for r in records)
-            if indices != list(range(len(records))):
+            indices = [tb[row] for row in rows]
+            if indices != list(range(len(rows))):
                 raise SimulationError(
                     f"instance {iid}: block indices not contiguous: {indices[:8]}..."
                 )

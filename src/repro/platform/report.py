@@ -28,7 +28,7 @@ any worker count and any task-declaration order.
 """
 
 from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.api.spec import Codec
 from repro.errors import ConfigurationError, PlatformError
@@ -222,14 +222,7 @@ class PlatformReport(Codec):
     asil: AsilRollup
 
     derived_keys = ("feasible",)
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "PlatformReport":
-        """Inverse of :meth:`to_dict`; a bad field raises :class:`PlatformError`."""
-        try:
-            return super().from_dict(data)
-        except ConfigurationError as exc:
-            raise PlatformError(str(exc)) from None
+    load_error = PlatformError
 
     def digest(self) -> str:
         """Hex digest of the canonical form (aggregate provenance key)."""

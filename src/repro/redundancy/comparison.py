@@ -81,17 +81,19 @@ def build_signature(trace: ExecutionTrace, instance_id: int,
         The launch's :class:`OutputSignature`.
     """
     span = trace.span(instance_id)
-    blocks = trace.blocks_of(instance_id)
+    logical_id = span.logical_id
+    tb_index = trace.columns.tb_index
     tokens = []
-    for record in blocks:
-        key = (instance_id, record.tb_index)
+    for row in trace.rows_of(instance_id):
+        tb = tb_index[row]
+        key = (instance_id, tb)
         if corruption and key in corruption:
             tokens.append(("err",) + tuple(corruption[key]))
         else:
-            tokens.append(("ok", span.logical_id, record.tb_index))
+            tokens.append(("ok", logical_id, tb))
     return OutputSignature(
         instance_id=instance_id,
-        logical_id=span.logical_id,
+        logical_id=logical_id,
         copy_id=span.copy_id,
         tokens=tuple(tokens),
     )

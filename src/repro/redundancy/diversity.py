@@ -19,15 +19,21 @@ This module turns that claim into measured quantities:
 Progress is approximated as linear over a block's lifetime (exact under
 piecewise-constant equal-share rates when shares do not change, and a
 symmetric approximation otherwise — see :meth:`TBRecord.phase_at`).
+
+:func:`analyze_diversity` reads the trace's block columns and folds every
+pair into the report's aggregates in one pass; the per-pair
+:class:`PairDiversity` objects are built only when
+:attr:`DiversityReport.pairs` is read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from functools import partial
+from typing import Callable, Iterable, Iterator, Optional, Tuple
 
 from repro.errors import RedundancyError
-from repro.gpu.trace import ExecutionTrace, TBRecord
+from repro.gpu.trace import ExecutionTrace, intervals_overlap
 
 __all__ = ["PairDiversity", "DiversityReport", "analyze_diversity"]
 
@@ -35,8 +41,12 @@ __all__ = ["PairDiversity", "DiversityReport", "analyze_diversity"]
 #: (roughly "the same instruction packet").
 DEFAULT_PHASE_TOLERANCE = 1.0
 
+#: One pair's values, in :class:`PairDiversity` field order.
+_Row = Tuple[int, int, int, int, bool, float, Optional[float]]
 
-def _phase_separation(a: TBRecord, b: TBRecord, work: float) -> Optional[float]:
+
+def _phase_separation(a_start: float, a_end: float, b_start: float,
+                      b_end: float, work: float) -> Optional[float]:
     """Minimum |work-position difference| between two overlapping blocks.
 
     Work position of block ``r`` at time ``t`` is
@@ -46,16 +56,18 @@ def _phase_separation(a: TBRecord, b: TBRecord, work: float) -> Optional[float]:
 
     Returns ``None`` when the blocks do not overlap in time.
     """
-    lo = max(a.start, b.start)
-    hi = min(a.end, b.end)
+    lo = max(a_start, b_start)
+    hi = min(a_end, b_end)
     if hi <= lo:
         return None
-    if a.duration == 0 or b.duration == 0:
+    a_duration = a_end - a_start
+    b_duration = b_end - b_start
+    if a_duration == 0 or b_duration == 0:
         return 0.0
 
     def diff(t: float) -> float:
-        wa = work * (t - a.start) / a.duration
-        wb = work * (t - b.start) / b.duration
+        wa = work * (t - a_start) / a_duration
+        wb = work * (t - b_start) / b_duration
         return wa - wb
 
     d_lo, d_hi = diff(lo), diff(hi)
@@ -102,45 +114,95 @@ class PairDiversity:
         )
 
 
-@dataclass(frozen=True)
 class DiversityReport:
     """Aggregated diversity over every redundant pair of a trace.
 
-    Attributes:
+    The aggregates are folded from the pairs in one pass when the report
+    is made; :attr:`pairs` is built on first read when the report came
+    from :func:`analyze_diversity`.  Treat a report as immutable.
+
+    Args:
         pairs: per-pair details.
-        phase_tolerance: tolerance used by :attr:`fully_diverse`.
+        phase_tolerance: alignment threshold of :meth:`PairDiversity
+            .is_diverse`.
+
+    Attributes:
+        total_pairs: number of redundant block pairs analysed.
+        same_sm_pairs: pairs whose copies shared an SM (permanent-CCF
+            exposure).
+        overlapping_pairs: pairs whose copies overlapped in time.
+        phase_aligned_pairs: overlapping pairs within the phase tolerance
+            (transient-CCF exposure).
+        fully_diverse: the paper's diverse-redundancy criterion holds for
+            every pair.
+        min_time_slack: smallest inter-copy gap across pairs (negative =
+            overlap); ``None`` without pairs.
+        min_phase_separation: smallest phase separation among overlapping
+            pairs; ``None`` when there is none.
     """
 
-    pairs: Tuple[PairDiversity, ...]
-    phase_tolerance: float = DEFAULT_PHASE_TOLERANCE
+    __slots__ = ("phase_tolerance", "total_pairs", "same_sm_pairs",
+                 "overlapping_pairs", "phase_aligned_pairs", "fully_diverse",
+                 "min_time_slack", "min_phase_separation", "_pairs",
+                 "_rows")
+
+    def __init__(self, pairs: Iterable[PairDiversity] = (),
+                 phase_tolerance: float = DEFAULT_PHASE_TOLERANCE) -> None:
+        self._pairs: Optional[Tuple[PairDiversity, ...]] = tuple(pairs)
+        self._rows: Optional[Callable[[], Iterator[_Row]]] = None
+        self._fold(((p.logical_id, p.tb_index, p.sm_a, p.sm_b,
+                     p.time_overlap, p.time_slack, p.phase_separation)
+                    for p in self._pairs), phase_tolerance)
+
+    @classmethod
+    def _of_rows(cls, rows: Callable[[], Iterator[_Row]],
+                 phase_tolerance: float) -> "DiversityReport":
+        """A report folded from ``rows()``; :attr:`pairs` calls it again."""
+        report = cls.__new__(cls)
+        report._pairs = None
+        report._rows = rows
+        report._fold(rows(), phase_tolerance)
+        return report
+
+    def _fold(self, rows: Iterable[_Row], phase_tolerance: float) -> None:
+        total = same_sm = overlapping = aligned = 0
+        diverse = True
+        min_slack: Optional[float] = None
+        min_sep: Optional[float] = None
+        for _logical, _tb, sm_a, sm_b, overlap, slack, sep in rows:
+            total += 1
+            if sm_a == sm_b:
+                same_sm += 1
+                diverse = False
+            if min_slack is None or slack < min_slack:
+                min_slack = slack
+            if overlap:
+                overlapping += 1
+                if not (sep is not None and sep > phase_tolerance):
+                    diverse = False
+                if sep is not None:
+                    if sep <= phase_tolerance:
+                        aligned += 1
+                    if min_sep is None or sep < min_sep:
+                        min_sep = sep
+        self.phase_tolerance = phase_tolerance
+        self.total_pairs = total
+        self.same_sm_pairs = same_sm
+        self.overlapping_pairs = overlapping
+        self.phase_aligned_pairs = aligned
+        self.fully_diverse = diverse
+        self.min_time_slack = min_slack
+        self.min_phase_separation = min_sep
 
     # ------------------------------------------------------------------
     @property
-    def total_pairs(self) -> int:
-        """Number of redundant block pairs analysed."""
-        return len(self.pairs)
-
-    @property
-    def same_sm_pairs(self) -> int:
-        """Pairs whose copies shared an SM (permanent-CCF exposure)."""
-        return sum(1 for p in self.pairs if p.same_sm)
-
-    @property
-    def overlapping_pairs(self) -> int:
-        """Pairs whose copies overlapped in time."""
-        return sum(1 for p in self.pairs if p.time_overlap)
-
-    @property
-    def phase_aligned_pairs(self) -> int:
-        """Overlapping pairs within the phase tolerance (transient-CCF
-        exposure)."""
-        return sum(
-            1
-            for p in self.pairs
-            if p.time_overlap
-            and p.phase_separation is not None
-            and p.phase_separation <= self.phase_tolerance
-        )
+    def pairs(self) -> Tuple[PairDiversity, ...]:
+        """Per-pair details, in logical-id then block-index order."""
+        if self._pairs is None:
+            assert self._rows is not None
+            self._pairs = tuple(PairDiversity(*row) for row in self._rows())
+            self._rows = None
+        return self._pairs
 
     @property
     def spatially_diverse(self) -> bool:
@@ -152,28 +214,6 @@ class DiversityReport:
         """No pair overlaps in time (SRRS's stronger property)."""
         return self.overlapping_pairs == 0
 
-    @property
-    def fully_diverse(self) -> bool:
-        """The paper's diverse-redundancy criterion for every pair."""
-        return all(p.is_diverse(self.phase_tolerance) for p in self.pairs)
-
-    @property
-    def min_time_slack(self) -> Optional[float]:
-        """Smallest inter-copy gap across pairs (negative = overlap)."""
-        if not self.pairs:
-            return None
-        return min(p.time_slack for p in self.pairs)
-
-    @property
-    def min_phase_separation(self) -> Optional[float]:
-        """Smallest phase separation among overlapping pairs."""
-        seps = [
-            p.phase_separation
-            for p in self.pairs
-            if p.time_overlap and p.phase_separation is not None
-        ]
-        return min(seps) if seps else None
-
     def summary(self) -> str:
         """One-line report string used by benches and examples."""
         return (
@@ -182,6 +222,29 @@ class DiversityReport:
             f"phase_aligned={self.phase_aligned_pairs} "
             f"fully_diverse={self.fully_diverse}"
         )
+
+
+def _pair_rows(trace: ExecutionTrace, copy_a: int, copy_b: int,
+               work: float) -> Iterator[_Row]:
+    """Every redundant pair's values, from the trace's block columns."""
+    cols = trace.columns
+    tb_index, sm, start, end = cols.tb_index, cols.sm, cols.start, cols.end
+    for logical_id in trace.logical_ids():
+        copies = trace.copies_of(logical_id)
+        if copy_a not in copies or copy_b not in copies:
+            raise RedundancyError(
+                f"logical kernel {logical_id} lacks copies "
+                f"{copy_a}/{copy_b}: has {sorted(copies)}"
+            )
+        for ra, rb in trace.paired_rows(logical_id, copy_a, copy_b):
+            a_start, a_end, b_start, b_end = start[ra], end[ra], start[rb], end[rb]
+            overlap = intervals_overlap(a_start, a_end, b_start, b_end)
+            if overlap:
+                slack = -(min(a_end, b_end) - max(a_start, b_start))
+            else:
+                slack = max(b_start - a_end, a_start - b_end)
+            yield (logical_id, tb_index[ra], sm[ra], sm[rb], overlap, slack,
+                   _phase_separation(a_start, a_end, b_start, b_end, work))
 
 
 def analyze_diversity(trace: ExecutionTrace, *,
@@ -203,29 +266,7 @@ def analyze_diversity(trace: ExecutionTrace, *,
     Raises:
         RedundancyError: when a logical kernel lacks one of the copies.
     """
-    pairs: List[PairDiversity] = []
-    for logical_id in trace.logical_ids():
-        copies = trace.copies_of(logical_id)
-        if copy_a not in copies or copy_b not in copies:
-            raise RedundancyError(
-                f"logical kernel {logical_id} lacks copies "
-                f"{copy_a}/{copy_b}: has {sorted(copies)}"
-            )
-        for ra, rb in trace.paired_blocks(logical_id, copy_a, copy_b):
-            overlap = ra.overlaps(rb)
-            if overlap:
-                slack = -(min(ra.end, rb.end) - max(ra.start, rb.start))
-            else:
-                slack = max(rb.start - ra.end, ra.start - rb.end)
-            pairs.append(
-                PairDiversity(
-                    logical_id=logical_id,
-                    tb_index=ra.tb_index,
-                    sm_a=ra.sm,
-                    sm_b=rb.sm,
-                    time_overlap=overlap,
-                    time_slack=slack,
-                    phase_separation=_phase_separation(ra, rb, work_per_block),
-                )
-            )
-    return DiversityReport(pairs=tuple(pairs), phase_tolerance=phase_tolerance)
+    return DiversityReport._of_rows(
+        partial(_pair_rows, trace, copy_a, copy_b, work_per_block),
+        phase_tolerance,
+    )

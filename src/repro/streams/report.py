@@ -14,10 +14,10 @@ digest, for any worker count or chunk size.
 """
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, Mapping, Tuple
+from typing import TYPE_CHECKING, Dict, Tuple
 
 from repro.api.spec import Codec
-from repro.errors import ConfigurationError, StatsError, StreamError
+from repro.errors import StatsError, StreamError
 from repro.journal import payload_digest
 
 if TYPE_CHECKING:
@@ -131,14 +131,7 @@ class StreamReport(Codec):
     utilisation: float = 0.0
 
     derived_keys = ("deadline_met", "miss_rate", "drop_rate", "safe_rate")
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "StreamReport":
-        """Inverse of :meth:`to_dict`; a bad field raises :class:`StreamError`."""
-        try:
-            return super().from_dict(data)
-        except ConfigurationError as exc:
-            raise StreamError(str(exc)) from None
+    load_error = StreamError
 
     def digest(self) -> str:
         """Hex digest of the canonical form (aggregate provenance key)."""

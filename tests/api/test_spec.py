@@ -103,6 +103,17 @@ class TestCodecTypes:
                            match=r"RunSpec.gpu must be an object, got \[1\]"):
             RunSpec.from_dict({"workload": {"benchmark": "nn"}, "gpu": [1]})
 
+    def test_an_error_in_a_nested_spec_names_the_field_it_sits_in(self):
+        with pytest.raises(ConfigurationError,
+                           match=r"^RunSpec\.workload: WorkloadSpec\.kernels "
+                                 r"must be a list, got 5$"):
+            RunSpec.from_dict({"workload": {"kernels": 5}})
+        with pytest.raises(ConfigurationError,
+                           match=r"^RunSpec\.gpu: GPUSpec: unknown field\(s\) "
+                                 r"cores;"):
+            RunSpec.from_dict({"workload": {"benchmark": "nn"},
+                               "gpu": {"cores": 3}})
+
     def test_list_items_are_checked_with_their_index(self):
         with pytest.raises(ConfigurationError,
                            match=r"WorkloadSpec.kernels\[0\] must be an "):

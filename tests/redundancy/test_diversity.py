@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
+
+from repro.api.artifact import DiversitySummary
 
 from repro.errors import RedundancyError
 from repro.gpu.config import GPUConfig
@@ -131,3 +135,60 @@ class TestPolicyGuarantees:
     def test_default_scheduler_lacks_diversity(self, gpu, kernel):
         run = RedundantKernelManager(gpu, "default").run([kernel])
         assert not run.diversity.fully_diverse
+
+
+class TestLazyPairs:
+    """``analyze_diversity`` folds the aggregates from the trace's
+    columns and builds ``pairs`` only when it is read."""
+
+    AGGREGATES = ("total_pairs", "same_sm_pairs", "overlapping_pairs",
+                  "phase_aligned_pairs", "spatially_diverse",
+                  "temporally_diverse", "fully_diverse", "min_time_slack",
+                  "min_phase_separation", "phase_tolerance")
+
+    @pytest.fixture(params=("default", "half", "srrs", "staggered"))
+    def report(self, request, gpu):
+        kernel = KernelDescriptor(name="k", grid_blocks=18,
+                                  threads_per_block=128,
+                                  work_per_block=6000.0,
+                                  bytes_per_block=900.0)
+        run = RedundantKernelManager(gpu, request.param).run([kernel] * 2)
+        return analyze_diversity(run.sim.trace, phase_tolerance=100.0)
+
+    def _aggregates(self, report):
+        return {name: getattr(report, name) for name in self.AGGREGATES}
+
+    def test_aggregates_match_their_definitions_over_the_pairs(self, report):
+        folded = self._aggregates(report)
+        pairs = report.pairs
+        tol = report.phase_tolerance
+        assert len(pairs) == report.total_pairs == 36
+        assert report.same_sm_pairs == sum(p.same_sm for p in pairs)
+        assert report.overlapping_pairs == sum(p.time_overlap for p in pairs)
+        assert report.phase_aligned_pairs == sum(
+            p.time_overlap and p.phase_separation is not None
+            and p.phase_separation <= tol for p in pairs)
+        assert report.fully_diverse == all(p.is_diverse(tol) for p in pairs)
+        assert report.min_time_slack == min(p.time_slack for p in pairs)
+        seps = [p.phase_separation for p in pairs
+                if p.time_overlap and p.phase_separation is not None]
+        assert report.min_phase_separation == (min(seps) if seps else None)
+        rebuilt = DiversityReport(pairs=pairs, phase_tolerance=100.0)
+        assert self._aggregates(rebuilt) == folded
+        assert rebuilt.pairs == pairs
+        assert report.pairs is pairs
+
+    def test_summary_and_pickling_build_no_pairs(self, report, monkeypatch):
+        built = []
+        init = PairDiversity.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(PairDiversity, "__init__", counting)
+        summary = DiversitySummary.from_report(report)
+        copy = pickle.loads(pickle.dumps(report))
+        assert built == []
+        assert summary.to_dict() == DiversitySummary.from_report(copy).to_dict()
+        assert copy.pairs == report.pairs

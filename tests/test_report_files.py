@@ -9,7 +9,8 @@ intact and ends the command with ``error: …`` and exit 1.  The
 writing its report some other way never sees the full disk.  ``stream
 report`` and ``platform report`` reject a saved report whose field has
 the wrong JSON type, an unknown key, or a derived value that disagrees
-with the fields it is computed from the same way, naming the field.
+with the fields it is computed from the same way, naming the field by
+its path from the report down.
 """
 
 from __future__ import annotations
@@ -21,7 +22,10 @@ from typing import Callable, Dict, List
 import pytest
 
 from repro.cli import main
+from repro.errors import PlatformError, StreamError
 from repro.obs.session import Telemetry
+from repro.platform.report import PlatformReport
+from repro.streams.report import StreamReport
 
 SPECS = Path(__file__).resolve().parents[1] / "examples" / "specs"
 OLD = '{"previous": "report"}\n'
@@ -81,34 +85,42 @@ def _set(path: str, value):
     return edit
 
 
-#: (saved report, field edit, field or key named in the error)
+#: (saved report, field edit, the error's text from the field path on)
 MISTYPED = {
-    "stream-frames": ("stream", _set("frames", "many"), "StreamReport.frames"),
+    "stream-frames": ("stream", _set("frames", "many"),
+                      "StreamReport.frames must be an integer"),
     "stream-latency": ("stream", _set("latency_ms", 5),
-                       "StreamReport.latency_ms"),
+                       "StreamReport.latency_ms must be an object"),
     "platform-totals": ("platform", _set("totals.completed", "x"),
-                        "PlatformTotals.completed"),
+                        "PlatformReport.totals: PlatformTotals.completed "
+                        "must be a number"),
     "platform-devices": ("platform", _set("devices", 3),
-                         "PlatformReport.devices"),
+                         "PlatformReport.devices must be an object"),
     # a foreign key, a derived value that disagrees with the counters
-    # it is computed from, a key no report has
+    # it is computed from, a key no report has: a nested object's error
+    # names the field it sits in
     "stream-windows": ("stream", _set("windows", {"a": 1}),
+                       "StreamReport.windows: StreamWindows: "
                        "unknown field(s) a"),
     "stream-miss-rate": ("stream", _set("miss_rate", 0.5),
-                         "StreamReport.miss_rate"),
-    "stream-unknown": ("stream", _set("bogus", 1), "unknown field(s) bogus"),
+                         "StreamReport.miss_rate must be 0.0"),
+    "stream-unknown": ("stream", _set("bogus", 1),
+                       "StreamReport: unknown field(s) bogus"),
     "platform-task-ok": ("platform", _set("tasks.radar-cfar.ok", "yes"),
-                         "PlatformTask.ok"),
+                         "PlatformReport.tasks['radar-cfar']: "
+                         "PlatformTask.ok must be True"),
     "platform-verdict": ("platform", _set("asil.verdict", "pass!"),
-                         "AsilRollup.verdict"),
+                         "PlatformReport.asil: AsilRollup.verdict must be "
+                         "'pass'"),
     "platform-placement": ("platform", _set("placement", {"ghost": 3}),
-                           "PlatformReport.placement"),
+                           "PlatformReport.placement['ghost'] must be a "
+                           "string"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(MISTYPED))
 def test_a_mistyped_report_field_is_a_typed_error(tmp_path, capsys, case):
-    kind, edit, field = MISTYPED[case]
+    kind, edit, message = MISTYPED[case]
     out = tmp_path / "report.json"
     assert main([kind, "run", "--spec", str(SPECS / f"{kind}.json"),
                  "--frames", "1", "--out", str(out)]) == 0
@@ -119,5 +131,12 @@ def test_a_mistyped_report_field_is_a_typed_error(tmp_path, capsys, case):
 
     assert main([kind, "report", "--report", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert field in err
+    assert err.count("\n") == 1
+    assert err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("report, error", [(StreamReport, StreamError),
+                                           (PlatformReport, PlatformError)])
+def test_a_report_that_is_not_json_is_the_subsystems_error(report, error):
+    with pytest.raises(error, match=f"^invalid {report.__name__} JSON: "):
+        report.from_json("{x")
