@@ -19,7 +19,7 @@ from repro.analysis.report import render_table
 from repro.api import FaultPlanSpec
 from repro.campaigns.runner import classify_shard, fold_report
 from repro.campaigns.sharding import Shard
-from repro.faults import FaultCampaign, FaultOutcome, apply_fault
+from repro.faults import FaultCampaign, apply_fault
 from repro.gpu.kernel import KernelDescriptor
 from repro.gpu.scheduler import StaggeredScheduler
 from repro.redundancy.diverse_kernels import DiverseGridManager
@@ -42,8 +42,8 @@ def _campaign(run):
 def _campaign_row(gpu, label, policy):
     run = RedundantKernelManager(gpu, policy).run([KERNEL, KERNEL])
     report = _campaign(run)
-    transient_sdc = report.by_kind["TransientCCF"].get(FaultOutcome.SDC, 0)
-    permanent_sdc = report.by_kind["PermanentSMFault"].get(FaultOutcome.SDC, 0)
+    transient_sdc = report.by_kind["TransientCCF"].get("sdc", 0)
+    permanent_sdc = report.by_kind["PermanentSMFault"].get("sdc", 0)
     return (
         [label, transient_sdc, permanent_sdc, report.sdc,
          report.detection_coverage],

@@ -295,8 +295,8 @@ class Engine:
             for shard in campaign_plan(campaign_spec)
         )
         by_kind = tuple(
-            (kind, tuple(outcomes.items()))
-            for kind, outcomes in report.to_dict()["by_kind"].items()
+            (kind, tuple(sorted(outcomes.items())))
+            for kind, outcomes in sorted(report.by_kind.items())
         )
         return FaultSummary(
             policy=report.policy,

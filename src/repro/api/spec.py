@@ -122,21 +122,22 @@ def _decoder(tp: Any) -> Optional[Callable[[Any, str], Any]]:
                 # name the field the nested object sits in
                 raise type(exc)(f"{label}: {exc}") from None
         return decode_codec
-    if get_origin(tp) is tuple:
+    sequence = get_origin(tp)
+    if sequence in (tuple, list):
         args = get_args(tp)
-        variadic = args[-1] is Ellipsis
+        variadic = sequence is list or args[-1] is Ellipsis
         decoders = [_decoder(arg) for arg in args if arg is not Ellipsis]
 
-        def decode_tuple(value: Any, label: str) -> Any:
+        def decode_sequence(value: Any, label: str) -> Any:
             if not isinstance(value, (list, tuple)) or (
                     not variadic and len(value) != len(decoders)):
                 _reject(label, "a list", value)
             per_item = repeat(decoders[0]) if variadic else decoders
-            return tuple(
+            return sequence(
                 item if decode is None else decode(item, f"{label}[{i}]")
                 for i, (decode, item) in enumerate(zip(per_item, value))
             )
-        return decode_tuple
+        return decode_sequence
     if get_origin(tp) is dict:
         decode_item = _decoder(get_args(tp)[1])
 
@@ -202,9 +203,9 @@ def _encode(value: Any) -> Any:
 class Codec:
     """JSON form derived from a frozen dataclass's fields.
 
-    Nested codecs become objects, tuples become lists and ``Dict[str,
-    X]`` fields (open key sets) objects with sorted keys; every other
-    value is stored as is.  A field whose metadata sets ``omit_none`` is
+    Nested codecs become objects, tuples and ``List[X]`` fields lists,
+    and ``Dict[str, X]`` fields (open key sets) objects with sorted
+    keys; every other value is stored as is.  A field whose metadata sets ``omit_none`` is
     left out while ``None``, so adding it keeps older specs' JSON (and
     hash).  Each name in :attr:`derived_keys` is a property computed
     from the fields: written by :meth:`to_dict`, never stored, and on
@@ -281,7 +282,8 @@ class Codec:
             if type(value) is not type(expected) or value != expected:
                 raise ConfigurationError(
                     f"{cls.__name__}.{name} must be {expected!r} (derived "
-                    f"from the other fields), got {value!r}"
+                    f"from the other fields), got {value!r} — payload "
+                    "inconsistent"
                 )
         return obj
 

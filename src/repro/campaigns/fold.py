@@ -20,10 +20,9 @@ from typing import Dict, Iterable, Optional, Tuple, Union
 
 from repro.api.campaign import CampaignSpec
 from repro.campaigns.sharding import Shard, plan_shards
-from repro.campaigns.store import OUTCOMES_BY_KEY, CampaignStore, ShardRecord
+from repro.campaigns.store import CampaignStore, ShardRecord
 from repro.errors import CampaignError
-from repro.faults.outcomes import FaultOutcome
-from repro.faults.report import CampaignReport, sampling_metadata
+from repro.faults.report import CampaignReport, SamplingMetadata, sampling_metadata
 
 __all__ = [
     "CampaignStatus",
@@ -38,16 +37,7 @@ __all__ = [
 # ----------------------------------------------------------------------
 # aggregate fold
 # ----------------------------------------------------------------------
-def record_by_kind(record: ShardRecord
-                    ) -> Dict[str, Dict[FaultOutcome, int]]:
-    """A shard record's counts table keyed by outcome enum, not store key."""
-    return {
-        kind: {OUTCOMES_BY_KEY[key]: count for key, count in bucket.items()}
-        for kind, bucket in record.counts.items()
-    }
-
-
-def spec_sampling_meta(spec: CampaignSpec) -> Optional[Dict[str, object]]:
+def spec_sampling_meta(spec: CampaignSpec) -> Optional[SamplingMetadata]:
     """The spec's report-level sampling block, ``None`` for legacy specs."""
     if spec.sampling is None:
         return None
@@ -55,7 +45,7 @@ def spec_sampling_meta(spec: CampaignSpec) -> Optional[Dict[str, object]]:
 
 
 def fold_report(records: Iterable[ShardRecord], *,
-                sampling: Optional[Dict[str, object]] = None
+                sampling: Optional[SamplingMetadata] = None
                 ) -> CampaignReport:
     """Fold shard records (any order) into one aggregate report.
 
@@ -67,11 +57,11 @@ def fold_report(records: Iterable[ShardRecord], *,
 
     Args:
         records: completed shard records (any order, any subset).
-        sampling: sampling-metadata block
-            (:func:`~repro.faults.report.sampling_metadata`) of the
-            design the shards were drawn under; ``None`` for the legacy
-            uniform population.  When set, the aggregate reweights its
-            rate estimates and emits the versioned v2 report keys.
+        sampling: sampling design
+            (:func:`~repro.faults.report.sampling_metadata`) the shards
+            were drawn under; ``None`` for the legacy uniform
+            population.  When set, the aggregate reweights its rate
+            estimates and emits the versioned v2 report keys.
 
     Raises:
         CampaignError: on an empty record set or disagreeing policies.
@@ -86,7 +76,7 @@ def fold_report(records: Iterable[ShardRecord], *,
         )
     report = CampaignReport(policy=ordered[0].policy)
     for record in ordered:
-        report.merge_counts(record_by_kind(record),
+        report.merge_counts(record.counts,
                             sdc_samples=record.sdc_samples,
                             sampling=sampling)
     return report
@@ -167,10 +157,10 @@ def campaign_status(store: Union[CampaignStore, str, Path]) -> CampaignStatus:
     spec = store.load_spec()
     plan = campaign_plan(spec)
     records = validated_records(store, plan)
-    totals: Dict[FaultOutcome, int] = {}
+    totals: Dict[str, int] = {}
     for record in records.values():
-        for outcome, count in record.outcome_totals().items():
-            totals[outcome] = totals.get(outcome, 0) + count
+        for key, count in record.outcome_totals().items():
+            totals[key] = totals.get(key, 0) + count
     policy = None
     if records:
         policy = records[min(records)].policy
@@ -181,9 +171,9 @@ def campaign_status(store: Union[CampaignStore, str, Path]) -> CampaignStatus:
         completed_shards=len(records),
         total_injections=spec.total_injections,
         completed_injections=sum(r.injections for r in records.values()),
-        masked=totals.get(FaultOutcome.MASKED, 0),
-        detected=totals.get(FaultOutcome.DETECTED, 0),
-        sdc=totals.get(FaultOutcome.SDC, 0),
+        masked=totals.get("masked", 0),
+        detected=totals.get("detected", 0),
+        sdc=totals.get("sdc", 0),
     )
 
 

@@ -48,16 +48,15 @@ from repro.campaigns.fold import (
     campaign_plan,
     campaign_status,
     fold_report,
-    record_by_kind,
     spec_sampling_meta,
     validated_records,
 )
 from repro.campaigns.sharding import Shard
-from repro.campaigns.store import OUTCOME_KEYS, CampaignStore, ShardRecord
+from repro.campaigns.store import CampaignStore, ShardRecord
 from repro.errors import CampaignError, StatsError
 from repro.exec import map_tasks
 from repro.faults.campaign import FaultCampaign
-from repro.faults.outcomes import FaultOutcome
+from repro.faults.outcomes import OUTCOME_KEYS, FaultOutcome
 from repro.faults.report import SDC_SAMPLE_LIMIT, CampaignReport
 from repro.obs.session import NULL_TELEMETRY, Telemetry
 
@@ -329,9 +328,9 @@ def _execute(spec: CampaignSpec, shards: List[Shard], *,
         tm.metrics.observe("shard_injections", record.injections)
         tm.emit("shard_end", shard=record.shard, start=record.start,
                 stop=record.stop, injections=record.injections,
-                masked=totals.get(FaultOutcome.MASKED, 0),
-                detected=totals.get(FaultOutcome.DETECTED, 0),
-                sdc=totals.get(FaultOutcome.SDC, 0))
+                masked=totals.get("masked", 0),
+                detected=totals.get("detected", 0),
+                sdc=totals.get("sdc", 0))
         tm.beat("campaign", len(done), total_shards,
                 rate_counter="injections", unit="inj/s")
 
@@ -461,7 +460,7 @@ def repeat_campaign(spec: CampaignSpec, *,
                     f"shards disagree on the attacked policy: "
                     f"{sorted({record.policy, running.policy})}"
                 )
-            running.merge_counts(record_by_kind(record),
+            running.merge_counts(record.counts,
                                  sdc_samples=record.sdc_samples,
                                  sampling=meta)
             folded += 1

@@ -27,15 +27,10 @@ from typing import Any, Dict, Mapping, Tuple, Union
 
 from repro.api.campaign import CampaignSpec
 from repro.errors import CampaignError, ConfigurationError
-from repro.faults.outcomes import FaultOutcome
+from repro.faults.outcomes import OUTCOMES_BY_KEY
 from repro.journal import append, canonical, replace_atomic, scan
 
-__all__ = ["CampaignStore", "ShardRecord", "OUTCOME_KEYS", "OUTCOMES_BY_KEY"]
-
-#: ``FaultOutcome -> stable JSON key`` ("masked" / "detected" / "sdc").
-OUTCOME_KEYS: Dict[FaultOutcome, str] = {o: o.name.lower() for o in FaultOutcome}
-#: Inverse of :data:`OUTCOME_KEYS`.
-OUTCOMES_BY_KEY: Dict[str, FaultOutcome] = {v: k for k, v in OUTCOME_KEYS.items()}
+__all__ = ["CampaignStore", "ShardRecord"]
 
 _MANIFEST_NAME = "campaign.json"
 _SHARDS_NAME = "shards.jsonl"
@@ -53,7 +48,7 @@ class ShardRecord:
         policy: scheduler label of the attacked run (must agree across
             shards; the fold verifies it).
         counts: ``fault-kind -> outcome-key -> count`` with outcome keys
-            from :data:`OUTCOME_KEYS`.
+            from :data:`~repro.faults.outcomes.OUTCOME_KEYS`.
         sdc_samples: first few SDC fault labels, in fault-index order.
     """
 
@@ -69,13 +64,12 @@ class ShardRecord:
         """Number of injections the record aggregates."""
         return sum(n for bucket in self.counts.values() for n in bucket.values())
 
-    def outcome_totals(self) -> Dict[FaultOutcome, int]:
-        """Counts summed across fault kinds, keyed by outcome."""
-        totals: Dict[FaultOutcome, int] = {}
+    def outcome_totals(self) -> Dict[str, int]:
+        """Counts summed across fault kinds, keyed by outcome key."""
+        totals: Dict[str, int] = {}
         for bucket in self.counts.values():
             for key, count in bucket.items():
-                outcome = OUTCOMES_BY_KEY[key]
-                totals[outcome] = totals.get(outcome, 0) + count
+                totals[key] = totals.get(key, 0) + count
         return totals
 
     # ------------------------------------------------------------------

@@ -42,16 +42,14 @@ def _report_text(report: CampaignReport, *, as_json: bool, title: str) -> str:
         return json.dumps(report.to_dict(), sort_keys=True, indent=2)
     from repro.analysis.report import render_table
 
-    data = report.to_dict()
     table = render_table(
         ["policy", "n", "masked", "detected", "SDC", "coverage", "digest"],
         [[report.policy, report.total, report.masked, report.detected,
           report.sdc, report.detection_coverage, report.digest()]],
         title=title,
     )
-    samples = data["sdc_samples"]
-    if samples:
-        table += "\nSDC examples: " + "; ".join(samples)
+    if report.sdc_samples:
+        table += "\nSDC examples: " + "; ".join(report.sdc_samples)
     if report.sampling is not None:
         try:
             table += "\nSDC rate: " + report.rate_interval("sdc").describe()

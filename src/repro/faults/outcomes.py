@@ -17,13 +17,14 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Sequence, Tuple
 
 if TYPE_CHECKING:
     from repro.faults.injector import CorruptionMap
     from repro.redundancy.comparison import ComparisonResult
 
-__all__ = ["FaultOutcome", "InjectionResult", "classify_outcome"]
+__all__ = ["FaultOutcome", "InjectionResult", "OUTCOME_KEYS", "OUTCOMES_BY_KEY",
+           "classify_outcome"]
 
 
 class FaultOutcome(enum.Enum):
@@ -32,6 +33,13 @@ class FaultOutcome(enum.Enum):
     MASKED = "masked"
     DETECTED = "detected"
     SDC = "silent-data-corruption"
+
+
+#: ``FaultOutcome -> stable JSON key`` ("masked" / "detected" / "sdc"):
+#: the outcome keys of shard records and campaign reports.
+OUTCOME_KEYS: Dict[FaultOutcome, str] = {o: o.name.lower() for o in FaultOutcome}
+#: Inverse of :data:`OUTCOME_KEYS`.
+OUTCOMES_BY_KEY: Dict[str, FaultOutcome] = {v: k for k, v in OUTCOME_KEYS.items()}
 
 
 @dataclass(frozen=True)

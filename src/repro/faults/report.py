@@ -13,10 +13,12 @@ and adds the :class:`FaultCampaign` that produces the outcomes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
-from repro.errors import FaultInjectionError, SafetyViolation, StatsError
-from repro.faults.outcomes import FaultOutcome
+from repro.api.spec import Codec
+from repro.api.stats import SAMPLING_METHODS
+from repro.errors import ConfigurationError, FaultInjectionError, SafetyViolation, StatsError
+from repro.faults.outcomes import OUTCOME_KEYS, OUTCOMES_BY_KEY, FaultOutcome
 from repro.journal import payload_digest
 
 # the rate estimators and the ISO 26262 model load where a report first
@@ -31,6 +33,7 @@ if TYPE_CHECKING:
 __all__ = [
     "CampaignReport",
     "SDC_SAMPLE_LIMIT",
+    "SamplingMetadata",
     "kind_at",
     "sampling_metadata",
 ]
@@ -68,36 +71,86 @@ def kind_at(position: int, transient_ccf: int, permanent_sm: int,
     return "seu"
 
 
-def sampling_metadata(plan: FaultPlanSpec,
-                      sampling: SamplingSpec) -> Dict[str, object]:
-    """The report-level sampling block (pure integers, digest-safe).
+@dataclass(frozen=True)
+class SamplingMetadata(Codec):
+    """The report-level block of a v2 sampling design (pure integers).
 
-    Carried by :attr:`CampaignReport.sampling` and emitted under the
-    versioned ``"sampling"`` key of :meth:`CampaignReport.to_dict`.
     Only integer counts are stored; the estimators derive population
     probabilities and importance weights from them at estimation time,
-    so report digests never depend on float summation order.  The
-    design's support over ``plan`` is checked where the
+    so report digests never depend on float summation order.
+
+    Attributes:
+        schema: :data:`SAMPLING_SCHEMA`.
+        method: ``"stratified"`` or ``"importance"``.
+        nominal: the plan's fault mix, ``ccf``/``perm``/``seu`` ->
+            weight: the population the estimate is about.
+        allocation: the design's allocation weights over the same kinds.
+    """
+
+    schema: int
+    method: str
+    nominal: Dict[str, int]
+    allocation: Dict[str, int]
+
+    def __post_init__(self) -> None:
+        if self.schema != SAMPLING_SCHEMA or self.method not in SAMPLING_METHODS:
+            raise ConfigurationError(
+                f"SamplingMetadata: unknown design schema {self.schema!r} "
+                f"method {self.method!r}; known: schema {SAMPLING_SCHEMA}, "
+                f"methods {', '.join(SAMPLING_METHODS)}"
+            )
+        for name in ("nominal", "allocation"):
+            weights = getattr(self, name)
+            if (sorted(weights) != sorted(CLASS_NAME_KINDS.values())
+                    or min(weights.values()) < 0
+                    or not sum(weights.values())):
+                raise ConfigurationError(
+                    f"SamplingMetadata.{name} must weigh ccf, perm and "
+                    f"seu (>= 0, not all 0), got {weights!r}"
+                )
+
+
+def sampling_metadata(plan: FaultPlanSpec,
+                      sampling: SamplingSpec) -> SamplingMetadata:
+    """The report-level sampling block of ``sampling`` over ``plan``.
+
+    Carried by :attr:`CampaignReport.sampling`.  The design's support
+    over ``plan`` is checked where the
     :class:`~repro.api.campaign.CampaignSpec` pairing them is built.
     """
-    return {
-        "schema": SAMPLING_SCHEMA,
-        "method": sampling.method,
-        "nominal": {
-            "ccf": plan.transient_ccf,
-            "perm": plan.permanent_sm,
-            "seu": plan.seu,
-        },
-        "allocation": {
-            "ccf": sampling.transient_ccf,
-            "perm": sampling.permanent_sm,
-            "seu": sampling.seu,
-        },
-    }
+    return SamplingMetadata(
+        schema=SAMPLING_SCHEMA,
+        method=sampling.method,
+        nominal={"ccf": plan.transient_ccf, "perm": plan.permanent_sm,
+                 "seu": plan.seu},
+        allocation={"ccf": sampling.transient_ccf,
+                    "perm": sampling.permanent_sm, "seu": sampling.seu},
+    )
+
+
+def _check_counts(by_kind: Mapping[str, Mapping[str, int]],
+                  label: str) -> None:
+    """Refuse unknown outcome keys and negative counts.
+
+    Raises:
+        FaultInjectionError: naming the offending kind and outcome.
+    """
+    for kind, outcomes in by_kind.items():
+        for key, count in outcomes.items():
+            if key not in OUTCOMES_BY_KEY:
+                raise FaultInjectionError(
+                    f"{label}[{kind!r}]: unknown outcome key {key!r}; "
+                    f"known: {', '.join(OUTCOMES_BY_KEY)}"
+                )
+            if count < 0:
+                raise FaultInjectionError(
+                    f"{label}[{kind!r}][{key!r}]: negative outcome count "
+                    f"{count}"
+                )
 
 
 @dataclass
-class CampaignReport:
+class CampaignReport(Codec):
     """Aggregated campaign outcome.
 
     A report holds outcome *counts* only: :meth:`merge_counts` folds in
@@ -105,72 +158,96 @@ class CampaignReport:
     (one per campaign shard, see :mod:`repro.campaigns`), and every
     outcome total is read off the :attr:`by_kind` table.
 
+    Its JSON form comes from the spec codec
+    (:class:`~repro.api.spec.Codec`): ``policy``, ``by_kind``,
+    ``sdc_samples`` and, for a v2 sampled campaign, ``sampling``, plus
+    the derived keys ``total``/``masked``/``detected``/``sdc``/
+    ``detection_coverage``/``weighted_rates``, which loading checks
+    against the by-kind table.  Two campaigns over the same fault
+    population produce *equal* payloads regardless of shard
+    boundaries, worker counts or resume history — the object the
+    sharded runner's bit-identity guarantee is stated over (see
+    ``docs/CAMPAIGNS.md``).  Reports of the legacy uniform population
+    emit exactly the historical (v1) eight keys, so their digests are
+    bit-identical to earlier releases.
+
     Attributes:
         policy: scheduler label of the underlying run.
-        by_kind: ``fault-kind -> outcome -> count`` breakdown.
+        by_kind: ``fault-kind -> outcome key -> count`` breakdown, keyed
+            like the store's shard records (``"masked"``/``"detected"``/
+            ``"sdc"``, the :data:`~repro.faults.outcomes.OUTCOME_KEYS`
+            values).
         sdc_samples: up to :data:`SDC_SAMPLE_LIMIT` fault labels of silent
             corruptions, kept as diagnostic examples.
-        sampling: the versioned sampling-metadata block
-            (:func:`sampling_metadata`) when the campaign used a v2
-            sampler, ``None`` for the legacy uniform population.  With
-            it set, rate estimates are reweighted to the nominal fault
-            mix and :meth:`to_dict` gains the ``"sampling"`` /
-            ``"weighted_rates"`` keys (v1 payloads are bit-unchanged).
+        sampling: the v2 sampling design (:func:`sampling_metadata`)
+            when the campaign used a v2 sampler, ``None`` for the legacy
+            uniform population.  With it set, rate estimates are
+            reweighted to the nominal fault mix and the payload gains
+            the ``"sampling"``/``"weighted_rates"`` keys.
     """
 
     policy: str
-    by_kind: Dict[str, Dict[FaultOutcome, int]] = field(default_factory=dict)
+    by_kind: Dict[str, Dict[str, int]] = field(default_factory=dict)
     sdc_samples: List[str] = field(default_factory=list)
-    sampling: Optional[Dict[str, object]] = None
+    sampling: Optional[SamplingMetadata] = field(
+        default=None, metadata={"omit_none": True})
+
+    derived_keys = ("total", "masked", "detected", "sdc",
+                    "detection_coverage", "weighted_rates")
+    load_error = FaultInjectionError
+
+    def __post_init__(self) -> None:
+        _check_counts(self.by_kind, "CampaignReport.by_kind")
+
+    @classmethod
+    def _decode(cls, data: Mapping[str, Any]) -> CampaignReport:
+        # a fold starts empty, but a saved report always carries its table
+        if isinstance(data, Mapping) and "by_kind" not in data:
+            raise ConfigurationError("CampaignReport requires a by_kind")
+        return super()._decode(data)
 
     # ------------------------------------------------------------------
-    def merge_counts(self, by_kind: Mapping[str, Mapping[FaultOutcome, int]],
-                     *, sdc_samples: Iterable[str] = (),
-                     sampling: Optional[Mapping[str, object]] = None) -> None:
+    def merge_counts(self, by_kind: Mapping[str, Mapping[str, int]], *,
+                     sdc_samples: Iterable[str] = (),
+                     sampling: Optional[SamplingMetadata] = None) -> None:
         """Fold pre-aggregated outcome counts into the report.
 
         This is the streaming-aggregation entry point of the sharded
         campaign runner: each completed shard contributes only its
-        ``fault-kind -> outcome -> count`` table (plus a bounded sample of
-        SDC labels), so aggregating a multi-million-injection campaign
-        costs O(shards), not O(injections).
+        ``fault-kind -> outcome key -> count`` table (plus a bounded
+        sample of SDC labels), so aggregating a multi-million-injection
+        campaign costs O(shards), not O(injections).
 
         Args:
             by_kind: outcome counts per fault kind (all counts >= 0).
             sdc_samples: SDC fault labels; retained up to
                 :data:`SDC_SAMPLE_LIMIT` across the whole report.
-            sampling: sampling-metadata block of the contributing counts
+            sampling: sampling design of the contributing counts
                 (:func:`sampling_metadata`).  The first merge installs
                 it; later merges must agree — per-stratum reweighting is
                 only meaningful when every folded shard was drawn under
                 the same design.
 
         Raises:
-            FaultInjectionError: on negative counts or disagreeing
-                sampling metadata.
+            FaultInjectionError: on unknown outcome keys, negative
+                counts or a disagreeing sampling design.
         """
         # validate everything before mutating anything: a rejected merge
         # must not leave the report holding a half-applied shard
-        for kind, outcomes in by_kind.items():
-            for outcome, count in outcomes.items():
-                if count < 0:
-                    raise FaultInjectionError(
-                        f"negative outcome count for {kind}/{outcome}"
-                    )
+        _check_counts(by_kind, "merged by_kind")
         if sampling is not None:
-            incoming = dict(sampling)
             if self.sampling is None:
-                self.sampling = incoming
-            elif self.sampling != incoming:
+                self.sampling = sampling
+            elif self.sampling != sampling:
                 raise FaultInjectionError(
                     "cannot fold counts sampled under a different design: "
                     f"report carries {self.sampling!r}, shard carries "
-                    f"{incoming!r}"
+                    f"{sampling!r}"
                 )
         for kind, outcomes in by_kind.items():
             bucket = self.by_kind.setdefault(kind, {})
-            for outcome, count in outcomes.items():
-                bucket[outcome] = bucket.get(outcome, 0) + count
+            for key, count in outcomes.items():
+                bucket[key] = bucket.get(key, 0) + count
         for label in sdc_samples:
             if len(self.sdc_samples) >= SDC_SAMPLE_LIMIT:
                 break
@@ -178,8 +255,8 @@ class CampaignReport:
 
     def count(self, outcome: FaultOutcome) -> int:
         """Total injections with the given outcome."""
-        return sum(outcomes.get(outcome, 0)
-                   for outcomes in self.by_kind.values())
+        key = OUTCOME_KEYS[outcome]
+        return sum(outcomes.get(key, 0) for outcomes in self.by_kind.values())
 
     @property
     def total(self) -> int:
@@ -208,17 +285,42 @@ class CampaignReport:
         dangerous = self.detected + self.sdc
         return 1.0 if dangerous == 0 else self.detected / dangerous
 
+    @property
+    def weighted_rates(self) -> Optional[Dict[str, float]]:
+        """Outcome rates reweighted to the nominal fault mix (v2 only).
+
+        Floats, but pure functions of the integer counts, so still
+        shard-order-independent.  ``None`` without a sampling design,
+        and for a partial fold that has not sampled every nominal
+        stratum yet — deterministic for a given count table.
+        """
+        if self.sampling is None or not self.total:
+            return None
+        try:
+            return {metric: self.rate_estimator(metric).rate()
+                    for metric in OUTCOMES_BY_KEY}
+        except StatsError:
+            return None
+
+    def to_dict(self) -> Dict[str, Any]:
+        """The codec's plain-data form; a v1 payload has no
+        ``weighted_rates`` key."""
+        data = super().to_dict()
+        if self.sampling is None:
+            del data["weighted_rates"]
+        return data
+
     # ------------------------------------------------------------------
     # statistical estimation (repro.stats)
     # ------------------------------------------------------------------
-    def _strata_counts(self, outcome: FaultOutcome) -> Dict[str, Tuple[int, int]]:
+    def _strata_counts(self, metric: str) -> Dict[str, Tuple[int, int]]:
         """``kind -> (events, trials)`` over the report's by-kind table."""
         strata: Dict[str, Tuple[int, int]] = {}
         for class_name, outcomes in self.by_kind.items():
             kind = CLASS_NAME_KINDS.get(class_name, class_name)
             events, trials = strata.get(kind, (0, 0))
             strata[kind] = (
-                events + outcomes.get(outcome, 0),
+                events + outcomes.get(metric, 0),
                 trials + sum(outcomes.values()),
             )
         return strata
@@ -245,25 +347,21 @@ class CampaignReport:
         )
 
         self._require_injections(f"rate_estimator({metric!r})")
-        try:
-            outcome = FaultOutcome[metric.upper()]
-        except KeyError:
+        if metric not in OUTCOMES_BY_KEY:
             raise FaultInjectionError(
                 f"unknown campaign metric {metric!r}; expected one of "
-                + ", ".join(o.name.lower() for o in FaultOutcome)
-            ) from None
+                + ", ".join(OUTCOMES_BY_KEY)
+            )
+        strata = self._strata_counts(metric)
         if self.sampling is None:
-            return UniformRate(self.count(outcome), self.total,
-                               metric=metric)
-        strata = self._strata_counts(outcome)
-        nominal = {str(k): int(v)
-                   for k, v in dict(self.sampling["nominal"]).items()}
-        allocation = {str(k): int(v)
-                      for k, v in dict(self.sampling["allocation"]).items()}
+            return UniformRate(sum(events for events, _ in strata.values()),
+                               self.total, metric=metric)
+        nominal = self.sampling.nominal
+        allocation = self.sampling.allocation
         nominal_total = sum(nominal.values())
         population = {kind: count / nominal_total
                       for kind, count in nominal.items()}
-        if self.sampling["method"] == "stratified":
+        if self.sampling.method == "stratified":
             return StratifiedRate(strata, population, metric=metric)
         allocation_total = sum(allocation.values())
         weights = {
@@ -440,139 +538,6 @@ class CampaignReport:
             f"coverage={self.detection_coverage:.4f}"
             + tail
         )
-
-    # ------------------------------------------------------------------
-    # canonical plain-data form (bit-identity comparisons, CLI --json)
-    # ------------------------------------------------------------------
-    def to_dict(self) -> Dict[str, object]:
-        """Canonical plain-data form of the aggregate outcome.
-
-        Two campaigns over the same fault population produce *equal*
-        dictionaries regardless of shard boundaries, worker counts or
-        resume history — this is the object the sharded runner's
-        bit-identity guarantee is stated over (see ``docs/CAMPAIGNS.md``).
-        Per-injection records are deliberately excluded.
-
-        Versioning: reports of the legacy uniform population emit
-        exactly the historical (v1) key set, so their digests are
-        bit-identical to earlier releases.  Only reports carrying v2
-        :attr:`sampling` metadata add the ``"sampling"`` block and the
-        reweighted ``"weighted_rates"`` — floats, but pure functions of
-        the integer counts, so still shard-order-independent.
-        """
-        data: Dict[str, object] = {
-            "policy": self.policy,
-            "total": self.total,
-            "masked": self.masked,
-            "detected": self.detected,
-            "sdc": self.sdc,
-            "detection_coverage": self.detection_coverage,
-            "by_kind": {
-                kind: {
-                    outcome.name.lower(): count
-                    for outcome, count in sorted(
-                        outcomes.items(), key=lambda kv: kv[0].name
-                    )
-                }
-                for kind, outcomes in sorted(self.by_kind.items())
-            },
-            "sdc_samples": list(self.sdc_samples),
-        }
-        if self.sampling is not None:
-            data["sampling"] = {
-                key: (dict(value) if isinstance(value, Mapping) else value)
-                for key, value in sorted(self.sampling.items())
-            }
-            try:
-                data["weighted_rates"] = {
-                    metric: self.rate_estimator(metric).rate()
-                    for metric in ("masked", "detected", "sdc")
-                }
-            except StatsError:
-                # a partial fold that has not sampled every nominal
-                # stratum yet — deterministic for a given count table
-                data["weighted_rates"] = None
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "CampaignReport":
-        """Rebuild a counts-only report from its :meth:`to_dict` form.
-
-        Accepts both generations: legacy (v1) payloads without a
-        ``"sampling"`` block and v2 payloads with one.  Declared totals
-        are verified against the by-kind table, so a tampered or
-        truncated artifact fails loudly instead of feeding bad counts
-        into a safety argument.
-
-        Raises:
-            FaultInjectionError: on malformed payloads, unknown outcome
-                keys, or totals disagreeing with the by-kind table.
-        """
-        if not isinstance(data, Mapping):
-            raise FaultInjectionError(
-                f"CampaignReport expects a mapping, got {data!r}"
-            )
-        missing = sorted({"policy", "by_kind"} - set(data))
-        if missing:
-            raise FaultInjectionError(
-                "not a CampaignReport payload; missing: "
-                + ", ".join(missing)
-            )
-        outcomes_by_key = {o.name.lower(): o for o in FaultOutcome}
-        by_kind: Dict[str, Dict[FaultOutcome, int]] = {}
-        raw_by_kind = data["by_kind"]
-        if not isinstance(raw_by_kind, Mapping):
-            raise FaultInjectionError("'by_kind' must be an object")
-        for kind, bucket in raw_by_kind.items():
-            if not isinstance(bucket, Mapping):
-                raise FaultInjectionError(
-                    f"by_kind[{kind!r}] must be an object"
-                )
-            parsed: Dict[FaultOutcome, int] = {}
-            for key, count in bucket.items():
-                outcome = outcomes_by_key.get(str(key))
-                if outcome is None:
-                    raise FaultInjectionError(
-                        f"by_kind[{kind!r}]: unknown outcome key {key!r}"
-                    )
-                if not isinstance(count, int) or isinstance(count, bool):
-                    raise FaultInjectionError(
-                        f"by_kind[{kind!r}][{key!r}] must be an integer "
-                        f"count, got {count!r}"
-                    )
-                parsed[outcome] = count
-            by_kind[str(kind)] = parsed
-        sampling = data.get("sampling")
-        if sampling is not None:
-            if not isinstance(sampling, Mapping):
-                raise FaultInjectionError("'sampling' must be an object")
-            required = {"schema", "method", "nominal", "allocation"}
-            missing = sorted(required - set(sampling))
-            if missing:
-                raise FaultInjectionError(
-                    "sampling block missing: " + ", ".join(missing)
-                )
-            sampling = {
-                key: (dict(value) if isinstance(value, Mapping) else value)
-                for key, value in sampling.items()
-            }
-        report = cls(policy=str(data["policy"]))
-        report.merge_counts(
-            by_kind,
-            sdc_samples=tuple(str(s) for s in data.get("sdc_samples", ())),
-            sampling=sampling,
-        )
-        for key, declared in (("total", report.total),
-                              ("masked", report.masked),
-                              ("detected", report.detected),
-                              ("sdc", report.sdc)):
-            if key in data and data[key] != declared:
-                raise FaultInjectionError(
-                    f"campaign payload declares {key}={data[key]!r} but "
-                    f"its by_kind table sums to {declared} — artifact "
-                    "inconsistent"
-                )
-        return report
 
     def digest(self) -> str:
         """Hex digest of the canonical form (aggregate provenance key)."""

@@ -5,7 +5,10 @@
 move, or is the difference sampling noise?*  Both artifacts must be of
 the same kind — campaign reports (:meth:`CampaignReport.to_dict`),
 stream reports (:meth:`StreamReport.to_dict`) or ``BENCH_*.json``
-performance artifacts — and every shared rate is tested twice:
+performance artifacts.  A report is read through its own loader
+(``CampaignReport.from_dict``/``StreamReport.from_dict``), so one whose
+declared totals disagree with its tables is refused, never compared.
+Every shared rate is tested twice:
 
 * a pooled two-proportion z-test (:func:`two_proportion_test`) giving a
   p-value against "the underlying rates are equal";
@@ -25,7 +28,7 @@ import math
 import random
 from dataclasses import dataclass
 from statistics import NormalDist
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Tuple
 
 from repro.errors import StatsError
 from repro.stats.intervals import (
@@ -222,46 +225,33 @@ def detect_artifact_kind(data: Mapping[str, Any]) -> str:
     )
 
 
-def _int_field(data: Mapping[str, Any], key: str, where: str) -> int:
-    """Fetch one non-negative integer field.
+def _report_rows(kind: str, data: Mapping[str, Any],
+                 side: str) -> Dict[str, Tuple[int, int]]:
+    """``metric -> (events, trials)`` of a campaign or stream report,
+    read through the report's own loader.
 
     Raises:
-        StatsError: when the field is missing or not a usable count.
+        StatsError: naming the side, when the report fails its loader
+            (a mistyped field, or a declared total or rate that
+            disagrees with the counts it derives from).
     """
-    value = data.get(key)
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise StatsError(f"{where}: {key!r} must be a count, got {value!r}")
-    return value
+    from repro.errors import FaultInjectionError, StreamError
 
+    try:
+        if kind == "campaign":
+            from repro.faults.report import CampaignReport
 
-def _campaign_counts(data: Mapping[str, Any],
-                     where: str) -> List[Tuple[str, int, int]]:
-    """``(metric, events, trials)`` rows of a campaign report."""
-    total = _int_field(data, "total", where)
-    return [(metric, _int_field(data, metric, where), total)
-            for metric in ("masked", "detected", "sdc")]
+            campaign = CampaignReport.from_dict(data)
+            return {metric: (getattr(campaign, metric), campaign.total)
+                    for metric in ("masked", "detected", "sdc")}
+        from repro.streams.report import STREAM_RATE_METRICS, StreamReport
 
-
-def _stream_counts(data: Mapping[str, Any],
-                   where: str) -> List[Tuple[str, int, int]]:
-    """``(metric, events, trials)`` rows of a stream report."""
-    frames = _int_field(data, "frames", where)
-    completed = _int_field(data, "completed", where)
-    dropped = _int_field(data, "dropped", where)
-    misses = _int_field(data, "deadline_misses", where)
-    faults = data.get("faults")
-    if not isinstance(faults, Mapping):
-        raise StatsError(f"{where}: 'faults' must be an object")
-    sdc = _int_field(faults, "sdc", where + ".faults")
-    injected = _int_field(faults, "injected", where + ".faults")
-    rows = [
-        ("deadline_miss", misses, completed),
-        ("drop", dropped, frames),
-        ("unsafe", min(frames, dropped + misses + sdc), frames),
-    ]
-    if injected > 0:
-        rows.append(("fault_sdc", sdc, injected))
-    return rows
+        stream = StreamReport.from_dict(data)
+    except (FaultInjectionError, StreamError) as exc:
+        raise StatsError(f"artifact {side}: {exc}") from None
+    return {metric: stream.rate_counts(metric)
+            for metric in STREAM_RATE_METRICS
+            if metric != "fault_sdc" or stream.faults.injected > 0}
 
 
 def _bench_count_pairs(scenario: Mapping[str, Any]
@@ -287,12 +277,9 @@ def _bench_count_pairs(scenario: Mapping[str, Any]
 def _paired_rows(kind: str, a: Mapping[str, Any], b: Mapping[str, Any]
                  ) -> List[Tuple[str, Tuple[int, int], Tuple[int, int]]]:
     """Rate rows present in both artifacts, ready for testing."""
-    if kind == "campaign":
-        rows_a = dict((m, (x, n)) for m, x, n in _campaign_counts(a, "A"))
-        rows_b = dict((m, (x, n)) for m, x, n in _campaign_counts(b, "B"))
-    elif kind == "stream":
-        rows_a = dict((m, (x, n)) for m, x, n in _stream_counts(a, "A"))
-        rows_b = dict((m, (x, n)) for m, x, n in _stream_counts(b, "B"))
+    if kind != "bench":
+        rows_a = _report_rows(kind, a, "A")
+        rows_b = _report_rows(kind, b, "B")
     else:
         rows_a = {}
         rows_b = {}
@@ -345,8 +332,9 @@ def compare_artifacts(a: Mapping[str, Any], b: Mapping[str, Any], *,
         and an overall ``significant`` flag (any row significant).
 
     Raises:
-        StatsError: on unrecognised payloads, mismatched artifact kinds,
-            or no shared rates to test.
+        StatsError: on unrecognised payloads, a report that fails its
+            loader (naming side ``A`` or ``B``), mismatched artifact
+            kinds, or no shared rates to test.
     """
     kind_a = detect_artifact_kind(a)
     kind_b = detect_artifact_kind(b)

@@ -174,8 +174,9 @@ class StreamReport(Codec):
     # ------------------------------------------------------------------
     # confidence intervals (on demand — never part of the canonical form)
     # ------------------------------------------------------------------
-    def _rate_counts(self, metric: str) -> Tuple[int, int]:
-        """``(events, trials)`` of one stream rate metric.
+    def rate_counts(self, metric: str) -> Tuple[int, int]:
+        """``(events, trials)`` of one stream rate metric (the rows
+        ``repro compare`` tests).
 
         Raises:
             StreamError: on an unknown metric name.
@@ -204,7 +205,7 @@ class StreamReport(Codec):
         """
         from repro.stats.estimators import UniformRate
 
-        events, trials = self._rate_counts(metric)
+        events, trials = self.rate_counts(metric)
         if trials < 1:
             raise StatsError(
                 f"stream rate {metric!r} has no trials to estimate from"
@@ -240,7 +241,7 @@ class StreamReport(Codec):
         """
         intervals: Dict[str, RateEstimate] = {}
         for metric in STREAM_RATE_METRICS:
-            _, trials = self._rate_counts(metric)
+            _, trials = self.rate_counts(metric)
             if trials < 1:
                 continue
             intervals[metric] = self.rate_interval(

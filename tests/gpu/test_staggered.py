@@ -6,7 +6,6 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.api.spec import FaultPlanSpec
-from repro.faults import FaultOutcome
 from repro.gpu.config import GPUConfig
 from repro.gpu.kernel import KernelDescriptor
 from repro.gpu.scheduler import StaggeredScheduler, make_scheduler
@@ -77,7 +76,7 @@ class TestAblationCoverage:
         ).run([kernel, kernel])
         report = inject(run, self.PLAN)
         transients = report.by_kind["TransientCCF"]
-        assert transients.get(FaultOutcome.SDC, 0) == 0
+        assert transients.get("sdc", 0) == 0
 
     def test_permanent_faults_leak(self, gpu, kernel, inject):
         run = RedundantKernelManager(
@@ -85,5 +84,5 @@ class TestAblationCoverage:
         ).run([kernel, kernel])
         report = inject(run, self.PLAN)
         permanent = report.by_kind["PermanentSMFault"]
-        assert permanent.get(FaultOutcome.SDC, 0) > 0
+        assert permanent.get("sdc", 0) > 0
         assert report.detection_coverage < 1.0

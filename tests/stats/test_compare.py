@@ -7,6 +7,7 @@ import math
 import pytest
 
 from repro.errors import StatsError
+from repro.faults.report import CampaignReport
 from repro.stats.compare import (
     COMPARE_SCHEMA,
     compare_artifacts,
@@ -15,28 +16,25 @@ from repro.stats.compare import (
     render_comparison,
     two_proportion_test,
 )
+from repro.streams.report import StreamFaults, StreamReport, StreamWindows
 
 
-def _campaign(total=1000, masked=600, detected=380, sdc=20):
-    return {
-        "policy": "default",
-        "total": total,
-        "masked": masked,
-        "detected": detected,
-        "sdc": sdc,
-        "by_kind": {},
-    }
+def _campaign(total=1000, detected=380, sdc=20):
+    return CampaignReport(policy="default", by_kind={"TransientCCF": {
+        "masked": total - detected - sdc, "detected": detected, "sdc": sdc,
+    }}).to_dict()
 
 
 def _stream(frames=2000, completed=1900, dropped=100, misses=40,
             injected=200, sdc=10):
-    return {
-        "frames": frames,
-        "completed": completed,
-        "dropped": dropped,
-        "deadline_misses": misses,
-        "faults": {"injected": injected, "sdc": sdc},
-    }
+    return StreamReport(
+        label="stream", policy="srrs", spec_hash="0" * 16, seed=0,
+        frames=frames, completed=completed, dropped=dropped,
+        deadline_ms=100.0, deadline_misses=misses,
+        faults=StreamFaults(injected=injected, masked=injected - sdc,
+                            detected=0, sdc=sdc, re_executions=0),
+        windows=StreamWindows(*[0.0] * 8),
+    ).to_dict()
 
 
 def _bench(wall=1.25, sdc_events=20, sdc_trials=1000):

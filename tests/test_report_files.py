@@ -10,7 +10,8 @@ writing its report some other way never sees the full disk.  ``stream
 report`` and ``platform report`` reject a saved report whose field has
 the wrong JSON type, an unknown key, or a derived value that disagrees
 with the fields it is computed from the same way, naming the field by
-its path from the report down.
+its path from the report down; ``CampaignReport.from_dict`` rejects a
+``campaign run --json`` report edited the same way.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from typing import Callable, Dict, List
 import pytest
 
 from repro.cli import main
-from repro.errors import PlatformError, StreamError
+from repro.errors import FaultInjectionError, PlatformError, StreamError
+from repro.faults.report import CampaignReport
 from repro.obs.session import Telemetry
 from repro.platform.report import PlatformReport
 from repro.streams.report import StreamReport
@@ -133,6 +135,36 @@ def test_a_mistyped_report_field_is_a_typed_error(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert err.startswith(f"error: {message}")
+
+
+#: (field edit of the example campaign's report under ``default``, the
+#: error's text): its true coverage is 908 detected of 1000 dangerous
+CAMPAIGN_MISTYPED = {
+    "campaign-coverage": (_set("detection_coverage", 1.0),
+                          "CampaignReport.detection_coverage must be 0.908"),
+    "campaign-sdc-samples": (_set("sdc_samples", "xyz"),
+                             "CampaignReport.sdc_samples must be a list"),
+    "campaign-no-by-kind": (lambda payload: payload.pop("by_kind"),
+                            "CampaignReport requires a by_kind"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CAMPAIGN_MISTYPED))
+def test_a_mistyped_campaign_report_field_is_a_typed_error(tmp_path, capsys,
+                                                           case):
+    edit, message = CAMPAIGN_MISTYPED[case]
+    spec = json.loads((SPECS / "campaign.json").read_text())
+    spec["run"]["policy"] = "default"
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    capsys.readouterr()
+    assert main(["campaign", "run", "--spec", str(tmp_path / "spec.json"),
+                 "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    CampaignReport.from_dict(payload)
+    edit(payload)
+
+    with pytest.raises(FaultInjectionError, match=f"^{message}"):
+        CampaignReport.from_dict(payload)
 
 
 @pytest.mark.parametrize("report, error", [(StreamReport, StreamError),

@@ -1,7 +1,9 @@
 """Generated reports round-trip through their JSON form (hypothesis).
 
-For small bounded strategies over :class:`StreamReport` and
-:class:`PlatformReport`: ``from_dict(to_dict(report)) == report``, the
+For small bounded strategies over :class:`StreamReport`,
+:class:`PlatformReport` and :class:`CampaignReport` (uniform, stratified
+and importance-sampled, partial folds among them):
+``from_dict(to_dict(report)) == report``, the
 JSON text trip rebuilds an equal report, and ``digest()`` survives both.
 Strategies mix JSON ints into float fields, which must keep their exact
 JSON form.  A derived key edited away from the value its fields give is
@@ -17,7 +19,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.errors import PlatformError, StreamError
+from repro.errors import FaultInjectionError, PlatformError, StreamError
+from repro.faults.report import (
+    CLASS_NAME_KINDS,
+    SAMPLING_SCHEMA,
+    CampaignReport,
+    SamplingMetadata,
+)
 from repro.platform.report import (
     AsilRollup,
     PlatformDevice,
@@ -128,6 +136,27 @@ platform_reports = st.builds(
 )
 
 
+_WEIGHTS = st.fixed_dictionaries(
+    {kind: st.integers(0, 5) for kind in CLASS_NAME_KINDS.values()}
+).filter(lambda weights: sum(weights.values()) > 0)
+
+# a fold that misses a kind is a partial fold: its weighted_rates is null
+campaign_reports = st.builds(
+    CampaignReport,
+    policy=_TEXT,
+    by_kind=st.dictionaries(
+        st.sampled_from(sorted(CLASS_NAME_KINDS)),
+        st.dictionaries(st.sampled_from(["masked", "detected", "sdc"]),
+                        st.integers(0, 1000), max_size=3),
+        max_size=3),
+    sdc_samples=st.lists(_TEXT, max_size=5),
+    sampling=st.sampled_from([None, "stratified", "importance"]).flatmap(
+        lambda method: st.none() if method is None else st.builds(
+            SamplingMetadata, schema=st.just(SAMPLING_SCHEMA),
+            method=st.just(method), nominal=_WEIGHTS, allocation=_WEIGHTS)),
+)
+
+
 def _check_round_trip(report) -> None:
     cls = type(report)
     rebuilt = cls.from_dict(report.to_dict())
@@ -157,3 +186,14 @@ def test_platform_report_round_trips(report):
     payload["asil"]["verdict"] = "fail" if report.all_ok else "pass"
     with pytest.raises(PlatformError, match="AsilRollup.verdict"):
         PlatformReport.from_dict(payload)
+
+
+@_SETTINGS
+@given(campaign_reports)
+def test_campaign_report_round_trips(report):
+    _check_round_trip(report)
+    payload = report.to_dict()
+    assert ("weighted_rates" in payload) == (report.sampling is not None)
+    payload["total"] = report.total + 1
+    with pytest.raises(FaultInjectionError, match="CampaignReport.total"):
+        CampaignReport.from_dict(payload)
