@@ -201,8 +201,8 @@ def test_campaign_classify_throughput(benchmark):
 
     The clean baseline is simulated and the faults are sampled before
     the clock starts, so ``classify_injections_per_sec`` is the fault
-    classify layer (interval-index lookup, ``effect_on`` on the
-    candidates, corrupted-cell comparison) without shard planning,
+    classify layer (per-SM column window lookup, ``effect_on`` on the
+    candidate rows, corrupted-cell comparison) without shard planning,
     spec round-trips, store appends or the pool.  Best of 3 passes.
     """
     spec = _campaign_spec(20_000, shards=16)

@@ -39,8 +39,9 @@ def demo_diverse_grids(gpu: GPUConfig) -> None:
     manager = DiverseGridManager(gpu, "default", factor=2)
     clean = manager.run([KERNEL])
     trace = clean.sim.trace
-    coarse_sms = {r.sm for r in trace.blocks_of(0)}
-    fine_sms = {r.sm for r in trace.blocks_of(1)}
+    sm_of = trace.columns.sm
+    coarse_sms = {sm_of[row] for row in trace.rows_of(0)}
+    fine_sms = {sm_of[row] for row in trace.rows_of(1)}
     shared = coarse_sms & fine_sms
     print(f"coarse copy uses SMs {sorted(coarse_sms)}, "
           f"fine copy (24 blocks) uses {sorted(fine_sms)}; "

@@ -19,6 +19,7 @@ SRRS and HALF do not.
 
 from __future__ import annotations
 
+import operator
 import random
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
@@ -96,9 +97,9 @@ class FaultCampaign:
         # the stream overlay
         self._makespan = self._trace.makespan
         self._num_sms = self._trace.num_sms
-        self._work_hint = max(
-            (r.duration for r in self._trace.tb_records), default=1000.0
-        )
+        cols = self._trace.columns
+        self._work_hint = max(map(operator.sub, cols.end, cols.start),
+                              default=1000.0)
         # the indexed sampler's one generator, re-seeded per fault index
         self._substream = random.Random(0)
 

@@ -6,16 +6,16 @@ an :class:`~repro.gpu.trace.ExecutionTrace` into a *corruption map*
 (:func:`repro.redundancy.comparison.build_signature`) consumes.  SEU
 faults additionally restrict the effect to a single victim block.
 
-Only the records a fault can reach are tested: the trace's interval
-index (:meth:`~repro.gpu.trace.ExecutionTrace.stab_candidates`,
-:meth:`~repro.gpu.trace.ExecutionTrace.blocks_ending_after`) yields a
-superset of them, and the fault's own ``effect_on`` stays the only
+Only the block rows a fault can reach are tested: the trace's per-SM
+start window (:meth:`~repro.gpu.trace.ExecutionTrace.window_rows`) or
+the faulty SM's rows (:meth:`~repro.gpu.trace.ExecutionTrace.rows_on_sm`)
+are a superset of them, and the fault's own ``effect_on`` stays the only
 predicate.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Iterable, Tuple
 
 from repro.errors import FaultInjectionError
 from repro.faults.types import (
@@ -24,7 +24,7 @@ from repro.faults.types import (
     SEUFault,
     TransientCCF,
 )
-from repro.gpu.trace import ExecutionTrace, TBRecord
+from repro.gpu.trace import ExecutionTrace
 
 __all__ = ["apply_fault", "CorruptionMap"]
 
@@ -62,11 +62,13 @@ def apply_fault(fault: FaultDescriptor, trace: ExecutionTrace) -> CorruptionMap:
                 f"{trace.num_sms})"
             )
 
+    cols = trace.columns
+    instance_id, tb_index = cols.instance_id, cols.tb_index
     corruption: CorruptionMap = {}
-    for record in _candidates(fault, trace):
-        signature = fault.effect_on(record)
+    for row in _candidates(fault, trace):
+        signature = fault.effect_on(cols, row)
         if signature is not None:
-            corruption[(record.instance_id, record.tb_index)] = signature
+            corruption[(instance_id[row], tb_index[row])] = signature
 
     if isinstance(fault, SEUFault) and len(corruption) > 1:
         # a single strike has a single victim: lowest (instance, tb) active
@@ -76,17 +78,17 @@ def apply_fault(fault: FaultDescriptor, trace: ExecutionTrace) -> CorruptionMap:
 
 
 def _candidates(fault: FaultDescriptor,
-                trace: ExecutionTrace) -> Sequence[TBRecord]:
-    """A superset of the records ``fault.effect_on`` can corrupt.
+                trace: ExecutionTrace) -> Iterable[int]:
+    """A superset of the rows ``fault.effect_on`` can corrupt.
 
     Exact types only: a subclass may widen ``effect_on``, so it and any
-    unknown descriptor type scan every record.
+    unknown descriptor type scan every row.
     """
     kind = type(fault)
     if kind is PermanentSMFault:
-        return trace.blocks_ending_after(fault.sm, fault.since)
+        return trace.rows_on_sm(fault.sm)
     if kind is SEUFault:
-        return trace.stab_candidates(fault.time, (fault.sm,))
+        return trace.window_rows(fault.time, (fault.sm,))
     if kind is TransientCCF:
-        return trace.stab_candidates(fault.time, fault.sms)
-    return trace.tb_records
+        return trace.window_rows(fault.time, fault.sms)
+    return range(trace.num_blocks)

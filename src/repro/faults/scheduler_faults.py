@@ -218,17 +218,17 @@ def audit_placement(observed: ExecutionTrace, gpu: GPUConfig,
     """
     expected = GPUSimulator(gpu, healthy_policy).run(launches).trace
     deviations: List[PlacementDeviation] = []
+    expected_sm, observed_sm = expected.columns.sm, observed.columns.sm
+    tb_index = expected.columns.tb_index
     for iid in expected.instance_ids:
-        expected_blocks = expected.blocks_of(iid)
-        observed_blocks = observed.blocks_of(iid)
-        for eb, ob in zip(expected_blocks, observed_blocks):
-            if eb.sm != ob.sm:
+        for er, orow in zip(expected.rows_of(iid), observed.rows_of(iid)):
+            if expected_sm[er] != observed_sm[orow]:
                 deviations.append(
                     PlacementDeviation(
                         instance_id=iid,
-                        tb_index=eb.tb_index,
-                        expected_sm=eb.sm,
-                        observed_sm=ob.sm,
+                        tb_index=tb_index[er],
+                        expected_sm=expected_sm[er],
+                        observed_sm=observed_sm[orow],
                     )
                 )
     return deviations

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.errors import FaultInjectionError
-from repro.gpu.trace import TBRecord
+from repro.gpu.trace import BlockColumns
 
 __all__ = ["FaultDescriptor", "TransientCCF", "PermanentSMFault", "SEUFault"]
 
@@ -41,13 +41,14 @@ class FaultDescriptor:
     """Base class of all injectable hardware faults.
 
     Subclasses implement :meth:`effect_on`, returning the corruption
-    *signature* a thread-block record suffers from this fault (or ``None``
-    when unaffected).  Two records receiving equal signatures produce
-    identical erroneous outputs — the comparison-defeating case.
+    *signature* the thread block in row ``row`` of a trace's columns
+    suffers from this fault (or ``None`` when unaffected).  Two blocks
+    receiving equal signatures produce identical erroneous outputs — the
+    comparison-defeating case.
     """
 
-    def effect_on(self, record: TBRecord) -> Optional[Tuple]:
-        """Corruption signature of ``record`` under this fault, or None."""
+    def effect_on(self, cols: BlockColumns, row: int) -> Optional[Tuple]:
+        """Corruption signature of block ``row`` under this fault, or None."""
         raise NotImplementedError
 
     def describe(self) -> str:
@@ -82,16 +83,25 @@ class TransientCCF(FaultDescriptor):
         if self.work_per_block <= 0 or self.phase_quantum <= 0:
             raise FaultInjectionError("work/quantum must be positive")
 
-    def effect_on(self, record: TBRecord) -> Optional[Tuple]:
-        """Quantised-phase signature for blocks active at the fault time."""
-        if self.sms is not None and record.sm not in self.sms:
+    def effect_on(self, cols: BlockColumns, row: int) -> Optional[Tuple]:
+        """Quantised-phase signature for blocks active at the fault time.
+
+        The phase is the elapsed-time fraction of the block at the fault
+        instant.  Under the fluid model progress is piecewise linear, so
+        this is exact whenever rates are constant over the block's
+        lifetime and a good proxy otherwise; the model only compares
+        phases *between redundant copies of the same block*, for which
+        the approximation is symmetric.
+        """
+        if self.sms is not None and cols.sm[row] not in self.sms:
             return None
-        phase = record.phase_at(self.time)
-        if phase is None:
+        t, start, end = self.time, cols.start[row], cols.end[row]
+        if not start <= t < end:
             return None
+        phase = (t - start) / (end - start)
         work_position = phase * self.work_per_block
         bucket = math.floor(work_position / self.phase_quantum)
-        return ("ccf", self.fault_id, record.tb_index, bucket)
+        return ("ccf", self.fault_id, cols.tb_index[row], bucket)
 
     def describe(self) -> str:
         scope = "chip-wide" if self.sms is None else f"SMs {self.sms}"
@@ -123,11 +133,11 @@ class PermanentSMFault(FaultDescriptor):
         if self.since < 0:
             raise FaultInjectionError("fault onset cannot be negative")
 
-    def effect_on(self, record: TBRecord) -> Optional[Tuple]:
+    def effect_on(self, cols: BlockColumns, row: int) -> Optional[Tuple]:
         """Deterministic corruption for blocks touching the faulty SM."""
-        if record.sm != self.sm or record.end <= self.since:
+        if cols.sm[row] != self.sm or cols.end[row] <= self.since:
             return None
-        return ("perm", self.fault_id, record.tb_index)
+        return ("perm", self.fault_id, cols.tb_index[row])
 
     def describe(self) -> str:
         return f"PermanentSMFault(sm={self.sm}, since={self.since:.0f}cy)"
@@ -159,18 +169,20 @@ class SEUFault(FaultDescriptor):
         if self.time < 0:
             raise FaultInjectionError("fault time cannot be negative")
 
-    def effect_on(self, record: TBRecord) -> Optional[Tuple]:
+    def effect_on(self, cols: BlockColumns, row: int) -> Optional[Tuple]:
         """Unique-signature corruption for the struck block.
 
         Victim selection (lowest ``(instance_id, tb_index)`` among active
         blocks on the SM) is resolved by the injector, which calls this
-        for candidate records; the signature embeds the victim identity so
+        for candidate rows; the signature embeds the victim identity so
         an accidental double application still cannot collide across
         copies.
         """
-        if record.sm != self.sm or not record.active_at(self.time):
+        if (cols.sm[row] != self.sm
+                or not cols.start[row] <= self.time < cols.end[row]):
             return None
-        return ("seu", self.fault_id, record.instance_id, record.tb_index)
+        return ("seu", self.fault_id, cols.instance_id[row],
+                cols.tb_index[row])
 
     def describe(self) -> str:
         return f"SEU(sm={self.sm}, t={self.time:.0f}cy)"

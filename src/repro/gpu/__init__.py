@@ -23,7 +23,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "OccupancyReport", "blocks_per_sm", "max_resident_blocks",
         "occupancy_report",
     ),
-    "repro.gpu.reference": ("ReferenceSimulator", "reference_simulate"),
+    "repro.gpu.reference": ("ReferenceSimulator",),
     "repro.gpu.simulator": ("GPUSimulator", "SimulationResult", "simulate"),
-    "repro.gpu.trace": ("ExecutionTrace", "KernelSpan", "TBRecord"),
+    "repro.gpu.trace": ("ExecutionTrace", "KernelSpan"),
 })

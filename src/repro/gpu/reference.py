@@ -43,9 +43,9 @@ from repro.gpu.kernel import KernelDescriptor, KernelLaunch
 from repro.gpu.occupancy import occupancy_report
 from repro.gpu.scheduler.base import KernelScheduler
 from repro.gpu.simulator import SimulationResult
-from repro.gpu.trace import ExecutionTrace, KernelSpan, TBRecord
+from repro.gpu.trace import ExecutionTrace, KernelSpan
 
-__all__ = ["ReferenceSimulator", "reference_simulate"]
+__all__ = ["ReferenceSimulator"]
 
 _EPS = 1e-9
 
@@ -526,17 +526,15 @@ class ReferenceSimulator:
         st.resident_count -= 1
         st.completed_tbs += 1
         assert self._trace is not None
-        self._trace.add_tb(
-            TBRecord(
-                instance_id=tb.launch.instance_id,
-                logical_id=tb.launch.logical_id or 0,
-                copy_id=tb.launch.copy_id,
-                tb_index=tb.tb_index,
-                sm=tb.sm,
-                start=tb.start,
-                end=self._now,
-                tag=tb.launch.tag,
-            )
+        self._trace.add_block(
+            instance_id=tb.launch.instance_id,
+            logical_id=tb.launch.logical_id or 0,
+            copy_id=tb.launch.copy_id,
+            tb_index=tb.tb_index,
+            sm=tb.sm,
+            start=tb.start,
+            end=self._now,
+            tag=tb.launch.tag,
         )
         if st.all_dispatched and st.resident_count == 0:
             self._complete_launch(st)
@@ -574,9 +572,3 @@ class ReferenceSimulator:
                 f"simulation ended with incomplete launches: {sorted(leftovers)}"
             )
 
-
-def reference_simulate(gpu: GPUConfig, scheduler: KernelScheduler,
-                       launches: Sequence[KernelLaunch], *,
-                       validate: bool = True) -> SimulationResult:
-    """One-shot wrapper around :class:`ReferenceSimulator`."""
-    return ReferenceSimulator(gpu, scheduler, validate=validate).run(launches)

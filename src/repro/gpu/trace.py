@@ -7,12 +7,10 @@ execution interval, plus one :class:`KernelSpan` per kernel launch.
 
 Thread blocks are stored as columns (:class:`BlockColumns`): parallel
 lists, one entry per block in completion order, so the simulator appends
-a block without building an object for it, and the summary queries
-(makespan, busy cycles, validation, output signatures, diversity) read
-the lists directly.  The record-level API (:attr:`ExecutionTrace
-.tb_records`, :meth:`~ExecutionTrace.blocks_of`, the interval queries)
-hands out frozen :class:`TBRecord` objects, built from the columns once,
-on first use.
+a block without building an object for it, and every query (makespan,
+busy cycles, validation, output signatures, diversity, fault
+classification) reads the lists directly.  A block is named by its row,
+an index into the columns.
 
 Traces are the single source of truth consumed by:
 
@@ -25,11 +23,11 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, NoReturn, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import SimulationError
 
-__all__ = ["TBRecord", "KernelSpan", "BlockColumns", "ExecutionTrace",
+__all__ = ["KernelSpan", "BlockColumns", "ExecutionTrace",
            "intervals_overlap"]
 
 
@@ -58,117 +56,29 @@ def _merged(intervals: List[Tuple[float, float]]) -> List[Tuple[float, float]]:
     return merged
 
 
-def _reject_order(instance_id: int, tb_index: int, start: float,
-                  end: float) -> NoReturn:
-    raise SimulationError(
-        f"TB {tb_index} of instance {instance_id}: "
-        f"end {end} precedes start {start}"
-    )
+def _row_tuples(cols: "BlockColumns") -> Iterator[Tuple]:
+    """Every row of ``cols`` as the tuple of its column values."""
+    return zip(*(getattr(cols, name) for name in BlockColumns.__slots__))
 
 
-class _StartWindow:
-    """Records sorted by start, plus their longest duration.
+class _SMWindow:
+    """One SM's rows sorted by start, their starts, and the longest
+    block duration among them.
 
     A block active at ``t`` started at or before ``t`` and at most one
     longest duration earlier, so two bisections bound every stabbing
     query.
     """
 
-    __slots__ = ("records", "starts", "longest")
+    __slots__ = ("rows", "starts", "longest")
 
-    def __init__(self, records: Iterable[TBRecord]) -> None:
-        self.records = sorted(records, key=lambda r: r.start)
-        self.starts = [r.start for r in self.records]
-        self.longest = max((r.duration for r in self.records), default=0.0)
-
-    def around(self, t: float) -> List[TBRecord]:
-        """A superset of the records with ``start <= t < end``."""
-        hi = bisect.bisect_right(self.starts, t)
-        bound = t - self.longest
-        bound -= _WINDOW_SLACK * (abs(t) + self.longest)
-        return self.records[bisect.bisect_left(self.starts, bound, 0, hi):hi]
-
-
-class _IntervalIndex:
-    """Per-trace query index, built on first use (see ``ExecutionTrace``).
-
-    * ``window``: one :class:`_StartWindow` over all records (key
-      ``None``) and one per SM, for time stabbing;
-    * ``by_end``: per-SM records sorted by end, with their end times,
-      for "still running after ``t``" queries.
-    """
-
-    __slots__ = ("window", "by_end", "position")
-
-    def __init__(self, records: List[TBRecord],
-                 by_sm: Dict[int, List[TBRecord]]) -> None:
-        self.window: Dict[Optional[int], _StartWindow] = {
-            None: _StartWindow(records)
-        }
-        self.by_end: Dict[int, Tuple[List[float], List[TBRecord]]] = {}
-        for sm, on_sm in by_sm.items():
-            self.window[sm] = _StartWindow(on_sm)
-            ordered = sorted(on_sm, key=lambda r: r.end)
-            self.by_end[sm] = ([r.end for r in ordered], ordered)
-        self.position = {id(r): i for i, r in enumerate(records)}
-
-
-@dataclass(frozen=True)
-class TBRecord:
-    """Execution record of one thread block.
-
-    Attributes:
-        instance_id: kernel launch the block belongs to.
-        logical_id: logical computation id (shared by redundant copies).
-        copy_id: redundancy copy index of the owning launch.
-        tb_index: block index within the grid (0-based).
-        sm: SM the block executed on (blocks never migrate).
-        start: dispatch-to-SM time (cycles).
-        end: completion time (cycles).
-        tag: workload label carried from the launch.
-    """
-
-    instance_id: int
-    logical_id: int
-    copy_id: int
-    tb_index: int
-    sm: int
-    start: float
-    end: float
-    tag: str = ""
-
-    def __post_init__(self) -> None:
-        if self.end < self.start:
-            _reject_order(self.instance_id, self.tb_index, self.start,
-                          self.end)
-
-    @property
-    def duration(self) -> float:
-        """Execution time of the block in cycles."""
-        return self.end - self.start
-
-    def phase_at(self, t: float) -> Optional[float]:
-        """Execution phase (0..1 fraction of progress) at time ``t``.
-
-        Returns ``None`` when the block is not executing at ``t``.  Under
-        the fluid model progress is piecewise linear; we approximate the
-        phase as the elapsed-time fraction, which is exact whenever rates
-        are constant over the block's lifetime and a good proxy otherwise.
-        The fault model only compares phases *between redundant copies of
-        the same block*, for which the approximation is symmetric.
-        """
-        start, end = self.start, self.end
-        if not (start <= t < end) or end == start:
-            return None
-        return (t - start) / (end - start)
-
-    def active_at(self, t: float) -> bool:
-        """True when the block occupies its SM at time ``t``."""
-        return self.start <= t < self.end
-
-    def overlaps(self, other: "TBRecord") -> bool:
-        """True when the two blocks' execution intervals intersect."""
-        return intervals_overlap(self.start, self.end, other.start, other.end)
+    def __init__(self, rows: List[int], start: List[float],
+                 end: List[float]) -> None:
+        # stable: equal starts keep completion order
+        self.rows = sorted(rows, key=start.__getitem__)
+        self.starts = [start[row] for row in self.rows]
+        self.longest = max((end[row] - start[row] for row in self.rows),
+                           default=0.0)
 
 
 @dataclass(frozen=True)
@@ -177,7 +87,7 @@ class KernelSpan:
 
     Attributes:
         instance_id / logical_id / copy_id / tag: identity (see
-        :class:`TBRecord`).
+        :class:`BlockColumns`).
         kernel_name: descriptor name.
         arrival: time the launch reached the GPU kernel scheduler.
         first_dispatch: time its first block started on an SM.
@@ -212,10 +122,19 @@ class KernelSpan:
 class BlockColumns:
     """The thread blocks of one trace as parallel lists.
 
-    Entry ``i`` of every list belongs to block ``i`` in completion
-    order; the names and meanings are those of the :class:`TBRecord`
-    fields.  Filled by :meth:`ExecutionTrace.add_block`; read-only
-    everywhere else.
+    Entry ``i`` of every list belongs to block ``i`` (row ``i``) in
+    completion order.  Filled by :meth:`ExecutionTrace.add_block`;
+    read-only everywhere else.
+
+    Attributes:
+        instance_id: kernel launch the block belongs to.
+        logical_id: logical computation id (shared by redundant copies).
+        copy_id: redundancy copy index of the owning launch.
+        tb_index: block index within the grid (0-based).
+        sm: SM the block executed on (blocks never migrate).
+        start: dispatch-to-SM time (cycles).
+        end: completion time (cycles).
+        tag: workload label carried from the launch.
     """
 
     __slots__ = ("instance_id", "logical_id", "copy_id", "tb_index", "sm",
@@ -236,20 +155,16 @@ class _Views:
     """Structures derived from a trace's columns and spans, each built on
     first use and dropped whenever a block or span is added.
 
-    * ``records``: one :class:`TBRecord` per row, in row order;
     * ``rows``: instance id -> its rows, sorted by block index;
-    * ``by_sm``: SM -> its records, in row order;
-    * ``index``: the interval index over ``records``;
+    * ``windows``: SM -> its :class:`_SMWindow`, in SM order;
     * ``copies``: logical id -> ``{copy_id: span}``.
     """
 
-    __slots__ = ("records", "rows", "by_sm", "index", "copies")
+    __slots__ = ("rows", "windows", "copies")
 
     def __init__(self) -> None:
-        self.records: Optional[List[TBRecord]] = None
         self.rows: Optional[Dict[int, Tuple[int, ...]]] = None
-        self.by_sm: Optional[Dict[int, List[TBRecord]]] = None
-        self.index: Optional[_IntervalIndex] = None
+        self.windows: Optional[Dict[int, _SMWindow]] = None
         self.copies: Optional[Dict[int, Dict[int, KernelSpan]]] = None
 
 
@@ -283,9 +198,12 @@ class ExecutionTrace:
                 not an SM of the trace's GPU.
         """
         if end < start:
-            _reject_order(instance_id, tb_index, start, end)
+            raise SimulationError(
+                f"TB {tb_index} of instance {instance_id}: "
+                f"end {end} precedes start {start}"
+            )
         if not 0 <= sm < self._num_sms:
-            raise SimulationError(f"record references unknown SM {sm}")
+            raise SimulationError(f"block references unknown SM {sm}")
         cols = self._cols
         cols.instance_id.append(instance_id)
         cols.logical_id.append(logical_id)
@@ -296,12 +214,6 @@ class ExecutionTrace:
         cols.end.append(end)
         cols.tag.append(tag)
         self._views = None
-
-    def add_tb(self, record: TBRecord) -> None:
-        """Append a thread-block record (as one row of the columns)."""
-        self.add_block(record.instance_id, record.logical_id, record.copy_id,
-                       record.tb_index, record.sm, record.start, record.end,
-                       record.tag)
 
     def add_span(self, span: KernelSpan) -> None:
         """Append a kernel span (simulator-internal)."""
@@ -336,16 +248,6 @@ class ExecutionTrace:
             views = self._views = _Views()
         return views
 
-    def _records(self) -> List[TBRecord]:
-        views = self._view()
-        if views.records is None:
-            cols = self._cols
-            views.records = list(map(
-                TBRecord, cols.instance_id, cols.logical_id, cols.copy_id,
-                cols.tb_index, cols.sm, cols.start, cols.end, cols.tag,
-            ))
-        return views.records
-
     def _rows(self) -> Dict[int, Tuple[int, ...]]:
         views = self._view()
         if views.rows is None:
@@ -357,11 +259,6 @@ class ExecutionTrace:
             views.rows = {iid: tuple(sorted(group, key=key))
                           for iid, group in groups.items()}
         return views.rows
-
-    @property
-    def tb_records(self) -> Tuple[TBRecord, ...]:
-        """All thread-block records, in completion order."""
-        return tuple(self._records())
 
     @property
     def spans(self) -> Tuple[KernelSpan, ...]:
@@ -379,24 +276,6 @@ class ExecutionTrace:
         """Rows of one launch's blocks (indices into :attr:`columns`),
         sorted by block index."""
         return self._rows().get(instance_id, ())
-
-    def blocks_of(self, instance_id: int) -> Tuple[TBRecord, ...]:
-        """Thread-block records of one launch, sorted by block index."""
-        records = self._records()
-        return tuple(records[row] for row in self.rows_of(instance_id))
-
-    def _by_sm(self) -> Dict[int, List[TBRecord]]:
-        views = self._view()
-        if views.by_sm is None:
-            by_sm: Dict[int, List[TBRecord]] = {}
-            for record in self._records():
-                by_sm.setdefault(record.sm, []).append(record)
-            views.by_sm = by_sm
-        return views.by_sm
-
-    def blocks_on_sm(self, sm: int) -> Tuple[TBRecord, ...]:
-        """Thread-block records that executed on SM ``sm``."""
-        return tuple(self._by_sm().get(sm, []))
 
     @property
     def makespan(self) -> float:
@@ -432,8 +311,9 @@ class ExecutionTrace:
                     ) -> Iterator[Tuple[int, int]]:
         """Yield ``(row of copy_a, row of copy_b)`` pairs by block index.
 
-        The row-level form of :meth:`paired_blocks` (rows index
-        :attr:`columns`).
+        This is the quantification domain of the paper's diversity claim:
+        every redundant pair must execute on different SMs at different
+        times.
 
         Raises:
             SimulationError: when a copy is missing, or the two copies have
@@ -453,69 +333,50 @@ class ExecutionTrace:
             )
         return zip(rows_a, rows_b)
 
-    def paired_blocks(self, logical_id: int,
-                      copy_a: int = 0, copy_b: int = 1
-                      ) -> Iterator[Tuple[TBRecord, TBRecord]]:
-        """Yield ``(block of copy_a, block of copy_b)`` pairs by tb_index.
-
-        This is the quantification domain of the paper's diversity claim:
-        every redundant pair must execute on different SMs at different
-        times.
-
-        Raises:
-            SimulationError: when a copy is missing, or the two copies have
-                different grids (a broken redundant-launch construction).
-        """
-        records = self._records()
-        for ra, rb in self.paired_rows(logical_id, copy_a, copy_b):
-            yield records[ra], records[rb]
-
     # ------------------------------------------------------------------
     # interval queries (fault injection)
     # ------------------------------------------------------------------
-    def _interval_index(self) -> _IntervalIndex:
+    def _windows(self) -> Dict[int, _SMWindow]:
         views = self._view()
-        if views.index is None:
-            views.index = _IntervalIndex(self._records(), self._by_sm())
-        return views.index
+        if views.windows is None:
+            groups: Dict[int, List[int]] = {}
+            for row, sm in enumerate(self._cols.sm):
+                groups.setdefault(sm, []).append(row)
+            start, end = self._cols.start, self._cols.end
+            views.windows = {sm: _SMWindow(groups[sm], start, end)
+                             for sm in sorted(groups)}
+        return views.windows
 
-    def stab_candidates(self, t: float,
-                        sms: Optional[Iterable[int]] = None
-                        ) -> List[TBRecord]:
-        """A superset of the blocks executing at ``t`` (on ``sms``, if given).
+    def rows_on_sm(self, sm: int) -> List[int]:
+        """Rows of the blocks that executed on SM ``sm``, in start order
+        (read-only)."""
+        window = self._windows().get(sm)
+        return [] if window is None else window.rows
 
-        Callers filter the candidates with the exact predicate
-        (:meth:`TBRecord.active_at`, or a fault's ``effect_on``).  On
-        each SM the set holds the records that started in
-        ``[t - longest, t]``, with ``longest`` the longest block duration
-        there, widened to stay a superset under float rounding.
-        O(log R + candidates) per SM.
+    def window_rows(self, t: float,
+                    sms: Optional[Iterable[int]] = None) -> List[int]:
+        """A superset of the rows executing at ``t`` on ``sms`` (every SM
+        when None), SM by SM in start order.
+
+        Callers filter the rows with the exact predicate (``start <= t <
+        end``, or a fault's ``effect_on``).  On each SM the set holds the
+        rows that started in ``[t - longest, t]``, with ``longest`` the
+        longest block duration there, widened to stay a superset under
+        float rounding.  O(log R + candidates) per SM.
         """
-        window = self._interval_index().window
-        if sms is None:
-            return window[None].around(t)
-        return [record for sm in sorted(set(sms)) if sm in window
-                for record in window[sm].around(t)]
-
-    def blocks_ending_after(self, sm: int, t: float) -> List[TBRecord]:
-        """Blocks on SM ``sm`` with ``end > t``, in end order (exact)."""
-        entry = self._interval_index().by_end.get(sm)
-        if entry is None:
-            return []
-        ends, records = entry
-        return records[bisect.bisect_right(ends, t):]
-
-    def active_blocks_at(self, t: float,
-                         sms: Optional[Iterable[int]] = None
-                         ) -> List[TBRecord]:
-        """Blocks executing at time ``t``, optionally filtered to ``sms``.
-
-        Records keep trace (completion) order.
-        """
-        position = self._interval_index().position
-        return sorted((r for r in self.stab_candidates(t, sms)
-                       if r.active_at(t)),
-                      key=lambda r: position[id(r)])
+        windows = self._windows()
+        chosen = (windows.values() if sms is None else
+                  [windows[sm] for sm in sorted(set(sms)) if sm in windows])
+        rows: List[int] = []
+        for window in chosen:
+            starts = window.starts
+            hi = bisect.bisect_right(starts, t)
+            if hi:
+                longest = window.longest
+                bound = t - longest - _WINDOW_SLACK * (abs(t) + longest)
+                lo = bisect.bisect_left(starts, bound, 0, hi)
+                rows += window.rows[lo:hi]
+        return rows
 
     def busy_intervals(self, sm: int) -> List[Tuple[float, float]]:
         """Merged busy intervals of one SM (for utilization reporting)."""
@@ -579,8 +440,9 @@ class ExecutionTrace:
         """Describe where two traces diverge, bit-exactly.
 
         Used by the simulator equivalence suite: the production and
-        reference cores must agree on every record and span, including
-        order and exact float values.
+        reference cores must agree on every block row and span,
+        including order and exact float values.  A row is described as
+        the tuple of its column values, in :class:`BlockColumns` order.
 
         Args:
             other: trace to compare against.
@@ -595,13 +457,14 @@ class ExecutionTrace:
             diffs.append(f"num_sms: {self._num_sms} != {other._num_sms}")
         if self.num_blocks != other.num_blocks:
             diffs.append(
-                f"tb_record count: {self.num_blocks} != {other.num_blocks}"
+                f"block count: {self.num_blocks} != {other.num_blocks}"
             )
-        for i, (a, b) in enumerate(zip(self._records(), other._records())):
+        for i, (a, b) in enumerate(zip(_row_tuples(self._cols),
+                                       _row_tuples(other._cols))):
             if len(diffs) >= limit:
                 return diffs
             if a != b:
-                diffs.append(f"tb_record[{i}]: {a} != {b}")
+                diffs.append(f"block[{i}]: {a} != {b}")
         if sorted(self._spans) != sorted(other._spans):
             diffs.append(
                 f"span instances: {sorted(self._spans)} != "
@@ -618,7 +481,7 @@ class ExecutionTrace:
         return diffs
 
     def identical_to(self, other: "ExecutionTrace") -> bool:
-        """True when both traces hold bit-identical records and spans,
+        """True when both traces hold bit-identical block rows and spans,
         in the same order."""
         return not self.differences(other, limit=1)
 

@@ -18,7 +18,8 @@ This module turns that claim into measured quantities:
 
 Progress is approximated as linear over a block's lifetime (exact under
 piecewise-constant equal-share rates when shares do not change, and a
-symmetric approximation otherwise — see :meth:`TBRecord.phase_at`).
+symmetric approximation otherwise — see
+:meth:`repro.faults.types.TransientCCF.effect_on`).
 
 :func:`analyze_diversity` reads the trace's block columns and folds every
 pair into the report's aggregates in one pass; the per-pair

@@ -13,6 +13,7 @@ returns one :class:`JobProfile` per rotation slot.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
@@ -151,9 +152,8 @@ def resolve_jobs(spec: StreamSpec, *, workers: int = 1,
             busy_ms=gpu.cycles_to_ms(trace.busy_cycles),
             makespan_cycles=trace.makespan,
             num_sms=trace.num_sms,
-            work_hint=max(
-                (r.duration for r in trace.tb_records), default=1000.0
-            ),
+            work_hint=max(map(operator.sub, trace.columns.end,
+                              trace.columns.start), default=1000.0),
             run=run,
         )
     return [profiles_by_key[rs.config_hash] for rs in run_specs]

@@ -1,13 +1,13 @@
 """Differential tests: indexed fault classification vs. a full scan.
 
-:meth:`FaultCampaign.classify` tests only the records the trace's
-interval index returns and compares only the corrupted output cells.
-The oracle here does neither: it runs ``effect_on`` over every record
-and classifies through full-grid ``build_signature`` /
+:meth:`FaultCampaign.classify` tests only the rows the trace's per-SM
+start windows return and compares only the corrupted output cells.
+The oracle here does neither: it runs ``effect_on`` over every row
+(``range(num_blocks)``) and classifies through full-grid ``build_signature`` /
 ``compare_signatures`` / ``classify_outcome``.  Both must agree exactly
 on random traces under every policy, at two and three copies, for
 chip-wide and SM-subset CCFs, permanent faults and SEUs, including
-instants that fall exactly on record starts and ends.
+instants that fall exactly on block starts and ends.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from repro.faults.types import (
 from repro.gpu.config import GPUConfig, SMConfig
 from repro.gpu.kernel import KernelDescriptor
 from repro.gpu.scheduler.registry import available_schedulers
-from repro.gpu.trace import ExecutionTrace, TBRecord
+from repro.gpu.trace import ExecutionTrace
 from repro.redundancy.comparison import build_signature, compare_signatures
 from repro.redundancy.manager import RedundantKernelManager
 
@@ -38,27 +38,28 @@ SEEDS = range(8)
 
 
 class WideCCF(TransientCCF):
-    """A descriptor type the index does not know: must scan every record.
+    """A descriptor type the injector does not know: must scan every row.
 
     It also reaches blocks that finished before the instant, which no
     stabbing window holds.
     """
 
-    def effect_on(self, record):
-        if record.end <= self.time:
-            return ("late", self.fault_id, record.tb_index)
-        return super().effect_on(record)
+    def effect_on(self, cols, row):
+        if cols.end[row] <= self.time:
+            return ("late", self.fault_id, cols.tb_index[row])
+        return super().effect_on(cols, row)
 
 
 # ----------------------------------------------------------------------
 # the scan oracle
 # ----------------------------------------------------------------------
 def scan_apply(fault: FaultDescriptor, trace: ExecutionTrace) -> dict:
+    cols = trace.columns
     corruption = {}
-    for record in trace.tb_records:
-        signature = fault.effect_on(record)
+    for row in range(trace.num_blocks):
+        signature = fault.effect_on(cols, row)
         if signature is not None:
-            corruption[(record.instance_id, record.tb_index)] = signature
+            corruption[(cols.instance_id[row], cols.tb_index[row])] = signature
     if isinstance(fault, SEUFault) and len(corruption) > 1:
         victim = min(corruption)
         corruption = {victim: corruption[victim]}
@@ -83,9 +84,18 @@ def scan_classify(fault: FaultDescriptor,
     )
 
 
-def scan_active(trace: ExecutionTrace, t: float, sms=None) -> List[TBRecord]:
-    return [r for r in trace.tb_records
-            if r.active_at(t) and (sms is None or r.sm in set(sms))]
+def scan_active(trace: ExecutionTrace, t: float, sms=None) -> List[int]:
+    cols = trace.columns
+    return [row for row in range(trace.num_blocks)
+            if cols.start[row] <= t < cols.end[row]
+            and (sms is None or cols.sm[row] in set(sms))]
+
+
+def window_active(trace: ExecutionTrace, t: float, sms=None) -> List[int]:
+    """The per-SM window's rows, filtered exactly, in row order."""
+    cols = trace.columns
+    return sorted(row for row in trace.window_rows(t, sms)
+                  if cols.start[row] <= t < cols.end[row])
 
 
 # ----------------------------------------------------------------------
@@ -117,16 +127,17 @@ def random_run(seed: int, policy: str, copies: int):
 
 def fault_population(rng: random.Random,
                      trace: ExecutionTrace) -> List[FaultDescriptor]:
-    records = trace.tb_records
+    cols = trace.columns
+    rows = range(trace.num_blocks)
     num_sms = trace.num_sms
     makespan = trace.makespan
-    work = max(r.duration for r in records)
-    # random instants plus every boundary case: exactly a record's start
+    work = max(cols.end[row] - cols.start[row] for row in rows)
+    # random instants plus every boundary case: exactly a block's start
     # or end, and just before/after them
     times = [rng.uniform(0.0, makespan) for _ in range(12)]
-    for record in rng.sample(records, min(8, len(records))):
-        times += [record.start, record.end, max(0.0, record.end - 1e-9),
-                  record.start + 1e-9]
+    for row in rng.sample(rows, min(8, len(rows))):
+        start, end = cols.start[row], cols.end[row]
+        times += [start, end, max(0.0, end - 1e-9), start + 1e-9]
     times.append(0.0)
     faults: List[FaultDescriptor] = []
     fid = 0
@@ -145,13 +156,13 @@ def fault_population(rng: random.Random,
                              since=t),
         ]
         fid += 4
-    for record in rng.sample(records, min(4, len(records))):
+    for row in rng.sample(rows, min(4, len(rows))):
+        sm, start = cols.sm[row], cols.start[row]
         faults += [
-            PermanentSMFault(sm=record.sm, fault_id=fid, since=record.end),
-            PermanentSMFault(sm=record.sm, fault_id=fid + 1,
-                             since=record.start),
-            SEUFault(sm=record.sm, time=record.start, fault_id=fid + 2),
-            WideCCF(time=record.start, fault_id=fid + 3,
+            PermanentSMFault(sm=sm, fault_id=fid, since=cols.end[row]),
+            PermanentSMFault(sm=sm, fault_id=fid + 1, since=start),
+            SEUFault(sm=sm, time=start, fault_id=fid + 2),
+            WideCCF(time=start, fault_id=fid + 3,
                     work_per_block=work, phase_quantum=1e9),
         ]
         fid += 4
@@ -183,23 +194,25 @@ def test_population_reaches_every_outcome():
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_active_blocks_at_matches_scan(seed):
+def test_window_rows_match_scan(seed):
     rng, run = random_run(seed, POLICIES[seed % len(POLICIES)], 2)
     trace = run.sim.trace
+    cols = trace.columns
     times = [rng.uniform(0.0, trace.makespan) for _ in range(20)]
-    times += [r.start for r in trace.tb_records[:10]]
-    times += [r.end for r in trace.tb_records[:10]]
+    times += cols.start[:10]
+    times += cols.end[:10]
     for t in times:
-        assert trace.active_blocks_at(t) == scan_active(trace, t)
+        assert window_active(trace, t) == scan_active(trace, t)
         sms = [rng.randrange(trace.num_sms) for _ in range(2)]
-        assert trace.active_blocks_at(t, sms) == scan_active(trace, t, sms)
+        assert window_active(trace, t, sms) == scan_active(trace, t, sms)
 
 
-def test_index_is_rebuilt_after_add_tb():
+def test_windows_are_rebuilt_after_add_block():
     trace = ExecutionTrace(num_sms=2)
-    trace.add_tb(TBRecord(0, 0, 0, 0, sm=0, start=0.0, end=10.0))
-    assert len(trace.active_blocks_at(5.0)) == 1
-    trace.add_tb(TBRecord(0, 0, 0, 1, sm=1, start=4.0, end=100.0))
-    assert len(trace.active_blocks_at(5.0)) == 2
-    assert trace.active_blocks_at(50.0) == [trace.tb_records[1]]
-    assert trace.blocks_ending_after(1, 10.0) == [trace.tb_records[1]]
+    trace.add_block(0, 0, 0, 0, sm=0, start=0.0, end=10.0)
+    assert window_active(trace, 5.0) == [0]
+    assert trace.rows_on_sm(1) == []
+    trace.add_block(0, 0, 0, 1, sm=1, start=4.0, end=100.0)
+    assert window_active(trace, 5.0) == [0, 1]
+    assert window_active(trace, 50.0) == [1]
+    assert trace.rows_on_sm(1) == [1]

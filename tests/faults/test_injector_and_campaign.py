@@ -46,14 +46,14 @@ class TestApplyFault:
         trace = srrs_run.sim.trace
         fault = PermanentSMFault(sm=0, fault_id=0)
         corruption = apply_fault(fault, trace)
-        expected = sum(1 for r in trace.tb_records if r.sm == 0)
+        expected = trace.columns.sm.count(0)
         assert len(corruption) == expected
 
     def test_seu_restricted_to_single_victim(self, default_run):
         trace = default_run.sim.trace
         # pick a time when several blocks are active on SM 0
-        record = trace.blocks_on_sm(0)[0]
-        t = (record.start + record.end) / 2
+        row = trace.columns.sm.index(0)
+        t = (trace.columns.start[row] + trace.columns.end[row]) / 2
         corruption = apply_fault(SEUFault(sm=0, time=t, fault_id=0), trace)
         assert len(corruption) <= 1
 

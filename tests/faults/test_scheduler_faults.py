@@ -41,8 +41,8 @@ class TestFaultySchedulerWrapper:
                                target_instance=999)
         faulty = _run_with_fault(gpu, kernel, SRRSScheduler(), fault)
         clean = RedundantKernelManager(gpu, SRRSScheduler()).run([kernel])
-        faulty_sms = [r.sm for r in faulty.sim.trace.tb_records]
-        clean_sms = [r.sm for r in clean.sim.trace.tb_records]
+        faulty_sms = faulty.sim.trace.columns.sm
+        clean_sms = clean.sim.trace.columns.sm
         assert faulty_sms == clean_sms
 
     def test_misplace_changes_placement(self, gpu, kernel):
@@ -50,8 +50,10 @@ class TestFaultySchedulerWrapper:
                                target_instance=1)
         faulty = _run_with_fault(gpu, kernel, SRRSScheduler(), fault)
         clean = RedundantKernelManager(gpu, SRRSScheduler()).run([kernel])
-        assert [r.sm for r in faulty.sim.trace.blocks_of(1)] != [
-            r.sm for r in clean.sim.trace.blocks_of(1)
+        faulty_sm = faulty.sim.trace.columns.sm
+        clean_sm = clean.sim.trace.columns.sm
+        assert [faulty_sm[row] for row in faulty.sim.trace.rows_of(1)] != [
+            clean_sm[row] for row in clean.sim.trace.rows_of(1)
         ]
 
     def test_wrapper_inherits_strict_fifo(self):

@@ -65,7 +65,7 @@ class TestDefaultScheduler:
     def test_least_loaded_placement(self, gpu):
         kd = _kd(grid_blocks=6)
         sim = simulate(gpu, DefaultScheduler(), [_pair(kd)[0]])
-        used = sorted(r.sm for r in sim.trace.tb_records)
+        used = sorted(sim.trace.columns.sm)
         assert used == [0, 1, 2, 3, 4, 5]
 
     def test_unbound_scheduler_rejects_queries(self):
@@ -76,8 +76,9 @@ class TestDefaultScheduler:
     def test_redundant_copies_may_share_sms(self, gpu):
         kd = _kd(grid_blocks=6, work_per_block=20000.0)
         sim = simulate(gpu, DefaultScheduler(), _pair(kd))
-        pairs = list(sim.trace.paired_blocks(0))
-        assert any(a.sm == b.sm for a, b in pairs)
+        sm = sim.trace.columns.sm
+        pairs = list(sim.trace.paired_rows(0))
+        assert any(sm[a] == sm[b] for a, b in pairs)
 
 
 class TestSRRS:
@@ -111,15 +112,17 @@ class TestSRRS:
     def test_round_robin_rotation_gives_disjoint_sms(self, gpu):
         kd = _kd(grid_blocks=6, work_per_block=20000.0)
         sim = simulate(gpu, SRRSScheduler(start_offset=1), _pair(kd))
-        for a, b in sim.trace.paired_blocks(0):
-            assert a.sm != b.sm
-            assert b.sm == (a.sm + 1) % gpu.num_sms
+        sm = sim.trace.columns.sm
+        for a, b in sim.trace.paired_rows(0):
+            assert sm[a] != sm[b]
+            assert sm[b] == (sm[a] + 1) % gpu.num_sms
 
     def test_rotation_holds_with_multiwave_grids(self, gpu):
         kd = _kd(grid_blocks=20, work_per_block=500.0)
         sim = simulate(gpu, SRRSScheduler(start_offset=2), _pair(kd))
-        for a, b in sim.trace.paired_blocks(0):
-            assert b.sm == (a.sm + 2) % gpu.num_sms
+        sm = sim.trace.columns.sm
+        for a, b in sim.trace.paired_rows(0):
+            assert sm[b] == (sm[a] + 2) % gpu.num_sms
 
     def test_blocks_all_later_kernels_until_done(self, gpu):
         # three launches: SRRS runs them strictly one at a time
@@ -179,8 +182,9 @@ class TestHALF:
     def test_copies_confined_to_their_partition(self, gpu):
         kd = _kd(grid_blocks=12, work_per_block=5000.0)
         sim = simulate(gpu, HALFScheduler(), _pair(kd))
-        sms0 = {r.sm for r in sim.trace.blocks_of(0)}
-        sms1 = {r.sm for r in sim.trace.blocks_of(1)}
+        sm = sim.trace.columns.sm
+        sms0 = {sm[row] for row in sim.trace.rows_of(0)}
+        sms1 = {sm[row] for row in sim.trace.rows_of(1)}
         assert sms0 <= {0, 1, 2}
         assert sms1 <= {3, 4, 5}
 

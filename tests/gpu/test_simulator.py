@@ -140,12 +140,12 @@ class TestResourceAccounting:
         gpu = GPUConfig(num_sms=2, sm=SMConfig(max_blocks=2))
         kd = _kd(grid_blocks=10, work_per_block=100.0)
         sim = simulate(gpu, DefaultScheduler(), [_launch(kd)])
-        trace = sim.trace
-        for record in trace.tb_records:
-            mid = (record.start + record.end) / 2
+        blocks = list(zip(sim.trace.columns.sm, sim.trace.columns.start,
+                          sim.trace.columns.end))
+        for sm, start, end in blocks:
+            mid = (start + end) / 2
             co_resident = [
-                r for r in trace.tb_records
-                if r.sm == record.sm and r.active_at(mid)
+                b for b in blocks if b[0] == sm and b[1] <= mid < b[2]
             ]
             assert len(co_resident) <= 2
 
@@ -153,12 +153,13 @@ class TestResourceAccounting:
         kd = _kd(grid_blocks=30, threads_per_block=512, work_per_block=100.0)
         sim = simulate(gpu, DefaultScheduler(), [_launch(kd)])
         budget = gpu.sm.max_threads
-        for record in sim.trace.tb_records:
-            mid = (record.start + record.end) / 2
+        blocks = list(zip(sim.trace.columns.sm, sim.trace.columns.start,
+                          sim.trace.columns.end))
+        for sm, start, end in blocks:
+            mid = (start + end) / 2
             threads = sum(
                 kd.threads_per_block
-                for r in sim.trace.tb_records
-                if r.sm == record.sm and r.active_at(mid)
+                for b in blocks if b[0] == sm and b[1] <= mid < b[2]
             )
             assert threads <= budget
 
@@ -170,7 +171,7 @@ class TestResourceAccounting:
     def test_all_blocks_complete(self, gpu):
         kd = _kd(grid_blocks=50, work_per_block=50.0)
         sim = simulate(gpu, DefaultScheduler(), [_launch(kd)])
-        assert len(sim.trace.blocks_of(0)) == 50
+        assert len(sim.trace.rows_of(0)) == 50
 
 
 class TestDeterminism:
@@ -180,9 +181,9 @@ class TestDeterminism:
         a = simulate(gpu, DefaultScheduler(), launches)
         b = simulate(gpu, DefaultScheduler(), launches)
         assert a.makespan == b.makespan
-        assert [(r.sm, r.start, r.end) for r in a.trace.tb_records] == [
-            (r.sm, r.start, r.end) for r in b.trace.tb_records
-        ]
+        for name in ("sm", "start", "end"):
+            assert (getattr(a.trace.columns, name)
+                    == getattr(b.trace.columns, name))
 
     def test_simulator_reusable_across_runs(self, gpu):
         sim = GPUSimulator(gpu, DefaultScheduler())

@@ -179,7 +179,7 @@ class TestSchedulerObservations:
                 assert 0 <= of_mine <= total
             assert len(counts) == gpu.num_sms
             assert tuple(counts[sm] for sm in cands) == totals
-        assert len(sim.trace.tb_records) == 36
+        assert sim.trace.num_blocks == 36
 
     @pytest.mark.parametrize("core", [GPUSimulator, ReferenceSimulator])
     def test_resident_counts_is_a_live_vector(self, gpu, core):
@@ -225,7 +225,7 @@ class TestStress:
         launches = [KernelLaunch(kernel=kernel, instance_id=0)]
         assert_equivalent(gpu, launches, "default", seed=-1)
         res = GPUSimulator(gpu, DefaultScheduler()).run(launches)
-        assert len(res.trace.tb_records) == 2048
+        assert res.trace.num_blocks == 2048
 
     def test_many_heterogeneous_launches(self):
         """Heterogeneous per-launch work: no two completions tie, so the
@@ -244,7 +244,7 @@ class TestStress:
             for i in range(48)
         ]
         fast = GPUSimulator(gpu, DefaultScheduler()).run(launches)
-        assert len(fast.trace.tb_records) == 48 * 16
+        assert fast.trace.num_blocks == 48 * 16
         assert_equivalent(gpu, launches, "default", seed=-2)
         assert_equivalent(gpu, launches, "half", seed=-2)
 
@@ -328,7 +328,7 @@ class TestStress:
         ]
         assert_equivalent(gpu, launches, "default", seed=-6)
         res = GPUSimulator(gpu, DefaultScheduler()).run(launches)
-        blocks = len(res.trace.tb_records)
+        blocks = res.trace.num_blocks
         assert blocks == 8 * 512
         # every SM's resident blocks complete as one tie group per wave
         assert res.events < blocks / 8, (res.events, blocks)

@@ -1,21 +1,32 @@
-"""Tests for execution-trace records and queries."""
+"""Tests for execution-trace rows and queries."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.gpu.trace import (
-    ExecutionTrace,
-    KernelSpan,
-    TBRecord,
-    intervals_overlap,
-)
+from repro.faults.types import SEUFault, TransientCCF
+from repro.gpu.trace import ExecutionTrace, KernelSpan, intervals_overlap
 
 
-def _tb(instance=0, logical=0, copy=0, tb=0, sm=0, start=0.0, end=10.0):
-    return TBRecord(instance_id=instance, logical_id=logical, copy_id=copy,
+def _add(trace, instance=0, logical=0, copy=0, tb=0, sm=0, start=0.0,
+         end=10.0):
+    trace.add_block(instance_id=instance, logical_id=logical, copy_id=copy,
                     tb_index=tb, sm=sm, start=start, end=end)
+
+
+def _block(**fields):
+    """A one-block trace, as the ``(columns, row)`` pair effect_on reads."""
+    trace = ExecutionTrace(num_sms=2)
+    _add(trace, **fields)
+    return trace.columns, 0
+
+
+def _active(trace, t, sms=None):
+    """Rows executing at ``t`` (on ``sms``), from the per-SM windows."""
+    cols = trace.columns
+    return sorted(row for row in trace.window_rows(t, sms)
+                  if cols.start[row] <= t < cols.end[row])
 
 
 def _span(instance=0, logical=0, copy=0, arrival=0.0, first=0.0, done=10.0):
@@ -36,31 +47,41 @@ class TestIntervalsOverlap:
         assert intervals_overlap(*a, *b) is expected
 
 
-class TestTBRecord:
-    def test_duration(self):
-        assert _tb(start=2.0, end=5.0).duration == pytest.approx(3.0)
+class TestBlockRow:
+    def test_duration_is_end_minus_start(self):
+        trace = ExecutionTrace(num_sms=1)
+        _add(trace, start=2.0, end=5.0)
+        assert trace.busy_cycles == pytest.approx(3.0)
 
     def test_end_before_start_rejected(self):
         with pytest.raises(SimulationError):
-            _tb(start=5.0, end=2.0)
+            _add(ExecutionTrace(num_sms=1), start=5.0, end=2.0)
 
     def test_phase_at_midpoint(self):
-        assert _tb(start=0.0, end=10.0).phase_at(5.0) == pytest.approx(0.5)
+        # phase 0.5 of 10 work units = position 5 -> bucket 5
+        fault = TransientCCF(time=5.0, fault_id=0, work_per_block=10.0)
+        assert fault.effect_on(*_block(start=0.0, end=10.0)) == (
+            "ccf", 0, 0, 5)
 
     def test_phase_outside_interval_is_none(self):
-        record = _tb(start=0.0, end=10.0)
-        assert record.phase_at(-1.0) is None
-        assert record.phase_at(10.0) is None  # half-open
+        block = _block(start=1.0, end=10.0)
+        assert TransientCCF(time=0.5, fault_id=0).effect_on(*block) is None
+        # half-open
+        assert TransientCCF(time=10.0, fault_id=0).effect_on(*block) is None
 
     def test_active_at(self):
-        record = _tb(start=1.0, end=2.0)
-        assert record.active_at(1.0)
-        assert record.active_at(1.5)
-        assert not record.active_at(2.0)
+        block = _block(start=1.0, end=2.0)
+        assert SEUFault(sm=0, time=1.0, fault_id=0).effect_on(*block)
+        assert SEUFault(sm=0, time=1.5, fault_id=0).effect_on(*block)
+        assert SEUFault(sm=0, time=2.0, fault_id=0).effect_on(*block) is None
 
     def test_overlaps(self):
-        assert _tb(start=0, end=10).overlaps(_tb(start=5, end=15))
-        assert not _tb(start=0, end=10).overlaps(_tb(start=10, end=15))
+        trace = ExecutionTrace(num_sms=1)
+        _add(trace, instance=0, start=0, end=10)
+        _add(trace, instance=1, start=5, end=15)
+        _add(trace, instance=2, start=10, end=15)
+        assert trace.overlap_cycles(0, 1) == pytest.approx(5.0)
+        assert trace.overlap_cycles(0, 2) == 0.0
 
 
 class TestKernelSpan:
@@ -74,10 +95,10 @@ class TestKernelSpan:
 class TestExecutionTrace:
     def _populated(self) -> ExecutionTrace:
         trace = ExecutionTrace(num_sms=2)
-        trace.add_tb(_tb(instance=0, tb=0, sm=0, start=0, end=10))
-        trace.add_tb(_tb(instance=0, tb=1, sm=1, start=0, end=12))
-        trace.add_tb(_tb(instance=1, copy=1, tb=0, sm=1, start=20, end=30))
-        trace.add_tb(_tb(instance=1, copy=1, tb=1, sm=0, start=20, end=28))
+        _add(trace, instance=0, tb=0, sm=0, start=0, end=10)
+        _add(trace, instance=0, tb=1, sm=1, start=0, end=12)
+        _add(trace, instance=1, copy=1, tb=0, sm=1, start=20, end=30)
+        _add(trace, instance=1, copy=1, tb=1, sm=0, start=20, end=28)
         trace.add_span(_span(instance=0, first=0, done=12))
         trace.add_span(_span(instance=1, copy=1, arrival=15, first=20, done=30))
         return trace
@@ -91,7 +112,7 @@ class TestExecutionTrace:
     def test_unknown_sm_rejected(self):
         trace = ExecutionTrace(num_sms=1)
         with pytest.raises(SimulationError):
-            trace.add_tb(_tb(sm=5))
+            _add(trace, sm=5)
 
     def test_duplicate_span_rejected(self):
         trace = ExecutionTrace(num_sms=1)
@@ -99,12 +120,13 @@ class TestExecutionTrace:
         with pytest.raises(SimulationError):
             trace.add_span(_span())
 
-    def test_blocks_of_sorted_by_index(self):
+    def test_rows_of_sorted_by_index(self):
         trace = ExecutionTrace(num_sms=1)
-        trace.add_tb(_tb(tb=1, start=5, end=6))
-        trace.add_tb(_tb(tb=0, start=0, end=1))
-        blocks = trace.blocks_of(0)
-        assert [b.tb_index for b in blocks] == [0, 1]
+        _add(trace, tb=1, start=5, end=6)
+        _add(trace, tb=0, start=0, end=1)
+        assert trace.rows_of(0) == (1, 0)
+        tb_index = trace.columns.tb_index
+        assert [tb_index[row] for row in trace.rows_of(0)] == [0, 1]
 
     def test_copies_of_and_logical_ids(self):
         trace = self._populated()
@@ -112,43 +134,49 @@ class TestExecutionTrace:
         assert set(copies) == {0, 1}
         assert trace.logical_ids() == (0,)
 
-    def test_paired_blocks_pairs_by_index(self):
+    def test_paired_rows_pair_by_index(self):
         trace = self._populated()
-        pairs = list(trace.paired_blocks(0))
+        cols = trace.columns
+        pairs = list(trace.paired_rows(0))
         assert len(pairs) == 2
         for a, b in pairs:
-            assert a.tb_index == b.tb_index
-            assert a.copy_id == 0 and b.copy_id == 1
+            assert cols.tb_index[a] == cols.tb_index[b]
+            assert cols.copy_id[a] == 0 and cols.copy_id[b] == 1
 
-    def test_paired_blocks_missing_copy_raises(self):
+    def test_paired_rows_missing_copy_raises(self):
         trace = ExecutionTrace(num_sms=1)
-        trace.add_tb(_tb())
+        _add(trace)
         trace.add_span(_span())
         with pytest.raises(SimulationError):
-            list(trace.paired_blocks(0))
+            list(trace.paired_rows(0))
 
-    def test_paired_blocks_mismatched_grids_raise(self):
+    def test_paired_rows_mismatched_grids_raise(self):
         trace = ExecutionTrace(num_sms=1)
-        trace.add_tb(_tb(instance=0, tb=0))
-        trace.add_tb(_tb(instance=1, copy=1, tb=0))
-        trace.add_tb(_tb(instance=1, copy=1, tb=1))
+        _add(trace, instance=0, tb=0)
+        _add(trace, instance=1, copy=1, tb=0)
+        _add(trace, instance=1, copy=1, tb=1)
         trace.add_span(_span(instance=0))
         trace.add_span(_span(instance=1, copy=1))
         with pytest.raises(SimulationError):
-            list(trace.paired_blocks(0))
+            list(trace.paired_rows(0))
 
-    def test_active_blocks_at(self):
+    def test_window_rows_at(self):
         trace = self._populated()
-        assert len(trace.active_blocks_at(5.0)) == 2
-        assert len(trace.active_blocks_at(25.0)) == 2
-        assert trace.active_blocks_at(15.0) == []
-        assert len(trace.active_blocks_at(5.0, sms=[0])) == 1
+        assert _active(trace, 5.0) == [0, 1]
+        assert _active(trace, 25.0) == [2, 3]
+        assert _active(trace, 15.0) == []
+        assert _active(trace, 5.0, sms=[0]) == [0]
+
+    def test_rows_on_sm_in_start_order(self):
+        trace = self._populated()
+        assert trace.rows_on_sm(0) == [0, 3]
+        assert trace.rows_on_sm(1) == [1, 2]
 
     def test_busy_intervals_merge(self):
         trace = ExecutionTrace(num_sms=1)
-        trace.add_tb(_tb(tb=0, start=0, end=10))
-        trace.add_tb(_tb(tb=1, start=5, end=15))
-        trace.add_tb(_tb(tb=2, start=20, end=25))
+        _add(trace, tb=0, start=0, end=10)
+        _add(trace, tb=1, start=5, end=15)
+        _add(trace, tb=2, start=20, end=25)
         assert trace.busy_intervals(0) == [(0, 15), (20, 25)]
 
     def test_sm_utilization(self):
@@ -163,8 +191,8 @@ class TestExecutionTrace:
 
     def test_overlap_cycles(self):
         trace = ExecutionTrace(num_sms=2)
-        trace.add_tb(_tb(instance=0, tb=0, sm=0, start=0, end=10))
-        trace.add_tb(_tb(instance=1, tb=0, sm=1, start=6, end=16))
+        _add(trace, instance=0, tb=0, sm=0, start=0, end=10)
+        _add(trace, instance=1, tb=0, sm=1, start=6, end=16)
         assert trace.overlap_cycles(0, 1) == pytest.approx(4.0)
         assert trace.overlap_cycles(1, 0) == pytest.approx(4.0)
 
@@ -173,14 +201,14 @@ class TestExecutionTrace:
 
     def test_validate_catches_missing_span(self):
         trace = ExecutionTrace(num_sms=1)
-        trace.add_tb(_tb())
+        _add(trace)
         with pytest.raises(SimulationError):
             trace.validate()
 
     def test_validate_catches_noncontiguous_blocks(self):
         trace = ExecutionTrace(num_sms=1)
-        trace.add_tb(_tb(tb=0, start=0, end=10))
-        trace.add_tb(_tb(tb=2, start=0, end=10))
+        _add(trace, tb=0, start=0, end=10)
+        _add(trace, tb=2, start=0, end=10)
         trace.add_span(_span(first=0, done=10))
         with pytest.raises(SimulationError):
             trace.validate()

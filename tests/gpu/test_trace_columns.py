@@ -1,21 +1,21 @@
-"""The trace's block columns and the record view derived from them.
+"""The trace's block columns and the per-SM windows derived from them.
 
 The simulator appends one row per thread block to the trace's columns;
-the record-level queries hand out :class:`TBRecord` objects built from
-those rows on first use.  Every query must answer exactly as a trace
-rebuilt record by record through :meth:`ExecutionTrace.add_tb` does, and
-as the query's definition over the plain record list does.
+the fault path asks the per-SM start windows for the rows that may be
+executing at an instant.  Every query must answer exactly as a trace
+rebuilt row by row through :meth:`ExecutionTrace.add_block` does, and as
+the query's definition over a linear scan of the columns does.
 """
 
 from __future__ import annotations
 
-import dataclasses
+import random
 
 import pytest
 
 from repro.errors import SimulationError
 from repro.gpu.config import GPUConfig
-from repro.gpu.trace import ExecutionTrace, TBRecord
+from repro.gpu.trace import BlockColumns, ExecutionTrace
 from repro.redundancy.manager import RedundantKernelManager
 from repro.workloads.rodinia import get_benchmark
 
@@ -32,21 +32,28 @@ def simulated(request) -> ExecutionTrace:
     return run.sim.trace
 
 
+def _row(cols: BlockColumns, row: int) -> tuple:
+    return tuple(getattr(cols, name)[row] for name in BlockColumns.__slots__)
+
+
 def _rebuilt(trace: ExecutionTrace) -> ExecutionTrace:
     copy = ExecutionTrace(trace.num_sms)
-    for record in trace.tb_records:
-        copy.add_tb(record)
+    for row in range(trace.num_blocks):
+        copy.add_block(*_row(trace.columns, row))
     for span in trace.spans:
         copy.add_span(span)
     return copy
 
 
 def _probe_times(trace: ExecutionTrace):
-    """Block starts, ends and midpoints, and times at and past the end."""
+    """Random instants, every block start, end and midpoint, and times
+    at and past the end."""
+    cols = trace.columns
+    rng = random.Random(f"trace-columns:{trace.num_blocks}")
     times = {0.0, trace.makespan, trace.makespan + 1.0}
-    for record in trace.tb_records[::7]:
-        times.update((record.start, record.end,
-                      (record.start + record.end) / 2))
+    times.update(rng.uniform(0.0, trace.makespan) for _ in range(32))
+    for start, end in zip(cols.start, cols.end):
+        times.update((start, end, (start + end) / 2))
     return sorted(times)
 
 
@@ -60,76 +67,85 @@ def _merged(intervals):
     return merged
 
 
-def test_columns_hold_the_records_row_by_row(simulated):
+def test_columns_are_parallel_lists(simulated):
     cols = simulated.columns
-    records = simulated.tb_records
-    assert simulated.num_blocks == len(records) > 0
-    for field in dataclasses.fields(TBRecord):
-        assert getattr(cols, field.name) == [
-            getattr(r, field.name) for r in records]
+    assert simulated.num_blocks > 0
+    for name in BlockColumns.__slots__:
+        assert len(getattr(cols, name)) == simulated.num_blocks
 
 
-def test_rebuilt_through_add_tb_answers_every_query_alike(simulated):
+def test_rebuilt_through_add_block_answers_every_query_alike(simulated):
     rebuilt = _rebuilt(simulated)
     assert rebuilt.identical_to(simulated)
-    assert rebuilt.tb_records == simulated.tb_records
     assert rebuilt.makespan == simulated.makespan
     assert rebuilt.busy_cycles == simulated.busy_cycles
     for iid in simulated.instance_ids:
-        assert rebuilt.blocks_of(iid) == simulated.blocks_of(iid)
         assert rebuilt.rows_of(iid) == simulated.rows_of(iid)
     sms = range(simulated.num_sms)
     for sm in sms:
-        assert rebuilt.blocks_on_sm(sm) == simulated.blocks_on_sm(sm)
+        assert rebuilt.rows_on_sm(sm) == simulated.rows_on_sm(sm)
         assert rebuilt.busy_intervals(sm) == simulated.busy_intervals(sm)
     for t in _probe_times(simulated):
-        assert rebuilt.stab_candidates(t) == simulated.stab_candidates(t)
-        assert (rebuilt.active_blocks_at(t)
-                == simulated.active_blocks_at(t))
+        assert rebuilt.window_rows(t) == simulated.window_rows(t)
         for sm in sms:
-            assert (rebuilt.stab_candidates(t, (sm,))
-                    == simulated.stab_candidates(t, (sm,)))
-            assert (rebuilt.blocks_ending_after(sm, t)
-                    == simulated.blocks_ending_after(sm, t))
-            assert (rebuilt.active_blocks_at(t, (sm,))
-                    == simulated.active_blocks_at(t, (sm,)))
+            assert (rebuilt.window_rows(t, (sm,))
+                    == simulated.window_rows(t, (sm,)))
 
 
-def test_every_query_matches_its_definition_over_the_records(simulated):
-    records = simulated.tb_records
-    assert simulated.makespan == max(r.end for r in records)
+def test_every_query_matches_its_definition_over_the_columns(simulated):
+    cols = simulated.columns
+    rows = range(simulated.num_blocks)
+    assert simulated.makespan == max(cols.end)
     for iid in simulated.instance_ids:
-        assert simulated.blocks_of(iid) == tuple(sorted(
-            (r for r in records if r.instance_id == iid),
-            key=lambda r: r.tb_index))
+        assert simulated.rows_of(iid) == tuple(sorted(
+            (row for row in rows if cols.instance_id[row] == iid),
+            key=lambda row: cols.tb_index[row]))
     for sm in range(simulated.num_sms):
-        on_sm = [r for r in records if r.sm == sm]
-        assert simulated.blocks_on_sm(sm) == tuple(on_sm)
+        on_sm = [row for row in rows if cols.sm[row] == sm]
+        assert simulated.rows_on_sm(sm) == sorted(
+            on_sm, key=lambda row: cols.start[row])
         assert simulated.busy_intervals(sm) == _merged(
-            (r.start, r.end) for r in on_sm if r.end > r.start)
+            (cols.start[row], cols.end[row]) for row in on_sm
+            if cols.end[row] > cols.start[row])
     assert simulated.busy_cycles == sum(
         end - start for start, end in _merged(
-            (r.start, r.end) for r in records if r.end > r.start))
+            (start, end) for start, end in zip(cols.start, cols.end)
+            if end > start))
+
+
+def test_the_per_sm_window_equals_a_linear_scan(simulated):
+    cols = simulated.columns
+    rows = range(simulated.num_blocks)
+
+    def active(row, t):
+        return cols.start[row] <= t < cols.end[row]
+
     for t in _probe_times(simulated):
-        active = [r for r in records if r.active_at(t)]
-        assert set(simulated.stab_candidates(t)) >= set(active)
-        assert simulated.active_blocks_at(t) == active
+        scan = [row for row in rows if active(row, t)]
+        window = simulated.window_rows(t)
+        assert len(set(window)) == len(window)
+        assert sorted(row for row in window if active(row, t)) == scan
         for sm in range(simulated.num_sms):
-            assert simulated.active_blocks_at(t, (sm,)) == [
-                r for r in active if r.sm == sm]
-            assert simulated.blocks_ending_after(sm, t) == sorted(
-                (r for r in records if r.sm == sm and r.end > t),
-                key=lambda r: r.end)
+            assert sorted(row for row in simulated.window_rows(t, (sm,))
+                          if active(row, t)) == [
+                row for row in scan if cols.sm[row] == sm]
+            # a permanent fault filters the SM's rows by end > t
+            assert sorted(row for row in simulated.rows_on_sm(sm)
+                          if cols.end[row] > t) == [
+                row for row in rows
+                if cols.sm[row] == sm and cols.end[row] > t]
 
 
-def test_the_record_view_is_built_once_and_dropped_on_append():
+def test_the_windows_are_built_once_and_dropped_on_append():
     trace = ExecutionTrace(num_sms=2)
     trace.add_block(0, 0, 0, 0, 1, 0.0, 5.0, "t")
-    first = trace.tb_records
-    assert trace.tb_records[0] is first[0]
+    first = trace.rows_on_sm(1)
+    assert trace.rows_on_sm(1) is first
+    assert trace.rows_on_sm(0) == []
     trace.add_block(0, 0, 0, 1, 0, 1.0, 6.0, "t")
-    assert trace.tb_records[0] == first[0]
-    assert [r.tb_index for r in trace.blocks_on_sm(0)] == [1]
+    assert trace.rows_on_sm(1) == first == [0]
+    assert trace.rows_on_sm(0) == [1]
+    assert trace.window_rows(5.5) == [1]
     assert trace.makespan == 6.0
 
 
@@ -142,4 +158,3 @@ def test_add_block_keeps_the_per_block_checks():
     with pytest.raises(SimulationError, match="unknown SM -1"):
         trace.add_block(0, 0, 0, 0, -1, 0.0, 1.0)
     assert trace.num_blocks == 0
-

@@ -88,8 +88,8 @@ class TestDiverseGridManager:
         manager = DiverseGridManager(gpu, "default", factor=2)
         result = manager.run([kernel])
         trace = result.sim.trace
-        assert len(trace.blocks_of(0)) == 12
-        assert len(trace.blocks_of(1)) == 24
+        assert len(trace.rows_of(0)) == 12
+        assert len(trace.rows_of(1)) == 24
 
     def test_permanent_fault_on_shared_sm_detected(self, gpu, kernel):
         """Structural diversity defeats same-SM permanent CCFs even under
@@ -97,8 +97,9 @@ class TestDiverseGridManager:
         manager = DiverseGridManager(gpu, "default", factor=2)
         clean = manager.run([kernel])
         trace = clean.sim.trace
-        shared = {r.sm for r in trace.blocks_of(0)} & {
-            r.sm for r in trace.blocks_of(1)
+        sm = trace.columns.sm
+        shared = {sm[row] for row in trace.rows_of(0)} & {
+            sm[row] for row in trace.rows_of(1)
         }
         assert shared, "test requires copies to share an SM"
         fault = PermanentSMFault(sm=min(shared), fault_id=1)
@@ -135,5 +136,6 @@ class TestDiverseGridManager:
         assert result.all_clean
         # partition confinement still holds
         trace = result.sim.trace
-        assert {r.sm for r in trace.blocks_of(0)} <= {0, 1, 2}
-        assert {r.sm for r in trace.blocks_of(1)} <= {3, 4, 5}
+        sm = trace.columns.sm
+        assert {sm[row] for row in trace.rows_of(0)} <= {0, 1, 2}
+        assert {sm[row] for row in trace.rows_of(1)} <= {3, 4, 5}

@@ -11,7 +11,7 @@ from repro.api.artifact import DiversitySummary
 from repro.errors import RedundancyError
 from repro.gpu.config import GPUConfig
 from repro.gpu.kernel import KernelDescriptor
-from repro.gpu.trace import ExecutionTrace, KernelSpan, TBRecord
+from repro.gpu.trace import ExecutionTrace, KernelSpan
 from repro.redundancy.diversity import (
     DiversityReport,
     PairDiversity,
@@ -22,10 +22,10 @@ from repro.redundancy.manager import RedundantKernelManager
 
 def _trace_with_pair(sm_a, sm_b, a=(0.0, 10.0), b=(20.0, 30.0)):
     trace = ExecutionTrace(num_sms=6)
-    trace.add_tb(TBRecord(instance_id=0, logical_id=0, copy_id=0, tb_index=0,
-                          sm=sm_a, start=a[0], end=a[1]))
-    trace.add_tb(TBRecord(instance_id=1, logical_id=0, copy_id=1, tb_index=0,
-                          sm=sm_b, start=b[0], end=b[1]))
+    trace.add_block(instance_id=0, logical_id=0, copy_id=0, tb_index=0,
+                    sm=sm_a, start=a[0], end=a[1])
+    trace.add_block(instance_id=1, logical_id=0, copy_id=1, tb_index=0,
+                    sm=sm_b, start=b[0], end=b[1])
     trace.add_span(KernelSpan(instance_id=0, logical_id=0, copy_id=0,
                               kernel_name="k", arrival=0, first_dispatch=a[0],
                               completion=a[1]))
@@ -83,8 +83,8 @@ class TestPairAnalysis:
 
     def test_missing_copy_raises(self):
         trace = ExecutionTrace(num_sms=1)
-        trace.add_tb(TBRecord(instance_id=0, logical_id=0, copy_id=0,
-                              tb_index=0, sm=0, start=0, end=1))
+        trace.add_block(instance_id=0, logical_id=0, copy_id=0,
+                        tb_index=0, sm=0, start=0, end=1)
         trace.add_span(KernelSpan(instance_id=0, logical_id=0, copy_id=0,
                                   kernel_name="k", arrival=0,
                                   first_dispatch=0, completion=1))

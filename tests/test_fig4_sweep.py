@@ -6,8 +6,8 @@ policies on 6 and 30 SMs, each with its non-redundant baseline (88
 specs, 82 510 thread blocks at seed 2019).  Its artifacts are pinned by
 digest, so a change to the simulator, the diversity analysis or the
 output comparison that moves any number fails here.  The sweep path
-reads the trace's block columns: it builds no :class:`TBRecord` and no
-:class:`PairDiversity`.
+reads the trace's block columns and folds the diversity aggregates in
+one pass: it builds no :class:`PairDiversity`.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from pathlib import Path
 import pytest
 
 from repro.api.engine import Engine
-from repro.gpu.trace import TBRecord
 from repro.journal import payload_digest
 from repro.redundancy.diversity import PairDiversity
 
@@ -41,32 +40,28 @@ def test_the_seed_2019_sweep_artifacts_are_pinned():
     assert payload_digest({"artifacts": payload}) == FIG4_SWEEP_DIGEST
 
 
-def test_the_sweep_builds_no_record_and_no_pair_objects(monkeypatch):
-    built = {TBRecord: 0, PairDiversity: 0}
-    for cls in built:
-        init = cls.__init__
+def test_the_sweep_builds_no_pair_objects(monkeypatch):
+    built = [0]
+    init = PairDiversity.__init__
 
-        def counting(self, *args, _cls=cls, _init=init, **kwargs):
-            built[_cls] += 1
-            _init(self, *args, **kwargs)
+    def counting(self, *args, **kwargs):
+        built[0] += 1
+        init(self, *args, **kwargs)
 
-        monkeypatch.setattr(cls, "__init__", counting)
-    # the counter sees a record built the usual way
-    TBRecord(0, 0, 0, 0, 0, 0.0, 1.0)
-    assert built[TBRecord] == 1
-    built[TBRecord] = 0
+    monkeypatch.setattr(PairDiversity, "__init__", counting)
+    # the counter sees a pair built the usual way
+    PairDiversity(0, 0, 0, 1, False, 1.0, None)
+    assert built == [1]
+    built[0] = 0
 
     counts = run_fig4_sweep(fig4_sweep_specs(seed=2019))
 
-    assert built == {TBRecord: 0, PairDiversity: 0}
+    assert built == [0]
     assert counts["blocks"] == 82_510
     assert counts["simulate_calls"] == 88 + counts["distinct_baselines"]
 
 
-@pytest.mark.parametrize("obj, name", [
-    (TBRecord(0, 0, 0, 0, 0, 0.0, 1.0), "end"),
-    (PairDiversity(0, 0, 0, 1, False, 1.0, None), "time_slack"),
-], ids=["TBRecord", "PairDiversity"])
-def test_records_and_pairs_stay_frozen(obj, name):
+def test_pairs_stay_frozen():
+    pair = PairDiversity(0, 0, 0, 1, False, 1.0, None)
     with pytest.raises(dataclasses.FrozenInstanceError):
-        setattr(obj, name, 0.0)
+        pair.time_slack = 0.0

@@ -62,9 +62,11 @@ class TestSimulatorInvariants:
         sim = simulate(GPU, DefaultScheduler(), [
             KernelLaunch(kernel=kernel, instance_id=0)
         ])
-        blocks = sim.trace.blocks_of(0)
-        assert len(blocks) == kernel.grid_blocks
-        assert sorted(r.tb_index for r in blocks) == list(range(kernel.grid_blocks))
+        rows = sim.trace.rows_of(0)
+        tb_index = sim.trace.columns.tb_index
+        assert len(rows) == kernel.grid_blocks
+        assert (sorted(tb_index[row] for row in rows)
+                == list(range(kernel.grid_blocks)))
 
     @_SETTINGS
     @given(kernel=kernels())
@@ -95,12 +97,11 @@ class TestSimulatorInvariants:
             KernelLaunch(kernel=kernel, instance_id=0)
         ])
         limit = blocks_per_sm(kernel, GPU.sm)
-        for record in sim.trace.tb_records:
-            mid = (record.start + record.end) / 2
-            resident = [
-                r for r in sim.trace.tb_records
-                if r.sm == record.sm and r.active_at(mid)
-            ]
+        cols = sim.trace.columns
+        blocks = list(zip(cols.sm, cols.start, cols.end))
+        for sm, start, end in blocks:
+            mid = (start + end) / 2
+            resident = [b for b in blocks if b[0] == sm and b[1] <= mid < b[2]]
             assert len(resident) <= limit
 
 

@@ -169,11 +169,11 @@ class TestKernelMixingSwitch:
             KernelLaunch(kernel=kernel, instance_id=0, copy_id=0, logical_id=0),
             KernelLaunch(kernel=kernel, instance_id=1, copy_id=1, logical_id=0),
         ])
-        for record in sim.trace.tb_records:
-            mid = (record.start + record.end) / 2
+        cols = sim.trace.columns
+        blocks = list(zip(cols.instance_id, cols.sm, cols.start, cols.end))
+        for _iid, sm, start, end in blocks:
+            mid = (start + end) / 2
             co_resident = {
-                r.instance_id
-                for r in sim.trace.tb_records
-                if r.sm == record.sm and r.active_at(mid)
+                b[0] for b in blocks if b[1] == sm and b[2] <= mid < b[3]
             }
             assert len(co_resident) == 1

@@ -8,8 +8,9 @@ verifies that every *relative* target resolves to an existing file,
 including ``#anchor`` fragments, which are checked against the target
 file's headings using GitHub's slug rules (explicit HTML anchors,
 ``<a id="...">`` / ``<a name="...">``, count as valid slugs too).
-External (``http``/``https``/``mailto``) links are not fetched; CI must
-stay deterministic and offline.
+Code fences and inline code spans are never links, so brackets inside
+them are not checked.  External (``http``/``https``/``mailto``) links
+are not fetched; CI must stay deterministic and offline.
 
 Usage::
 
@@ -35,6 +36,8 @@ _HEADING_RE = re.compile(r"^(#{1,6})\s+(.*?)\s*#*\s*$")
 # explicit HTML anchors are addressable like heading slugs
 _HTML_ANCHOR_RE = re.compile(r"<a\s+(?:id|name)\s*=\s*[\"']([^\"']+)[\"']")
 _CODE_FENCE_RE = re.compile(r"^(```|~~~)")
+# inline code span: a run of backticks up to the next run of equal length
+_CODE_SPAN_RE = re.compile(r"(`+)(?!`).*?(?<!`)\1(?!`)")
 _EXTERNAL_PREFIXES = ("http://", "https://", "mailto:", "ftp://")
 
 
@@ -87,6 +90,14 @@ def heading_slugs(path: Path) -> Set[str]:
     return slugs
 
 
+def outside_code_spans(line: str,
+                       matches: Iterable[re.Match]) -> List[re.Match]:
+    """The matches that do not start inside an inline code span."""
+    spans = [span.span() for span in _CODE_SPAN_RE.finditer(line)]
+    return [match for match in matches
+            if not any(lo <= match.start() < hi for lo, hi in spans)]
+
+
 def extract_links(path: Path) -> List[Tuple[int, str]]:
     """All inline link targets in a file, with line numbers."""
     links: List[Tuple[int, str]] = []
@@ -98,7 +109,7 @@ def extract_links(path: Path) -> List[Tuple[int, str]]:
             continue
         if in_fence:
             continue
-        for match in _LINK_RE.finditer(line):
+        for match in outside_code_spans(line, _LINK_RE.finditer(line)):
             links.append((lineno, match.group(1)))
     return links
 
@@ -126,7 +137,8 @@ def reference_links(path: Path) -> Tuple[dict, List[Tuple[int, str]]]:
                 definition.group(1).lower(), (lineno, definition.group(2))
             )
             continue
-        for match in _REF_LINK_RE.finditer(line):
+        for match in outside_code_spans(line,
+                                        _REF_LINK_RE.finditer(line)):
             label = match.group(2) or match.group(1)
             uses.append((lineno, label.lower()))
     return definitions, uses
