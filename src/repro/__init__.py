@@ -73,7 +73,7 @@ migration table)::
 
 from repro._lazy import lazy_exports
 
-__version__ = "1.15.0"
+__version__ = "1.16.0"
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     # errors
@@ -131,7 +131,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     # streams
     "repro.api.stream": ("StreamSpec", "ArrivalSpec", "StreamFaultSpec"),
     "repro.streams.report": ("StreamReport",),
-    "repro.streams.runner": ("run_stream", "repeat_stream"),
+    "repro.streams.runner": ("run_stream",),
     # platform
     "repro.api.platform": ("PlatformSpec", "DeviceSpec", "PlacementSpec"),
     "repro.platform.report": ("PlatformReport",),

@@ -7,13 +7,12 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "StreamRateRow", "arrival_rate_sweep", "stream_summary_rows",
     ),
     "repro.analysis.platform": (
-        "DeviceCountRow", "PlacementPolicyRow", "device_count_sweep",
-        "placement_policy_sweep", "platform_summary_rows",
+        "DeviceCountRow", "device_count_sweep", "platform_summary_rows",
     ),
     "repro.analysis.bounds": (
         "half_chain_bound", "isolated_kernel_bound", "srrs_chain_bound",
     ),
     "repro.analysis.report": (
-        "render_bars", "render_grouped_bars", "render_table",
+        "render_grouped_bars", "render_table",
     ),
 })

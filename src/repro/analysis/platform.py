@@ -1,83 +1,26 @@
 """Platform-level measurements (the ``BENCH_platform.json`` rows).
 
-Two sweeps cover the questions the platform layer exists to answer —
-*which placement policy should a platform use?* and *how does the
-platform scale with devices?* — plus the key/value rows the ``platform``
-CLI renders.  Every row records the relevant digest, so regenerating a
+The device-count sweep answers *how does the platform scale with
+devices?*; the key/value rows are what the ``platform`` CLI renders.
+Every sweep row records the platform report digest, so regenerating the
 sweep proves bit-stability of the whole surface.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Sequence, Tuple
 
 from repro.api.platform import DeviceSpec, PlacementSpec, PlatformSpec
 from repro.api.stream import StreamSpec
-from repro.platform.placement import plan_placement
 from repro.platform.report import PlatformReport
 from repro.platform.runner import run_platform
 
 __all__ = [
-    "PlacementPolicyRow",
     "DeviceCountRow",
-    "placement_policy_sweep",
     "device_count_sweep",
     "platform_summary_rows",
 ]
-
-
-@dataclass(frozen=True)
-class PlacementPolicyRow:
-    """One policy's placement outcome on a fixed platform.
-
-    Attributes:
-        policy: placement policy name.
-        max_utilisation: utilisation of the most loaded device.
-        mean_utilisation: mean device utilisation.
-        spread: max minus min device utilisation (balance quality).
-        assignments: ``(task, device)`` pairs in canonical order.
-    """
-
-    policy: str
-    max_utilisation: float
-    mean_utilisation: float
-    spread: float
-    assignments: Tuple[Tuple[str, str], ...]
-
-
-def placement_policy_sweep(
-    spec: PlatformSpec,
-    policies: Sequence[str] = ("first_fit", "worst_fit", "balanced"),
-) -> List[PlacementPolicyRow]:
-    """Plan the same platform under several placement policies.
-
-    Args:
-        spec: the base platform (its placement policy is replaced point
-            by point; pins are kept).
-        policies: policy names to sweep (``pinned`` only makes sense
-            when the spec's pins cover every task).
-
-    Returns:
-        One :class:`PlacementPolicyRow` per policy, in the given order.
-    """
-    rows: List[PlacementPolicyRow] = []
-    for policy in policies:
-        point = replace(
-            spec, placement=replace(spec.placement, policy=policy)
-        )
-        plan = plan_placement(point)
-        utils = list(plan.device_utilisation.values())
-        rows.append(
-            PlacementPolicyRow(
-                policy=policy,
-                max_utilisation=max(utils),
-                mean_utilisation=sum(utils) / len(utils),
-                spread=max(utils) - min(utils),
-                assignments=plan.assignments,
-            )
-        )
-    return rows
 
 
 @dataclass(frozen=True)

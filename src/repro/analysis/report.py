@@ -12,7 +12,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 
-__all__ = ["render_table", "render_bars", "render_grouped_bars"]
+__all__ = ["render_table", "render_grouped_bars"]
 
 
 def render_table(headers: Sequence[str], rows: Sequence[Sequence[object]],
@@ -57,34 +57,6 @@ def render_table(headers: Sequence[str], rows: Sequence[Sequence[object]],
     parts.append(line(headers))
     parts.append("  ".join("-" * w for w in widths))
     parts.extend(line(r) for r in text_rows)
-    return "\n".join(parts)
-
-
-def render_bars(labels: Sequence[str], values: Sequence[float], *,
-                width: int = 50, title: str = "",
-                unit: str = "") -> str:
-    """Render a horizontal ASCII bar chart.
-
-    Args:
-        labels: one label per bar.
-        values: bar magnitudes (must be non-negative).
-        width: character width of the longest bar.
-        title: optional heading.
-        unit: suffix appended to the numeric value.
-
-    Raises:
-        ConfigurationError: on mismatched lengths or negative values.
-    """
-    if len(labels) != len(values):
-        raise ConfigurationError("labels and values must align")
-    if any(v < 0 for v in values):
-        raise ConfigurationError("bar values cannot be negative")
-    peak = max(values, default=0.0)
-    label_w = max((len(l) for l in labels), default=0)
-    parts: List[str] = [title] if title else []
-    for label, value in zip(labels, values):
-        bar = "#" * (int(round(value / peak * width)) if peak else 0)
-        parts.append(f"{label.ljust(label_w)} | {bar} {value:.3f}{unit}")
     return "\n".join(parts)
 
 

@@ -1,8 +1,7 @@
 """Sampling and repeat-until-confidence specifications.
 
 Two small frozen specs extend :class:`~repro.api.campaign.CampaignSpec`
-(and the stream soak repeater) with the statistical machinery of
-:mod:`repro.stats`:
+with the statistical machinery of :mod:`repro.stats`:
 
 * :class:`SamplingSpec` — how the campaign draws its fault population:
   ``stratified`` (fixed per-kind sample shares via a deterministic block
@@ -86,18 +85,17 @@ class RepeatSpec(Codec):
     """Repeat-until-confidence stopping rule.
 
     Attributes:
-        metric: the targeted rate — for campaigns one of ``"masked"``,
-            ``"detected"``, ``"sdc"``; for streams one of
-            ``"deadline_miss"``, ``"drop"``, ``"unsafe"``,
-            ``"fault_sdc"`` (the runners validate their own vocabulary).
+        metric: the targeted rate, one of ``"masked"``, ``"detected"``,
+            ``"sdc"`` (checked where the
+            :class:`~repro.api.campaign.CampaignSpec` is built).
         confidence: two-sided confidence level of the interval tested.
         relative_half_width: stop once ``half_width / rate`` drops to
             this (mutually exclusive with ``half_width``).
         half_width: stop once the absolute half-width drops to this.
-        batch: injections (or frames) added per evaluation point — the
-            campaign repeater's shard size, i.e. its checkpoint/resume
+        batch: injections added per evaluation point — the campaign
+            repeater's shard size, i.e. its checkpoint/resume
             granularity.
-        max_total: hard budget cap on total injections (or frames).
+        max_total: hard budget cap on total injections.
         interval: interval construction (``auto``/``wilson``/``normal``/
             ``bootstrap``); ``auto`` picks Wilson for uniform sampling
             and normal for weighted estimators.

@@ -201,9 +201,17 @@ class CampaignReport(Codec):
 
     @classmethod
     def _decode(cls, data: Mapping[str, Any]) -> CampaignReport:
-        # a fold starts empty, but a saved report always carries its table
-        if isinstance(data, Mapping) and "by_kind" not in data:
-            raise ConfigurationError("CampaignReport requires a by_kind")
+        if isinstance(data, Mapping):
+            # a fold starts empty, but a saved report always carries its
+            # table
+            if "by_kind" not in data:
+                raise ConfigurationError("CampaignReport requires a by_kind")
+            # to_dict writes weighted_rates only beside a sampling design
+            if "weighted_rates" in data and data.get("sampling") is None:
+                raise ConfigurationError(
+                    "CampaignReport.weighted_rates is written only with a "
+                    "sampling design; this payload has none"
+                )
         return super()._decode(data)
 
     # ------------------------------------------------------------------
@@ -390,59 +398,6 @@ class CampaignReport(Codec):
             resamples=resamples, seed=seed,
         )
 
-    def coverage_interval(self, *, confidence: float = 0.95,
-                          method: str = "auto", resamples: int = 1000,
-                          seed: int = 0) -> RateEstimate:
-        """Confidence interval on the detection coverage.
-
-        Coverage is the conditional proportion detected / (detected +
-        SDC), a plain binomial in the dangerous-outcome subsample, so it
-        gets the uniform (Wilson-capable) treatment under every sampling
-        design.
-
-        Raises:
-            FaultInjectionError: when the report has no dangerous
-                outcomes (the conditional rate is undefined).
-        """
-        dangerous = self.detected + self.sdc
-        if dangerous == 0:
-            raise FaultInjectionError(
-                f"campaign report for policy {self.policy!r} has no "
-                "dangerous outcomes: the coverage interval is undefined"
-            )
-        from repro.stats.estimators import UniformRate
-
-        return UniformRate(self.detected, dangerous,
-                           metric="coverage").interval(
-            confidence=confidence, method=method,
-            resamples=resamples, seed=seed,
-        )
-
-    def metric_intervals(self, *, confidence: float = 0.95,
-                         method: str = "auto", resamples: int = 1000,
-                         seed: int = 0) -> Dict[str, RateEstimate]:
-        """Intervals on every campaign rate, keyed by metric name.
-
-        Covers the three outcome rates plus ``"coverage"`` when the
-        report saw any dangerous outcome.
-
-        Raises:
-            FaultInjectionError: on an empty report.
-        """
-        self._require_injections("metric_intervals()")
-        intervals = {
-            metric: self.rate_interval(metric, confidence=confidence,
-                                       method=method, resamples=resamples,
-                                       seed=seed)
-            for metric in ("masked", "detected", "sdc")
-        }
-        if self.detected + self.sdc > 0:
-            intervals["coverage"] = self.coverage_interval(
-                confidence=confidence, method=method,
-                resamples=resamples, seed=seed,
-            )
-        return intervals
-
     def assert_no_sdc(self) -> None:
         """Raise when any injection escaped detection.
 
@@ -490,34 +445,6 @@ class CampaignReport(Codec):
             undetected=self.sdc,
             raw_failure_rate_per_hour=raw_failure_rate_per_hour,
         )
-
-    def hardware_metrics_intervals(self, *, confidence: float = 0.95,
-                                   method: str = "auto",
-                                   resamples: int = 1000,
-                                   seed: int = 0) -> Dict[str, RateEstimate]:
-        """Error bars on the rates behind :meth:`hardware_metrics`.
-
-        ``"residual"`` is the SDC rate (the residual-fault fraction that
-        scales PMHF) and ``"coverage"`` the detection coverage (LFM), so
-        the ISO 26262 architectural metrics inherit these intervals
-        directly.
-
-        Raises:
-            FaultInjectionError: on an empty report.
-        """
-        self._require_injections("hardware_metrics_intervals()")
-        intervals = {
-            "residual": self.rate_interval(
-                "sdc", confidence=confidence, method=method,
-                resamples=resamples, seed=seed,
-            )
-        }
-        if self.detected + self.sdc > 0:
-            intervals["coverage"] = self.coverage_interval(
-                confidence=confidence, method=method,
-                resamples=resamples, seed=seed,
-            )
-        return intervals
 
     def summary(self) -> str:
         """One-line campaign summary, with an error bar on the SDC rate.

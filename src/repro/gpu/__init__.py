@@ -16,12 +16,8 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.gpu.kernel": (
         "KernelDescriptor", "KernelLaunch", "dependent_chain",
     ),
-    "repro.gpu.memory": (
-        "AccessProfile", "L2Model", "derive_bytes_per_block", "derive_kernel",
-    ),
     "repro.gpu.occupancy": (
-        "OccupancyReport", "blocks_per_sm", "max_resident_blocks",
-        "occupancy_report",
+        "OccupancyReport", "blocks_per_sm", "occupancy_report",
     ),
     "repro.gpu.reference": ("ReferenceSimulator",),
     "repro.gpu.simulator": ("GPUSimulator", "SimulationResult", "simulate"),

@@ -12,10 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import CapacityError
-from repro.gpu.config import GPUConfig, SMConfig
+from repro.gpu.config import SMConfig
 from repro.gpu.kernel import KernelDescriptor
 
-__all__ = ["OccupancyReport", "blocks_per_sm", "occupancy_report", "max_resident_blocks"]
+__all__ = ["OccupancyReport", "blocks_per_sm", "occupancy_report"]
 
 
 @dataclass(frozen=True)
@@ -100,8 +100,3 @@ def occupancy_report(kernel: KernelDescriptor, sm: SMConfig) -> OccupancyReport:
 def blocks_per_sm(kernel: KernelDescriptor, sm: SMConfig) -> int:
     """Maximum co-resident blocks of ``kernel`` on one SM (>= 1)."""
     return occupancy_report(kernel, sm).blocks_per_sm
-
-
-def max_resident_blocks(kernel: KernelDescriptor, gpu: GPUConfig) -> int:
-    """Maximum co-resident blocks of ``kernel`` across the whole GPU."""
-    return blocks_per_sm(kernel, gpu.sm) * gpu.num_sms

@@ -11,8 +11,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.gpu.scheduler.default": ("DefaultScheduler",),
     "repro.gpu.scheduler.half": ("HALFScheduler",),
     "repro.gpu.scheduler.registry": (
-        "PAPER_POLICIES", "available_schedulers", "make_scheduler",
-        "register_scheduler",
+        "PAPER_POLICIES", "make_scheduler", "register_scheduler",
     ),
     "repro.gpu.scheduler.srrs": ("SRRSScheduler",),
     "repro.gpu.scheduler.staggered": ("StaggeredScheduler",),

@@ -21,7 +21,6 @@ from repro.gpu.scheduler.staggered import StaggeredScheduler
 __all__ = [
     "register_scheduler",
     "make_scheduler",
-    "available_schedulers",
     "PAPER_POLICIES",
 ]
 
@@ -69,11 +68,6 @@ def make_scheduler(name: str, **kwargs) -> KernelScheduler:
             f"unknown scheduler {name!r}; known: {known}"
         ) from None
     return factory(**kwargs)
-
-
-def available_schedulers() -> Tuple[str, ...]:
-    """Sorted names of all registered schedulers."""
-    return tuple(sorted(_REGISTRY))
 
 
 register_scheduler("default", DefaultScheduler)

@@ -1,7 +1,7 @@
 """Executable ISO 26262 model (Section II of the paper).
 
 Subpackages: ASIL lattice (:mod:`~repro.iso26262.asil`), decomposition
-rules (:mod:`~repro.iso26262.decomposition`), fault taxonomy and FTTI
+rules (:mod:`~repro.iso26262.decomposition`), the FTTI timing model
 (:mod:`~repro.iso26262.fault_model`), hardware architectural metrics
 (:mod:`~repro.iso26262.metrics`) and the safety-case checker
 (:mod:`~repro.iso26262.safety_case`).
@@ -12,14 +12,10 @@ from repro._lazy import lazy_exports
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.iso26262.asil": ("Asil", "as_asil"),
     "repro.iso26262.decomposition": (
-        "FIGURE1_EXAMPLES", "DecompositionNode", "DecompositionRule",
-        "check_decomposition", "valid_decompositions",
+        "FIGURE1_EXAMPLES", "DecompositionRule", "check_decomposition",
+        "valid_decompositions",
     ),
-    "repro.iso26262.fault_model": (
-        "AGING_DEFECT", "CLOCK_GLITCH", "SEU", "STUCK_AT", "VOLTAGE_DROOP",
-        "FaultClass", "FaultHandlingTimeline", "FaultPersistence",
-        "FaultScope", "Ftti",
-    ),
+    "repro.iso26262.fault_model": ("FaultHandlingTimeline", "Ftti"),
     "repro.iso26262.metrics": (
         "TARGETS", "FailureRateBudget", "HardwareMetrics", "MetricTargets",
         "coverage_from_campaign",

@@ -16,14 +16,12 @@ Key API:
 * :func:`valid_decompositions` — all standard-sanctioned splits of a level;
 * :func:`check_decomposition` — validate a proposed split, enforcing the
   independence precondition (no decomposition credit without independent
-  redundancy — the reason GPUs need diverse redundancy at all);
-* :class:`DecompositionNode` — a tree of decompositions over system
-  elements, validated recursively (used by the safety-case example).
+  redundancy — the reason GPUs need diverse redundancy at all).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import SafetyViolation
@@ -33,7 +31,6 @@ __all__ = [
     "DecompositionRule",
     "valid_decompositions",
     "check_decomposition",
-    "DecompositionNode",
     "FIGURE1_EXAMPLES",
 ]
 
@@ -139,86 +136,6 @@ def check_decomposition(target: Asil, parts: Sequence[Asil], *,
         f"{target} cannot be decomposed into {proposal[0]} + {proposal[1]} "
         f"(sanctioned: {[r.describe() for r in valid_decompositions(target)]})"
     )
-
-
-@dataclass
-class DecompositionNode:
-    """A node in an ASIL decomposition tree.
-
-    Leaves are implemented elements; inner nodes record a decomposition of
-    their ASIL onto exactly two children.  :meth:`validate` checks the
-    whole tree bottom-up.
-
-    Attributes:
-        name: element or requirement name.
-        asil: ASIL allocated to this node.
-        children: zero (leaf) or two (decomposed) child nodes.
-        independent_children: whether the children are independent (e.g.
-            diverse-redundant GPU kernel copies under SRRS/HALF).
-    """
-
-    name: str
-    asil: Asil
-    children: List["DecompositionNode"] = field(default_factory=list)
-    independent_children: bool = True
-
-    def decompose(self, left: "DecompositionNode",
-                  right: "DecompositionNode", *,
-                  independent: bool = True) -> "DecompositionNode":
-        """Attach two children implementing this node's requirement.
-
-        Returns ``self`` for chaining.  Validation is deferred to
-        :meth:`validate` so trees can be built freely and checked once.
-        """
-        self.children = [left, right]
-        self.independent_children = independent
-        return self
-
-    @property
-    def is_leaf(self) -> bool:
-        """True when this node is an implemented element."""
-        return not self.children
-
-    def validate(self) -> None:
-        """Recursively check every decomposition in the tree.
-
-        Raises:
-            SafetyViolation: on any invalid split or missing independence.
-        """
-        if self.is_leaf:
-            return
-        if len(self.children) != 2:
-            raise SafetyViolation(
-                f"{self.name}: decomposition must have exactly 2 children"
-            )
-        check_decomposition(
-            self.asil,
-            [c.asil for c in self.children],
-            independent=self.independent_children,
-        )
-        for child in self.children:
-            child.validate()
-
-    def leaves(self) -> List["DecompositionNode"]:
-        """All implemented elements below (or including) this node."""
-        if self.is_leaf:
-            return [self]
-        out: List["DecompositionNode"] = []
-        for child in self.children:
-            out.extend(child.leaves())
-        return out
-
-    def render(self, indent: int = 0) -> str:
-        """ASCII rendering of the tree (used by the Figure 1 bench)."""
-        pad = "  " * indent
-        line = f"{pad}{self.name} [{self.asil}]"
-        if self.is_leaf:
-            return line
-        marker = "independent" if self.independent_children else "DEPENDENT"
-        lines = [f"{line}  --decomposed ({marker})--"]
-        for child in self.children:
-            lines.append(child.render(indent + 1))
-        return "\n".join(lines)
 
 
 def _figure1_examples() -> Tuple[Tuple[str, DecompositionRule], ...]:

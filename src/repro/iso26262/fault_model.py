@@ -1,9 +1,7 @@
-"""ISO 26262 fault taxonomy and timing model (FTTI).
+"""ISO 26262 fault timing model (FTTI).
 
-Captures the standard's vocabulary the paper builds on:
+Captures the standard's timing vocabulary the paper builds on:
 
-* fault *classes* — transient vs. permanent, and whether a fault is a
-  *common-cause fault* (CCF) able to affect redundant elements together;
 * the *fault-tolerant time interval* (FTTI): the span from fault occurrence
   to the latest point at which the system must have reached a safe state or
   degraded-but-safe operation.  The paper's footnote 1 assumes errors are
@@ -14,72 +12,12 @@ Captures the standard's vocabulary the paper builds on:
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Optional
 
 from repro.errors import ConfigurationError, SafetyViolation
 
-__all__ = [
-    "FaultPersistence",
-    "FaultScope",
-    "FaultClass",
-    "Ftti",
-    "FaultHandlingTimeline",
-]
-
-
-class FaultPersistence(enum.Enum):
-    """Temporal behaviour of a hardware fault."""
-
-    TRANSIENT = "transient"
-    PERMANENT = "permanent"
-    INTERMITTENT = "intermittent"
-
-
-class FaultScope(enum.Enum):
-    """Spatial reach of a fault — the key distinction for redundancy.
-
-    LOCAL faults affect one physical element; COMMON_CAUSE faults (voltage
-    droops, clock glitches, temperature, crosstalk) can affect several
-    redundant elements simultaneously and are the reason ISO 26262 demands
-    *diverse* redundancy rather than plain replication.
-    """
-
-    LOCAL = "local"
-    COMMON_CAUSE = "common-cause"
-
-
-@dataclass(frozen=True)
-class FaultClass:
-    """A (persistence, scope) fault category with a descriptive name."""
-
-    name: str
-    persistence: FaultPersistence
-    scope: FaultScope
-
-    def __post_init__(self) -> None:
-        if not self.name:
-            raise ConfigurationError("fault class needs a name")
-
-    @property
-    def is_ccf(self) -> bool:
-        """True for common-cause fault classes."""
-        return self.scope is FaultScope.COMMON_CAUSE
-
-
-#: Canonical fault classes referenced throughout the reproduction.
-SEU = FaultClass("single-event upset", FaultPersistence.TRANSIENT, FaultScope.LOCAL)
-VOLTAGE_DROOP = FaultClass(
-    "voltage droop", FaultPersistence.TRANSIENT, FaultScope.COMMON_CAUSE
-)
-CLOCK_GLITCH = FaultClass(
-    "clock glitch", FaultPersistence.TRANSIENT, FaultScope.COMMON_CAUSE
-)
-STUCK_AT = FaultClass("stuck-at defect", FaultPersistence.PERMANENT, FaultScope.LOCAL)
-AGING_DEFECT = FaultClass(
-    "aging/process defect", FaultPersistence.PERMANENT, FaultScope.COMMON_CAUSE
-)
+__all__ = ["Ftti", "FaultHandlingTimeline"]
 
 
 @dataclass(frozen=True)

@@ -33,10 +33,6 @@ __all__ = [
     "coverage_from_campaign",
 ]
 
-#: FIT unit: failures in 1e9 device-hours, expressed here as failures/hour.
-FIT = 1e-9
-
-
 @dataclass(frozen=True)
 class MetricTargets:
     """Quantitative targets for one ASIL.

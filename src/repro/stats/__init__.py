@@ -16,8 +16,7 @@ counts* the runners already fold — never of per-injection records:
   with matching variance formulas and bootstrap resampling;
 * :mod:`repro.stats.repeater` — repeat-until-confidence bookkeeping:
   target evaluation and the :class:`RepeatResult` returned by
-  :func:`repro.campaigns.runner.repeat_campaign` and
-  :func:`repro.streams.runner.repeat_stream`;
+  :func:`repro.campaigns.runner.repeat_campaign`;
 * :mod:`repro.stats.compare` — two-proportion and bootstrap significance
   tests between two campaign/stream/BENCH artifacts (the ``repro
   compare`` CLI and the CI perf gate sit on top of this).
@@ -36,9 +35,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "COMPARE_SCHEMA", "RateComparison", "compare_artifacts",
         "compare_rates", "detect_artifact_kind", "two_proportion_test",
     ),
-    "repro.stats.estimators": (
-        "CANONICAL_KINDS", "ImportanceRate", "StratifiedRate", "UniformRate",
-    ),
+    "repro.stats.estimators": ("ImportanceRate", "StratifiedRate", "UniformRate"),
     "repro.stats.intervals": (
         "RateEstimate", "binomial_draw", "bootstrap_interval",
         "multinomial_draw", "normal_interval", "welch_interval",

@@ -37,14 +37,10 @@ from repro.stats.intervals import (
 )
 
 __all__ = [
-    "CANONICAL_KINDS",
     "UniformRate",
     "StratifiedRate",
     "ImportanceRate",
 ]
-
-#: Canonical fault-kind order used by every sampler and estimator.
-CANONICAL_KINDS: Tuple[str, ...] = ("ccf", "perm", "seu")
 
 _METHODS = ("auto", "wilson", "normal", "bootstrap")
 

@@ -1,19 +1,17 @@
-"""Repeat-until-confidence bookkeeping shared by campaigns and streams.
+"""Repeat-until-confidence bookkeeping for campaigns.
 
 A *repeater* keeps extending a deterministic run — additional shard
-batches of a campaign's indexed fault population, or geometrically more
-frames of a stream soak — until the confidence interval on a chosen
-metric is tight enough, or a hard budget cap is hit.  This module holds
-the pieces both repeaters share: the stopping rule (:func:`target_met`)
-and the :class:`RepeatResult` value object they return.
+batches of a campaign's indexed fault population — until the confidence
+interval on a chosen metric is tight enough, or a hard budget cap is
+hit.  This module holds the stopping rule (:func:`target_met`) and the
+:class:`RepeatResult` value object the repeater returns.
 
-The execution loops themselves live with their subsystems
-(:func:`repro.campaigns.runner.repeat_campaign`,
-:func:`repro.streams.runner.repeat_stream`) because stopping must be a
-pure function of the *data prefix*, not of scheduling: a campaign
-repeater stops at the first shard-prefix whose fold meets the target, so
-the stop point — and therefore the returned aggregate — is bit-identical
-for any worker count or kill/resume history.
+The execution loop itself lives with the campaign runner
+(:func:`repro.campaigns.runner.repeat_campaign`) because stopping must
+be a pure function of the *data prefix*, not of scheduling: the
+repeater stops at the first shard-prefix whose fold meets the target,
+so the stop point — and therefore the returned aggregate — is
+bit-identical for any worker count or kill/resume history.
 """
 
 from __future__ import annotations
@@ -70,17 +68,16 @@ class RepeatResult:
     """Outcome of one repeat-until-confidence run.
 
     Attributes:
-        metric: the targeted rate (e.g. ``"sdc"``, ``"deadline_miss"``).
+        metric: the targeted rate (e.g. ``"sdc"``).
         converged: whether the CI target was met within budget.
         stop_reason: ``"target_met"`` or ``"budget_exhausted"``.
         batches: number of evaluation points the repeater folded.
-        total: samples (injections / frames) in the returned aggregate.
+        total: injections in the returned aggregate.
         estimate: the final interval on the targeted metric.
         history: one interval per evaluation point, in order — the
             convergence trajectory.
         report: the final aggregate report
-            (:class:`~repro.faults.campaign.CampaignReport` or
-            :class:`~repro.streams.report.StreamReport`).
+            (:class:`~repro.faults.campaign.CampaignReport`).
         error: human-readable budget-failure description (``None`` when
             converged); :meth:`check` raises it as a typed error.
     """

@@ -46,9 +46,9 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "frame_substream", "iter_arrivals", "substream_factory",
     ),
     "repro.streams.analytics": (
-        "P2Quantile", "StreamAccumulator", "StreamingMoments", "WindowedRates",
+        "P2Quantile", "StreamAccumulator", "WindowedRates",
     ),
     "repro.streams.jobs": ("JobProfile", "resolve_jobs"),
     "repro.streams.report": ("STREAM_RATE_METRICS", "StreamReport"),
-    "repro.streams.runner": ("repeat_stream", "run_stream"),
+    "repro.streams.runner": ("run_stream",),
 })

@@ -6,22 +6,19 @@ stream analytics are *streaming* folds:
 * :class:`P2Quantile` — the P² quantile estimator (Jain & Chlamtac,
   CACM 1985): five markers per tracked quantile, parabolic interpolation,
   exact for the first five observations, O(1) per update;
-* :class:`StreamingMoments` — count / min / max / mean / variance via
-  Welford's algorithm (numerically stable, single pass);
 * :class:`WindowedRates` — tumbling windows over the stream's virtual
   time axis whose per-window throughput and utilisation fold into
   bounded min/mean/max aggregates (empty windows count as idle);
 * :class:`StreamAccumulator` — the fused per-frame fold the stream
-  runner drives: one ``observe()`` call updates latency moments, wait
-  moments, every quantile estimator and the tumbling windows without
-  re-chasing attributes per frame.
+  runner drives: one ``observe()`` call updates the latency and wait
+  moments (count / min / max / mean / variance via Welford's algorithm,
+  numerically stable and single pass), every quantile estimator and the
+  tumbling windows without re-chasing attributes per frame.
 
 All folds are deterministic: feeding the same values in the same order
 produces bit-identical state, which is what lets
 :meth:`~repro.streams.report.StreamReport.digest` promise bit-identity
-across worker/chunk configurations.  The fused accumulator performs the
-*same floating-point operations in the same order* as the standalone
-classes, so fusing is invisible to report digests.
+across worker/chunk configurations.
 """
 
 from __future__ import annotations
@@ -34,7 +31,6 @@ from repro.errors import StreamError
 __all__ = [
     "P2Quantile",
     "StreamAccumulator",
-    "StreamingMoments",
     "WindowedRates",
 ]
 
@@ -190,77 +186,6 @@ class P2Quantile:
         return self._heights[2]
 
 
-class StreamingMoments:
-    """Count, min, max, mean and variance in one pass (Welford)."""
-
-    __slots__ = ("_count", "_min", "_max", "_mean", "_m2")
-
-    def __init__(self) -> None:
-        self._count = 0
-        self._min = math.inf
-        self._max = -math.inf
-        self._mean = 0.0
-        self._m2 = 0.0
-
-    def add(self, x: float) -> None:
-        """Fold one observation."""
-        self._count += 1
-        self._min = min(self._min, x)
-        self._max = max(self._max, x)
-        delta = x - self._mean
-        self._mean += delta / self._count
-        self._m2 += delta * (x - self._mean)
-
-    @property
-    def count(self) -> int:
-        """Number of observations."""
-        return self._count
-
-    @property
-    def minimum(self) -> float:
-        """Smallest observation.
-
-        Raises:
-            StreamError: before any observation.
-        """
-        self._require()
-        return self._min
-
-    @property
-    def maximum(self) -> float:
-        """Largest observation.
-
-        Raises:
-            StreamError: before any observation.
-        """
-        self._require()
-        return self._max
-
-    @property
-    def mean(self) -> float:
-        """Arithmetic mean.
-
-        Raises:
-            StreamError: before any observation.
-        """
-        self._require()
-        return self._mean
-
-    @property
-    def std(self) -> float:
-        """Population standard deviation (0.0 for a single observation).
-
-        Raises:
-            StreamError: before any observation.
-        """
-        self._require()
-        return math.sqrt(self._m2 / self._count)
-
-    def _require(self) -> None:
-        if self._count == 0:
-            raise StreamError("moments of an empty stream are undefined")
-
-
 class WindowedRates:
     """Tumbling throughput/utilisation windows with bounded aggregates.
 
@@ -306,11 +231,6 @@ class WindowedRates:
     def window_ms(self) -> float:
         """Window length in stream milliseconds."""
         return self._window_ms
-
-    @property
-    def closed_windows(self) -> int:
-        """Number of windows folded so far."""
-        return self._windows
 
     # ------------------------------------------------------------------
     def observe(self, completion_ms: float, busy_ms: float) -> None:
@@ -410,11 +330,6 @@ class StreamAccumulator:
     are inlined on ``__slots__`` fields and the quantile ``add`` bound
     methods are pre-resolved, so a frame costs a single method call plus
     plain local arithmetic.
-
-    Bit-identity: every floating-point operation matches what the
-    standalone :class:`StreamingMoments` / :class:`P2Quantile` /
-    :class:`WindowedRates` sequence performed, in the same order, so
-    fusing never changes a report digest.
 
     Args:
         quantiles: latency quantiles to track (one P² estimator each).

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Tuple
 
 from repro.api.spec import Codec
-from repro.errors import StatsError, StreamError
+from repro.errors import ConfigurationError, StatsError, StreamError
 from repro.journal import payload_digest
 
 if TYPE_CHECKING:
@@ -33,8 +33,8 @@ __all__ = [
 ]
 
 #: Stream rates with a well-defined event/trial count pair, i.e. the
-#: metrics :meth:`StreamReport.rate_interval` (and the stream repeater)
-#: can put a confidence interval on.
+#: metrics :meth:`StreamReport.rate_interval` can put a confidence
+#: interval on and ``repro compare`` tests.
 STREAM_RATE_METRICS = ("deadline_miss", "drop", "unsafe", "fault_sdc")
 
 
@@ -59,6 +59,19 @@ class StreamFaults(Codec):
     detected: int
     sdc: int
     re_executions: int
+
+    def __post_init__(self) -> None:
+        # every drawn fault has one outcome, and every detected one
+        # re-executes its frame: a payload breaking either was edited
+        outcomes = self.masked + self.detected + self.sdc
+        if self.injected != outcomes or self.re_executions != self.detected:
+            raise ConfigurationError(
+                "StreamFaults: injected must equal masked + detected + sdc "
+                "and re_executions must equal detected, got "
+                f"injected={self.injected} masked={self.masked} "
+                f"detected={self.detected} sdc={self.sdc} "
+                f"re_executions={self.re_executions}"
+            )
 
 
 @dataclass(frozen=True)
@@ -230,25 +243,6 @@ class StreamReport(Codec):
             confidence=confidence, method=method,
             resamples=resamples, seed=seed,
         )
-
-    def metric_intervals(self, *, confidence: float = 0.95,
-                         method: str = "auto", resamples: int = 1000,
-                         seed: int = 0) -> Dict[str, "RateEstimate"]:
-        """Intervals on every stream rate that has trials.
-
-        Metrics without trials (``fault_sdc`` on a fault-free stream,
-        ``deadline_miss`` before any completion) are simply absent.
-        """
-        intervals: Dict[str, RateEstimate] = {}
-        for metric in STREAM_RATE_METRICS:
-            _, trials = self.rate_counts(metric)
-            if trials < 1:
-                continue
-            intervals[metric] = self.rate_interval(
-                metric, confidence=confidence, method=method,
-                resamples=resamples, seed=seed,
-            )
-        return intervals
 
     def quantile(self, q: float) -> float:
         """Latency quantile estimate tracked by the stream.

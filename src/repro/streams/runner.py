@@ -33,18 +33,15 @@ across any worker/chunk configuration — proven by
 
 from __future__ import annotations
 
-import dataclasses
 from collections import deque
 from itertools import islice
-from typing import (TYPE_CHECKING, Deque, Dict, Iterable, Iterator, List,
-                    Optional, Tuple)
+from typing import Deque, Dict, Iterable, Iterator, List, Optional, Tuple
 
 # the job layer (and the simulation stack it imports) first: the import
 # order repro.campaigns.runner documents
 from repro.streams.jobs import JobProfile, resolve_jobs
-from repro.api.stats import RepeatSpec
 from repro.api.stream import ArrivalSpec, StreamSpec
-from repro.errors import StatsError, StreamError
+from repro.errors import StreamError
 from repro.exec import map_tasks
 from repro.faults.outcomes import FaultOutcome
 from repro.obs.session import NULL_TELEMETRY, Telemetry
@@ -57,18 +54,13 @@ from repro.streams.arrivals import (
     substream_factory,
 )
 from repro.streams.report import (
-    STREAM_RATE_METRICS,
     StreamFaults,
     StreamReport,
     StreamWindows,
     quantile_key,
 )
 
-if TYPE_CHECKING:
-    from repro.stats.intervals import RateEstimate
-    from repro.stats.repeater import RepeatResult
-
-__all__ = ["repeat_stream", "run_stream", "DEFAULT_CHUNK_FRAMES"]
+__all__ = ["run_stream", "DEFAULT_CHUNK_FRAMES"]
 
 #: Default frame-loop batch size (purely mechanical; see the module
 #: docstring's determinism contract).
@@ -375,144 +367,3 @@ def run_stream(spec: StreamSpec, *, workers: int = 1,
 def _service_table(profiles: List[JobProfile]) -> Dict[str, float]:
     """Per-job service times keyed by workload label."""
     return {profile.label: profile.service_ms for profile in profiles}
-
-
-# ----------------------------------------------------------------------
-# repeat-until-confidence
-# ----------------------------------------------------------------------
-def _repeat_lengths(repeat: RepeatSpec) -> Iterator[int]:
-    """Evaluation-point frame counts: geometric growth to the cap.
-
-    ``batch, 2·batch, 4·batch, …`` clipped to ``max_total`` (which is
-    always the last point).  Geometric growth keeps the total work of
-    re-running the stream at every point within ~2× the final run.
-    """
-    frames = repeat.batch
-    while frames < repeat.max_total:
-        yield frames
-        frames *= 2
-    yield repeat.max_total
-
-
-def repeat_stream(spec: StreamSpec, repeat: RepeatSpec, *,
-                  workers: int = 1,
-                  chunk_frames: int = DEFAULT_CHUNK_FRAMES,
-                  validate: bool = True,
-                  telemetry: Optional[Telemetry] = None) -> RepeatResult:
-    """Extend a stream soak until the CI target on a rate metric is met.
-
-    The stream counterpart of
-    :func:`repro.campaigns.runner.repeat_campaign`: frame counts grow
-    geometrically from ``repeat.batch`` to the ``repeat.max_total``
-    budget cap, re-running the stream at each evaluation point.  Every
-    per-frame draw (arrival, fault decision) is an indexed pure function
-    of ``(seed, frame)``, so an ``n``-frame run is a strict prefix of a
-    ``2n``-frame run — extending the soak never changes frames already
-    streamed, and the evaluation trajectory is a pure function of
-    ``(spec, repeat)``, independent of ``workers`` / ``chunk_frames``.
-
-    The stopping rule is evaluated on the chosen metric's
-    :meth:`~repro.streams.report.StreamReport.rate_interval`; evaluation
-    points where the metric has no trials yet (e.g. ``fault_sdc``
-    before any fault was injected) do not satisfy the target and are
-    absent from the history.
-
-    Args:
-        spec: the declarative stream; its ``frames`` field is ignored in
-            favour of the repeat schedule.
-        repeat: the stopping rule; ``metric`` must be one of
-            :data:`~repro.streams.report.STREAM_RATE_METRICS`.
-        workers: forwarded to :func:`run_stream` (never changes the
-            result).
-        chunk_frames: forwarded to :func:`run_stream` (never changes the
-            result).
-        validate: forward the simulator's trace-validation switch.
-        telemetry: optional :class:`~repro.obs.session.Telemetry`
-            session; each evaluation point runs as its own
-            instrumented stream under a ``batch`` span.
-
-    Returns:
-        A :class:`~repro.stats.repeater.RepeatResult` whose ``report``
-        is the :class:`~repro.streams.report.StreamReport` of the
-        stopping point; ``converged`` is ``False`` when the budget cap
-        was exhausted first.
-
-    Raises:
-        StreamError: on an unknown repeat metric or invalid stream
-            parameters.
-        StatsError: when no evaluation point up to the budget cap yields
-            a well-defined estimate.
-    """
-    if repeat.metric not in STREAM_RATE_METRICS:
-        raise StreamError(
-            f"unknown stream repeat metric {repeat.metric!r}; known: "
-            + ", ".join(STREAM_RATE_METRICS)
-        )
-    from repro.stats.repeater import (
-        STOP_BUDGET,
-        STOP_TARGET,
-        RepeatResult,
-        target_met,
-    )
-
-    tm = telemetry if telemetry is not None else NULL_TELEMETRY
-    tm.emit("run_start", kind="stream-repeat", label=spec.label,
-            spec_hash=spec.config_hash, metric=repeat.metric,
-            budget=repeat.max_total)
-    history: List[RateEstimate] = []
-    report: Optional[StreamReport] = None
-    batches = 0
-    converged = False
-    last_stats_error: Optional[StatsError] = None
-    for frames in _repeat_lengths(repeat):
-        batches += 1
-        with tm.span("batch", frames=frames):
-            report = run_stream(
-                dataclasses.replace(spec, frames=frames),
-                workers=workers, chunk_frames=chunk_frames,
-                validate=validate, telemetry=tm,
-            )
-        try:
-            estimate = report.rate_interval(
-                repeat.metric, confidence=repeat.confidence,
-                method=repeat.interval,
-            )
-        except StatsError as exc:
-            last_stats_error = exc
-            continue
-        history.append(estimate)
-        if target_met(estimate,
-                      relative_half_width=repeat.relative_half_width,
-                      half_width=repeat.half_width):
-            converged = True
-            break
-    if not history or report is None:
-        raise StatsError(
-            f"no evaluation point up to {repeat.max_total} frames yields "
-            f"a well-defined {repeat.metric!r} estimate"
-            + (f": {last_stats_error}" if last_stats_error else "")
-        )
-    estimate = history[-1]
-    error = None
-    if not converged:
-        target = (f"relative half-width <= {repeat.relative_half_width}"
-                  if repeat.relative_half_width is not None
-                  else f"half-width <= {repeat.half_width}")
-        error = (
-            f"budget of {repeat.max_total} frames exhausted with the "
-            f"{repeat.metric!r} interval at {estimate.describe()} — "
-            f"target {target} not met"
-        )
-    tm.emit("run_end", kind="stream-repeat", converged=converged,
-            batches=batches, total=report.frames)
-    return RepeatResult(
-        metric=repeat.metric,
-        converged=converged,
-        stop_reason=STOP_TARGET if converged else STOP_BUDGET,
-        batches=batches,
-        total=report.frames,
-        estimate=estimate,
-        report=report,
-        history=tuple(history),
-        error=error,
-    )

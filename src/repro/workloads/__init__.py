@@ -13,10 +13,10 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     ),
     "repro.workloads.rodinia": (
         "FIG4_BENCHMARKS", "FIG5_BENCHMARKS", "COTSProfile",
-        "RodiniaBenchmark", "all_benchmarks", "get_benchmark",
+        "RodiniaBenchmark", "get_benchmark",
     ),
     "repro.workloads.synthetic": (
         "make_friendly_kernel", "make_heavy_kernel", "make_narrow_kernel",
-        "make_short_kernel", "random_kernel",
+        "make_short_kernel",
     ),
 })

@@ -41,7 +41,6 @@ __all__ = [
     "FIG4_BENCHMARKS",
     "FIG5_BENCHMARKS",
     "get_benchmark",
-    "all_benchmarks",
 ]
 
 
@@ -375,8 +374,3 @@ def get_benchmark(name: str) -> RodiniaBenchmark:
         raise ConfigurationError(
             f"unknown benchmark {name!r}; known: {', '.join(sorted(_SUITE))}"
         ) from None
-
-
-def all_benchmarks() -> Tuple[RodiniaBenchmark, ...]:
-    """Every benchmark in the suite, sorted by name."""
-    return tuple(_SUITE[n] for n in sorted(_SUITE))

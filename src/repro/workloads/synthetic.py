@@ -7,8 +7,7 @@ Rodinia-shaped suite.
 
 from __future__ import annotations
 
-import random
-from typing import List, Optional
+from typing import Optional
 
 from repro.errors import ConfigurationError
 from repro.gpu.config import GPUConfig
@@ -20,7 +19,6 @@ __all__ = [
     "make_heavy_kernel",
     "make_friendly_kernel",
     "make_narrow_kernel",
-    "random_kernel",
 ]
 
 
@@ -106,41 +104,4 @@ def make_narrow_kernel(gpu: GPUConfig, *, name: str = "synthetic/narrow",
     return KernelDescriptor(
         name=name, grid_blocks=grid, threads_per_block=128,
         work_per_block=work,
-    )
-
-
-def random_kernel(rng: random.Random, gpu: GPUConfig, *,
-                  name: str = "synthetic/random") -> KernelDescriptor:
-    """A random valid kernel for property-based testing.
-
-    Guaranteed to fit on the GPU (threads/registers/shared memory within
-    a single SM's budget).
-
-    Raises:
-        ConfigurationError: when ``rng`` is not a :class:`random.Random`
-            instance — in particular when the ``random`` *module* is
-            passed, which would silently fall back to the process-global
-            RNG and break run-to-run reproducibility.
-    """
-    if not isinstance(rng, random.Random):
-        kind = "the random module" if rng is random else type(rng).__name__
-        raise ConfigurationError(
-            f"random_kernel needs an explicit seeded random.Random "
-            f"instance, got {kind} — the process-global RNG is banned "
-            "(repro-lint RL001)"
-        )
-    tpb = rng.choice([32, 64, 128, 192, 256, 384, 512])
-    tpb = min(tpb, gpu.sm.max_threads)
-    max_regs = max(1, gpu.sm.registers // tpb)
-    regs = rng.randint(1, min(64, max_regs))
-    smem = rng.choice([0, 0, 4096, 8192, 16384])
-    smem = min(smem, gpu.sm.shared_memory)
-    return KernelDescriptor(
-        name=name,
-        grid_blocks=rng.randint(1, 64),
-        threads_per_block=tpb,
-        regs_per_thread=regs,
-        shared_mem_per_block=smem,
-        work_per_block=float(rng.randint(50, 20000)),
-        bytes_per_block=float(rng.choice([0, 500, 2000, 8000])),
     )

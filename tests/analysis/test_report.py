@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.report import render_bars, render_grouped_bars, render_table
+from repro.analysis.report import render_grouped_bars, render_table
 from repro.errors import ConfigurationError
 
 
@@ -29,29 +29,6 @@ class TestRenderTable:
     def test_empty_body_renders_headers(self):
         text = render_table(["a", "b"], [])
         assert "a" in text and "b" in text
-
-
-class TestRenderBars:
-    def test_peak_bar_is_longest(self):
-        text = render_bars(["small", "big"], [1.0, 2.0], width=10)
-        small_line, big_line = text.splitlines()
-        assert big_line.count("#") == 10
-        assert small_line.count("#") == 5
-
-    def test_zero_values_render(self):
-        text = render_bars(["a"], [0.0])
-        assert "0.000" in text
-
-    def test_mismatched_lengths_rejected(self):
-        with pytest.raises(ConfigurationError):
-            render_bars(["a"], [1.0, 2.0])
-
-    def test_negative_values_rejected(self):
-        with pytest.raises(ConfigurationError):
-            render_bars(["a"], [-1.0])
-
-    def test_unit_suffix(self):
-        assert "ms" in render_bars(["a"], [1.0], unit="ms")
 
 
 class TestRenderGroupedBars:

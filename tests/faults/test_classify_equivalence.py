@@ -28,12 +28,11 @@ from repro.faults.types import (
 )
 from repro.gpu.config import GPUConfig, SMConfig
 from repro.gpu.kernel import KernelDescriptor
-from repro.gpu.scheduler.registry import available_schedulers
 from repro.gpu.trace import ExecutionTrace
 from repro.redundancy.comparison import build_signature, compare_signatures
 from repro.redundancy.manager import RedundantKernelManager
 
-POLICIES = available_schedulers()  # default, half, srrs, staggered
+POLICIES = ("default", "half", "srrs", "staggered")
 SEEDS = range(8)
 
 

@@ -5,13 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import CapacityError
-from repro.gpu.config import GPUConfig, SMConfig
+from repro.gpu.config import SMConfig
 from repro.gpu.kernel import KernelDescriptor
-from repro.gpu.occupancy import (
-    blocks_per_sm,
-    max_resident_blocks,
-    occupancy_report,
-)
+from repro.gpu.occupancy import blocks_per_sm, occupancy_report
 
 
 def _kd(**overrides) -> KernelDescriptor:
@@ -76,11 +72,6 @@ class TestHelpers:
     def test_blocks_per_sm_matches_report(self):
         kd = _kd(regs_per_thread=64)
         assert blocks_per_sm(kd, SM) == occupancy_report(kd, SM).blocks_per_sm
-
-    def test_max_resident_blocks_scales_with_sms(self):
-        kd = _kd(regs_per_thread=64)
-        gpu = GPUConfig(num_sms=6, sm=SM)
-        assert max_resident_blocks(kd, gpu) == 6 * blocks_per_sm(kd, SM)
 
     def test_at_least_one_block_when_it_fits(self):
         kd = _kd(threads_per_block=1024, regs_per_thread=32)

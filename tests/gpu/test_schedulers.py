@@ -12,7 +12,7 @@ from repro.gpu.scheduler import (
     DefaultScheduler,
     HALFScheduler,
     SRRSScheduler,
-    available_schedulers,
+    StaggeredScheduler,
     make_scheduler,
     register_scheduler,
 )
@@ -35,14 +35,13 @@ def _pair(kd):
 
 
 class TestRegistry:
-    def test_paper_policies_available(self):
-        for name in PAPER_POLICIES:
-            assert name in available_schedulers()
-
-    def test_make_scheduler_by_name(self):
-        assert isinstance(make_scheduler("default"), DefaultScheduler)
-        assert isinstance(make_scheduler("srrs"), SRRSScheduler)
-        assert isinstance(make_scheduler("half"), HALFScheduler)
+    def test_every_policy_builds_by_name(self):
+        built = {name: type(make_scheduler(name))
+                 for name in ("default", "half", "srrs", "staggered")}
+        assert built == {"default": DefaultScheduler, "half": HALFScheduler,
+                         "srrs": SRRSScheduler,
+                         "staggered": StaggeredScheduler}
+        assert set(PAPER_POLICIES) < set(built)
 
     def test_make_scheduler_forwards_kwargs(self):
         sched = make_scheduler("half", partitions=3)

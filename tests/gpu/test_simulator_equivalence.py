@@ -25,10 +25,10 @@ from repro.gpu.config import GPUConfig, SMConfig
 from repro.gpu.kernel import KernelDescriptor, KernelLaunch, dependent_chain
 from repro.gpu.reference import ReferenceSimulator
 from repro.gpu.scheduler import DefaultScheduler
-from repro.gpu.scheduler.registry import available_schedulers, make_scheduler
+from repro.gpu.scheduler.registry import make_scheduler
 from repro.gpu.simulator import GPUSimulator
 
-POLICIES = available_schedulers()  # default, half, srrs, staggered
+POLICIES = ("default", "half", "srrs", "staggered")
 SEEDS = range(30)  # 30 seeds x 4 policies = 120 differential runs
 
 _WORK_CHOICES = (0.0, 0.3, 37.5, 123.0, 400.0, 1500.0, 5000.0)

@@ -8,7 +8,6 @@ from repro.errors import SafetyViolation
 from repro.iso26262.asil import Asil
 from repro.iso26262.decomposition import (
     FIGURE1_EXAMPLES,
-    DecompositionNode,
     check_decomposition,
     valid_decompositions,
 )
@@ -74,51 +73,3 @@ class TestCheckDecomposition:
         with pytest.raises(SafetyViolation):
             check_decomposition(Asil.D, [Asil.B, Asil.A, Asil.A],
                                 independent=True)
-
-
-class TestDecompositionNode:
-    def _gpu_tree(self, independent=True) -> DecompositionNode:
-        root = DecompositionNode("object-detection", Asil.D)
-        root.decompose(
-            DecompositionNode("gpu-kernel-copy-0", Asil.B),
-            DecompositionNode("gpu-kernel-copy-1", Asil.B),
-            independent=independent,
-        )
-        return root
-
-    def test_valid_tree_passes(self):
-        self._gpu_tree().validate()
-
-    def test_dependent_children_fail(self):
-        with pytest.raises(SafetyViolation):
-            self._gpu_tree(independent=False).validate()
-
-    def test_nested_tree(self):
-        root = DecompositionNode("item", Asil.D)
-        left = DecompositionNode("subsystem", Asil.B)
-        right = DecompositionNode("subsystem'", Asil.B)
-        root.decompose(left, right)
-        left.decompose(
-            DecompositionNode("a", Asil.A), DecompositionNode("a'", Asil.A)
-        )
-        root.validate()
-        assert len(root.leaves()) == 3
-
-    def test_invalid_nested_split_detected(self):
-        root = DecompositionNode("item", Asil.D)
-        left = DecompositionNode("weak", Asil.A)
-        right = DecompositionNode("weak'", Asil.A)
-        root.decompose(left, right)
-        with pytest.raises(SafetyViolation):
-            root.validate()
-
-    def test_render_contains_names_and_levels(self):
-        text = self._gpu_tree().render()
-        assert "object-detection" in text
-        assert "[D]" in text
-        assert "[B]" in text
-
-    def test_leaf_is_its_own_leaf(self):
-        leaf = DecompositionNode("x", Asil.A)
-        assert leaf.leaves() == [leaf]
-        leaf.validate()

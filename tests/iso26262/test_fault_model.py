@@ -1,39 +1,11 @@
-"""Tests for the fault taxonomy and FTTI timeline."""
+"""Tests for the FTTI and the fault-handling timeline."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.errors import ConfigurationError, SafetyViolation
-from repro.iso26262.fault_model import (
-    AGING_DEFECT,
-    CLOCK_GLITCH,
-    SEU,
-    STUCK_AT,
-    VOLTAGE_DROOP,
-    FaultClass,
-    FaultHandlingTimeline,
-    FaultPersistence,
-    FaultScope,
-    Ftti,
-)
-
-
-class TestFaultClasses:
-    def test_canonical_ccf_classification(self):
-        assert VOLTAGE_DROOP.is_ccf
-        assert CLOCK_GLITCH.is_ccf
-        assert AGING_DEFECT.is_ccf
-        assert not SEU.is_ccf
-        assert not STUCK_AT.is_ccf
-
-    def test_persistence_labels(self):
-        assert VOLTAGE_DROOP.persistence is FaultPersistence.TRANSIENT
-        assert STUCK_AT.persistence is FaultPersistence.PERMANENT
-
-    def test_unnamed_class_rejected(self):
-        with pytest.raises(ConfigurationError):
-            FaultClass("", FaultPersistence.TRANSIENT, FaultScope.LOCAL)
+from repro.iso26262.fault_model import FaultHandlingTimeline, Ftti
 
 
 class TestFtti:

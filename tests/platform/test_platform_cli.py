@@ -6,10 +6,7 @@ import json
 
 import pytest
 
-from repro.analysis.platform import (
-    device_count_sweep,
-    placement_policy_sweep,
-)
+from repro.analysis.platform import device_count_sweep
 from repro.api import StreamSpec
 from repro.api.platform import DeviceSpec, PlacementSpec, PlatformSpec
 from repro.cli import main
@@ -113,16 +110,6 @@ class TestPlatformReportCommand:
 
 
 class TestAnalysisSweeps:
-    def test_placement_policy_sweep_rows(self):
-        rows = placement_policy_sweep(_spec())
-        assert [row.policy for row in rows] == [
-            "first_fit", "worst_fit", "balanced"
-        ]
-        first_fit, worst_fit, _ = rows
-        # first_fit piles onto gpu0; worst_fit spreads
-        assert first_fit.spread >= worst_fit.spread
-        assert all(row.max_utilisation > 0 for row in rows)
-
     def test_device_count_sweep_rows(self):
         tasks = (StreamSpec.for_task("camera-perception", frames=100),
                  StreamSpec.for_task("radar-cfar", frames=100))

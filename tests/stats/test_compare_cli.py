@@ -164,6 +164,9 @@ TAMPERED = {
                           "CampaignReport.detection_coverage must be 0.908"),
     "campaign-weighted-rates": ("stratified", {"weighted_rates.sdc": 0.0},
                                 "CampaignReport.weighted_rates must be"),
+    "campaign-v1-weighted-rates": ("campaign", {"weighted_rates": None},
+                                   "CampaignReport.weighted_rates is written "
+                                   "only with a sampling design"),
     "campaign-sampling": ("stratified",
                           {"sampling.nominal": {"ccf": 0, "perm": 0,
                                                 "seu": 0}},
@@ -173,8 +176,14 @@ TAMPERED = {
                              "CampaignReport.sdc_samples must be a list"),
     "stream-dropped": ("stream", {"dropped": 50},
                        "StreamReport.drop_rate must be 0.25"),
-    "stream-faults-sdc": ("stream", {"faults.sdc": 5},
+    # 5 more faults drawn, all silent: the overlay counters still add up
+    "stream-faults-sdc": ("stream", {"faults.sdc": 5, "faults.injected": 19},
                           "StreamReport.safe_rate must be 0.975"),
+    # 5 silent corruptions no fault was drawn for, safe_rate to match
+    "stream-faults-unrelated": ("stream", {"faults.sdc": 5,
+                                           "safe_rate": 0.975},
+                                "StreamReport.faults: StreamFaults: injected "
+                                "must equal masked + detected + sdc"),
 }
 
 

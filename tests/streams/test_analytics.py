@@ -9,7 +9,11 @@ import statistics
 import pytest
 
 from repro.errors import StreamError
-from repro.streams.analytics import P2Quantile, StreamingMoments, WindowedRates
+from repro.streams.analytics import (
+    P2Quantile,
+    StreamAccumulator,
+    WindowedRates,
+)
 
 
 class TestP2Quantile:
@@ -62,31 +66,37 @@ class TestP2Quantile:
         assert est.value == 5.0
 
 
-class TestStreamingMoments:
-    def test_empty_moments_rejected(self):
-        m = StreamingMoments()
-        assert m.count == 0
-        for attr in ("minimum", "maximum", "mean", "std"):
-            with pytest.raises(StreamError):
-                getattr(m, attr)
+class TestStreamAccumulatorMoments:
+    """The fused Welford folds of latency and wait against batch statistics."""
+
+    def test_empty_moments(self):
+        acc = StreamAccumulator((0.5,), 100.0)
+        assert acc.latency_summary() == {"count": 0.0}
+        assert acc.wait_summary() == {"count": 0.0}
 
     def test_matches_batch_statistics(self):
         rng = random.Random(3)
-        values = [rng.uniform(-5, 5) for _ in range(10_000)]
-        m = StreamingMoments()
-        for v in values:
-            m.add(v)
-        assert m.count == len(values)
-        assert m.minimum == min(values)
-        assert m.maximum == max(values)
-        assert m.mean == pytest.approx(statistics.fmean(values))
-        assert m.std == pytest.approx(statistics.pstdev(values), rel=1e-9)
+        latencies = [rng.uniform(-5, 5) for _ in range(10_000)]
+        waits = [rng.uniform(0, 2) for _ in range(10_000)]
+        acc = StreamAccumulator((0.5,), 100.0)
+        for i, (latency, wait) in enumerate(zip(latencies, waits)):
+            acc.observe(latency, wait, completion_ms=float(i), busy_ms=1.0)
+        for summary, values in ((acc.latency_summary(), latencies),
+                                (acc.wait_summary(), waits)):
+            assert summary["count"] == len(values)
+            assert summary["min"] == min(values)
+            assert summary["max"] == max(values)
+            assert summary["mean"] == pytest.approx(statistics.fmean(values))
+            assert summary["std"] == pytest.approx(statistics.pstdev(values),
+                                                   rel=1e-9)
 
     def test_single_observation(self):
-        m = StreamingMoments()
-        m.add(3.5)
-        assert m.minimum == m.maximum == m.mean == 3.5
-        assert m.std == 0.0
+        acc = StreamAccumulator((0.5,), 100.0)
+        acc.observe(3.5, 1.25, completion_ms=3.5, busy_ms=2.25)
+        assert acc.latency_summary() == {"count": 1.0, "min": 3.5,
+                                         "max": 3.5, "mean": 3.5, "std": 0.0}
+        assert acc.wait_summary() == {"count": 1.0, "min": 1.25,
+                                      "max": 1.25, "mean": 1.25, "std": 0.0}
 
 
 class TestWindowedRates:

@@ -1,4 +1,5 @@
-"""Tests for StreamReport serialisation (repro.streams.report)."""
+"""Tests for StreamReport serialisation and rate intervals
+(repro.streams.report)."""
 
 from __future__ import annotations
 
@@ -6,8 +7,9 @@ import json
 
 import pytest
 
-from repro.errors import StreamError
+from repro.errors import StatsError, StreamError
 from repro.streams.report import (
+    STREAM_RATE_METRICS,
     StreamFaults,
     StreamReport,
     StreamWindows,
@@ -93,7 +95,15 @@ class TestSerialisation:
             StreamReport.from_dict(payload)
         assert "faults" in str(excinfo.value)
 
-    @pytest.mark.parametrize("faults", [None, {}, {"injected": 1}, "x"])
+    @pytest.mark.parametrize("faults", [
+        None, {}, {"injected": 1}, "x",
+        # counters that do not add up: a fault with two outcomes, and a
+        # detected fault whose frame was not re-executed
+        {"injected": 3, "masked": 2, "detected": 2, "sdc": 0,
+         "re_executions": 2},
+        {"injected": 3, "masked": 1, "detected": 2, "sdc": 0,
+         "re_executions": 1},
+    ])
     def test_from_dict_rejects_malformed_faults_payload(self, faults):
         # a truncated or hand-edited report must fail with StreamError,
         # not a raw KeyError/TypeError (the CLI only catches ReproError)
@@ -114,3 +124,31 @@ class TestSerialisation:
                 yield len(node)
 
         assert max(sizes(payload)) < 50
+
+
+class TestRateIntervals:
+    def test_every_catalogue_metric_has_an_interval(self):
+        report = _report()
+        for metric in STREAM_RATE_METRICS:
+            est = report.rate_interval(metric)
+            assert est.metric == metric
+            assert est.low <= est.rate <= est.high
+
+    def test_zero_trials_is_a_stats_error(self):
+        report = _report(faults=StreamFaults(injected=0, masked=0,
+                                             detected=0, sdc=0,
+                                             re_executions=0))
+        with pytest.raises(StatsError):
+            report.rate_interval("fault_sdc")
+
+    def test_unknown_metric_is_a_stream_error(self):
+        with pytest.raises(StreamError, match="unknown"):
+            _report().rate_interval("throughput")
+
+    def test_interval_is_a_pure_function_of_the_report(self):
+        report = _report()
+        digest = report.digest()
+        a = report.rate_interval("fault_sdc").to_dict()
+        b = report.rate_interval("fault_sdc").to_dict()
+        assert a == b
+        assert report.digest() == digest

@@ -146,6 +146,10 @@ CAMPAIGN_MISTYPED = {
                              "CampaignReport.sdc_samples must be a list"),
     "campaign-no-by-kind": (lambda payload: payload.pop("by_kind"),
                             "CampaignReport requires a by_kind"),
+    # the key to_dict drops again for a report without a sampling design
+    "campaign-v1-weighted-rates": (_set("weighted_rates", None),
+                                   "CampaignReport.weighted_rates is written "
+                                   "only with a sampling design"),
 }
 
 

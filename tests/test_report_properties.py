@@ -62,6 +62,14 @@ def _all_numbers(cls) -> st.SearchStrategy:
 _TABLE = st.dictionaries(_TEXT, _number(0.0, 1e4), max_size=4)
 
 
+#: Consistent overlay counters: each fault has one outcome, and each
+#: detected fault re-executes its frame.
+_STREAM_FAULTS = st.tuples(_COUNT, _COUNT, _COUNT).map(
+    lambda counts: StreamFaults(injected=sum(counts), masked=counts[0],
+                                detected=counts[1], sdc=counts[2],
+                                re_executions=counts[1]))
+
+
 @st.composite
 def stream_reports(draw) -> StreamReport:
     frames = draw(_COUNT)
@@ -76,9 +84,7 @@ def stream_reports(draw) -> StreamReport:
         dropped=frames - completed,
         deadline_ms=draw(_number(0.1, 1e3)),
         deadline_misses=draw(st.integers(0, completed)),
-        faults=draw(st.builds(StreamFaults, injected=_COUNT, masked=_COUNT,
-                              detected=_COUNT, sdc=_COUNT,
-                              re_executions=_COUNT)),
+        faults=draw(_STREAM_FAULTS),
         windows=draw(_all_numbers(StreamWindows)),
         latency_ms=draw(_TABLE),
         wait_ms=draw(_TABLE),

@@ -2,13 +2,10 @@
 
 from __future__ import annotations
 
-import random
-
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.gpu.config import GPUConfig
-from repro.gpu.occupancy import occupancy_report
 from repro.workloads.classify import (
     KernelCategory,
     classify_kernel,
@@ -20,7 +17,6 @@ from repro.workloads.synthetic import (
     make_heavy_kernel,
     make_narrow_kernel,
     make_short_kernel,
-    random_kernel,
 )
 
 
@@ -83,16 +79,3 @@ class TestRodiniaCategories:
         bench = get_benchmark(name)
         report = classify_kernel(bench.kernels[0], gpu)
         assert report.category is KernelCategory.FRIENDLY
-
-
-class TestRandomKernels:
-    def test_random_kernels_always_fit(self, gpu):
-        rng = random.Random(1234)
-        for _ in range(100):
-            kernel = random_kernel(rng, gpu)
-            occupancy_report(kernel, gpu.sm)  # must not raise
-
-    def test_random_kernels_reproducible(self, gpu):
-        a = random_kernel(random.Random(7), gpu)
-        b = random_kernel(random.Random(7), gpu)
-        assert a == b
