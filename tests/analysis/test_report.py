@@ -44,3 +44,19 @@ class TestRenderGroupedBars:
     def test_series_length_checked(self):
         with pytest.raises(ConfigurationError):
             render_grouped_bars(["a"], {"s": [1.0, 2.0]})
+
+    def test_peak_bar_spans_the_width(self):
+        text = render_grouped_bars(["a"], {"small": [1.0], "big": [2.0]},
+                                   width=10)
+        _label, small_line, big_line = text.splitlines()
+        assert big_line.count("#") == 10
+        assert small_line.count("#") == 5
+
+    def test_all_zero_series_render_without_bars(self):
+        text = render_grouped_bars(["a", "b"], {"s": [0.0, 0.0]})
+        assert text.count("0.000") == 2
+        assert "#" not in text
+
+    def test_title_is_the_first_line(self):
+        text = render_grouped_bars(["a"], {"s": [1.0]}, title="Fig. 4")
+        assert text.splitlines()[0] == "Fig. 4"

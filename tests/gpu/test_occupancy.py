@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from repro.errors import CapacityError
-from repro.gpu.config import SMConfig
-from repro.gpu.kernel import KernelDescriptor
+from repro.gpu.config import GPUConfig, SMConfig
+from repro.gpu.kernel import KernelDescriptor, KernelLaunch
 from repro.gpu.occupancy import blocks_per_sm, occupancy_report
+from repro.gpu.scheduler.default import DefaultScheduler
+from repro.gpu.simulator import simulate
 
 
 def _kd(**overrides) -> KernelDescriptor:
@@ -72,6 +76,19 @@ class TestHelpers:
     def test_blocks_per_sm_matches_report(self):
         kd = _kd(regs_per_thread=64)
         assert blocks_per_sm(kd, SM) == occupancy_report(kd, SM).blocks_per_sm
+
+    @pytest.mark.parametrize("num_sms", [1, 3, 6])
+    def test_resident_blocks_scale_with_sms(self, num_sms):
+        # a grid larger than the GPU holds: the first wave fills every
+        # SM up to its occupancy and not one block further
+        kd = _kd(regs_per_thread=64, grid_blocks=40)
+        sim = simulate(GPUConfig(num_sms=num_sms, sm=SM), DefaultScheduler(),
+                       [KernelLaunch(kernel=kd, instance_id=0, copy_id=0)])
+        cols = sim.trace.columns
+        first = min(cols.start)
+        per_sm = Counter(sm for sm, start in zip(cols.sm, cols.start)
+                         if start == first)
+        assert per_sm == {sm: blocks_per_sm(kd, SM) for sm in range(num_sms)}
 
     def test_at_least_one_block_when_it_fits(self):
         kd = _kd(threads_per_block=1024, regs_per_thread=32)

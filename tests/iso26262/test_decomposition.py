@@ -36,6 +36,16 @@ class TestValidDecompositions:
                 else:
                     assert hi.rank + lo.rank == target.rank
 
+    @pytest.mark.parametrize("target, splits", [
+        (Asil.A, ["A = A(A) + QM(A)"]),
+        (Asil.B, ["B = B(B) + QM(B)", "B = A(B) + A(B)"]),
+        (Asil.C, ["C = C(C) + QM(C)", "C = B(C) + A(C)"]),
+        (Asil.D, ["D = D(D) + QM(D)", "D = C(D) + A(D)", "D = B(D) + B(D)"]),
+    ], ids=["A", "B", "C", "D"])
+    def test_sanctioned_splits_of_each_level(self, target, splits):
+        # the complete ISO 26262-9 table, in the order it is enumerated
+        assert [r.describe() for r in valid_decompositions(target)] == splits
+
     def test_describe_format(self):
         rule = check_decomposition(Asil.D, [Asil.B, Asil.B], independent=True)
         assert rule.describe() == "D = B(D) + B(D)"
@@ -49,6 +59,19 @@ class TestCheckDecomposition:
         assert len(FIGURE1_EXAMPLES) == 3
         names = [name for name, _rule in FIGURE1_EXAMPLES]
         assert any("DCLS" in n for n in names)
+
+    def test_figure1_rules(self):
+        assert [rule.describe() for _name, rule in FIGURE1_EXAMPLES] == [
+            "C = B(C) + A(C)", "D = B(D) + B(D)", "D = D(D) + QM(D)",
+        ]
+
+    def test_a_decomposed_part_decomposes_again(self):
+        # D = B(D) + B(D), and each B part may split once more into
+        # A + A; an A part has no split left but the QM one
+        check_decomposition(Asil.D, [Asil.B, Asil.B], independent=True)
+        check_decomposition(Asil.B, [Asil.A, Asil.A], independent=True)
+        with pytest.raises(SafetyViolation):
+            check_decomposition(Asil.A, [Asil.QM, Asil.QM], independent=True)
 
     def test_order_insensitive(self):
         rule_ab = check_decomposition(Asil.C, [Asil.A, Asil.B], independent=True)

@@ -98,6 +98,23 @@ class TestPolicies:
         plan = plan_placement(_platform(2, placement=placement))
         assert plan.device_of("camera-perception") == "gpu1"
 
+    @pytest.mark.parametrize("policy", ["first_fit", "worst_fit",
+                                        "balanced"])
+    def test_every_task_placed_once_with_its_demand(self, policy):
+        plan = plan_placement(_platform(3, policy=policy))
+        assert [label for label, _ in plan.assignments] == sorted(
+            t.label for t in _TASKS)
+        assert sum(plan.device_utilisation.values()) == pytest.approx(
+            sum(d.utilisation for d in plan.demands.values()))
+
+    def test_first_fit_peaks_above_worst_fit(self):
+        peaks = {
+            policy: max(plan_placement(_platform(
+                3, policy=policy)).device_utilisation.values())
+            for policy in ("first_fit", "worst_fit")
+        }
+        assert peaks["first_fit"] > peaks["worst_fit"] > 0
+
     def test_plan_is_deterministic_and_order_independent(self):
         a = plan_placement(_platform(3))
         b = plan_placement(_platform(3, tasks=tuple(reversed(_TASKS))))

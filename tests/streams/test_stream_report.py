@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from repro.errors import StatsError, StreamError
+from repro.errors import ConfigurationError, StatsError, StreamError
 from repro.streams.report import (
     STREAM_RATE_METRICS,
     StreamFaults,
@@ -66,6 +66,34 @@ class TestDerived:
         text = _report().summary()
         assert "frames=10" in text and "dropped=2" in text
         assert "p99=" in text
+
+
+class TestStreamFaults:
+    @pytest.mark.parametrize("counters", [
+        dict(injected=0, masked=0, detected=0, sdc=0, re_executions=0),
+        dict(injected=4, masked=1, detected=2, sdc=1, re_executions=2),
+    ], ids=["no-overlay", "every-outcome"])
+    def test_consistent_counters_round_trip(self, counters):
+        assert StreamFaults(**counters).to_dict() == counters
+
+    @pytest.mark.parametrize("counters", [
+        dict(injected=3, masked=2, detected=2, sdc=0, re_executions=2),
+        dict(injected=4, masked=1, detected=2, sdc=0, re_executions=2),
+        dict(injected=3, masked=1, detected=2, sdc=0, re_executions=1),
+    ], ids=["outcomes-exceed-injected", "injected-exceeds-outcomes",
+            "detected-not-re-executed"])
+    def test_counters_that_do_not_add_up_are_rejected(self, counters):
+        with pytest.raises(ConfigurationError):
+            StreamFaults(**counters)
+
+    def test_error_names_every_counter(self):
+        with pytest.raises(ConfigurationError) as excinfo:
+            StreamFaults(injected=9, masked=1, detected=2, sdc=3,
+                         re_executions=4)
+        message = str(excinfo.value)
+        for part in ("injected=9", "masked=1", "detected=2", "sdc=3",
+                     "re_executions=4"):
+            assert part in message
 
 
 class TestSerialisation:
@@ -152,3 +180,38 @@ class TestRateIntervals:
         b = report.rate_interval("fault_sdc").to_dict()
         assert a == b
         assert report.digest() == digest
+
+    def test_fault_rate_absent_without_injections(self):
+        report = _report(faults=StreamFaults(injected=0, masked=0,
+                                             detected=0, sdc=0,
+                                             re_executions=0))
+        with pytest.raises(StatsError):
+            report.rate_interval("fault_sdc")
+        for metric in ("deadline_miss", "drop", "unsafe"):
+            assert report.rate_interval(metric).metric == metric
+
+
+class TestRateCounts:
+    @pytest.mark.parametrize("metric, rate", [
+        ("deadline_miss", lambda r: r.miss_rate),
+        ("drop", lambda r: r.drop_rate),
+        ("unsafe", lambda r: 1.0 - r.safe_rate),
+        ("fault_sdc", lambda r: r.faults.sdc / r.faults.injected),
+    ], ids=["deadline_miss", "drop", "unsafe", "fault_sdc"])
+    def test_counts_match_the_derived_rate(self, metric, rate):
+        report = _report(faults=StreamFaults(injected=4, masked=1,
+                                             detected=2, sdc=1,
+                                             re_executions=2))
+        events, trials = report.rate_counts(metric)
+        assert events / trials == pytest.approx(rate(report))
+        assert report.rate_interval(metric).rate == pytest.approx(
+            rate(report))
+
+    def test_unsafe_events_never_exceed_the_frames(self):
+        # 2 drops + 8 misses + 3 silent corruptions on 10 frames
+        report = _report(deadline_misses=8,
+                         faults=StreamFaults(injected=3, masked=0,
+                                             detected=0, sdc=3,
+                                             re_executions=0))
+        assert report.rate_counts("unsafe") == (10, 10)
+        assert report.safe_rate == 0.0

@@ -18,7 +18,9 @@ from __future__ import annotations
 import ast
 from collections import Counter
 from pathlib import Path
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "repro"
@@ -32,10 +34,14 @@ ALLOWLIST: Dict[str, str] = {
 }
 
 
-def _sources() -> Iterator[Tuple[Path, ast.Module]]:
+def _sources() -> Iterator[Tuple[Optional[str], ast.Module]]:
+    """``(module, tree)`` of every root file; ``module`` is the path
+    relative to ``src/repro``, or ``None`` outside the package."""
     for root in ROOTS:
         for path in sorted(root.rglob("*.py")):
-            yield path, ast.parse(path.read_text(encoding="utf-8"))
+            module = (path.relative_to(PACKAGE).as_posix()
+                      if PACKAGE in path.parents else None)
+            yield module, ast.parse(path.read_text(encoding="utf-8"))
 
 
 def _used_names(node: ast.AST) -> Counter:
@@ -69,14 +75,18 @@ def _public_definitions(tree: ast.Module) -> Iterator[Tuple[str, ast.AST]]:
                 yield name, node
 
 
-def unreached() -> List[str]:
-    """``module::name`` of every public definition nothing else names."""
+def unreached(
+    sources: Optional[Iterable[Tuple[Optional[str], ast.Module]]] = None,
+) -> List[str]:
+    """``module::name`` of every public definition nothing else names.
+
+    ``sources`` defaults to the parsed roots (:func:`_sources`).
+    """
     used: Counter = Counter()
     definitions = []
-    for path, tree in _sources():
+    for module, tree in _sources() if sources is None else sources:
         used.update(_used_names(tree))
-        if PACKAGE in path.parents:
-            module = path.relative_to(PACKAGE).as_posix()
+        if module is not None:
             definitions.extend(
                 (f"{module}::{name}", name, node)
                 for name, node in _public_definitions(tree)
@@ -102,3 +112,53 @@ def test_the_allowlist_is_not_stale() -> None:
         "allowlist entries that are now reached or no longer exist: "
         f"{stale}"
     )
+
+
+def _unreached_in(files: Dict[Optional[str], str]) -> List[str]:
+    """Apply the rule to in-memory files, keyed like :func:`_sources`:
+    a package module path, or ``None`` for a file of another root."""
+    return unreached((module, ast.parse(text))
+                     for module, text in files.items())
+
+
+HELPER = "def helper():\n    pass\n"
+
+
+def test_a_name_nothing_uses_is_flagged() -> None:
+    assert _unreached_in({"a.py": HELPER}) == ["a.py::helper"]
+
+
+@pytest.mark.parametrize("use", [
+    "from repro.a import helper\n",
+    "import repro.a.helper\n",
+    "import repro.a as a\na.helper()\n",
+    "def run():\n    return helper\n",
+], ids=["import-alias", "dotted-import", "attribute", "name"])
+def test_a_use_outside_the_definition_reaches(use: str) -> None:
+    assert _unreached_in({"a.py": HELPER, None: use}) == []
+
+
+def test_string_tables_do_not_reach() -> None:
+    assert _unreached_in({
+        "a.py": HELPER,
+        "__init__.py": ("__all__ = ['helper']\n"
+                        "_LAZY = {'helper': 'repro.a'}\n"),
+    }) == ["a.py::helper"]
+
+
+def test_a_self_reference_does_not_reach() -> None:
+    assert _unreached_in({
+        "a.py": "def helper(n):\n    return helper(n - 1) if n else 0\n",
+    }) == ["a.py::helper"]
+
+
+def test_a_store_does_not_reach() -> None:
+    assert _unreached_in({"a.py": "LIMIT = 3\n",
+                          None: "LIMIT = 4\n"}) == ["a.py::LIMIT"]
+
+
+def test_constants_and_classes_are_checked_private_names_are_not() -> None:
+    assert _unreached_in({"a.py": ("RATE: float = 0.5\n"
+                                   "class Probe:\n    pass\n"
+                                   "def _internal():\n    pass\n")}) == [
+        "a.py::Probe", "a.py::RATE"]
