@@ -9,7 +9,7 @@ sweep proves bit-stability of the whole surface.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 from repro.api.platform import DeviceSpec, PlacementSpec, PlatformSpec
 from repro.api.stream import StreamSpec

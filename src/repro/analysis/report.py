@@ -8,7 +8,7 @@ diffed across runs.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, Sequence
 
 from repro.errors import ConfigurationError
 
@@ -69,13 +69,18 @@ def render_grouped_bars(labels: Sequence[str],
     x-axis, one bar per policy/variant.
 
     Raises:
-        ConfigurationError: when a series' length differs from the labels.
+        ConfigurationError: when a series' length differs from the labels,
+            or a value is negative.
     """
     for name, values in series.items():
         if len(values) != len(labels):
             raise ConfigurationError(
                 f"series {name!r} has {len(values)} values for "
                 f"{len(labels)} labels"
+            )
+        if any(v < 0 for v in values):
+            raise ConfigurationError(
+                f"series {name!r}: bar values cannot be negative"
             )
     peak = max((v for vs in series.values() for v in vs), default=0.0)
     name_w = max((len(n) for n in series), default=0)

@@ -17,7 +17,7 @@ per-kernel classification), never fabricated.
 """
 
 from dataclasses import dataclass, fields
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.api.spec import Codec, RunSpec
 from repro.redundancy.diversity import DiversityReport
@@ -53,13 +53,6 @@ class TimingSummary(Codec):
     events: int
     total_kernel_cycles: float
     baseline_makespan: Optional[float] = None
-
-    @property
-    def redundancy_overhead(self) -> Optional[float]:
-        """``makespan / baseline_makespan`` when a baseline was recorded."""
-        if self.baseline_makespan is None or self.baseline_makespan == 0:
-            return None
-        return self.makespan / self.baseline_makespan
 
 
 @dataclass(frozen=True)
@@ -131,10 +124,6 @@ class FaultSummary(Codec):
     sdc: int
     detection_coverage: float
     by_kind: Tuple[Tuple[str, Tuple[Tuple[str, int], ...]], ...] = ()
-
-    def by_kind_dict(self) -> Dict[str, Dict[str, int]]:
-        """``fault-kind -> outcome -> count`` as nested dicts."""
-        return {kind: dict(outcomes) for kind, outcomes in self.by_kind}
 
 
 # ----------------------------------------------------------------------

@@ -83,11 +83,6 @@ class ArrivalSpec(Codec):
                 "must stay non-decreasing)"
             )
 
-    @property
-    def rate_hz(self) -> float:
-        """Mean arrival rate in frames per second."""
-        return 1000.0 / self.period_ms
-
 
 @dataclass(frozen=True)
 class StreamFaultSpec(Codec):

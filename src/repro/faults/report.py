@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Mapping, Optional, 
 
 from repro.api.spec import Codec
 from repro.api.stats import SAMPLING_METHODS
-from repro.errors import ConfigurationError, FaultInjectionError, SafetyViolation, StatsError
+from repro.errors import ConfigurationError, FaultInjectionError, StatsError
 from repro.faults.outcomes import OUTCOME_KEYS, OUTCOMES_BY_KEY, FaultOutcome
 from repro.journal import payload_digest
 
@@ -397,20 +397,6 @@ class CampaignReport(Codec):
             confidence=confidence, method=method,
             resamples=resamples, seed=seed,
         )
-
-    def assert_no_sdc(self) -> None:
-        """Raise when any injection escaped detection.
-
-        Raises:
-            SafetyViolation: naming up to :data:`SDC_SAMPLE_LIMIT`
-                offending injections (:attr:`sdc_samples`).
-        """
-        if self.sdc:
-            sample = "; ".join(self.sdc_samples)
-            raise SafetyViolation(
-                f"{self.policy}: {self.sdc} silent corruption(s) "
-                f"escaped the DCLS comparison, e.g. {sample}"
-            )
 
     def _require_injections(self, what: str) -> None:
         """Guard derived statistics against an empty report.

@@ -35,7 +35,6 @@ from repro.gpu.kernel import KernelLaunch
 from repro.gpu.scheduler.base import KernelScheduler, SchedulerView
 from repro.gpu.simulator import GPUSimulator
 from repro.gpu.trace import ExecutionTrace
-from repro.redundancy.diversity import analyze_diversity
 from repro.redundancy.manager import RedundantRunResult
 
 __all__ = [

@@ -21,7 +21,7 @@ converts cycles to wall-clock time for end-to-end (COTS) modelling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError
 
@@ -148,14 +148,6 @@ class GPUConfig:
     def cycles_to_ms(self, cycles: float) -> float:
         """Convert core cycles to milliseconds at :attr:`clock_mhz`."""
         return cycles / (self.clock_mhz * 1e3)
-
-    def ms_to_cycles(self, ms: float) -> float:
-        """Convert milliseconds to core cycles at :attr:`clock_mhz`."""
-        return ms * self.clock_mhz * 1e3
-
-    def with_sms(self, num_sms: int) -> "GPUConfig":
-        """Return a copy of this configuration with a different SM count."""
-        return replace(self, num_sms=num_sms, name=f"{self.name}-{num_sms}sm")
 
     @property
     def sm_ids(self) -> range:

@@ -183,11 +183,6 @@ class EndToEndBreakdown:
             + self.kernel_ms + self.d2h_ms + self.compare_ms + self.sync_ms
         )
 
-    @property
-    def gpu_protocol_ms(self) -> float:
-        """Time attributable to the GPU offload protocol."""
-        return self.total_ms - self.cpu_ms
-
 
 def cots_end_to_end(benchmark: RodiniaBenchmark,
                     device: Optional[COTSDevice] = None, *,

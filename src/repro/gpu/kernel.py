@@ -16,7 +16,7 @@ derive output signatures.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
@@ -75,11 +75,6 @@ class KernelDescriptor:
 
     # ------------------------------------------------------------------
     @property
-    def total_threads(self) -> int:
-        """Total threads across the grid."""
-        return self.grid_blocks * self.threads_per_block
-
-    @property
     def total_work(self) -> float:
         """Aggregate compute work units of the whole grid."""
         return self.grid_blocks * self.work_per_block
@@ -89,24 +84,6 @@ class KernelDescriptor:
         """Aggregate DRAM traffic of the whole grid."""
         return self.grid_blocks * self.bytes_per_block
 
-    def scaled(self, factor: float, name: Optional[str] = None) -> "KernelDescriptor":
-        """Return a copy with per-block work/traffic scaled by ``factor``.
-
-        Useful for parameter sweeps (E9) and synthetic workload generation.
-        """
-        if factor <= 0:
-            raise ConfigurationError("scale factor must be positive")
-        return replace(
-            self,
-            name=name or self.name,
-            work_per_block=self.work_per_block * factor,
-            bytes_per_block=self.bytes_per_block * factor,
-        )
-
-    def with_grid(self, grid_blocks: int) -> "KernelDescriptor":
-        """Return a copy with a different grid size (same per-block shape)."""
-        return replace(self, grid_blocks=grid_blocks)
-
     def ideal_cycles(self, num_sms: int, issue_throughput: float = 1.0,
                      dram_bandwidth: float = float("inf"),
                      blocks_per_sm: Optional[int] = None) -> float:
@@ -114,8 +91,8 @@ class KernelDescriptor:
 
         Computed as the max of the compute-throughput bound, the wave-count
         bound (blocks execute in waves of ``num_sms * blocks_per_sm``) and
-        the DRAM-bandwidth bound.  Used by the kernel classifier and by
-        tests as an analytic cross-check of the simulator.
+        the DRAM-bandwidth bound: an analytic cross-check of the
+        simulator.
         """
         if num_sms <= 0:
             raise ConfigurationError("num_sms must be positive")

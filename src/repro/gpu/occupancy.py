@@ -40,11 +40,6 @@ class OccupancyReport:
     blocks_per_sm: int
     limiter: str
 
-    @property
-    def occupancy(self) -> float:
-        """Fraction of the SM's block slots actually usable (0..1]."""
-        return self.blocks_per_sm / self.blocks_limit
-
 
 def occupancy_report(kernel: KernelDescriptor, sm: SMConfig) -> OccupancyReport:
     """Compute the full occupancy breakdown of ``kernel`` on ``sm``.

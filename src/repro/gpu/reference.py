@@ -174,10 +174,6 @@ class ReferenceSimulator:
         """Simulated GPU configuration (SchedulerView)."""
         return self._gpu
 
-    def resident_blocks(self, sm: int) -> int:
-        """Resident block count of one SM (SchedulerView)."""
-        return len(self._sms[sm].resident)
-
     def resident_counts(self) -> Sequence[int]:
         """Resident block counts by SM id (SchedulerView), re-derived from
         each SM's resident-block map whenever a block lands or retires."""

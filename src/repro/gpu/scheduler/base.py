@@ -33,17 +33,13 @@ class SchedulerView(Protocol):
         """The simulated GPU configuration."""
         ...
 
-    def resident_blocks(self, sm: int) -> int:
-        """Number of thread blocks currently resident on ``sm``."""
-        ...
-
     def resident_counts(self) -> Sequence[int]:
         """Resident block count of every SM, indexed by SM id.
 
         The sequence is *live* for the whole run (it tracks placements
         and completions without being fetched again) and *read-only*:
-        schedulers must never mutate it.  ``resident_counts()[sm]``
-        always equals ``resident_blocks(sm)``.
+        schedulers must never mutate it.  ``resident_counts()[sm]`` is
+        the number of thread blocks currently resident on ``sm``.
         """
         ...
 

@@ -218,10 +218,6 @@ class SimulationResult:
     gpu: GPUConfig
     events: int
 
-    def kernel_exec_cycles(self, instance_id: int) -> float:
-        """Pure execution time (first dispatch to completion) of a launch."""
-        return self.trace.span(instance_id).exec_time
-
     def total_kernel_cycles(self) -> float:
         """Sum of per-launch execution times (contention-inflated)."""
         return sum(s.exec_time for s in self.trace.spans)
@@ -297,10 +293,6 @@ class GPUSimulator:
     def gpu(self) -> GPUConfig:
         """Simulated GPU configuration (SchedulerView)."""
         return self._gpu
-
-    def resident_blocks(self, sm: int) -> int:
-        """Resident block count of one SM (SchedulerView)."""
-        return self._resident_counts[sm]
 
     def resident_counts(self) -> Sequence[int]:
         """Live, read-only resident block counts by SM id (SchedulerView)."""

@@ -113,11 +113,6 @@ class KernelSpan:
         """First-dispatch-to-completion time (pure execution)."""
         return self.completion - self.first_dispatch
 
-    @property
-    def queue_delay(self) -> float:
-        """Time the launch waited before its first block was placed."""
-        return self.first_dispatch - self.arrival
-
 
 class BlockColumns:
     """The thread blocks of one trace as parallel lists.
@@ -377,21 +372,6 @@ class ExecutionTrace:
                 lo = bisect.bisect_left(starts, bound, 0, hi)
                 rows += window.rows[lo:hi]
         return rows
-
-    def busy_intervals(self, sm: int) -> List[Tuple[float, float]]:
-        """Merged busy intervals of one SM (for utilization reporting)."""
-        cols = self._cols
-        return _merged([(start, end) for start, end, on in
-                        zip(cols.start, cols.end, cols.sm)
-                        if on == sm and end > start])
-
-    def sm_utilization(self, sm: int) -> float:
-        """Fraction of the makespan during which ``sm`` had resident work."""
-        total = self.makespan
-        if total == 0:
-            return 0.0
-        busy = sum(end - start for start, end in self.busy_intervals(sm))
-        return busy / total
 
     def gpu_busy_intervals(self) -> List[Tuple[float, float]]:
         """Merged intervals during which *any* SM had resident work.

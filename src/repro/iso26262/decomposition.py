@@ -22,7 +22,7 @@ Key API:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.errors import SafetyViolation
 from repro.iso26262.asil import Asil

@@ -118,17 +118,6 @@ class HardwareMetrics:
         pmhf = violating
         return cls(spfm=spfm, lfm=lfm, pmhf_per_hour=pmhf)
 
-    def meets(self, asil: Asil) -> bool:
-        """True when all targets of ``asil`` are satisfied."""
-        targets = TARGETS[asil]
-        if targets.spfm is not None and self.spfm < targets.spfm:
-            return False
-        if targets.lfm is not None and self.lfm < targets.lfm:
-            return False
-        if targets.pmhf_per_hour is not None and self.pmhf_per_hour > targets.pmhf_per_hour:
-            return False
-        return True
-
     def check(self, asil: Asil, context: str = "") -> None:
         """Assert the targets of ``asil`` are met.
 

@@ -88,17 +88,6 @@ class PlatformPlan:
     demands: Dict[str, TaskDemand]
     device_utilisation: Dict[str, float]
 
-    def device_of(self, task: str) -> str:
-        """The device a task was placed on.
-
-        Raises:
-            PlatformError: for unknown task labels.
-        """
-        for label, device in self.assignments:
-            if label == task:
-                return device
-        raise PlatformError(f"task {task!r} is not part of this plan")
-
     def to_dict(self) -> Dict[str, object]:
         """Plain-data form for the ``platform plan`` CLI output."""
         return {

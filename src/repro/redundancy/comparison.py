@@ -59,11 +59,6 @@ class OutputSignature:
             i for i, tok in enumerate(self.tokens) if tok and tok[0] == "err"
         )
 
-    @property
-    def is_clean(self) -> bool:
-        """True when no block was corrupted."""
-        return not self.corrupted_blocks
-
 
 def build_signature(trace: ExecutionTrace, instance_id: int,
                     corruption: Optional[Mapping[Tuple[int, int], Tuple]] = None

@@ -17,11 +17,10 @@ the FTTI.  This module implements that extension:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Sequence
 
 from repro.errors import RedundancyError
-from repro.iso26262.fault_model import FaultHandlingTimeline, Ftti
+from repro.iso26262.fault_model import FaultHandlingTimeline
 from repro.redundancy.comparison import (
     ComparisonResult,
     OutputSignature,

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Tuple
 
 __all__ = [
     "Protection",

@@ -244,20 +244,6 @@ class StreamReport(Codec):
             resamples=resamples, seed=seed,
         )
 
-    def quantile(self, q: float) -> float:
-        """Latency quantile estimate tracked by the stream.
-
-        Raises:
-            StreamError: when ``q`` was not in the spec's quantile set.
-        """
-        key = quantile_key(q)
-        if key not in self.latency_ms:
-            raise StreamError(
-                f"quantile {q} was not tracked; available: "
-                f"{', '.join(k for k in self.latency_ms if k.startswith('p'))}"
-            )
-        return self.latency_ms[key]
-
     def summary(self) -> str:
         """One-line stream summary for reports."""
         p_keys = [k for k in self.latency_ms if k.startswith("p")]

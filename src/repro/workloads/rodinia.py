@@ -29,8 +29,8 @@ literature and the paper's own discussion:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Tuple
 
 from repro.errors import ConfigurationError
 from repro.gpu.kernel import KernelDescriptor
@@ -96,11 +96,6 @@ class RodiniaBenchmark:
     def __post_init__(self) -> None:
         if self.category not in ("short", "heavy", "friendly"):
             raise ConfigurationError(f"unknown category {self.category!r}")
-
-    @property
-    def in_fig4(self) -> bool:
-        """Whether the benchmark has a simulated kernel chain."""
-        return bool(self.kernels)
 
 
 def _k(name: str, grid: int, tpb: int, work: float, mem: float = 0.0,

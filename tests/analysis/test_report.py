@@ -45,6 +45,14 @@ class TestRenderGroupedBars:
         with pytest.raises(ConfigurationError):
             render_grouped_bars(["a"], {"s": [1.0, 2.0]})
 
+    @pytest.mark.parametrize("labels, values", [
+        (["a"], [-1.0]),
+        (["a", "b"], [2.0, -1.0]),
+    ], ids=["only-negative", "beside-a-positive-peak"])
+    def test_negative_values_rejected(self, labels, values):
+        with pytest.raises(ConfigurationError, match="negative"):
+            render_grouped_bars(labels, {"s": values})
+
     def test_peak_bar_spans_the_width(self):
         text = render_grouped_bars(["a"], {"small": [1.0], "big": [2.0]},
                                    width=10)

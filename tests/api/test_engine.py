@@ -110,7 +110,7 @@ class TestArtifact:
                     baseline=True)
         )
         assert artifact.timing.baseline_makespan is not None
-        assert artifact.timing.redundancy_overhead > 1.0
+        assert artifact.timing.makespan > artifact.timing.baseline_makespan
 
     def test_provenance(self):
         import repro

@@ -245,5 +245,6 @@ def test_engine_faults_equal_the_campaign_fold(run, plan):
     assert faults.policy == report.policy
     assert (faults.total, faults.masked, faults.detected, faults.sdc) == (
         report.total, report.masked, report.detected, report.sdc)
-    assert faults.by_kind_dict() == report.to_dict()["by_kind"]
+    assert {kind: dict(outcomes) for kind, outcomes in faults.by_kind} == (
+        report.to_dict()["by_kind"])
     assert faults.masked + faults.detected + faults.sdc == faults.total

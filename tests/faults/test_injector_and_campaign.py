@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.api.spec import FaultPlanSpec
-from repro.errors import ConfigurationError, FaultInjectionError, SafetyViolation
+from repro.errors import ConfigurationError, FaultInjectionError
 from repro.faults.campaign import FaultCampaign
 from repro.faults.injector import apply_fault
 from repro.faults.outcomes import FaultOutcome, classify_outcome
@@ -80,19 +80,15 @@ class TestCampaignGuarantees:
         report = inject(srrs_run, self.PLAN)
         assert report.sdc == 0
         assert report.detection_coverage == 1.0
-        report.assert_no_sdc()
 
     def test_half_has_no_sdc(self, half_run, inject):
         report = inject(half_run, self.PLAN)
         assert report.sdc == 0
-        report.assert_no_sdc()
 
     def test_default_scheduler_exhibits_sdc(self, default_run, inject):
         # the paper's motivation: unconstrained scheduling leaves CCF holes
         report = inject(default_run, self.PLAN)
         assert report.sdc > 0
-        with pytest.raises(SafetyViolation):
-            report.assert_no_sdc()
 
     def test_permanent_faults_cause_default_sdc(self, default_run, inject):
         report = inject(default_run, self.PLAN)
@@ -336,15 +332,6 @@ class TestMergeCounts:
         )
         assert report.sdc == 20
         assert report.sdc_samples == [f"f{i}" for i in range(SDC_SAMPLE_LIMIT)]
-
-    def test_assert_no_sdc_uses_samples(self):
-        from repro.faults.campaign import CampaignReport
-
-        report = CampaignReport(policy="default")
-        report.merge_counts({"TransientCCF": {"sdc": 2}},
-                            sdc_samples=["ccf@1", "ccf@2"])
-        with pytest.raises(SafetyViolation, match="ccf@1"):
-            report.assert_no_sdc()
 
 
 class TestIncrementalOutcomeCounters:

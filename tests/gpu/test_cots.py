@@ -74,13 +74,6 @@ class TestEndToEndModel:
         breakdown = cots_end_to_end(bench, kernel_ms_override=123.0)
         assert breakdown.kernel_ms == pytest.approx(123.0)
 
-    def test_gpu_protocol_share(self):
-        bench = get_benchmark("cfd")
-        breakdown = cots_end_to_end(bench)
-        assert breakdown.gpu_protocol_ms == pytest.approx(
-            breakdown.total_ms - breakdown.cpu_ms
-        )
-
     def test_kernel_dominated_benchmarks_hurt_most(self):
         def ratio(name):
             bench = get_benchmark(name)

@@ -19,7 +19,6 @@ class TestKernelDescriptor:
     def test_totals(self):
         kd = _kd(grid_blocks=5, threads_per_block=64, work_per_block=10.0,
                  bytes_per_block=3.0)
-        assert kd.total_threads == 320
         assert kd.total_work == pytest.approx(50.0)
         assert kd.total_bytes == pytest.approx(15.0)
 
@@ -47,23 +46,6 @@ class TestKernelDescriptor:
     def test_pure_memory_kernel_allowed(self):
         kd = _kd(work_per_block=0.0, bytes_per_block=100.0)
         assert kd.total_bytes == pytest.approx(400.0)
-
-    def test_scaled_scales_work_and_bytes(self):
-        kd = _kd(work_per_block=10.0, bytes_per_block=4.0)
-        scaled = kd.scaled(2.5)
-        assert scaled.work_per_block == pytest.approx(25.0)
-        assert scaled.bytes_per_block == pytest.approx(10.0)
-        assert scaled.grid_blocks == kd.grid_blocks
-
-    def test_scaled_rejects_nonpositive_factor(self):
-        with pytest.raises(ConfigurationError):
-            _kd().scaled(0.0)
-
-    def test_scaled_can_rename(self):
-        assert _kd().scaled(2.0, name="other").name == "other"
-
-    def test_with_grid(self):
-        assert _kd().with_grid(17).grid_blocks == 17
 
     def test_ideal_cycles_compute_bound(self):
         kd = _kd(grid_blocks=12, work_per_block=100.0)

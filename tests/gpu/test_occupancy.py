@@ -53,9 +53,9 @@ class TestOccupancyLimits:
         report = occupancy_report(_kd(regs_per_thread=1), SM)
         assert report.smem_limit is None
 
-    def test_occupancy_fraction(self):
+    def test_thread_limited_blocks(self):
         report = occupancy_report(_kd(threads_per_block=512, regs_per_thread=1), SM)
-        assert report.occupancy == pytest.approx(2 / 8)
+        assert (report.blocks_per_sm, report.blocks_limit) == (2, 8)
 
 
 class TestCapacityErrors:

@@ -225,7 +225,7 @@ class TestFailureDiagnostics:
         assert sim.gpu is gpu
         assert sim.events > 0
 
-    def test_kernel_exec_cycles_accessor(self, gpu):
+    def test_total_kernel_cycles(self, gpu):
         sim = simulate(gpu, DefaultScheduler(), [_launch(_kd())])
-        assert sim.kernel_exec_cycles(0) == pytest.approx(1000.0)
+        assert sim.trace.span(0).exec_time == pytest.approx(1000.0)
         assert sim.total_kernel_cycles() == pytest.approx(1000.0)

@@ -89,7 +89,6 @@ class TestKernelSpan:
         span = _span(arrival=1.0, first=3.0, done=10.0)
         assert span.latency == pytest.approx(9.0)
         assert span.exec_time == pytest.approx(7.0)
-        assert span.queue_delay == pytest.approx(2.0)
 
 
 class TestExecutionTrace:
@@ -177,12 +176,7 @@ class TestExecutionTrace:
         _add(trace, tb=0, start=0, end=10)
         _add(trace, tb=1, start=5, end=15)
         _add(trace, tb=2, start=20, end=25)
-        assert trace.busy_intervals(0) == [(0, 15), (20, 25)]
-
-    def test_sm_utilization(self):
-        trace = self._populated()
-        # SM0 busy [0,10] and [20,28] = 18 of makespan 30
-        assert trace.sm_utilization(0) == pytest.approx(18 / 30)
+        assert trace.gpu_busy_intervals() == [(0, 15), (20, 25)]
 
     def test_gpu_busy_cycles_excludes_gaps(self):
         trace = self._populated()

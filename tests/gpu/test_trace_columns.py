@@ -84,7 +84,6 @@ def test_rebuilt_through_add_block_answers_every_query_alike(simulated):
     sms = range(simulated.num_sms)
     for sm in sms:
         assert rebuilt.rows_on_sm(sm) == simulated.rows_on_sm(sm)
-        assert rebuilt.busy_intervals(sm) == simulated.busy_intervals(sm)
     for t in _probe_times(simulated):
         assert rebuilt.window_rows(t) == simulated.window_rows(t)
         for sm in sms:
@@ -104,9 +103,6 @@ def test_every_query_matches_its_definition_over_the_columns(simulated):
         on_sm = [row for row in rows if cols.sm[row] == sm]
         assert simulated.rows_on_sm(sm) == sorted(
             on_sm, key=lambda row: cols.start[row])
-        assert simulated.busy_intervals(sm) == _merged(
-            (cols.start[row], cols.end[row]) for row in on_sm
-            if cols.end[row] > cols.start[row])
     assert simulated.busy_cycles == sum(
         end - start for start, end in _merged(
             (start, end) for start, end in zip(cols.start, cols.end)

@@ -52,14 +52,14 @@ class TestMetricsFromBudget:
         assert metrics.spfm == 1.0
         assert metrics.lfm == 1.0
         assert metrics.pmhf_per_hour == 0.0
-        assert metrics.meets(Asil.D)
+        metrics.check(Asil.D)
 
     def test_zero_rate_element_is_perfect(self):
         metrics = HardwareMetrics.from_budget(
             FailureRateBudget(total=0, single_point=0, residual=0,
                               latent_multi_point=0)
         )
-        assert metrics.meets(Asil.D)
+        metrics.check(Asil.D)
 
     def test_spfm_formula(self):
         metrics = HardwareMetrics.from_budget(
@@ -85,13 +85,12 @@ class TestMetricsFromBudget:
 
     def test_pmhf_violation_detected(self):
         metrics = HardwareMetrics(spfm=1.0, lfm=1.0, pmhf_per_hour=1e-6)
-        assert not metrics.meets(Asil.D)
         with pytest.raises(SafetyViolation, match="PMHF"):
             metrics.check(Asil.D)
 
     def test_qm_always_met(self):
         metrics = HardwareMetrics(spfm=0.0, lfm=0.0, pmhf_per_hour=1.0)
-        assert metrics.meets(Asil.QM)
+        metrics.check(Asil.QM)
 
 
 class TestCampaignCoverage:

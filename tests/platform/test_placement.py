@@ -96,7 +96,7 @@ class TestPolicies:
         placement = PlacementSpec(policy="worst_fit",
                                   pins=(("camera-perception", "gpu1"),))
         plan = plan_placement(_platform(2, placement=placement))
-        assert plan.device_of("camera-perception") == "gpu1"
+        assert dict(plan.assignments)["camera-perception"] == "gpu1"
 
     @pytest.mark.parametrize("policy", ["first_fit", "worst_fit",
                                         "balanced"])

@@ -36,10 +36,9 @@ class TestOutputSignature:
     def test_corrupted_blocks(self):
         sig = _sig(0, [OK0, ERR_A, OK1])
         assert sig.corrupted_blocks == (1,)
-        assert not sig.is_clean
 
     def test_clean_signature(self):
-        assert _sig(0, [OK0, OK1]).is_clean
+        assert _sig(0, [OK0, OK1]).corrupted_blocks == ()
 
 
 class TestBuildSignature:
@@ -69,7 +68,7 @@ class TestBuildSignature:
 
     def test_corruption_for_other_instance_ignored(self, trace):
         sig = build_signature(trace, 0, corruption={(9, 2): ("boom",)})
-        assert sig.is_clean
+        assert sig.corrupted_blocks == ()
 
 
 class TestCompareSignatures:

@@ -28,7 +28,8 @@ class TestReshapeKernel:
         fine = reshape_kernel(kernel, 2)
         assert fine.total_work == pytest.approx(kernel.total_work)
         assert fine.total_bytes == pytest.approx(kernel.total_bytes)
-        assert fine.total_threads == kernel.total_threads
+        assert (fine.grid_blocks * fine.threads_per_block
+                == kernel.grid_blocks * kernel.threads_per_block)
 
     def test_grid_and_block_scaling(self, kernel):
         fine = reshape_kernel(kernel, 4)

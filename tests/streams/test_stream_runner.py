@@ -199,11 +199,10 @@ class TestReportContents:
         assert report.seed == spec.seed
         assert report.policy.startswith("srrs")
 
-    def test_quantile_accessor(self):
-        report = run_stream(_spec())
-        assert report.quantile(0.99) == report.latency_ms["p99"]
-        with pytest.raises(StreamError):
-            report.quantile(0.42)
+    def test_every_spec_quantile_is_tracked(self):
+        report = run_stream(_spec(quantiles=(0.5, 0.999)))
+        assert {"p50", "p99.9"} <= set(report.latency_ms)
+        assert "p99" not in report.latency_ms
 
     def test_windows_present(self):
         report = run_stream(_spec())

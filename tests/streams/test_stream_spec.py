@@ -20,7 +20,7 @@ class TestArrivalSpec:
     def test_defaults(self):
         spec = ArrivalSpec()
         assert spec.model == "periodic"
-        assert spec.rate_hz == pytest.approx(1000.0 / 33.3)
+        assert spec.period_ms == pytest.approx(33.3)
 
     def test_unknown_model_rejected(self):
         with pytest.raises(ConfigurationError):

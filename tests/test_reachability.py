@@ -9,8 +9,19 @@ module-level constant of ``src/repro`` that no code there names outside
 the name's own definition.  A ``Name``, an ``Attribute`` or an import
 alias counts as a use; strings do not, so neither ``__all__`` nor the
 lazy-export tables of the package ``__init__`` modules keep a name
-alive.  Tests are not a root: a name only tests reach is deleted, or it
-sits on :data:`ALLOWLIST` with its reason.
+alive.
+
+The same rule covers each public method and property of a public
+top-level class, keyed ``module::Class.member``.  A member is reached
+when its bare name is used outside its own definition (as above), when
+the name is a string constant in the roots outside ``__all__`` and the
+``lazy_exports`` tables (the ``Codec.derived_keys`` tuples serialise
+properties by name), or when it is a dataclass field name in
+``src/repro`` (``DiversitySummary.from_report`` reads properties through
+``getattr(report, f.name)`` over its fields).
+
+Tests are not a root: a name only tests reach is deleted, or it sits on
+:data:`ALLOWLIST` with its reason.
 """
 
 from __future__ import annotations
@@ -27,10 +38,23 @@ PACKAGE = ROOT / "src" / "repro"
 ROOTS = (PACKAGE, ROOT / "benchmarks", ROOT / "examples",
          ROOT / "perfbench", ROOT / "tools")
 
-#: ``module path (relative to src/repro)::name`` -> why it stays unreached.
+_VIEW_PROBE = ("the per-instance resident-count probe of "
+               "tests/gpu/test_simulator_equivalence.py, which checks the "
+               "counters that drive kernel mixing")
+
+#: ``module path (relative to src/repro)::name`` or
+#: ``module path::Class.member`` -> why it stays unreached.
 ALLOWLIST: Dict[str, str] = {
     "faults/outcomes.py::classify_outcome":
         "the per-block oracle of tests/faults/test_classify_equivalence.py",
+    "gpu/kernel.py::KernelDescriptor.ideal_cycles":
+        "the analytic lower bound of tests/test_properties.py",
+    "redundancy/diversity.py::PairDiversity.is_diverse":
+        "the per-pair oracle of DiversityReport.fully_diverse in "
+        "tests/redundancy/test_diversity.py",
+    "gpu/scheduler/base.py::SchedulerView.resident_blocks_of": _VIEW_PROBE,
+    "gpu/simulator.py::GPUSimulator.resident_blocks_of": _VIEW_PROBE,
+    "gpu/reference.py::ReferenceSimulator.resident_blocks_of": _VIEW_PROBE,
 }
 
 
@@ -75,26 +99,102 @@ def _public_definitions(tree: ast.Module) -> Iterator[Tuple[str, ast.AST]]:
                 yield name, node
 
 
+def _is_string_table(node: ast.AST) -> bool:
+    """Whether ``node`` is an ``__all__`` assignment or a
+    ``lazy_exports(...)`` call, whose strings name without using."""
+    if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target])
+        return any(isinstance(sub, ast.Name) and sub.id == "__all__"
+                   for target in targets for sub in ast.walk(target))
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "lazy_exports")
+
+
+def _strings(node: ast.AST) -> Counter:
+    """Every string constant under ``node`` outside the string tables."""
+    found: Counter = Counter()
+    if _is_string_table(node):
+        return found
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        found[node.value] += 1
+    for child in ast.iter_child_nodes(node):
+        found.update(_strings(child))
+    return found
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    """Whether ``node`` is decorated with ``dataclass`` in any spelling."""
+    for decorator in node.decorator_list:
+        target = (decorator.func if isinstance(decorator, ast.Call)
+                  else decorator)
+        name = (target.attr if isinstance(target, ast.Attribute)
+                else getattr(target, "id", None))
+        if name == "dataclass":
+            return True
+    return False
+
+
+def _field_names(tree: ast.Module) -> Counter:
+    """The field names of every dataclass in ``tree``."""
+    return Counter(
+        stmt.target.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and _is_dataclass(node)
+        for stmt in node.body
+        if isinstance(stmt, ast.AnnAssign)
+        and isinstance(stmt.target, ast.Name)
+    )
+
+
+def _member_uses(node: ast.AST) -> Counter:
+    """Every use that reaches a member: a name or a string constant."""
+    return _used_names(node) + _strings(node)
+
+
+def _public_members(tree: ast.Module) -> Iterator[Tuple[str, ast.AST]]:
+    """``(Class.member, node)`` of each public method and property of
+    each public top-level class."""
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_"):
+            for node in cls.body:
+                if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not node.name.startswith("_")):
+                    yield f"{cls.name}.{node.name}", node
+
+
 def unreached(
     sources: Optional[Iterable[Tuple[Optional[str], ast.Module]]] = None,
 ) -> List[str]:
-    """``module::name`` of every public definition nothing else names.
+    """``module::name`` of every public definition nothing else names, and
+    ``module::Class.member`` of every public member nothing else reaches.
 
     ``sources`` defaults to the parsed roots (:func:`_sources`).
     """
     used: Counter = Counter()
+    member_used: Counter = Counter()
     definitions = []
+    members = []
     for module, tree in _sources() if sources is None else sources:
-        used.update(_used_names(tree))
+        names = _used_names(tree)
+        used.update(names)
+        member_used.update(names + _strings(tree))
         if module is not None:
+            member_used.update(_field_names(tree))
             definitions.extend(
                 (f"{module}::{name}", name, node)
                 for name, node in _public_definitions(tree)
             )
-    return sorted(
-        key for key, name, node in definitions
-        if used[name] - _used_names(node)[name] <= 0
-    )
+            members.extend(
+                (f"{module}::{key}", node)
+                for key, node in _public_members(tree)
+            )
+    flagged = [key for key, name, node in definitions
+               if used[name] - _used_names(node)[name] <= 0]
+    flagged.extend(key for key, node in members
+                   if member_used[node.name]
+                   - _member_uses(node)[node.name] <= 0)
+    return sorted(flagged)
 
 
 def test_every_public_name_is_reached() -> None:
@@ -105,12 +205,16 @@ def test_every_public_name_is_reached() -> None:
     )
 
 
+def stale(allowlist: Dict[str, str], flagged: Iterable[str]) -> List[str]:
+    """Allowlist entries that are reached or name nothing that exists."""
+    return sorted(set(allowlist) - set(flagged))
+
+
 def test_the_allowlist_is_not_stale() -> None:
-    flagged = set(unreached())
-    stale = sorted(set(ALLOWLIST) - flagged)
-    assert not stale, (
+    entries = stale(ALLOWLIST, unreached())
+    assert not entries, (
         "allowlist entries that are now reached or no longer exist: "
-        f"{stale}"
+        f"{entries}"
     )
 
 
@@ -162,3 +266,95 @@ def test_constants_and_classes_are_checked_private_names_are_not() -> None:
                                    "class Probe:\n    pass\n"
                                    "def _internal():\n    pass\n")}) == [
         "a.py::Probe", "a.py::RATE"]
+
+
+PROBE = "class Probe:\n    def helper(self):\n        pass\n"
+#: A root file that reaches the class but none of its members.
+MADE = "from repro.a import Probe\nprobe = Probe()\n"
+
+
+def test_a_member_nothing_uses_is_flagged() -> None:
+    assert _unreached_in({"a.py": PROBE, None: MADE}) == [
+        "a.py::Probe.helper"]
+
+
+def test_an_attribute_call_on_an_instance_reaches_the_member() -> None:
+    assert _unreached_in({"a.py": PROBE,
+                          None: MADE + "probe.helper()\n"}) == []
+
+
+def test_a_derived_keys_string_reaches_the_member() -> None:
+    assert _unreached_in({
+        "a.py": PROBE,
+        "b.py": "class _Report:\n    derived_keys = ('helper',)\n",
+        None: MADE,
+    }) == []
+
+
+@pytest.mark.parametrize("module, flagged", [
+    ("b.py", []),
+    (None, ["a.py::Probe.helper"]),
+], ids=["in-the-package", "outside-the-package"])
+def test_a_dataclass_field_of_the_same_name_reaches_the_member(
+        module: Optional[str], flagged: List[str]) -> None:
+    summary = ("from dataclasses import dataclass\n"
+               "@dataclass(frozen=True)\n"
+               "class _Summary:\n    helper: bool\n")
+    assert _unreached_in({"a.py": PROBE, module: summary,
+                          "c.py": "from repro.a import Probe\n"}) == flagged
+
+
+def test_a_member_annotation_of_a_plain_class_does_not_reach() -> None:
+    assert _unreached_in({
+        "a.py": PROBE,
+        "b.py": "class _Plain:\n    helper: bool\n",
+        None: MADE,
+    }) == ["a.py::Probe.helper"]
+
+
+def test_a_self_call_inside_its_own_body_does_not_reach() -> None:
+    assert _unreached_in({
+        "a.py": ("class Probe:\n    def helper(self, n):\n"
+                 "        return self.helper(n - 1) if n else 0\n"),
+        None: MADE,
+    }) == ["a.py::Probe.helper"]
+
+
+def test_string_tables_do_not_reach_a_member() -> None:
+    assert _unreached_in({
+        "a.py": PROBE,
+        "__init__.py": (
+            "__all__ = ['helper']\n"
+            "__all__ += ['helper']\n"
+            "__all__, __getattr__, __dir__ = lazy_exports(\n"
+            "    __name__, {'repro.a': ('helper',)})\n"),
+        None: MADE,
+    }) == ["a.py::Probe.helper"]
+
+
+def test_private_and_dunder_members_are_never_flagged() -> None:
+    assert _unreached_in({
+        "a.py": ("class Probe:\n"
+                 "    def __init__(self):\n        pass\n"
+                 "    def __len__(self):\n        return 0\n"
+                 "    def _helper(self):\n        pass\n"),
+        None: MADE,
+    }) == []
+
+
+def test_members_of_private_classes_are_not_checked() -> None:
+    assert _unreached_in({
+        "a.py": "class _Probe:\n    def helper(self):\n        pass\n",
+    }) == []
+
+
+def test_a_reached_member_on_the_allowlist_is_stale() -> None:
+    flagged = _unreached_in({"a.py": PROBE,
+                             None: MADE + "probe.helper()\n"})
+    assert stale({"a.py::Probe.helper": "an oracle"}, flagged) == [
+        "a.py::Probe.helper"]
+
+
+def test_a_flagged_member_on_the_allowlist_is_not_stale() -> None:
+    flagged = _unreached_in({"a.py": PROBE, None: MADE})
+    assert stale({"a.py::Probe.helper": "an oracle"}, flagged) == []

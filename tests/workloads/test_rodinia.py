@@ -35,7 +35,7 @@ class TestSuiteStructure:
 
     def test_every_fig4_benchmark_has_kernels(self):
         for name in FIG4_BENCHMARKS:
-            assert get_benchmark(name).in_fig4
+            assert get_benchmark(name).kernels
 
     def test_lookup_unknown_name(self):
         with pytest.raises(ConfigurationError):
