@@ -16,8 +16,9 @@ recorded in every :class:`~repro.api.artifact.RunArtifact` as provenance,
 so results can always be traced back to the exact configuration that
 produced them.  Every spec and artifact class in :mod:`repro.api` gets
 that JSON form from one codec derived from its fields (:class:`Codec`,
-and :class:`SpecCodec` for the top-level specs that carry a
-``config_hash``; rules in ``docs/API.md``, "Spec JSON form").
+:class:`SpecCodec` for the top-level specs that carry a
+``config_hash``, and :class:`ReportCodec` for the saved reports that
+carry a ``digest()``; rules in ``docs/API.md``, "Spec JSON form").
 """
 
 import json
@@ -62,6 +63,7 @@ if TYPE_CHECKING:
 __all__ = [
     "Codec",
     "SpecCodec",
+    "ReportCodec",
     "SMSpec",
     "GPUSpec",
     "KernelSpec",
@@ -104,6 +106,7 @@ class _Plan(NamedTuple):
 
 
 _C = TypeVar("_C", bound="Codec")
+_R = TypeVar("_R", bound="ReportCodec")
 
 
 def _reject(label: str, expected: str, value: Any) -> NoReturn:
@@ -200,6 +203,32 @@ def _encode(value: Any) -> Any:
     return value
 
 
+def _difference(value: Any, expected: Any, data: Any,
+                label: str) -> Optional[str]:
+    """Where ``data`` first differs from ``expected``, the JSON form of
+    ``value``, in sorted-key order (``None`` where they are equal)."""
+    same = type(expected) is type(data)  # bool, int and float differ
+    if same and isinstance(expected, dict):
+        codec = isinstance(value, Codec)
+        for key in sorted(set(expected).union(data)):
+            path = f"{label}.{key}" if codec else f"{label}[{key!r}]"
+            if key not in data or key not in expected:
+                return path + (" is missing" if key not in data
+                               else " is not written")
+            found = _difference(getattr(value, key) if codec else value[key],
+                                expected[key], data[key], path)
+            if found:
+                return found
+        return None
+    if same and isinstance(expected, list) and len(data) == len(expected):
+        return next(filter(None, (
+            _difference(*item, f"{label}[{i}]")
+            for i, item in enumerate(zip(value, expected, data)))), None)
+    if same and expected == data:
+        return None
+    return f"{label} must be {expected!r}, got {data!r}"
+
+
 class Codec:
     """JSON form derived from a frozen dataclass's fields.
 
@@ -208,19 +237,19 @@ class Codec:
     keys; every other value is stored as is.  A field whose metadata sets ``omit_none`` is
     left out while ``None``, so adding it keeps older specs' JSON (and
     hash).  Each name in :attr:`derived_keys` is a property computed
-    from the fields: written by :meth:`to_dict`, never stored, and on
-    load checked against the value recomputed from the loaded fields.
+    from the fields: written by :meth:`to_dict`, never stored, and
+    ignored on load (a :class:`ReportCodec` checks it).
     Decoding follows the field types: ``Optional`` fields take ``None``,
     a missing or ``None`` value of any other defaulted field keeps the
-    default, and unknown keys, values of the wrong JSON type or derived
-    values that disagree raise :class:`~repro.errors.ConfigurationError`.
+    default, and unknown keys or values of the wrong JSON type raise
+    :class:`~repro.errors.ConfigurationError`.
     """
 
-    #: properties written as keys of the JSON form (checked on load)
+    #: properties written as keys of the JSON form
     derived_keys: Tuple[str, ...] = ()
 
-    #: the error a failed load raises (a ``ConfigurationError`` raised
-    #: while decoding is re-raised as this type)
+    #: the error a failed load raises (a :class:`ReportCodec` re-raises
+    #: a ``ConfigurationError`` raised while decoding as this type)
     load_error: Type[ReproError] = ConfigurationError
 
     def to_dict(self) -> Dict[str, Any]:
@@ -237,17 +266,8 @@ class Codec:
 
     @classmethod
     def from_dict(cls: Type[_C], data: Mapping[str, Any]) -> _C:
-        """Inverse of :meth:`to_dict`; raises :attr:`load_error` on unknown
-        or mistyped fields."""
-        try:
-            return cls._decode(data)
-        except ConfigurationError as exc:
-            if isinstance(exc, cls.load_error):
-                raise
-            raise cls.load_error(str(exc)) from None
-
-    @classmethod
-    def _decode(cls: Type[_C], data: Mapping[str, Any]) -> _C:
+        """Inverse of :meth:`to_dict`; raises ``ConfigurationError`` on
+        unknown or mistyped fields."""
         if not isinstance(data, Mapping):
             raise ConfigurationError(
                 f"{cls.__name__} expects a mapping, got {data!r}"
@@ -274,18 +294,7 @@ class Codec:
                     )
                 continue
             kwargs[name] = value if decode is None else decode(value, label)
-        obj = cls(**kwargs)
-        for name in plan.derived:
-            if name not in data:
-                continue
-            value, expected = data[name], _encode(getattr(obj, name))
-            if type(value) is not type(expected) or value != expected:
-                raise ConfigurationError(
-                    f"{cls.__name__}.{name} must be {expected!r} (derived "
-                    f"from the other fields), got {value!r} — payload "
-                    "inconsistent"
-                )
-        return obj
+        return cls(**kwargs)
 
     def to_json(self, *, indent: Optional[int] = None) -> str:
         """Canonical JSON form (sorted keys, round-trips exactly)."""
@@ -310,6 +319,35 @@ class SpecCodec(Codec):
     @property
     def config_hash(self) -> str:
         """Hex digest of the canonical JSON form (provenance key)."""
+        return payload_digest(self.to_dict())
+
+
+class ReportCodec(Codec):
+    """A saved outcome: the :class:`Codec` plus its provenance digest,
+    loading only its own canonical form.
+
+    :meth:`from_dict` re-raises a decoding error as :attr:`load_error`,
+    and refuses a payload that is not exactly :meth:`~Codec.to_dict` of
+    what it loaded (same keys, same JSON types, same values), naming the
+    first key path that differs in sorted-key order.
+    """
+
+    @classmethod
+    def from_dict(cls: Type[_R], data: Mapping[str, Any]) -> _R:
+        """Inverse of :meth:`to_dict`; raises :attr:`load_error` on a
+        payload that is not the loaded report's canonical form."""
+        try:
+            report = super().from_dict(data)
+        except ConfigurationError as exc:
+            raise cls.load_error(str(exc)) from None
+        difference = _difference(report, report.to_dict(), data,
+                                 cls.__name__)
+        if difference is not None:
+            raise cls.load_error(difference)
+        return report
+
+    def digest(self) -> str:
+        """Hex digest of the canonical form (aggregate provenance key)."""
         return payload_digest(self.to_dict())
 
 

@@ -15,11 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
-from repro.api.spec import Codec
+from repro.api.spec import Codec, ReportCodec
 from repro.api.stats import SAMPLING_METHODS
 from repro.errors import ConfigurationError, FaultInjectionError, StatsError
 from repro.faults.outcomes import OUTCOME_KEYS, OUTCOMES_BY_KEY, FaultOutcome
-from repro.journal import payload_digest
 
 # the rate estimators and the ISO 26262 model load where a report first
 # asks for an interval or a metric: folding and serialising a legacy
@@ -150,7 +149,7 @@ def _check_counts(by_kind: Mapping[str, Mapping[str, int]],
 
 
 @dataclass
-class CampaignReport(Codec):
+class CampaignReport(ReportCodec):
     """Aggregated campaign outcome.
 
     A report holds outcome *counts* only: :meth:`merge_counts` folds in
@@ -159,11 +158,11 @@ class CampaignReport(Codec):
     outcome total is read off the :attr:`by_kind` table.
 
     Its JSON form comes from the spec codec
-    (:class:`~repro.api.spec.Codec`): ``policy``, ``by_kind``,
+    (:class:`~repro.api.spec.ReportCodec`): ``policy``, ``by_kind``,
     ``sdc_samples`` and, for a v2 sampled campaign, ``sampling``, plus
     the derived keys ``total``/``masked``/``detected``/``sdc``/
-    ``detection_coverage``/``weighted_rates``, which loading checks
-    against the by-kind table.  Two campaigns over the same fault
+    ``detection_coverage``/``weighted_rates``; a saved report loads
+    only in that canonical form.  Two campaigns over the same fault
     population produce *equal* payloads regardless of shard
     boundaries, worker counts or resume history — the object the
     sharded runner's bit-identity guarantee is stated over (see
@@ -198,21 +197,6 @@ class CampaignReport(Codec):
 
     def __post_init__(self) -> None:
         _check_counts(self.by_kind, "CampaignReport.by_kind")
-
-    @classmethod
-    def _decode(cls, data: Mapping[str, Any]) -> CampaignReport:
-        if isinstance(data, Mapping):
-            # a fold starts empty, but a saved report always carries its
-            # table
-            if "by_kind" not in data:
-                raise ConfigurationError("CampaignReport requires a by_kind")
-            # to_dict writes weighted_rates only beside a sampling design
-            if "weighted_rates" in data and data.get("sampling") is None:
-                raise ConfigurationError(
-                    "CampaignReport.weighted_rates is written only with a "
-                    "sampling design; this payload has none"
-                )
-        return super()._decode(data)
 
     # ------------------------------------------------------------------
     def merge_counts(self, by_kind: Mapping[str, Mapping[str, int]], *,
@@ -451,7 +435,3 @@ class CampaignReport(Codec):
             f"coverage={self.detection_coverage:.4f}"
             + tail
         )
-
-    def digest(self) -> str:
-        """Hex digest of the canonical form (aggregate provenance key)."""
-        return payload_digest(self.to_dict())

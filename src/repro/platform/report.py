@@ -18,23 +18,23 @@ deployment story needs:
 
 Like :class:`~repro.streams.report.StreamReport` the report is O(1) in
 the frame count and takes its JSON form from the spec codec
-(:class:`~repro.api.spec.Codec`): the task verdict fields, ``feasible``
-and ``asil.verdict`` are derived keys checked on load, and
-:meth:`PlatformReport.digest` hashes
-:meth:`~repro.api.spec.Codec.to_dict`.  The platform determinism
-contract (``docs/PLATFORM.md``) is stated over that digest: same
-:class:`~repro.api.platform.PlatformSpec` ⇒ bit-identical digest, for
-any worker count and any task-declaration order.
+(:class:`~repro.api.spec.ReportCodec`).  Only the devices and the tasks
+are stored: the task verdicts, the placement, the totals and the ASIL
+rollup are derived keys (over the tasks in label order), a saved report
+loads only in that canonical form, and
+:meth:`~repro.api.spec.ReportCodec.digest` hashes it.  The platform
+determinism contract (``docs/PLATFORM.md``) is stated over that digest:
+same :class:`~repro.api.platform.PlatformSpec` ⇒ bit-identical digest,
+for any worker count and any task-declaration order.
 """
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.api.spec import Codec
+from repro.api.spec import Codec, ReportCodec
 from repro.errors import ConfigurationError, PlatformError
 from repro.iso26262.asil import Asil
 from repro.iso26262.metrics import TARGETS
-from repro.journal import payload_digest
 
 __all__ = [
     "AsilRollup",
@@ -196,7 +196,7 @@ class AsilRollup(Codec):
 
 
 @dataclass(frozen=True)
-class PlatformReport(Codec):
+class PlatformReport(ReportCodec):
     """Aggregated outcome of one platform execution (O(1) size).
 
     Attributes:
@@ -204,31 +204,65 @@ class PlatformReport(Codec):
         spec_hash: :attr:`~repro.api.platform.PlatformSpec.config_hash`
             of the executed spec (provenance).
         policy: placement policy used.
-        placement: task label -> device name.
         devices: per-device accounting, keyed by device name.
         tasks: per-task outcome and verdict, keyed by task label.
-        totals: platform-wide counters.
-        asil: the ISO 26262 rollup; one failing ASIL-D task fails the
-            platform.
     """
 
     label: str
     spec_hash: str
     policy: str
-    placement: Dict[str, str]
     devices: Dict[str, PlatformDevice]
     tasks: Dict[str, PlatformTask]
-    totals: PlatformTotals
-    asil: AsilRollup
 
-    derived_keys = ("feasible",)
+    derived_keys = ("placement", "totals", "asil", "feasible")
     load_error = PlatformError
 
-    def digest(self) -> str:
-        """Hex digest of the canonical form (aggregate provenance key)."""
-        return payload_digest(self.to_dict())
+    def _by_label(self) -> List[Tuple[str, PlatformTask]]:
+        """The tasks in label order: the order every rollup sums in."""
+        return sorted(self.tasks.items())
 
-    # ------------------------------------------------------------------
+    @property
+    def placement(self) -> Dict[str, str]:
+        """Task label -> device name."""
+        return {label: task.device for label, task in self._by_label()}
+
+    @property
+    def totals(self) -> PlatformTotals:
+        """Platform-wide counters."""
+        entries = [task for _, task in self._by_label()]
+        counters = {
+            key: float(sum(getattr(entry, key) for entry in entries))
+            for key in ("frames", "completed", "dropped", "deadline_misses",
+                        "faults_injected", "faults_detected", "faults_sdc",
+                        "throughput_fps")
+        }
+        frames = counters["frames"]
+        unsafe = (counters["dropped"] + counters["deadline_misses"]
+                  + counters["faults_sdc"])
+        return PlatformTotals(
+            safe_rate=max(0.0, (frames - unsafe) / frames) if frames else 0.0,
+            elapsed_ms=max((entry.elapsed_ms for entry in entries),
+                           default=0.0),
+            **counters,
+        )
+
+    @property
+    def asil(self) -> AsilRollup:
+        """The ISO 26262 rollup; one failing ASIL-D task fails the
+        platform."""
+        tasks = self._by_label()
+        violations = tuple(label for label, task in tasks if not task.ok)
+        worst_failed = max((Asil[task.asil] for _, task in tasks
+                            if not task.ok), default=None)
+        return AsilRollup(
+            worst_asil=max((Asil[task.asil] for _, task in tasks),
+                           default=Asil.QM).name,
+            violations=violations,
+            worst_failed_asil=(
+                worst_failed.name if worst_failed is not None else None
+            ),
+        )
+
     @property
     def feasible(self) -> bool:
         """Always True for an executed platform (infeasible specs raise)."""
@@ -241,11 +275,12 @@ class PlatformReport(Codec):
 
     def summary(self) -> str:
         """One-line platform summary for reports."""
+        totals, asil = self.totals, self.asil
         return (
             f"{self.label} [{self.policy}]: devices={len(self.devices)} "
-            f"tasks={len(self.tasks)} frames={self.totals.frames:g} "
-            f"dropped={self.totals.dropped:g} "
-            f"misses={self.totals.deadline_misses:g} "
-            f"sdc={self.totals.faults_sdc:g} "
-            f"asil={self.asil.worst_asil} verdict={self.asil.verdict}"
+            f"tasks={len(self.tasks)} frames={totals.frames:g} "
+            f"dropped={totals.dropped:g} "
+            f"misses={totals.deadline_misses:g} "
+            f"sdc={totals.faults_sdc:g} "
+            f"asil={asil.worst_asil} verdict={asil.verdict}"
         )

@@ -14,9 +14,10 @@ into a :class:`~repro.platform.report.PlatformReport` in three stages:
    devices fan out over a process pool (:func:`repro.exec.map_tasks`),
    one pool task per device — the natural parallel grain, since streams
    on different devices share nothing;
-3. **rollup** (:mod:`repro.platform.report`) — per-device utilisation,
-   global deadline/FTTI accounting and the ISO 26262 worst-task verdict
-   fold into one canonical report.
+3. **rollup** (:mod:`repro.platform.report`) — the per-task outcomes
+   and per-device accounting fold into one canonical report, which
+   derives the global deadline/FTTI totals and the ISO 26262 worst-task
+   verdict from its tasks.
 
 Determinism contract: the report is a pure function of the spec.  Every
 stream is deterministic, placement is pure, and the fold always walks
@@ -33,16 +34,13 @@ from typing import Dict, List, Optional, Tuple
 from repro.api.platform import PlatformSpec
 from repro.api.stream import StreamSpec
 from repro.errors import WorkerCountError
-from repro.iso26262.asil import Asil
 from repro.exec import map_tasks
 from repro.obs.session import NULL_TELEMETRY, Telemetry
 from repro.platform.placement import PlatformPlan, bind_task, plan_placement
 from repro.platform.report import (
-    AsilRollup,
     PlatformDevice,
     PlatformReport,
     PlatformTask,
-    PlatformTotals,
     task_asil,
 )
 from repro.streams.report import StreamReport
@@ -206,45 +204,10 @@ def _fold(spec: PlatformSpec, plan: PlatformPlan,
                            "throughput_fps")},
         )
 
-    entries = list(tasks.values())
-    counters = {
-        key: total(entries, key)
-        for key in ("frames", "completed", "dropped", "deadline_misses",
-                    "faults_injected", "faults_detected", "faults_sdc",
-                    "throughput_fps")
-    }
-    frames = counters["frames"]
-    unsafe = (counters["dropped"] + counters["deadline_misses"]
-              + counters["faults_sdc"])
-    totals = PlatformTotals(
-        safe_rate=max(0.0, (frames - unsafe) / frames) if frames else 0.0,
-        elapsed_ms=max((entry.elapsed_ms for entry in entries),
-                       default=0.0),
-        **counters,
-    )
-
-    violations = tuple(sorted(
-        label for label, entry in tasks.items() if not entry.ok
-    ))
-    worst_failed = max(
-        (Asil[tasks[label].asil] for label in violations), default=None
-    )
-    asil = AsilRollup(
-        worst_asil=max((Asil[entry.asil] for entry in entries),
-                       default=Asil.QM).name,
-        violations=violations,
-        worst_failed_asil=(
-            worst_failed.name if worst_failed is not None else None
-        ),
-    )
-
     return PlatformReport(
         label=spec.label,
         spec_hash=spec.config_hash,
         policy=plan.policy,
-        placement=dict(plan.assignments),
         devices=devices,
         tasks=tasks,
-        totals=totals,
-        asil=asil,
     )

@@ -52,13 +52,6 @@ class OutputSignature:
     copy_id: int
     tokens: Tuple[Token, ...]
 
-    @property
-    def corrupted_blocks(self) -> Tuple[int, ...]:
-        """Indices of blocks carrying an error token."""
-        return tuple(
-            i for i, tok in enumerate(self.tokens) if tok and tok[0] == "err"
-        )
-
 
 def build_signature(trace: ExecutionTrace, instance_id: int,
                     corruption: Optional[Mapping[Tuple[int, int], Tuple]] = None

@@ -5,20 +5,19 @@ counters, online latency statistics, throughput/utilisation aggregates —
 in plain data.  It deliberately contains **no per-frame records**: a
 100-million-frame soak run and a 100-frame smoke test produce reports of
 identical size.  Its JSON form comes from the spec codec
-(:class:`~repro.api.spec.Codec`): every key is a field of the same name,
-the rates are derived keys checked on load, and :meth:`StreamReport.digest`
-hashes :meth:`~repro.api.spec.Codec.to_dict`.  The determinism contract
-of :mod:`repro.streams` (see ``docs/STREAMS.md``) is stated over that
-digest: same :class:`~repro.api.stream.StreamSpec` + seed ⇒ bit-identical
-digest, for any worker count or chunk size.
+(:class:`~repro.api.spec.ReportCodec`): every key is a field of the same
+name or a derived rate, a saved report loads only in that canonical
+form, and :meth:`~repro.api.spec.ReportCodec.digest` hashes it.  The
+determinism contract of :mod:`repro.streams` (see ``docs/STREAMS.md``)
+is stated over that digest: same :class:`~repro.api.stream.StreamSpec`
++ seed ⇒ bit-identical digest, for any worker count or chunk size.
 """
 
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Tuple
 
-from repro.api.spec import Codec
-from repro.errors import ConfigurationError, StatsError, StreamError
-from repro.journal import payload_digest
+from repro.api.spec import Codec, ReportCodec
+from repro.errors import StatsError, StreamError
 
 if TYPE_CHECKING:
     from repro.stats.estimators import UniformRate
@@ -48,30 +47,25 @@ class StreamFaults(Codec):
     """Fault-overlay outcome counters (all zero without an overlay).
 
     Attributes:
-        injected / masked / detected / sdc: faults drawn and their
-            outcomes.
-        re_executions: frames re-executed after a detected error (each
-            adds one full service time to the frame's latency).
+        masked / detected / sdc: the outcomes of the faults drawn.
     """
 
-    injected: int
     masked: int
     detected: int
     sdc: int
-    re_executions: int
 
-    def __post_init__(self) -> None:
-        # every drawn fault has one outcome, and every detected one
-        # re-executes its frame: a payload breaking either was edited
-        outcomes = self.masked + self.detected + self.sdc
-        if self.injected != outcomes or self.re_executions != self.detected:
-            raise ConfigurationError(
-                "StreamFaults: injected must equal masked + detected + sdc "
-                "and re_executions must equal detected, got "
-                f"injected={self.injected} masked={self.masked} "
-                f"detected={self.detected} sdc={self.sdc} "
-                f"re_executions={self.re_executions}"
-            )
+    derived_keys = ("injected", "re_executions")
+
+    @property
+    def injected(self) -> int:
+        """Faults drawn: each has one outcome."""
+        return self.masked + self.detected + self.sdc
+
+    @property
+    def re_executions(self) -> int:
+        """Frames re-executed after a detected error (each adds one full
+        service time to the frame's latency)."""
+        return self.detected
 
 
 @dataclass(frozen=True)
@@ -93,7 +87,7 @@ class StreamWindows(Codec):
 
 
 @dataclass(frozen=True)
-class StreamReport(Codec):
+class StreamReport(ReportCodec):
     """Aggregated outcome of one stream execution (O(1) size).
 
     Attributes:
@@ -145,10 +139,6 @@ class StreamReport(Codec):
 
     derived_keys = ("deadline_met", "miss_rate", "drop_rate", "safe_rate")
     load_error = StreamError
-
-    def digest(self) -> str:
-        """Hex digest of the canonical form (aggregate provenance key)."""
-        return payload_digest(self.to_dict())
 
     # ------------------------------------------------------------------
     @property

@@ -174,7 +174,7 @@ def run_stream(spec: StreamSpec, *, workers: int = 1,
     acc = StreamAccumulator(spec.quantiles, spec.effective_window_ms)
 
     completed = dropped = deadline_misses = 0
-    injected = masked = detected = sdc = re_executions = 0
+    injected = masked = detected = sdc = 0
 
     # single-server bounded FIFO: completion times of frames still in
     # the system (head = oldest); capacity = 1 in service + queue_depth
@@ -200,7 +200,7 @@ def run_stream(spec: StreamSpec, *, workers: int = 1,
                service: float, busy: float) -> Tuple[float, float]:
         # rare path (one call per injected fault): overlay one random
         # fault on the frame and account its outcome
-        nonlocal injected, masked, detected, sdc, re_executions
+        nonlocal injected, masked, detected, sdc
         injected += 1
         profile = profiles[slot]
         fault = profile.campaign.random_fault(
@@ -214,7 +214,6 @@ def run_stream(spec: StreamSpec, *, workers: int = 1,
         outcome = profile.campaign.classify(fault).outcome
         if outcome is FaultOutcome.DETECTED:
             detected += 1
-            re_executions += 1
             service += services[slot]
             busy += busys[slot]
         elif outcome is FaultOutcome.SDC:
@@ -346,9 +345,7 @@ def run_stream(spec: StreamSpec, *, workers: int = 1,
         dropped=dropped,
         deadline_ms=deadline,
         deadline_misses=deadline_misses,
-        faults=StreamFaults(injected=injected, masked=masked,
-                            detected=detected, sdc=sdc,
-                            re_executions=re_executions),
+        faults=StreamFaults(masked=masked, detected=detected, sdc=sdc),
         windows=StreamWindows(**acc.windows.summary()),
         latency_ms=latency_dict,
         wait_ms=acc.wait_summary(),

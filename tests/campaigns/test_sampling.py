@@ -156,7 +156,8 @@ class TestReportSchema:
     def test_from_dict_rejects_inconsistent_totals(self, stratified_report):
         data = stratified_report.to_dict()
         data["sdc"] = data["sdc"] + 1
-        with pytest.raises(FaultInjectionError, match="inconsistent"):
+        with pytest.raises(FaultInjectionError,
+                           match="^CampaignReport.sdc must be"):
             CampaignReport.from_dict(data)
 
     def test_weighted_estimate_tracks_uniform_truth(self,

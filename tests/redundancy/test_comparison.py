@@ -32,15 +32,6 @@ ERR_A = ("err", "a")
 ERR_B = ("err", "b")
 
 
-class TestOutputSignature:
-    def test_corrupted_blocks(self):
-        sig = _sig(0, [OK0, ERR_A, OK1])
-        assert sig.corrupted_blocks == (1,)
-
-    def test_clean_signature(self):
-        assert _sig(0, [OK0, OK1]).corrupted_blocks == ()
-
-
 class TestBuildSignature:
     @pytest.fixture
     def trace(self, gpu):
@@ -64,11 +55,12 @@ class TestBuildSignature:
     def test_corruption_applied(self, trace):
         sig = build_signature(trace, 0, corruption={(0, 2): ("boom",)})
         assert sig.tokens[2] == ("err", "boom")
-        assert sig.corrupted_blocks == (2,)
+        assert [tok[0] for tok in sig.tokens] == ["ok", "ok", "err", "ok"]
 
     def test_corruption_for_other_instance_ignored(self, trace):
         sig = build_signature(trace, 0, corruption={(9, 2): ("boom",)})
-        assert sig.corrupted_blocks == ()
+        assert sig == build_signature(trace, 0)
+        assert all(tok[0] == "ok" for tok in sig.tokens)
 
 
 class TestCompareSignatures:

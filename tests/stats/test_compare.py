@@ -31,8 +31,7 @@ def _stream(frames=2000, completed=1900, dropped=100, misses=40,
         label="stream", policy="srrs", spec_hash="0" * 16, seed=0,
         frames=frames, completed=completed, dropped=dropped,
         deadline_ms=100.0, deadline_misses=misses,
-        faults=StreamFaults(injected=injected, masked=injected - sdc,
-                            detected=0, sdc=sdc, re_executions=0),
+        faults=StreamFaults(masked=injected - sdc, detected=0, sdc=sdc),
         windows=StreamWindows(*[0.0] * 8),
     ).to_dict()
 

@@ -163,10 +163,11 @@ TAMPERED = {
     "campaign-coverage": ("campaign", {"detection_coverage": 1.0},
                           "CampaignReport.detection_coverage must be 0.908"),
     "campaign-weighted-rates": ("stratified", {"weighted_rates.sdc": 0.0},
-                                "CampaignReport.weighted_rates must be"),
+                                "CampaignReport.weighted_rates['sdc'] must "
+                                "be"),
     "campaign-v1-weighted-rates": ("campaign", {"weighted_rates": None},
-                                   "CampaignReport.weighted_rates is written "
-                                   "only with a sampling design"),
+                                   "CampaignReport.weighted_rates is not "
+                                   "written"),
     "campaign-sampling": ("stratified",
                           {"sampling.nominal": {"ccf": 0, "perm": 0,
                                                 "seu": 0}},
@@ -182,8 +183,8 @@ TAMPERED = {
     # 5 silent corruptions no fault was drawn for, safe_rate to match
     "stream-faults-unrelated": ("stream", {"faults.sdc": 5,
                                            "safe_rate": 0.975},
-                                "StreamReport.faults: StreamFaults: injected "
-                                "must equal masked + detected + sdc"),
+                                "StreamReport.faults.injected must be 19, "
+                                "got 14"),
 }
 
 

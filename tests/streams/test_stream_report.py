@@ -4,10 +4,11 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
-from repro.errors import ConfigurationError, StatsError, StreamError
+from repro.errors import StatsError, StreamError
 from repro.streams.report import (
     STREAM_RATE_METRICS,
     StreamFaults,
@@ -28,8 +29,7 @@ def _report(**kwargs) -> StreamReport:
         dropped=2,
         deadline_ms=5.0,
         deadline_misses=1,
-        faults=StreamFaults(injected=3, masked=1, detected=2, sdc=0,
-                            re_executions=2),
+        faults=StreamFaults(masked=1, detected=2, sdc=0),
         windows=StreamWindows(windows=2.0, window_ms=50.0, fps_min=70.0,
                               fps_mean=80.0, fps_max=90.0, util_min=0.4,
                               util_mean=0.5, util_max=0.6),
@@ -69,31 +69,28 @@ class TestDerived:
 
 
 class TestStreamFaults:
-    @pytest.mark.parametrize("counters", [
-        dict(injected=0, masked=0, detected=0, sdc=0, re_executions=0),
-        dict(injected=4, masked=1, detected=2, sdc=1, re_executions=2),
+    @pytest.mark.parametrize("counters, written", [
+        (dict(masked=0, detected=0, sdc=0),
+         dict(injected=0, re_executions=0)),
+        (dict(masked=1, detected=2, sdc=1),
+         dict(injected=4, re_executions=2)),
     ], ids=["no-overlay", "every-outcome"])
-    def test_consistent_counters_round_trip(self, counters):
-        assert StreamFaults(**counters).to_dict() == counters
+    def test_injected_and_re_executions_are_derived(self, counters, written):
+        assert StreamFaults(**counters).to_dict() == {**counters, **written}
 
-    @pytest.mark.parametrize("counters", [
-        dict(injected=3, masked=2, detected=2, sdc=0, re_executions=2),
-        dict(injected=4, masked=1, detected=2, sdc=0, re_executions=2),
-        dict(injected=3, masked=1, detected=2, sdc=0, re_executions=1),
-    ], ids=["outcomes-exceed-injected", "injected-exceeds-outcomes",
+    @pytest.mark.parametrize("edit, message", [
+        ({"injected": 4}, "StreamReport.faults.injected must be 3, got 4"),
+        ({"injected": 2}, "StreamReport.faults.injected must be 3, got 2"),
+        ({"re_executions": 1},
+         "StreamReport.faults.re_executions must be 2, got 1"),
+    ], ids=["injected-exceeds-outcomes", "outcomes-exceed-injected",
             "detected-not-re-executed"])
-    def test_counters_that_do_not_add_up_are_rejected(self, counters):
-        with pytest.raises(ConfigurationError):
-            StreamFaults(**counters)
-
-    def test_error_names_every_counter(self):
-        with pytest.raises(ConfigurationError) as excinfo:
-            StreamFaults(injected=9, masked=1, detected=2, sdc=3,
-                         re_executions=4)
-        message = str(excinfo.value)
-        for part in ("injected=9", "masked=1", "detected=2", "sdc=3",
-                     "re_executions=4"):
-            assert part in message
+    def test_counters_that_do_not_add_up_are_refused_on_load(self, edit,
+                                                             message):
+        payload = _report().to_dict()
+        payload["faults"].update(edit)
+        with pytest.raises(StreamError, match=f"^{re.escape(message)}$"):
+            StreamReport.from_dict(payload)
 
 
 class TestSerialisation:
@@ -163,9 +160,7 @@ class TestRateIntervals:
             assert est.low <= est.rate <= est.high
 
     def test_zero_trials_is_a_stats_error(self):
-        report = _report(faults=StreamFaults(injected=0, masked=0,
-                                             detected=0, sdc=0,
-                                             re_executions=0))
+        report = _report(faults=StreamFaults(masked=0, detected=0, sdc=0))
         with pytest.raises(StatsError):
             report.rate_interval("fault_sdc")
 
@@ -182,9 +177,7 @@ class TestRateIntervals:
         assert report.digest() == digest
 
     def test_fault_rate_absent_without_injections(self):
-        report = _report(faults=StreamFaults(injected=0, masked=0,
-                                             detected=0, sdc=0,
-                                             re_executions=0))
+        report = _report(faults=StreamFaults(masked=0, detected=0, sdc=0))
         with pytest.raises(StatsError):
             report.rate_interval("fault_sdc")
         for metric in ("deadline_miss", "drop", "unsafe"):
@@ -199,9 +192,7 @@ class TestRateCounts:
         ("fault_sdc", lambda r: r.faults.sdc / r.faults.injected),
     ], ids=["deadline_miss", "drop", "unsafe", "fault_sdc"])
     def test_counts_match_the_derived_rate(self, metric, rate):
-        report = _report(faults=StreamFaults(injected=4, masked=1,
-                                             detected=2, sdc=1,
-                                             re_executions=2))
+        report = _report(faults=StreamFaults(masked=1, detected=2, sdc=1))
         events, trials = report.rate_counts(metric)
         assert events / trials == pytest.approx(rate(report))
         assert report.rate_interval(metric).rate == pytest.approx(
@@ -210,8 +201,6 @@ class TestRateCounts:
     def test_unsafe_events_never_exceed_the_frames(self):
         # 2 drops + 8 misses + 3 silent corruptions on 10 frames
         report = _report(deadline_misses=8,
-                         faults=StreamFaults(injected=3, masked=0,
-                                             detected=0, sdc=3,
-                                             re_executions=0))
+                         faults=StreamFaults(masked=0, detected=0, sdc=3))
         assert report.rate_counts("unsafe") == (10, 10)
         assert report.safe_rate == 0.0

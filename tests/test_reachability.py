@@ -16,9 +16,11 @@ top-level class, keyed ``module::Class.member``.  A member is reached
 when its bare name is used outside its own definition (as above), when
 the name is a string constant in the roots outside ``__all__`` and the
 ``lazy_exports`` tables (the ``Codec.derived_keys`` tuples serialise
-properties by name), or when it is a dataclass field name in
-``src/repro`` (``DiversitySummary.from_report`` reads properties through
-``getattr(report, f.name)`` over its fields).
+properties by name), or when it is a field name of a ``src/repro``
+dataclass that mirrors another object through ``getattr(x, f.name)``
+over its fields (``DiversitySummary.from_report`` reads the
+``DiversityReport`` properties so).  A field of any other dataclass
+reaches nothing: it is read as an attribute, which counts already.
 
 Tests are not a root: a name only tests reach is deleted, or it sits on
 :data:`ALLOWLIST` with its reason.
@@ -135,12 +137,25 @@ def _is_dataclass(node: ast.ClassDef) -> bool:
     return False
 
 
-def _field_names(tree: ast.Module) -> Counter:
-    """The field names of every dataclass in ``tree``."""
+def _mirrors(node: ast.ClassDef) -> bool:
+    """Whether ``node`` reads its fields off another object by name:
+    ``getattr(x, f.name)`` over ``fields(...)``."""
+    calls = [sub.func.id for sub in ast.walk(node)
+             if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name)
+             and (sub.func.id == "fields" or (
+                 sub.func.id == "getattr" and len(sub.args) > 1
+                 and isinstance(sub.args[1], ast.Attribute)
+                 and sub.args[1].attr == "name"))]
+    return {"fields", "getattr"} <= set(calls)
+
+
+def _mirrored_fields(tree: ast.Module) -> Counter:
+    """The field names of every mirroring dataclass in ``tree``."""
     return Counter(
         stmt.target.id
         for node in ast.walk(tree)
         if isinstance(node, ast.ClassDef) and _is_dataclass(node)
+        and _mirrors(node)
         for stmt in node.body
         if isinstance(stmt, ast.AnnAssign)
         and isinstance(stmt.target, ast.Name)
@@ -180,7 +195,7 @@ def unreached(
         used.update(names)
         member_used.update(names + _strings(tree))
         if module is not None:
-            member_used.update(_field_names(tree))
+            member_used.update(_mirrored_fields(tree))
             definitions.extend(
                 (f"{module}::{name}", name, node)
                 for name, node in _public_definitions(tree)
@@ -291,17 +306,33 @@ def test_a_derived_keys_string_reaches_the_member() -> None:
     }) == []
 
 
+#: A package dataclass with a ``helper`` field that mirrors another
+#: object's attributes of the same names.
+MIRROR = ("from dataclasses import dataclass, fields\n"
+          "@dataclass(frozen=True)\n"
+          "class _Summary:\n    helper: bool\n"
+          "    @classmethod\n    def of(cls, probe):\n"
+          "        return cls(**{f.name: getattr(probe, f.name)\n"
+          "                      for f in fields(cls)})\n")
+
+
 @pytest.mark.parametrize("module, flagged", [
     ("b.py", []),
     (None, ["a.py::Probe.helper"]),
 ], ids=["in-the-package", "outside-the-package"])
-def test_a_dataclass_field_of_the_same_name_reaches_the_member(
+def test_a_mirrored_field_of_the_same_name_reaches_the_member(
         module: Optional[str], flagged: List[str]) -> None:
-    summary = ("from dataclasses import dataclass\n"
-               "@dataclass(frozen=True)\n"
-               "class _Summary:\n    helper: bool\n")
-    assert _unreached_in({"a.py": PROBE, module: summary,
+    assert _unreached_in({"a.py": PROBE, module: MIRROR,
                           "c.py": "from repro.a import Probe\n"}) == flagged
+
+
+def test_a_same_named_field_of_an_unrelated_dataclass_does_not_reach(
+) -> None:
+    unrelated = ("from dataclasses import dataclass\n"
+                 "@dataclass(frozen=True)\n"
+                 "class _Result:\n    helper: int\n")
+    assert _unreached_in({"a.py": PROBE, "b.py": unrelated,
+                          None: MADE}) == ["a.py::Probe.helper"]
 
 
 def test_a_member_annotation_of_a_plain_class_does_not_reach() -> None:

@@ -8,10 +8,11 @@ intact and ends the command with ``error: …`` and exit 1.  The
 ``full_disk`` fixture fails the journal's writes halfway; a command
 writing its report some other way never sees the full disk.  ``stream
 report`` and ``platform report`` reject a saved report whose field has
-the wrong JSON type, an unknown key, or a derived value that disagrees
-with the fields it is computed from the same way, naming the field by
-its path from the report down; ``CampaignReport.from_dict`` rejects a
-``campaign run --json`` report edited the same way.
+the wrong JSON type or an unknown key, or that is not its own canonical
+form (a derived value that disagrees with the fields it is computed
+from, a written key removed), naming the field by its path from the
+report down; ``CampaignReport.from_dict`` rejects a ``campaign run
+--json`` report edited the same way.
 """
 
 from __future__ import annotations
@@ -87,6 +88,14 @@ def _set(path: str, value):
     return edit
 
 
+def _edits(*edits):
+    """Payload edit applying each of ``edits`` in turn."""
+    def edit(payload):
+        for each in edits:
+            each(payload)
+    return edit
+
+
 #: (saved report, field edit, the error's text from the field path on)
 MISTYPED = {
     "stream-frames": ("stream", _set("frames", "many"),
@@ -94,8 +103,8 @@ MISTYPED = {
     "stream-latency": ("stream", _set("latency_ms", 5),
                        "StreamReport.latency_ms must be an object"),
     "platform-totals": ("platform", _set("totals.completed", "x"),
-                        "PlatformReport.totals: PlatformTotals.completed "
-                        "must be a number"),
+                        "PlatformReport.totals.completed must be 4.0, "
+                        "got 'x'"),
     "platform-devices": ("platform", _set("devices", 3),
                          "PlatformReport.devices must be an object"),
     # a foreign key, a derived value that disagrees with the counters
@@ -109,14 +118,33 @@ MISTYPED = {
     "stream-unknown": ("stream", _set("bogus", 1),
                        "StreamReport: unknown field(s) bogus"),
     "platform-task-ok": ("platform", _set("tasks.radar-cfar.ok", "yes"),
-                         "PlatformReport.tasks['radar-cfar']: "
-                         "PlatformTask.ok must be True"),
+                         "PlatformReport.tasks['radar-cfar'].ok must be "
+                         "True, got 'yes'"),
     "platform-verdict": ("platform", _set("asil.verdict", "pass!"),
-                         "PlatformReport.asil: AsilRollup.verdict must be "
-                         "'pass'"),
+                         "PlatformReport.asil.verdict must be 'pass', "
+                         "got 'pass!'"),
     "platform-placement": ("platform", _set("placement", {"ghost": 3}),
-                           "PlatformReport.placement['ghost'] must be a "
-                           "string"),
+                           "PlatformReport.placement['camera-perception'] "
+                           "is missing"),
+    # the rollup, the totals and the placement are derived from the
+    # tasks: a task that fails under an unedited verdict, an edited
+    # total and a placement that disagrees with its task's device
+    "platform-failing-task": ("platform", _edits(
+        _set("tasks.camera-perception.deadline_misses", 7),
+        _set("tasks.camera-perception.ftti_ok", False),
+        _set("tasks.camera-perception.ok", False)),
+        "PlatformReport.asil.verdict must be 'fail', got 'pass'"),
+    "platform-totals-sdc": ("platform", _set("totals.faults_sdc", 99.0),
+                            "PlatformReport.totals.faults_sdc must be 0.0, "
+                            "got 99.0"),
+    "platform-placement-device": (
+        "platform", _set("placement.camera-perception", "gpu1"),
+        "PlatformReport.placement['camera-perception'] must be 'gpu0', "
+        "got 'gpu1'"),
+    # a derived key is written, so a payload without it is not canonical
+    "stream-safe-rate-removed": ("stream",
+                                 lambda payload: payload.pop("safe_rate"),
+                                 "StreamReport.safe_rate is missing"),
 }
 
 
@@ -145,11 +173,11 @@ CAMPAIGN_MISTYPED = {
     "campaign-sdc-samples": (_set("sdc_samples", "xyz"),
                              "CampaignReport.sdc_samples must be a list"),
     "campaign-no-by-kind": (lambda payload: payload.pop("by_kind"),
-                            "CampaignReport requires a by_kind"),
+                            "CampaignReport.by_kind is missing"),
     # the key to_dict drops again for a report without a sampling design
     "campaign-v1-weighted-rates": (_set("weighted_rates", None),
-                                   "CampaignReport.weighted_rates is written "
-                                   "only with a sampling design"),
+                                   "CampaignReport.weighted_rates is not "
+                                   "written"),
 }
 
 
