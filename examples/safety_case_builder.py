@@ -9,7 +9,8 @@ checks every claim:
 * the ASIL-D goal decomposes onto two ASIL-B GPU kernel copies *only*
   because the measured schedule (SRRS here) is diverse;
 * every component outside the sphere of replication carries an explicit
-  lighter mechanism (ECC / CRC / lockstep / periodic test);
+  lighter mechanism (ECC / CRC / lockstep / periodic test), listed by
+  the sphere-of-replication table rather than by the safety case;
 * the kernel scheduler's periodic test is exercised against an injected
   latent placement fault.
 

@@ -172,7 +172,7 @@ def classify_shard(campaign: FaultCampaign, plan: FaultPlanSpec,
         bucket[key] = bucket.get(key, 0) + 1
         if (result.outcome is FaultOutcome.SDC
                 and len(sdc_samples) < SDC_SAMPLE_LIMIT):
-            sdc_samples.append(result.fault_label)
+            sdc_samples.append(fault.describe())
     return ShardRecord(
         shard=shard.index,
         start=shard.start,

@@ -82,9 +82,6 @@ class FaultCampaign:
             )
         self._run = run
         self._trace = run.sim.trace
-        self._logical_of: Dict[int, int] = {
-            span.instance_id: span.logical_id for span in self._trace.spans
-        }
         # compared instance -> its logical id; logical id -> copy count
         self._compared: Dict[int, int] = {}
         self._copies: Dict[int, int] = {}
@@ -139,15 +136,7 @@ class FaultCampaign:
                         or any(s != first for s in signatures)):
                     outcome = FaultOutcome.DETECTED
                     break
-        logical_of = self._logical_of
-        return InjectionResult(
-            fault_label=fault.describe(),
-            outcome=outcome,
-            corrupted_blocks=len(corruption),
-            affected_logicals=tuple(sorted(
-                {logical_of[iid] for (iid, _tb) in corruption}
-            )),
-        )
+        return InjectionResult(outcome)
 
     # ------------------------------------------------------------------
     def _build_fault(self, kind: str, rng: random.Random, fault_id: int,

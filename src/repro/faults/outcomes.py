@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Sequence
 
 if TYPE_CHECKING:
     from repro.faults.injector import CorruptionMap
@@ -44,20 +44,13 @@ OUTCOMES_BY_KEY: Dict[str, FaultOutcome] = {v: k for k, v in OUTCOME_KEYS.items(
 
 @dataclass(frozen=True)
 class InjectionResult:
-    """Record of one injection: the fault, its reach and its outcome.
+    """Record of one injection: its outcome.
 
     Attributes:
-        fault_label: human-readable fault description.
         outcome: terminal classification.
-        corrupted_blocks: number of (instance, block) pairs corrupted.
-        affected_logicals: logical kernels with at least one corrupted
-            block.
     """
 
-    fault_label: str
     outcome: FaultOutcome
-    corrupted_blocks: int
-    affected_logicals: Tuple[int, ...]
 
 
 def classify_outcome(corruption: CorruptionMap,

@@ -192,12 +192,10 @@ def classify_scheduler_fault(run: RedundantRunResult) -> SchedulerFaultOutcome:
 
 @dataclass(frozen=True)
 class PlacementDeviation:
-    """One divergence between observed and expected placement."""
+    """One block placed on another SM than a healthy run places it."""
 
     instance_id: int
     tb_index: int
-    expected_sm: int
-    observed_sm: int
 
 
 def audit_placement(observed: ExecutionTrace, gpu: GPUConfig,
@@ -222,12 +220,5 @@ def audit_placement(observed: ExecutionTrace, gpu: GPUConfig,
     for iid in expected.instance_ids:
         for er, orow in zip(expected.rows_of(iid), observed.rows_of(iid)):
             if expected_sm[er] != observed_sm[orow]:
-                deviations.append(
-                    PlacementDeviation(
-                        instance_id=iid,
-                        tb_index=tb_index[er],
-                        expected_sm=expected_sm[er],
-                        observed_sm=observed_sm[orow],
-                    )
-                )
+                deviations.append(PlacementDeviation(iid, tb_index[er]))
     return deviations

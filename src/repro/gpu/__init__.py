@@ -16,9 +16,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.gpu.kernel": (
         "KernelDescriptor", "KernelLaunch", "dependent_chain",
     ),
-    "repro.gpu.occupancy": (
-        "OccupancyReport", "blocks_per_sm", "occupancy_report",
-    ),
+    "repro.gpu.occupancy": ("blocks_per_sm",),
     "repro.gpu.reference": ("ReferenceSimulator",),
     "repro.gpu.simulator": ("GPUSimulator", "SimulationResult", "simulate"),
     "repro.gpu.trace": ("ExecutionTrace", "KernelSpan"),

@@ -40,7 +40,7 @@ from repro.errors import (
 )
 from repro.gpu.config import GPUConfig
 from repro.gpu.kernel import KernelDescriptor, KernelLaunch
-from repro.gpu.occupancy import occupancy_report
+from repro.gpu.occupancy import blocks_per_sm
 from repro.gpu.scheduler.base import KernelScheduler
 from repro.gpu.simulator import SimulationResult
 from repro.gpu.trace import ExecutionTrace, KernelSpan
@@ -121,7 +121,6 @@ class _RefLaunchState:
     first_dispatch: Optional[float] = None
     next_tb: int = 0
     resident_count: int = 0
-    completed_tbs: int = 0
     completion: Optional[float] = None
     allowed: Tuple[int, ...] = ()
 
@@ -296,7 +295,7 @@ class ReferenceSimulator:
     def _precheck(self, launches: Sequence[KernelLaunch]) -> None:
         """Fail fast on unsatisfiable kernels; cache scheduler SM masks."""
         for launch in launches:
-            occupancy_report(launch.kernel, self._gpu.sm)
+            blocks_per_sm(launch.kernel, self._gpu.sm)
             allowed = self._scheduler.allowed_sms(launch)
             if not allowed:
                 raise CapacityError(
@@ -520,7 +519,6 @@ class ReferenceSimulator:
         del self._resident[tb.key]
         self._resident_counts[tb.sm] = len(self._sms[tb.sm].resident)
         st.resident_count -= 1
-        st.completed_tbs += 1
         assert self._trace is not None
         self._trace.add_block(
             instance_id=tb.launch.instance_id,
@@ -544,7 +542,6 @@ class ReferenceSimulator:
                 instance_id=st.launch.instance_id,
                 logical_id=st.launch.logical_id or 0,
                 copy_id=st.launch.copy_id,
-                kernel_name=st.kernel.name,
                 arrival=st.arrival,
                 first_dispatch=st.first_dispatch,
                 completion=st.completion,

@@ -97,7 +97,7 @@ from repro.errors import (
 )
 from repro.gpu.config import GPUConfig
 from repro.gpu.kernel import KernelDescriptor, KernelLaunch
-from repro.gpu.occupancy import occupancy_report
+from repro.gpu.occupancy import blocks_per_sm
 from repro.gpu.scheduler.base import KernelScheduler
 from repro.gpu.trace import ExecutionTrace, KernelSpan
 
@@ -154,7 +154,6 @@ class _LaunchState:
     first_dispatch: Optional[float] = None
     next_tb: int = 0
     resident_count: int = 0
-    completed_tbs: int = 0
     completion: Optional[float] = None
     allowed: Tuple[int, ...] = ()  # scheduler mask, cached (sorted, deduped)
     allowed_set: frozenset = frozenset()
@@ -475,7 +474,7 @@ class GPUSimulator:
         fitted: Set[KernelDescriptor] = set()
         for launch in launches:
             if launch.kernel not in fitted:
-                occupancy_report(launch.kernel, self._gpu.sm)  # raises CapacityError
+                blocks_per_sm(launch.kernel, self._gpu.sm)  # raises CapacityError
                 fitted.add(launch.kernel)
             allowed = self._scheduler.allowed_sms(launch)
             if not allowed:
@@ -980,7 +979,6 @@ class GPUSimulator:
         self._resident_total -= 1
         self._release_log.append(sm)
         st.resident_count -= 1
-        st.completed_tbs += 1
         assert self._trace is not None
         # one row of the trace's columns, no record object per block
         self._trace.add_block(
@@ -1003,7 +1001,6 @@ class GPUSimulator:
                 instance_id=st.launch.instance_id,
                 logical_id=st.launch.logical_id or 0,
                 copy_id=st.launch.copy_id,
-                kernel_name=st.kernel.name,
                 arrival=st.arrival,
                 first_dispatch=st.first_dispatch,
                 completion=st.completion,

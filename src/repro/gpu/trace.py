@@ -88,7 +88,6 @@ class KernelSpan:
     Attributes:
         instance_id / logical_id / copy_id / tag: identity (see
         :class:`BlockColumns`).
-        kernel_name: descriptor name.
         arrival: time the launch reached the GPU kernel scheduler.
         first_dispatch: time its first block started on an SM.
         completion: time its last block finished.
@@ -97,7 +96,6 @@ class KernelSpan:
     instance_id: int
     logical_id: int
     copy_id: int
-    kernel_name: str
     arrival: float
     first_dispatch: float
     completion: float

@@ -21,7 +21,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "coverage_from_campaign",
     ),
     "repro.iso26262.safety_case": (
-        "SafetyGoal", "SafetyMechanism", "SafetyRequirement", "SystemElement",
+        "SafetyGoal", "SafetyRequirement", "SystemElement",
         "check_requirement", "check_system",
     ),
 })

@@ -43,12 +43,10 @@ class DecompositionRule:
         target: ASIL of the requirement being decomposed.
         parts: the two element ASILs (order-insensitive; stored sorted
             descending).
-        note: short description of the typical use of this split.
     """
 
     target: Asil
     parts: Tuple[Asil, Asil]
-    note: str = ""
 
     def __post_init__(self) -> None:
         ordered = tuple(sorted(self.parts, reverse=True))
@@ -79,22 +77,18 @@ def valid_decompositions(target: Asil) -> Tuple[DecompositionRule, ...]:
     """
     if not target.is_safety_related:
         return ()
-    rules: List[DecompositionRule] = []
-    # degenerate split: full-ASIL element + QM element
-    rules.append(
-        DecompositionRule(
-            target=target,
-            parts=(target, Asil.QM),
-            note="monitor/actuator split: safety carried by one element",
-        )
-    )
+    # degenerate monitor/actuator split: safety carried by one element,
+    # the other is QM
+    rules: List[DecompositionRule] = [
+        DecompositionRule(target=target, parts=(target, Asil.QM)),
+    ]
+    # independent redundant elements whose ranks sum to the target's
     for low_rank in range(1, target.rank // 2 + 1):
         high_rank = target.rank - low_rank
         rules.append(
             DecompositionRule(
                 target=target,
                 parts=(Asil.from_rank(high_rank), Asil.from_rank(low_rank)),
-                note="independent redundant elements",
             )
         )
     return tuple(rules)

@@ -3,7 +3,7 @@
 A light executable safety case: safety goals carry an ASIL and an FTTI;
 requirements are allocated to system *elements* (CPU cluster, GPU, kernel
 scheduler, interconnect, memories); each element declares its claimed ASIL
-capability and the safety mechanisms protecting it.  :func:`check_system`
+capability and its redundant peer, if any.  :func:`check_system`
 walks the allocation and raises :class:`~repro.errors.SafetyViolation`
 with an actionable message when a claim is unsupported.
 
@@ -11,7 +11,6 @@ This module encodes the paper's system argument (Section IV-A):
 
 * DCLS CPU cores → ASIL-D by B(D)+B(D) decomposition with lockstep
   independence;
-* memories/interconnect → ECC/CRC mechanisms;
 * GPU SMs → ASIL-B capable individually, lifted to ASIL-D via redundant
   kernels *only if* the execution is diverse (different SM, different
   time) — which is exactly what SRRS/HALF certify and the default
@@ -20,7 +19,7 @@ This module encodes the paper's system argument (Section IV-A):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError, SafetyViolation
@@ -29,37 +28,12 @@ from repro.iso26262.decomposition import check_decomposition
 from repro.iso26262.fault_model import Ftti
 
 __all__ = [
-    "SafetyMechanism",
     "SystemElement",
     "SafetyGoal",
     "SafetyRequirement",
     "check_requirement",
     "check_system",
 ]
-
-
-@dataclass(frozen=True)
-class SafetyMechanism:
-    """A fault-detection/correction measure attached to an element.
-
-    Attributes:
-        name: e.g. ``"SECDED ECC"``, ``"CRC"``, ``"diverse redundant
-            execution + DCLS comparison"``, ``"periodic scheduler test"``.
-        detects_ccf: whether the mechanism remains effective under
-            common-cause faults (plain replication does not; diverse
-            redundancy, ECC and CRC do).
-        diagnostic_coverage: claimed coverage fraction (0..1].
-    """
-
-    name: str
-    detects_ccf: bool
-    diagnostic_coverage: float = 0.99
-
-    def __post_init__(self) -> None:
-        if not self.name:
-            raise ConfigurationError("mechanism needs a name")
-        if not (0.0 < self.diagnostic_coverage <= 1.0):
-            raise ConfigurationError("diagnostic coverage must be in (0, 1]")
 
 
 @dataclass
@@ -70,7 +44,6 @@ class SystemElement:
         name: element name.
         standalone_asil: ASIL the element reaches by itself (e.g. GPU SMs
             are "ASIL-B compatible" per the paper).
-        mechanisms: safety mechanisms protecting the element.
         redundant_with: name of a redundant peer element, if any.
         independent_of_peer: whether the redundancy with the peer is
             *independent* (diverse) — the decomposition precondition.
@@ -78,7 +51,6 @@ class SystemElement:
 
     name: str
     standalone_asil: Asil
-    mechanisms: List[SafetyMechanism] = field(default_factory=list)
     redundant_with: Optional[str] = None
     independent_of_peer: bool = False
 

@@ -43,12 +43,10 @@ class Suppression:
         line: 1-based line the comment sits on (violations on this line
             matching one of ``rules`` are silenced).
         rules: the rule IDs the comment exempts.
-        reason: the mandatory justification text.
     """
 
     line: int
     rules: Tuple[str, ...]
-    reason: str
 
 
 @dataclass
@@ -141,7 +139,7 @@ def _parse_marker(path: str, line: int, body: str,
         return result
     if rules:
         result.suppressions.append(
-            Suppression(line=line, rules=tuple(rules), reason=reason)
+            Suppression(line=line, rules=tuple(rules))
         )
     return result
 

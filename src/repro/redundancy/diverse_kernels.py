@@ -130,12 +130,10 @@ class DiverseGridResult:
     Attributes:
         sim: the simulation (coarse copy = copy 0, fine copy = copy 1).
         comparisons: per-logical-kernel comparison at coarse granularity.
-        factor: grid-reshape factor of the redundant copy.
     """
 
     sim: SimulationResult
     comparisons: Tuple[ComparisonResult, ...]
-    factor: int
 
     @property
     def error_detected(self) -> bool:
@@ -173,11 +171,6 @@ class DiverseGridManager:
             make_scheduler(policy) if isinstance(policy, str) else policy
         )
         self._factor = factor
-
-    @property
-    def factor(self) -> int:
-        """Grid-reshape factor."""
-        return self._factor
 
     def build_workload(self, kernels) -> List[KernelLaunch]:
         """Interleaved launches: coarse copy 0, reshaped copy 1."""
@@ -239,6 +232,4 @@ class DiverseGridManager:
                     agreeing_corrupt_blocks=tuple(agreeing_corrupt),
                 )
             )
-        return DiverseGridResult(
-            sim=sim, comparisons=tuple(comparisons), factor=self._factor
-        )
+        return DiverseGridResult(sim=sim, comparisons=tuple(comparisons))

@@ -13,7 +13,6 @@ returns one :class:`JobProfile` per rotation slot.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
@@ -40,20 +39,12 @@ class JobProfile:
         service_ms: redundant makespan of one frame in milliseconds —
             the stream's per-frame service time.
         busy_ms: GPU-busy milliseconds one frame consumes.
-        makespan_cycles: redundant makespan in cycles (fault-overlay
-            sampling domain).
-        num_sms: SM count of the simulated GPU (fault-overlay domain).
-        work_hint: largest per-block duration in the trace (transient-CCF
-            phase mapping).
         run: the clean redundant run the profile was measured on.
     """
 
     label: str
     service_ms: float
     busy_ms: float
-    makespan_cycles: float
-    num_sms: int
-    work_hint: float
     run: RedundantRunResult
 
     _campaign: Optional[FaultCampaign] = field(
@@ -145,15 +136,10 @@ def resolve_jobs(spec: StreamSpec, *, workers: int = 1,
     profiles_by_key: Dict[str, JobProfile] = {}
     for (key, run_spec), run in zip(unique.items(), results):
         gpu = run_spec.gpu.to_config()
-        trace = run.sim.trace
         profiles_by_key[key] = JobProfile(
             label=run_spec.workload.label,
             service_ms=gpu.cycles_to_ms(run.makespan),
-            busy_ms=gpu.cycles_to_ms(trace.busy_cycles),
-            makespan_cycles=trace.makespan,
-            num_sms=trace.num_sms,
-            work_hint=max(map(operator.sub, trace.columns.end,
-                              trace.columns.start), default=1000.0),
+            busy_ms=gpu.cycles_to_ms(run.sim.trace.busy_cycles),
             run=run,
         )
     return [profiles_by_key[rs.config_hash] for rs in run_specs]

@@ -47,7 +47,6 @@ class ClassificationReport:
     """Evidence backing one kernel's classification.
 
     Attributes:
-        kernel_name: the classified kernel.
         category: resulting category.
         isolated_cycles: execution time of one copy alone on the GPU.
         dispatch_latency: the GPU's serial-dispatch gap.
@@ -58,7 +57,6 @@ class ClassificationReport:
             a single copy can occupy (resource pressure).
     """
 
-    kernel_name: str
     category: KernelCategory
     isolated_cycles: float
     dispatch_latency: float
@@ -105,7 +103,6 @@ def classify_kernel(kernel: KernelDescriptor, gpu: GPUConfig
         category = KernelCategory.FRIENDLY
 
     return ClassificationReport(
-        kernel_name=kernel.name,
         category=category,
         isolated_cycles=isolated,
         dispatch_latency=gpu.dispatch_latency,

@@ -75,12 +75,7 @@ def scan_classify(fault: FaultDescriptor,
         signatures = [build_signature(trace, copies[c].instance_id, corruption)
                       for c in sorted(copies)]
         comparisons.append(compare_signatures(signatures))
-    return InjectionResult(
-        fault_label=fault.describe(),
-        outcome=classify_outcome(corruption, comparisons),
-        corrupted_blocks=len(corruption),
-        affected_logicals=tuple(logicals),
-    )
+    return InjectionResult(classify_outcome(corruption, comparisons))
 
 
 def scan_active(trace: ExecutionTrace, t: float, sms=None) -> List[int]:

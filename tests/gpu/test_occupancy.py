@@ -9,7 +9,7 @@ import pytest
 from repro.errors import CapacityError
 from repro.gpu.config import GPUConfig, SMConfig
 from repro.gpu.kernel import KernelDescriptor, KernelLaunch
-from repro.gpu.occupancy import blocks_per_sm, occupancy_report
+from repro.gpu.occupancy import blocks_per_sm
 from repro.gpu.scheduler.default import DefaultScheduler
 from repro.gpu.simulator import simulate
 
@@ -28,55 +28,41 @@ SM = SMConfig(max_threads=1024, max_blocks=8, registers=32768,
 
 class TestOccupancyLimits:
     def test_thread_limited(self):
-        report = occupancy_report(_kd(threads_per_block=512, regs_per_thread=1), SM)
-        assert report.blocks_per_sm == 2
-        assert report.limiter == "threads"
+        assert blocks_per_sm(_kd(threads_per_block=512, regs_per_thread=1),
+                             SM) == 2
 
     def test_block_slot_limited(self):
-        report = occupancy_report(_kd(threads_per_block=32, regs_per_thread=1), SM)
-        assert report.blocks_per_sm == 8
-        assert report.limiter == "blocks"
+        assert blocks_per_sm(_kd(threads_per_block=32, regs_per_thread=1),
+                             SM) == 8
 
     def test_register_limited(self):
         # 64 regs * 128 threads = 8192 per block; 32768/8192 = 4
-        report = occupancy_report(_kd(regs_per_thread=64), SM)
-        assert report.blocks_per_sm == 4
-        assert report.limiter == "registers"
+        assert blocks_per_sm(_kd(regs_per_thread=64), SM) == 4
 
     def test_shared_memory_limited(self):
-        report = occupancy_report(_kd(shared_mem_per_block=16384,
-                                      regs_per_thread=1), SM)
-        assert report.blocks_per_sm == 2
-        assert report.limiter == "shared_memory"
+        assert blocks_per_sm(_kd(shared_mem_per_block=16384,
+                                 regs_per_thread=1), SM) == 2
 
     def test_no_shared_memory_is_unconstrained(self):
-        report = occupancy_report(_kd(regs_per_thread=1), SM)
-        assert report.smem_limit is None
-
-    def test_thread_limited_blocks(self):
-        report = occupancy_report(_kd(threads_per_block=512, regs_per_thread=1), SM)
-        assert (report.blocks_per_sm, report.blocks_limit) == (2, 8)
+        # 1024 threads / 128 per block = 8 = the block slots
+        assert blocks_per_sm(_kd(regs_per_thread=1), SM) == 8
 
 
 class TestCapacityErrors:
     def test_too_many_threads(self):
         with pytest.raises(CapacityError):
-            occupancy_report(_kd(threads_per_block=2048), SM)
+            blocks_per_sm(_kd(threads_per_block=2048), SM)
 
     def test_too_many_registers(self):
         with pytest.raises(CapacityError):
-            occupancy_report(_kd(threads_per_block=1024, regs_per_thread=64), SM)
+            blocks_per_sm(_kd(threads_per_block=1024, regs_per_thread=64), SM)
 
     def test_too_much_shared_memory(self):
         with pytest.raises(CapacityError):
-            occupancy_report(_kd(shared_mem_per_block=65536), SM)
+            blocks_per_sm(_kd(shared_mem_per_block=65536), SM)
 
 
 class TestHelpers:
-    def test_blocks_per_sm_matches_report(self):
-        kd = _kd(regs_per_thread=64)
-        assert blocks_per_sm(kd, SM) == occupancy_report(kd, SM).blocks_per_sm
-
     @pytest.mark.parametrize("num_sms", [1, 3, 6])
     def test_resident_blocks_scale_with_sms(self, num_sms):
         # a grid larger than the GPU holds: the first wave fills every

@@ -31,7 +31,7 @@ def _active(trace, t, sms=None):
 
 def _span(instance=0, logical=0, copy=0, arrival=0.0, first=0.0, done=10.0):
     return KernelSpan(instance_id=instance, logical_id=logical, copy_id=copy,
-                      kernel_name="k", arrival=arrival, first_dispatch=first,
+                      arrival=arrival, first_dispatch=first,
                       completion=done)
 
 

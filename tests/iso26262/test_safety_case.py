@@ -9,7 +9,6 @@ from repro.iso26262.asil import Asil
 from repro.iso26262.fault_model import Ftti
 from repro.iso26262.safety_case import (
     SafetyGoal,
-    SafetyMechanism,
     SafetyRequirement,
     SystemElement,
     check_requirement,
@@ -38,18 +37,6 @@ def _gpu_elements(independent=True):
         redundant_with="gpu-copy-0", independent_of_peer=independent,
     )
     return {"gpu-copy-0": a, "gpu-copy-1": b}
-
-
-class TestSafetyMechanism:
-    def test_valid(self):
-        m = SafetyMechanism("SECDED ECC", detects_ccf=True)
-        assert m.diagnostic_coverage == 0.99
-
-    def test_invalid_coverage(self):
-        with pytest.raises(ConfigurationError):
-            SafetyMechanism("x", detects_ccf=True, diagnostic_coverage=0.0)
-        with pytest.raises(ConfigurationError):
-            SafetyMechanism("x", detects_ccf=True, diagnostic_coverage=1.5)
 
 
 class TestClaimedAsil:

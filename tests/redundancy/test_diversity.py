@@ -27,10 +27,10 @@ def _trace_with_pair(sm_a, sm_b, a=(0.0, 10.0), b=(20.0, 30.0)):
     trace.add_block(instance_id=1, logical_id=0, copy_id=1, tb_index=0,
                     sm=sm_b, start=b[0], end=b[1])
     trace.add_span(KernelSpan(instance_id=0, logical_id=0, copy_id=0,
-                              kernel_name="k", arrival=0, first_dispatch=a[0],
+                              arrival=0, first_dispatch=a[0],
                               completion=a[1]))
     trace.add_span(KernelSpan(instance_id=1, logical_id=0, copy_id=1,
-                              kernel_name="k", arrival=0, first_dispatch=b[0],
+                              arrival=0, first_dispatch=b[0],
                               completion=b[1]))
     return trace
 
@@ -86,7 +86,7 @@ class TestPairAnalysis:
         trace.add_block(instance_id=0, logical_id=0, copy_id=0,
                         tb_index=0, sm=0, start=0, end=1)
         trace.add_span(KernelSpan(instance_id=0, logical_id=0, copy_id=0,
-                                  kernel_name="k", arrival=0,
+                                  arrival=0,
                                   first_dispatch=0, completion=1))
         with pytest.raises(RedundancyError):
             analyze_diversity(trace)

@@ -22,6 +22,16 @@ over its fields (``DiversitySummary.from_report`` reads the
 ``DiversityReport`` properties so).  A field of any other dataclass
 reaches nothing: it is read as an attribute, which counts already.
 
+Fields are checked too, keyed ``module::Class.field``: each public field
+of every ``src/repro`` dataclass, private classes included (the
+simulators' per-launch state is private and sits in the hot loop).  A
+field is reached when an attribute load of its name occurs in the roots
+outside its class's own ``__init__``/``__post_init__``, when its class is
+serialised (it derives from ``Codec`` or defines ``to_dict``, so the
+report JSON reads every field), or when the string or mirror rule above
+reaches the name.  Keyword construction (``Probe(n=1)``) and stores
+(``probe.n += 1``) build a field but do not read it.
+
 Tests are not a root: a name only tests reach is deleted, or it sits on
 :data:`ALLOWLIST` with its reason.
 """
@@ -31,7 +41,7 @@ from __future__ import annotations
 import ast
 from collections import Counter
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 import pytest
 
@@ -178,24 +188,83 @@ def _public_members(tree: ast.Module) -> Iterator[Tuple[str, ast.AST]]:
                     yield f"{cls.name}.{node.name}", node
 
 
+def _loads(node: ast.AST) -> Counter:
+    """Every attribute name ``node`` loads: ``x.name`` read, not stored."""
+    return Counter(sub.attr for sub in ast.walk(node)
+                   if isinstance(sub, ast.Attribute)
+                   and isinstance(sub.ctx, ast.Load))
+
+
+def _base_names(cls: ast.ClassDef) -> List[str]:
+    """The bare names of ``cls``'s bases (``Codec``, ``spec.Codec``)."""
+    return [base.attr if isinstance(base, ast.Attribute)
+            else getattr(base, "id", "") for base in cls.bases]
+
+
+def _codecs(bases: Dict[str, List[str]]) -> Set[str]:
+    """Names of the classes deriving from ``Codec`` at any depth."""
+    found = {"Codec"}
+    while True:
+        more = {name for name, parents in bases.items()
+                if found.intersection(parents)} - found
+        if not more:
+            return found
+        found |= more
+
+
+def _fields(tree: ast.Module) -> Iterator[Tuple[ast.ClassDef, str]]:
+    """``(class, field)`` of each public field of each dataclass in
+    ``tree``, private and nested classes included."""
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef) and _is_dataclass(cls):
+            for stmt in cls.body:
+                if (isinstance(stmt, ast.AnnAssign)
+                        and isinstance(stmt.target, ast.Name)
+                        and not stmt.target.id.startswith("_")):
+                    yield cls, stmt.target.id
+
+
+def _init_loads(cls: ast.ClassDef) -> Counter:
+    """Attribute loads in ``cls``'s own ``__init__``/``__post_init__``,
+    which validate or derive a field but do not consume it."""
+    return sum((_loads(node) for node in cls.body
+                if isinstance(node, ast.FunctionDef)
+                and node.name in ("__init__", "__post_init__")), Counter())
+
+
+def _serialised(cls: ast.ClassDef, codecs: Set[str]) -> bool:
+    """Whether the report JSON reads every field of ``cls``."""
+    return cls.name in codecs or any(
+        isinstance(node, ast.FunctionDef) and node.name == "to_dict"
+        for node in cls.body)
+
+
 def unreached(
     sources: Optional[Iterable[Tuple[Optional[str], ast.Module]]] = None,
 ) -> List[str]:
-    """``module::name`` of every public definition nothing else names, and
-    ``module::Class.member`` of every public member nothing else reaches.
+    """``module::name`` of every public definition nothing else names,
+    ``module::Class.member`` of every public member nothing else reaches,
+    and ``module::Class.field`` of every dataclass field nothing reads.
 
     ``sources`` defaults to the parsed roots (:func:`_sources`).
     """
     used: Counter = Counter()
     member_used: Counter = Counter()
+    field_used: Counter = Counter()
     definitions = []
     members = []
+    fields = []
+    bases: Dict[str, List[str]] = {}
     for module, tree in _sources() if sources is None else sources:
         names = _used_names(tree)
+        strings = _strings(tree)
         used.update(names)
-        member_used.update(names + _strings(tree))
+        member_used.update(names + strings)
+        field_used.update(_loads(tree) + strings)
         if module is not None:
-            member_used.update(_mirrored_fields(tree))
+            mirrored = _mirrored_fields(tree)
+            member_used.update(mirrored)
+            field_used.update(mirrored)
             definitions.extend(
                 (f"{module}::{name}", name, node)
                 for name, node in _public_definitions(tree)
@@ -204,11 +273,20 @@ def unreached(
                 (f"{module}::{key}", node)
                 for key, node in _public_members(tree)
             )
+            fields.extend((module, cls, name) for cls, name in _fields(tree))
+            bases.update((cls.name, _base_names(cls))
+                         for cls in ast.walk(tree)
+                         if isinstance(cls, ast.ClassDef))
     flagged = [key for key, name, node in definitions
                if used[name] - _used_names(node)[name] <= 0]
     flagged.extend(key for key, node in members
                    if member_used[node.name]
                    - _member_uses(node)[node.name] <= 0)
+    codecs = _codecs(bases)
+    flagged.extend(f"{module}::{cls.name}.{name}"
+                   for module, cls, name in fields
+                   if not _serialised(cls, codecs)
+                   and field_used[name] - _init_loads(cls)[name] <= 0)
     return sorted(flagged)
 
 
@@ -331,8 +409,10 @@ def test_a_same_named_field_of_an_unrelated_dataclass_does_not_reach(
     unrelated = ("from dataclasses import dataclass\n"
                  "@dataclass(frozen=True)\n"
                  "class _Result:\n    helper: int\n")
+    # the unread field is flagged by the field rule in its own right
     assert _unreached_in({"a.py": PROBE, "b.py": unrelated,
-                          None: MADE}) == ["a.py::Probe.helper"]
+                          None: MADE}) == ["a.py::Probe.helper",
+                                           "b.py::_Result.helper"]
 
 
 def test_a_member_annotation_of_a_plain_class_does_not_reach() -> None:
@@ -389,3 +469,119 @@ def test_a_reached_member_on_the_allowlist_is_stale() -> None:
 def test_a_flagged_member_on_the_allowlist_is_not_stale() -> None:
     flagged = _unreached_in({"a.py": PROBE, None: MADE})
     assert stale({"a.py::Probe.helper": "an oracle"}, flagged) == []
+
+
+#: A package dataclass with one field, ``n``, that nothing reads yet.
+RECORD = ("from dataclasses import dataclass\n"
+          "@dataclass\n"
+          "class Record:\n    n: int\n")
+#: A root file that builds a record, by keyword, and reads none of it.
+BUILT = "from repro.a import Record\nrecord = Record(n=1)\n"
+
+
+def test_a_field_nothing_reads_is_flagged() -> None:
+    assert _unreached_in({"a.py": RECORD,
+                          None: "from repro.a import Record\n"}) == [
+        "a.py::Record.n"]
+
+
+@pytest.mark.parametrize("read", [
+    "print(record.n)\n",
+    "record.n = record.n + 1\n",
+], ids=["load", "load-in-a-store"])
+def test_a_load_outside_the_class_init_reaches_the_field(read: str) -> None:
+    assert _unreached_in({"a.py": RECORD, None: BUILT + read}) == []
+
+
+def test_a_load_in_a_method_of_the_class_reaches_the_field() -> None:
+    assert _unreached_in({
+        "a.py": RECORD + ("    def double(self):\n"
+                          "        return 2 * self.n\n"),
+        None: BUILT + "record.double()\n",
+    }) == []
+
+
+@pytest.mark.parametrize("method", ["__init__", "__post_init__"])
+def test_a_load_in_the_class_init_does_not_reach_the_field(
+        method: str) -> None:
+    assert _unreached_in({
+        "a.py": RECORD + (f"    def {method}(self):\n"
+                          "        assert self.n >= 0\n"),
+        None: BUILT,
+    }) == ["a.py::Record.n"]
+
+
+def test_keyword_construction_does_not_reach_the_field() -> None:
+    assert _unreached_in({"a.py": RECORD, None: BUILT}) == [
+        "a.py::Record.n"]
+
+
+def test_an_augmented_store_does_not_reach_the_field() -> None:
+    assert _unreached_in({"a.py": RECORD,
+                          None: BUILT + "record.n += 1\n"}) == [
+        "a.py::Record.n"]
+
+
+@pytest.mark.parametrize("base", ["Codec", "spec.ReportCodec"],
+                         ids=["direct", "through-a-subclass"])
+def test_the_fields_of_a_codec_subclass_are_reached(base: str) -> None:
+    assert _unreached_in({
+        "spec.py": ("class Codec:\n    pass\n"
+                    "class ReportCodec(Codec):\n    pass\n"),
+        "a.py": ("from dataclasses import dataclass\n"
+                 "@dataclass\n"
+                 f"class Record({base}):\n    n: int\n"),
+        None: BUILT + "from repro.spec import Codec, ReportCodec\n",
+    }) == []
+
+
+def test_the_fields_of_a_class_with_to_dict_are_reached() -> None:
+    assert _unreached_in({
+        "a.py": RECORD + ("    def to_dict(self):\n"
+                          "        return {'n': self.n}\n"),
+        None: BUILT + "record.to_dict()\n",
+    }) == []
+
+
+def test_a_mirrored_field_is_reached() -> None:
+    assert _unreached_in({
+        "a.py": MIRROR,
+        None: "from repro.a import _Summary\n_Summary.of(object())\n",
+    }) == []
+
+
+def test_a_string_constant_reaches_the_field() -> None:
+    assert _unreached_in({"a.py": RECORD,
+                          None: BUILT + "getattr(record, 'n')\n"}) == []
+
+
+def test_private_fields_are_never_flagged_private_classes_are_checked(
+) -> None:
+    assert _unreached_in({
+        "a.py": ("from dataclasses import dataclass, field\n"
+                 "@dataclass\n"
+                 "class _State:\n"
+                 "    n: int = 0\n"
+                 "    _cache: dict = field(default_factory=dict)\n"
+                 "def step(st):\n    st.n += 1\n"),
+        None: "from repro.a import step\n",
+    }) == ["a.py::_State.n"]
+
+
+def test_an_annotation_of_a_plain_class_is_not_a_field() -> None:
+    assert _unreached_in({
+        "a.py": "class Plain:\n    n: int\n",
+        None: "from repro.a import Plain\n",
+    }) == []
+
+
+def test_a_read_field_on_the_allowlist_is_stale() -> None:
+    flagged = _unreached_in({"a.py": RECORD,
+                             None: BUILT + "print(record.n)\n"})
+    assert stale({"a.py::Record.n": "an oracle"}, flagged) == [
+        "a.py::Record.n"]
+
+
+def test_an_unread_field_on_the_allowlist_is_not_stale() -> None:
+    flagged = _unreached_in({"a.py": RECORD, None: BUILT})
+    assert stale({"a.py::Record.n": "an oracle"}, flagged) == []
