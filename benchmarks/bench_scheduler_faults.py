@@ -73,7 +73,7 @@ def test_scheduler_fault_outcomes(benchmark, gpu):
             gpu, FaultySchedulerWrapper(factory(), fault)
         ).run(launches).trace
         deviations = audit_placement(observed, gpu, factory(), launches)
-        rows.append([label, outcome.value, len(deviations)])
+        rows.append([label, outcome.value, deviations])
         audited.append((outcome, deviations))
     print(
         "\n"

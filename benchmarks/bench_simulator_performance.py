@@ -33,7 +33,6 @@ from repro.gpu.reference import ReferenceSimulator
 from repro.gpu.scheduler import DefaultScheduler
 from repro.gpu.simulator import GPUSimulator, SimulationResult
 from repro.obs import Telemetry
-from repro.redundancy import manager as manager_module
 from repro.redundancy.manager import RedundantKernelManager
 
 _ARTIFACT = BenchArtifact(
@@ -121,14 +120,15 @@ def fig4_sweep_specs(seed: int = 2019) -> List[RunSpec]:
 
 
 def run_fig4_sweep(specs: List[RunSpec]) -> Dict[str, float]:
-    """Run the sweep in-process (one worker) from a cold baseline memo.
+    """Run the sweep in-process (one worker).
 
     Returns the wall time plus the simulator's work: ``simulate_calls``
     (redundant runs + baselines actually simulated), their events and
-    thread blocks, and the distinct baselines the memo ends up holding.
+    thread blocks, and ``distinct_baselines``, the single-copy runs among
+    them (the batch simulates each distinct baseline once).
     """
-    manager_module._BASELINE_MEMO.clear()
-    counts = {"simulate_calls": 0, "events": 0, "blocks": 0}
+    counts = {"simulate_calls": 0, "events": 0, "blocks": 0,
+              "distinct_baselines": 0}
     run = GPUSimulator.run
 
     def counted(self, launches):
@@ -136,13 +136,14 @@ def run_fig4_sweep(specs: List[RunSpec]) -> Dict[str, float]:
         counts["simulate_calls"] += 1
         counts["events"] += result.events
         counts["blocks"] += result.trace.num_blocks
+        if all(launch.copy_id == 0 for launch in launches):
+            counts["distinct_baselines"] += 1
         return result
 
     with mock.patch.object(GPUSimulator, "run", counted):
         t0 = time.perf_counter()
         Engine().run_many(specs, workers=1)
         wall = time.perf_counter() - t0
-    counts["distinct_baselines"] = len(manager_module._BASELINE_MEMO)
     counts["wall_s"] = wall
     return counts
 
@@ -154,8 +155,7 @@ def test_fig4_policy_sweep(benchmark):
     The cost is per thread block (tens of thousands of placements and
     retirements), and each (benchmark, SMs, repeat) baseline is simulated
     once, however many policies ask for it.  The median of :data:`LEGS`
-    walls, each from a cold baseline memo; the work counts are
-    deterministic.
+    walls; the work counts are deterministic.
     """
     specs = fig4_sweep_specs()
 

@@ -11,8 +11,11 @@ must re-execute.
 from __future__ import annotations
 
 from repro.analysis.report import render_table
-from repro.gpu.scheduler import HALFScheduler, SRRSScheduler
+from repro.gpu.kernel import dependent_chain
+from repro.gpu.scheduler import DefaultScheduler, HALFScheduler, SRRSScheduler
+from repro.gpu.simulator import GPUSimulator
 from repro.iso26262.fault_model import Ftti
+from repro.redundancy.comparison import build_signature
 from repro.redundancy.manager import RedundantKernelManager
 from repro.redundancy.modes import (
     RecoveryAction,
@@ -35,6 +38,10 @@ def test_tmr_overhead_and_recovery(benchmark, gpu):
 
     benchmark.pedantic(tmr_run, rounds=3, iterations=1)
 
+    # the non-redundant chain, unconstrained by any policy
+    baseline = GPUSimulator(gpu, DefaultScheduler()).run(
+        dependent_chain(kernels)
+    ).makespan
     rows = []
     for label, policy_factory, copies in (
         ("DMR/half", lambda: HALFScheduler(partitions=2), 2),
@@ -44,7 +51,6 @@ def test_tmr_overhead_and_recovery(benchmark, gpu):
     ):
         mgr = RedundantKernelManager(gpu, policy_factory(), copies=copies)
         run = mgr.run(kernels)
-        baseline = mgr.baseline_makespan(kernels)
         rows.append(
             [label, copies, run.sim.trace.busy_cycles,
              run.sim.trace.busy_cycles / baseline,
@@ -62,9 +68,11 @@ def test_tmr_overhead_and_recovery(benchmark, gpu):
 
     # fail-operational demonstration: corrupt one copy of logical kernel 0
     mgr3 = RedundantKernelManager(gpu, HALFScheduler(partitions=3), copies=3)
-    run3 = mgr3.run(kernels, corruption={(1, 0): ("hit",)})  # copy 1
+    corruption = {(1, 0): ("hit",)}  # logical kernel 0, copy 1
+    run3 = mgr3.run(kernels, corruption=corruption)
     comparison = run3.comparison_for(0)
-    signatures = [run3.signatures[(0, c)] for c in range(3)]
+    signatures = [build_signature(run3.sim.trace, c, corruption)
+                  for c in range(3)]
     action3 = plan_recovery(RedundancyMode.TMR, comparison, signatures)
     assert action3 is RecoveryAction.VOTE_CORRECT
 

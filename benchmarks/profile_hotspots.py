@@ -15,8 +15,8 @@ benchmarks gate:
   shard loop, fault sampling and classification;
 * ``sweep`` — the ``fig4_sweep`` scenario of ``BENCH_simulator.json``:
   the 88-spec Fig. 4 policy sweep with baselines, in-process on one
-  worker from a cold baseline memo — the per-block placement and
-  retirement path of the simulator, plus diversity analysis.
+  worker — the per-block placement and retirement path of the
+  simulator, plus diversity analysis.
 
 For each selected scenario the top functions by cumulative time are
 printed (default 25), and ``--out DIR`` additionally saves a
@@ -113,7 +113,7 @@ def _run_campaign() -> object:
 
 
 def _run_sweep() -> object:
-    """The ``fig4_sweep`` scenario (88 specs, one worker, cold memo)."""
+    """The ``fig4_sweep`` scenario (88 specs, one worker)."""
     from bench_simulator_performance import fig4_sweep_specs, run_fig4_sweep
 
     return run_fig4_sweep(fig4_sweep_specs())

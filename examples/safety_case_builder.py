@@ -100,7 +100,7 @@ def main() -> None:
     deviations = audit_placement(observed, gpu, HALFScheduler(), launches)
     print(
         f"\nperiodic scheduler test: injected pin-to-SM0 fault produced "
-        f"{len(deviations)} placement deviations — "
+        f"{deviations} placement deviations — "
         f"{'DETECTED' if deviations else 'MISSED'} before becoming latent"
     )
     assert deviations

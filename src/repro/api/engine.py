@@ -16,12 +16,14 @@ Batch execution (:meth:`Engine.run_many`) fans specs out over a process
 pool.  Every model in the reproduction is deterministic and fault seeds
 are fixed per spec, so the artifact list is identical for any worker
 count — ``workers=4`` only changes the wall-clock, never the results.
+The ``baseline: true`` specs of one GPU and workload run as one pool
+task, so a batch simulates each distinct baseline once.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 # the simulation stack first: the import order repro.campaigns.runner
 # documents (it keeps this process and its forked workers smaller)
@@ -52,11 +54,30 @@ from repro.workloads.rodinia import get_benchmark
 __all__ = ["Engine", "run", "run_many"]
 
 
-def _run_spec(task: Tuple[RunSpec, bool],
-              telemetry: Telemetry) -> RunArtifact:
-    """Pool task: execute one ``(spec, validate)`` pair."""
-    spec, validate = task
-    return Engine(validate=validate, telemetry=telemetry).run(spec)
+def _run_group(task: Tuple[Tuple[RunSpec, ...], bool],
+               telemetry: Telemetry) -> List[RunArtifact]:
+    """Pool task: execute one ``(specs, validate)`` group in order; the
+    first spec that records a baseline hands it to the rest."""
+    specs, validate = task
+    engine = Engine(validate=validate, telemetry=telemetry)
+    artifacts: List[RunArtifact] = []
+    baseline: Optional[float] = None
+    for spec in specs:
+        artifacts.append(engine._run(spec, baseline))
+        if baseline is None and artifacts[-1].timing is not None:
+            baseline = artifacts[-1].timing.baseline_makespan
+    return artifacts
+
+
+def _baseline_groups(specs: Sequence[RunSpec]) -> List[List[int]]:
+    """Spec indices, one list per task, in order of their first index:
+    the ``baseline: true`` specs of one ``(gpu, workload)`` together,
+    every other spec alone."""
+    groups: Dict[object, List[int]] = {}
+    for i, spec in enumerate(specs):
+        key = (spec.gpu, spec.workload) if spec.baseline else i
+        groups.setdefault(key, []).append(i)
+    return list(groups.values())
 
 
 def _load_features(specs: Sequence[RunSpec]) -> None:
@@ -103,6 +124,11 @@ class Engine:
             ConfigurationError: for specs whose options do not fit their
                 workload (e.g. a fault plan on a workload with no kernels).
         """
+        return self._run(spec, None)
+
+    def _run(self, spec: RunSpec, baseline: Optional[float]) -> RunArtifact:
+        """Execute one spec; ``baseline`` is its baseline makespan when
+        already simulated."""
         tm = self._telemetry
         gpu = spec.gpu.to_config()
         kernels = spec.workload.resolve(gpu)
@@ -118,9 +144,10 @@ class Engine:
                          copies=spec.effective_copies):
                 if spec.effective_copies >= 2:
                     (timing, diversity, comparisons, faults,
-                     scheduler_name) = self._run_redundant(spec, gpu, kernels)
+                     scheduler_name) = self._run_redundant(spec, gpu, kernels,
+                                                           baseline)
                 else:
-                    sim = self._run_plain(spec, gpu, kernels)
+                    sim = self._run_plain(spec.policy, gpu, kernels, spec.tag)
                     scheduler_name = sim.scheduler_name
                     timing = self._timing(sim, gpu)
         elif spec.faults is not None:
@@ -195,34 +222,42 @@ class Engine:
         _load_features(spec_list)
         tm.emit("run_start", kind="engine-batch", specs=len(spec_list),
                 workers=workers)
+        groups = _baseline_groups(spec_list)
+        # a group's artifacts wait here until every earlier spec's is out
+        waiting: Dict[int, RunArtifact] = {}
         done = 0
-        for artifact in map_tasks(
-                _run_spec, [(spec, self._validate) for spec in spec_list],
+        for group, artifacts in zip(groups, map_tasks(
+                _run_group,
+                [(tuple(spec_list[i] for i in group), self._validate)
+                 for group in groups],
                 workers=workers,
-                keys=[f"spec-{i:05d}" for i in range(len(spec_list))],
-                telemetry=tm):
-            yield artifact
-            done += 1
-            if tm.enabled:
-                tm.metrics.add("runs")
-                tm.beat("engine", done, len(spec_list),
-                        rate_counter="runs", unit="runs/s")
+                keys=[f"spec-{group[0]:05d}" for group in groups],
+                telemetry=tm)):
+            waiting.update(zip(group, artifacts))
+            while done in waiting:
+                yield waiting.pop(done)
+                done += 1
+                if tm.enabled:
+                    tm.metrics.add("runs")
+                    tm.beat("engine", done, len(spec_list),
+                            rate_counter="runs", unit="runs/s")
         tm.emit("run_end", kind="engine-batch", completed=done)
 
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
     def _run_redundant(self, spec: RunSpec, gpu: GPUConfig,
-                       kernels: Sequence[KernelDescriptor]):
+                       kernels: Sequence[KernelDescriptor],
+                       baseline: Optional[float]):
         manager = RedundantKernelManager(
             gpu, spec.policy, copies=spec.effective_copies,
             validate=self._validate,
         )
         run = manager.run(list(kernels), tag=spec.tag)
-        baseline = (
-            manager.baseline_makespan(list(kernels), tag=spec.tag)
-            if spec.baseline else None
-        )
+        if spec.baseline and baseline is None:
+            # the non-redundant chain, unconstrained by any policy
+            baseline = self._run_plain("default", gpu, kernels,
+                                       spec.tag).makespan
         timing = self._timing(run.sim, gpu, baseline=baseline)
         diversity = DiversitySummary.from_report(
             self._diversity_report(spec, run, kernels)
@@ -236,11 +271,12 @@ class Engine:
         faults = self._campaign(spec, run) if spec.faults is not None else None
         return timing, diversity, comparisons, faults, run.sim.scheduler_name
 
-    def _run_plain(self, spec: RunSpec, gpu: GPUConfig,
-                   kernels: Sequence[KernelDescriptor]) -> SimulationResult:
-        launches = dependent_chain(list(kernels), tag=spec.tag)
+    def _run_plain(self, policy: str, gpu: GPUConfig,
+                   kernels: Sequence[KernelDescriptor],
+                   tag: str) -> SimulationResult:
+        launches = dependent_chain(list(kernels), tag=tag)
         simulator = GPUSimulator(
-            gpu, make_scheduler(spec.policy), validate=self._validate
+            gpu, make_scheduler(policy), validate=self._validate
         )
         return simulator.run(launches)
 

@@ -17,9 +17,8 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "FaultOutcome", "InjectionResult", "classify_outcome",
     ),
     "repro.faults.scheduler_faults": (
-        "FaultySchedulerWrapper", "PlacementDeviation", "SchedulerFault",
-        "SchedulerFaultKind", "SchedulerFaultOutcome", "audit_placement",
-        "classify_scheduler_fault",
+        "FaultySchedulerWrapper", "SchedulerFault", "SchedulerFaultKind",
+        "SchedulerFaultOutcome", "audit_placement", "classify_scheduler_fault",
     ),
     "repro.faults.types": (
         "FaultDescriptor", "PermanentSMFault", "SEUFault", "TransientCCF",

@@ -19,7 +19,7 @@ This module provides:
 * :func:`classify_scheduler_fault` — maps a perturbed run onto the paper's
   outcome classes 1/2/3;
 * :func:`audit_placement` — the *periodic scheduler test*: re-derives the
-  expected placement with a healthy policy instance and reports
+  expected placement with a healthy policy instance and counts the
   deviations, which is what keeps class-2 faults from becoming latent.
 """
 
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.errors import FaultInjectionError
 from repro.gpu.config import GPUConfig
@@ -190,18 +190,9 @@ def classify_scheduler_fault(run: RedundantRunResult) -> SchedulerFaultOutcome:
     return SchedulerFaultOutcome.CORRECT_NOT_DIVERSE
 
 
-@dataclass(frozen=True)
-class PlacementDeviation:
-    """One block placed on another SM than a healthy run places it."""
-
-    instance_id: int
-    tb_index: int
-
-
 def audit_placement(observed: ExecutionTrace, gpu: GPUConfig,
                     healthy_policy: KernelScheduler,
-                    launches: Sequence[KernelLaunch]
-                    ) -> List[PlacementDeviation]:
+                    launches: Sequence[KernelLaunch]) -> int:
     """The periodic scheduler self-test (Section IV-C).
 
     Re-executes the workload with a healthy policy instance and compares
@@ -211,14 +202,13 @@ def audit_placement(observed: ExecutionTrace, gpu: GPUConfig,
     second, independent fault can exploit it.
 
     Returns:
-        All placement deviations (empty = scheduler healthy).
+        The number of blocks placed off their healthy SM (0 = scheduler
+        healthy).
     """
     expected = GPUSimulator(gpu, healthy_policy).run(launches).trace
-    deviations: List[PlacementDeviation] = []
     expected_sm, observed_sm = expected.columns.sm, observed.columns.sm
-    tb_index = expected.columns.tb_index
-    for iid in expected.instance_ids:
-        for er, orow in zip(expected.rows_of(iid), observed.rows_of(iid)):
-            if expected_sm[er] != observed_sm[orow]:
-                deviations.append(PlacementDeviation(iid, tb_index[er]))
-    return deviations
+    return sum(
+        expected_sm[er] != observed_sm[orow]
+        for iid in expected.instance_ids
+        for er, orow in zip(expected.rows_of(iid), observed.rows_of(iid))
+    )

@@ -29,7 +29,7 @@ for any worker count and any task-declaration order.
 """
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.api.spec import Codec, ReportCodec
 from repro.errors import ConfigurationError, PlatformError
@@ -38,12 +38,18 @@ from repro.iso26262.metrics import TARGETS
 
 __all__ = [
     "AsilRollup",
+    "DEVICE_COUNTERS",
     "PlatformDevice",
     "PlatformReport",
     "PlatformTask",
     "PlatformTotals",
     "task_asil",
+    "task_sums",
 ]
+
+#: The :class:`PlatformDevice` counters, each summed over its tasks.
+DEVICE_COUNTERS = ("frames", "completed", "dropped", "deadline_misses",
+                   "faults_sdc", "throughput_fps")
 
 
 def task_asil(label: str) -> Asil:
@@ -129,6 +135,13 @@ class PlatformTask(Codec):
         """The task's verdict (QM tasks always pass)."""
         return (not Asil[self.asil].is_safety_related
                 or (self.ftti_ok and self.coverage_ok))
+
+
+def task_sums(tasks: Sequence["PlatformTask"],
+              keys: Sequence[str]) -> Dict[str, float]:
+    """The float sum of each of ``keys`` over ``tasks``, in their order."""
+    return {key: float(sum(getattr(task, key) for task in tasks))
+            for key in keys}
 
 
 @dataclass(frozen=True)
@@ -217,6 +230,28 @@ class PlatformReport(ReportCodec):
     derived_keys = ("placement", "totals", "asil", "feasible")
     load_error = PlatformError
 
+    def __post_init__(self) -> None:
+        # the device rollup is stored, so it must be the sum of its tasks
+        for name, device in self.devices.items():
+            stored = {"tasks": sorted(device.tasks),
+                      **{key: getattr(device, key) for key in DEVICE_COUNTERS}}
+            derived = {"tasks": sorted(label for label, task
+                                       in self.tasks.items()
+                                       if task.device == name),
+                       **task_sums([self.tasks[label] for label in device.tasks
+                                    if label in self.tasks], DEVICE_COUNTERS)}
+            for key, value in derived.items():
+                if stored[key] != value:
+                    raise PlatformError(
+                        f"PlatformReport.devices.{name}.{key} is "
+                        f"{stored[key]!r}, but the tasks placed on it give "
+                        f"{value!r}"
+                    )
+        for label, task in sorted(self.tasks.items()):
+            if task.device not in self.devices:
+                raise PlatformError(f"PlatformReport.tasks.{label}.device "
+                                    f"{task.device!r} is not a device")
+
     def _by_label(self) -> List[Tuple[str, PlatformTask]]:
         """The tasks in label order: the order every rollup sums in."""
         return sorted(self.tasks.items())
@@ -230,12 +265,10 @@ class PlatformReport(ReportCodec):
     def totals(self) -> PlatformTotals:
         """Platform-wide counters."""
         entries = [task for _, task in self._by_label()]
-        counters = {
-            key: float(sum(getattr(entry, key) for entry in entries))
-            for key in ("frames", "completed", "dropped", "deadline_misses",
-                        "faults_injected", "faults_detected", "faults_sdc",
-                        "throughput_fps")
-        }
+        counters = task_sums(entries, (
+            "frames", "completed", "dropped", "deadline_misses",
+            "faults_injected", "faults_detected", "faults_sdc",
+            "throughput_fps"))
         frames = counters["frames"]
         unsafe = (counters["dropped"] + counters["deadline_misses"]
                   + counters["faults_sdc"])

@@ -38,10 +38,12 @@ from repro.exec import map_tasks
 from repro.obs.session import NULL_TELEMETRY, Telemetry
 from repro.platform.placement import PlatformPlan, bind_task, plan_placement
 from repro.platform.report import (
+    DEVICE_COUNTERS,
     PlatformDevice,
     PlatformReport,
     PlatformTask,
     task_asil,
+    task_sums,
 )
 from repro.streams.report import StreamReport
 from repro.streams.runner import run_stream
@@ -184,24 +186,17 @@ def _fold(spec: PlatformSpec, plan: PlatformPlan,
             digest=report.digest(),
         )
 
-    def total(entries: List[PlatformTask], key: str) -> float:
-        return float(sum(getattr(entry, key) for entry in entries))
-
     devices: Dict[str, PlatformDevice] = {}
     for device in spec.devices:
         placed = tuple(label for label, name in plan.assignments
                        if name == device.name)
-        entries = [tasks[label] for label in placed]
         devices[device.name] = PlatformDevice(
             gpu=device.gpu_spec().to_config().name,
             preset=device.preset,
             capacity=device.capacity,
             tasks=placed,
             utilisation=plan.device_utilisation[device.name],
-            **{key: total(entries, key)
-               for key in ("frames", "completed", "dropped",
-                           "deadline_misses", "faults_sdc",
-                           "throughput_fps")},
+            **task_sums([tasks[label] for label in placed], DEVICE_COUNTERS),
         )
 
     return PlatformReport(

@@ -23,7 +23,7 @@ measured diversity report.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.errors import RedundancyError
 from repro.gpu.config import GPUConfig
@@ -33,23 +33,12 @@ from repro.gpu.scheduler.registry import make_scheduler
 from repro.gpu.simulator import GPUSimulator, SimulationResult
 from repro.redundancy.comparison import (
     ComparisonResult,
-    OutputSignature,
     build_signature,
     compare_signatures,
 )
 from repro.redundancy.diversity import DiversityReport, analyze_diversity
 
 __all__ = ["RedundantRunResult", "RedundantKernelManager", "build_redundant_workload"]
-
-# Per-process memo of non-redundant baseline makespans, keyed by the full
-# simulation input ``(GPUConfig, kernel chain)``.  The simulation is
-# deterministic, so a hit returns exactly the float a fresh run would; a
-# policy sweep re-asks for the same baseline once per policy.  Bounded:
-# the oldest entry is evicted first.  Values are floats, keys share the
-# caller's frozen descriptors.
-_BASELINE_MEMO: Dict[Tuple[GPUConfig, Tuple[KernelDescriptor, ...]], float] = {}
-_BASELINE_MEMO_LIMIT = 256
-
 
 def build_redundant_workload(kernels: Sequence[KernelDescriptor], *,
                              copies: int = 2, tag: str = "",
@@ -100,15 +89,12 @@ class RedundantRunResult:
 
     Attributes:
         sim: the underlying simulation result (trace, makespan).
-        signatures: per-launch output signatures keyed by
-            ``(logical_id, copy_id)``.
         comparisons: one DCLS comparison per logical kernel.
         diversity: diversity report between copies 0 and 1.
         copies: redundancy degree used.
     """
 
     sim: SimulationResult
-    signatures: Mapping[Tuple[int, int], OutputSignature]
     comparisons: Tuple[ComparisonResult, ...]
     diversity: DiversityReport
     copies: int
@@ -163,24 +149,11 @@ class RedundantKernelManager:
                  *, copies: int = 2, validate: bool = True) -> None:
         if copies < 2:
             raise RedundancyError("redundancy degree must be >= 2")
-        self._gpu = gpu
-        self._scheduler = (
-            make_scheduler(policy) if isinstance(policy, str) else policy
-        )
+        scheduler = make_scheduler(policy) if isinstance(policy, str) else policy
         self._copies = copies
-        self._simulator = GPUSimulator(gpu, self._scheduler, validate=validate)
+        self._simulator = GPUSimulator(gpu, scheduler, validate=validate)
 
     # ------------------------------------------------------------------
-    @property
-    def gpu(self) -> GPUConfig:
-        """The GPU configuration in use."""
-        return self._gpu
-
-    @property
-    def scheduler(self) -> KernelScheduler:
-        """The scheduling policy in use."""
-        return self._scheduler
-
     @property
     def copies(self) -> int:
         """Redundancy degree."""
@@ -198,6 +171,8 @@ class RedundantKernelManager:
             corruption: optional fault-effect map ``(instance_id,
                 tb_index) -> fault signature`` (produced by
                 :mod:`repro.faults`); corrupted blocks yield error tokens.
+                Without one, every logical kernel gets its clean verdict
+                and no output signature is built.
 
         Returns:
             A :class:`RedundantRunResult`.
@@ -206,18 +181,21 @@ class RedundantKernelManager:
             kernels, copies=self._copies, tag=tag
         )
         sim = self._simulator.run(launches)
-
-        signatures: Dict[Tuple[int, int], OutputSignature] = {}
-        for launch in launches:
-            sig = build_signature(sim.trace, launch.instance_id, corruption)
-            signatures[(sig.logical_id, sig.copy_id)] = sig
-
-        comparisons = []
-        for logical_id in sorted({l.logical_id for l in launches}):
-            group = [
-                signatures[(logical_id, c)] for c in range(self._copies)
-            ]
-            comparisons.append(compare_signatures(group))
+        copies = tuple(range(self._copies))
+        if corruption:
+            comparisons = tuple(
+                compare_signatures([
+                    build_signature(sim.trace, logical_id * self._copies + c,
+                                    corruption)
+                    for c in copies
+                ])
+                for logical_id in range(len(kernels))
+            )
+        else:
+            # without a fault every block's token is ("ok", logical, tb)
+            # in every copy: the copies agree by construction
+            comparisons = tuple(ComparisonResult(logical_id, copies, (), ())
+                                for logical_id in range(len(kernels)))
 
         work_hint = max(k.work_per_block for k in kernels)
         diversity = analyze_diversity(
@@ -225,42 +203,7 @@ class RedundantKernelManager:
         )
         return RedundantRunResult(
             sim=sim,
-            signatures=signatures,
-            comparisons=tuple(comparisons),
+            comparisons=comparisons,
             diversity=diversity,
             copies=self._copies,
         )
-
-    def baseline_makespan(self, kernels: Sequence[KernelDescriptor], *,
-                          tag: str = "") -> float:
-        """Makespan of the *non-redundant* chain under this policy's GPU.
-
-        Used to express redundancy overheads; always simulated with the
-        default scheduler (a non-redundant app is unconstrained).  The
-        makespan depends only on the GPU and the chain (``tag`` labels
-        trace records), so repeated requests are served from a bounded
-        per-process memo.
-        """
-        key = (self._gpu, tuple(kernels))
-        cached = _BASELINE_MEMO.get(key)
-        if cached is not None:
-            return cached
-        from repro.gpu.scheduler.default import DefaultScheduler
-
-        launches: List[KernelLaunch] = []
-        for i, kd in enumerate(kernels):
-            launches.append(
-                KernelLaunch(
-                    kernel=kd,
-                    instance_id=i,
-                    copy_id=0,
-                    depends_on=(i - 1,) if i else (),
-                    logical_id=i,
-                    tag=tag,
-                )
-            )
-        sim = GPUSimulator(self._gpu, DefaultScheduler()).run(launches)
-        if len(_BASELINE_MEMO) >= _BASELINE_MEMO_LIMIT:
-            del _BASELINE_MEMO[next(iter(_BASELINE_MEMO))]
-        _BASELINE_MEMO[key] = sim.makespan
-        return sim.makespan

@@ -105,7 +105,7 @@ class TestPeriodicAudit:
         deviations = audit_placement(
             observed, gpu, SRRSScheduler(), launches
         )
-        assert deviations == []
+        assert deviations == 0
 
     def test_latent_pin_fault_caught_by_audit(self, gpu, kernel):
         # class-2 faults are invisible to output comparison; the periodic
@@ -119,7 +119,7 @@ class TestPeriodicAudit:
         )
         assert deviations
 
-    def test_deviations_name_the_misplaced_instance(self, gpu, kernel):
+    def test_a_misplace_fault_is_counted(self, gpu, kernel):
         launches = build_redundant_workload([kernel])
         fault = SchedulerFault(kind=SchedulerFaultKind.MISPLACE,
                                target_instance=0)
@@ -128,5 +128,4 @@ class TestPeriodicAudit:
         deviations = audit_placement(
             observed, gpu, SRRSScheduler(), launches
         )
-        assert deviations
-        assert {d.instance_id for d in deviations} == {0}
+        assert 0 < deviations <= kernel.grid_blocks

@@ -29,7 +29,13 @@ from repro.faults.report import (
     CampaignReport,
     SamplingMetadata,
 )
-from repro.platform.report import PlatformDevice, PlatformReport, PlatformTask
+from repro.platform.report import (
+    DEVICE_COUNTERS,
+    PlatformDevice,
+    PlatformReport,
+    PlatformTask,
+    task_sums,
+)
 from repro.streams.report import StreamFaults, StreamReport, StreamWindows
 
 _SETTINGS = settings(
@@ -88,48 +94,51 @@ def stream_reports(draw) -> StreamReport:
     )
 
 
-_LABELS = st.lists(_TEXT, max_size=3).map(tuple)
+def _platform_tasks(devices) -> st.SearchStrategy:
+    return st.builds(
+        PlatformTask,
+        device=st.sampled_from(devices),
+        asil=_ASIL,
+        utilisation=_number(0.0, 1.0),
+        service_ms=_number(0.0, 10.0),
+        protocol_ms=_number(0.0, 10.0),
+        frames=_COUNT,
+        completed=_COUNT,
+        dropped=_COUNT,
+        deadline_misses=_COUNT,
+        faults_injected=_COUNT,
+        faults_detected=_COUNT,
+        faults_sdc=_COUNT,
+        safe_rate=_number(0.0, 1.0),
+        throughput_fps=_number(0.0, 1e3),
+        elapsed_ms=_number(0.0, 1e6),
+        digest=st.text(alphabet="0123456789abcdef", min_size=16,
+                       max_size=16),
+    )
 
-_PLATFORM_TASKS = st.builds(
-    PlatformTask,
-    device=_TEXT,
-    asil=_ASIL,
-    utilisation=_number(0.0, 1.0),
-    service_ms=_number(0.0, 10.0),
-    protocol_ms=_number(0.0, 10.0),
-    frames=_COUNT,
-    completed=_COUNT,
-    dropped=_COUNT,
-    deadline_misses=_COUNT,
-    faults_injected=_COUNT,
-    faults_detected=_COUNT,
-    faults_sdc=_COUNT,
-    safe_rate=_number(0.0, 1.0),
-    throughput_fps=_number(0.0, 1e3),
-    elapsed_ms=_number(0.0, 1e6),
-    digest=st.text(alphabet="0123456789abcdef", min_size=16, max_size=16),
-)
 
-_PLATFORM_DEVICES = st.builds(
-    PlatformDevice,
-    gpu=_TEXT,
-    preset=st.none() | _TEXT,
-    capacity=_number(0.5, 1.0),
-    tasks=_LABELS,
-    **{name: _number(0.0, 1e5)
-       for name in ("utilisation", "frames", "completed", "dropped",
-                    "deadline_misses", "faults_sdc", "throughput_fps")},
-)
-
-# the placement, the totals and the ASIL rollup are derived from the tasks
-platform_reports = st.builds(
-    PlatformReport,
-    label=_TEXT,
-    spec_hash=_TEXT,
-    policy=_TEXT,
-    devices=st.dictionaries(_TEXT, _PLATFORM_DEVICES, max_size=3),
-    tasks=st.dictionaries(_TEXT, _PLATFORM_TASKS, max_size=3),
-)
+@st.composite
+def platform_reports(draw) -> PlatformReport:
+    """The placement, the totals and the ASIL rollup are derived from the
+    tasks; each device lists its tasks in any order, with counters summed
+    in that order."""
+    names = draw(st.lists(_TEXT, unique=True, max_size=3))
+    tasks = (draw(st.dictionaries(_TEXT, _platform_tasks(names),
+                                  max_size=3)) if names else {})
+    devices = {}
+    for name in names:
+        placed = draw(st.permutations(
+            [label for label, task in tasks.items() if task.device == name]))
+        devices[name] = PlatformDevice(
+            gpu=draw(_TEXT),
+            preset=draw(st.none() | _TEXT),
+            capacity=draw(_number(0.5, 1.0)),
+            tasks=tuple(placed),
+            utilisation=draw(_number(0.0, 1e5)),
+            **task_sums([tasks[label] for label in placed], DEVICE_COUNTERS),
+        )
+    return PlatformReport(label=draw(_TEXT), spec_hash=draw(_TEXT),
+                          policy=draw(_TEXT), devices=devices, tasks=tasks)
 
 
 _WEIGHTS = st.fixed_dictionaries(
@@ -175,7 +184,7 @@ def test_stream_report_round_trips(report):
 
 
 @_SETTINGS
-@given(platform_reports)
+@given(platform_reports())
 def test_platform_report_round_trips(report):
     _check_round_trip(report)
     payload = report.to_dict()
@@ -216,7 +225,7 @@ _OTHER = {
     str: lambda old: _TEXT.filter(lambda v: v != old),
 }
 
-_REPORTS = {"campaign": campaign_reports, "platform": platform_reports,
+_REPORTS = {"campaign": campaign_reports, "platform": platform_reports(),
             "stream": stream_reports()}
 
 
