@@ -82,7 +82,7 @@ def device_count_sweep(
             tag=f"{count}-device sweep",
         )
         report = run_platform(spec, workers=workers)
-        utils = [entry.utilisation for entry in report.devices.values()]
+        utils = [t.utilisation for t in report.device_totals.values()]
         rows.append(
             DeviceCountRow(
                 devices=count,
@@ -113,11 +113,13 @@ def platform_summary_rows(report: PlatformReport) -> List[List[object]]:
         ["safe rate", f"{totals.safe_rate:.4f}"],
         ["throughput (fps)", f"{totals.throughput_fps:.2f}"],
     ]
+    device_totals, placement = report.device_totals, report.placement
     for name, device in sorted(report.devices.items()):
+        placed = [label for label, on in placement.items() if on == name]
         rows.append([
             f"device {name}",
-            f"util={device.utilisation:.3f}/{device.capacity:g} "
-            f"tasks={','.join(device.tasks) or '-'}",
+            f"util={device_totals[name].utilisation:.3f}/{device.capacity:g} "
+            f"tasks={','.join(placed) or '-'}",
         ])
     for label, task in sorted(report.tasks.items()):
         rows.append([

@@ -38,7 +38,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
 # 1 MB less resident memory in this process — and in every pool worker
 # forked from it — than compiling them after the spec layers
 # (docs/PERFORMANCE.md, "CLI start-up").
-from repro.redundancy.manager import RedundantKernelManager
+from repro.redundancy.manager import clean_run
 from repro.api.campaign import CampaignSpec
 from repro.api.spec import FaultPlanSpec, RunSpec
 from repro.api.stats import SamplingSpec
@@ -92,10 +92,7 @@ def baseline_campaign(run_spec: RunSpec, *,
                       validate: bool = True) -> FaultCampaign:
     """Build (or fetch from the per-process cache) the clean run to attack.
 
-    Mirrors the redundant leg of :meth:`repro.api.engine.Engine.run`: the
-    spec's GPU and workload are materialised and executed once under the
-    spec's policy and redundancy degree; the resulting clean
-    :class:`~repro.redundancy.manager.RedundantRunResult` seeds a
+    The spec's :func:`~repro.redundancy.manager.clean_run` seeds a
     :class:`~repro.faults.campaign.FaultCampaign`.
 
     Raises:
@@ -106,18 +103,7 @@ def baseline_campaign(run_spec: RunSpec, *,
     cached = _BASELINE_CACHE.get(key)
     if cached is not None:
         return cached
-    gpu = run_spec.gpu.to_config()
-    kernels = run_spec.workload.resolve(gpu)
-    if not kernels:
-        raise CampaignError(
-            f"campaign workload {run_spec.workload.label!r} resolves to no "
-            "kernels — there is no trace to inject faults into"
-        )
-    manager = RedundantKernelManager(
-        gpu, run_spec.policy, copies=run_spec.effective_copies,
-        validate=validate,
-    )
-    run = manager.run(list(kernels), tag=run_spec.tag)
+    run = clean_run(run_spec, validate=validate, error=CampaignError)
     campaign = FaultCampaign(run)
     if len(_BASELINE_CACHE) >= _BASELINE_CACHE_LIMIT:
         _BASELINE_CACHE.clear()

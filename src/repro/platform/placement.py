@@ -41,7 +41,7 @@ from repro.api.spec import RunSpec
 from repro.api.stream import StreamSpec
 from repro.errors import PlatformError
 from repro.gpu.cots import protocol_overhead_ms
-from repro.redundancy.manager import RedundantKernelManager
+from repro.redundancy.manager import clean_run
 
 __all__ = ["TaskDemand", "PlatformPlan", "bind_task", "task_demand",
            "plan_placement"]
@@ -121,19 +121,8 @@ def bind_task(task: StreamSpec, device: DeviceSpec) -> StreamSpec:
 
 def _simulated_service_ms(run_spec: RunSpec, validate: bool) -> float:
     """Redundant makespan of one frame job in milliseconds."""
-    gpu = run_spec.gpu.to_config()
-    kernels = run_spec.workload.resolve(gpu)
-    if not kernels:
-        raise PlatformError(
-            f"task workload {run_spec.workload.label!r} resolves to no "
-            "kernels — there is no frame job to place"
-        )
-    manager = RedundantKernelManager(
-        gpu, run_spec.policy, copies=run_spec.effective_copies,
-        validate=validate,
-    )
-    run = manager.run(list(kernels), tag=run_spec.tag)
-    return gpu.cycles_to_ms(run.makespan)
+    run = clean_run(run_spec, validate=validate, error=PlatformError)
+    return run.sim.gpu.cycles_to_ms(run.makespan)
 
 
 def task_demand(task: StreamSpec, device: DeviceSpec, *,

@@ -4,8 +4,9 @@ One report folds the per-device :class:`~repro.streams.report.StreamReport`
 results of every placed task into the platform-level verdicts the paper's
 deployment story needs:
 
-* **per-device accounting** — planned utilisation vs capacity, frame
-  counters and throughput per device;
+* **per-device accounting** — each device's spec (GPU, preset,
+  capacity) and, derived from the tasks placed on it, planned
+  utilisation, frame counters and throughput;
 * **global deadline/FTTI accounting** — totals of frames, drops,
   deadline misses and fault outcomes across the whole task set;
 * **ISO 26262 rollup** — each task resolves to the ASIL of its safety
@@ -18,10 +19,11 @@ deployment story needs:
 
 Like :class:`~repro.streams.report.StreamReport` the report is O(1) in
 the frame count and takes its JSON form from the spec codec
-(:class:`~repro.api.spec.ReportCodec`).  Only the devices and the tasks
-are stored: the task verdicts, the placement, the totals and the ASIL
-rollup are derived keys (over the tasks in label order), a saved report
-loads only in that canonical form, and
+(:class:`~repro.api.spec.ReportCodec`).  Only the device specs and the
+tasks are stored: the task safe rates and verdicts, the placement, the
+per-device and platform totals and the ASIL rollup are derived keys
+(over the tasks in label order), a saved report loads only in that
+canonical form, and
 :meth:`~repro.api.spec.ReportCodec.digest` hashes it.  The platform
 determinism contract (``docs/PLATFORM.md``) is stated over that digest:
 same :class:`~repro.api.platform.PlatformSpec` ⇒ bit-identical digest,
@@ -35,21 +37,16 @@ from repro.api.spec import Codec, ReportCodec
 from repro.errors import ConfigurationError, PlatformError
 from repro.iso26262.asil import Asil
 from repro.iso26262.metrics import TARGETS
+from repro.streams.report import safe_fraction
 
 __all__ = [
     "AsilRollup",
-    "DEVICE_COUNTERS",
     "PlatformDevice",
     "PlatformReport",
     "PlatformTask",
     "PlatformTotals",
     "task_asil",
-    "task_sums",
 ]
-
-#: The :class:`PlatformDevice` counters, each summed over its tasks.
-DEVICE_COUNTERS = ("frames", "completed", "dropped", "deadline_misses",
-                   "faults_sdc", "throughput_fps")
 
 
 def task_asil(label: str) -> Asil:
@@ -77,8 +74,8 @@ class PlatformTask(Codec):
         asil: the task's integrity level name (``"QM"``, ``"A"``–``"D"``).
         utilisation / service_ms / protocol_ms: planned demand.
         frames / completed / dropped / deadline_misses / faults_injected
-            / faults_detected / faults_sdc / safe_rate / throughput_fps /
-            elapsed_ms: the stream's headline counters.
+            / faults_detected / faults_sdc / throughput_fps / elapsed_ms:
+            the stream's headline counters.
         digest: the task's stream report digest.
     """
 
@@ -94,12 +91,12 @@ class PlatformTask(Codec):
     faults_injected: int
     faults_detected: int
     faults_sdc: int
-    safe_rate: float
     throughput_fps: float
     elapsed_ms: float
     digest: str
 
-    derived_keys = ("coverage", "coverage_ok", "ftti_ok", "sdc_free", "ok")
+    derived_keys = ("safe_rate", "coverage", "coverage_ok", "ftti_ok",
+                    "sdc_free", "ok")
 
     def __post_init__(self) -> None:
         if self.asil not in Asil.__members__:
@@ -107,6 +104,12 @@ class PlatformTask(Codec):
                 f"PlatformTask.asil must be one of "
                 f"{', '.join(Asil.__members__)}, got {self.asil!r}"
             )
+
+    @property
+    def safe_rate(self) -> float:
+        """The stream's safe rate, from the task's own counters."""
+        return safe_fraction(self.frames, self.dropped,
+                             self.deadline_misses, self.faults_sdc)
 
     @property
     def coverage(self) -> float:
@@ -137,40 +140,21 @@ class PlatformTask(Codec):
                 or (self.ftti_ok and self.coverage_ok))
 
 
-def task_sums(tasks: Sequence["PlatformTask"],
-              keys: Sequence[str]) -> Dict[str, float]:
-    """The float sum of each of ``keys`` over ``tasks``, in their order."""
-    return {key: float(sum(getattr(task, key) for task in tasks))
-            for key in keys}
-
-
 @dataclass(frozen=True)
 class PlatformDevice(Codec):
-    """One device's accounting.
-
-    Planned utilisation vs capacity, the tasks placed there and frame
-    counters summed over them.
-    """
+    """One device's spec: its GPU, preset and utilisation capacity."""
 
     gpu: str
     preset: Optional[str]
     capacity: float
-    tasks: Tuple[str, ...]
-    utilisation: float
-    frames: float
-    completed: float
-    dropped: float
-    deadline_misses: float
-    faults_sdc: float
-    throughput_fps: float
 
 
 @dataclass(frozen=True)
 class PlatformTotals(Codec):
-    """Platform-wide counters.
+    """Counters over a set of tasks (the platform's or one device's).
 
-    Task counters summed over the task set, the frame-weighted safe rate
-    and the longest stream makespan.
+    Task counters and planned utilisation summed over the tasks, the
+    frame-weighted safe rate and the longest stream makespan.
     """
 
     frames: float
@@ -181,8 +165,25 @@ class PlatformTotals(Codec):
     faults_detected: float
     faults_sdc: float
     throughput_fps: float
+    utilisation: float
     safe_rate: float
     elapsed_ms: float
+
+    @classmethod
+    def of(cls, tasks: Sequence[PlatformTask]) -> "PlatformTotals":
+        """The fold over ``tasks``, summing in their order."""
+        sums = {key: float(sum(getattr(task, key) for task in tasks))
+                for key in ("frames", "completed", "dropped",
+                            "deadline_misses", "faults_injected",
+                            "faults_detected", "faults_sdc",
+                            "throughput_fps", "utilisation")}
+        return cls(
+            safe_rate=safe_fraction(sums["frames"], sums["dropped"],
+                                    sums["deadline_misses"],
+                                    sums["faults_sdc"]),
+            elapsed_ms=max((task.elapsed_ms for task in tasks), default=0.0),
+            **sums,
+        )
 
 
 @dataclass(frozen=True)
@@ -217,7 +218,7 @@ class PlatformReport(ReportCodec):
         spec_hash: :attr:`~repro.api.platform.PlatformSpec.config_hash`
             of the executed spec (provenance).
         policy: placement policy used.
-        devices: per-device accounting, keyed by device name.
+        devices: the device specs, keyed by device name.
         tasks: per-task outcome and verdict, keyed by task label.
     """
 
@@ -227,26 +228,10 @@ class PlatformReport(ReportCodec):
     devices: Dict[str, PlatformDevice]
     tasks: Dict[str, PlatformTask]
 
-    derived_keys = ("placement", "totals", "asil", "feasible")
+    derived_keys = ("placement", "totals", "device_totals", "asil")
     load_error = PlatformError
 
     def __post_init__(self) -> None:
-        # the device rollup is stored, so it must be the sum of its tasks
-        for name, device in self.devices.items():
-            stored = {"tasks": sorted(device.tasks),
-                      **{key: getattr(device, key) for key in DEVICE_COUNTERS}}
-            derived = {"tasks": sorted(label for label, task
-                                       in self.tasks.items()
-                                       if task.device == name),
-                       **task_sums([self.tasks[label] for label in device.tasks
-                                    if label in self.tasks], DEVICE_COUNTERS)}
-            for key, value in derived.items():
-                if stored[key] != value:
-                    raise PlatformError(
-                        f"PlatformReport.devices.{name}.{key} is "
-                        f"{stored[key]!r}, but the tasks placed on it give "
-                        f"{value!r}"
-                    )
         for label, task in sorted(self.tasks.items()):
             if task.device not in self.devices:
                 raise PlatformError(f"PlatformReport.tasks.{label}.device "
@@ -264,20 +249,15 @@ class PlatformReport(ReportCodec):
     @property
     def totals(self) -> PlatformTotals:
         """Platform-wide counters."""
-        entries = [task for _, task in self._by_label()]
-        counters = task_sums(entries, (
-            "frames", "completed", "dropped", "deadline_misses",
-            "faults_injected", "faults_detected", "faults_sdc",
-            "throughput_fps"))
-        frames = counters["frames"]
-        unsafe = (counters["dropped"] + counters["deadline_misses"]
-                  + counters["faults_sdc"])
-        return PlatformTotals(
-            safe_rate=max(0.0, (frames - unsafe) / frames) if frames else 0.0,
-            elapsed_ms=max((entry.elapsed_ms for entry in entries),
-                           default=0.0),
-            **counters,
-        )
+        return PlatformTotals.of([task for _, task in self._by_label()])
+
+    @property
+    def device_totals(self) -> Dict[str, PlatformTotals]:
+        """Device name -> the counters of the tasks placed on it."""
+        tasks = self._by_label()
+        return {name: PlatformTotals.of([task for _, task in tasks
+                                         if task.device == name])
+                for name in self.devices}
 
     @property
     def asil(self) -> AsilRollup:
@@ -295,11 +275,6 @@ class PlatformReport(ReportCodec):
                 worst_failed.name if worst_failed is not None else None
             ),
         )
-
-    @property
-    def feasible(self) -> bool:
-        """Always True for an executed platform (infeasible specs raise)."""
-        return True
 
     @property
     def all_ok(self) -> bool:

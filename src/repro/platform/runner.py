@@ -15,9 +15,9 @@ into a :class:`~repro.platform.report.PlatformReport` in three stages:
    one pool task per device — the natural parallel grain, since streams
    on different devices share nothing;
 3. **rollup** (:mod:`repro.platform.report`) — the per-task outcomes
-   and per-device accounting fold into one canonical report, which
-   derives the global deadline/FTTI totals and the ISO 26262 worst-task
-   verdict from its tasks.
+   and the device specs fold into one canonical report, which derives
+   the per-device and global deadline/FTTI totals and the ISO 26262
+   worst-task verdict from its tasks.
 
 Determinism contract: the report is a pure function of the spec.  Every
 stream is deterministic, placement is pure, and the fold always walks
@@ -38,12 +38,10 @@ from repro.exec import map_tasks
 from repro.obs.session import NULL_TELEMETRY, Telemetry
 from repro.platform.placement import PlatformPlan, bind_task, plan_placement
 from repro.platform.report import (
-    DEVICE_COUNTERS,
     PlatformDevice,
     PlatformReport,
     PlatformTask,
     task_asil,
-    task_sums,
 )
 from repro.streams.report import StreamReport
 from repro.streams.runner import run_stream
@@ -180,29 +178,22 @@ def _fold(spec: PlatformSpec, plan: PlatformPlan,
             faults_injected=report.faults.injected,
             faults_detected=report.faults.detected,
             faults_sdc=report.faults.sdc,
-            safe_rate=report.safe_rate,
             throughput_fps=report.throughput_fps,
             elapsed_ms=report.elapsed_ms,
             digest=report.digest(),
-        )
-
-    devices: Dict[str, PlatformDevice] = {}
-    for device in spec.devices:
-        placed = tuple(label for label, name in plan.assignments
-                       if name == device.name)
-        devices[device.name] = PlatformDevice(
-            gpu=device.gpu_spec().to_config().name,
-            preset=device.preset,
-            capacity=device.capacity,
-            tasks=placed,
-            utilisation=plan.device_utilisation[device.name],
-            **task_sums([tasks[label] for label in placed], DEVICE_COUNTERS),
         )
 
     return PlatformReport(
         label=spec.label,
         spec_hash=spec.config_hash,
         policy=plan.policy,
-        devices=devices,
+        devices={
+            device.name: PlatformDevice(
+                gpu=device.gpu_spec().to_config().name,
+                preset=device.preset,
+                capacity=device.capacity,
+            )
+            for device in spec.devices
+        },
         tasks=tasks,
     )

@@ -23,9 +23,10 @@ measured diversity report.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (TYPE_CHECKING, List, Mapping, Optional, Sequence,
+                    Tuple, Type, Union)
 
-from repro.errors import RedundancyError
+from repro.errors import RedundancyError, ReproError
 from repro.gpu.config import GPUConfig
 from repro.gpu.kernel import KernelDescriptor, KernelLaunch
 from repro.gpu.scheduler.base import KernelScheduler
@@ -38,7 +39,11 @@ from repro.redundancy.comparison import (
 )
 from repro.redundancy.diversity import DiversityReport, analyze_diversity
 
-__all__ = ["RedundantRunResult", "RedundantKernelManager", "build_redundant_workload"]
+if TYPE_CHECKING:
+    from repro.api.spec import RunSpec
+
+__all__ = ["RedundantRunResult", "RedundantKernelManager",
+           "build_redundant_workload", "clean_run"]
 
 def build_redundant_workload(kernels: Sequence[KernelDescriptor], *,
                              copies: int = 2, tag: str = "",
@@ -207,3 +212,26 @@ class RedundantKernelManager:
             diversity=diversity,
             copies=self._copies,
         )
+
+
+def clean_run(run_spec: RunSpec, *, validate: bool = True,
+              error: Type[ReproError]) -> RedundantRunResult:
+    """The fault-free redundant run of one :class:`~repro.api.spec.RunSpec`.
+
+    The spec's GPU and workload are materialised and executed once under
+    the spec's policy and redundancy degree.
+
+    Raises:
+        error: when the workload resolves to no kernels (there is nothing
+            to run redundantly).
+    """
+    gpu = run_spec.gpu.to_config()
+    kernels = run_spec.workload.resolve(gpu)
+    if not kernels:
+        raise error(f"workload {run_spec.workload.label!r} resolves to no "
+                    "kernels — there is nothing to run redundantly")
+    manager = RedundantKernelManager(
+        gpu, run_spec.policy, copies=run_spec.effective_copies,
+        validate=validate,
+    )
+    return manager.run(list(kernels), tag=run_spec.tag)

@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Tuple
 
 # the simulation stack first: the import order repro.campaigns.runner
 # documents
-from repro.redundancy.manager import RedundantKernelManager, RedundantRunResult
+from repro.redundancy.manager import RedundantRunResult, clean_run
 from repro.api.spec import RunSpec, WorkloadSpec
 from repro.api.stream import StreamSpec
 from repro.errors import StreamError, WorkerCountError
@@ -75,18 +75,7 @@ def _simulate_job(task: Tuple[str, bool],
     spec_json, validate = task
     run_spec = RunSpec.from_json(spec_json)
     with telemetry.span("simulate_job", label=run_spec.workload.label):
-        gpu = run_spec.gpu.to_config()
-        kernels = run_spec.workload.resolve(gpu)
-        if not kernels:
-            raise StreamError(
-                f"stream workload {run_spec.workload.label!r} resolves "
-                "to no kernels — there is no frame job to execute"
-            )
-        manager = RedundantKernelManager(
-            gpu, run_spec.policy, copies=run_spec.effective_copies,
-            validate=validate,
-        )
-        return manager.run(list(kernels), tag=run_spec.tag)
+        return clean_run(run_spec, validate=validate, error=StreamError)
 
 
 def resolve_jobs(spec: StreamSpec, *, workers: int = 1,

@@ -29,6 +29,7 @@ __all__ = [
     "StreamReport",
     "StreamWindows",
     "quantile_key",
+    "safe_fraction",
 ]
 
 #: Stream rates with a well-defined event/trial count pair, i.e. the
@@ -40,6 +41,17 @@ STREAM_RATE_METRICS = ("deadline_miss", "drop", "unsafe", "fault_sdc")
 def quantile_key(q: float) -> str:
     """Canonical report key of one latency quantile (``0.99`` → ``"p99"``)."""
     return f"p{100.0 * q:.10g}"
+
+
+def safe_fraction(frames: float, dropped: float, deadline_misses: float,
+                  sdc: float) -> float:
+    """Frames delivered correctly and on time, over ``frames``: drops,
+    deadline misses and silent corruptions all subtract (0.0 without
+    frames)."""
+    if not frames:
+        return 0.0
+    unsafe = dropped + deadline_misses + sdc
+    return max(0.0, (frames - unsafe) / frames)
 
 
 @dataclass(frozen=True)
@@ -164,10 +176,8 @@ class StreamReport(ReportCodec):
         The stream-level safety headline: drops, deadline misses and
         silent corruptions all subtract from it.
         """
-        if not self.frames:
-            return 0.0
-        unsafe = self.dropped + self.deadline_misses + self.faults.sdc
-        return max(0.0, (self.frames - unsafe) / self.frames)
+        return safe_fraction(self.frames, self.dropped,
+                             self.deadline_misses, self.faults.sdc)
 
     # perfbench's in-process replay reads these three counters
     faults_masked = property(lambda self: self.faults.masked)

@@ -7,6 +7,8 @@ aggregate report bit-identical to the unsharded single-process run.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.api import CampaignSpec, FaultPlanSpec, RunSpec, WorkloadSpec
@@ -74,6 +76,14 @@ class TestRunCampaign:
     def test_invalid_workers_rejected(self):
         with pytest.raises(CampaignError):
             run_campaign(_spec(), workers=0)
+
+    def test_workload_without_kernels_rejected(self):
+        # cfd is COTS-only: there is no simulated trace to inject into
+        spec = replace(_spec(shards=1), run=RunSpec(
+            workload=WorkloadSpec(benchmark="cfd"), policy="srrs"))
+        with pytest.raises(CampaignError,
+                           match="'cfd' resolves to no kernels"):
+            run_campaign(spec)
 
 
 class TestInterruptAndResume:

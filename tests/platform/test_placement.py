@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.api import StreamSpec
+from repro.api import RunSpec, StreamSpec, WorkloadSpec
 from repro.api.platform import DeviceSpec, PlacementSpec, PlatformSpec
 from repro.errors import PlatformError
 from repro.platform.placement import bind_task, plan_placement, task_demand
@@ -136,6 +136,14 @@ class TestAdmission:
                    DeviceSpec(name="tiny", capacity=1e-6))
         with pytest.raises(PlatformError, match="camera-perception"):
             plan_placement(_platform(devices=devices, placement=placement))
+
+    def test_task_without_kernels_rejected(self):
+        # cfd is COTS-only: there is no frame job to simulate
+        run = RunSpec(workload=WorkloadSpec(benchmark="cfd"), policy="srrs")
+        task = StreamSpec(run=run, frames=10, tag="cfd-task")
+        with pytest.raises(PlatformError,
+                           match="'cfd' resolves to no kernels"):
+            plan_placement(_platform(1, tasks=(task,)))
 
     def test_capacity_fold_accumulates(self):
         # capacity below the summed demand of all four tasks but above

@@ -56,7 +56,6 @@ class TestReportContents:
         spec = _platform()
         assert report.spec_hash == spec.config_hash
         assert report.policy == "balanced"
-        assert report.feasible
 
     def test_placement_covers_every_task(self, report):
         assert sorted(report.placement) == sorted(report.tasks)
@@ -72,8 +71,16 @@ class TestReportContents:
         assert report.totals.safe_rate == 1.0
 
     def test_device_utilisation_within_capacity(self, report):
-        for entry in report.devices.values():
-            assert 0.0 <= entry.utilisation <= entry.capacity
+        for name, entry in report.device_totals.items():
+            assert 0.0 <= entry.utilisation <= report.devices[name].capacity
+
+    def test_device_totals_fold_the_tasks_placed_there(self, report):
+        for name, entry in report.device_totals.items():
+            placed = [task for task in report.tasks.values()
+                      if task.device == name]
+            assert entry.frames == sum(task.frames for task in placed)
+            assert entry.utilisation == pytest.approx(
+                sum(task.utilisation for task in placed))
 
     def test_task_entries_carry_stream_evidence(self, report):
         for entry in report.tasks.values():
@@ -110,6 +117,7 @@ class TestProtocolOverhead:
         offset = task_demand(spec.tasks[0], device).protocol_ms
         with_offset = run_stream(bound, service_offset_ms=offset)
         assert entry.digest == with_offset.digest()
+        assert entry.safe_rate == with_offset.safe_rate
         # without the offset the stream is a different (cheaper) system
         assert run_stream(bound).digest() != with_offset.digest()
 
@@ -189,6 +197,7 @@ class TestIsoRollup:
                    for name in ("asil", *entry.derived_keys)}
         assert verdict == {
             "asil": "D",
+            "safe_rate": 1.0,
             "coverage": 1.0,
             "coverage_ok": True,
             "ftti_ok": True,

@@ -46,7 +46,7 @@ class TestJobResolution:
         # cfd is COTS-only: no simulated kernel chain
         spec = _spec(run=RunSpec(workload=WorkloadSpec(benchmark="cfd"),
                                  policy="srrs"))
-        with pytest.raises(StreamError):
+        with pytest.raises(StreamError, match="'cfd' resolves to no kernels"):
             resolve_jobs(spec)
 
     def test_bad_worker_count_rejected(self):

@@ -27,7 +27,7 @@ from repro.cli import main
 from repro.errors import FaultInjectionError, PlatformError, StreamError
 from repro.faults.report import CampaignReport
 from repro.obs.session import Telemetry
-from repro.platform.report import DEVICE_COUNTERS, PlatformReport
+from repro.platform.report import PlatformReport
 from repro.streams.report import StreamReport
 
 SPECS = Path(__file__).resolve().parents[1] / "examples" / "specs"
@@ -88,17 +88,6 @@ def _set(path: str, value):
     return edit
 
 
-def _move_radar_off_the_platform(payload):
-    """Place ``radar-cfar`` on an undeclared device, and keep gpu1's
-    rollup the sum of the task left on it."""
-    payload["tasks"]["radar-cfar"]["device"] = "gpu9"
-    payload["placement"]["radar-cfar"] = "gpu9"
-    left = payload["tasks"]["trajectory-scoring"]
-    payload["devices"]["gpu1"].update(
-        tasks=["trajectory-scoring"],
-        **{key: float(left[key]) for key in DEVICE_COUNTERS})
-
-
 def _edits(*edits):
     """Payload edit applying each of ``edits`` in turn."""
     def edit(payload):
@@ -137,34 +126,43 @@ MISTYPED = {
     "platform-placement": ("platform", _set("placement", {"ghost": 3}),
                            "PlatformReport.placement['camera-perception'] "
                            "is missing"),
-    # the rollup, the totals and the placement are derived from the
-    # tasks: a task that fails (its device's rollup edited to match)
-    # under an unedited verdict, an edited total and a placement that
-    # disagrees with its task's device
+    # the rollup, the totals, the placement and each task's safe rate
+    # are derived from the tasks: a task that fails under an unedited
+    # verdict, an edited total, device total or safe rate and a
+    # placement that disagrees with its task's device
     "platform-failing-task": ("platform", _edits(
         _set("tasks.camera-perception.deadline_misses", 7),
-        _set("devices.gpu0.deadline_misses", 7.0),
         _set("tasks.camera-perception.ftti_ok", False),
         _set("tasks.camera-perception.ok", False)),
         "PlatformReport.asil.verdict must be 'fail', got 'pass'"),
     "platform-totals-sdc": ("platform", _set("totals.faults_sdc", 99.0),
                             "PlatformReport.totals.faults_sdc must be 0.0, "
                             "got 99.0"),
+    "platform-device-totals-frames": (
+        "platform", _set("device_totals.gpu0.frames", 99.0),
+        "PlatformReport.device_totals['gpu0'].frames must be 1.0, "
+        "got 99.0"),
+    "platform-task-safe-rate": (
+        "platform", _set("tasks.radar-cfar.safe_rate", 0.5),
+        "PlatformReport.tasks['radar-cfar'].safe_rate must be 1.0, "
+        "got 0.5"),
     "platform-placement-device": (
         "platform", _set("placement.camera-perception", "gpu1"),
         "PlatformReport.placement['camera-perception'] must be 'gpu0', "
         "got 'gpu1'"),
-    # a device's stored rollup must be the sum of the tasks placed on it
+    # a device stores only its spec: its tasks and counters come from
+    # the tasks placed on it
     "platform-device-tasks": ("platform", _edits(
         _set("devices.gpu0.faults_sdc", 99.0),
         _set("devices.gpu0.tasks", ["radar-cfar"])),
-        "PlatformReport.devices.gpu0.tasks is ['radar-cfar'], but the "
-        "tasks placed on it give ['camera-perception']"),
+        "PlatformReport.devices['gpu0']: PlatformDevice: unknown field(s) "
+        "faults_sdc, tasks; known: capacity, gpu, preset"),
     "platform-device-sdc": ("platform", _set("devices.gpu0.faults_sdc", 99.0),
-                            "PlatformReport.devices.gpu0.faults_sdc is "
-                            "99.0, but the tasks placed on it give 0.0"),
+                            "PlatformReport.devices['gpu0']: PlatformDevice: "
+                            "unknown field(s) faults_sdc"),
     "platform-task-off-the-platform": (
-        "platform", _move_radar_off_the_platform,
+        "platform", _edits(_set("tasks.radar-cfar.device", "gpu9"),
+                           _set("placement.radar-cfar", "gpu9")),
         "PlatformReport.tasks.radar-cfar.device 'gpu9' is not a device"),
     # a derived key is written, so a payload without it is not canonical
     "stream-safe-rate-removed": ("stream",

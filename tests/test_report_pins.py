@@ -45,7 +45,9 @@ PINS = {
     'campaign/partial-stratified': ('3fabf5721086887c', '979d1512c7ff31e5fd6382c620c107459fff8d908f61ed2e8da25c366f3425b6'),
     'campaign/srrs': ('f298830b70ed3faf', '43e3ff7cdc8cbb07e45f1877210985c3a7e17fd80c432237263f28353ed93749'),
     'campaign/stratified': ('71c01913d095e5c2', '10716b53a6bbddc1ce0e0b977b1193b7c61a9a9d6a64e1fbac978d46d7e721d5'),
-    'platform/examples': ('18bdf17628d2bd0b', 'a8b07e871fead2a809bc4645bd1818bec6fff84d73a015264acc29c9e9b3996e'),
+    # layout changed in 1.21.0: a device stores only its spec, and
+    # `device_totals` and each task's `safe_rate` are derived keys
+    'platform/examples': ('185442eb910b90fb', '72dc6ab18d7eee4ff7e7043e7fc4914cda4f9ce688639531db13c899b1d741af'),
     'stream/examples': ('cb4b1694fb0d6d1a', '616ff2ee3f1b948148e69945670cb9bade955f8df148d70fb9f9e32add975dd7'),
     'task/camera-perception': ('a519ccd18a95eb4c', '20c6dc55ba812e09ef8b9671fd875223a8f3d19b36c49eb16d0adcf86b64d148'),
     'task/lidar-segmentation': ('620a1e178dab06fc', '2cdc05436006596eef0b267fa6bca07a4529f2beba7784a40aafd61648ab2828'),

@@ -30,11 +30,9 @@ from repro.faults.report import (
     SamplingMetadata,
 )
 from repro.platform.report import (
-    DEVICE_COUNTERS,
     PlatformDevice,
     PlatformReport,
     PlatformTask,
-    task_sums,
 )
 from repro.streams.report import StreamFaults, StreamReport, StreamWindows
 
@@ -109,7 +107,6 @@ def _platform_tasks(devices) -> st.SearchStrategy:
         faults_injected=_COUNT,
         faults_detected=_COUNT,
         faults_sdc=_COUNT,
-        safe_rate=_number(0.0, 1.0),
         throughput_fps=_number(0.0, 1e3),
         elapsed_ms=_number(0.0, 1e6),
         digest=st.text(alphabet="0123456789abcdef", min_size=16,
@@ -119,24 +116,15 @@ def _platform_tasks(devices) -> st.SearchStrategy:
 
 @st.composite
 def platform_reports(draw) -> PlatformReport:
-    """The placement, the totals and the ASIL rollup are derived from the
-    tasks; each device lists its tasks in any order, with counters summed
-    in that order."""
+    """Only the device specs and the tasks are stored: the rest of the
+    report is derived from the tasks."""
     names = draw(st.lists(_TEXT, unique=True, max_size=3))
     tasks = (draw(st.dictionaries(_TEXT, _platform_tasks(names),
                                   max_size=3)) if names else {})
-    devices = {}
-    for name in names:
-        placed = draw(st.permutations(
-            [label for label, task in tasks.items() if task.device == name]))
-        devices[name] = PlatformDevice(
-            gpu=draw(_TEXT),
-            preset=draw(st.none() | _TEXT),
-            capacity=draw(_number(0.5, 1.0)),
-            tasks=tuple(placed),
-            utilisation=draw(_number(0.0, 1e5)),
-            **task_sums([tasks[label] for label in placed], DEVICE_COUNTERS),
-        )
+    devices = {name: draw(st.builds(PlatformDevice, gpu=_TEXT,
+                                    preset=st.none() | _TEXT,
+                                    capacity=_number(0.5, 1.0)))
+               for name in names}
     return PlatformReport(label=draw(_TEXT), spec_hash=draw(_TEXT),
                           policy=draw(_TEXT), devices=devices, tasks=tasks)
 
@@ -191,6 +179,16 @@ def test_platform_report_round_trips(report):
     payload["asil"]["verdict"] = "fail" if report.all_ok else "pass"
     with pytest.raises(PlatformError, match="PlatformReport.asil.verdict"):
         PlatformReport.from_dict(payload)
+
+
+@_SETTINGS
+@given(platform_reports())
+def test_device_totals_partition_the_platform_totals(report):
+    device_totals = report.device_totals.values()
+    for key in ("frames", "completed", "dropped", "deadline_misses",
+                "faults_injected", "faults_detected", "faults_sdc"):
+        assert (sum(getattr(entry, key) for entry in device_totals)
+                == getattr(report.totals, key))
 
 
 @_SETTINGS
