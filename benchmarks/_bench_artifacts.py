@@ -7,7 +7,7 @@ environment metadata (``python_version``, ``platform``, ``cpu_count``)
 that makes cross-run comparisons interpretable — a 3.13 run on one
 kernel is not comparable to a 3.9 run on another, nor a 4-worker
 scaling leg on 2 cores to one on 8, and the regression gate
-(``tools/bench_compare.py``) warns when environments differ.
+(``python -m repro compare``) warns when environments differ.
 
 Schema history:
 
@@ -16,7 +16,8 @@ Schema history:
   ``python_version`` and ``platform`` (later also ``cpu_count``, an
   additive key: older v2 artifacts simply lack it).
 
-Readers (``tools/bench_compare.py``) tolerate both generations.
+The one reader, ``python -m repro compare`` (``repro.stats.compare``),
+takes both generations.
 """
 
 from __future__ import annotations

@@ -167,8 +167,8 @@ def test_campaign_worker_scaling(benchmark):
         # one boolean check per shard) must not slow the shard loop —
         # interleaved best-of-3 legs damp scheduler noise (single legs
         # swing far more than the true cost on a loaded runner);
-        # tools/bench_compare.py fails the gate when obs_overhead_frac
-        # exceeds 2%
+        # `repro compare` fails the gate when obs_overhead_frac exceeds
+        # 2%
         null_legs = []
         plain_legs = []
         for _ in range(3):

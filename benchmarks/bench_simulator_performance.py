@@ -282,8 +282,8 @@ def test_simulator_large_grid_heterogeneous(benchmark):
 
         # obs-overhead guard: the engine wraps simulation in a telemetry
         # span; with telemetry disabled that wrapper must cost nothing.
-        # Best-of-2 per leg damps scheduler noise; tools/bench_compare.py
-        # fails the gate when obs_overhead_frac exceeds 2%.
+        # Best-of-2 per leg damps scheduler noise; `repro compare` fails
+        # the gate when obs_overhead_frac exceeds 2%.
         null_s = min(leg(Telemetry()), leg(Telemetry()))
         plain_s = min(leg(), leg())
         overhead = max(0.0, round(null_s / plain_s - 1.0, 4))

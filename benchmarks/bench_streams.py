@@ -94,8 +94,8 @@ def test_stream_soak_100k_bit_identity(benchmark):
         # one boolean check per window) must not slow the frame loop —
         # interleaved best-of-3 legs damp scheduler noise (single legs
         # swing a few percent, far more than the true cost);
-        # tools/bench_compare.py fails the gate when obs_overhead_frac
-        # exceeds 2%
+        # `repro compare` fails the gate when obs_overhead_frac exceeds
+        # 2%
         plain_legs = [baseline_s]
         null_legs = []
         for _ in range(3):

@@ -11,7 +11,8 @@ BENCH artifacts, runs a two-proportion z-test plus a bootstrap
 difference interval on every shared rate (:mod:`repro.stats`), and
 exits like ``diff``: 0 = statistically indistinguishable, 1 = at least
 one significant difference, 2 = misuse (unreadable file, mismatched
-kinds).
+kinds).  Two BENCH artifacts (the committed baseline first) are also
+the perf-regression gate: a metric out of its rule's bounds exits 1.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         print(json.dumps(payload, sort_keys=True, indent=2))
     else:
         print(render_comparison(payload))
-    return 1 if payload["significant"] else 0
+    return 1 if payload["significant"] or payload.get("failed") else 0
 
 
 def configure(parser: argparse.ArgumentParser, command: str) -> None:

@@ -19,9 +19,9 @@ magnitude floors alone (``method: "threshold"``).
 Exit-code contract mirrors ``repro compare``: 0 — no significant
 difference, 1 — at least one, 2 — misuse (unreadable input, unknown
 run id).  The JSON payload is schema-tagged :data:`OBS_DIFF_SCHEMA`.
-This is the span-level attribution layer behind
-``tools/bench_compare.py``: when a ``BENCH_*`` gate fails, diff the
-two runs' archived telemetry to see *which phase* regressed.
+This is the span-level attribution layer behind the ``BENCH_*`` gate
+of ``repro compare``: when it fails, diff the two runs' archived
+telemetry to see *which phase* regressed.
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ Runners receive ``telemetry=None`` by default and substitute
 emit/beat call returns immediately and :meth:`Telemetry.span` hands out
 a shared no-op context manager, so the uninstrumented path costs one
 boolean check per window — never per frame (the <2% overhead budget is
-gated by ``tools/bench_compare.py``).
+gated by ``repro compare`` on the BENCH files).
 
 This module (with the rest of :mod:`repro.obs`) is the repository's
 only wall-clock quarantine zone: ``repro-lint.toml`` scopes RL002 to

@@ -6,7 +6,7 @@ Three sinks cover every use:
   instrumented runners skip event construction entirely; the disabled
   path costs one attribute read per *window* (never per frame or per
   injection), which is what keeps telemetry off the hot loops' perf
-  budget (gated at <2% by ``tools/bench_compare.py``).
+  budget (gated at <2% by ``repro compare`` on the BENCH files).
 * :class:`MemorySink` — collects event dicts in a list; used by tests
   and by ``benchmarks/profile_hotspots.py`` to render span trees
   without touching the filesystem.

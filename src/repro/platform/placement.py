@@ -79,8 +79,9 @@ class PlatformPlan:
             task-label order.
         demands: the per-assignment :class:`TaskDemand`, keyed by task
             label.
-        device_utilisation: summed demand per device (every device of
-            the platform appears, idle ones at ``0.0``).
+        device_utilisation: summed demand per device, in task-label
+            order (every device of the platform appears, idle ones at
+            ``0.0``).
     """
 
     policy: str
@@ -256,11 +257,18 @@ def plan_placement(spec: PlatformSpec, *,
         utilisation[chosen] += demands[label][chosen].utilisation
 
     assignments = tuple(sorted(assignment.items()))
+    placed = {label: demands[label][device] for label, device in assignments}
     return PlatformPlan(
         policy=policy,
         assignments=assignments,
-        demands={
-            label: demands[label][device] for label, device in assignments
+        demands=placed,
+        # summed in label order like PlatformTotals.of, so the plan and
+        # the report's device_totals state the same bits (the running
+        # sum above is in placement order)
+        device_utilisation={
+            d.name: float(sum(placed[label].utilisation
+                              for label, device in assignments
+                              if device == d.name))
+            for d in devices
         },
-        device_utilisation=utilisation,
     )

@@ -1,7 +1,6 @@
 """Significance-tested comparison of two run artifacts.
 
-``repro compare A B`` (and the CI perf gate next to
-``tools/bench_compare.py``) answer one question: *did this rate actually
+``repro compare A B`` answers one question: *did this rate actually
 move, or is the difference sampling noise?*  Both artifacts must be of
 the same kind — campaign reports (:meth:`CampaignReport.to_dict`),
 stream reports (:meth:`StreamReport.to_dict`) or ``BENCH_*.json``
@@ -16,10 +15,15 @@ Every shared rate is tested twice:
   (:func:`compare_rates`), giving an error bar on the observed delta.
 
 The comparison operates on the integer counts inside the artifacts, so
-it needs no per-injection records and costs O(resamples) per rate.  The
-JSON payload (:func:`compare_artifacts`) is schema-stable
-(:data:`COMPARE_SCHEMA`); the CLI exit code derives from its
-``significant`` field.
+it needs no per-injection records and costs O(resamples) per rate.
+
+A BENCH comparison is also the perf-regression gate of CI: every other
+shared scenario metric is judged by a rule chosen from its name
+(:func:`_bench_rule`) and gets a verdict — ``ok``, ``warn`` or
+``fail``.  The JSON payload (:func:`compare_artifacts`) is
+schema-stable (:data:`COMPARE_SCHEMA`); the CLI exit code derives from
+its ``significant`` field and, for BENCH artifacts, its ``failed``
+field.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ import math
 import random
 from dataclasses import dataclass
 from statistics import NormalDist
-from typing import Any, Dict, List, Mapping, Tuple
+from typing import Any, Dict, List, Mapping, Set, Tuple
 
 from repro.errors import StatsError
 from repro.stats.intervals import (
@@ -295,29 +299,121 @@ def _paired_rows(kind: str, a: Mapping[str, Any], b: Mapping[str, Any]
     return [(m, rows_a[m], rows_b[m]) for m in shared_metrics]
 
 
-def _bench_deltas(a: Mapping[str, Any],
-                  b: Mapping[str, Any]) -> List[Dict[str, Any]]:
-    """Untested relative deltas of shared scalar BENCH metrics."""
+#: Largest relative drop of a ``*per_sec*`` throughput, and largest
+#: relative rise of a ``cli_*_s`` start-up wall, that passes (a ``*_s``
+#: wall above it only warns).
+_TOLERANCE = 0.20
+
+#: Largest relative drop of a ``speedup*`` ratio that passes: a ratio of
+#: two measured walls is noisier than either wall.
+_RATIO_TOLERANCE = 0.35
+
+#: Absolute ceiling of a ``*overhead_frac`` metric: disabled telemetry
+#: may cost at most 2% of the uninstrumented loop, whatever the
+#: baseline read.
+_OVERHEAD_LIMIT = 0.02
+
+
+def _bench_rule(metric: str) -> str:
+    """The rule that judges one BENCH metric, chosen from its name.
+
+    ``throughput_fps`` is frames per second of *simulated* time, a pure
+    function of the spec, so like digests, counts, verdict strings and
+    the ``cli_*_modules`` counts it must not change at all.
+    """
+    if metric == "throughput_fps":
+        return "exact"
+    if "per_sec" in metric:
+        return "throughput"
+    if metric.startswith("speedup"):
+        return "ratio"
+    if metric.endswith("overhead_frac"):
+        return "overhead"
+    if metric.startswith("cli_") and metric.endswith("_s"):
+        return "cli_wall"
+    if metric.endswith("_s"):
+        return "wall"
+    return "exact"
+
+
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _bench_verdict(rule: str, a: Any, b: Any) -> str:
+    """``"ok"``, ``"warn"`` or ``"fail"`` for one metric moving a -> b.
+
+    Improvements always pass; a value that is not a number on either
+    side is held to equality whatever its rule.
+    """
+    if rule == "exact" or not (_is_number(a) and _is_number(b)):
+        return "ok" if a == b else "fail"
+    if rule == "overhead":
+        return "fail" if b > _OVERHEAD_LIMIT else "ok"
+    if a <= 0:
+        return "ok"
+    if rule == "throughput":
+        return "fail" if b < a * (1.0 - _TOLERANCE) else "ok"
+    if rule == "ratio":
+        return "fail" if b < a * (1.0 - _RATIO_TOLERANCE) else "ok"
+    if b <= a * (1.0 + _TOLERANCE):
+        return "ok"
+    return "fail" if rule == "cli_wall" else "warn"
+
+
+def _bench_delta(metric: str, rule: str, a: Any, b: Any,
+                 verdict: str) -> Dict[str, Any]:
+    """One gated row of the payload's ``deltas``."""
+    rel = (b - a) / a if _is_number(a) and _is_number(b) and a else None
+    return {"metric": metric, "a": a, "b": b, "relative_change": rel,
+            "rule": rule, "verdict": verdict}
+
+
+def _bench_gate(a: Mapping[str, Any], b: Mapping[str, Any],
+                tested: Set[str]) -> Tuple[List[Dict[str, Any]], List[str]]:
+    """``(deltas, warnings)``: every shared scenario metric judged by its
+    rule, and what the two artifacts do not share.
+
+    ``<m>_events``/``<m>_trials`` counts of a rate in ``tested`` are left
+    to its proportion row; any other count is exact.  An
+    ``*overhead_frac`` new in B is judged without a baseline: the budget
+    binds from the first recording.
+    """
+    warnings: List[str] = []
+    if a.get("environment") != b.get("environment"):
+        warnings.append(
+            f"environments differ (A {a.get('environment')}, "
+            f"B {b.get('environment')}): timings cross machines or "
+            "interpreters"
+        )
     deltas: List[Dict[str, Any]] = []
     scenarios_a = a.get("scenarios", {})
     scenarios_b = b.get("scenarios", {})
+    for name in sorted(set(scenarios_a) - set(scenarios_b)):
+        warnings.append(f"scenario {name!r} is missing from B")
+    for name in sorted(set(scenarios_b) - set(scenarios_a)):
+        warnings.append(f"scenario {name!r} is new in B (no baseline)")
     for name in sorted(set(scenarios_a) & set(scenarios_b)):
         sa, sb = scenarios_a[name], scenarios_b[name]
+        for key in sorted(set(sa) - set(sb)):
+            warnings.append(f"{name}/{key} is missing from B")
+        for key in sorted(set(sb) - set(sa)):
+            if (_bench_rule(key) == "overhead" and _is_number(sb[key])
+                    and sb[key] > _OVERHEAD_LIMIT):
+                deltas.append(_bench_delta(f"{name}/{key}", "overhead",
+                                           None, sb[key], "fail"))
+            else:
+                warnings.append(f"{name}/{key} is new in B (no baseline)")
         for key in sorted(set(sa) & set(sb)):
-            va, vb = sa[key], sb[key]
-            if (isinstance(va, bool) or isinstance(vb, bool)
-                    or not isinstance(va, (int, float))
-                    or not isinstance(vb, (int, float))):
+            if (key.endswith(("_events", "_trials"))
+                    and f"{name}/{key.rsplit('_', 1)[0]}" in tested):
                 continue
-            if key.endswith(("_events", "_trials")):
-                continue  # already covered by the proportion rows
-            rel = (vb - va) / va if va else None
-            deltas.append({
-                "metric": f"{name}/{key}",
-                "a": va, "b": vb,
-                "relative_change": rel,
-            })
-    return deltas
+            rule = _bench_rule(key)
+            deltas.append(_bench_delta(
+                f"{name}/{key}", rule, sa[key], sb[key],
+                _bench_verdict(rule, sa[key], sb[key]),
+            ))
+    return deltas, warnings
 
 
 def compare_artifacts(a: Mapping[str, Any], b: Mapping[str, Any], *,
@@ -328,13 +424,16 @@ def compare_artifacts(a: Mapping[str, Any], b: Mapping[str, Any], *,
 
     Returns:
         The stable :data:`COMPARE_SCHEMA` payload: one tested row per
-        shared rate, untested relative deltas for scalar BENCH metrics,
-        and an overall ``significant`` flag (any row significant).
+        shared rate and an overall ``significant`` flag (any row
+        significant).  BENCH artifacts add one gated row per other
+        shared metric in ``deltas`` (its ``rule`` and ``verdict``),
+        ``warnings`` and a ``failed`` flag (any verdict ``fail``);
+        ``deltas`` is empty for reports.
 
     Raises:
         StatsError: on unrecognised payloads, a report that fails its
             loader (naming side ``A`` or ``B``), mismatched artifact
-            kinds, or no shared rates to test.
+            kinds, or no shared metrics to compare.
     """
     kind_a = detect_artifact_kind(a)
     kind_b = detect_artifact_kind(b)
@@ -344,7 +443,8 @@ def compare_artifacts(a: Mapping[str, Any], b: Mapping[str, Any], *,
             "artifact — both sides must be the same kind"
         )
     rows = _paired_rows(kind_a, a, b)
-    deltas = _bench_deltas(a, b) if kind_a == "bench" else []
+    deltas, warnings = (_bench_gate(a, b, {m for m, _, _ in rows})
+                        if kind_a == "bench" else ([], []))
     if not rows and not deltas:
         raise StatsError(
             f"the two {kind_a} artifacts share no comparable metrics"
@@ -354,7 +454,7 @@ def compare_artifacts(a: Mapping[str, Any], b: Mapping[str, Any], *,
                       confidence=confidence, resamples=resamples, seed=seed)
         for metric, counts_a, counts_b in rows
     ]
-    return {
+    payload = {
         "schema": COMPARE_SCHEMA,
         "kind": kind_a,
         "alpha": alpha,
@@ -364,6 +464,10 @@ def compare_artifacts(a: Mapping[str, Any], b: Mapping[str, Any], *,
         "deltas": deltas,
         "significant": any(c.significant for c in comparisons),
     }
+    if kind_a == "bench":
+        payload["warnings"] = warnings
+        payload["failed"] = any(d["verdict"] == "fail" for d in deltas)
+    return payload
 
 
 def render_comparison(payload: Mapping[str, Any]) -> str:
@@ -377,15 +481,31 @@ def render_comparison(payload: Mapping[str, Any]) -> str:
             f"[{row['diff_low']:+.5f}, {row['diff_high']:+.5f}], "
             f"p={row['p_value']:.4f}) {verdict}"
         )
-    for row in payload.get("deltas", []):
+    for row in payload["deltas"]:
         rel = row["relative_change"]
         rel_text = f"{rel:+.1%}" if rel is not None else "n/a"
+        verdict = "ok" if row["verdict"] == "ok" else row["verdict"].upper()
         lines.append(
             f"  {row['metric']}: {row['a']} -> {row['b']} ({rel_text}, "
-            "untested scalar)"
+            f"{row['rule']}) {verdict}"
         )
+    for warning in payload.get("warnings", []):
+        lines.append(f"  WARN {warning}")
     lines.append(
         "verdict: significant difference"
         if payload["significant"] else "verdict: no significant difference"
     )
+    failures = sum(row["verdict"] == "fail" for row in payload["deltas"])
+    if "failed" in payload:
+        lines.append(f"gate: FAIL, {failures} metric(s) broke their rule"
+                     if failures else "gate: ok")
+    if failures:
+        # archived telemetry of both builds turns "the gate is red"
+        # into "this span path got slower"
+        lines.append(
+            "hint: to attribute a timing regression, archive telemetry "
+            "from both builds ('repro obs archive') and run "
+            "'repro obs diff BASELINE CURRENT': it aligns the span trees "
+            "and names the paths with significant self-time deltas"
+        )
     return "\n".join(lines)

@@ -7,9 +7,11 @@ import pytest
 from repro.api import RunSpec, StreamFaultSpec, StreamSpec, WorkloadSpec
 from repro.api.platform import DeviceSpec, PlacementSpec, PlatformSpec
 from repro.errors import PlatformError
+from repro.platform.placement import plan_placement
 from repro.platform.report import PlatformReport, task_asil
 from repro.platform.runner import run_platform
 from repro.streams.runner import run_stream
+from repro.workloads.adas import ADAS_TASKS
 
 
 def _task(name: str, **overrides) -> StreamSpec:
@@ -81,6 +83,24 @@ class TestReportContents:
             assert entry.frames == sum(task.frames for task in placed)
             assert entry.utilisation == pytest.approx(
                 sum(task.utilisation for task in placed))
+
+    @pytest.mark.parametrize("n_devices", [1, 2, 3])
+    def test_plan_and_report_state_the_same_utilisation(self, n_devices):
+        # 15 replicas: placement order and label order sum the demands
+        # with different rounding on 1 and 2 devices
+        names = [task.name for task in ADAS_TASKS]
+        spec = _platform(
+            devices=tuple(DeviceSpec(name=f"gpu{i}", preset="gtx1050ti")
+                          for i in range(n_devices)),
+            tasks=tuple(StreamSpec.for_task(names[i % len(names)],
+                                            frames=20, tag=f"replica-{i:02d}")
+                        for i in range(15)),
+        )
+        plan = plan_placement(spec)
+        report = run_platform(spec)
+        assert plan.device_utilisation == {
+            name: entry.utilisation
+            for name, entry in report.device_totals.items()}
 
     def test_task_entries_carry_stream_evidence(self, report):
         for entry in report.tasks.values():

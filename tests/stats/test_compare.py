@@ -41,7 +41,7 @@ def _bench(wall=1.25, sdc_events=20, sdc_trials=1000):
         "schema": "bench-campaigns/v1",
         "scenarios": {
             "hotspot": {
-                "wall_seconds": wall,
+                "wall_s": wall,
                 "sdc_events": sdc_events,
                 "sdc_trials": sdc_trials,
             },
@@ -160,25 +160,27 @@ class TestCompareArtifacts:
         metrics = [row["metric"] for row in clean["comparisons"]]
         assert "fault_sdc" not in metrics
 
-    def test_bench_tests_count_pairs_and_reports_deltas(self):
+    def test_bench_tests_count_pairs_and_gates_deltas(self):
         payload = compare_artifacts(_bench(), _bench(wall=1.5,
                                                      sdc_events=60))
         metrics = [row["metric"] for row in payload["comparisons"]]
         assert metrics == ["hotspot/sdc"]
         assert payload["significant"]
-        delta_metrics = [d["metric"] for d in payload["deltas"]]
-        assert "hotspot/wall_seconds" in delta_metrics
-        wall = [d for d in payload["deltas"]
-                if d["metric"] == "hotspot/wall_seconds"][0]
-        assert wall["relative_change"] == pytest.approx(0.2)
+        assert payload["deltas"] == [{
+            "metric": "hotspot/wall_s", "a": 1.25, "b": 1.5,
+            "relative_change": pytest.approx(0.2),
+            "rule": "wall", "verdict": "ok",
+        }]
+        assert payload["warnings"] == []
+        assert payload["failed"] is False
 
     def test_rejects_kind_mismatch(self):
         with pytest.raises(StatsError, match="same kind"):
             compare_artifacts(_campaign(), _stream())
 
     def test_rejects_disjoint_bench_scenarios(self):
-        a = {"scenarios": {"x": {"wall_seconds": 1.0}}}
-        b = {"scenarios": {"y": {"wall_seconds": 1.0}}}
+        a = {"scenarios": {"x": {"wall_s": 1.0}}}
+        b = {"scenarios": {"y": {"wall_s": 1.0}}}
         with pytest.raises(StatsError, match="no comparable"):
             compare_artifacts(a, b)
 
@@ -199,8 +201,230 @@ class TestRender:
             compare_artifacts(_campaign(), _campaign()))
         assert "verdict: no significant difference" in quiet
 
-    def test_render_includes_untested_scalars(self):
-        payload = compare_artifacts(_bench(), _bench(wall=2.5))
-        text = render_comparison(payload)
-        assert "untested scalar" in text
-        assert "+100.0%" in text
+    def test_render_shows_each_bench_rule_and_verdict(self):
+        text = render_comparison(compare_artifacts(_bench(), _bench(wall=2.5)))
+        assert "hotspot/wall_s: 1.25 -> 2.5 (+100.0%, wall) WARN" in text
+        assert text.endswith("gate: ok")
+        text = render_comparison(compare_artifacts(
+            _artifact({"s": {"events_per_sec": 1000.0}}),
+            _artifact({"s": {"events_per_sec": 500.0}})))
+        assert "s/events_per_sec: 1000.0 -> 500.0 (-50.0%, throughput) " \
+               "FAIL" in text
+        assert "gate: FAIL, 1 metric(s) broke their rule" in text
+        assert "repro obs diff" in text
+
+
+def _artifact(scenarios, *, environment=...):
+    payload = {"schema": "bench-test/v2", "generated_by": "tests",
+               "scenarios": scenarios}
+    if environment is ...:
+        environment = {"python_version": "3.11.7", "platform": "Linux-x"}
+    if environment is not None:
+        payload["environment"] = environment
+    return payload
+
+
+def _gate(base, cur):
+    """``({metric: (rule, verdict)}, warnings)`` of scenario ``s``."""
+    payload = compare_artifacts(_artifact({"s": base}), _artifact({"s": cur}))
+    assert payload["failed"] == any(
+        d["verdict"] == "fail" for d in payload["deltas"])
+    return ({d["metric"].split("/", 1)[1]: (d["rule"], d["verdict"])
+             for d in payload["deltas"]}, payload["warnings"])
+
+
+def _rules(*metrics):
+    return {m: rule for m, (rule, _) in _gate(
+        dict.fromkeys(metrics, 1.0), dict.fromkeys(metrics, 1.0))[0].items()}
+
+
+class TestBenchRules:
+    def test_throughput_metrics(self):
+        names = ("events_per_sec", "blocks_per_sec", "frames_per_sec",
+                 "injections_per_sec_sharded")
+        assert set(_rules(*names).values()) == {"throughput"}
+
+    def test_ratio_metrics(self):
+        assert _rules("speedup", "speedup_vs_w1") == {
+            "speedup": "ratio", "speedup_vs_w1": "ratio"}
+
+    def test_wall_metrics(self):
+        assert _rules("wall_s", "alternate_wall_s", "python_start_s") == {
+            "wall_s": "wall", "alternate_wall_s": "wall",
+            "python_start_s": "wall"}
+
+    def test_virtual_time_throughput_is_exact(self):
+        # frames per second of *simulated* time: a pure function of the
+        # spec, held to equality
+        assert _rules("throughput_fps") == {"throughput_fps": "exact"}
+
+    def test_everything_else_is_exact(self):
+        names = ("digest", "events", "makespan_cycles", "completed",
+                 "bit_identical", "verdict", "drop_rate")
+        assert set(_rules(*names).values()) == {"exact"}
+
+    def test_cli_start_up_walls_and_module_counts(self):
+        assert _rules("cli_report_s", "cli_report_modules") == {
+            "cli_report_s": "cli_wall", "cli_report_modules": "exact"}
+
+    def test_overhead_fractions(self):
+        # *overhead_frac wins over the *_s wall suffix
+        assert set(_rules("obs_overhead_frac",
+                          "overhead_frac").values()) == {"overhead"}
+
+    def test_count_pairs_are_tested_not_gated(self):
+        base = {"sdc_events": 20, "sdc_trials": 1000}
+        payload = compare_artifacts(
+            _artifact({"s": base}),
+            _artifact({"s": {"sdc_events": 25, "sdc_trials": 1000}}))
+        assert [r["metric"] for r in payload["comparisons"]] == ["s/sdc"]
+        assert payload["deltas"] == []
+        assert not payload["significant"] and not payload["failed"]
+
+
+    def test_counts_without_a_tested_rate_are_exact(self):
+        # no partner, or more events than trials: no proportion row, so
+        # the counts must not change at all
+        for base, cur in (({"x_events": 5}, {"x_events": 900}),
+                          ({"x_events": 5, "x_trials": 4},
+                           {"x_events": 9, "x_trials": 4})):
+            deltas, _ = _gate(base, cur)
+            assert deltas["x_events"] == ("exact", "fail")
+
+
+class TestBenchVerdicts:
+    def test_identical_artifacts_pass(self):
+        deltas, warnings = _gate({"events_per_sec": 100.0, "digest": "abc"},
+                                 {"events_per_sec": 100.0, "digest": "abc"})
+        assert {verdict for _, verdict in deltas.values()} == {"ok"}
+        assert warnings == []
+
+    def test_throughput_drop_beyond_20_percent_fails(self):
+        deltas, _ = _gate({"events_per_sec": 1000.0},
+                          {"events_per_sec": 700.0})
+        assert deltas == {"events_per_sec": ("throughput", "fail")}
+
+    def test_throughput_drop_within_20_percent_passes(self):
+        deltas, warnings = _gate({"events_per_sec": 1000.0},
+                                 {"events_per_sec": 850.0})
+        assert deltas == {"events_per_sec": ("throughput", "ok")}
+        assert warnings == []
+
+    def test_throughput_improvement_passes(self):
+        deltas, _ = _gate({"events_per_sec": 1000.0},
+                          {"events_per_sec": 5000.0})
+        assert deltas == {"events_per_sec": ("throughput", "ok")}
+
+    def test_ratio_gets_the_wider_35_percent(self):
+        # 30% down fails a throughput but not a ratio; 40% down fails
+        assert _gate({"speedup": 10.0}, {"speedup": 7.0})[0] == {
+            "speedup": ("ratio", "ok")}
+        assert _gate({"speedup": 10.0}, {"speedup": 6.0})[0] == {
+            "speedup": ("ratio", "fail")}
+
+    def test_cli_walls_fail_above_20_percent(self):
+        base = {"cli_report_s": 0.10, "cli_report_modules": 27}
+        assert _gate(base, {"cli_report_s": 0.119,
+                            "cli_report_modules": 27})[0] == {
+            "cli_report_s": ("cli_wall", "ok"),
+            "cli_report_modules": ("exact", "ok")}
+        assert _gate(base, {"cli_report_s": 0.125,
+                            "cli_report_modules": 27})[0] == {
+            "cli_report_s": ("cli_wall", "fail"),
+            "cli_report_modules": ("exact", "ok")}
+        assert _gate(base, {"cli_report_s": 0.10,
+                            "cli_report_modules": 28})[0] == {
+            "cli_report_s": ("cli_wall", "ok"),
+            "cli_report_modules": ("exact", "fail")}
+
+    def test_wall_rise_above_20_percent_only_warns(self):
+        assert _gate({"wall_s": 1.0}, {"wall_s": 1.1})[0] == {
+            "wall_s": ("wall", "ok")}
+        assert _gate({"wall_s": 1.0}, {"wall_s": 3.0})[0] == {
+            "wall_s": ("wall", "warn")}
+
+    def test_exact_metrics_fail_on_any_change(self):
+        for old, new in (({"digest": "aaaa"}, {"digest": "bbbb"}),
+                         ({"events": 3071}, {"events": 3070}),
+                         ({"verdict": "pass"}, {"verdict": "fail"}),
+                         ({"bit_identical": True}, {"bit_identical": False}),
+                         ({"throughput_fps": 4861.1},
+                          {"throughput_fps": 4861.2})):
+            deltas, _ = _gate(old, new)
+            assert set(deltas.values()) == {("exact", "fail")}, old
+
+    def test_one_sided_scenario_warns(self):
+        shared = {"digest": "abc"}
+        payload = compare_artifacts(
+            _artifact({"s": shared, "old": {"events_per_sec": 1.0}}),
+            _artifact({"s": shared, "new": {"events_per_sec": 1.0}}))
+        assert not payload["failed"]
+        assert payload["warnings"] == [
+            "scenario 'old' is missing from B",
+            "scenario 'new' is new in B (no baseline)",
+        ]
+
+    def test_one_sided_metric_warns(self):
+        deltas, warnings = _gate(
+            {"events_per_sec": 1.0, "old_metric": 1},
+            {"events_per_sec": 1.0, "new_metric": 2})
+        assert deltas == {"events_per_sec": ("throughput", "ok")}
+        assert warnings == ["s/old_metric is missing from B",
+                            "s/new_metric is new in B (no baseline)"]
+
+    def test_environment_mismatch_warns(self):
+        other = {"python_version": "3.13.0", "platform": "Linux-y"}
+        payload = compare_artifacts(
+            _artifact({"s": {"digest": "abc"}}),
+            _artifact({"s": {"digest": "abc"}}, environment=other))
+        assert not payload["failed"]
+        assert len(payload["warnings"]) == 1
+        assert payload["warnings"][0].startswith("environments differ")
+
+    def test_v1_artifact_without_environment_warns_against_v2(self):
+        v1 = _artifact({"s": {"digest": "abc"}}, environment=None)
+        v2 = _artifact({"s": {"digest": "abc"}})
+        warnings = compare_artifacts(v1, v2)["warnings"]
+        assert [w.split(" (")[0] for w in warnings] == ["environments differ"]
+        assert compare_artifacts(v1, v1)["warnings"] == []
+
+
+class TestOverheadBudget:
+    def test_within_the_2_percent_budget_passes(self):
+        deltas, warnings = _gate({"obs_overhead_frac": 0.0},
+                                 {"obs_overhead_frac": 0.015})
+        assert deltas == {"obs_overhead_frac": ("overhead", "ok")}
+        assert warnings == []
+
+    def test_above_the_budget_fails(self):
+        deltas, _ = _gate({"obs_overhead_frac": 0.0},
+                          {"obs_overhead_frac": 0.031})
+        assert deltas == {"obs_overhead_frac": ("overhead", "fail")}
+
+    def test_baseline_above_budget_never_excuses_current(self):
+        # the budget is absolute: a bad baseline is no licence to stay bad
+        deltas, _ = _gate({"obs_overhead_frac": 0.5},
+                          {"obs_overhead_frac": 0.4})
+        assert deltas == {"obs_overhead_frac": ("overhead", "fail")}
+
+    def test_current_above_budget_fails_when_the_baseline_is_within(self):
+        deltas, _ = _gate({"obs_overhead_frac": 0.019},
+                          {"obs_overhead_frac": 0.021})
+        assert deltas == {"obs_overhead_frac": ("overhead", "fail")}
+
+    def test_new_metric_is_gated_without_a_baseline(self):
+        # the first recording of the metric must already meet the budget
+        payload = compare_artifacts(
+            _artifact({"s": {"digest": "abc"}}),
+            _artifact({"s": {"digest": "abc", "obs_overhead_frac": 0.25}}))
+        assert payload["failed"]
+        assert payload["deltas"][0] == {
+            "metric": "s/obs_overhead_frac", "a": None, "b": 0.25,
+            "relative_change": None, "rule": "overhead", "verdict": "fail"}
+        assert payload["warnings"] == []
+
+    def test_new_metric_within_budget_only_warns(self):
+        deltas, warnings = _gate(
+            {"digest": "abc"}, {"digest": "abc", "obs_overhead_frac": 0.001})
+        assert deltas == {"digest": ("exact", "ok")}
+        assert warnings == ["s/obs_overhead_frac is new in B (no baseline)"]

@@ -9,8 +9,10 @@ field, never exit 1 ("significant").
 from __future__ import annotations
 
 import contextlib
+import importlib.util
 import io
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -214,3 +216,123 @@ class TestTamperedReports:
                                                      kind):
         assert main(["compare", str(reports[kind]), str(reports[kind])]) == 0
         assert "no significant difference" in capsys.readouterr().out
+
+
+ROOT = Path(__file__).resolve().parents[2]
+BENCH_FILES = ("BENCH_simulator.json", "BENCH_campaigns.json",
+               "BENCH_streams.json", "BENCH_platform.json")
+
+
+def _bench(scenarios, environment=None):
+    payload = {"schema": "bench-test/v2", "generated_by": "tests",
+               "scenarios": scenarios}
+    if environment is not None:
+        payload["environment"] = environment
+    return payload
+
+
+def _bench_writer():
+    spec = importlib.util.spec_from_file_location(
+        "_bench_artifacts", ROOT / "benchmarks" / "_bench_artifacts.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestBenchGate:
+    """Two BENCH artifacts, the committed baseline first, are CI's
+    perf-regression gate: a metric that breaks its rule exits 1."""
+
+    def test_pass_exits_zero(self, capsys, artifact):
+        a = artifact("a.json", _bench({"s": {"events_per_sec": 100.0}}))
+        assert main(["compare", a, a]) == 0
+        out = capsys.readouterr().out
+        assert out.endswith("gate: ok\n")
+        assert "hint:" not in out
+
+    def test_regression_exits_one_with_the_obs_diff_hint(self, capsys,
+                                                         artifact):
+        a = artifact("a.json", _bench({"s": {"events_per_sec": 1000.0}}))
+        b = artifact("b.json", _bench({"s": {"events_per_sec": 100.0}}))
+        assert main(["compare", a, b]) == 1
+        out = capsys.readouterr().out
+        assert "(-90.0%, throughput) FAIL" in out
+        assert "no significant difference" in out
+        assert "gate: FAIL, 1 metric(s) broke their rule" in out
+        assert "'repro obs diff BASELINE CURRENT'" in out
+
+    def test_a_warning_alone_exits_zero(self, capsys, artifact):
+        a = artifact("a.json", _bench({"s": {"wall_s": 1.0}}))
+        b = artifact("b.json", _bench({"s": {"wall_s": 3.0}, "t": {}}))
+        assert main(["compare", a, b]) == 0
+        out = capsys.readouterr().out
+        assert "(+200.0%, wall) WARN" in out
+        assert "WARN scenario 't' is new in B (no baseline)" in out
+
+    def test_non_object_artifact_exits_two(self, tmp_path, capsys,
+                                           artifact):
+        bad = tmp_path / "bad.json"
+        bad.write_text("[1, 2, 3]")
+        b = artifact("b.json", _bench({"s": {"digest": "abc"}}))
+        assert main(["compare", str(bad), b]) == 2
+
+    def test_json_payload_carries_the_gate(self, capsys, artifact):
+        a = artifact("a.json", _bench({"s": {"digest": "abc"}}))
+        b = artifact("b.json", _bench({"s": {"digest": "abd"}}))
+        assert main(["compare", a, b, "--json"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert sorted(payload) == [
+            "alpha", "comparisons", "confidence", "deltas", "failed",
+            "kind", "resamples", "schema", "significant", "warnings",
+        ]
+        assert payload["failed"] is True
+        assert payload["warnings"] == []
+        assert payload["deltas"] == [{
+            "metric": "s/digest", "a": "abc", "b": "abd",
+            "relative_change": None, "rule": "exact", "verdict": "fail",
+        }]
+
+    @pytest.mark.parametrize("name", BENCH_FILES)
+    def test_gates_the_real_artifacts_against_themselves(self, capsys,
+                                                         name):
+        # the identity CI's stash-then-compare flow relies on
+        path = str(ROOT / name)
+        assert main(["compare", path, path]) == 0
+        assert capsys.readouterr().out.endswith("gate: ok\n")
+
+    def test_a_halved_real_throughput_exits_one(self, capsys, artifact):
+        payload = json.loads((ROOT / "BENCH_simulator.json").read_text())
+        baseline = artifact("a.json", payload)
+        sweep = payload["scenarios"]["fig4_sweep"]
+        for key in ("events_per_sec", "blocks_per_sec"):
+            sweep[key] /= 2
+        assert main(["compare", baseline, artifact("b.json", payload)]) == 1
+        assert capsys.readouterr().out.count(
+            "(-50.0%, throughput) FAIL") == 2
+
+    def test_a_changed_real_digest_exits_one(self, capsys, artifact):
+        payload = json.loads((ROOT / "BENCH_campaigns.json").read_text())
+        baseline = artifact("a.json", payload)
+        payload["scenarios"]["campaign/resume_bit_identity"]["digest"] = (
+            "0" * 16)
+        assert main(["compare", baseline, artifact("b.json", payload)]) == 1
+        out = capsys.readouterr().out
+        assert ("campaign/resume_bit_identity/digest: 65c0572208231282 -> "
+                "0000000000000000 (n/a, exact) FAIL") in out
+
+
+class TestBenchEnvironment:
+    def test_the_writer_records_the_core_count(self):
+        assert _bench_writer().environment_metadata()["cpu_count"] == \
+            os.cpu_count()
+
+    def test_the_gate_warns_across_core_counts(self, capsys, artifact):
+        environment = _bench_writer().environment_metadata()
+        a = artifact("a.json", _bench({"s": {"digest": "abc"}},
+                                      dict(environment, cpu_count=2)))
+        b = artifact("b.json", _bench({"s": {"digest": "abc"}},
+                                      dict(environment, cpu_count=8)))
+        assert main(["compare", a, b]) == 0
+        assert "WARN environments differ" in capsys.readouterr().out
+        assert main(["compare", a, a]) == 0
+        assert "environments differ" not in capsys.readouterr().out
