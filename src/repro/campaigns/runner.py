@@ -17,6 +17,9 @@ aggregate :class:`~repro.faults.report.CampaignReport` by:
    O(shards) in memory and never materialises the campaign's
    per-injection records.
 
+A repeat-until-confidence spec runs the same pass and stops consuming
+results once its :class:`~repro.campaigns.fold.PrefixFold` settles.
+
 Planning, status and the fold live in :mod:`repro.campaigns.fold`, which
 loads none of the execution stack this module imports; the runner
 re-exports them.
@@ -29,6 +32,7 @@ contract and its proof obligations).
 
 from __future__ import annotations
 
+from contextlib import closing
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
 
@@ -44,6 +48,7 @@ from repro.api.spec import FaultPlanSpec, RunSpec
 from repro.api.stats import SamplingSpec
 from repro.campaigns.fold import (
     CampaignStatus,
+    PrefixFold,
     as_store,
     campaign_plan,
     campaign_status,
@@ -53,7 +58,7 @@ from repro.campaigns.fold import (
 )
 from repro.campaigns.sharding import Shard
 from repro.campaigns.store import CampaignStore, ShardRecord
-from repro.errors import CampaignError, StatsError
+from repro.errors import CampaignError
 from repro.exec import map_tasks
 from repro.faults.campaign import FaultCampaign
 from repro.faults.outcomes import OUTCOME_KEYS, FaultOutcome
@@ -61,7 +66,6 @@ from repro.faults.report import SDC_SAMPLE_LIMIT, CampaignReport
 from repro.obs.session import NULL_TELEMETRY, Telemetry
 
 if TYPE_CHECKING:
-    from repro.stats.intervals import RateEstimate
     from repro.stats.repeater import RepeatResult
 
 __all__ = [
@@ -206,12 +210,37 @@ def run_campaign(spec: CampaignSpec, *,
             invalid worker count, or a repeat-until-confidence spec
             (those run via :func:`repeat_campaign`).
     """
-    if workers < 1:
-        raise CampaignError("workers must be >= 1")
     if spec.repeat is not None:
         raise CampaignError(
             "this spec carries a repeat-until-confidence rule — run it "
             "with repeat_campaign(), which owns the stopping decision"
+        )
+    return _run_spec(spec, store=store, workers=workers,
+                     max_shards=max_shards, validate=validate,
+                     telemetry=telemetry)
+
+
+def _run_spec(spec: CampaignSpec, *,
+              store: Union[CampaignStore, str, Path, None] = None,
+              workers: int = 1,
+              max_shards: Optional[int] = None,
+              validate: bool = True,
+              telemetry: Optional[Telemetry] = None
+              ) -> Union[CampaignReport, RepeatResult]:
+    """The one campaign pass behind every entry point, for either spec kind.
+
+    Runs the pending shards in one :func:`repro.exec.map_tasks` pass,
+    persisting each before its telemetry (which never feeds back into
+    the loop or the fold).  A repeat spec closes the iterator, which
+    cancels the queued shards, once its
+    :class:`~repro.campaigns.fold.PrefixFold` settles.
+    """
+    if workers < 1:
+        raise CampaignError("workers must be >= 1")
+    if spec.repeat is not None and max_shards is not None:
+        raise CampaignError(
+            "max_shards does not apply to a repeat-until-confidence "
+            "campaign — the stopping rule decides when to stop"
         )
     tm = telemetry if telemetry is not None else NULL_TELEMETRY
     store = as_store(store)
@@ -222,7 +251,9 @@ def run_campaign(spec: CampaignSpec, *,
             store.initialise(spec)
             done = validated_records(store, plan)
 
-    pending = [shard for shard in plan if shard.index not in done]
+    prefix = None if spec.repeat is None else PrefixFold(spec, len(plan))
+    pending = [] if prefix is not None and prefix.advance(done) else [
+        shard for shard in plan if shard.index not in done]
     if max_shards is not None:
         pending = pending[:max(0, max_shards)]
 
@@ -242,83 +273,72 @@ def run_campaign(spec: CampaignSpec, *,
                             reason="re-dispatched after interrupt")
 
     if pending:
-        _build_baseline(spec, validate=validate, tm=tm)
+        # Simulate the clean baseline here, before any shard runs: a
+        # forked pool then inherits it, and every module it needed,
+        # instead of each worker importing and simulating; workers
+        # started by spawning rebuild it through _BASELINE_CACHE, so
+        # results never depend on which happened.
+        cached = (spec.run.config_hash, validate) in _BASELINE_CACHE
+        with tm.span("baseline", cached=cached):
+            baseline_campaign(spec.run, validate=validate)
+        spec_json = spec.to_json()
+        records = map_tasks(
+            _execute_shard,
+            [(spec_json, shard.index, shard.start, shard.stop, validate)
+             for shard in pending],
+            workers=workers,
+            # zero-padded, so key order (the sidecar merge order) is shard order
+            keys=[f"shard-{shard.index:05d}" for shard in pending],
+            telemetry=tm, ordered=False)
         with tm.span("execute", shards=len(pending), workers=workers):
-            _execute(spec, pending, done=done, total_shards=len(plan),
-                     store=store, workers=workers, validate=validate, tm=tm)
+            for shard in pending:
+                tm.emit("shard_start", shard=shard.index, start=shard.start,
+                        stop=shard.stop)
+            with closing(records):
+                for record in records:
+                    if store is not None:
+                        store.append(record)
+                    done[record.shard] = record
+                    if tm.enabled:
+                        _observe(tm, record, store, len(done), len(plan))
+                    if prefix is not None and prefix.advance(done):
+                        break
 
     with tm.span("fold", shards=len(done)):
-        report = fold_report(done.values(),
-                             sampling=spec_sampling_meta(spec))
+        if prefix is None:
+            result = report = fold_report(
+                done.values(), sampling=spec_sampling_meta(spec))
+        else:
+            result = prefix.result()
+            report = result.report
     if tm.enabled:
         tm.beat("campaign", len(done), len(plan),
                 rate_counter="injections", unit="inj/s", force=True)
     tm.emit("run_end", kind="campaign", digest=report.digest(),
             total=report.total, masked=report.masked,
             detected=report.detected, sdc=report.sdc)
-    return report
+    return result
 
 
-def _build_baseline(spec: CampaignSpec, *, validate: bool,
-                    tm: Telemetry) -> None:
-    """Simulate the clean baseline here, before any shard runs.
-
-    A forked pool then inherits the baseline, and every module it
-    needed, from this process instead of each worker importing and
-    simulating; workers started by spawning rebuild it through
-    :data:`_BASELINE_CACHE`, so results never depend on which happened.
-    """
-    cached = (spec.run.config_hash, validate) in _BASELINE_CACHE
-    with tm.span("baseline", cached=cached):
-        baseline_campaign(spec.run, validate=validate)
-
-
-def _execute(spec: CampaignSpec, shards: List[Shard], *,
-             done: Dict[int, ShardRecord], total_shards: int,
-             store: Optional[CampaignStore], workers: int, validate: bool,
-             tm: Telemetry) -> None:
-    """Run ``shards``, persisting each into ``store``/``done`` as it completes.
-
-    The execution core (:func:`repro.exec.map_tasks`) runs the shards
-    in-process or pooled in completion order, reports ``worker_error``
-    and merges pooled shards' sidecar telemetry in shard order.  The
-    per-shard telemetry observes this loop and never feeds back into
-    it: each record is appended before its ``checkpoint`` event, and the
-    fold never reads any of it.
-    """
-    spec_json = spec.to_json()
-    for shard in shards:
-        tm.emit("shard_start", shard=shard.index, start=shard.start,
-                stop=shard.stop)
-    for record in map_tasks(
-            _execute_shard,
-            [(spec_json, shard.index, shard.start, shard.stop, validate)
-             for shard in shards],
-            workers=workers,
-            # zero-padded, so key order (the sidecar merge order) is shard order
-            keys=[f"shard-{shard.index:05d}" for shard in shards],
-            telemetry=tm, ordered=False):
-        if store is not None:
-            store.append(record)
-        done[record.shard] = record
-        if not tm.enabled:
-            continue
-        if store is not None:
-            tm.emit("checkpoint", shard=record.shard,
-                    path=store.shards_path.as_posix())
-        totals = record.outcome_totals()
-        tm.metrics.add("injections", record.injections)
-        tm.metrics.add("shards", 1)
-        tm.metrics.set_gauge("pending_shards",
-                             float(total_shards - len(done)))
-        tm.metrics.observe("shard_injections", record.injections)
-        tm.emit("shard_end", shard=record.shard, start=record.start,
-                stop=record.stop, injections=record.injections,
-                masked=totals.get("masked", 0),
-                detected=totals.get("detected", 0),
-                sdc=totals.get("sdc", 0))
-        tm.beat("campaign", len(done), total_shards,
-                rate_counter="injections", unit="inj/s")
+def _observe(tm: Telemetry, record: ShardRecord,
+             store: Optional[CampaignStore], completed: int,
+             total_shards: int) -> None:
+    """Emit one persisted shard's checkpoint, metrics and progress."""
+    if store is not None:
+        tm.emit("checkpoint", shard=record.shard,
+                path=store.shards_path.as_posix())
+    totals = record.outcome_totals()
+    tm.metrics.add("injections", record.injections)
+    tm.metrics.add("shards", 1)
+    tm.metrics.set_gauge("pending_shards", float(total_shards - completed))
+    tm.metrics.observe("shard_injections", record.injections)
+    tm.emit("shard_end", shard=record.shard, start=record.start,
+            stop=record.stop, injections=record.injections,
+            masked=totals.get("masked", 0),
+            detected=totals.get("detected", 0),
+            sdc=totals.get("sdc", 0))
+    tm.beat("campaign", completed, total_shards,
+            rate_counter="injections", unit="inj/s")
 
 
 def resume_campaign(store: Union[CampaignStore, str, Path], *,
@@ -330,9 +350,8 @@ def resume_campaign(store: Union[CampaignStore, str, Path], *,
     """Continue a persisted campaign from its manifest alone.
 
     Loads the :class:`~repro.api.campaign.CampaignSpec` from the store
-    and delegates to :func:`run_campaign` (fixed-size specs) or
-    :func:`repeat_campaign` (repeat-until-confidence specs), both of
-    which skip finished shards.
+    and runs it as :func:`run_campaign` (fixed-size specs) or
+    :func:`repeat_campaign` (repeat-until-confidence specs) would.
 
     Raises:
         CampaignError: when the store has no (valid) manifest, or when
@@ -340,23 +359,11 @@ def resume_campaign(store: Union[CampaignStore, str, Path], *,
             owns the stopping decision).
     """
     store = as_store(store)
-    spec = store.load_spec()
-    if spec.repeat is not None:
-        if max_shards is not None:
-            raise CampaignError(
-                "max_shards does not apply to a repeat-until-confidence "
-                "campaign — the stopping rule decides when to stop"
-            )
-        return repeat_campaign(spec, store=store, workers=workers,
-                               validate=validate, telemetry=telemetry)
-    return run_campaign(spec, store=store, workers=workers,
-                        max_shards=max_shards, validate=validate,
-                        telemetry=telemetry)
+    return _run_spec(store.load_spec(), store=store, workers=workers,
+                     max_shards=max_shards, validate=validate,
+                     telemetry=telemetry)
 
 
-# ----------------------------------------------------------------------
-# repeat-until-confidence
-# ----------------------------------------------------------------------
 def repeat_campaign(spec: CampaignSpec, *,
                     store: Union[CampaignStore, str, Path, None] = None,
                     workers: int = 1,
@@ -366,22 +373,23 @@ def repeat_campaign(spec: CampaignSpec, *,
 
     The SHARP-style repeater: the shard plan spans the whole
     ``repeat.max_total`` budget in ``repeat.batch``-sized shards, and
-    the run stops at the **first shard prefix** whose confidence
-    interval on ``repeat.metric`` satisfies the target.  Because every
-    shard regenerates its faults from the indexed seed schedule and the
-    stop point is a pure function of the folded data prefix — never of
+    the result is the **first shard prefix** whose confidence interval
+    on ``repeat.metric`` satisfies the target
+    (:class:`~repro.campaigns.fold.PrefixFold`).  Because every shard
+    regenerates its faults from the indexed seed schedule and the stop
+    point is a pure function of the folded data prefix — never of
     scheduling — the returned aggregate is bit-identical for any worker
-    count or kill/resume history.  Workers may overshoot the stop point
-    by up to one wave of shards; overshoot shards stay checkpointed in
-    the store (resume finds the same stop point and ignores them) but
-    are excluded from the returned fold.
+    count or kill/resume history.  A pool may finish shards past the
+    stop point before the run closes it; they stay checkpointed in the
+    store, and the runner, ``campaign status`` and ``campaign report``
+    all exclude them.
 
     Args:
         spec: a campaign spec with both ``sampling`` and ``repeat`` set.
         store: checkpoint/resume directory, as in :func:`run_campaign`.
-        workers: process count; also the wave size between stopping-rule
-            evaluations.
+        workers: process count for the pending shards.
         validate: forward the simulator's trace-validation switch.
+        telemetry: optional session, as in :func:`run_campaign`.
 
     Returns:
         A :class:`~repro.stats.repeater.RepeatResult`.  ``converged`` is
@@ -400,118 +408,5 @@ def repeat_campaign(spec: CampaignSpec, *,
             "repeat_campaign needs a spec with a repeat rule — use "
             "run_campaign for fixed-size campaigns"
         )
-    if workers < 1:
-        raise CampaignError("workers must be >= 1")
-    # the stopping rule's statistics load with the first repeat campaign,
-    # not with every fixed-size run
-    from repro.stats.repeater import (
-        STOP_BUDGET,
-        STOP_TARGET,
-        RepeatResult,
-        target_met,
-    )
-
-    tm = telemetry if telemetry is not None else NULL_TELEMETRY
-    repeat = spec.repeat
-    store = as_store(store)
-    done: Dict[int, ShardRecord] = {}
-    with tm.span("plan"):
-        plan = campaign_plan(spec)
-        if store is not None:
-            store.initialise(spec)
-            done = validated_records(store, plan)
-    tm.emit("run_start", kind="campaign-repeat", label=spec.label,
-            spec_hash=spec.config_hash, shards=len(plan),
-            metric=repeat.metric, budget=repeat.max_total,
-            resumed_shards=len(done))
-    if tm.enabled and plan:
-        tm.metrics.set_gauge("resume_hit_rate", len(done) / len(plan))
-
-    meta = spec_sampling_meta(spec)
-    running = CampaignReport(policy="")
-    history: List[RateEstimate] = []
-    folded = 0          # shards merged into ``running`` (prefix length)
-    stopped = False     # first satisfying prefix found
-    last_stats_error: Optional[StatsError] = None
-
-    def _advance() -> bool:
-        """Fold/evaluate newly contiguous prefixes; True once satisfied."""
-        nonlocal folded, stopped, running, last_stats_error
-        while not stopped and folded < len(plan) and folded in done:
-            record = done[folded]
-            if folded == 0:
-                running = CampaignReport(policy=record.policy)
-            elif record.policy != running.policy:
-                raise CampaignError(
-                    f"shards disagree on the attacked policy: "
-                    f"{sorted({record.policy, running.policy})}"
-                )
-            running.merge_counts(record.counts,
-                                 sdc_samples=record.sdc_samples,
-                                 sampling=meta)
-            folded += 1
-            try:
-                estimate = running.rate_interval(
-                    repeat.metric, confidence=repeat.confidence,
-                    method=repeat.interval,
-                )
-            except StatsError as exc:
-                # A partial fold can miss a stratum entirely; the target
-                # is simply not met yet.  Pure function of the prefix,
-                # so every worker/resume history skips the same points.
-                last_stats_error = exc
-                continue
-            history.append(estimate)
-            if target_met(
-                    estimate,
-                    relative_half_width=repeat.relative_half_width,
-                    half_width=repeat.half_width):
-                stopped = True
-        return stopped
-
-    _advance()
-    if not stopped and len(done) < len(plan):
-        _build_baseline(spec, validate=validate, tm=tm)
-    while not stopped:
-        pending = [shard for shard in plan if shard.index not in done]
-        if not pending:
-            break
-        wave = pending[:workers]
-        with tm.span("wave", shards=len(wave)):
-            _execute(spec, wave, done=done, total_shards=len(plan),
-                     store=store, workers=workers, validate=validate, tm=tm)
-        _advance()
-
-    if tm.enabled:
-        tm.beat("campaign", len(done), len(plan),
-                rate_counter="injections", unit="inj/s", force=True)
-    if not history:
-        raise StatsError(
-            f"no prefix of the {spec.total_injections}-injection budget "
-            f"yields a well-defined {repeat.metric!r} estimate"
-            + (f": {last_stats_error}" if last_stats_error else "")
-        )
-    estimate = history[-1]
-    tm.emit("run_end", kind="campaign-repeat", converged=stopped,
-            batches=folded, total=running.total)
-    error = None
-    if not stopped:
-        target = (f"relative half-width <= {repeat.relative_half_width}"
-                  if repeat.relative_half_width is not None
-                  else f"half-width <= {repeat.half_width}")
-        error = (
-            f"budget of {repeat.max_total} injections exhausted with the "
-            f"{repeat.metric!r} interval at {estimate.describe()} — "
-            f"target {target} not met"
-        )
-    return RepeatResult(
-        metric=repeat.metric,
-        converged=stopped,
-        stop_reason=STOP_TARGET if stopped else STOP_BUDGET,
-        batches=folded,
-        total=running.total,
-        estimate=estimate,
-        report=running,
-        history=tuple(history),
-        error=error,
-    )
+    return _run_spec(spec, store=store, workers=workers, validate=validate,
+                     telemetry=telemetry)

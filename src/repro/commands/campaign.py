@@ -101,40 +101,28 @@ def _execute(args: argparse.Namespace,
     ``load`` reads the spec and returns ``(spec, store, title)``; it runs
     after the execution stack is imported, the order
     :mod:`repro.campaigns.runner` documents.  A repeat-until-confidence
-    spec renders its stopping decision; a run that stopped short of the
-    whole campaign renders the store's status.
+    spec renders its stopping decision; a fixed-size run that stopped
+    short of the whole campaign renders the store's status.
     """
-    from repro.campaigns.runner import (
-        campaign_status,
-        repeat_campaign,
-        run_campaign,
-    )
+    from repro.campaigns.runner import _run_spec, campaign_status
 
     spec, store, title = load()
     with telemetry_session(args) as telemetry:
-        if spec.repeat is not None:
-            if args.max_shards is not None:
-                raise CampaignError(
-                    "--max-shards does not apply to a repeat-until-"
-                    "confidence campaign — the stopping rule decides"
-                )
-            result = repeat_campaign(spec, store=store, workers=args.workers,
-                                     telemetry=telemetry)
-            return _repeat_text(result, as_json=args.json,
-                                title=f"Campaign repeat — {title}")
-        report = run_campaign(spec, store=store, workers=args.workers,
-                              max_shards=args.max_shards,
-                              telemetry=telemetry)
+        result = _run_spec(spec, store=store, workers=args.workers,
+                           max_shards=args.max_shards, telemetry=telemetry)
+    if spec.repeat is not None:
+        return _repeat_text(result, as_json=args.json,
+                            title=f"Campaign repeat — {title}")
     # a complete campaign's aggregate covers exactly the spec's population
     # (shards are validated against the plan, so the totals can only match
     # when every shard is in) — checking totals avoids re-reading and
     # re-verifying the whole shard log just to decide completeness
     qualifier = ""
-    if report.total < spec.total_injections:
+    if result.total < spec.total_injections:
         if store is not None:
             return _status_text(campaign_status(store), as_json=args.json)
         qualifier = " (PARTIAL)"
-    return _report_text(report, as_json=args.json,
+    return _report_text(result, as_json=args.json,
                         title=f"Campaign report{qualifier} — {title}")
 
 
@@ -173,6 +161,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     from repro.campaigns.fold import (
         campaign_plan,
         fold_report,
+        result_records,
         spec_sampling_meta,
         validated_records,
     )
@@ -181,9 +170,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
     store = CampaignStore(args.dir)
     spec = store.load_spec()
     plan = campaign_plan(spec)
-    records = validated_records(store, plan)
-    if (len(records) < len(plan) and not args.partial
-            and spec.repeat is None):
+    records, complete = result_records(spec, plan,
+                                       validated_records(store, plan))
+    if not complete and not args.partial:
         raise CampaignError(
             f"campaign incomplete ({len(records)}/{len(plan)} shards "
             f"done); resume it with `python -m repro campaign resume "
@@ -191,7 +180,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         )
     report = fold_report(records.values(),
                          sampling=spec_sampling_meta(spec))
-    qualifier = "" if len(records) == len(plan) else " (PARTIAL)"
+    qualifier = "" if complete else " (PARTIAL)"
     print(_report_text(
         report, as_json=args.json,
         title=f"Campaign report{qualifier} — spec {spec.config_hash}",

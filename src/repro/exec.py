@@ -6,9 +6,9 @@ they share: the in-process/pooled choice and pool size, task- or
 completion-ordered results, per-task worker-sidecar telemetry
 (:mod:`repro.obs.worker`) merged in key order, ``worker_error`` events,
 the typed :class:`~repro.errors.PoolError` for a dead worker, and
-cancelling queued tasks on failure.  Task functions are deterministic,
-so ``workers`` only changes the wall clock, never a result (see
-``docs/ARCHITECTURE.md``, "Execution core").
+cancelling queued tasks on a failure or an early close.  Task functions
+are deterministic, so ``workers`` only changes the wall clock, never a
+result (see ``docs/ARCHITECTURE.md``, "Execution core").
 """
 
 from __future__ import annotations
@@ -65,7 +65,8 @@ def map_tasks(fn: Callable[[T, Telemetry], R], tasks: Sequence[T], *,
     each task under its own sidecar session.  Ordered results come from
     ``pool.map`` (chunksize ``ceil(n / (pool * 4))``), unordered ones as
     they complete, so a consumer persisting each loses only the tasks in
-    flight when interrupted.
+    flight when interrupted.  Closing the iterator early cancels the
+    queued tasks; the sidecars of the tasks that ran merge regardless.
 
     Args:
         fn: module-level function (pickled by reference).
@@ -96,23 +97,26 @@ def map_tasks(fn: Callable[[T, Telemetry], R], tasks: Sequence[T], *,
     wdir = sidecar_dir(tm) if tm.sink.enabled else None
     jobs = [(fn, task, sidecar_path(wdir, key) if wdir is not None else None)
             for task, key in zip(tasks, keys)]
-    with ProcessPoolExecutor(max_workers=pool_size) as pool:
-        try:
-            if ordered:
-                chunksize = max(1, math.ceil(len(jobs) / (pool_size * 4)))
-                results = pool.map(_run_pooled, jobs, chunksize=chunksize)
-                for key in keys:
-                    yield _checked(tm, key, results.__next__, broken=broken)
-            else:
-                futures = {pool.submit(_run_pooled, job): key
-                           for job, key in zip(jobs, keys)}
-                for future in as_completed(futures):
-                    yield _checked(tm, futures[future], future.result,
-                                  broken=broken)
-        except BaseException:
-            # a failure, Ctrl-C or an abandoned iterator: drop the queued
-            # tasks instead of running them all before the error surfaces
-            pool.shutdown(cancel_futures=True)
-            raise
-    if wdir is not None:
-        merge_sidecars(tm, wdir, keys)
+    pool = ProcessPoolExecutor(max_workers=pool_size)
+    try:
+        if ordered:
+            chunksize = max(1, math.ceil(len(jobs) / (pool_size * 4)))
+            results = pool.map(_run_pooled, jobs, chunksize=chunksize)
+            for key in keys:
+                yield _checked(tm, key, results.__next__, broken=broken)
+        else:
+            futures = {pool.submit(_run_pooled, job): key
+                       for job, key in zip(jobs, keys)}
+            for future in as_completed(futures):
+                yield _checked(tm, futures[future], future.result,
+                               broken=broken)
+    except BaseException:
+        # a failure, Ctrl-C or an abandoned iterator: drop the queued
+        # tasks instead of running them all before the error surfaces
+        pool.shutdown(cancel_futures=True)
+        raise
+    finally:
+        # every task that ran, consumed or not, left its sidecar
+        pool.shutdown()
+        if wdir is not None:
+            merge_sidecars(tm, wdir, keys)

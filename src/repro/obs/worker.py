@@ -170,5 +170,5 @@ def merge_sidecars(telemetry: Telemetry, directory: Union[str, Path],
     try:
         Path(directory).rmdir()
     except OSError:
-        pass  # leftover sidecars (e.g. a worker that raised) stay put
+        pass  # leftover sidecars (e.g. an unreadable one) stay put
     return merged

@@ -6,12 +6,10 @@ interval on a chosen metric is tight enough, or a hard budget cap is
 hit.  This module holds the stopping rule (:func:`target_met`) and the
 :class:`RepeatResult` value object the repeater returns.
 
-The execution loop itself lives with the campaign runner
-(:func:`repro.campaigns.runner.repeat_campaign`) because stopping must
-be a pure function of the *data prefix*, not of scheduling: the
-repeater stops at the first shard-prefix whose fold meets the target,
-so the stop point — and therefore the returned aggregate — is
-bit-identical for any worker count or kill/resume history.
+The stopping prefix is folded by :class:`repro.campaigns.fold.PrefixFold`:
+the first shard-prefix whose fold meets the target, a pure function of
+the data, so the result is bit-identical for any worker count or
+kill/resume history.
 """
 
 from __future__ import annotations

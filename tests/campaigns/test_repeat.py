@@ -9,6 +9,7 @@ change the returned aggregate.
 
 from __future__ import annotations
 
+import json
 import shutil
 
 import pytest
@@ -23,10 +24,14 @@ from repro.api import (
 )
 from repro.campaigns import (
     CampaignStore,
+    baseline_campaign,
+    campaign_plan,
     repeat_campaign,
     resume_campaign,
     run_campaign,
 )
+from repro.campaigns.runner import classify_shard
+from repro.cli import main
 from repro.errors import (
     CampaignError,
     ConfigurationError,
@@ -137,6 +142,78 @@ class TestDeterminism:
         again = resume_campaign(store)
         assert store.shards_path.read_text() == before
         assert again.report.to_dict() == first.report.to_dict()
+
+
+class TestStoreReaders:
+    """``campaign report``/``status`` read the repeater's result, whatever
+    shards past its stop point a pool left in the store."""
+
+    @pytest.fixture(scope="class")
+    def stores(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("readers")
+        stores = {}
+        for workers in (1, 2, 4):
+            stores[workers] = root / f"w{workers}"
+            repeat_campaign(_spec(), store=CampaignStore(stores[workers]),
+                            workers=workers)
+        # a pool may persist shards past the stop point: add two
+        spec = _spec()
+        campaign = baseline_campaign(spec.run)
+        store = CampaignStore(stores[1].with_name("overshoot"))
+        shutil.copytree(stores[1], store.root)
+        for shard in campaign_plan(spec)[1:3]:
+            store.append(classify_shard(campaign, spec.effective_faults,
+                                        shard, sampling=spec.sampling))
+        stores["overshoot"] = store.root
+        return stores
+
+    @staticmethod
+    def _json(capsys, *argv):
+        capsys.readouterr()
+        assert main(["campaign", *argv, "--json"]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    @pytest.mark.parametrize("store", [1, 2, 4, "overshoot"])
+    def test_report_prints_the_repeaters_aggregate(self, capsys, converged,
+                                                   stores, store):
+        payload = self._json(capsys, "report", "--dir", str(stores[store]))
+        assert payload == converged.report.to_dict()
+        loaded = type(converged.report).from_dict(payload)
+        assert loaded.digest() == converged.report.digest()
+
+    @pytest.mark.parametrize("store", [1, 2, 4, "overshoot"])
+    def test_status_is_complete_with_the_repeaters_counts(
+            self, capsys, converged, stores, store):
+        status = self._json(capsys, "status", "--dir", str(stores[store]))
+        assert status["complete"] is True
+        assert status["completed_shards"] == converged.batches
+        assert status["completed_injections"] == converged.total
+        report = converged.report
+        assert ((status["masked"], status["detected"], status["sdc"])
+                == (report.masked, report.detected, report.sdc))
+
+    def test_unsettled_store_reports_only_with_partial(self, capsys,
+                                                       tmp_path):
+        # the budget-exhausting spec, cut after its first shard
+        spec = _spec(relative_half_width=0.01, batch=200, max_total=400)
+        full = tmp_path / "full"
+        repeat_campaign(spec, store=CampaignStore(full))
+        cut = tmp_path / "cut"
+        cut.mkdir()
+        shutil.copy(full / "campaign.json", cut / "campaign.json")
+        lines = (full / "shards.jsonl").read_text().splitlines(True)
+        (cut / "shards.jsonl").write_text(lines[0])
+
+        assert self._json(capsys, "status", "--dir", str(cut))[
+            "complete"] is False
+        assert main(["campaign", "report", "--dir", str(cut)]) == 1
+        assert "incomplete" in capsys.readouterr().err
+        assert self._json(capsys, "report", "--dir", str(cut),
+                          "--partial")["total"] == 200
+        # the exhausted budget settles the store without convergence
+        status = self._json(capsys, "status", "--dir", str(full))
+        assert status["complete"] is True
+        assert status["completed_injections"] == 400
 
 
 class TestDispatchAndValidation:

@@ -148,6 +148,67 @@ class TestCampaignCLI:
         assert report["total"] == 100
         assert report["detected"] + report["masked"] + report["sdc"] == 100
 
+    @pytest.fixture
+    def repeat_spec_file(self, tmp_path):
+        from repro.api import (
+            CampaignSpec,
+            FaultPlanSpec,
+            RepeatSpec,
+            RunSpec,
+            SamplingSpec,
+            WorkloadSpec,
+        )
+
+        spec = CampaignSpec(
+            run=RunSpec(workload=WorkloadSpec(benchmark="hotspot"),
+                        policy="default"),
+            faults=FaultPlanSpec(transient_ccf=120, permanent_sm=40, seu=40,
+                                 seed=7),
+            sampling=SamplingSpec(method="stratified", transient_ccf=1,
+                                  permanent_sm=2, seu=1),
+            repeat=RepeatSpec(metric="sdc", relative_half_width=0.5,
+                              batch=100, max_total=2000),
+        )
+        path = tmp_path / "repeat.json"
+        path.write_text(spec.to_json(indent=2))
+        return path
+
+    def test_repeat_run_then_resume_prints_the_same_result(
+            self, capsys, tmp_path, repeat_spec_file):
+        store = tmp_path / "store"
+        assert main(["campaign", "run", "--spec", str(repeat_spec_file),
+                     "--dir", str(store), "--json"]) == 0
+        result = json.loads(capsys.readouterr().out)
+        assert result["converged"] is True
+        assert result["stop_reason"] == "target_met"
+        assert result["total"] == result["report"]["total"] < 2000
+        log = (store / "shards.jsonl").read_text()
+
+        # the converged store replays its result without running a shard
+        assert main(["campaign", "resume", "--dir", str(store),
+                     "--json"]) == 0
+        assert json.loads(capsys.readouterr().out) == result
+        assert (store / "shards.jsonl").read_text() == log
+
+        assert main(["campaign", "resume", "--dir", str(store)]) == 0
+        assert "Campaign repeat" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("action", ["run", "resume"])
+    def test_max_shards_is_refused_for_a_repeat_spec(
+            self, capsys, tmp_path, repeat_spec_file, action):
+        store = str(tmp_path / "store")
+        argv = {"run": ["--spec", str(repeat_spec_file)],
+                "resume": ["--dir", store]}[action]
+        if action == "resume":
+            assert main(["campaign", "run", "--spec", str(repeat_spec_file),
+                         "--dir", store]) == 0
+            capsys.readouterr()
+        assert main(["campaign", action] + argv + ["--max-shards", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: max_shards does not apply")
+
     def test_status_of_missing_store_fails_cleanly(self, capsys, tmp_path):
         assert main(["campaign", "status", "--dir",
                      str(tmp_path / "nope")]) == 1

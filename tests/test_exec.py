@@ -67,6 +67,14 @@ def _fail_first_mark_rest(task, telemetry):
     return index
 
 
+def _nap(task, telemetry):
+    with telemetry.span("nap", value=task):
+        if task == 3:
+            raise ValueError(f"bad task {task}")
+        time.sleep(0.05)
+        return task
+
+
 def _keys(tasks):
     return [f"task-{t}" for t in tasks]
 
@@ -148,6 +156,35 @@ class TestMapTasks:
         assert workers == ["task-1", "task-2", "task-3"]
         (execute,) = build_spans(events)
         assert [c.name for c in execute.children] == ["square"] * 3
+        assert not (tmp_path / "t.jsonl.workers").exists()
+
+    @pytest.mark.parametrize("end", ["close", "fail"])
+    def test_sidecars_merge_when_the_iteration_ends_early(self, tmp_path,
+                                                          end):
+        log = tmp_path / "t.jsonl"
+        telemetry = Telemetry.create(path=log)
+        # _nap fails on task 3: the "close" case leaves it out
+        tasks = list(range(4, 40)) if end == "close" else list(range(40))
+        results = map_tasks(_nap, tasks, workers=2, keys=_keys(tasks),
+                            telemetry=telemetry, ordered=False)
+        with telemetry.span("execute"):
+            if end == "close":
+                first = next(results)
+                results.close()
+            else:
+                with pytest.raises(ValueError, match="bad task 3"):
+                    list(results)
+        telemetry.close()
+        events = read_telemetry(log)
+        ran = {e["data"]["worker"] for e in events
+               if e["type"] == "span_start" and e["data"].get("name") == "nap"}
+        # the queued tasks were cancelled; every task that ran, the one
+        # whose result was consumed or that failed included, was merged
+        # under the open span and its sidecar deleted
+        assert 0 < len(ran) < 20
+        assert (f"task-{first}" if end == "close" else "task-3") in ran
+        (execute,) = build_spans(events)
+        assert {c.name for c in execute.children} == {"nap"}
         assert not (tmp_path / "t.jsonl.workers").exists()
 
 
