@@ -73,7 +73,7 @@ migration table)::
 
 from repro._lazy import lazy_exports
 
-__version__ = "1.23.0"
+__version__ = "1.24.0"
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     # errors

@@ -312,7 +312,11 @@ def _run_spec(spec: CampaignSpec, *,
             result = prefix.result()
             report = result.report
     if tm.enabled:
-        tm.beat("campaign", len(done), len(plan),
+        # a repeat run's work ends at the shards it consumed: the queued
+        # shards past its stopping prefix were cancelled
+        total = len(plan) if prefix is None else len(done)
+        tm.metrics.set_gauge("pending_shards", float(total - len(done)))
+        tm.beat("campaign", len(done), total,
                 rate_counter="injections", unit="inj/s", force=True)
     tm.emit("run_end", kind="campaign", digest=report.digest(),
             total=report.total, masked=report.masked,

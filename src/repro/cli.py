@@ -14,7 +14,7 @@ command.  Each group module documents its commands:
 * :mod:`repro.commands.campaign` — sharded resumable fault campaigns;
 * :mod:`repro.commands.stream` — continuous frame streams;
 * :mod:`repro.commands.platform` — multi-device vehicle platforms;
-* :mod:`repro.commands.obs` — telemetry logs, archive, export and diff;
+* :mod:`repro.commands.obs` — telemetry logs: validate, report, export, diff;
 * :mod:`repro.commands.lint` — the determinism-contract linter;
 * :mod:`repro.commands.compare` — statistical significance diff.
 

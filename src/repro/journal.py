@@ -1,8 +1,7 @@
 """The crash-safe append-only JSONL journal behind every on-disk log.
 
-Campaign ``shards.jsonl``, ``--telemetry`` files and the telemetry
-archive's ``manifest.jsonl`` share one format and one set of crash
-rules, kept only here (docs/ARCHITECTURE.md, "Journal").  Every
+Campaign ``shards.jsonl``, ``--telemetry`` files and their worker
+sidecars share one format and one set of crash rules, kept only here (docs/ARCHITECTURE.md, "Journal").  Every
 ``OSError`` or corruption raises the :class:`~repro.errors.ReproError`
 subclass the caller passes as ``error``; ``what`` names the log in
 messages.  The module also owns the two sorted-key JSON encodings:

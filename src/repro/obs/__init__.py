@@ -18,10 +18,9 @@ allowed to read a clock.  It provides:
 * **per-worker capture** — pooled shard/job/device workers log to
   sidecar files merged back deterministically after the pool drains
   (:mod:`repro.obs.worker`);
-* the **analysis plane** — the digest-indexed ``.repro-obs/`` archive
-  (:mod:`repro.obs.store`), Chrome-trace/flamegraph/CSV export
+* the **analysis plane** — Chrome-trace/flamegraph/CSV export
   (:mod:`repro.obs.export`) and statistically gated cross-run span
-  diffing (:mod:`repro.obs.diff`), all reading telemetry files only.
+  diffing (:mod:`repro.obs.diff`), both reading telemetry files only.
 
 Everything hangs off one facade, :class:`~repro.obs.session.Telemetry`,
 which the campaign/stream/platform runners and the engine accept as an
@@ -36,8 +35,7 @@ from repro._lazy import lazy_exports
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.obs.diff": ("OBS_DIFF_SCHEMA", "diff_events", "render_diff"),
     "repro.obs.events": (
-        "EVENT_TYPES", "TELEMETRY_SCHEMA", "check_events", "classify_events",
-        "validate_event", "validate_events",
+        "EVENT_TYPES", "TELEMETRY_SCHEMA", "classify_events", "validate_event",
     ),
     "repro.obs.export": (
         "heartbeat_csv", "render_chrome_trace", "to_chrome_trace", "to_folded",
@@ -56,7 +54,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "read_telemetry", "scan_telemetry",
     ),
     "repro.obs.spans": ("Span", "Tracer"),
-    "repro.obs.store": ("DEFAULT_OBS_DIR", "OBS_STORE_SCHEMA", "ObsStore"),
     "repro.obs.worker": (
         "close_worker_session", "merge_sidecars", "sidecar_dir",
         "sidecar_path", "worker_session",

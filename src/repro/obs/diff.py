@@ -17,11 +17,11 @@ doesn't page anyone.  Single-occurrence paths fall back to the
 magnitude floors alone (``method: "threshold"``).
 
 Exit-code contract mirrors ``repro compare``: 0 — no significant
-difference, 1 — at least one, 2 — misuse (unreadable input, unknown
-run id).  The JSON payload is schema-tagged :data:`OBS_DIFF_SCHEMA`.
-This is the span-level attribution layer behind the ``BENCH_*`` gate
-of ``repro compare``: when it fails, diff the two runs' archived
-telemetry to see *which phase* regressed.
+difference, 1 — at least one, 2 — misuse (unreadable input).  The
+JSON payload is schema-tagged :data:`OBS_DIFF_SCHEMA`.  This is the
+span-level attribution layer behind the ``BENCH_*`` gate of ``repro
+compare``: when it fails, diff the two builds' ``--telemetry`` files
+to see *which phase* regressed.
 """
 
 from __future__ import annotations
@@ -202,7 +202,7 @@ def diff_events(events_a: List[Dict[str, Any]],
 
     Args:
         events_a: baseline stream (e.g. from
-            :meth:`repro.obs.store.ObsStore.load_events`).
+            :func:`~repro.obs.sink.read_telemetry`).
         events_b: candidate stream.
         label_a: display label for the baseline.
         label_b: display label for the candidate.

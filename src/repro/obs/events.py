@@ -30,15 +30,11 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Tuple
 
-from repro.errors import ObsError
-
 __all__ = [
     "EVENT_TYPES",
     "TELEMETRY_SCHEMA",
-    "check_events",
     "classify_events",
     "validate_event",
-    "validate_events",
 ]
 
 #: Schema tag carried by every session header's ``data.schema``.
@@ -111,79 +107,8 @@ def validate_event(payload: Any, *, lineno: int = 0) -> List[str]:
     return problems
 
 
-def _classify_rows(events: List[Dict[str, Any]]
-                   ) -> List[Tuple[bool, str]]:
-    """Walk the stream; yield ``(tolerated, message)`` rows in order.
-
-    ``tolerated`` marks the two problem classes a *forward-compatible*
-    reader may choose to demote to warnings: unknown event types (a
-    newer writer within the same schema family) and non-monotonic
-    per-session ``seq`` (interleaved merges from external tooling).
-    Everything else — malformed shapes, schema-tag mismatches, missing
-    headers, backwards ``t_ms`` — is always a hard problem.
-    """
-    rows: List[Tuple[bool, str]] = []
-    if not events:
-        return [(False, "no events (empty or fully torn telemetry stream)")]
-    last_seq = None
-    last_t = 0.0
-    in_session = False
-    for index, event in enumerate(events):
-        event_problems = validate_event(event, lineno=0)
-        hard = [p for p in event_problems if "unknown event type" not in p]
-        soft = [p for p in event_problems if "unknown event type" in p]
-        rows.extend((True, f"event {index}: {p}") for p in soft)
-        if hard:
-            rows.extend((False, f"event {index}: {p}") for p in hard)
-            continue
-        if event["type"] == "telemetry_start":
-            if event["seq"] != 0:
-                rows.append((False,
-                             f"event {index}: session header has seq "
-                             f"{event['seq']}, expected 0"))
-            last_seq = event["seq"]
-            last_t = event["t_ms"]
-            in_session = True
-            continue
-        if not in_session:
-            rows.append((False,
-                         f"event {index}: {event['type']!r} before any "
-                         "telemetry_start header"))
-            in_session = True  # report the structural problem only once
-        if last_seq is not None and event["seq"] <= last_seq:
-            rows.append((True,
-                         f"event {index}: seq {event['seq']} does not "
-                         f"increase past {last_seq}"))
-        if event["t_ms"] < last_t:
-            rows.append((False,
-                         f"event {index}: t_ms {event['t_ms']} goes "
-                         f"backwards (previous {last_t})"))
-        last_seq = event["seq"]
-        last_t = event["t_ms"]
-    return rows
-
-
 def classify_events(events: List[Dict[str, Any]]
                     ) -> Tuple[List[str], List[str]]:
-    """Split stream validation results into hard problems and warnings.
-
-    Args:
-        events: parsed events in file order (e.g. from
-            :func:`~repro.obs.sink.read_telemetry`).
-
-    Returns:
-        ``(problems, tolerated)`` — hard schema violations, and the
-        unknown-type / non-monotonic-``seq`` findings a lenient reader
-        (``repro obs validate`` without ``--strict``) reports as
-        warnings only.  Both lists keep stream order.
-    """
-    rows = _classify_rows(events)
-    return ([msg for soft, msg in rows if not soft],
-            [msg for soft, msg in rows if soft])
-
-
-def validate_events(events: List[Dict[str, Any]], *,
-                    strict: bool = True) -> List[str]:
     """Validate a whole event stream (possibly several sessions).
 
     Beyond the per-event shape, checks the session structure: the stream
@@ -195,28 +120,51 @@ def validate_events(events: List[Dict[str, Any]], *,
     Args:
         events: parsed events in file order (e.g. from
             :func:`~repro.obs.sink.read_telemetry`).
-        strict: when ``True`` (the default) every finding is a problem;
-            when ``False`` the tolerated classes (unknown event types,
-            non-monotonic per-session ``seq``) are dropped — see
-            :func:`classify_events`.
 
     Returns:
-        Human-readable problem strings; empty when the stream is valid.
+        ``(problems, tolerated)``, both in stream order.  ``tolerated``
+        holds the two finding classes a *forward-compatible* reader
+        (``repro obs validate`` without ``--strict``) reports as
+        warnings only: unknown event types (a newer writer within the
+        same schema family) and non-monotonic per-session ``seq``
+        (interleaved merges from external tooling).  Everything else —
+        malformed shapes, schema-tag mismatches, missing headers,
+        backwards ``t_ms`` — is a hard problem.  A strict reader takes
+        ``problems + tolerated``.
     """
-    rows = _classify_rows(events)
-    if strict:
-        return [msg for _, msg in rows]
-    return [msg for soft, msg in rows if not soft]
-
-
-def check_events(events: List[Dict[str, Any]]) -> None:
-    """Raise :class:`~repro.errors.ObsError` when the stream is invalid.
-
-    The exception message carries every problem
-    :func:`validate_events` found, one per line.
-    """
-    problems = validate_events(events)
-    if problems:
-        raise ObsError(
-            "invalid telemetry stream:\n  " + "\n  ".join(problems)
-        )
+    if not events:
+        return ["no events (empty or fully torn telemetry stream)"], []
+    problems: List[str] = []
+    tolerated: List[str] = []
+    last_seq = None
+    last_t = 0.0
+    in_session = False
+    for index, event in enumerate(events):
+        event_problems = validate_event(event, lineno=0)
+        hard = [p for p in event_problems if "unknown event type" not in p]
+        soft = [p for p in event_problems if "unknown event type" in p]
+        tolerated.extend(f"event {index}: {p}" for p in soft)
+        if hard:
+            problems.extend(f"event {index}: {p}" for p in hard)
+            continue
+        if event["type"] == "telemetry_start":
+            if event["seq"] != 0:
+                problems.append(f"event {index}: session header has seq "
+                                f"{event['seq']}, expected 0")
+            last_seq = event["seq"]
+            last_t = event["t_ms"]
+            in_session = True
+            continue
+        if not in_session:
+            problems.append(f"event {index}: {event['type']!r} before any "
+                            "telemetry_start header")
+            in_session = True  # report the structural problem only once
+        if last_seq is not None and event["seq"] <= last_seq:
+            tolerated.append(f"event {index}: seq {event['seq']} does not "
+                             f"increase past {last_seq}")
+        if event["t_ms"] < last_t:
+            problems.append(f"event {index}: t_ms {event['t_ms']} goes "
+                            f"backwards (previous {last_t})")
+        last_seq = event["seq"]
+        last_t = event["t_ms"]
+    return problems, tolerated

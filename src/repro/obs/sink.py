@@ -133,7 +133,7 @@ def scan_telemetry(path: Union[str, Path]
     file's last line (``tear: "file"``) or right before the header a
     resume appended (``tear: "session"``); anywhere else it raises.
     No schema validation happens here — pass the events to
-    :func:`repro.obs.events.validate_events` (or ``repro obs validate``).
+    :func:`repro.obs.events.classify_events` (or ``repro obs validate``).
 
     Returns:
         ``(events, tears)`` — one event dict per surviving line, plus

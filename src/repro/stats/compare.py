@@ -500,12 +500,12 @@ def render_comparison(payload: Mapping[str, Any]) -> str:
         lines.append(f"gate: FAIL, {failures} metric(s) broke their rule"
                      if failures else "gate: ok")
     if failures:
-        # archived telemetry of both builds turns "the gate is red"
-        # into "this span path got slower"
+        # telemetry of both builds turns "the gate is red" into "this
+        # span path got slower"
         lines.append(
-            "hint: to attribute a timing regression, archive telemetry "
-            "from both builds ('repro obs archive') and run "
-            "'repro obs diff BASELINE CURRENT': it aligns the span trees "
-            "and names the paths with significant self-time deltas"
+            "hint: to attribute a timing regression, record --telemetry "
+            "on both builds and run 'repro obs diff BASE.jsonl "
+            "CURRENT.jsonl': it aligns the span trees and names the paths "
+            "with significant self-time deltas"
         )
     return "\n".join(lines)

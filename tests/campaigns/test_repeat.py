@@ -38,6 +38,7 @@ from repro.errors import (
     RepeatBudgetError,
     StatsError,
 )
+from repro.obs import MemorySink, Telemetry
 from repro.stats.repeater import STOP_BUDGET, STOP_TARGET
 
 
@@ -89,6 +90,18 @@ class TestConvergence:
         rerun = repeat_campaign(_spec(), workers=4)
         assert rerun.total == converged.total
         assert rerun.report.to_dict() == converged.report.to_dict()
+
+
+class TestProgress:
+    def test_progress_ends_at_the_stopping_prefix(self):
+        telemetry = Telemetry(MemorySink())
+        result = repeat_campaign(_spec(), workers=1, telemetry=telemetry)
+        telemetry.close()
+        beats = [e["data"] for e in telemetry.sink.events
+                 if e["type"] == "heartbeat"]
+        assert result.batches < len(campaign_plan(_spec()))
+        assert beats[-1]["done"] == beats[-1]["total"] == result.batches
+        assert beats[-1]["metrics"]["gauges"]["pending_shards"] == 0
 
 
 class TestBudget:

@@ -25,8 +25,8 @@ from repro.obs import (
     MemorySink,
     ProgressTicker,
     Telemetry,
+    classify_events,
     read_telemetry,
-    validate_events,
 )
 from repro.platform import run_platform
 from repro.streams import run_stream
@@ -73,7 +73,7 @@ class TestCampaignNeutrality:
         telemetry.close()
         assert instrumented.digest() == plain.digest()
         assert instrumented.to_dict() == plain.to_dict()
-        assert validate_events(telemetry.sink.events) == []
+        assert classify_events(telemetry.sink.events) == ([], [])
 
     def test_kill_and_resume_with_telemetry_stays_bit_identical(
             self, tmp_path):
@@ -93,7 +93,7 @@ class TestCampaignNeutrality:
         assert resumed.digest() == plain.digest()
         assert resumed.to_dict() == plain.to_dict()
         events = read_telemetry(log)
-        assert validate_events(events) == []
+        assert classify_events(events) == ([], [])
         assert sum(e["type"] == "telemetry_start" for e in events) == 2
 
     def test_resume_after_torn_telemetry_line_stays_bit_identical(
@@ -135,7 +135,7 @@ class TestWorkerSidecarNeutrality:
         assert instrumented.digest() == plain.digest()
         assert instrumented.to_dict() == plain.to_dict()
         events = read_telemetry(log)
-        assert validate_events(events) == []
+        assert classify_events(events) == ([], [])
         # sidecars were merged and cleaned up, workers are visible
         assert not (tmp_path / "t.jsonl.workers").exists()
         assert any("worker" in e.get("data", {}) for e in events)
@@ -148,7 +148,7 @@ class TestWorkerSidecarNeutrality:
                                     telemetry=telemetry)
         telemetry.close()
         assert instrumented.digest() == plain.digest()
-        assert validate_events(telemetry.sink.events) == []
+        assert classify_events(telemetry.sink.events) == ([], [])
         # memory sinks have no sidecar directory to leave behind
         assert list(tmp_path.iterdir()) == []
 
@@ -171,7 +171,7 @@ class TestWorkerSidecarNeutrality:
         merge_sidecars(telemetry, wdir, ["shard-99999"])
         telemetry.close()
         assert instrumented.digest() == plain.digest()
-        assert validate_events(read_telemetry(log)) == []
+        assert classify_events(read_telemetry(log)) == ([], [])
 
 
 class TestStreamNeutrality:
@@ -182,7 +182,7 @@ class TestStreamNeutrality:
         telemetry.close()
         assert instrumented.digest() == plain.digest()
         assert instrumented.to_dict() == plain.to_dict()
-        assert validate_events(telemetry.sink.events) == []
+        assert classify_events(telemetry.sink.events) == ([], [])
 
     def test_telemetry_window_rechunking_is_invisible(self):
         # instrumentation re-chunks arrival batches to bound event
@@ -217,8 +217,8 @@ class TestPlatformNeutrality:
         assert instrumented.digest() == plain.digest()
         assert instrumented.to_dict() == plain.to_dict()
         assert pooled.digest() == plain.digest()
-        assert validate_events(telemetry.sink.events) == []
-        assert validate_events(pooled_telemetry.sink.events) == []
+        assert classify_events(telemetry.sink.events) == ([], [])
+        assert classify_events(pooled_telemetry.sink.events) == ([], [])
 
     def test_device_events_cover_every_device_in_both_modes(self):
         spec = _platform_spec()

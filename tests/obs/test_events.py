@@ -4,13 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import ObsError
 from repro.obs import (
     EVENT_TYPES,
     TELEMETRY_SCHEMA,
-    check_events,
+    classify_events,
     validate_event,
-    validate_events,
 )
 
 
@@ -22,6 +20,12 @@ def _event(etype: str = "heartbeat", seq: int = 1, t_ms: float = 5.0,
 def _header(seq: int = 0, t_ms: float = 0.0) -> dict:
     return _event("telemetry_start", seq, t_ms,
                   schema=TELEMETRY_SCHEMA, version="test")
+
+
+def _strict(events: list) -> list:
+    """Every finding, as ``obs validate --strict`` reports them."""
+    problems, tolerated = classify_events(events)
+    return problems + tolerated
 
 
 class TestValidateEvent:
@@ -73,29 +77,29 @@ class TestValidateEvent:
         assert problems == ["line 12: event is not a JSON object"]
 
 
-class TestValidateEvents:
+class TestClassifyEvents:
     def test_empty_stream_is_a_problem(self):
-        assert validate_events([]) == [
-            "no events (empty or fully torn telemetry stream)"
-        ]
+        assert classify_events([]) == (
+            ["no events (empty or fully torn telemetry stream)"], [])
 
     def test_single_session_stream_passes(self):
         events = [_header(), _event(seq=1, t_ms=1.0),
                   _event("telemetry_end", 2, 2.0)]
-        assert validate_events(events) == []
+        assert classify_events(events) == ([], [])
 
     def test_stream_must_open_with_a_header(self):
-        problems = validate_events([_event(seq=0, t_ms=0.0)])
+        problems, _ = classify_events([_event(seq=0, t_ms=0.0)])
         assert any("before any" in p for p in problems)
 
     def test_seq_must_strictly_increase(self):
         events = [_header(), _event(seq=1), _event(seq=1, t_ms=6.0)]
-        assert any("does not increase" in p for p in validate_events(events))
+        assert any("does not increase" in p for p in _strict(events))
 
     def test_t_ms_must_not_go_backwards(self):
         events = [_header(), _event(seq=1, t_ms=9.0),
                   _event(seq=2, t_ms=4.0)]
-        assert any("goes backwards" in p for p in validate_events(events))
+        problems, _ = classify_events(events)
+        assert any("goes backwards" in p for p in problems)
 
     def test_concatenated_sessions_restart_seq_and_clock(self):
         # campaign run + resume appending to the same file
@@ -103,23 +107,23 @@ class TestValidateEvents:
             _header(), _event(seq=1, t_ms=7.0),
             _header(), _event(seq=1, t_ms=1.0),
         ]
-        assert validate_events(events) == []
+        assert classify_events(events) == ([], [])
 
     def test_second_header_must_restart_at_seq_zero(self):
         second = _header()
         second["seq"] = 5
-        problems = validate_events([_header(), second])
+        problems, _ = classify_events([_header(), second])
         assert any("expected 0" in p for p in problems)
 
+    def test_unknown_type_and_stale_seq_are_only_tolerated(self):
+        events = [_header(), _event("bogus", 1, 1.0), _event(seq=1, t_ms=2.0)]
+        problems, tolerated = classify_events(events)
+        assert problems == []
+        assert any("unknown event type" in t for t in tolerated)
+        assert any("does not increase" in t for t in tolerated)
 
-class TestCheckEvents:
-    def test_valid_stream_returns_none(self):
-        assert check_events([_header()]) is None
-
-    def test_invalid_stream_raises_with_every_problem(self):
+    def test_strict_reports_every_problem(self):
         events = [_event(seq=0), _event("bogus", 0, 1.0)]
-        with pytest.raises(ObsError) as excinfo:
-            check_events(events)
-        message = str(excinfo.value)
-        assert "before any" in message
-        assert "unknown event type" in message
+        findings = _strict(events)
+        assert any("before any" in p for p in findings)
+        assert any("unknown event type" in p for p in findings)

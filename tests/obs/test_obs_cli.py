@@ -20,7 +20,7 @@ from repro.api import (
 )
 from repro.cli import main
 from repro.errors import ObsError
-from repro.obs import profiled, read_telemetry, validate_events
+from repro.obs import classify_events, profiled, read_telemetry
 
 
 @pytest.fixture
@@ -123,62 +123,17 @@ class TestObsReport:
         assert payload["schema"] == "repro-obs-report/v1"
         assert payload["sessions"] == 1
 
-    def test_unreadable_file_exits_two(self, tmp_path, capsys):
-        assert main(["obs", "report", str(tmp_path / "absent.jsonl")]) == 2
-        capsys.readouterr()
-
-
-class TestObsArchiveCli:
-    def _archive(self, telemetry_file, tmp_path, capsys) -> str:
-        assert main(["obs", "archive", str(telemetry_file),
-                     "--dir", str(tmp_path / "archive"),
-                     "--tag", "base"]) == 0
-        out = capsys.readouterr().out
-        assert out.startswith("archived ")
-        return out.split()[1]
-
-    def test_archive_then_list_shows_the_run(self, capsys, tmp_path,
-                                             telemetry_file):
-        run_id = self._archive(telemetry_file, tmp_path, capsys)
-        assert main(["obs", "list", "--dir",
-                     str(tmp_path / "archive")]) == 0
-        out = capsys.readouterr().out
-        assert run_id in out
-        assert "base" in out
-
-    def test_list_json_carries_the_store_schema(self, capsys, tmp_path,
-                                                telemetry_file):
-        self._archive(telemetry_file, tmp_path, capsys)
-        assert main(["obs", "list", "--json", "--dir",
-                     str(tmp_path / "archive")]) == 0
-        entries = json.loads(capsys.readouterr().out)
-        assert entries[0]["schema"] == "repro-obs-store/v1"
-
-    def test_empty_archive_lists_cleanly(self, capsys, tmp_path):
-        assert main(["obs", "list", "--dir",
-                     str(tmp_path / "archive")]) == 0
-        assert "no archived runs" in capsys.readouterr().out
-
-    def test_report_accepts_an_archived_run_id(self, capsys, tmp_path,
-                                               telemetry_file):
-        run_id = self._archive(telemetry_file, tmp_path, capsys)
-        assert main(["obs", "report", run_id[:8], "--dir",
-                     str(tmp_path / "archive")]) == 0
-        assert "Telemetry report" in capsys.readouterr().out
-
-    def test_gc_prunes_and_reports(self, capsys, tmp_path,
-                                   telemetry_file):
-        self._archive(telemetry_file, tmp_path, capsys)
-        assert main(["obs", "gc", "--keep", "1", "--dir",
-                     str(tmp_path / "archive")]) == 0
-        assert "0 run(s) removed" in capsys.readouterr().out
-
-    def test_archiving_garbage_exits_two(self, capsys, tmp_path):
-        bad = tmp_path / "bad.jsonl"
-        bad.write_text("not json\n")
-        assert main(["obs", "archive", str(bad), "--dir",
-                     str(tmp_path / "archive")]) == 2
-        assert "error:" in capsys.readouterr().err
+    @pytest.mark.parametrize("action", [
+        ["report"], ["export", "--chrome"], ["diff"]],
+        ids=["report", "export", "diff"])
+    def test_unreadable_file_exits_two(self, tmp_path, capsys, action):
+        absent = str(tmp_path / "absent.jsonl")
+        argv = ["obs", action[0], absent, *action[1:]]
+        if action[0] == "diff":
+            argv.append(absent)
+        assert main(argv) == 2
+        assert (f"cannot read telemetry file {absent!r}: no such file"
+                in capsys.readouterr().err)
 
 
 class TestObsExportCli:
@@ -205,7 +160,7 @@ class TestObsExportCli:
 
 def _check_file(path) -> list:
     events = read_telemetry(path)
-    assert validate_events(events) == []
+    assert classify_events(events) == ([], [])
     return events
 
 

@@ -7,7 +7,7 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.obs import OBS_DIFF_SCHEMA, ObsStore, diff_events, render_diff
+from repro.obs import OBS_DIFF_SCHEMA, diff_events, render_diff
 
 
 def _run_events(shard_ms: float, *, baseline_ms: float = 2.0,
@@ -140,19 +140,17 @@ class TestRenderDiff:
 
 
 class TestObsDiffCli:
-    """The ISSUE acceptance path: archive two runs, diff, exit nonzero."""
+    """Two telemetry files in, a verdict and an exit code out."""
 
-    def _archive(self, tmp_path, name, events) -> str:
+    def _write(self, tmp_path, name, events) -> str:
         path = tmp_path / name
         path.write_text("".join(json.dumps(e) + "\n" for e in events))
-        return ObsStore(tmp_path / "archive").archive(path)["run_id"]
+        return str(path)
 
-    def test_archived_runs_with_slowed_span_exit_one(self, capsys,
-                                                     tmp_path):
-        base = self._archive(tmp_path, "a.jsonl", _run_events(4.0))
-        cand = self._archive(tmp_path, "b.jsonl", _run_events(9.0))
-        code = main(["obs", "diff", base[:8], cand[:8],
-                     "--dir", str(tmp_path / "archive")])
+    def test_runs_with_slowed_span_exit_one(self, capsys, tmp_path):
+        base = self._write(tmp_path, "a.jsonl", _run_events(4.0))
+        cand = self._write(tmp_path, "b.jsonl", _run_events(9.0))
+        code = main(["obs", "diff", base, cand])
         out = capsys.readouterr().out
         assert code == 1
         assert "execute/shard" in out
@@ -173,11 +171,6 @@ class TestObsDiffCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["schema"] == OBS_DIFF_SCHEMA
         assert payload["a"]["label"] == str(path)
-
-    def test_unknown_run_id_exits_two(self, capsys, tmp_path):
-        assert main(["obs", "diff", "ffff", "eeee",
-                     "--dir", str(tmp_path / "archive")]) == 2
-        assert "no archived run matches" in capsys.readouterr().err
 
     def test_bad_confidence_exits_two(self, capsys, tmp_path):
         path = tmp_path / "t.jsonl"

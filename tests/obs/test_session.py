@@ -13,8 +13,8 @@ from repro.obs import (
     MemorySink,
     ProgressTicker,
     Telemetry,
+    classify_events,
     render_progress,
-    validate_events,
 )
 
 
@@ -52,7 +52,7 @@ class TestSessionFraming:
             telemetry.emit("checkpoint", shard=0)
         telemetry.beat("campaign", 1, 2, force=True)
         telemetry.close()
-        assert validate_events(telemetry.sink.events) == []
+        assert classify_events(telemetry.sink.events) == ([], [])
 
     def test_seq_and_t_ms_are_monotonic(self):
         telemetry = Telemetry(MemorySink())

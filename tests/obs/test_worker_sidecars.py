@@ -16,12 +16,12 @@ from repro.obs import (
     MemorySink,
     NULL_TELEMETRY,
     Telemetry,
+    classify_events,
     close_worker_session,
     merge_sidecars,
     read_telemetry,
     sidecar_dir,
     sidecar_path,
-    validate_events,
     worker_session,
 )
 from repro.obs.report import build_spans
@@ -86,7 +86,7 @@ class TestMergeSidecars:
         telemetry.close()
         assert merged == 6  # 3 payload events per worker
         events = read_telemetry(tmp_path / "t.jsonl")
-        assert validate_events(events) == []
+        assert classify_events(events) == ([], [])
         workers = [e["data"]["worker"] for e in events
                    if "worker" in e.get("data", {})]
         assert workers == ["w-a"] * 3 + ["w-b"] * 3
@@ -137,8 +137,8 @@ class TestMergeSidecars:
         wdir = sidecar_dir(telemetry)
         assert merge_sidecars(telemetry, wdir, ["w-gone"]) == 0
         telemetry.close()
-        assert validate_events(
-            read_telemetry(tmp_path / "t.jsonl")) == []
+        events = read_telemetry(tmp_path / "t.jsonl")
+        assert classify_events(events) == ([], [])
 
     def test_torn_sidecar_tail_keeps_events_before_the_tear(
             self, tmp_path):
@@ -155,7 +155,7 @@ class TestMergeSidecars:
         telemetry.close()
         assert merged >= 1  # everything before the tear survives
         events = read_telemetry(tmp_path / "t.jsonl")
-        assert validate_events(events) == []
+        assert classify_events(events) == ([], [])
 
     def test_disabled_session_merges_nothing(self, tmp_path):
         wdir = tmp_path / "w"
@@ -179,7 +179,7 @@ class TestPooledCampaignCapture:
         run_campaign(spec, workers=2, telemetry=telemetry)
         telemetry.close()
         events = read_telemetry(log)
-        assert validate_events(events) == []
+        assert classify_events(events) == ([], [])
         assert not (tmp_path / "t.jsonl.workers").exists()
         shard_spans = [e for e in events if e["type"] == "span_start"
                        and e["data"].get("name") == "shard"]

@@ -13,6 +13,7 @@ import importlib.util
 import io
 import json
 import os
+import re
 from pathlib import Path
 
 import pytest
@@ -259,7 +260,14 @@ class TestBenchGate:
         assert "(-90.0%, throughput) FAIL" in out
         assert "no significant difference" in out
         assert "gate: FAIL, 1 metric(s) broke their rule" in out
-        assert "'repro obs diff BASELINE CURRENT'" in out
+        assert "'repro obs diff BASE.jsonl CURRENT.jsonl'" in out
+        # every obs action the hint quotes is one the CLI accepts
+        actions = re.findall(r"repro obs (\w+)", out)
+        assert actions
+        for action in actions:
+            with pytest.raises(SystemExit) as exit_:
+                main(["obs", action, "--help"])
+            assert exit_.value.code == 0, action
 
     def test_a_warning_alone_exits_zero(self, capsys, artifact):
         a = artifact("a.json", _bench({"s": {"wall_s": 1.0}}))

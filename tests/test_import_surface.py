@@ -37,7 +37,7 @@ CORE = {"repro", "repro._lazy", "repro.__main__", "repro.cli", "repro.errors"}
 #: Modules ``campaign report --json`` must not load.
 NOT_FOR_REPORT = (
     "repro.gpu.reference", "repro.lint",
-    "repro.obs.diff", "repro.obs.export", "repro.obs.store",
+    "repro.obs.diff", "repro.obs.export",
     "repro.stats.compare", "repro.platform", "repro.streams",
 )
 
@@ -228,15 +228,11 @@ class TestLazyExports:
 
     def test_cli_help_defaults_match_the_library(self, capsys):
         from repro.obs.session import DEFAULT_HEARTBEAT_S
-        from repro.obs.store import DEFAULT_OBS_DIR
 
-        for argv, text in (
-            (["campaign", "run", "--help"], f"default {DEFAULT_HEARTBEAT_S}"),
-            (["obs", "list", "--help"], f"default {DEFAULT_OBS_DIR}"),
-        ):
-            with pytest.raises(SystemExit):
-                main(argv)
-            assert text in " ".join(capsys.readouterr().out.split())
+        with pytest.raises(SystemExit):
+            main(["campaign", "run", "--help"])
+        assert (f"default {DEFAULT_HEARTBEAT_S}"
+                in " ".join(capsys.readouterr().out.split()))
 
 
     def test_spec_defaults_match_the_library(self):

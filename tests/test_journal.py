@@ -1,9 +1,8 @@
 """The journal: a crash matrix over every log, and the one-module guard.
 
-Crash matrix: each journal — campaign ``shards.jsonl``, a telemetry
-file, the telemetry archive's ``manifest.jsonl`` — is cut at every byte
-offset inside its last two records, the way a writer killed mid-line
-leaves it.  One append and one scan follow.  Every record complete
+Crash matrix: each journal — campaign ``shards.jsonl`` and a telemetry
+file — is cut at every byte offset inside its last two records, the way
+a writer killed mid-line leaves it.  One append and one scan follow.  Every record complete
 before the cut must survive, the new record must be present, and
 nothing may raise.  The sweep runs on the journals alone (no
 simulation); a handful of cuts of a real campaign store then resume to
@@ -31,7 +30,6 @@ from repro.campaigns.store import ShardRecord
 from repro.errors import ObsError
 from repro.journal import canonical, replace_atomic, scan
 from repro.obs.sink import JsonlSink, read_telemetry
-from repro.obs.store import ObsStore
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -87,45 +85,14 @@ def _telemetry_journal(root: Path) -> Journal:
     )
 
 
-def _run_events(digest: str) -> List[dict]:
-    return [
-        {"type": "telemetry_start", "seq": 0, "t_ms": 0.0,
-         "data": {"schema": "repro-telemetry/v1", "version": "x"}},
-        {"type": "run_start", "seq": 1, "t_ms": 0.1,
-         "data": {"kind": "campaign", "label": "t", "spec_hash": "abc"}},
-        {"type": "run_end", "seq": 2, "t_ms": 0.2,
-         "data": {"kind": "campaign", "digest": digest}},
-        {"type": "telemetry_end", "seq": 3, "t_ms": 0.3,
-         "data": {"events": 4}},
-    ]
-
-
-def _manifest_journal(root: Path) -> Journal:
-    runs = []
-    for i in range(4):
-        runs.append(root / f"run{i}.jsonl")
-        runs[-1].write_text("".join(json.dumps(e) + "\n"
-                                    for e in _run_events(f"d{i}")))
-    store = ObsStore(root / "archive")
-    entries = [store.archive(run) for run in runs]
-    return Journal(
-        path=store.manifest_path,
-        lines=[canonical(e) for e in entries[:3]],
-        new_line=canonical(entries[3]),
-        append=lambda: store.archive(runs[3]),
-        read=lambda: [canonical(e) for e in store.entries()],
-    )
-
-
 @pytest.fixture
 def no_fsync(monkeypatch):
     """Skip fsync: a cut file already models what reached the disk."""
     monkeypatch.setattr("os.fsync", lambda fd: None)
 
 
-@pytest.mark.parametrize("build", [_campaign_journal, _telemetry_journal,
-                                   _manifest_journal],
-                         ids=["campaign", "telemetry", "manifest"])
+@pytest.mark.parametrize("build", [_campaign_journal, _telemetry_journal],
+                         ids=["campaign", "telemetry"])
 def test_every_cut_in_the_last_two_records_then_append_and_scan(
         tmp_path, no_fsync, build):
     journal = build(tmp_path)

@@ -15,7 +15,7 @@ from repro.errors import ReproError
 
 class TestTopLevelSurface:
     def test_version(self):
-        assert repro.__version__ == "1.23.0"
+        assert repro.__version__ == "1.24.0"
 
     def test_all_names_resolve(self):
         for name in repro.__all__:
