@@ -103,6 +103,47 @@ class TestProgress:
         assert beats[-1]["done"] == beats[-1]["total"] == result.batches
         assert beats[-1]["metrics"]["gauges"]["pending_shards"] == 0
 
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_pooled_progress_ends_at_the_shards_it_consumed(self, workers):
+        # a pool may finish shards past the stopping prefix before the
+        # queue is cancelled: the last beat counts every shard that ran
+        telemetry = Telemetry(MemorySink())
+        result = repeat_campaign(_spec(), workers=workers,
+                                 telemetry=telemetry)
+        telemetry.close()
+        events = telemetry.sink.events
+        beats = [e["data"] for e in events if e["type"] == "heartbeat"]
+        ran = sum(e["type"] == "shard_end" for e in events)
+        assert result.batches <= ran
+        assert beats[-1]["done"] == beats[-1]["total"] == ran
+        assert beats[-1]["metrics"]["gauges"]["pending_shards"] == 0
+
+    def test_run_start_pending_counts_the_dispatched_shards(self):
+        telemetry = Telemetry(MemorySink())
+        repeat_campaign(_spec(), workers=1, telemetry=telemetry)
+        telemetry.close()
+        events = telemetry.sink.events
+        start = next(e["data"] for e in events if e["type"] == "run_start")
+        beats = [e["data"] for e in events if e["type"] == "heartbeat"]
+        assert start["pending"] == start["shards"] == len(
+            campaign_plan(_spec()))
+        assert beats[-1]["total"] < start["pending"]  # the rest cancelled
+
+    def test_fixed_size_progress_ends_at_every_shard(self):
+        spec = CampaignSpec(
+            run=RunSpec(workload=WorkloadSpec(benchmark="hotspot"),
+                        policy="default"),
+            faults=FaultPlanSpec(transient_ccf=24, permanent_sm=8, seu=8,
+                                 seed=7),
+            shards=4)
+        telemetry = Telemetry(MemorySink())
+        run_campaign(spec, telemetry=telemetry)
+        telemetry.close()
+        beats = [e["data"] for e in telemetry.sink.events
+                 if e["type"] == "heartbeat"]
+        assert beats[-1]["done"] == beats[-1]["total"] == 4
+        assert beats[-1]["metrics"]["gauges"]["pending_shards"] == 0
+
 
 class TestBudget:
     def test_budget_exhaustion_is_typed(self):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import json
 import pstats
+import re
 
 import pytest
 
@@ -20,7 +21,7 @@ from repro.api import (
 )
 from repro.cli import main
 from repro.errors import ObsError
-from repro.obs import classify_events, profiled, read_telemetry
+from repro.obs import Telemetry, classify_events, profiled, read_telemetry
 
 
 @pytest.fixture
@@ -156,6 +157,124 @@ class TestObsExportCli:
         assert main(["obs", "export", str(telemetry_file), "--chrome",
                      "--csv"]) == 2
         assert "exactly one" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fmt", ["chrome", "folded", "csv"])
+    def test_out_file_holds_the_stdout_text(self, capsys, tmp_path, fmt):
+        log = str(_work_log(tmp_path / "t.jsonl"))
+        assert main(["obs", "export", log, f"--{fmt}"]) == 0
+        stdout = capsys.readouterr().out
+        out = tmp_path / f"export.{fmt}"
+        assert main(["obs", "export", log, f"--{fmt}",
+                     "--out", str(out)]) == 0
+        assert f"wrote {fmt} export to {out}" in capsys.readouterr().out
+        assert out.read_text() == stdout
+
+
+def _work_log(path):
+    """A real session log: an ``execute`` span over three ``shard``
+    spans, one forced heartbeat in each."""
+    telemetry = Telemetry.create(path=path)
+    with telemetry.span("execute"):
+        for done in range(1, 4):
+            with telemetry.span("shard"):
+                telemetry.beat("campaign", done, 3, force=True)
+    telemetry.close()
+    return path
+
+
+#: reader -> its argv reading the telemetry file ``path``
+READERS = {
+    "report": lambda path: ["obs", "report", path],
+    "validate": lambda path: ["obs", "validate", path],
+    "export": lambda path: ["obs", "export", path, "--chrome"],
+    "diff": lambda path: ["obs", "diff", path, path],
+}
+
+_HEADER = ('{"type": "telemetry_start", "seq": 0, "t_ms": 0.0, '
+           '"data": {"schema": "repro-telemetry/v1", "version": "x"}}')
+_END = '{"type": "telemetry_end", "seq": 1, "t_ms": 1.0, "data": {}}'
+
+#: bad input -> (puts it at ``path``, what the error says about it)
+BAD_INPUTS = {
+    "directory": (lambda path: path.mkdir(), "no such file"),
+    "mid-session-corruption": (
+        lambda path: path.write_text(f"{_HEADER}\nGARBAGE\n{_END}\n"),
+        "corrupt telemetry line 2"),
+    "undecodable-bytes": (
+        lambda path: path.write_bytes(
+            f"{_HEADER}\n".encode() + b"\xff\xfe\x00\n"
+            + f"{_END}\n".encode()),
+        "corrupt telemetry line 2"),
+    "non-object-line": (
+        lambda path: path.write_text(f"{_HEADER}\n[1, 2]\n{_END}\n"),
+        ":2: telemetry line is not a JSON object"),
+}
+
+
+class TestEveryReaderTakesOneFile:
+    """``report``, ``validate``, ``export`` and ``diff`` read a telemetry
+    file by the same rules: bad input exits 2 naming the file, a torn
+    last line is skipped."""
+
+    @pytest.mark.parametrize("reader", sorted(READERS))
+    @pytest.mark.parametrize("bad", sorted(BAD_INPUTS))
+    def test_bad_input_exits_two_naming_the_file(self, capsys, tmp_path,
+                                                 bad, reader):
+        path = tmp_path / "t.jsonl"
+        write, message = BAD_INPUTS[bad]
+        write(path)
+        assert main(READERS[reader](str(path))) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert str(path) in err and message in err
+
+    @pytest.mark.parametrize("argv", [
+        ["report"], ["export", "--chrome"], ["export", "--folded"],
+        ["export", "--csv"], ["diff"]],
+        ids=["report", "chrome", "folded", "csv", "diff"])
+    def test_a_torn_last_line_is_skipped(self, capsys, tmp_path,
+                                         monkeypatch, argv):
+        # a writer killed in its last line: the reader prints what it
+        # prints for the log without that line
+        lines = _work_log(tmp_path / "run.jsonl").read_text().splitlines()
+        whole = "".join(line + "\n" for line in lines[:-1])
+        outputs = []
+        for name, text in (("whole", whole),
+                           ("torn", whole + lines[-1][:len(lines[-1]) // 2])):
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "t.jsonl").write_text(text)
+            monkeypatch.chdir(tmp_path / name)  # one label in both diffs
+            command = ["obs", argv[0], "t.jsonl", *argv[1:]]
+            if argv[0] == "diff":
+                command.append("t.jsonl")
+            assert main(command) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            outputs.append(captured.out)
+        assert outputs[0] == outputs[1]
+        assert "shard" in outputs[0] or "campaign" in outputs[0]
+
+    @pytest.mark.parametrize("action", [
+        ["report"], ["export", "--chrome"], ["diff"]],
+        ids=["report", "export", "diff"])
+    def test_no_reader_takes_an_archive_directory(self, capsys, tmp_path,
+                                                  action):
+        log = str(_work_log(tmp_path / "t.jsonl"))
+        argv = ["obs", action[0], "--dir", str(tmp_path), log, *action[1:]]
+        if action[0] == "diff":
+            argv.append(log)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --dir" in capsys.readouterr().err
+
+    def test_help_lists_exactly_the_four_actions(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["obs", "--help"])
+        assert exc.value.code == 0
+        listed = re.findall(r"^    (\w+)  ", capsys.readouterr().out,
+                            flags=re.MULTILINE)
+        assert listed == ["report", "validate", "export", "diff"]
 
 
 def _check_file(path) -> list:

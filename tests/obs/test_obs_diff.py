@@ -156,6 +156,16 @@ class TestObsDiffCli:
         assert "execute/shard" in out
         assert "[regression]" in out
 
+    def test_each_side_is_labelled_with_its_path(self, capsys, tmp_path):
+        base = self._write(tmp_path, "a.jsonl", _run_events(4.0))
+        cand = self._write(tmp_path, "b.jsonl", _run_events(4.0))
+        assert main(["obs", "diff", base, cand]) == 0
+        out = capsys.readouterr().out
+        assert f"A: {base} (" in out and f"B: {cand} (" in out
+        assert main(["obs", "diff", base, cand, "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["a"]["label"], payload["b"]["label"]) == (base, cand)
+
     def test_identical_files_exit_zero(self, capsys, tmp_path):
         path = tmp_path / "t.jsonl"
         path.write_text("".join(json.dumps(e) + "\n"

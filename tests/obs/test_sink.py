@@ -86,6 +86,23 @@ class TestJsonlSink:
         with pytest.raises(ObsError, match="cannot open telemetry file"):
             JsonlSink(tmp_path / "missing-dir" / "t.jsonl")
 
+    def test_full_disk_raises_obs_error_and_the_next_sink_repairs_it(
+            self, tmp_path, monkeypatch, full_disk):
+        # the failed write leaves half a line; a resume's sink cuts it
+        path = tmp_path / "t.jsonl"
+        full_disk("write", after=1)
+        sink = JsonlSink(path)
+        sink.emit(json.loads(_header_line()))
+        with pytest.raises(ObsError, match="No space left on device"):
+            sink.emit(json.loads(_line("heartbeat", 1)))
+        sink.close()
+        assert not path.read_text().endswith("\n")
+        monkeypatch.undo()
+        sink = JsonlSink(path)
+        sink.emit(json.loads(_header_line()))
+        sink.close()
+        assert read_telemetry(path) == [json.loads(_header_line())] * 2
+
 
 class TestReadTelemetry:
     def test_reads_events_in_file_order(self, tmp_path):

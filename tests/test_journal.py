@@ -6,7 +6,8 @@ a writer killed mid-line leaves it.  One append and one scan follow.  Every reco
 before the cut must survive, the new record must be present, and
 nothing may raise.  The sweep runs on the journals alone (no
 simulation); a handful of cuts of a real campaign store then resume to
-the reference digest.
+the reference digest, and every cut of a worker sidecar merges the
+events complete before it.
 
 Guard: :mod:`repro.journal` is the only module in ``src/repro`` that
 fsyncs, renames a file into place or opens a file for append, so the
@@ -29,7 +30,10 @@ from repro.campaigns import CampaignStore, resume_campaign, run_campaign
 from repro.campaigns.store import ShardRecord
 from repro.errors import ObsError
 from repro.journal import canonical, replace_atomic, scan
+from repro.obs import MemorySink, Telemetry
 from repro.obs.sink import JsonlSink, read_telemetry
+from repro.obs.worker import (close_worker_session, merge_sidecars,
+                              sidecar_path, worker_session)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -111,6 +115,35 @@ def test_every_cut_in_the_last_two_records_then_append_and_scan(
                      if end <= cut]
         assert journal.read() == survivors + [journal.new_line], cut
         assert journal.path.read_bytes().endswith(b"\n")
+
+
+def test_every_cut_of_a_worker_sidecar_merges_the_events_before_it(
+        tmp_path):
+    # a pooled worker killed mid-line: the merge keeps each event whose
+    # line was complete (its newline may be lost) and drops the rest
+    directory = tmp_path / "t.jsonl.workers"
+    directory.mkdir()
+    path = Path(sidecar_path(directory, "shard-00000"))
+    worker = worker_session(str(path))
+    with worker.span("shard"):
+        worker.emit("checkpoint", shard=0, path="shards.jsonl")
+    close_worker_session(worker)
+    full = path.read_bytes()
+    lines = full.splitlines()
+    ends = [sum(len(line) + 1 for line in lines[:i]) + len(lines[i])
+            for i in range(len(lines))]
+    merged_types = [json.loads(line)["type"] for line in lines]
+    for cut in range(len(full) + 1):
+        directory.mkdir(exist_ok=True)
+        path.write_bytes(full[:cut])
+        orchestrator = Telemetry(MemorySink())
+        merged = merge_sidecars(orchestrator, directory, ["shard-00000"])
+        expected = [etype for etype, end in zip(merged_types, ends)
+                    if end <= cut and etype not in ("telemetry_start",
+                                                    "telemetry_end")]
+        assert merged == len(expected), cut
+        assert [e["type"] for e in orchestrator.sink.events[1:]] == expected
+        assert not directory.exists()
 
 
 def _campaign_spec() -> CampaignSpec:
