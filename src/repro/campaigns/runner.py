@@ -124,9 +124,11 @@ def _execute_shard(task: Tuple[str, int, int, int, bool],
     indexed fault population, classifies each injection against the
     (cached) clean trace, and aggregates outcome counts — per-injection
     results never leave the worker.  ``telemetry`` receives the shard's
-    spans (the caller's session in-process, a worker sidecar in a pool).
+    ``shard_start`` event and spans (the caller's session in-process, a
+    worker sidecar in a pool), so only shards that ran log a start.
     """
     spec_json, shard_index, start, stop, validate = task
+    telemetry.emit("shard_start", shard=shard_index, start=start, stop=stop)
     with telemetry.span("shard", shard=shard_index, start=start, stop=stop):
         spec = CampaignSpec.from_json(spec_json)
         cached = (spec.run.config_hash, validate) in _BASELINE_CACHE
@@ -291,9 +293,6 @@ def _run_spec(spec: CampaignSpec, *,
             keys=[f"shard-{shard.index:05d}" for shard in pending],
             telemetry=tm, ordered=False)
         with tm.span("execute", shards=len(pending), workers=workers):
-            for shard in pending:
-                tm.emit("shard_start", shard=shard.index, start=shard.start,
-                        stop=shard.stop)
             with closing(records):
                 for record in records:
                     if store is not None:

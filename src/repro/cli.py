@@ -21,6 +21,9 @@ command.  Each group module documents its commands:
 A failing command prints one ``error:`` line to stderr and exits 1 (2
 for a misconfigured linter, 130 after Ctrl-C); ``obs``, ``lint`` and
 ``compare`` return their own exit codes, and argparse misuse exits 2.
+A command whose reader closes stdout early (``repro ... | head``) stops
+quietly, printing nothing more, with 141 (128 + SIGPIPE, as a shell
+reports a process killed by a broken pipe).
 """
 
 from __future__ import annotations
@@ -103,7 +106,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     command = next((arg for arg in argv if not arg.startswith("-")), None)
     args = _parser(command).parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        import os
+
+        # the reader left (``| head``): flush the rest into devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except LintError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

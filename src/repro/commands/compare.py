@@ -6,13 +6,14 @@
     python -m repro compare a.json b.json --alpha 0.01
     python -m repro compare a.json b.json --json        # repro-compare/v1
 
-``compare`` accepts two campaign reports, two stream reports or two
-BENCH artifacts, runs a two-proportion z-test plus a bootstrap
+``compare`` accepts two campaign, two platform or two stream reports,
+or two BENCH artifacts, runs a two-proportion z-test plus a bootstrap
 difference interval on every shared rate (:mod:`repro.stats`), and
 exits like ``diff``: 0 = statistically indistinguishable, 1 = at least
-one significant difference, 2 = misuse (unreadable file, mismatched
-kinds).  Two BENCH artifacts (the committed baseline first) are also
-the perf-regression gate: a metric out of its rule's bounds exits 1.
+one significant difference, 2 = misuse (unreadable file, a report its
+own loader refuses, mismatched kinds).  Two BENCH artifacts (the
+committed baseline first) are also the perf-regression gate: a metric
+out of its rule's bounds exits 1.
 """
 
 from __future__ import annotations
@@ -64,7 +65,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 def configure(parser: argparse.ArgumentParser, command: str) -> None:
     """Add the ``compare`` arguments to its subparser."""
     parser.add_argument("a", metavar="A.json",
-                        help="baseline artifact (campaign/stream/BENCH)")
+                        help="baseline artifact (campaign/stream/platform "
+                             "report or BENCH)")
     parser.add_argument("b", metavar="B.json",
                         help="candidate artifact of the same kind")
     parser.add_argument("--alpha", type=float, default=0.05,

@@ -305,6 +305,12 @@ class CampaignReport(ReportCodec):
     # ------------------------------------------------------------------
     # statistical estimation (repro.stats)
     # ------------------------------------------------------------------
+    def rate_rows(self) -> Dict[str, Tuple[int, int]]:
+        """``metric -> (events, trials)`` of each outcome over the
+        campaign size (the rows ``repro compare`` tests)."""
+        return {key: (self.count(outcome), self.total)
+                for key, outcome in OUTCOMES_BY_KEY.items()}
+
     def _strata_counts(self, metric: str) -> Dict[str, Tuple[int, int]]:
         """``kind -> (events, trials)`` over the report's by-kind table."""
         strata: Dict[str, Tuple[int, int]] = {}

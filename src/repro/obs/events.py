@@ -48,7 +48,7 @@ EVENT_TYPES = (
     "telemetry_end",     # clean session close (absent after a kill)
     "run_start",         # one campaign/stream/platform/engine run begins
     "run_end",           # ... and ends; data carries the report digest
-    "shard_start",       # campaign shard dispatched (to pool or inline)
+    "shard_start",       # campaign shard began executing
     "shard_end",         # campaign shard folded; data has outcome counts
     "frame_window",      # stream frame-loop progress window
     "device_start",      # platform device execution begins

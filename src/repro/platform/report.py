@@ -37,7 +37,7 @@ from repro.api.spec import Codec, ReportCodec
 from repro.errors import ConfigurationError, PlatformError
 from repro.iso26262.asil import Asil
 from repro.iso26262.metrics import TARGETS
-from repro.streams.report import safe_fraction
+from repro.streams.report import safe_fraction, stream_rate_rows
 
 __all__ = [
     "AsilRollup",
@@ -138,6 +138,11 @@ class PlatformTask(Codec):
         """The task's verdict (QM tasks always pass)."""
         return (not Asil[self.asil].is_safety_related
                 or (self.ftti_ok and self.coverage_ok))
+
+
+#: Task counters in :func:`~repro.streams.report.stream_rate_rows` order.
+_RATE_COUNTERS = ("frames", "completed", "dropped", "deadline_misses",
+                  "faults_sdc", "faults_injected")
 
 
 @dataclass(frozen=True)
@@ -275,6 +280,19 @@ class PlatformReport(ReportCodec):
                 worst_failed.name if worst_failed is not None else None
             ),
         )
+
+    def rate_rows(self) -> Dict[str, Tuple[int, int]]:
+        """``metric -> (events, trials)`` of the stream rates over the
+        summed task counters, plus each task's own rows keyed
+        ``task/metric`` (the rows ``repro compare`` tests)."""
+        tasks = self._by_label()
+        rows = stream_rate_rows(*(sum(getattr(task, key) for _, task in tasks)
+                                  for key in _RATE_COUNTERS))
+        for label, task in tasks:
+            counters = (getattr(task, key) for key in _RATE_COUNTERS)
+            rows.update((f"{label}/{metric}", counts) for metric, counts
+                        in stream_rate_rows(*counters).items())
+        return rows
 
     @property
     def all_ok(self) -> bool:

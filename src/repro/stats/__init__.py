@@ -18,7 +18,7 @@ counts* the runners already fold — never of per-injection records:
   target evaluation and the :class:`RepeatResult` returned by
   :func:`repro.campaigns.runner.repeat_campaign`;
 * :mod:`repro.stats.compare` — two-proportion and bootstrap significance
-  tests between two campaign/stream/BENCH artifacts (the ``repro
+  tests between two campaign/stream/platform/BENCH artifacts (the ``repro
   compare`` CLI and the CI perf gate sit on top of this).
 
 Everything here is deterministic: bootstrap draws come from explicit
@@ -33,7 +33,7 @@ from repro._lazy import lazy_exports
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.stats.compare": (
         "COMPARE_SCHEMA", "RateComparison", "compare_artifacts",
-        "compare_rates", "detect_artifact_kind", "two_proportion_test",
+        "compare_rates", "two_proportion_test",
     ),
     "repro.stats.estimators": ("ImportanceRate", "StratifiedRate", "UniformRate"),
     "repro.stats.intervals": (

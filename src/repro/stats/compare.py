@@ -2,12 +2,12 @@
 
 ``repro compare A B`` answers one question: *did this rate actually
 move, or is the difference sampling noise?*  Both artifacts must be of
-the same kind — campaign reports (:meth:`CampaignReport.to_dict`),
-stream reports (:meth:`StreamReport.to_dict`) or ``BENCH_*.json``
-performance artifacts.  A report is read through its own loader
-(``CampaignReport.from_dict``/``StreamReport.from_dict``), so one whose
-declared totals disagree with its tables is refused, never compared.
-Every shared rate is tested twice:
+the same kind — campaign, platform or stream reports, or
+``BENCH_*.json`` performance artifacts.  A report's kind is the one
+report class that declares every key of it; that class's loader alone
+reads it, so one whose declared totals disagree with its tables is
+refused, never compared, and its ``rate_rows()`` are the rates tested.
+Every rate both sides share, with trials on both, is tested twice:
 
 * a pooled two-proportion z-test (:func:`two_proportion_test`) giving a
   p-value against "the underlying rates are equal";
@@ -34,6 +34,7 @@ from dataclasses import dataclass
 from statistics import NormalDist
 from typing import Any, Dict, List, Mapping, Set, Tuple
 
+from repro.api.spec import _plan
 from repro.errors import StatsError
 from repro.stats.intervals import (
     DEFAULT_RESAMPLES,
@@ -46,7 +47,6 @@ __all__ = [
     "RateComparison",
     "two_proportion_test",
     "compare_rates",
-    "detect_artifact_kind",
     "compare_artifacts",
     "render_comparison",
 ]
@@ -204,99 +204,55 @@ def compare_rates(metric: str, a: Tuple[int, int], b: Tuple[int, int], *,
 # ----------------------------------------------------------------------
 # artifact-level comparison
 # ----------------------------------------------------------------------
-def detect_artifact_kind(data: Mapping[str, Any]) -> str:
-    """Classify an artifact payload as campaign, stream or bench.
-
-    Campaign reports carry ``policy`` + ``by_kind``; stream reports carry
-    ``frames`` + a ``faults`` table; BENCH artifacts carry ``scenarios``
-    (and a ``bench-*`` schema tag).
-
-    Raises:
-        StatsError: when the payload matches none of the three shapes.
-    """
-    if not isinstance(data, Mapping):
-        raise StatsError(f"artifact must be a JSON object, got {data!r}")
-    if "by_kind" in data and "policy" in data:
-        return "campaign"
-    if "frames" in data and "faults" in data:
-        return "stream"
-    if "scenarios" in data:
-        return "bench"
-    raise StatsError(
-        "unrecognised artifact: expected a campaign report (policy/"
-        "by_kind), a stream report (frames/faults) or a BENCH artifact "
-        "(scenarios)"
-    )
-
-
-def _report_rows(kind: str, data: Mapping[str, Any],
-                 side: str) -> Dict[str, Tuple[int, int]]:
-    """``metric -> (events, trials)`` of a campaign or stream report,
-    read through the report's own loader.
-
-    Raises:
-        StatsError: naming the side, when the report fails its loader
-            (a mistyped field, or a declared total or rate that
-            disagrees with the counts it derives from).
-    """
-    from repro.errors import FaultInjectionError, StreamError
-
-    try:
-        if kind == "campaign":
-            from repro.faults.report import CampaignReport
-
-            campaign = CampaignReport.from_dict(data)
-            return {metric: (getattr(campaign, metric), campaign.total)
-                    for metric in ("masked", "detected", "sdc")}
-        from repro.streams.report import STREAM_RATE_METRICS, StreamReport
-
-        stream = StreamReport.from_dict(data)
-    except (FaultInjectionError, StreamError) as exc:
-        raise StatsError(f"artifact {side}: {exc}") from None
-    return {metric: stream.rate_counts(metric)
-            for metric in STREAM_RATE_METRICS
-            if metric != "fault_sdc" or stream.faults.injected > 0}
-
-
-def _bench_count_pairs(scenario: Mapping[str, Any]
-                       ) -> List[Tuple[str, int, int]]:
-    """``<m>_events`` / ``<m>_trials`` count pairs inside one scenario."""
-    rows: List[Tuple[str, int, int]] = []
-    for key in sorted(scenario):
-        if not key.endswith("_events"):
-            continue
-        stem = key[: -len("_events")]
-        trials_key = stem + "_trials"
-        if trials_key not in scenario:
-            continue
-        events = scenario[key]
-        trials = scenario[trials_key]
-        if (isinstance(events, int) and not isinstance(events, bool)
-                and isinstance(trials, int) and not isinstance(trials, bool)
-                and 0 <= events <= trials and trials > 0):
-            rows.append((stem, events, trials))
+def _bench_rows(scenarios: Mapping[str, Mapping[str, Any]]
+                ) -> Dict[str, Tuple[int, int]]:
+    """``scenario/<m> -> (events, trials)`` of every integer
+    ``<m>_events``/``<m>_trials`` count pair of a BENCH artifact."""
+    rows: Dict[str, Tuple[int, int]] = {}
+    for name, scenario in sorted(scenarios.items()):
+        for key in sorted(scenario):
+            stem = key[: -len("_events")]
+            counts = (scenario[key], scenario.get(stem + "_trials"))
+            if (key.endswith("_events")
+                    and all(type(n) is int for n in counts)
+                    and 0 <= counts[0] <= counts[1]):
+                rows[f"{name}/{stem}"] = counts
     return rows
 
 
-def _paired_rows(kind: str, a: Mapping[str, Any], b: Mapping[str, Any]
-                 ) -> List[Tuple[str, Tuple[int, int], Tuple[int, int]]]:
-    """Rate rows present in both artifacts, ready for testing."""
-    if kind != "bench":
-        rows_a = _report_rows(kind, a, "A")
-        rows_b = _report_rows(kind, b, "B")
-    else:
-        rows_a = {}
-        rows_b = {}
-        scenarios_a = a.get("scenarios", {})
-        scenarios_b = b.get("scenarios", {})
-        shared = sorted(set(scenarios_a) & set(scenarios_b))
-        for name in shared:
-            for stem, events, trials in _bench_count_pairs(scenarios_a[name]):
-                rows_a[f"{name}/{stem}"] = (events, trials)
-            for stem, events, trials in _bench_count_pairs(scenarios_b[name]):
-                rows_b[f"{name}/{stem}"] = (events, trials)
-    shared_metrics = sorted(set(rows_a) & set(rows_b))
-    return [(m, rows_a[m], rows_b[m]) for m in shared_metrics]
+def _kind_and_rows(data: Mapping[str, Any], side: str
+                   ) -> Tuple[str, Dict[str, Tuple[int, int]]]:
+    """The kind of one artifact and its ``metric -> (events, trials)``
+    rows: BENCH for a payload with ``scenarios``, else the one report
+    class whose fields and derived keys hold every key of it, read by
+    that class's loader alone, its rows the report's ``rate_rows()``.
+
+    Raises:
+        StatsError: naming the side, when ``data`` is not an object,
+            fits no report class or more than one, or fails its loader.
+    """
+    from repro.faults.report import CampaignReport
+    from repro.platform.report import PlatformReport
+    from repro.streams.report import StreamReport
+
+    if not isinstance(data, Mapping):
+        raise StatsError(
+            f"artifact {side} must be a JSON object, got {data!r}")
+    if "scenarios" in data:
+        return "bench", _bench_rows(data["scenarios"])
+    kinds = [(kind, cls) for kind, cls in (("campaign", CampaignReport),
+                                           ("platform", PlatformReport),
+                                           ("stream", StreamReport))
+             if _plan(cls).known.issuperset(data)]
+    if len(kinds) != 1:
+        raise StatsError(
+            f"artifact {side}: unrecognised artifact: expected the keys of "
+            "one campaign, platform or stream report, or BENCH scenarios")
+    (kind, cls), = kinds
+    try:
+        return kind, cls.from_dict(data).rate_rows()
+    except cls.load_error as exc:
+        raise StatsError(f"artifact {side}: {exc}") from None
 
 
 #: Largest relative drop of a ``*per_sec*`` throughput, and largest
@@ -435,14 +391,17 @@ def compare_artifacts(a: Mapping[str, Any], b: Mapping[str, Any], *,
             loader (naming side ``A`` or ``B``), mismatched artifact
             kinds, or no shared metrics to compare.
     """
-    kind_a = detect_artifact_kind(a)
-    kind_b = detect_artifact_kind(b)
+    kind_a, rows_a = _kind_and_rows(a, "A")
+    kind_b, rows_b = _kind_and_rows(b, "B")
     if kind_a != kind_b:
         raise StatsError(
             f"cannot compare a {kind_a} artifact against a {kind_b} "
             "artifact — both sides must be the same kind"
         )
-    rows = _paired_rows(kind_a, a, b)
+    # a rate with no trials on either side is not compared
+    rows = [(m, rows_a[m], rows_b[m])
+            for m in sorted(set(rows_a) & set(rows_b))
+            if rows_a[m][1] and rows_b[m][1]]
     deltas, warnings = (_bench_gate(a, b, {m for m, _, _ in rows})
                         if kind_a == "bench" else ([], []))
     if not rows and not deltas:

@@ -30,11 +30,13 @@ __all__ = [
     "StreamWindows",
     "quantile_key",
     "safe_fraction",
+    "stream_rate_rows",
 ]
 
 #: Stream rates with a well-defined event/trial count pair, i.e. the
 #: metrics :meth:`StreamReport.rate_interval` can put a confidence
-#: interval on and ``repro compare`` tests.
+#: interval on and ``repro compare`` tests (the keys of
+#: :func:`stream_rate_rows`).
 STREAM_RATE_METRICS = ("deadline_miss", "drop", "unsafe", "fault_sdc")
 
 
@@ -52,6 +54,18 @@ def safe_fraction(frames: float, dropped: float, deadline_misses: float,
         return 0.0
     unsafe = dropped + deadline_misses + sdc
     return max(0.0, (frames - unsafe) / frames)
+
+
+def stream_rate_rows(frames: int, completed: int, dropped: int,
+                     deadline_misses: int, sdc: int,
+                     injected: int) -> Dict[str, Tuple[int, int]]:
+    """``metric -> (events, trials)`` of the :data:`STREAM_RATE_METRICS`
+    over one set of stream counters (unsafe frames capped at ``frames``)."""
+    unsafe = min(frames, dropped + deadline_misses + sdc)
+    return {"deadline_miss": (deadline_misses, completed),
+            "drop": (dropped, frames),
+            "unsafe": (unsafe, frames),
+            "fault_sdc": (sdc, injected)}
 
 
 @dataclass(frozen=True)
@@ -187,26 +201,12 @@ class StreamReport(ReportCodec):
     # ------------------------------------------------------------------
     # confidence intervals (on demand — never part of the canonical form)
     # ------------------------------------------------------------------
-    def rate_counts(self, metric: str) -> Tuple[int, int]:
-        """``(events, trials)`` of one stream rate metric (the rows
-        ``repro compare`` tests).
-
-        Raises:
-            StreamError: on an unknown metric name.
-        """
-        if metric == "deadline_miss":
-            return self.deadline_misses, self.completed
-        if metric == "drop":
-            return self.dropped, self.frames
-        if metric == "unsafe":
-            unsafe = self.dropped + self.deadline_misses + self.faults.sdc
-            return min(self.frames, unsafe), self.frames
-        if metric == "fault_sdc":
-            return self.faults.sdc, self.faults.injected
-        raise StreamError(
-            f"unknown stream rate metric {metric!r}; known: "
-            + ", ".join(STREAM_RATE_METRICS)
-        )
+    def rate_rows(self) -> Dict[str, Tuple[int, int]]:
+        """``metric -> (events, trials)`` of every stream rate (the rows
+        ``repro compare`` tests)."""
+        return stream_rate_rows(self.frames, self.completed, self.dropped,
+                                self.deadline_misses, self.faults.sdc,
+                                self.faults.injected)
 
     def rate_estimator(self, metric: str = "deadline_miss") -> "UniformRate":
         """Estimator of one stream rate (frames are i.i.d. trials).
@@ -218,7 +218,11 @@ class StreamReport(ReportCodec):
         """
         from repro.stats.estimators import UniformRate
 
-        events, trials = self.rate_counts(metric)
+        rows = self.rate_rows()
+        if metric not in rows:
+            raise StreamError(f"unknown stream rate metric {metric!r}; "
+                              f"known: {', '.join(STREAM_RATE_METRICS)}")
+        events, trials = rows[metric]
         if trials < 1:
             raise StatsError(
                 f"stream rate {metric!r} has no trials to estimate from"

@@ -38,7 +38,7 @@ from repro.errors import (
     RepeatBudgetError,
     StatsError,
 )
-from repro.obs import MemorySink, Telemetry
+from repro.obs import MemorySink, Telemetry, read_telemetry
 from repro.stats.repeater import STOP_BUDGET, STOP_TARGET
 
 
@@ -130,19 +130,55 @@ class TestProgress:
         assert beats[-1]["total"] < start["pending"]  # the rest cancelled
 
     def test_fixed_size_progress_ends_at_every_shard(self):
-        spec = CampaignSpec(
-            run=RunSpec(workload=WorkloadSpec(benchmark="hotspot"),
-                        policy="default"),
-            faults=FaultPlanSpec(transient_ccf=24, permanent_sm=8, seu=8,
-                                 seed=7),
-            shards=4)
         telemetry = Telemetry(MemorySink())
-        run_campaign(spec, telemetry=telemetry)
+        run_campaign(_fixed_spec(), telemetry=telemetry)
         telemetry.close()
         beats = [e["data"] for e in telemetry.sink.events
                  if e["type"] == "heartbeat"]
         assert beats[-1]["done"] == beats[-1]["total"] == 4
         assert beats[-1]["metrics"]["gauges"]["pending_shards"] == 0
+
+
+def _fixed_spec() -> CampaignSpec:
+    return CampaignSpec(
+        run=RunSpec(workload=WorkloadSpec(benchmark="hotspot"),
+                    policy="default"),
+        faults=FaultPlanSpec(transient_ccf=24, permanent_sm=8, seu=8,
+                             seed=7),
+        shards=4)
+
+
+def _counts(events):
+    """``(shard_start, shard span starts, shard_end)`` event counts."""
+    return (sum(e["type"] == "shard_start" for e in events),
+            sum(e["type"] == "span_start" and e["data"].get("name") == "shard"
+                for e in events),
+            sum(e["type"] == "shard_end" for e in events))
+
+
+class TestShardStart:
+    """``shard_start`` is logged by the shard itself, so only shards that
+    ran log one (a pooled shard through its worker sidecar)."""
+
+    def test_a_pooled_repeat_run_logs_a_start_per_shard_that_ran(
+            self, tmp_path):
+        log = tmp_path / "t.jsonl"
+        telemetry = Telemetry.create(path=log)
+        repeat_campaign(_spec(), workers=2, telemetry=telemetry)
+        telemetry.close()
+        starts, spans, ends = _counts(read_telemetry(log))
+        assert starts == spans
+        # the queued shards past the stopping prefix never ran
+        assert ends <= starts < len(campaign_plan(_spec()))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_fixed_size_run_logs_a_start_per_shard_end(self, tmp_path,
+                                                         workers):
+        log = tmp_path / "t.jsonl"
+        telemetry = Telemetry.create(path=log)
+        run_campaign(_fixed_spec(), workers=workers, telemetry=telemetry)
+        telemetry.close()
+        assert _counts(read_telemetry(log)) == (4, 4, 4)
 
 
 class TestBudget:

@@ -8,15 +8,21 @@ import pytest
 
 from repro.errors import StatsError
 from repro.faults.report import CampaignReport
+from repro.platform.report import PlatformDevice, PlatformReport, PlatformTask
 from repro.stats.compare import (
     COMPARE_SCHEMA,
+    _kind_and_rows,
     compare_artifacts,
     compare_rates,
-    detect_artifact_kind,
     render_comparison,
     two_proportion_test,
 )
-from repro.streams.report import StreamFaults, StreamReport, StreamWindows
+from repro.streams.report import (
+    STREAM_RATE_METRICS,
+    StreamFaults,
+    StreamReport,
+    StreamWindows,
+)
 
 
 def _campaign(total=1000, detected=380, sdc=20):
@@ -33,6 +39,25 @@ def _stream(frames=2000, completed=1900, dropped=100, misses=40,
         deadline_ms=100.0, deadline_misses=misses,
         faults=StreamFaults(masked=injected - sdc, detected=0, sdc=sdc),
         windows=StreamWindows(*[0.0] * 8),
+    ).to_dict()
+
+
+def _task(frames=500, misses=5, injected=40, sdc=2):
+    return PlatformTask(
+        device="gpu0", asil="D", utilisation=0.1, service_ms=1.0,
+        protocol_ms=0.5, frames=frames, completed=frames, dropped=0,
+        deadline_misses=misses, faults_injected=injected,
+        faults_detected=injected - sdc, faults_sdc=sdc,
+        throughput_fps=30.0, elapsed_ms=1000.0, digest="0" * 16,
+    )
+
+
+def _platform(**tasks):
+    return PlatformReport(
+        label="platform", spec_hash="0" * 16, policy="first-fit",
+        devices={"gpu0": PlatformDevice(gpu="gpgpusim", preset=None,
+                                        capacity=1.0)},
+        tasks=tasks or {"camera": _task(), "radar": _task(misses=0)},
     ).to_dict()
 
 
@@ -108,17 +133,36 @@ class TestCompareRates:
             compare_rates("x", (1, 10), (1, 10), resamples=0)
 
 
-class TestDetectKind:
-    def test_detects_all_three_kinds(self):
-        assert detect_artifact_kind(_campaign()) == "campaign"
-        assert detect_artifact_kind(_stream()) == "stream"
-        assert detect_artifact_kind(_bench()) == "bench"
+class TestKindAndRows:
+    @pytest.mark.parametrize("payload, kind", [
+        (_campaign(), "campaign"),
+        (_stream(), "stream"),
+        (_platform(), "platform"),
+        (_bench(), "bench"),
+    ], ids=["campaign", "stream", "platform", "bench"])
+    def test_each_artifact_resolves_to_its_own_kind(self, payload, kind):
+        assert _kind_and_rows(payload, "A")[0] == kind
 
-    def test_rejects_unknown_shape(self):
-        with pytest.raises(StatsError):
-            detect_artifact_kind({"hello": 1})
-        with pytest.raises(StatsError):
-            detect_artifact_kind([1, 2])
+    def test_a_report_s_rows_are_its_own_rate_rows(self):
+        assert _kind_and_rows(_campaign(), "A")[1] == (
+            CampaignReport.from_dict(_campaign()).rate_rows())
+        assert _kind_and_rows(_bench(), "A")[1] == {
+            "hotspot/sdc": (20, 1000)}
+
+    @pytest.mark.parametrize("payload", [
+        {"hello": 1},
+        {},  # every report class declares no key of it
+        {"policy": "default"},  # campaign, platform and stream alike
+        {"label": "x", "spec_hash": "0", "policy": "p"},  # platform, stream
+        dict(_campaign(), frames=10),  # one key of another report
+    ], ids=["unknown-key", "empty", "three-kinds", "two-kinds", "mixed"])
+    def test_refuses_a_payload_of_no_kind_or_many(self, payload):
+        with pytest.raises(StatsError, match="artifact B: unrecognised"):
+            _kind_and_rows(payload, "B")
+
+    def test_refuses_a_non_object(self):
+        with pytest.raises(StatsError, match="artifact A must be a JSON"):
+            _kind_and_rows([1, 2], "A")
 
 
 class TestCompareArtifacts:
@@ -151,14 +195,38 @@ class TestCompareArtifacts:
                    if r["metric"] == "sdc"][0]
         assert sdc_row["significant"]
 
-    def test_stream_rows_include_fault_rate_only_when_injected(self):
+    def test_a_rate_without_trials_on_a_side_is_not_compared(self):
         payload = compare_artifacts(_stream(), _stream(misses=60))
         metrics = [row["metric"] for row in payload["comparisons"]]
         assert metrics == ["deadline_miss", "drop", "fault_sdc", "unsafe"]
-        clean = compare_artifacts(_stream(injected=0, sdc=0),
-                                  _stream(injected=0, sdc=0))
-        metrics = [row["metric"] for row in clean["comparisons"]]
-        assert "fault_sdc" not in metrics
+        for a, b in ((_stream(injected=0, sdc=0), _stream(injected=0, sdc=0)),
+                     (_stream(), _stream(injected=0, sdc=0))):
+            metrics = [row["metric"]
+                       for row in compare_artifacts(a, b)["comparisons"]]
+            assert metrics == ["deadline_miss", "drop", "unsafe"]
+
+    def test_an_empty_campaign_has_no_comparable_rate(self):
+        empty = CampaignReport(policy="default").to_dict()
+        with pytest.raises(StatsError, match="share no comparable"):
+            compare_artifacts(empty, empty)
+
+    def test_platform_rows_are_the_totals_and_each_task(self):
+        payload = compare_artifacts(_platform(), _platform(
+            camera=_task(misses=60), radar=_task(misses=0)))
+        assert payload["kind"] == "platform"
+        rows = {row["metric"]: row for row in payload["comparisons"]}
+        assert sorted(rows) == sorted(
+            list(STREAM_RATE_METRICS)
+            + [f"{task}/{metric}" for task in ("camera", "radar")
+               for metric in STREAM_RATE_METRICS])
+        # the totals sum the task counters: 5 then 60 misses in 1000
+        assert rows["deadline_miss"]["a"]["events"] == 5
+        assert rows["deadline_miss"]["b"]["events"] == 60
+        assert rows["deadline_miss"]["b"]["trials"] == 1000
+        assert rows["fault_sdc"]["a"]["trials"] == 80
+        assert rows["camera/deadline_miss"]["significant"]
+        assert not rows["radar/deadline_miss"]["significant"]
+        assert payload["significant"]
 
     def test_bench_tests_count_pairs_and_gates_deltas(self):
         payload = compare_artifacts(_bench(), _bench(wall=1.5,

@@ -21,6 +21,7 @@ import pytest
 from repro.cli import main
 from repro.faults.report import CampaignReport
 from repro.stats.compare import COMPARE_SCHEMA
+from repro.streams.report import StreamFaults, StreamReport, StreamWindows
 
 SPECS = Path(__file__).resolve().parents[2] / "examples" / "specs"
 
@@ -69,10 +70,14 @@ class TestExitCodes:
         bad.write_text("{not json")
         assert main(["compare", a, str(bad)]) == 2
 
-    def test_kind_mismatch_exits_two(self, capsys, artifact, reports):
-        a = artifact("a.json", _campaign())
-        assert main(["compare", a, str(reports["stream"])]) == 2
-        assert "same kind" in capsys.readouterr().err
+    @pytest.mark.parametrize("a, b", [("campaign", "stream"),
+                                      ("platform", "stream"),
+                                      ("stream", "platform")])
+    def test_kind_mismatch_exits_two(self, capsys, reports, a, b):
+        assert main(["compare", str(reports[a]), str(reports[b])]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "same kind" in captured.err
 
     def test_unrecognised_artifact_exits_two(self, capsys, artifact):
         a = artifact("a.json", {"mystery": 1})
@@ -147,6 +152,11 @@ def reports(tmp_path_factory):
     paths["stream"] = root / "stream.json"
     _cli_stdout(["stream", "run", "--spec", str(SPECS / "stream.json"),
                  "--frames", "200", "--out", str(paths["stream"])])
+    for name, frames in (("platform", "200"), ("platform-b", "300")):
+        paths[name] = root / f"{name}.json"
+        _cli_stdout(["platform", "run", "--spec",
+                     str(SPECS / "platform.json"), "--frames", frames,
+                     "--out", str(paths[name])])
     return paths
 
 
@@ -217,6 +227,54 @@ class TestTamperedReports:
                                                      kind):
         assert main(["compare", str(reports[kind]), str(reports[kind])]) == 0
         assert "no significant difference" in capsys.readouterr().out
+
+
+class TestPlatformReports:
+    def test_a_platform_report_against_itself_exits_zero(self, capsys,
+                                                         reports):
+        path = str(reports["platform"])
+        assert main(["compare", path, path, "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["kind"] == "platform"
+        assert payload["significant"] is False
+        metrics = [row["metric"] for row in payload["comparisons"]]
+        tasks = json.loads(reports["platform"].read_text())["tasks"]
+        # the example injects no faults: fault_sdc has no trials anywhere
+        assert metrics == sorted(
+            ["deadline_miss", "drop", "unsafe"]
+            + [f"{task}/{metric}" for task in tasks
+               for metric in ("deadline_miss", "drop", "unsafe")])
+        assert main(["compare", path, path]) == 0
+        assert capsys.readouterr().out.startswith("kind: platform  ")
+
+    def test_two_platform_runs_compare_their_total_and_task_rows(
+            self, capsys, reports):
+        assert main(["compare", str(reports["platform"]),
+                     str(reports["platform-b"]), "--json"]) == 0
+        rows = {row["metric"]: row for row in
+                json.loads(capsys.readouterr().out)["comparisons"]}
+        tasks = len(json.loads(reports["platform"].read_text())["tasks"])
+        assert rows["drop"]["a"]["trials"] == 200 * tasks
+        assert rows["drop"]["b"]["trials"] == 300 * tasks
+        assert rows["camera-perception/drop"]["b"]["trials"] == 300
+
+
+class TestZeroTrials:
+    def test_a_stream_without_completed_frames_compares_without_misses(
+            self, capsys, artifact):
+        # every frame dropped: the deadline-miss rate has no trials
+        idle = StreamReport(
+            label="idle", policy="srrs", spec_hash="0" * 16, seed=0,
+            frames=50, completed=0, dropped=50, deadline_ms=100.0,
+            deadline_misses=0,
+            faults=StreamFaults(masked=0, detected=3, sdc=0),
+            windows=StreamWindows(*[0.0] * 8),
+        ).to_dict()
+        path = artifact("idle.json", idle)
+        assert main(["compare", path, path, "--json"]) == 0
+        metrics = [row["metric"] for row in
+                   json.loads(capsys.readouterr().out)["comparisons"]]
+        assert metrics == ["drop", "fault_sdc", "unsafe"]
 
 
 ROOT = Path(__file__).resolve().parents[2]

@@ -184,7 +184,10 @@ class TestRateIntervals:
             assert report.rate_interval(metric).metric == metric
 
 
-class TestRateCounts:
+class TestRateRows:
+    def test_rows_are_the_catalogue_metrics(self):
+        assert list(_report().rate_rows()) == list(STREAM_RATE_METRICS)
+
     @pytest.mark.parametrize("metric, rate", [
         ("deadline_miss", lambda r: r.miss_rate),
         ("drop", lambda r: r.drop_rate),
@@ -193,7 +196,7 @@ class TestRateCounts:
     ], ids=["deadline_miss", "drop", "unsafe", "fault_sdc"])
     def test_counts_match_the_derived_rate(self, metric, rate):
         report = _report(faults=StreamFaults(masked=1, detected=2, sdc=1))
-        events, trials = report.rate_counts(metric)
+        events, trials = report.rate_rows()[metric]
         assert events / trials == pytest.approx(rate(report))
         assert report.rate_interval(metric).rate == pytest.approx(
             rate(report))
@@ -202,5 +205,5 @@ class TestRateCounts:
         # 2 drops + 8 misses + 3 silent corruptions on 10 frames
         report = _report(deadline_misses=8,
                          faults=StreamFaults(masked=0, detected=0, sdc=3))
-        assert report.rate_counts("unsafe") == (10, 10)
+        assert report.rate_rows()["unsafe"] == (10, 10)
         assert report.safe_rate == 0.0

@@ -3,10 +3,16 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 #: ``python -m repro fig4`` output, pinned byte for byte.
 FIG4_TEXT = """\
@@ -221,3 +227,20 @@ class TestCampaignCLI:
     def test_campaign_requires_action(self):
         with pytest.raises(SystemExit):
             main(["campaign"])
+
+
+class TestClosedPipe:
+    def test_a_reader_closing_early_ends_the_command_quietly(self):
+        # 60 quickstart artifacts are ~157 KB of JSON, more than a pipe
+        # holds, so the writer is still printing when the reader closes
+        spec = str(ROOT / "examples" / "specs" / "quickstart.json")
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "batch"] + [spec] * 60
+            + ["--json"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=env)
+        assert proc.stdout.read(10) == b'[\n  {\n    '
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == 141
+        assert proc.stderr.read() == b""
+        proc.stderr.close()

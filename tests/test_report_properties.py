@@ -9,7 +9,9 @@ Strategies mix JSON ints into float fields, which must keep their exact
 JSON form.  A report loads only in its own canonical form: a payload
 with any one leaf changed to another value of the same JSON type is
 either refused with the report's own error type, or loads to a report
-whose ``to_dict()`` is exactly the edited payload.
+whose ``to_dict()`` is exactly the edited payload.  ``repro compare``
+resolves each payload to its own report kind only, and a report
+compared against itself has no significant rate.
 """
 
 from __future__ import annotations
@@ -22,7 +24,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.errors import FaultInjectionError, PlatformError, StreamError
+from repro.errors import (
+    FaultInjectionError,
+    PlatformError,
+    StatsError,
+    StreamError,
+)
 from repro.faults.report import (
     CLASS_NAME_KINDS,
     SAMPLING_SCHEMA,
@@ -34,6 +41,7 @@ from repro.platform.report import (
     PlatformReport,
     PlatformTask,
 )
+from repro.stats.compare import _kind_and_rows, compare_artifacts
 from repro.streams.report import StreamFaults, StreamReport, StreamWindows
 
 _SETTINGS = settings(
@@ -92,25 +100,31 @@ def stream_reports(draw) -> StreamReport:
     )
 
 
-def _platform_tasks(devices) -> st.SearchStrategy:
-    return st.builds(
-        PlatformTask,
-        device=st.sampled_from(devices),
-        asil=_ASIL,
-        utilisation=_number(0.0, 1.0),
-        service_ms=_number(0.0, 10.0),
-        protocol_ms=_number(0.0, 10.0),
-        frames=_COUNT,
-        completed=_COUNT,
-        dropped=_COUNT,
-        deadline_misses=_COUNT,
-        faults_injected=_COUNT,
-        faults_detected=_COUNT,
-        faults_sdc=_COUNT,
-        throughput_fps=_number(0.0, 1e3),
-        elapsed_ms=_number(0.0, 1e6),
-        digest=st.text(alphabet="0123456789abcdef", min_size=16,
-                       max_size=16),
+@st.composite
+def _platform_tasks(draw, devices) -> PlatformTask:
+    """A task whose counters add up as a stream's do: every frame is
+    completed or dropped, misses are among the completed frames, and
+    every detected or silent fault was injected."""
+    frames = draw(_COUNT)
+    completed = draw(st.integers(0, frames))
+    faults = draw(_STREAM_FAULTS)
+    return PlatformTask(
+        device=draw(st.sampled_from(devices)),
+        asil=draw(_ASIL),
+        utilisation=draw(_number(0.0, 1.0)),
+        service_ms=draw(_number(0.0, 10.0)),
+        protocol_ms=draw(_number(0.0, 10.0)),
+        frames=frames,
+        completed=completed,
+        dropped=frames - completed,
+        deadline_misses=draw(st.integers(0, completed)),
+        faults_injected=faults.injected,
+        faults_detected=faults.detected,
+        faults_sdc=faults.sdc,
+        throughput_fps=draw(_number(0.0, 1e3)),
+        elapsed_ms=draw(_number(0.0, 1e6)),
+        digest=draw(st.text(alphabet="0123456789abcdef", min_size=16,
+                            max_size=16)),
     )
 
 
@@ -245,3 +259,22 @@ def test_a_one_leaf_edit_is_refused_or_loads_as_written(kind, data):
         return
     assert (json.dumps(loaded.to_dict(), sort_keys=True)
             == json.dumps(edited, sort_keys=True))
+
+
+@pytest.mark.parametrize("kind", sorted(_REPORTS))
+@_SETTINGS
+@given(data=st.data())
+def test_a_report_is_its_own_kind_and_no_different_from_itself(kind, data):
+    report = data.draw(_REPORTS[kind])
+    payload = report.to_dict()
+    # the one report class that declares every key of the payload
+    assert _kind_and_rows(payload, "A") == (kind, report.rate_rows())
+    try:
+        compared = compare_artifacts(payload, payload, resamples=20)
+    except StatsError as exc:
+        assert "share no comparable metrics" in str(exc)
+        assert not any(trials for _, trials in report.rate_rows().values())
+        return
+    assert compared["kind"] == kind
+    assert compared["comparisons"]
+    assert not any(row["significant"] for row in compared["comparisons"])
