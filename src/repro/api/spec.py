@@ -252,6 +252,11 @@ class Codec:
     #: a ``ConfigurationError`` raised while decoding as this type)
     load_error: Type[ReproError] = ConfigurationError
 
+    @classmethod
+    def known_keys(cls) -> FrozenSet[str]:
+        """The keys the JSON form may hold: fields and derived keys."""
+        return _plan(cls).known
+
     def to_dict(self) -> Dict[str, Any]:
         """Plain-data form (nested dicts/lists, JSON-compatible)."""
         data: Dict[str, Any] = {}
@@ -273,14 +278,15 @@ class Codec:
                 f"{cls.__name__} expects a mapping, got {data!r}"
             )
         plan = _plan(cls)
-        unknown = sorted(key for key in data if key not in plan.known)
+        known = cls.known_keys()
+        unknown = sorted(key for key in data if key not in known)
         if unknown:
             missing = [name for name, _, _, required, _ in plan.decode
                        if required and name not in data]
             raise ConfigurationError(
                 f"{cls.__name__}: unknown field(s) {', '.join(unknown)}; "
                 + (f"missing: {', '.join(missing)}; " if missing else "")
-                + f"known: {', '.join(sorted(plan.known))}"
+                + f"known: {', '.join(sorted(known))}"
             )
         kwargs: Dict[str, Any] = {}
         for name, label, decode, required, optional in plan.decode:

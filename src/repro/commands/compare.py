@@ -21,22 +21,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Dict
 
 from repro.commands.common import add_json_flag, read_json
 from repro.errors import ConfigurationError, StatsError
 
 __all__ = ["configure"]
-
-
-def _load_artifact(path: str) -> Dict[str, object]:
-    """Load one artifact JSON file for comparison."""
-    data = read_json(path, "artifact")
-    if not isinstance(data, dict):
-        raise ConfigurationError(
-            f"{path!r} does not hold a JSON object"
-        )
-    return data
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
@@ -45,8 +34,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
     try:
         payload = compare_artifacts(
-            _load_artifact(args.a),
-            _load_artifact(args.b),
+            read_json(args.a, "artifact"),
+            read_json(args.b, "artifact"),
             alpha=args.alpha,
             confidence=args.confidence,
             resamples=args.resamples,

@@ -31,7 +31,8 @@ for any worker count and any task-declaration order.
 """
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.api.spec import Codec, ReportCodec
 from repro.errors import ConfigurationError, PlatformError
@@ -104,6 +105,18 @@ class PlatformTask(Codec):
                 f"PlatformTask.asil must be one of "
                 f"{', '.join(Asil.__members__)}, got {self.asil!r}"
             )
+        # counters add up as a stream's do: each frame completed or dropped,
+        # misses among the completed, each detected or silent fault injected
+        rest = self.frames - self.completed
+        for name, low, high in (
+                ("completed", 0, self.frames), ("dropped", rest, rest),
+                ("deadline_misses", 0, self.completed),
+                ("faults_detected", 0, self.faults_injected),
+                ("faults_sdc", 0, self.faults_injected - self.faults_detected)):
+            if not low <= getattr(self, name) <= high:
+                raise ConfigurationError(
+                    f"PlatformTask.{name} must be in [{low}, {high}], "
+                    f"got {getattr(self, name)}")
 
     @property
     def safe_rate(self) -> float:
@@ -140,9 +153,12 @@ class PlatformTask(Codec):
                 or (self.ftti_ok and self.coverage_ok))
 
 
-#: Task counters in :func:`~repro.streams.report.stream_rate_rows` order.
-_RATE_COUNTERS = ("frames", "completed", "dropped", "deadline_misses",
-                  "faults_sdc", "faults_injected")
+def _rate_rows(count: Callable[[str], int]) -> Dict[str, Tuple[int, int]]:
+    """The stream rate rows over the task counters ``count(field)``."""
+    return stream_rate_rows(
+        frames=count("frames"), completed=count("completed"),
+        dropped=count("dropped"), deadline_misses=count("deadline_misses"),
+        sdc=count("faults_sdc"), injected=count("faults_injected"))
 
 
 @dataclass(frozen=True)
@@ -286,12 +302,11 @@ class PlatformReport(ReportCodec):
         summed task counters, plus each task's own rows keyed
         ``task/metric`` (the rows ``repro compare`` tests)."""
         tasks = self._by_label()
-        rows = stream_rate_rows(*(sum(getattr(task, key) for _, task in tasks)
-                                  for key in _RATE_COUNTERS))
+        rows = _rate_rows(lambda key: sum(getattr(task, key)
+                                          for _, task in tasks))
         for label, task in tasks:
-            counters = (getattr(task, key) for key in _RATE_COUNTERS)
             rows.update((f"{label}/{metric}", counts) for metric, counts
-                        in stream_rate_rows(*counters).items())
+                        in _rate_rows(partial(getattr, task)).items())
         return rows
 
     @property

@@ -4,9 +4,10 @@
 move, or is the difference sampling noise?*  Both artifacts must be of
 the same kind — campaign, platform or stream reports, or
 ``BENCH_*.json`` performance artifacts.  A report's kind is the one
-report class that declares every key of it; that class's loader alone
-reads it, so one whose declared totals disagree with its tables is
-refused, never compared, and its ``rate_rows()`` are the rates tested.
+report class that declares the most keys of it; that class's loader
+alone reads it, so one whose declared totals disagree with its tables,
+or with a key its class does not declare, is refused, never compared,
+and its ``rate_rows()`` are the rates tested.
 Every rate both sides share, with trials on both, is tested twice:
 
 * a pooled two-proportion z-test (:func:`two_proportion_test`) giving a
@@ -34,7 +35,6 @@ from dataclasses import dataclass
 from statistics import NormalDist
 from typing import Any, Dict, List, Mapping, Set, Tuple
 
-from repro.api.spec import _plan
 from repro.errors import StatsError
 from repro.stats.intervals import (
     DEFAULT_RESAMPLES,
@@ -106,13 +106,16 @@ class RateComparison:
 
     def describe(self) -> str:
         """One human-readable comparison line."""
-        verdict = "SIGNIFICANT" if self.significant else "noise"
-        return (
-            f"{self.metric}: {self.rate_a:.5f} -> {self.rate_b:.5f} "
-            f"(diff {self.diff:+.5f} "
-            f"[{self.diff_low:+.5f}, {self.diff_high:+.5f}], "
-            f"p={self.p_value:.4f}) {verdict}"
-        )
+        return _describe(self.to_dict())
+
+
+def _describe(row: Mapping[str, Any]) -> str:
+    """One human-readable line of a :meth:`RateComparison.to_dict` row."""
+    verdict = "SIGNIFICANT" if row["significant"] else "noise"
+    return (f"{row['metric']}: {row['a']['rate']:.5f} -> "
+            f"{row['b']['rate']:.5f} (diff {row['diff']:+.5f} "
+            f"[{row['diff_low']:+.5f}, {row['diff_high']:+.5f}], "
+            f"p={row['p_value']:.4f}) {verdict}")
 
 
 def two_proportion_test(events_a: int, trials_a: int,
@@ -204,12 +207,16 @@ def compare_rates(metric: str, a: Tuple[int, int], b: Tuple[int, int], *,
 # ----------------------------------------------------------------------
 # artifact-level comparison
 # ----------------------------------------------------------------------
-def _bench_rows(scenarios: Mapping[str, Mapping[str, Any]]
-                ) -> Dict[str, Tuple[int, int]]:
+def _bench_rows(scenarios: Any, side: str) -> Dict[str, Tuple[int, int]]:
     """``scenario/<m> -> (events, trials)`` of every integer
     ``<m>_events``/``<m>_trials`` count pair of a BENCH artifact."""
+    if not isinstance(scenarios, Mapping):
+        raise StatsError(f"artifact {side}: scenarios must be an object")
     rows: Dict[str, Tuple[int, int]] = {}
     for name, scenario in sorted(scenarios.items()):
+        if not isinstance(scenario, Mapping):
+            raise StatsError(
+                f"artifact {side}: scenario {name!r} must be an object")
         for key in sorted(scenario):
             stem = key[: -len("_events")]
             counts = (scenario[key], scenario.get(stem + "_trials"))
@@ -224,12 +231,13 @@ def _kind_and_rows(data: Mapping[str, Any], side: str
                    ) -> Tuple[str, Dict[str, Tuple[int, int]]]:
     """The kind of one artifact and its ``metric -> (events, trials)``
     rows: BENCH for a payload with ``scenarios``, else the one report
-    class whose fields and derived keys hold every key of it, read by
-    that class's loader alone, its rows the report's ``rate_rows()``.
+    class that declares the most keys of it, read by that class's loader
+    alone, its rows the report's ``rate_rows()``.
 
     Raises:
         StatsError: naming the side, when ``data`` is not an object,
-            fits no report class or more than one, or fails its loader.
+            no report class declares more of its keys than every other,
+            or it fails its loader.
     """
     from repro.faults.report import CampaignReport
     from repro.platform.report import PlatformReport
@@ -237,18 +245,21 @@ def _kind_and_rows(data: Mapping[str, Any], side: str
 
     if not isinstance(data, Mapping):
         raise StatsError(
-            f"artifact {side} must be a JSON object, got {data!r}")
+            f"artifact {side} must be a JSON object, got "
+            f"{type(data).__name__}")
     if "scenarios" in data:
-        return "bench", _bench_rows(data["scenarios"])
-    kinds = [(kind, cls) for kind, cls in (("campaign", CampaignReport),
-                                           ("platform", PlatformReport),
-                                           ("stream", StreamReport))
-             if _plan(cls).known.issuperset(data)]
-    if len(kinds) != 1:
+        return "bench", _bench_rows(data["scenarios"], side)
+    scored = [(len(cls.known_keys().intersection(data)), kind, cls)
+              for kind, cls in (("campaign", CampaignReport),
+                                ("platform", PlatformReport),
+                                ("stream", StreamReport))]
+    best = max(score for score, _, _ in scored)
+    fits = [(kind, cls) for score, kind, cls in scored if score == best]
+    if len(fits) != 1:
         raise StatsError(
             f"artifact {side}: unrecognised artifact: expected the keys of "
             "one campaign, platform or stream report, or BENCH scenarios")
-    (kind, cls), = kinds
+    (kind, cls), = fits
     try:
         return kind, cls.from_dict(data).rate_rows()
     except cls.load_error as exc:
@@ -432,14 +443,7 @@ def compare_artifacts(a: Mapping[str, Any], b: Mapping[str, Any], *,
 def render_comparison(payload: Mapping[str, Any]) -> str:
     """Human-readable rendering of a :func:`compare_artifacts` payload."""
     lines = [f"kind: {payload['kind']}  alpha: {payload['alpha']}"]
-    for row in payload["comparisons"]:
-        verdict = "SIGNIFICANT" if row["significant"] else "noise"
-        lines.append(
-            f"  {row['metric']}: {row['a']['rate']:.5f} -> "
-            f"{row['b']['rate']:.5f} (diff {row['diff']:+.5f} "
-            f"[{row['diff_low']:+.5f}, {row['diff_high']:+.5f}], "
-            f"p={row['p_value']:.4f}) {verdict}"
-        )
+    lines.extend("  " + _describe(row) for row in payload["comparisons"])
     for row in payload["deltas"]:
         rel = row["relative_change"]
         rel_text = f"{rel:+.1%}" if rel is not None else "n/a"

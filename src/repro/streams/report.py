@@ -56,7 +56,7 @@ def safe_fraction(frames: float, dropped: float, deadline_misses: float,
     return max(0.0, (frames - unsafe) / frames)
 
 
-def stream_rate_rows(frames: int, completed: int, dropped: int,
+def stream_rate_rows(*, frames: int, completed: int, dropped: int,
                      deadline_misses: int, sdc: int,
                      injected: int) -> Dict[str, Tuple[int, int]]:
     """``metric -> (events, trials)`` of the :data:`STREAM_RATE_METRICS`
@@ -204,9 +204,10 @@ class StreamReport(ReportCodec):
     def rate_rows(self) -> Dict[str, Tuple[int, int]]:
         """``metric -> (events, trials)`` of every stream rate (the rows
         ``repro compare`` tests)."""
-        return stream_rate_rows(self.frames, self.completed, self.dropped,
-                                self.deadline_misses, self.faults.sdc,
-                                self.faults.injected)
+        return stream_rate_rows(
+            frames=self.frames, completed=self.completed,
+            dropped=self.dropped, deadline_misses=self.deadline_misses,
+            sdc=self.faults.sdc, injected=self.faults.injected)
 
     def rate_estimator(self, metric: str = "deadline_miss") -> "UniformRate":
         """Estimator of one stream rate (frames are i.i.d. trials).

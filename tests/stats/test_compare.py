@@ -154,10 +154,20 @@ class TestKindAndRows:
         {},  # every report class declares no key of it
         {"policy": "default"},  # campaign, platform and stream alike
         {"label": "x", "spec_hash": "0", "policy": "p"},  # platform, stream
-        dict(_campaign(), frames=10),  # one key of another report
-    ], ids=["unknown-key", "empty", "three-kinds", "two-kinds", "mixed"])
-    def test_refuses_a_payload_of_no_kind_or_many(self, payload):
+    ], ids=["unknown-key", "empty", "three-kinds", "two-kinds"])
+    def test_refuses_a_payload_no_one_class_declares_most_of(self, payload):
         with pytest.raises(StatsError, match="artifact B: unrecognised"):
+            _kind_and_rows(payload, "B")
+
+    @pytest.mark.parametrize("payload, message", [
+        (dict(_campaign(), frames=10), "CampaignReport: unknown field"),
+        (dict(_stream(), sdc_rate=0.0), "StreamReport: unknown field"),
+        (dict(_platform(), total=1), "PlatformReport: unknown field"),
+    ], ids=["campaign", "stream", "platform"])
+    def test_an_extra_key_is_refused_by_the_nearest_report(self, payload,
+                                                           message):
+        # the class declaring every other key reads it, and names the key
+        with pytest.raises(StatsError, match=f"^artifact B: {message}"):
             _kind_and_rows(payload, "B")
 
     def test_refuses_a_non_object(self):

@@ -259,6 +259,44 @@ class TestPlatformReports:
         assert rows["camera-perception/drop"]["b"]["trials"] == 300
 
 
+    @pytest.mark.parametrize("side", ["A", "B"])
+    @pytest.mark.parametrize("field, value", [
+        ("deadline_misses", 10**6), ("dropped", 7), ("faults_sdc", 3),
+        ("faults_detected", -1)])
+    def test_a_task_whose_counters_do_not_add_up_is_misuse(
+            self, tmp_path, capsys, reports, field, value, side):
+        payload = json.loads(reports["platform"].read_text())
+        label = sorted(payload["tasks"])[0]
+        payload["tasks"][label][field] = value
+        tampered = tmp_path / "tampered.json"
+        tampered.write_text(json.dumps(payload))
+        real = str(reports["platform"])
+        argv = ([str(tampered), real] if side == "A"
+                else [real, str(tampered)])
+        capsys.readouterr()
+
+        assert main(["compare"] + argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith(
+            f"error: artifact {side}: PlatformReport.tasks[{label!r}]: "
+            f"PlatformTask.{field} must be in [")
+        assert captured.err.endswith(f"got {value}\n")
+
+    @pytest.mark.parametrize("kind", ["campaign", "platform", "stream"])
+    def test_a_misspelt_key_is_named_by_its_report_s_loader(
+            self, capsys, reports, artifact, kind):
+        payload = json.loads(reports[kind].read_text())
+        payload["drop_rat"] = 0.0
+        assert main(["compare", artifact("typo.json", payload),
+                     str(reports[kind])]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1
+        assert re.match(r"error: artifact A: \w+Report: unknown field\(s\) "
+                        r"drop_rat; known: ", captured.err)
+
+
 class TestZeroTrials:
     def test_a_stream_without_completed_frames_compares_without_misses(
             self, capsys, artifact):
@@ -341,6 +379,21 @@ class TestBenchGate:
         bad.write_text("[1, 2, 3]")
         b = artifact("b.json", _bench({"s": {"digest": "abc"}}))
         assert main(["compare", str(bad), b]) == 2
+
+    @pytest.mark.parametrize("side", ["A", "B"])
+    @pytest.mark.parametrize("scenarios, message", [
+        ({"s": {"digest": "abc"}, "x": 5}, "scenario 'x' must be an object"),
+        ([1, 2], "scenarios must be an object"),
+    ], ids=["scenario", "scenarios"])
+    def test_a_bench_file_of_the_wrong_shape_exits_two(
+            self, capsys, artifact, scenarios, message, side):
+        good = artifact("good.json", _bench({"s": {"digest": "abc"}}))
+        bad = artifact("bad.json", _bench(scenarios))
+        argv = [bad, good] if side == "A" else [good, bad]
+        assert main(["compare"] + argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: artifact {side}: {message}\n"
 
     def test_json_payload_carries_the_gate(self, capsys, artifact):
         a = artifact("a.json", _bench({"s": {"digest": "abc"}}))

@@ -17,6 +17,7 @@ compared against itself has no significant rate.
 from __future__ import annotations
 
 import copy
+import dataclasses
 import json
 from dataclasses import fields
 
@@ -102,9 +103,11 @@ def stream_reports(draw) -> StreamReport:
 
 @st.composite
 def _platform_tasks(draw, devices) -> PlatformTask:
-    """A task whose counters add up as a stream's do: every frame is
-    completed or dropped, misses are among the completed frames, and
-    every detected or silent fault was injected."""
+    """Any task :class:`PlatformTask` accepts: its counters add up as a
+    stream's do (every frame is completed or dropped, misses are among
+    the completed frames, and every detected or silent fault was
+    injected); :func:`test_a_task_loads_only_when_its_counters_add_up`
+    draws the counters independently."""
     frames = draw(_COUNT)
     completed = draw(st.integers(0, frames))
     faults = draw(_STREAM_FAULTS)
@@ -192,6 +195,39 @@ def test_platform_report_round_trips(report):
     payload = report.to_dict()
     payload["asil"]["verdict"] = "fail" if report.all_ok else "pass"
     with pytest.raises(PlatformError, match="PlatformReport.asil.verdict"):
+        PlatformReport.from_dict(payload)
+
+
+_TASK_COUNTERS = ("frames", "completed", "dropped", "deadline_misses",
+                  "faults_injected", "faults_detected", "faults_sdc")
+
+
+@_SETTINGS
+@given(data=st.data(),
+       counters=st.fixed_dictionaries(
+           {name: st.integers(-1, 4) for name in _TASK_COUNTERS}))
+def test_a_task_loads_only_when_its_counters_add_up(data, counters):
+    task = data.draw(_platform_tasks(["gpu"]))
+    devices = {"gpu": PlatformDevice(gpu="g", preset=None, capacity=1.0)}
+    payload = PlatformReport(label="p", spec_hash="0", policy="p",
+                             devices=devices, tasks={"t": task}).to_dict()
+    payload["tasks"]["t"].update(counters)
+    c = counters
+    adds_up = (0 <= c["completed"] <= c["frames"]
+               and c["dropped"] == c["frames"] - c["completed"]
+               and 0 <= c["deadline_misses"] <= c["completed"]
+               and min(c["faults_detected"], c["faults_sdc"]) >= 0
+               and (c["faults_detected"] + c["faults_sdc"]
+                    <= c["faults_injected"]))
+    if adds_up:
+        _check_round_trip(PlatformReport(
+            label="p", spec_hash="0", policy="p", devices=devices,
+            tasks={"t": dataclasses.replace(task, **counters)}))
+        return
+    # refused by the task's own bounds, before any derived key is read
+    refusal = (r"^PlatformReport\.tasks\['t'\]: PlatformTask\.\w+ "
+               r"must be in \[-?\d+, -?\d+\], got -?\d+$")
+    with pytest.raises(PlatformError, match=refusal):
         PlatformReport.from_dict(payload)
 
 
